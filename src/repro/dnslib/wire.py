@@ -16,19 +16,11 @@ from __future__ import annotations
 
 import struct
 
-from .name import MAX_NAME_LENGTH, Name
+from .name import MAX_NAME_LENGTH, Name, _interned
 
 #: A compression pointer is two bytes whose top two bits are set.
 _POINTER_MASK = 0xC0
 _MAX_POINTER = 0x3FFF
-
-#: Sentinel key set in a name memo when any pointer targeted the
-#: transaction-id bytes (offsets 0-1).  Such a decode depends on the
-#: txid, so the packet must not enter txid-agnostic decode memos.
-#: Real entries are keyed on non-negative start offsets, so the
-#: sentinel can never collide with a pointer target.
-TAINT_KEY = -1
-_TAINT_ENTRY = (None, -1)
 
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
@@ -38,7 +30,6 @@ _pack_u16 = _U16.pack
 _pack_u32 = _U32.pack
 _unpack_u16 = _U16.unpack_from
 _unpack_u32 = _U32.unpack_from
-_intern_name = Name.intern
 
 
 class WireError(ValueError):
@@ -66,69 +57,63 @@ def peek_header(data) -> tuple[int, int, int, int, int, int]:
 
 
 def decode_name_at(
-    data: bytes, start: int, names: dict[int, tuple[Name, int]]
+    data: bytes,
+    start: int,
+    names: dict[int, tuple[Name, int]],
+    jumps: int = 0,
+    total: int = 1,
 ) -> tuple[Name, int]:
     """Decode a possibly compressed name at ``start``, guarding against
     pointer loops.  Returns ``(name, offset after the name at start)``
-    and memoises the result in ``names`` keyed on ``start``."""
+    and memoises the result in ``names`` keyed on ``start``.
+
+    A compression pointer is followed by decoding its target as a name
+    of its own, so every target lands in ``names`` and the next pointer
+    at it is one probe; ``jumps`` and ``total`` carry the pointers
+    followed and the wire length accumulated on the way there."""
     cached = names.get(start)
     if cached is not None:
         return cached
     size = len(data)
     labels: list[bytes] = []
-    total = 1
-    jumps = 0
     cursor = start
-    resume: int | None = None
-    name: Name | None = None
     while True:
         if cursor >= size:
             raise WireError("name runs off end of packet")
         length = data[cursor]
-        if length & _POINTER_MASK == _POINTER_MASK:
-            if cursor + 1 >= size:
-                raise WireError("truncated compression pointer")
-            target = (length & ~_POINTER_MASK) << 8 | data[cursor + 1]
-            if resume is None:
-                resume = cursor + 2
-            if target >= cursor:
-                raise WireError("forward compression pointer")
-            if target < 2:
-                names[TAINT_KEY] = _TAINT_ENTRY
-            hit = names.get(target)
-            if hit is not None:
-                # The tail from here was already decoded (and its walk
-                # validated) — splice it instead of re-chasing.
-                tail = hit[0]
-                total += tail._wlen - 1
-                if total > MAX_NAME_LENGTH:
-                    raise WireError("decoded name too long")
-                if labels:
-                    labels.extend(tail.labels)
-                else:
-                    name = tail
+        if length < 0x40:
+            if not length:
+                entry = (_interned(tuple(labels)), cursor + 1)
                 break
-            jumps += 1
-            if jumps > 64:
-                raise WireError("compression pointer loop")
-            cursor = target
-        elif length & _POINTER_MASK:
-            raise WireError(f"reserved label type 0x{length & _POINTER_MASK:02x}")
-        elif length == 0:
-            cursor += 1
-            break
-        else:
-            if cursor + 1 + length > size:
+            stop = cursor + 1 + length
+            if stop > size:
                 raise WireError("label runs off end of packet")
-            labels.append(data[cursor + 1 : cursor + 1 + length])
+            labels.append(data[cursor + 1 : stop])
             total += length + 1
             if total > MAX_NAME_LENGTH:
                 raise WireError("decoded name too long")
-            cursor += 1 + length
-    end = resume if resume is not None else cursor
-    if name is None:
-        name = _intern_name(tuple(labels))
-    entry = (name, end)
+            cursor = stop
+        elif length >= _POINTER_MASK:
+            if cursor + 1 >= size:
+                raise WireError("truncated compression pointer")
+            target = (length & 0x3F) << 8 | data[cursor + 1]
+            if target >= cursor:
+                raise WireError("forward compression pointer")
+            hit = names.get(target)
+            if hit is None:
+                if jumps >= 64:
+                    raise WireError("compression pointer loop")
+                hit = decode_name_at(data, target, names, jumps + 1, total)
+            tail = hit[0]
+            total += tail._wlen - 1
+            if total > MAX_NAME_LENGTH:
+                raise WireError("decoded name too long")
+            if labels:
+                tail = _interned((*labels, *tail.labels))
+            entry = (tail, cursor + 2)
+            break
+        else:
+            raise WireError(f"reserved label type 0x{length & _POINTER_MASK:02x}")
     names[start] = entry
     return entry
 
@@ -169,15 +154,16 @@ class WireWriter:
     def write_name(self, name: Name, compress: bool | None = None) -> None:
         """Write ``name``, emitting a compression pointer for any suffix
         already present in the message."""
-        use_compression = self._compress if compress is None else compress
         buf = self._buf
-        labels = name.labels
-        if not labels:
+        suffixes = name._suffixes
+        if suffixes is None:
+            suffixes = name.suffix_keys()
+        if not suffixes:
             buf.append(0)
             return
+        use_compression = self._compress if compress is None else compress
         offsets = self._offsets
         offsets_get = offsets.get
-        suffixes = name.suffix_keys()
         if use_compression:
             # whole-name hit first: repeated owners (every answer in a
             # section, glue matching an NS target) collapse to one probe
@@ -186,22 +172,16 @@ class WireWriter:
             if target is not None:
                 buf += _pack_u16(0xC000 | target)
                 return
-        encoded = name.encoded_labels()
-        index = 0
-        count = len(labels)
-        while index < count:
-            suffix = suffixes[index]
+        for suffix, label in zip(suffixes, name._enc or name.encoded_labels()):
             target = offsets_get(suffix)
-            if target is not None:
-                if use_compression:
-                    buf += _pack_u16(0xC000 | target)
-                    return
-            else:
+            if target is None:
                 position = len(buf)
                 if position <= _MAX_POINTER:
                     offsets[suffix] = position
-            buf += encoded[index]
-            index += 1
+            elif use_compression:
+                buf += _pack_u16(0xC000 | target)
+                return
+            buf += label
         buf.append(0)
 
 

@@ -247,9 +247,12 @@ def all_tlds() -> list[tuple[str, str]]:
     return out
 
 
+_TLD_CLASS: dict[str, str] = {}
+
+
 def tld_class(tld: str) -> str | None:
     """'legacy' | 'cc' | 'ng' for a known TLD, else None."""
-    for name, cls in all_tlds():
-        if name == tld:
-            return cls
-    return None
+    if not _TLD_CLASS:
+        for name, cls in all_tlds():
+            _TLD_CLASS.setdefault(name, cls)  # first occurrence wins
+    return _TLD_CLASS.get(tld)

@@ -73,7 +73,7 @@ class ResponseMemo:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        clone = Message(
+        return Message(
             id=query.id,
             flags=stored.flags,
             questions=list(stored.questions),
@@ -81,8 +81,6 @@ class ResponseMemo:
             authorities=list(stored.authorities),
             additionals=list(stored.additionals),
         )
-        clone._wire = stored._wire  # id is patched on encode
-        return clone
 
     def put(self, key: tuple, message: Message) -> None:
         entries = self._entries

@@ -259,14 +259,8 @@ class _SpanPipeSink:
 
 def _run_task(task: _ShardTask, spec: _ShardSpec, conn, kill_on_progress: bool = False) -> None:
     """One hermetic sub-scan: own Internet, own RNG streams, own cache."""
-    from ..dnslib import clear_codec_caches
     from ..ecosystem import EcosystemParams, build_internet
     from ..modules import get_module
-
-    # codec memos are process-global: start each task cold so its
-    # codec.* metrics depend only on the task's own traffic — the same
-    # numbers whether the tasks share one process or get one each
-    clear_codec_caches()
 
     base_seed = spec.config.seed
     streams = task.seed_streams()
@@ -516,8 +510,8 @@ def _mp_context():
 def _relabel_for(shard_index: int):
     """Metric renamer: per-shard labels for the scopes where summing
     would destroy the signal (which server slice was faulted / unhealthy
-    in *this* shard's chaos stream, whether *this* shard's codec memo
-    gates stayed on), fleet sums for everything else."""
+    in *this* shard's chaos stream, how many packets *this* shard's
+    codec handled), fleet sums for everything else."""
 
     def relabel(name: str) -> str:
         for scope in ("faults.", "health.", "codec."):

@@ -24,7 +24,7 @@ from ..core import (
     ServerHealthTracker,
     SimDriver,
 )
-from ..dnslib import CODEC_STATS, clear_codec_caches, codec_memo_stats
+from ..dnslib import CODEC_STATS
 from ..ecosystem import SimInternet
 from ..modules import ModuleContext, ScanModule, get_module
 from ..net import CPUModel, GCModel, PortExhaustedError, SimUDPSocket, SourceIPPool
@@ -54,6 +54,8 @@ class ScanConfig:
     #: and referral-parsing CPU on top of packet costs.
     costs: ClientCostModel | None = None
     #: GC pause model; the paper's tuned config is frequent short pauses.
+    #: These model *Go's* collector in virtual time (``net.cpu.GCModel``);
+    #: the host interpreter's collector is ``Simulator.run``'s business.
     gc_period: float | None = None
     gc_pause: float | None = None
     reuse_sockets: bool = True
@@ -207,14 +209,7 @@ class ScanRunner:
             )
         engine_scope = registry.scope("engine")
         # codec counters are process-global; the per-run contribution is
-        # the delta against this baseline (see the codec scope below).
-        # A metered run also starts with cold codec memos: warmness left
-        # over from an earlier scan in the same process would otherwise
-        # leak into this run's codec.* numbers and break run-to-run
-        # metric determinism (the memos are transparent, so output rows
-        # are unaffected either way).
-        if registry.enabled:
-            clear_codec_caches()
+        # the delta against this baseline (see the codec scope below)
         codec_baseline = dict(CODEC_STATS)
 
         gc = None
@@ -455,14 +450,12 @@ class ScanRunner:
             # wire-codec work this run paid for: counters are the delta
             # against the process-global baseline taken at run start, so
             # a shard's numbers are its own even when several scans share
-            # the process; memo gate state is a point-in-time gauge
+            # the process
             codec_scope = registry.scope("codec")
             for key, value in CODEC_STATS.items():
                 paid = value - codec_baseline[key]
                 if paid:
                     codec_scope.counter(key).inc(paid)
-            for key, value in codec_memo_stats().items():
-                codec_scope.gauge(key).set(value)
 
         elapsed = stats.duration
         cpu_utilisation = cpu.utilisation(elapsed) if elapsed else 0.0

@@ -31,8 +31,10 @@ a constant-factor optimisation.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
@@ -59,6 +61,18 @@ def derive_seed(base: int, *streams: int | str) -> int:
     text = ":".join(str(part) for part in (base, *streams))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+#: Young-generation threshold of the host's cyclic collector while an
+#: event loop runs.  A scan's in-flight window (1000 lookups: routines,
+#: futures, timers, messages) is tens of thousands of tracked objects
+#: that live for a round trip and die by reference count; CPython's
+#: 700-object nursery promotes nearly all of them, and every
+#: older-generation pass re-walks the lazily synthesised universe they
+#: joined — 353 passes that freed nothing in a 3000-name scan, 14 % of
+#: its wall (38 % at 40,000 names).  EXPERIMENTS.md "Ledger entry 2" has
+#: the sweep, and why ``gc.freeze()`` is not here.  The collector stays
+#: enabled: the loop does make the odd cycle.
+LOOP_GC_NURSERY = 50_000
 
 #: Compact the timer heap when at least this many cancelled entries are
 #: pending *and* they outnumber the live ones (asyncio uses the same
@@ -342,10 +356,21 @@ class Simulator:
 
         ``max_events`` bounds the number of callbacks executed and
         raises :class:`HangError` past it — the chaos-soak harness's
-        hang detector.  The bounded path is a separate loop so the
-        unbounded hot path pays nothing for the feature."""
-        if max_events is not None:
-            return self._run_bounded(until, max_events)
+        hang detector.
+
+        The host's cyclic collector runs with a :data:`LOOP_GC_NURSERY`
+        young generation for the duration of the loop; the caller's
+        thresholds are put back on every exit path."""
+        thresholds = gc.get_threshold()
+        if 0 < thresholds[0] < LOOP_GC_NURSERY:  # 0 is the caller's "never"
+            gc.set_threshold(LOOP_GC_NURSERY, *thresholds[1:])
+        try:
+            self._loop(until, math.inf if max_events is None else max_events)
+        finally:
+            gc.set_threshold(*thresholds)
+
+    def _loop(self, until: float | None, max_events: float) -> None:
+        budget = max_events
         heap = self._heap
         ready = self._ready
         pop_heap = heapq.heappop
@@ -382,52 +407,11 @@ class Simulator:
                     if self._cancelled_pending:
                         self._cancelled_pending -= 1
                     continue
-                fn.finished = True
-                fn = fn.fn
-            self.events_executed += 1
-            fn()
-        if until is not None:
-            self.now = max(self.now, until)
-
-    def _run_bounded(self, until: float | None, max_events: int) -> None:
-        """The ``run(max_events=...)`` loop: identical scheduling order,
-        plus an event budget that trips :class:`HangError`."""
-        heap = self._heap
-        ready = self._ready
-        pop_heap = heapq.heappop
-        handle_type = TimerHandle
-        budget = max_events
-        while True:
-            while heap:
-                top = heap[0][2]
-                if type(top) is handle_type and top.cancelled:
-                    pop_heap(heap)
-                    if self._cancelled_pending:
-                        self._cancelled_pending -= 1
-                else:
-                    break
-            if ready:
-                seq, fn = ready[0]
-                if heap and heap[0][0] <= self.now and heap[0][1] < seq:
-                    fn = pop_heap(heap)[2]
-                else:
-                    ready.popleft()
-            elif heap:
-                when = heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                fn = pop_heap(heap)[2]
-                self.now = when
-            else:
-                break
-            if type(fn) is handle_type:
-                if fn.cancelled:
-                    if self._cancelled_pending:
-                        self._cancelled_pending -= 1
-                    continue
-                fn.finished = True
-                fn = fn.fn
+                handle, fn = fn, fn.fn
+                handle.finished = True
+                # as in cancel(): a timeout that won its race is otherwise
+                # held in a cycle through the future it resolved
+                handle.fn = None
             if budget <= 0:
                 raise HangError(
                     f"simulation still busy after {max_events} events "

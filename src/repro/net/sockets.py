@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from ..dnslib import Message, WireError, max_payload
+from ..dnslib import MAX_UDP_PAYLOAD, Message, WireError, max_payload
 from .links import LatencyModel, LossModel
 from .sim import SimFuture, Simulator
 
@@ -281,7 +281,12 @@ class SimNetwork:
                 if response is None:
                     return  # injected inbound drop (counted per directive)
             reply_wire = self._maybe_wire(response)
-            if protocol == "udp" and reply_wire is not None:
+            if (
+                protocol == "udp"
+                and reply_wire is not None
+                # no client advertises less, so most replies skip the OPT parse
+                and len(reply_wire) > MAX_UDP_PAYLOAD
+            ):
                 # Size-based truncation against the client's EDNS payload.
                 limit = max_payload(query)
                 if len(reply_wire) > limit:

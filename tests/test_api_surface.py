@@ -54,13 +54,12 @@ def test_version():
 
 
 def test_codec_exports_present():
-    """The wire-codec rewrite's public surface: batch decode, header
-    peeks, lazy views, stats, and the cache reset hook."""
+    """The wire codec's public surface: batch decode, header peeks,
+    stats, and the cache reset hook."""
     import repro.dnslib as dnslib
 
     for name in (
         "CODEC_STATS",
-        "LazyResourceRecord",
         "clear_codec_caches",
         "decode_many",
         "peek_header",
@@ -71,27 +70,18 @@ def test_codec_exports_present():
         assert hasattr(dnslib, name)
 
 
-def test_lazy_view_invariants():
-    """Structural invariants of the lazy record view: it *is* a
-    ResourceRecord (isinstance-based consumers keep working), rdata is
-    a cached property rather than a plain slot, and the codec stats
-    expose every counter the benchmarks read."""
-    from repro.dnslib import CODEC_STATS, LazyResourceRecord, ResourceRecord
+def test_codec_objects_carry_no_instance_dict():
+    """Scans build tens of thousands of messages and records: all
+    slots, no per-instance ``__dict__``; and the stats expose the
+    counters telemetry reads."""
+    from repro.dnslib import CODEC_STATS, Message, Question, ResourceRecord, codec_memo_stats
 
-    assert issubclass(LazyResourceRecord, ResourceRecord)
-    assert isinstance(inspect.getattr_static(LazyResourceRecord, "rdata"), property)
-    # slots-only: no per-instance __dict__ to bloat million-record scans
-    assert "__slots__" in vars(LazyResourceRecord)
-    assert "__dict__" not in dir(LazyResourceRecord)
-    for counter in (
-        "decode_calls",
-        "decode_scans",
-        "encode_calls",
-        "encode_serialises",
-        "lazy_records",
-        "lazy_hydrations",
-    ):
+    for cls in (Message, Question, ResourceRecord):
+        assert "__slots__" in vars(cls)
+        assert "__dict__" not in dir(cls)
+    for counter in ("decode_calls", "encode_calls"):
         assert counter in CODEC_STATS
+    assert all(isinstance(value, int) for value in codec_memo_stats().values())
 
 
 def test_module_registry_covers_paper_footnote():

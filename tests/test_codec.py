@@ -1,12 +1,10 @@
-"""Lazy-view, codec-stats and decode-avoidance regression tests.
+"""Codec-stats and decode-avoidance regression tests.
 
-The flat-scan rewrite emits :class:`LazyResourceRecord` views whose
-rdata stays raw packet bytes until first touched.  These tests pin the
-invariants the rest of the stack relies on: hydration reads from a
-private immutable buffer (copy-on-decode, so a reused receive buffer
-can never corrupt a view), the codec stats count real work, and the
-transport/simulator avoid full decodes wherever a cheap transaction-id
-peek or an abandoned future makes them pointless.
+``Message.from_wire`` decodes every record during its one pass over a
+private immutable copy of the packet (so a reused receive buffer can
+never leak into a decoded value), the codec stats count real work, and
+the transport/simulator avoid full decodes wherever a cheap
+transaction-id peek or an abandoned future makes them pointless.
 """
 
 import copy
@@ -19,7 +17,6 @@ import pytest
 from repro.dnslib import (
     CODEC_STATS,
     DNSClass,
-    LazyResourceRecord,
     Message,
     Name,
     Question,
@@ -58,31 +55,10 @@ def _referral_wire(txid=0x4242):
     return referral, referral.to_wire()
 
 
-# -- lazy hydration ----------------------------------------------------------
+# -- decoded values ----------------------------------------------------------
 
 
-def test_lazy_records_hydrate_on_demand():
-    clear_codec_caches()
-    _, wire = _referral_wire()
-    before = dict(CODEC_STATS)
-    decoded = Message.from_wire(wire)
-    assert CODEC_STATS["decode_calls"] == before["decode_calls"] + 1
-    lazy = [r for r in decoded.records() if isinstance(r, LazyResourceRecord)]
-    # the char-string TXT answer stays a lazy view; A glue hydrates
-    # eagerly at scan time through the shared address-instance cache
-    assert len(lazy) >= 1
-    assert all(not isinstance(r, LazyResourceRecord)
-               for r in decoded.additionals if r.rrtype == RRType.A)
-    assert CODEC_STATS["lazy_records"] >= before["lazy_records"] + len(lazy)
-    assert CODEC_STATS["lazy_hydrations"] == before["lazy_hydrations"]
-    values = [record.rdata for record in lazy]
-    assert CODEC_STATS["lazy_hydrations"] == before["lazy_hydrations"] + len(lazy)
-    # a second access returns the cached value without a second hydration
-    assert [record.rdata for record in lazy] == values
-    assert CODEC_STATS["lazy_hydrations"] == before["lazy_hydrations"] + len(lazy)
-
-
-def test_hydrated_values_match_eager_construction():
+def test_decoded_values_match_construction():
     clear_codec_caches()
     referral, wire = _referral_wire()
     decoded = Message.from_wire(wire)
@@ -93,9 +69,9 @@ def test_hydrated_values_match_eager_construction():
     assert txt.rdata == TXT((b"hello", b"world"))
 
 
-def test_bytearray_input_is_copied_before_lazy_views():
+def test_bytearray_input_is_copied_before_decode():
     """Scribbling over the caller's buffer after decode must not change
-    what an unhydrated record later hydrates to."""
+    any decoded value (labels and rdata are slices of a private copy)."""
     clear_codec_caches()
     _, wire = _referral_wire()
     buffer = bytearray(wire)
@@ -106,11 +82,10 @@ def test_bytearray_input_is_copied_before_lazy_views():
     assert decoded.answers[0].rdata == TXT((b"hello", b"world"))
 
 
-def test_lazy_record_pickles_and_deepcopies_as_plain_record():
+def test_decoded_record_pickles_and_deepcopies():
     clear_codec_caches()
     _, wire = _referral_wire()
     record = Message.from_wire(wire).answers[0]
-    assert isinstance(record, LazyResourceRecord)
     clone = pickle.loads(pickle.dumps(record))
     assert clone == record
     assert clone.rdata == TXT((b"hello", b"world"))

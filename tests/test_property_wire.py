@@ -445,3 +445,84 @@ def test_all_prefixes_of_rich_message():
         except WireError:
             pass
     assert decoded == 1
+
+
+# --------------------------------------------------------------------------
+# differential decode: Message.from_wire walks the packet in one flat
+# pass with inlined fast paths (pointer owners, A, single-name rdata);
+# the cursor path — WireReader + Question.from_wire +
+# ResourceRecord.from_wire, one generic step per entry — is the
+# reference.  On well-formed and on damaged packets alike the two must
+# agree: equal messages, or WireError from both.
+
+
+def _reference_decode(data: bytes) -> Message:
+    from repro.dnslib import peek_header
+
+    msg_id, raw_flags, *counts = peek_header(data)
+    reader = WireReader(data, 12)
+    questions = [Question.from_wire(reader) for _ in range(counts[0])]
+    sections = [[ResourceRecord.from_wire(reader) for _ in range(count)] for count in counts[1:]]
+    return Message(msg_id, Flags.from_int(raw_flags), questions, *sections)
+
+
+def _outcome(decode, data):
+    try:
+        return decode(data)
+    except WireError:
+        return WireError
+
+
+@st.composite
+def _damaged_packets(draw):
+    """A message over every registered type, encoded, then possibly
+    damaged: bytes flipped, cut short, counts inflated, compression
+    pointers redirected."""
+    qname = draw(hostnames)
+    # owners that make the writer emit every pointer shape: the question
+    # name itself, a suffix of it, a child of it, and a stranger
+    owners = [qname, Name(qname.labels[1:]), draw(hostnames)]
+    if qname.wire_length() < 200:
+        owners.append(qname.child(b"child"))
+    pool = _all_sample_records()
+    record = st.builds(
+        lambda owner, sample, ttl: ResourceRecord(
+            owner, sample.rrtype, DNSClass.IN, ttl, sample.rdata
+        ),
+        st.sampled_from(owners),
+        st.sampled_from(pool),
+        st.integers(0, 2**31 - 1),
+    )
+    message = Message(
+        id=draw(st.integers(0, 0xFFFF)),
+        flags=Flags.from_int(draw(st.integers(0, 0xFFFF))),
+        questions=[Question(qname, draw(st.sampled_from([RRType.A, RRType.NS, RRType.TXT])))],
+        answers=draw(st.lists(record, max_size=4)),
+        authorities=draw(st.lists(record, max_size=3)),
+        additionals=draw(st.lists(record, max_size=3)),
+    )
+    wire = bytearray(message.to_wire())
+    damage = draw(st.sampled_from(["none", "flip", "truncate", "counts", "pointers"]))
+    if damage == "flip":
+        for _ in range(draw(st.integers(1, 3))):
+            wire[draw(st.integers(0, len(wire) - 1))] = draw(st.integers(0, 255))
+    elif damage == "truncate":
+        del wire[draw(st.integers(0, len(wire) - 1)) :]
+    elif damage == "counts":
+        field = draw(st.sampled_from([4, 6, 8, 10]))
+        wire[field + 1] = min(255, wire[field + 1] + draw(st.integers(1, 3)))
+    elif damage == "pointers":
+        pointers = [i for i in range(12, len(wire) - 1) if wire[i] >= 0xC0]
+        for index in draw(st.lists(st.sampled_from(pointers), max_size=3)) if pointers else ():
+            target = draw(st.integers(0, len(wire) + 2))
+            wire[index] = 0xC0 | target >> 8
+            wire[index + 1] = target & 0xFF
+    return bytes(wire)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_damaged_packets())
+def test_flat_scan_agrees_with_cursor_reference(wire):
+    flat = _outcome(Message.from_wire, wire)
+    reference = _outcome(_reference_decode, wire)
+    assert flat == reference

@@ -1,8 +1,11 @@
 """Tests for the discrete-event simulator core."""
 
+import gc
+
 import pytest
 
-from repro.net import SimFuture, SimulationError, Simulator
+from repro.net import HangError, SimFuture, SimulationError, Simulator
+from repro.net.sim import LOOP_GC_NURSERY
 
 
 class TestScheduling:
@@ -326,3 +329,112 @@ class TestTimeoutRace:
         future = sim.spawn(routine())
         sim.run()
         assert future.result() is None
+
+    def test_timed_out_race_whose_reply_never_arrives_leaves_no_cycle(self):
+        """A fired timer drops its callback just as a cancelled one does;
+        keeping it held future -> on_future -> timer -> on_timeout ->
+        future alive until a cyclic pass, for every timed-out query."""
+        sim = Simulator()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            inner = SimFuture()
+            race = sim.timeout_race(inner, timeout=1.0)
+            sim.run()
+            assert race.result() is None and inner.abandoned
+            del inner, race
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+
+class TestCollectorPolicy:
+    """``run`` raises the collector's young generation for the loop and
+    leaves the host's settings as it found them on every way out."""
+
+    @staticmethod
+    def _crash():
+        raise RuntimeError("callback crashed")
+
+    @staticmethod
+    def _crashing_routine():
+        yield 0.1
+        raise RuntimeError("routine crashed")
+
+    def _exits(self):
+        def drain(sim):
+            sim.call_later(1.0, lambda: None)
+            sim.run()
+
+        def until(sim):
+            sim.call_later(5.0, lambda: None)
+            sim.run(until=1.0)
+
+        def hang(sim):
+            def again():
+                sim.call_later(1.0, again)
+
+            again()
+            with pytest.raises(HangError):
+                sim.run(max_events=10)
+
+        def crashing_callback(sim):
+            sim.call_later(1.0, self._crash)
+            with pytest.raises(RuntimeError):
+                sim.run()
+
+        def crashing_routine(sim):
+            outcome = sim.spawn(self._crashing_routine())
+            sim.run()
+            with pytest.raises(RuntimeError):
+                outcome.result()
+
+        def nested(sim):
+            inner = Simulator()
+            inner.call_later(1.0, lambda: None)
+            sim.call_later(1.0, inner.run)
+            sim.call_later(2.0, lambda: seen.append(gc.get_threshold()[0]))
+            seen = []
+            sim.run()
+            assert seen == [LOOP_GC_NURSERY]  # the inner exit left the outer loop's policy on
+
+        return [drain, until, hang, crashing_callback, crashing_routine, nested]
+
+    def test_settings_are_restored_on_every_exit_path(self):
+        before = (gc.get_threshold(), gc.isenabled(), gc.get_freeze_count())
+        for leave in self._exits():
+            sim = Simulator()
+            inside = []
+            sim.call_soon(lambda: inside.append((gc.get_threshold()[0], gc.isenabled())))
+            leave(sim)
+            assert inside == [(LOOP_GC_NURSERY, before[1])], leave.__name__
+            assert (gc.get_threshold(), gc.isenabled(), gc.get_freeze_count()) == before, leave.__name__
+
+    def test_caller_choices_are_left_alone(self):
+        """A disabled collector stays disabled, a caller's own frozen
+        set stays frozen, and a larger (or switched-off) nursery is not
+        shrunk."""
+        thresholds = gc.get_threshold()
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            for nursery in (0, 4 * LOOP_GC_NURSERY):
+                gc.set_threshold(nursery, *thresholds[1:])
+                sim = Simulator()
+                inside = []
+                sim.call_soon(lambda: inside.append((gc.get_threshold()[0], gc.isenabled())))
+                sim.run()
+                assert inside == [(nursery, False)]
+                assert gc.get_threshold() == (nursery, *thresholds[1:])
+                assert not gc.isenabled()
+                assert 0 < gc.get_freeze_count() <= frozen  # neither thawed nor refrozen
+        finally:
+            gc.unfreeze()
+            gc.set_threshold(*thresholds)
+            if enabled:
+                gc.enable()

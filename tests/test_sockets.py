@@ -179,6 +179,45 @@ class TestTruncation:
         assert not future.result().flags.truncated
         assert len(future.result().answers) == 40
 
+    def test_reply_above_advertised_payload_truncated(self):
+        # ~650 bytes of reply against an OPT that allows 600
+        sim, network, _ = build(server=EchoServer(answer_count=40))
+        message = Message.make_query("example.com", RRType.A)
+        add_edns(message, payload_size=600)
+
+        def routine():
+            return (yield network.query_udp("198.18.0.0", "10.0.0.1", message, 3.0))
+
+        future = sim.spawn(routine())
+        sim.run()
+        assert future.result().flags.truncated
+        assert network.stats.truncated_replies == 1
+
+    @pytest.mark.parametrize("payload_size", [None, 100, 4096])
+    def test_small_reply_never_consults_the_query_opt(self, monkeypatch, payload_size):
+        """No client can advertise less than 512 bytes (RFC 6891), so a
+        reply that fits in 512 is sent whole whatever the OPT says —
+        without parsing it."""
+        import repro.net.sockets as sockets
+
+        def unexpected(query):
+            raise AssertionError("max_payload consulted for a reply of <= 512 bytes")
+
+        monkeypatch.setattr(sockets, "max_payload", unexpected)
+        sim, network, _ = build(server=EchoServer(answer_count=3))
+        message = Message.make_query("example.com", RRType.A)
+        if payload_size is not None:
+            add_edns(message, payload_size=payload_size)
+
+        def routine():
+            return (yield network.query_udp("198.18.0.0", "10.0.0.1", message, 3.0))
+
+        future = sim.spawn(routine())
+        sim.run()
+        assert not future.result().flags.truncated
+        assert len(future.result().answers) == 3
+        assert network.stats.truncated_replies == 0
+
     def test_tcp_never_truncates(self):
         sim, network, _ = build(server=EchoServer(answer_count=40))
         message = Message.make_query("example.com", RRType.A)

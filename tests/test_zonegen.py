@@ -4,7 +4,7 @@ import pytest
 
 from repro.dnslib import Name
 from repro.ecosystem import EcosystemParams, ZoneSynthesizer
-from repro.ecosystem.params import CCTLDS, LEGACY_GTLDS
+from repro.ecosystem.params import CCTLDS, LEGACY_GTLDS, all_tlds, tld_class
 
 N = Name.from_text
 
@@ -57,6 +57,18 @@ class TestBaseDomainMapping:
 
     def test_bare_tld(self, synth):
         assert synth.base_domain_of(N("com")) is None
+
+
+class TestTldClass:
+    def test_agrees_with_a_scan_of_the_population(self):
+        """The lookup table answers as the first match in ``all_tlds()``
+        order did, and unknown TLDs are None."""
+        first = {}
+        for tld, cls in all_tlds():
+            first.setdefault(tld, cls)
+        assert first and all(tld_class(tld) == cls for tld, cls in first.items())
+        assert tld_class("com") == "legacy"
+        assert tld_class("internal") is None
 
 
 class TestStatistics:
