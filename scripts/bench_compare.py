@@ -1002,8 +1002,8 @@ def service_smoke(profile: str, repeats: int) -> int:
     return status
 
 
-def dnssec_smoke(profile: str, repeats: int) -> int:
-    """The DNSSEC validating path's acceptance gate, in three steps:
+def dnssec_smoke(profile: str, repeats: int, record: bool = False) -> int:
+    """The DNSSEC validating path's acceptance gate, in four steps:
 
     1. **Determinism** — the deployment-study scan over the signed
        universe, run twice, must serialise to byte-identical JSON;
@@ -1015,7 +1015,17 @@ def dnssec_smoke(profile: str, repeats: int) -> int:
     3. **Off-switch no-op** — with validation off no query carries the
        DO bit, so the fig1/fig2/table2 smoke scans must reproduce the
        pre-DNSSEC fingerprints stored under ``codec.smoke_fingerprints``
-       byte-for-byte.
+       byte-for-byte;
+    4. **Validation costs its DNSKEY fetches** — the study's exact
+       ``chain`` counts against the ones recorded under
+       ``dnssec.<profile>``: DS queries and fallbacks may only fall
+       (a change that quietly reintroduces a DS round trip per zone
+       fails here instead of merely running slower), harvested proofs
+       may only rise (a server that stops attaching them fails here by
+       name, not only through the fallbacks it causes), DNSKEY queries
+       must not move, and the counts must add up to the scan's own
+       ``chain_queries``.  ``record`` (``--rebaseline``) stores the
+       current counts instead of gating on them.
 
     ``repeats`` is ignored — determinism does the work.  Returns a
     process exit status (0 = gate passes).
@@ -1062,6 +1072,41 @@ def dnssec_smoke(profile: str, repeats: int) -> int:
         status = 1
 
     stored = json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists() else {}
+    chain = dict(first.chain)
+    if chain["ds_queries"] + chain["dnskey_queries"] != chain["chain_queries"]:
+        print(f"FAIL: DS + DNSKEY queries in the traces do not add up to the "
+              f"scan's own chain_queries: {chain}")
+        status = 1
+    if record:
+        # chain_queries is the sum just checked: nothing of its own to hold
+        stored.setdefault("dnssec", {})[profile] = {
+            count: chain[count]
+            for count in ("ds_queries", "proof_fallbacks", "dnskey_queries", "proofs_harvested")
+        }
+        RESULTS_PATH.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n")
+        print(f"recorded dnssec.{profile} in {RESULTS_PATH.relative_to(REPO_ROOT)}")
+    recorded = stored.get("dnssec", {}).get(profile)
+    if recorded is None:
+        print(f"FAIL: no chain counts recorded under dnssec.{profile}; "
+              "run --dnssec-smoke --rebaseline")
+        status = 1
+    else:
+        for count in ("ds_queries", "proof_fallbacks"):
+            if chain[count] > recorded[count]:
+                print(f"FAIL: {count} rose to {chain[count]} (recorded "
+                      f"{recorded[count]}): validation is paying DS round trips "
+                      "a referral already answered")
+                status = 1
+        if chain["dnskey_queries"] != recorded["dnskey_queries"]:
+            print(f"FAIL: dnskey_queries {chain['dnskey_queries']} != recorded "
+                  f"{recorded['dnskey_queries']}")
+            status = 1
+        if chain["proofs_harvested"] < recorded["proofs_harvested"]:
+            print(f"FAIL: proofs_harvested fell to {chain['proofs_harvested']} "
+                  f"(recorded {recorded['proofs_harvested']}): a signed parent's "
+                  "referrals stopped carrying the DS / no-DS proof")
+            status = 1
+
     reference = stored.get("codec", {}).get("smoke_fingerprints")
     if reference is None:
         print("FAIL: no stored smoke-fingerprint reference to prove the "
@@ -1083,10 +1128,15 @@ def dnssec_smoke(profile: str, repeats: int) -> int:
               f"(planted {100 * first.planted_rate(state):.2f}%)")
     print(f"  anomalies exercised         {first.islands} islands, "
           f"{first.broken_ds} broken DS, {first.expired_sigs} expired")
+    print(f"  validation asked for        {chain['chain_queries']:>8,} queries  "
+          f"({chain['dnskey_queries']} DNSKEY, {chain['ds_queries']} DS for "
+          f"{chain['proof_fallbacks']} fallbacks; {chain['proofs_harvested']:,} "
+          "proofs harvested)")
     print(f"  study wall                  {wall_a:>8.3f} s  (replay {wall_b:.3f} s)")
     if status == 0:
         print("\nOK — DNSSEC gate passes (byte-identical replay, measured == "
-              "planted, validation-off scans match the pre-DNSSEC reference)")
+              "planted, chain queries at or under the record, validation-off "
+              "scans match the pre-DNSSEC reference)")
     return status
 
 
@@ -1162,8 +1212,10 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="DNSSEC gate: the signed-universe deployment study must "
         "replay byte-identically with measured outcomes equal to the "
-        "planted ground truth, and validation-off scans must match the "
-        "pre-DNSSEC smoke fingerprints (skips the regular suite)",
+        "planted ground truth, its DS/DNSKEY chain queries must not exceed "
+        "the recorded counts (--rebaseline records them), and validation-off "
+        "scans must match the pre-DNSSEC smoke fingerprints (skips the "
+        "regular suite)",
     )
     parser.add_argument(
         "--service-smoke",
@@ -1177,7 +1229,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.dnssec_smoke:
-        return dnssec_smoke(args.profile, max(1, args.repeat))
+        return dnssec_smoke(args.profile, max(1, args.repeat), record=args.rebaseline)
 
     if args.service_smoke:
         return service_smoke(args.profile, max(1, args.repeat))
@@ -1262,7 +1314,7 @@ def main(argv: list[str] | None = None) -> int:
     print("\nresolver service smoke gate ...")
     status |= service_smoke(args.profile, 1)
     print("\ndnssec smoke gate ...")
-    status |= dnssec_smoke(args.profile, 1)
+    status |= dnssec_smoke(args.profile, 1, record=args.rebaseline)
     print("\nobs selfcheck ...")
     try:
         from repro.obs.selfcheck import main as obs_selfcheck

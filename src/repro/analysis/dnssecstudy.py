@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ..dnslib import Name
+from ..core import CHAIN_COUNTS
+from ..dnslib import Name, RRType
 from ..ecosystem import SimInternet, tld_class
 from ..framework import ScanConfig, ScanRunner
 
@@ -38,6 +39,11 @@ class DNSSECFindings:
     expired_sigs: int = 0
     #: Lookups whose measured outcome disagrees with the planted one.
     mismatches: int = 0
+    #: What validation asked the network for, exact for a seed: the
+    #: scan's own ``chain_queries`` / ``proofs_harvested`` /
+    #: ``proof_fallbacks`` tallies, and the DS and DNSKEY queries
+    #: counted off the rows' traces (only the validator sends either).
+    chain: Counter = field(default_factory=Counter)
 
     @property
     def signed_fraction(self) -> float:
@@ -61,6 +67,7 @@ class DNSSECFindings:
             "broken_ds": self.broken_ds,
             "expired_sigs": self.expired_sigs,
             "mismatches": self.mismatches,
+            "chain": dict(sorted(self.chain.items())),
         }
         for state in ("secure", "insecure", "bogus", "indeterminate"):
             out[f"measured_{state}_pct"] = round(100 * self.measured_rate(state), 2)
@@ -70,6 +77,9 @@ class DNSSECFindings:
                 100 * self.secure_rate_of_class(cls), 2
             )
         return out
+
+
+_CHAIN_QTYPES = {int(RRType.DS): "ds_queries", int(RRType.DNSKEY): "dnskey_queries"}
 
 
 def expected_outcome(synth, base: Name) -> str:
@@ -104,6 +114,9 @@ def run_dnssec_study(
 
     def sink(row: dict) -> None:
         findings.domains_scanned += 1
+        for step in row.get("trace", ()):
+            if not step["cached"] and step["type"] in _CHAIN_QTYPES:
+                findings.chain[_CHAIN_QTYPES[step["type"]]] += 1
         base = Name.from_text(row["name"])
         profile = synth.profile(base)
         if profile.exists:
@@ -138,7 +151,9 @@ def run_dnssec_study(
         seed=seed,
         dnssec=True,
     )
-    ScanRunner(internet, config, sink=sink).run(base_domains)
+    report = ScanRunner(internet, config, sink=sink).run(base_domains)
+    for count in CHAIN_COUNTS:
+        findings.chain[count] = report.dnssec_stats[count]
     return findings
 
 
@@ -184,6 +199,13 @@ def main(argv=None) -> int:
             f"(planted {100 * findings.planted_rate(state):.2f} %)"
         )
     print(f"mismatches             {findings.mismatches}")
+    chain = findings.chain
+    print(
+        f"validation asked for   {chain['chain_queries']} queries "
+        f"({chain['dnskey_queries']} DNSKEY, {chain['ds_queries']} DS for "
+        f"{chain['proof_fallbacks']} cuts no referral vouched for; "
+        f"{chain['proofs_harvested']} proofs rode referrals)"
+    )
     return 1 if findings.mismatches else 0
 
 

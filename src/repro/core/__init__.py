@@ -56,6 +56,7 @@ __all__ += [
 
 from .dnssec import (  # noqa: E402
     BOGUS,
+    CHAIN_COUNTS,
     INDETERMINATE,
     INSECURE,
     SECURE,
@@ -66,6 +67,7 @@ from .dnssec import (  # noqa: E402
 
 __all__ += [
     "BOGUS",
+    "CHAIN_COUNTS",
     "INDETERMINATE",
     "INSECURE",
     "SECURE",

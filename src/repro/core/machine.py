@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from ..dnslib import Message, Name, Rcode, ResourceRecord, RRType
 from .cache import Delegation, SelectiveCache
 from .config import ResolverConfig
+from .dnssec import INDETERMINATE, ChainEvidence, Validator
 from .status import Status, status_from_rcode
 from .trace import Trace, TraceStep, message_to_json
 from .validation import sanitize_response, validate_response_shape
@@ -68,6 +69,9 @@ class LookupResult:
     #: DNSSEC validation outcome (secure/insecure/bogus/indeterminate),
     #: or None when validation was not enabled for this lookup.
     security: str | None = None
+    #: What the walk learned about the chain of trust and what
+    #: validating it cost (validating lookups only, else None).
+    evidence: ChainEvidence | None = None
 
     @property
     def is_success(self) -> bool:
@@ -172,6 +176,8 @@ class IterativeMachine:
         result = LookupResult(
             name=name.to_text(omit_final_dot=True), qtype=qtype, resolver="iterative"
         )
+        if self.config.dnssec:
+            result.evidence = ChainEvidence()
         budget = _Budget(self.config.max_queries)
         tracer = self.config.tracer
         span = (
@@ -188,7 +194,7 @@ class IterativeMachine:
         except _Abort as abort:
             result.status = abort.status
         if self.config.dnssec:
-            yield from self._validate(name, qtype, result, budget)
+            yield from self._validate(result, budget)
         result.queries_sent = budget.sent
         result.retries_used = budget.retries
         if span is not None:
@@ -201,17 +207,25 @@ class IterativeMachine:
 
     # ------------------------------------------------------------------
 
-    def _validate(self, name, qtype, result, budget):
+    def _validate(self, result, budget):
         """DNSSEC post-pass: walk the chain of trust and stamp
         ``result.security``.  Validation never clobbers the semantic
         status — running out of query budget mid-walk leaves the answer
-        intact and marks it indeterminate."""
-        from .dnssec import INDETERMINATE, Validator
+        intact and marks it indeterminate.
 
+        The chain fetches run through the same ``result`` (its trace,
+        its budget) but not its evidence: that stays what the lookup
+        itself saw — above all the zone that issued the final denial —
+        whatever servers validating it then talks to."""
+        evidence, result.evidence = result.evidence, None
+        sent_before = budget.sent
         try:
-            result.security = yield from Validator(self).validate(name, qtype, result, budget)
+            result.security = yield from Validator(self).validate(result, evidence, budget)
         except _Abort:
             result.security = INDETERMINATE
+        finally:
+            result.evidence = evidence
+        evidence.chain_queries = budget.sent - sent_before
 
     def _resolve_with_cnames(self, name: Name, qtype: RRType, result, budget, span=None):
         answers: list[ResourceRecord] = []
@@ -258,6 +272,7 @@ class IterativeMachine:
         if depth > self.config.max_glueless_depth:
             raise _Abort(Status.ERROR)
         tracer = self.config.tracer
+        evidence = result.evidence
 
         # Leaf-answer cache: a no-op under the paper's selective policy,
         # only live for the policy="all" ablation (section 3.4).
@@ -317,6 +332,8 @@ class IterativeMachine:
                 name, qtype, servers, result, budget, zone, depth, parent=span
             )
             rcode = response.rcode
+            if evidence is not None:
+                evidence.last_zone = zone
 
             if rcode == Rcode.NXDOMAIN:
                 return [], Status.NXDOMAIN
@@ -340,6 +357,8 @@ class IterativeMachine:
                 delegation = _delegation_from(response, referral)
                 if delegation.ns_names:
                     self.cache.put_delegation(delegation)
+                if evidence is not None:
+                    evidence.harvest(referral, response.authorities)
                 addresses = delegation.addresses()
                 if not addresses:
                     addresses = yield from self._resolve_glueless(

@@ -63,26 +63,52 @@ def sign_sections(response: Message, zone: Name, dp: DnssecProfile) -> None:
             section.append(sign_rrset(records, zone, dp.key, dp.inception, dp.expiration))
 
 
+def _ds_or_denial(synth: ZoneSynthesizer, parent: Name, child: Name) -> ResourceRecord:
+    """What ``parent`` holds about ``child``'s DS: the DS record of a
+    signed, non-island child (digest deliberately wrong for
+    ``broken_ds`` zones), or for unsigned and island children the NSEC
+    at the cut — NS bit set, DS bit absent — which is what lets a
+    validator conclude *Insecure* rather than *Bogus*."""
+    child_dp = synth.dnssec_profile(child)
+    if child_dp.signed and not child_dp.island:
+        return make_ds(child, child_dp.key, broken=child_dp.broken_ds)
+    return make_nsec(child, parent, (int(RRType.NS),))
+
+
 def ds_answer(synth: ZoneSynthesizer, query: Message, parent: Name, child: Name) -> Message:
     """The parent-side authoritative answer for a DS query (DO set).
 
-    DS lives only at the parent: a signed, non-island child gets its DS
-    RRset (digest deliberately wrong for ``broken_ds`` zones); unsigned
-    and island children get an authenticated denial — signed NSEC proof
-    that no DS exists, which is what lets a validator conclude
-    *Insecure* rather than *Bogus*.
+    DS lives only at the parent: the child's DS RRset in the answer
+    section, or an authenticated denial (SOA + NSEC) in authority.
     """
     parent_dp = synth.dnssec_profile(parent)
-    child_dp = synth.dnssec_profile(child)
+    record = _ds_or_denial(synth, parent, child)
     response = query.make_response(authoritative=True)
-    if child_dp.signed and not child_dp.island:
-        response.answers.append(make_ds(child, child_dp.key, broken=child_dp.broken_ds))
+    if int(record.rrtype) == int(RRType.DS):
+        response.answers.append(record)
     else:
         response.authorities.append(soa_for(parent))
-        response.authorities.append(make_nsec(child, parent, (int(RRType.NS),)))
+        response.authorities.append(record)
     if parent_dp.signed:
         sign_sections(response, parent, parent_dp)
     return response
+
+
+def referral_proof(synth: ZoneSynthesizer, parent: Name, child: Name) -> list[ResourceRecord]:
+    """The DNSSEC half of a DO-bit referral (RFC 4035 section 3.1.4.1):
+    a signed parent MUST send the child's DS RRset, or the NSEC proving
+    there is none, with its RRSIG in the authority section — the same
+    records :func:`ds_answer` serves, so a validator learns the cut's
+    status from the referral it was following anyway.  An unsigned
+    parent has nothing to prove: empty."""
+    parent_dp = synth.dnssec_profile(parent)
+    if not parent_dp.signed:
+        return []
+    record = _ds_or_denial(synth, parent, child)
+    return [
+        record,
+        sign_rrset([record], parent, parent_dp.key, parent_dp.inception, parent_dp.expiration),
+    ]
 
 
 def apex_answer(

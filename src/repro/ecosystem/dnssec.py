@@ -22,6 +22,7 @@ from hashlib import blake2b
 
 from ..dnslib import DNSClass, Name, ResourceRecord, RRType
 from ..dnslib.rdata.dnssec import DNSKEY, DS, NSEC, RRSIG
+from ..dnslib.wire import WireWriter
 from . import rand
 
 #: Virtual-clock zero maps to this absolute epoch (2022-10-25, the
@@ -115,8 +116,6 @@ def _rrset_digest(public_key: bytes, signer: Name, records, expiration: int, inc
 
 
 def _rdata_wire(record: ResourceRecord) -> bytes:
-    from ..dnslib.wire import WireWriter
-
     writer = WireWriter(enable_compression=False)
     record.rdata.to_wire(writer)
     return writer.getvalue()
@@ -146,7 +145,7 @@ def sign_rrset(
     return ResourceRecord(first.name, RRType.RRSIG, DNSClass.IN, first.ttl, rdata)
 
 
-def verify_rrsig(rrsig_rdata, records, public_key: bytes, now_epoch: int | None = None) -> bool:
+def verify_rrsig(rrsig_rdata, records, public_key: bytes, now_epoch: float | None = None) -> bool:
     """Does the signature verify against this RRset and key (and time)?"""
     if not records:
         return False

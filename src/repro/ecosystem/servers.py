@@ -18,6 +18,7 @@ from .content import (
     ds_answer,
     nodata,
     nxdomain,
+    referral_proof,
     rr,
     signed_nxdomain,
     soa_for,
@@ -124,11 +125,16 @@ class _MemoisedServer:
         return reply
 
 
-def _referral(query: Message, zone: Name, ns_pairs: list[tuple[Name, str | None]]) -> Message:
-    """A delegation response: NS in authority, glue in additional."""
+def _referral(
+    query: Message, zone: Name, ns_pairs: list[tuple[Name, str | None]], proof=()
+) -> Message:
+    """A delegation response: NS in authority (then ``proof``, the
+    signed parent's DS / no-DS records for a DO query), glue in
+    additional."""
     response = query.make_response()
     for ns_name, _ in ns_pairs:
         response.authorities.append(rr(zone, RRType.NS, REFERRAL_TTL, NS(ns_name)))
+    response.authorities.extend(proof)
     for ns_name, glue_ip in ns_pairs:
         if glue_ip is not None:
             response.additionals.append(rr(ns_name, RRType.A, REFERRAL_TTL, A(glue_ip)))
@@ -179,7 +185,8 @@ class RootServer(_MemoisedServer):
             if do and len(name.labels) == 1 and int(query.question.rrtype) == int(RRType.DS):
                 # DS lives at the parent: the root answers it, not the TLD
                 return ServerReply(ds_answer(self.synth, query, Name.root(), zone))
-            return ServerReply(_referral(query, zone, pairs))
+            proof = referral_proof(self.synth, Name.root(), zone) if do else ()
+            return ServerReply(_referral(query, zone, pairs, proof))
         return ServerReply(signed_nxdomain(self.synth, query, Name.root(), do))
 
 
@@ -216,12 +223,13 @@ class TLDServer(_MemoisedServer):
                 (Name.from_text(f"ns{k + 1}.dead-host.example"), f"{self.DARK_BASE}{k + 1}")
                 for k in range(2)
             ]
-            return ServerReply(_referral(query, base, pairs))
-        if do and question.name == base and int(question.rrtype) == int(RRType.DS):
+        elif do and question.name == base and int(question.rrtype) == int(RRType.DS):
             # parent-side DS for a delegated child, answered here
             return ServerReply(ds_answer(self.synth, query, self.zone, base))
-        pairs = [(ns.name, ns.ip) for ns in profile.nameservers]
-        return ServerReply(_referral(query, base, pairs))
+        else:
+            pairs = [(ns.name, ns.ip) for ns in profile.nameservers]
+        proof = referral_proof(self.synth, self.zone, base) if do else ()
+        return ServerReply(_referral(query, base, pairs, proof))
 
 
 class InfraServer(_MemoisedServer):

@@ -472,6 +472,8 @@ def _run_simulated(args, module, names, out_handle):
     summary["cpu_utilisation"] = round(report.cpu_utilisation, 3)
     if report.oracle_stats is not None:
         summary["oracle"] = report.oracle_stats
+    if report.dnssec_stats is not None:
+        summary["dnssec"] = report.dnssec_stats
     return summary, report
 
 

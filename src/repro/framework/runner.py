@@ -124,8 +124,12 @@ class ScanReport:
     #: Differential-oracle counters (``--oracle-check`` scans only):
     #: checked / agreed / inconclusive / divergences.
     oracle_stats: dict | None = None
-    #: Validation-outcome tallies (``dnssec`` scans only):
-    #: secure / insecure / bogus / indeterminate lookup counts.
+    #: Validation tallies (``dnssec`` scans only): secure / insecure /
+    #: bogus / indeterminate lookup counts, and what validation asked
+    #: the network for — ``chain_queries`` (every DS/DNSKEY query the
+    #: validator sent), ``proofs_harvested`` (referrals that carried a
+    #: DS / no-DS proof) and ``proof_fallbacks`` (cuts that needed an
+    #: explicit DS query after all).  Exact for a seed.
     dnssec_stats: dict | None = None
 
 
@@ -282,9 +286,9 @@ class ScanRunner:
         oracle_seen = [0]
         security_counts: dict[str, int] | None = None
         if config.dnssec:
-            from ..core import SECURITY_STATES
+            from ..core import CHAIN_COUNTS, SECURITY_STATES
 
-            security_counts = {state: 0 for state in SECURITY_STATES}
+            security_counts = dict.fromkeys(SECURITY_STATES + CHAIN_COUNTS, 0)
 
         stats = ScanStats(threads_requested=config.threads, started_at=sim.now)
         inflight = None
@@ -333,6 +337,8 @@ class ScanRunner:
                     and result.security is not None
                 ):
                     security_counts[result.security] += 1
+                    for count in CHAIN_COUNTS:
+                        security_counts[count] += getattr(result.evidence, count)
                 if oracle is not None and result is not None:
                     oracle_seen[0] += 1
                     if (oracle_seen[0] - 1) % oracle_every == 0:

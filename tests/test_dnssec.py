@@ -11,11 +11,14 @@ parent DS, ``smoke-3206.org`` serves expired signatures, and the
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import repro.ecosystem.servers as servers_module
 from repro.core import (
     BOGUS,
+    CHAIN_COUNTS,
     INDETERMINATE,
     INSECURE,
     SECURE,
@@ -24,17 +27,28 @@ from repro.core import (
     ResolverConfig,
     SelectiveCache,
     Status,
+    Validator,
     trust_anchor_for,
 )
+from repro.core.dnssec import ChainEvidence
 from repro.dnslib import DNSClass, Name, ResourceRecord, RRType
 from repro.dnslib.rdata.address import A
+from repro.dnslib.rdata.names import CNAME
 from repro.ecosystem import (
     EPOCH_BASE,
     EcosystemParams,
     build_internet,
     publish_zone_delta,
 )
-from repro.ecosystem.dnssec import sign_rrset, zone_key_bytes
+from repro.ecosystem.content import sign_sections
+from repro.ecosystem.dnssec import (
+    DNSKEY_TTL,
+    NSEC_TTL,
+    make_ds,
+    make_nsec,
+    sign_rrset,
+    zone_key_bytes,
+)
 from repro.faults import FaultInjector, FaultPlan, RolloverDesync, StripRrsig
 from repro.net import derive_seed
 from repro.oracle import (
@@ -192,6 +206,327 @@ class TestValidationOutcomes:
         assert result.security == BOGUS
 
 
+def queries_of(result, rrtype) -> int:
+    """Queries of one type the lookup put on the wire, off its trace."""
+    return sum(1 for step in result.trace if step.qtype == int(rrtype) and not step.cached)
+
+
+COLD_VERDICTS = [
+    (CLEAN, Status.NOERROR, SECURE),
+    (ISLAND, Status.NOERROR, INSECURE),
+    (BROKEN_DS, Status.NOERROR, BOGUS),
+    (EXPIRED, Status.NOERROR, BOGUS),
+    (UNSIGNED_ORG, Status.NOERROR, INSECURE),
+    (NXDOMAIN_ORG, Status.NXDOMAIN, SECURE),
+]
+
+
+class TestReferralProofs:
+    """The DS / no-DS proof rides the referral the lookup follows anyway;
+    the explicit DS query is the miss path, and a proof is believed only
+    on the parent's validated signature."""
+
+    @pytest.mark.parametrize("name,status,security", COLD_VERDICTS)
+    def test_cold_lookup_sends_no_ds_query(self, internet, name, status, security):
+        result = validating_resolver(internet).lookup(name, RRType.A)
+        assert (result.status, result.security) == (status, security)
+        assert queries_of(result, RRType.DS) == 0
+        evidence = result.evidence
+        assert evidence.proof_fallbacks == 0
+        assert evidence.proofs_harvested == len(evidence.proofs) > 0
+        # what validation sent is DNSKEY fetches only, all in the trace
+        assert evidence.chain_queries == queries_of(result, RRType.DNSKEY)
+
+    @pytest.mark.parametrize("name,status,security", COLD_VERDICTS)
+    def test_without_a_proof_the_validator_asks(self, monkeypatch, name, status, security):
+        monkeypatch.setattr(servers_module, "referral_proof", lambda *args: ())
+        internet = build_internet(params=EcosystemParams(seed=SEED))
+        result = validating_resolver(internet).lookup(name, RRType.A)
+        assert (result.status, result.security) == (status, security)
+        assert result.evidence.proofs_harvested == 0
+        assert result.evidence.proof_fallbacks == queries_of(result, RRType.DS) > 0
+
+    def test_warm_answer_cache_falls_back_too(self, internet):
+        """An answer served from the cache followed no referral, so
+        once the zone's memo has lapsed the proof has to be fetched."""
+        cache = SelectiveCache(
+            capacity=1000, policy="all",
+            clock=lambda: internet.sim.now, epoch_base=EPOCH_BASE,
+        )
+        resolver = Resolver(internet, cache=cache, config=ResolverConfig(dnssec=True))
+        assert resolver.lookup(CLEAN, RRType.A).security == SECURE
+        cache._drop_key(("sec", CLEAN.canonical_key()))
+        warm = resolver.lookup(CLEAN, RRType.A)
+        assert warm.security == SECURE
+        assert warm.evidence.proofs == {}
+        assert warm.evidence.proof_fallbacks == queries_of(warm, RRType.DS) == 1
+
+    def _forging_internet(self, monkeypatch, target, forge):
+        """A universe whose parent attaches ``forge(honest proof)`` to
+        every referral for ``target``."""
+        honest = servers_module.referral_proof
+
+        def referral_proof(synth, parent, child):
+            proof = honest(synth, parent, child)
+            return forge(synth, proof) if child == target else proof
+
+        monkeypatch.setattr(servers_module, "referral_proof", referral_proof)
+        return build_internet(params=EcosystemParams(seed=SEED))
+
+    def _lookup_recording_memos(self, internet, name):
+        resolver = validating_resolver(internet)
+        memos = []
+        put_security = resolver.cache.put_security
+
+        def recording(zone, status, key, ttl):
+            memos.append((zone, status))
+            put_security(zone, status, key, ttl)
+
+        resolver.cache.put_security = recording
+        return resolver.lookup(name, RRType.A), memos
+
+    @pytest.mark.parametrize(
+        "signer",
+        [
+            pytest.param(None, id="unsigned-ds"),
+            pytest.param(ISLAND, id="rrsig-by-the-child"),
+            pytest.param(N("org"), id="child-key-claiming-to-be-the-parent"),
+        ],
+    )
+    def test_forged_ds_never_upgrades_an_island(self, monkeypatch, signer):
+        def forge(synth, proof):
+            """A DS for the island's real key, unsigned or with an
+            RRSIG naming ``signer`` made with the island's own key."""
+            dp = synth.dnssec_profile(ISLAND)
+            ds = make_ds(ISLAND, dp.key)
+            if signer is None:
+                return [ds]
+            return [ds, sign_rrset([ds], signer, dp.key, dp.inception, dp.expiration)]
+
+        internet = self._forging_internet(monkeypatch, ISLAND, forge)
+        result, memos = self._lookup_recording_memos(internet, ISLAND)
+        assert result.security == INSECURE
+        # the forgery was seen and set aside: the parent was asked, and
+        # only its answer reached the memo
+        assert ISLAND in result.evidence.proofs
+        assert result.evidence.proof_fallbacks == 1
+        assert (ISLAND, INSECURE) in memos
+        assert (ISLAND, SECURE) not in memos
+
+    def test_unsigned_nsec_never_downgrades_a_secure_zone(self, monkeypatch):
+        internet = self._forging_internet(
+            monkeypatch, CLEAN,
+            lambda synth, proof: [make_nsec(CLEAN, N("org"), (int(RRType.NS),))],
+        )
+        result, memos = self._lookup_recording_memos(internet, CLEAN)
+        assert result.security == SECURE
+        assert result.evidence.proof_fallbacks == 1
+        assert (CLEAN, INSECURE) not in memos
+
+    @pytest.mark.parametrize("owner", [UNSIGNED_ORG, UNSIGNED_TLD], ids=["sibling", "out-of-bailiwick"])
+    def test_proof_for_another_owner_is_not_kept(self, monkeypatch, owner):
+        """A referral speaks for the cut it delegates and no other: a
+        DS owned by anything else — in the parent's bailiwick or not —
+        is dropped at the door, however it is signed."""
+
+        def forge(synth, proof):
+            ds = make_ds(owner, synth.dnssec_profile(ISLAND).key)
+            dp = synth.dnssec_profile(N("org"))
+            return proof + [ds, sign_rrset([ds], N("org"), dp.key, dp.inception, dp.expiration)]
+
+        internet = self._forging_internet(monkeypatch, ISLAND, forge)
+        result, memos = self._lookup_recording_memos(internet, ISLAND)
+        assert result.security == INSECURE
+        assert result.evidence.proof_fallbacks == 0  # the honest half was used
+        assert owner not in result.evidence.proofs
+        assert owner not in [zone for zone, _ in memos]
+
+    def test_harvest_keeps_only_the_referred_zones_proof(self):
+        key = b"k" * 16
+        ds = make_ds(CLEAN, key)
+        rrsig = sign_rrset([ds], N("org"), key, 0, 1)
+        other = make_ds(ISLAND, key)
+        ns_sig = sign_rrset(
+            [ResourceRecord(CLEAN, RRType.A, DNSClass.IN, 300, A("192.0.2.1"))], N("org"), key, 0, 1
+        )
+        evidence = ChainEvidence()
+        evidence.harvest(CLEAN, [other, ds, ns_sig, rrsig])
+        assert evidence.proofs == {CLEAN: [ds, rrsig]}
+        assert evidence.proofs_harvested == 1
+        evidence.harvest(ISLAND, [ns_sig])
+        assert ISLAND not in evidence.proofs and evidence.proofs_harvested == 1
+
+    def test_chain_fetches_teach_the_lookup_nothing(self, internet):
+        """With no delegation cache every DNSKEY fetch re-walks from the
+        root through proof-carrying referrals: the evidence still says
+        what the lookup saw, not what validating it then stirred up."""
+        cache = SelectiveCache(
+            capacity=1000, policy="none",
+            clock=lambda: internet.sim.now, epoch_base=EPOCH_BASE,
+        )
+        resolver = Resolver(internet, cache=cache, config=ResolverConfig(dnssec=True))
+        result = resolver.lookup(CLEAN, RRType.A)
+        assert result.security == SECURE
+        evidence = result.evidence
+        assert set(evidence.proofs) == {N("org"), CLEAN}
+        assert evidence.proofs_harvested == 2
+        assert evidence.last_zone == CLEAN
+        # root, root → org, root → org → base: the fetches did walk
+        assert evidence.chain_queries == queries_of(result, RRType.DNSKEY) == 6
+
+
+class TestDenialAfterCname:
+    """A CNAME chain that ends in a denial takes the chain status of the
+    zone that issued the denial — whatever zones validating the CNAME
+    itself talks to first, and whatever the chain memos already hold.
+
+    The synthetic universe only plants same-zone CNAMEs, so the signed
+    ``smoke-124.org`` is made to serve one that leaves the zone."""
+
+    ALIAS = N("alias.smoke-124.org")
+
+    def _internet(self, monkeypatch, target):
+        honest = servers_module.build_answer
+
+        def build_answer(synth, query, profile, **kwargs):
+            if query.question.name != self.ALIAS:
+                return honest(synth, query, profile, **kwargs)
+            response = query.make_response(authoritative=True)
+            response.answers.append(
+                ResourceRecord(self.ALIAS, RRType.CNAME, DNSClass.IN, 300, CNAME(target))
+            )
+            if kwargs.get("do"):
+                sign_sections(response, CLEAN, synth.dnssec_profile(CLEAN))
+            return response
+
+        monkeypatch.setattr(servers_module, "build_answer", build_answer)
+        return build_internet(params=EcosystemParams(seed=SEED))
+
+    @staticmethod
+    def _missing_under(base):
+        synth = build_internet(params=EcosystemParams(seed=SEED)).synth
+        profile = synth.profile(base)
+        return next(
+            name
+            for name in (N(f"gone-{i}.{base.to_text()}") for i in range(100))
+            if not synth.subdomain_exists(name, profile)
+        )
+
+    @pytest.mark.parametrize(
+        "base,security",
+        [
+            pytest.param(N("smoke-137.org"), SECURE, id="secure-sibling"),
+            pytest.param(UNSIGNED_ORG, INSECURE, id="unsigned-base"),
+            pytest.param(UNSIGNED_TLD, INSECURE, id="unsigned-tld"),
+            pytest.param(ISLAND, INSECURE, id="island"),
+            pytest.param(BROKEN_DS, BOGUS, id="broken-ds"),
+        ],
+    )
+    def test_denial_is_judged_by_the_zone_that_issued_it(self, monkeypatch, base, security):
+        target = self._missing_under(base)
+        internet = self._internet(monkeypatch, target)
+        resolver = validating_resolver(internet)
+        cold = resolver.lookup(self.ALIAS, RRType.A)
+        assert [int(r.rrtype) for r in cold.answers] == [int(RRType.CNAME), int(RRType.RRSIG)]
+        assert (cold.status, cold.security) == (Status.NXDOMAIN, security)
+        assert cold.evidence.last_zone == base
+        assert cold.evidence.chain_queries > 0  # the CNAME's chain was fetched first
+        warm = resolver.lookup(self.ALIAS, RRType.A)
+        assert (warm.status, warm.security) == (Status.NXDOMAIN, security)
+        assert warm.evidence.chain_queries == 0
+
+
+class TestRrsetSignatures:
+    """``_rrset_security`` against pre-seeded chain memos (no network)."""
+
+    ZONE = N("rolled.org")
+
+    def _validator(self, key):
+        cache = SelectiveCache(capacity=10, clock=lambda: 0.0, epoch_base=EPOCH_BASE)
+        cache.put_security(self.ZONE, SECURE, key, DNSKEY_TTL)
+        machine = SimpleNamespace(cache=cache, config=ResolverConfig(dnssec=True))
+        return Validator(machine)
+
+    def _verdict(self, validator, records, sigs):
+        walk = validator._rrset_security(records, sigs)
+        with pytest.raises(StopIteration) as stop:
+            next(walk)  # every signer is memoised: nothing to fetch
+        return stop.value.value
+
+    def _rrset(self, *generations):
+        record = ResourceRecord(
+            N("www.rolled.org"), RRType.A, DNSClass.IN, 300, A("192.0.2.9")
+        )
+        sigs = [
+            sign_rrset(
+                [record], self.ZONE, zone_key_bytes(SEED, self.ZONE, generation),
+                EPOCH_BASE - 10, EPOCH_BASE + 10,
+            )
+            for generation in generations
+        ]
+        return [record], sigs
+
+    def test_rolled_key_rrsig_ahead_of_the_valid_one_is_secure(self):
+        validator = self._validator(zone_key_bytes(SEED, self.ZONE, 1))
+        records, sigs = self._rrset(0, 1)  # stale generation first
+        assert self._verdict(validator, records, sigs) == SECURE
+
+    def test_only_stale_rrsigs_is_bogus(self):
+        validator = self._validator(zone_key_bytes(SEED, self.ZONE, 2))
+        records, sigs = self._rrset(0, 1)
+        assert self._verdict(validator, records, sigs) == BOGUS
+
+
+class TestMemoLifetimes:
+    """A ``("sec", zone)`` memo lives as long as the records that proved
+    it stay provable, not a flat ``DNSKEY_TTL``."""
+
+    def _lookup(self, name, **params):
+        internet = build_internet(params=EcosystemParams(seed=SEED, **params))
+        skew = [0.0]
+        cache = SelectiveCache(
+            capacity=1000, clock=lambda: internet.sim.now + skew[0], epoch_base=EPOCH_BASE
+        )
+        resolver = Resolver(internet, cache=cache, config=ResolverConfig(dnssec=True))
+        result = resolver.lookup(name, RRType.A)
+        return result, cache, skew, internet.sim.now
+
+    @staticmethod
+    def _expiry(cache, zone):
+        return cache._entries[("sec", zone.canonical_key())][1]
+
+    def test_insecure_memo_dies_with_its_nsec(self):
+        result, cache, skew, finished = self._lookup(UNSIGNED_ORG)
+        assert result.security == INSECURE
+        expires = self._expiry(cache, UNSIGNED_ORG)
+        assert expires == pytest.approx(finished + NSEC_TTL, abs=1.0)  # stored mid-lookup
+        skew[0] = expires - finished - 0.001
+        assert cache.get_security(UNSIGNED_ORG) == (INSECURE, b"")
+        skew[0] = expires - finished  # clock == expires_at: dead
+        assert cache.get_security(UNSIGNED_ORG) is None
+        # the secure parent above it was proved by hour-long records
+        assert self._expiry(cache, N("org")) > finished + DNSKEY_TTL - 1.0
+
+    def test_secure_memo_dies_with_its_signatures(self):
+        result, cache, skew, finished = self._lookup(CLEAN, dnssec_validity=1000)
+        assert result.security == SECURE
+        for zone in (Name.root(), N("org"), CLEAN):
+            assert self._expiry(cache, zone) == pytest.approx(1000.0, abs=1e-6)
+        expires = self._expiry(cache, CLEAN)
+        skew[0] = expires - finished - 0.001
+        assert cache.get_security(CLEAN) is not None
+        skew[0] = expires - finished
+        assert cache.get_security(CLEAN) is None
+
+    def test_inherited_status_is_not_memoised(self):
+        """Below an insecure cut a zone has no proof of its own: the
+        parent's memo answers, so nothing can outlive it."""
+        result, cache, _, _ = self._lookup(N("www.smoke-0.com"))
+        assert result.security == INSECURE
+        assert cache.get_security(N("com")) == (INSECURE, b"")
+        assert cache.get_security(UNSIGNED_TLD) is None
+
+
 # ---------------------------------------------------------------------------
 # satellite 2: RRSIG-aware cache lifetimes
 # ---------------------------------------------------------------------------
@@ -294,19 +629,33 @@ class TestDeltaDropsChainMemos:
         assert cache.get_security(CLEAN) == (SECURE, zone_key_bytes(SEED, CLEAN, 1))
 
     def test_invalidate_subtree_drops_sec_and_ds_state(self):
+        """After a delta and ``invalidate_subtree`` the next lookup
+        re-anchors on the generation-1 key, and no generation-0 DS is
+        left anywhere to contradict it: the proof a lookup validates
+        with is the one its own referral carried."""
         internet = build_internet(params=EcosystemParams(seed=SEED))
         cache = SelectiveCache(
             capacity=10_000, policy="all",
             clock=lambda: internet.sim.now, epoch_base=EPOCH_BASE,
         )
         resolver = Resolver(internet, cache=cache, config=ResolverConfig(dnssec=True))
-        resolver.lookup(CLEAN, RRType.A)
-        assert cache.get_security(CLEAN) is not None
-        assert cache.get_answer(CLEAN, RRType.DS) is not None  # parent-side DS
+        first = resolver.lookup(CLEAN, RRType.A)
+        assert first.security == SECURE
+        assert cache.get_security(CLEAN) == (SECURE, zone_key_bytes(SEED, CLEAN, 0))
+        assert not [key for key in cache._keys if key[0] == "ans" and key[2] == int(RRType.DS)]
+
+        publish_zone_delta(internet, CLEAN)
         cache.invalidate_subtree(CLEAN)
         assert cache.get_security(CLEAN) is None
-        assert cache.get_answer(CLEAN, RRType.DS) is None
         assert cache.get_security(N("org")) is not None  # above the cut: kept
+
+        fresh = resolver.lookup(CLEAN, RRType.A)
+        assert fresh.status == Status.NOERROR
+        assert fresh.security == SECURE
+        assert cache.get_security(CLEAN) == (SECURE, zone_key_bytes(SEED, CLEAN, 1))
+        (ds,) = [r for r in fresh.evidence.proofs[CLEAN] if r.rrtype == RRType.DS]
+        assert ds == make_ds(CLEAN, zone_key_bytes(SEED, CLEAN, 1))
+        assert fresh.evidence.proof_fallbacks == 0
 
     def test_service_delta_routine_rolls_the_memo(self):
         """Through the daemon's own delta machinery: seed 24's first
@@ -521,7 +870,11 @@ class TestCliWiring:
         assert stats.get(SECURE, 0) >= 1
         assert stats.get(INSECURE, 0) >= 1
         assert stats.get(BOGUS, 0) >= 1
-        assert set(stats) <= set(SECURITY_STATES)
+        assert set(stats) == set(SECURITY_STATES) | set(CHAIN_COUNTS)
+        # three cold lookups under one shared chain: no DS query at all
+        assert stats["proof_fallbacks"] == 0
+        assert stats["proofs_harvested"] > 0
+        assert 0 < stats["chain_queries"] < report.stats.queries_sent
 
     def test_trust_anchor_helper_matches_root(self, synth):
         from repro.ecosystem.dnssec import ds_digest

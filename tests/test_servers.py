@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dnslib import DNSClass, Message, Name, Rcode, RRType, name_from_ipv4_ptr
+from repro.dnslib import DNSClass, Message, Name, Rcode, RRType, add_edns, name_from_ipv4_ptr
 from repro.ecosystem import (
     ArpaServer,
     EcosystemParams,
@@ -14,6 +14,7 @@ from repro.ecosystem import (
     TLDServer,
     ZoneSynthesizer,
 )
+from repro.ecosystem.dnssec import ds_matches, verify_rrsig
 
 N = Name.from_text
 
@@ -23,8 +24,11 @@ def synth():
     return ZoneSynthesizer(EcosystemParams(seed=33))
 
 
-def ask(server, name, rrtype=RRType.A, client="198.18.0.0", now=0.0, protocol="udp", rrclass=DNSClass.IN):
+def ask(server, name, rrtype=RRType.A, client="198.18.0.0", now=0.0, protocol="udp", rrclass=DNSClass.IN,
+        do=False):
     query = Message.make_query(name, rrtype, rrclass=rrclass, txid=7, recursion_desired=False)
+    if do:
+        add_edns(query, dnssec_ok=True)
     reply = server.handle_query(query, client, now, protocol)
     return reply.message if reply is not None else None
 
@@ -94,6 +98,84 @@ class TestTLDServer:
     def test_out_of_zone_refused(self, synth):
         response = ask(TLDServer(synth, "com"), "example.net")
         assert response.rcode == Rcode.REFUSED
+
+
+class TestReferralProofs:
+    """A DO-bit referral from a signed parent carries the child's DS /
+    no-DS proof (RFC 4035 section 3.1.4.1).  Fixture zones are the
+    seed-2022 ones ``tests/test_dnssec.py`` pins."""
+
+    #: DO-less referrals for ``smoke-124.org``, captured on the commit
+    #: before referrals learned to carry proofs.
+    ROOT_REFERRAL = (
+        "00078000000100000002000209736d6f6b652d313234036f72670000010001c016000200010002a3"
+        "000015036e7331076e69632d6f7267076578616d706c6500c016000200010002a3000006036e7332"
+        "c02fc02b000100010002a3000004c0060201c04c000100010002a3000004c0060202"
+    )
+    ORG_REFERRAL = (
+        "00078000000100000004000409736d6f6b652d313234036f72670000010001c00c000200010002a3"
+        "00001b036e73340d6e616d6563686561702d646e73076578616d706c6500c00c000200010002a300"
+        "0006036e7333c02fc00c000200010002a3000006036e7332c02fc00c000200010002a3000006036e"
+        "7331c02fc02b000100010002a3000004c0070404c052000100010002a3000004c0070403c0640001"
+        "00010002a3000004c0070402c076000100010002a3000004c0070401"
+    )
+
+    @pytest.fixture(scope="class")
+    def signed(self):
+        return ZoneSynthesizer(EcosystemParams(seed=2022))
+
+    def proof_of(self, signed, server, child):
+        """The non-NS authority records of a DO referral for ``child``,
+        RRSIG checked under the parent's key."""
+        response = ask(server, child, do=True)
+        assert not response.flags.authoritative
+        extra = [r for r in response.authorities if r.rrtype != RRType.NS]
+        assert all(r.name == N(child) for r in extra)
+        rrset, rrsig = extra
+        assert rrsig.rrtype == RRType.RRSIG and rrsig.rdata.type_covered == int(rrset.rrtype)
+        parent = N(child).parent()
+        assert rrsig.rdata.signer == parent
+        assert verify_rrsig(rrsig.rdata, [rrset], signed.dnssec_profile(parent).key)
+        return rrset
+
+    def test_signed_child_gets_ds(self, signed):
+        ds = self.proof_of(signed, TLDServer(signed, "org"), "smoke-124.org")
+        assert ds.rrtype == RRType.DS
+        child = N("smoke-124.org")
+        assert ds_matches(ds.rdata, signed.dnssec_profile(child).key, child)
+
+    def test_root_vouches_for_signed_tld(self, signed):
+        ds = self.proof_of(signed, RootServer(signed), "org")
+        assert ds.rrtype == RRType.DS
+        assert ds_matches(ds.rdata, signed.dnssec_profile(N("org")).key, N("org"))
+
+    @pytest.mark.parametrize("child", ["smoke-0.org", "smoke-203.org"])
+    def test_unsigned_and_island_children_get_nsec(self, signed, child):
+        nsec = self.proof_of(signed, TLDServer(signed, "org"), child)
+        assert nsec.rrtype == RRType.NSEC
+        assert int(RRType.NS) in nsec.rdata.types
+        assert int(RRType.DS) not in nsec.rdata.types
+
+    def test_broken_ds_is_served_as_planted(self, signed):
+        ds = self.proof_of(signed, TLDServer(signed, "org"), "smoke-687.org")
+        assert ds.rrtype == RRType.DS
+        child = N("smoke-687.org")
+        assert not ds_matches(ds.rdata, signed.dnssec_profile(child).key, child)
+
+    def test_dead_delegation_carries_its_proof_too(self, signed):
+        base, _ = find_domain(signed, lambda p: p.dead, tld="org", prefix="smoke")
+        self.proof_of(signed, TLDServer(signed, "org"), base.to_text(omit_final_dot=True))
+
+    def test_unsigned_parent_carries_nothing(self, signed):
+        assert not signed.dnssec_profile(N("com")).signed
+        response = ask(TLDServer(signed, "com"), "smoke-0.com", do=True)
+        assert {r.rrtype for r in response.authorities} == {RRType.NS}
+
+    def test_do_less_referral_bytes_unchanged(self, signed):
+        root = ask(RootServer(signed), "smoke-124.org")
+        assert root.to_wire().hex() == self.ROOT_REFERRAL
+        org = ask(TLDServer(signed, "org"), "smoke-124.org")
+        assert org.to_wire().hex() == self.ORG_REFERRAL
 
 
 class TestProviderAuthServer:
