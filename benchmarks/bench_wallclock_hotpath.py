@@ -15,6 +15,7 @@ can reuse them; the pytest entry points are marked ``bench``/``tier2``.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import pytest
 
@@ -115,7 +116,7 @@ class _HostSpeed:
 
 def bench_scheduler(timers: int, routines: int, races: int) -> dict:
     """Raw event-loop throughput: timer churn, routine ping-pong, and
-    the timeout_race pattern every simulated query goes through."""
+    the reply-or-deadline wait every simulated query goes through."""
     from repro.net import Simulator
 
     # 1) pure timer heap churn
@@ -144,13 +145,14 @@ def bench_scheduler(timers: int, routines: int, races: int) -> dict:
 
     routine_wall = _best_wall(routine_run)
 
-    # 3) the hot query pattern: a future that wins a race against a
-    # timeout timer (with cancellable timers the loser leaves the heap)
+    # 3) the hot query pattern: a reply that beats its future's deadline
+    # (with cancellable timers the losing deadline leaves the heap)
     def querier(sim, n):
-        for _ in range(n):
-            response = sim.sleep_future(0.05)
-            value = yield sim.timeout_race(response, 5.0)
-            assert value is None  # sleep_future resolves with None
+        for i in range(n):
+            response = sim.future_with_deadline(5.0)
+            sim.call_later(0.05, partial(response.set_result, i))
+            value = yield response
+            assert value == i and not response.abandoned
         return n
 
     race_count = max(1, races // 100)

@@ -68,7 +68,7 @@ class DigBaseline:
                     rng,
                 )
                 result = yield from driver.execute(machine.resolve(raw, _qtype(raw)), socket)
-                yield cpu.execute(DIG_PROCESS_CPU)
+                yield cpu.occupy(DIG_PROCESS_CPU)
                 yield DIG_BATCH_OVERHEAD
                 stats.record(str(result.status), sim.now, result.queries_sent, result.retries_used)
 
@@ -96,7 +96,7 @@ class DigBaseline:
                     socket.close()
                     return
                 # fork + exec + dig startup before the query even flows
-                yield cpu.execute(DIG_PROCESS_CPU)
+                yield cpu.occupy(DIG_PROCESS_CPU)
                 machine = ExternalMachine([resolver_ip], config, rng)
                 result = yield from driver.execute(machine.resolve(raw, _qtype(raw)), socket)
                 stats.record(str(result.status), sim.now, result.queries_sent, result.retries_used)

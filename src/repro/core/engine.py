@@ -79,7 +79,7 @@ class SimDriver:
     def execute(self, machine_gen, socket: SimUDPSocket, pool: SourceIPPool | None = None) -> Routine:
         """A simulator routine driving one lookup to completion."""
         if self.cpu is not None and self.costs.per_lookup:
-            yield self.cpu.execute(self.costs.per_lookup)
+            yield self.cpu.occupy(self.costs.per_lookup)
         try:
             effect = next(machine_gen)
         except StopIteration as stop:
@@ -103,7 +103,7 @@ class SimDriver:
                     return stop.value
                 continue
             if cpu is not None:
-                yield cpu.execute(send_cost)
+                yield cpu.occupy(send_cost)
             sent_at = sim.now
             query = self._build_query(effect)
             if effect.protocol == "tcp":
@@ -112,7 +112,7 @@ class SimDriver:
                 future = socket.query(effect.server_ip, query, effect.timeout)
             response = yield future
             if response is not None and cpu is not None:
-                yield cpu.execute(receive_cost)
+                yield cpu.occupy(receive_cost)
                 if sim.now >= sent_at + effect.timeout:
                     # processed too late (e.g. a GC stall, Section 3.4):
                     # the deadline passed, so the lookup logic sees a

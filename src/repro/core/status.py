@@ -32,13 +32,15 @@ class Status(str, enum.Enum):
         return self in (Status.NOERROR, Status.NXDOMAIN)
 
 
+_STATUS_BY_RCODE = {
+    int(Rcode.NOERROR): Status.NOERROR,
+    int(Rcode.NXDOMAIN): Status.NXDOMAIN,
+    int(Rcode.SERVFAIL): Status.SERVFAIL,
+    int(Rcode.REFUSED): Status.REFUSED,
+    int(Rcode.FORMERR): Status.FORMERR,
+}
+
+
 def status_from_rcode(rcode: Rcode | int) -> Status:
     """Map a DNS response code onto a lookup Status."""
-    mapping = {
-        int(Rcode.NOERROR): Status.NOERROR,
-        int(Rcode.NXDOMAIN): Status.NXDOMAIN,
-        int(Rcode.SERVFAIL): Status.SERVFAIL,
-        int(Rcode.REFUSED): Status.REFUSED,
-        int(Rcode.FORMERR): Status.FORMERR,
-    }
-    return mapping.get(int(rcode), Status.ERROR)
+    return _STATUS_BY_RCODE.get(int(rcode), Status.ERROR)

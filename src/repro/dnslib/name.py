@@ -93,6 +93,20 @@ class Name:
             return _ROOT
         if text.endswith(b"."):
             text = text[:-1]
+        if b"\\" in text:
+            return cls(cls._escaped_labels(text))
+        # no escapes (every scan input): the dots are the label boundaries
+        labels = text.split(b".")
+        if b"" in labels:
+            if b"" in labels[:-1]:
+                raise NameError_(f"empty label in {text!r}")
+            raise NameError_(f"empty trailing label in {text!r}")
+        return cls(labels)
+
+    @staticmethod
+    def _escaped_labels(text: bytes) -> list[bytes]:
+        """Labels of a presentation-format name, honouring ``\\.`` and
+        ``\\DDD`` escapes (the general, byte-at-a-time parse)."""
         labels: list[bytes] = []
         current = bytearray()
         i = 0
@@ -122,7 +136,7 @@ class Name:
         if not current:
             raise NameError_(f"empty trailing label in {text!r}")
         labels.append(bytes(current))
-        return cls(labels)
+        return labels
 
     def to_text(self, omit_final_dot: bool = False) -> str:
         if not self.labels:

@@ -8,7 +8,7 @@ servers call into this module to answer any query with O(1) memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..dnslib import Name, RRType
@@ -96,6 +96,10 @@ class NameserverInfo:
     lame: bool = False
 
 
+#: Lazy boolean field of :class:`DomainProfile` -> (draw tag, rate).
+_CONTENT_DRAWS = {"has_mx": ("mx", 0.72), "has_spf": ("spf", 0.60), "has_dmarc": ("dmarc", 0.42)}
+
+
 @dataclass(frozen=True)
 class DomainProfile:
     """Everything the simulation knows about one base domain."""
@@ -110,11 +114,28 @@ class DomainProfile:
     nameservers: tuple[NameserverInfo, ...]
     consistent_answers: bool
     truncates: bool
-    has_mx: bool
-    has_spf: bool
-    has_dmarc: bool
+    #: Four facts only MX/TXT/CAA content reads — a fifth of a profile's
+    #: hash draws, up to twelve more behind the CAA gate — so they are
+    #: drawn on first read (``__getattr__``), from the (seed, gkey, tag)
+    #: an eager draw would use; fields still, for eq/hash/repr.
+    has_mx: bool = field(init=False)
+    has_spf: bool = field(init=False)
+    has_dmarc: bool = field(init=False)
     www_is_cname: bool
-    caa: CAAProfile | None
+    caa: CAAProfile | None = field(init=False)
+
+    def __getattr__(self, name: str):
+        # reached only while a lazy field is not in __dict__ yet
+        synth, gkey = self.__dict__.get("_drawn_from", (None, None))
+        if synth is not None and name in _CONTENT_DRAWS:
+            tag, rate = _CONTENT_DRAWS[name]
+            value = rand.uniform(synth.params.seed, gkey, tag) < rate
+        elif synth is not None and name == "caa":
+            value = synth._caa_profile(gkey, self.tld, self.tld_cls) if self.exists else None
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def status_class(self) -> str:
@@ -362,9 +383,7 @@ class ZoneSynthesizer:
                 )
             )
 
-        caa = self._caa_profile(gkey, tld, cls) if exists else None
-
-        return DomainProfile(
+        profile = DomainProfile(
             base=base,
             tld=tld,
             tld_cls=cls,
@@ -376,12 +395,10 @@ class ZoneSynthesizer:
             consistent_answers=provider.consistent_answers
             or rand.uniform(seed, gkey, "consistent") < 0.999,
             truncates=rand.uniform(seed, gkey, "trunc") < p.p_truncated,
-            has_mx=rand.uniform(seed, gkey, "mx") < 0.72,
-            has_spf=rand.uniform(seed, gkey, "spf") < 0.60,
-            has_dmarc=rand.uniform(seed, gkey, "dmarc") < 0.42,
             www_is_cname=rand.uniform(seed, gkey, "wwwcname") < 0.5,
-            caa=caa,
         )
+        object.__setattr__(profile, "_drawn_from", (self, gkey))  # for the lazy fields
+        return profile
 
     def _p_exists(self) -> float:
         # p_fqdn_resolves = p_base_exists * p_sub_exists(=0.9)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .sim import SimFuture, Simulator
+from .sim import Simulator
 
 
 @dataclass
@@ -54,9 +54,9 @@ class GCModel:
 class CPUModel:
     """A pool of identical cores with FIFO queueing per core.
 
-    ``execute(cost)`` returns a future that resolves once ``cost``
-    seconds of CPU time have been served on the earliest-free core.
-    Callers accumulate queueing delay once offered load exceeds
+    A routine charges CPU work with ``yield cpu.occupy(cost)``: it
+    sleeps until ``cost`` seconds have been served on the earliest-free
+    core.  Callers accumulate queueing delay once offered load exceeds
     ``cores / mean_cost`` operations per second — this is what produces
     the paper's throughput plateaus.
     """
@@ -84,17 +84,6 @@ class CPUModel:
         self.busy_seconds += cost
         self.operations += 1
         return finish - self.sim.now
-
-    def execute(self, cost: float) -> SimFuture:
-        """Schedule ``cost`` seconds of CPU work; resolves at completion."""
-        delay = self.occupy(cost)
-        future = SimFuture()
-        self.sim._at(self.sim.now + delay, lambda: future.set_result(None))
-        return future
-
-    def charge(self, cost: float) -> SimFuture:
-        """Alias used by client code: charge CPU for packet work."""
-        return self.execute(cost)
 
     def utilisation(self, elapsed: float) -> float:
         """Fraction of total core-seconds spent busy over ``elapsed``."""

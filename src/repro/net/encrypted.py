@@ -92,16 +92,15 @@ class SimEncryptedSocket:
         """
         sim = self.network.sim
         self.queries += 1
-        result = SimFuture()
 
         def routine():
             fresh = not self._channel_open(dst_ip)
             if fresh:
                 self.handshakes += 1
                 if self.cpu is not None:
-                    yield self.cpu.execute(self.params.handshake_cpu)
+                    yield self.cpu.occupy(self.params.handshake_cpu)
             if self.cpu is not None:
-                yield self.cpu.execute(self.params.per_query_cpu)
+                yield self.cpu.occupy(self.params.per_query_cpu)
             # a fresh channel pays TCP+TLS setup round trips; a warm one
             # is a single framed exchange
             extra_rtts = self.params.handshake_rtts if fresh else 0.0
@@ -112,14 +111,7 @@ class SimEncryptedSocket:
                 self._channels[dst_ip] = sim.now
             return response
 
-        def finish(fut: SimFuture) -> None:
-            try:
-                result.set_result(fut.result())
-            except BaseException as error:  # surface crashes
-                result.set_exception(error)
-
-        sim.spawn(routine()).add_done_callback(finish)
-        return result
+        return sim.spawn(routine())  # a crash surfaces through the outcome
 
     def query_tcp(self, dst_ip: str, message: Message, timeout: float) -> SimFuture:
         """Encrypted transports are already stream-based."""

@@ -6,11 +6,23 @@ limiting) are resource-contention effects, not wall-clock effects, so we
 reproduce them in *virtual time*: tens of thousands of concurrent "Go
 routines" become generator coroutines scheduled by :class:`Simulator`.
 
-A routine is a generator that yields either
+The routine contract.  A routine is a generator; ``spawn`` wraps it in
+one task object, which *is* what the queues hold and what an awaited
+future calls back — no closure per spawn, sleep, wait or resume.  A
+routine may yield
 
-* a ``float``/``int`` — sleep that many virtual seconds, or
-* a :class:`SimFuture` — resume when the future resolves; the future's
-  result is sent into the generator (exceptions are thrown in).
+* a ``float``/``int`` — sleep that many virtual seconds (``0`` yields to
+  work already due).  One event.  A CPU charge is such a sleep:
+  ``yield cpu.occupy(cost)``.
+* a :class:`SimFuture` — resume with its result (an exception is thrown
+  in).  One event, after the one that resolved the future.  Any number
+  of routines may await one future; they resume in wait order.  A wait
+  that can time out is one future too: ``future_with_deadline``.
+
+Anything else fails the routine's outcome with :class:`SimulationError`.
+Resumption always runs from the ready queue, never inside ``set_result``
+— also when the yielded future was already resolved — so same-instant
+work keeps schedule order and the stack stays flat.
 
 Scheduling is split across two structures, asyncio-style:
 
@@ -93,16 +105,17 @@ class HangError(SimulationError):
 class SimFuture:
     """A single-assignment result container for routine synchronisation."""
 
-    __slots__ = ("_done", "_result", "_exception", "_callbacks", "abandoned")
+    __slots__ = ("_done", "_result", "_exception", "_callbacks", "_deadline", "abandoned")
 
     def __init__(self):
         self._done = False
         self._result = None
         self._exception: BaseException | None = None
-        self._callbacks: list[Callable[["SimFuture"], None]] = []
-        #: Set by timeout_race when the waiter gave up on this future:
-        #: producers (the network reply path) may then skip expensive
-        #: work — e.g. decoding a reply nobody will ever read.
+        self._callbacks: list[Callable[["SimFuture"], None]] | None = []
+        #: The pending timer of ``Simulator.future_with_deadline``.
+        self._deadline: TimerHandle | None = None
+        #: True once that timer resolved this future to ``None``: the
+        #: waiter gave up, whatever a producer brings later is unread.
         self.abandoned = False
 
     @property
@@ -137,9 +150,19 @@ class SimFuture:
             self._callbacks.append(callback)
 
     def _fire(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
+        deadline = self._deadline
+        if deadline is not None:
+            # an answered query's timer must not rot in the heap until due:
+            # that is an O(total-queries) heap instead of an O(live) one
+            self._deadline = None
+            deadline.cancel()  # a no-op when it is the deadline that fired
+        callbacks, self._callbacks = self._callbacks, None
         for callback in callbacks:
             callback(self)
+
+    def _expire(self) -> None:
+        self.abandoned = True
+        self.set_result(None)
 
 
 class TimerHandle:
@@ -150,11 +173,9 @@ class TimerHandle:
     or already-cancelled handle is a no-op.
     """
 
-    __slots__ = ("when", "seq", "fn", "cancelled", "finished", "_sim")
+    __slots__ = ("fn", "cancelled", "finished", "_sim")
 
-    def __init__(self, when: float, seq: int, fn: Callable[[], None], sim: "Simulator"):
-        self.when = when
-        self.seq = seq
+    def __init__(self, fn: Callable[[], None], sim: "Simulator"):
         self.fn = fn
         self.cancelled = False
         self.finished = False
@@ -170,8 +191,57 @@ class TimerHandle:
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else ("fired" if self.finished else "pending")
-        return f"TimerHandle(when={self.when}, seq={self.seq}, {state})"
+        return f"TimerHandle({'cancelled' if self.cancelled else 'fired' if self.finished else 'pending'})"
+
+
+class _Task:
+    """A spawned routine as the one object the ready queue and the timer
+    heap hold and an awaited future calls back: called with the resolved
+    future it queues itself, called bare (by the loop) it steps the
+    routine with whatever woke it.  It keeps no bound method of its own
+    — that would be a reference cycle per routine."""
+
+    __slots__ = ("sim", "routine", "outcome", "woken_by")
+
+    def __init__(self, sim: "Simulator", routine: Routine):
+        self.sim = sim
+        self.routine = routine
+        self.outcome = SimFuture()
+        self.woken_by: SimFuture | None = None  # None after a sleep
+
+    def __call__(self, resolved: SimFuture | None = None) -> None:
+        sim = self.sim
+        if resolved is not None:
+            self.woken_by = resolved
+            sim._soon(self)
+            return
+        woken_by = self.woken_by
+        try:
+            if woken_by is None:
+                yielded = self.routine.send(None)
+            else:
+                self.woken_by = None
+                if woken_by._exception is not None:
+                    yielded = self.routine.throw(woken_by._exception)
+                else:
+                    yielded = self.routine.send(woken_by._result)
+        except StopIteration as stop:
+            sim._live_routines -= 1
+            self.outcome.set_result(stop.value)
+            return
+        except BaseException as error:  # routine crashed
+            sim._live_routines -= 1
+            self.outcome.set_exception(error)
+            return
+        if isinstance(yielded, SimFuture):
+            yielded.add_done_callback(self)
+        elif isinstance(yielded, (int, float)):
+            sim._at(sim.now + yielded, self)
+        else:
+            sim._live_routines -= 1
+            self.outcome.set_exception(
+                SimulationError(f"routine yielded unsupported {type(yielded).__name__}")
+            )
 
 
 class Simulator:
@@ -179,11 +249,11 @@ class Simulator:
 
     def __init__(self):
         self.now: float = 0.0
-        #: (when, seq, handle) triples — tuple heads keep heap sifting
-        #: on the C fast path; (when, seq) is unique so the handle is
-        #: never compared
-        self._heap: list[tuple[float, int, TimerHandle]] = []
-        self._ready: deque[TimerHandle] = deque()
+        #: (when, seq, callable) triples — tuple heads keep heap sifting
+        #: on the C fast path; (when, seq) is unique so the callable (a
+        #: TimerHandle, a routine's task, a bare function) is never compared
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._ready: deque[tuple[int, Callable[[], None]]] = deque()
         self._sequence = 0
         self._live_routines = 0
         self._cancelled_pending = 0  # cancelled entries still in the heap
@@ -200,36 +270,21 @@ class Simulator:
 
     def call_soon(self, fn: Callable[[], None]) -> TimerHandle:
         """Run ``fn`` at the current timestamp, FIFO with other due work."""
-        self._sequence += 1
-        handle = TimerHandle(self.now, self._sequence, fn, self)
-        ready = self._ready
-        ready.append((self._sequence, handle))
-        if len(ready) > self.peak_ready_depth:
-            self.peak_ready_depth = len(ready)
+        handle = TimerHandle(fn, self)
+        self._soon(handle)
         return handle
 
     def call_at(self, when: float, fn: Callable[[], None]) -> TimerHandle:
-        if when <= self.now:
-            if when < self.now:
-                raise SimulationError(f"cannot schedule in the past ({when} < {self.now})")
-            return self.call_soon(fn)
-        self._sequence += 1
-        handle = TimerHandle(when, self._sequence, fn, self)
-        heap = self._heap
-        heapq.heappush(heap, (when, self._sequence, handle))
-        self.timers_scheduled += 1
-        if len(heap) > self.peak_heap_size:
-            self.peak_heap_size = len(heap)
+        handle = TimerHandle(fn, self)
+        self._at(when, handle)
         return handle
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
         return self.call_at(self.now + delay, fn)
 
-    # Internal no-handle variants: routine steps, future resumptions, and
-    # packet deliveries are never cancelled, so scheduling them as a bare
-    # callable skips a TimerHandle allocation per event.  Sequence numbers
-    # are drawn from the same counter, so execution order is identical to
-    # the public entry points.
+    # The queues hold any callable.  Routine tasks and packet deliveries
+    # are never cancelled, so they go in bare — no TimerHandle per event —
+    # through the two functions every entry above ends in.
 
     def _soon(self, fn: Callable[[], None]) -> None:
         self._sequence += 1
@@ -304,47 +359,20 @@ class Simulator:
 
     def spawn(self, routine: Routine) -> SimFuture:
         """Start a routine now; returns a future for its return value."""
-        outcome = SimFuture()
+        task = _Task(self, routine)
         self._live_routines += 1
-        self._soon(lambda: self._step(routine, outcome, None, None))
-        return outcome
+        self._soon(task)
+        return task.outcome
 
-    def _step(
-        self,
-        routine: Routine,
-        outcome: SimFuture,
-        value: Any,
-        exc: BaseException | None,
-    ) -> None:
-        try:
-            yielded = routine.throw(exc) if exc is not None else routine.send(value)
-        except StopIteration as stop:
-            self._live_routines -= 1
-            outcome.set_result(stop.value)
-            return
-        except BaseException as error:  # routine crashed
-            self._live_routines -= 1
-            outcome.set_exception(error)
-            return
-        if isinstance(yielded, SimFuture):
-            yielded.add_done_callback(
-                lambda fut: self._resume_from_future(routine, outcome, fut)
-            )
-        elif isinstance(yielded, (int, float)):
-            self._at(self.now + yielded, lambda: self._step(routine, outcome, None, None))
-        else:
-            self._live_routines -= 1
-            outcome.set_exception(
-                SimulationError(f"routine yielded unsupported {type(yielded).__name__}")
-            )
-
-    def _resume_from_future(self, routine: Routine, outcome: SimFuture, fut: SimFuture) -> None:
-        try:
-            value = fut.result()
-        except BaseException as error:
-            self._soon(lambda err=error: self._step(routine, outcome, None, err))
-            return
-        self._soon(lambda: self._step(routine, outcome, value, None))
+    def future_with_deadline(self, timeout: float) -> SimFuture:
+        """A future that resolves itself to ``None`` (and is flagged
+        ``abandoned``) unless somebody resolves it within ``timeout``
+        virtual seconds — one simulated query's reply-or-timeout.  The
+        timer is scheduled here, so at the deadline instant itself it
+        beats any delivery scheduled after the send."""
+        future = SimFuture()
+        future._deadline = self.call_later(timeout, future._expire)
+        return future
 
     # -- running --------------------------------------------------------------
 
@@ -429,36 +457,3 @@ class Simulator:
         futures = [self.spawn(routine) for routine in routines]
         self.run()
         return [future.result() for future in futures]
-
-    def sleep_future(self, delay: float) -> SimFuture:
-        """A future resolving after ``delay`` virtual seconds."""
-        future = SimFuture()
-        self._at(self.now + delay, lambda: future.set_result(None))
-        return future
-
-    def timeout_race(self, future: SimFuture, timeout: float) -> SimFuture:
-        """Resolve with ``future``'s result, or ``None`` after ``timeout``.
-
-        When ``future`` wins, the timeout timer is cancelled so it does
-        not rot in the heap until its deadline — with tens of thousands
-        of in-flight queries this is the difference between an O(live)
-        and an O(total-queries) heap."""
-        race = SimFuture()
-
-        def on_timeout() -> None:
-            if not race.done:
-                future.abandoned = True
-                race.set_result(None)
-
-        timer = self.call_later(timeout, on_timeout)
-
-        def on_future(fut: SimFuture) -> None:
-            if not race.done:
-                timer.cancel()
-                try:
-                    race.set_result(fut.result())
-                except BaseException as error:
-                    race.set_exception(error)
-
-        future.add_done_callback(on_future)
-        return race

@@ -233,11 +233,13 @@ class SimNetwork:
         protocol: str,
         extra_rtts: float,
     ) -> SimFuture:
-        response_future = SimFuture()
+        # the one future of the exchange: the reply resolves it, or its
+        # own deadline does (to None) — every early return below is
+        # silence, then that timeout
+        response_future = self.sim.future_with_deadline(timeout)
         destination = self._servers.get(dst_ip)
         if destination is None:
-            # Unrouted address: silence, then timeout.
-            return self.sim.timeout_race(response_future, timeout)
+            return response_future  # unrouted address
 
         injector = self.fault_injector
         rtt = destination.latency.sample(self.rng) * (1.0 + extra_rtts)
@@ -247,7 +249,7 @@ class SimNetwork:
                 if verdict.drop:
                     # injected outage/loss: the injector keeps the
                     # per-directive count; link-level stats stay pure
-                    return self.sim.timeout_race(response_future, timeout)
+                    return response_future
                 rtt = rtt * verdict.latency_factor + verdict.extra_delay
         query_wire = self._maybe_wire(message)
 
@@ -257,7 +259,7 @@ class SimNetwork:
         # and LossModel.for_round_trip for the conversion.
         if protocol == "udp" and destination.loss.dropped(self.rng):
             self.stats.lost_outbound += 1
-            return self.sim.timeout_race(response_future, timeout)
+            return response_future
 
         arrival = self.sim.now + rtt / 2
 
@@ -301,18 +303,15 @@ class SimNetwork:
             deliver_at = self.sim.now + rtt / 2 + reply.delay
 
             def deliver() -> None:
+                # after the deadline the waiter is gone: no decoding a
+                # reply nobody will ever read
                 if not response_future.done:
-                    if response_future.abandoned:
-                        # the waiter already timed out: resolve without
-                        # decoding a reply nobody will ever read
-                        response_future.set_result(response)
-                    else:
-                        response_future.set_result(self._maybe_unwire(reply_wire, response))
+                    response_future.set_result(self._maybe_unwire(reply_wire, response))
 
             self.sim._at(deliver_at, deliver)
 
         self.sim._at(arrival, at_server)
-        return self.sim.timeout_race(response_future, timeout)
+        return response_future
 
     # -- wire fidelity --------------------------------------------------------
 

@@ -7,7 +7,31 @@ the budget is a marker bug, and this audit turns it into a hard session
 failure instead of silent CI rot.
 """
 
+import contextlib
+import gc
+
 import pytest
+
+
+@pytest.fixture()
+def no_garbage():
+    """``with no_garbage():`` — everything the block drops must die by
+    reference count; whatever only a cyclic pass would free fails it."""
+
+    @contextlib.contextmanager
+    def block():
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            yield
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    return block
+
 
 #: Wall-clock budget for one unmarked tier-1 test (seconds).
 TIER1_TEST_BUDGET_S = 30.0

@@ -13,7 +13,7 @@ class TestCPUModel:
         cpu = CPUModel(sim, cores=2)
 
         def routine():
-            yield cpu.execute(0.5)
+            yield cpu.occupy(0.5)
             return sim.now
 
         future = sim.spawn(routine())
@@ -25,7 +25,7 @@ class TestCPUModel:
         cpu = CPUModel(sim, cores=4)
 
         def routine():
-            yield cpu.execute(1.0)
+            yield cpu.occupy(1.0)
             return sim.now
 
         results = sim.run_all(routine() for _ in range(4))
@@ -36,7 +36,7 @@ class TestCPUModel:
         cpu = CPUModel(sim, cores=1)
 
         def routine():
-            yield cpu.execute(1.0)
+            yield cpu.occupy(1.0)
             return sim.now
 
         results = sim.run_all(routine() for _ in range(3))
@@ -51,7 +51,7 @@ class TestCPUModel:
 
         def worker():
             for _ in range(20):
-                yield cpu.execute(cost)
+                yield cpu.occupy(cost)
                 completed.append(sim.now)
 
         sim.run_all(worker() for _ in range(50))
@@ -64,7 +64,7 @@ class TestCPUModel:
         cpu = CPUModel(sim, cores=2)
 
         def routine():
-            yield cpu.execute(1.0)
+            yield cpu.occupy(1.0)
 
         sim.run_all([routine()])
         assert cpu.utilisation(1.0) == pytest.approx(0.5)
@@ -104,7 +104,7 @@ class TestGCModel:
 
         def worker():
             yield 0.99  # arrive just before the collection
-            yield cpu.execute(0.02)
+            yield cpu.occupy(0.02)
             finish_times.append(sim.now)
 
         sim.run_all(worker() for _ in range(4))

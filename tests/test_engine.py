@@ -123,8 +123,8 @@ class TestSimDriver:
 class TestTimeoutBoundaryInstant:
     """Regression: what happens *exactly* at ``sent_at + timeout``.
 
-    Two layers can observe the deadline.  At the socket layer,
-    ``timeout_race`` schedules the timeout timer at send time, so when a
+    Two layers can observe the deadline.  At the socket layer, the
+    response future's deadline timer is scheduled at send time, so when a
     delivery lands at the exact deadline instant the timer (earlier
     sequence number) fires first and the exchange resolves to ``None``.
     The engine's late-reply check — a reply that arrived in time but
@@ -220,3 +220,78 @@ class TestTimeoutBoundaryInstant:
 
     def test_tcp_processing_just_inside_deadline_kept(self):
         assert self._engine_level("tcp", median=0.375, per_receive=0.125) is not None
+
+
+class TestEventBudget:
+    """The scheduler events one lookup costs, as exact counts: one for
+    the spawn, then per upstream exchange the send charge, the arrival
+    at the server, the delivery, the wake and the receive charge.  A
+    number here that has to go up is a closure or a future that came
+    back (a second event per CPU charge, a second per wake)."""
+
+    SPAWN = 1
+    ANSWERED = 5  # send charge, at_server, deliver, wake, receive charge
+    TIMED_OUT = 4  # send charge, at_server, deadline, wake (nothing to receive)
+
+    def _run(self, machine, truncate_udp=False, drop=False):
+        from dataclasses import replace
+
+        from repro.net import LatencyModel, ServerReply, SimNetwork
+
+        sim = Simulator()
+        network = SimNetwork(sim, seed=0, wire_mode="always")
+
+        class Server:
+            def handle_query(self, query, client_ip, now, proto):
+                if drop:
+                    return None
+                response = query.make_response(authoritative=True)
+                if truncate_udp and proto == "udp":
+                    response.flags = replace(response.flags, truncated=True)
+                return ServerReply(response)
+
+        network.register_server("10.0.0.1", Server(), latency=LatencyModel(median=0.02))
+        driver = SimDriver(network, cpu=CPUModel(sim, cores=1), costs=ClientCostModel())
+        socket = SimUDPSocket(network, SourceIPPool())
+        future = sim.spawn(driver.execute(machine(), socket))
+        sim.run()
+        return sim, future.result()
+
+    @staticmethod
+    def _query(protocol="udp"):
+        return SendQuery(
+            server_ip="10.0.0.1",
+            name=Name.from_text("budget.test"),
+            qtype=RRType.A,
+            timeout=1.0,
+            protocol=protocol,
+        )
+
+    def test_one_uncontended_udp_exchange(self):
+        def machine():
+            return (yield self._query())
+
+        sim, response = self._run(machine)
+        assert response is not None
+        assert sim.events_executed == self.SPAWN + self.ANSWERED == 6
+        assert sim.timers_cancelled == 1  # the deadline, by the reply
+
+    def test_one_timed_out_exchange(self):
+        def machine():
+            return (yield self._query())
+
+        sim, response = self._run(machine, drop=True)
+        assert response is None
+        assert sim.events_executed == self.SPAWN + self.TIMED_OUT == 5
+        assert sim.timers_cancelled == 0
+
+    def test_one_tcp_retry(self):
+        def machine():
+            response = yield self._query()
+            assert response.flags.truncated
+            return (yield self._query("tcp"))
+
+        sim, response = self._run(machine, truncate_udp=True)
+        assert response is not None and not response.flags.truncated
+        assert sim.events_executed == self.SPAWN + 2 * self.ANSWERED == 11
+        assert sim.timers_cancelled == 2

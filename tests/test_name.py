@@ -1,6 +1,8 @@
 """Tests for repro.dnslib.name."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dnslib import Name, NameError_, name_from_ipv4_ptr
 
@@ -48,6 +50,68 @@ class TestParsing:
         label = "a" * 63
         with pytest.raises(NameError_):
             Name.from_text(".".join([label] * 4) + ".toolong")
+
+
+def _loop_parse(text: bytes) -> Name:
+    """``Name._parse_text`` as it was before it had a fast path: the
+    escape-aware byte loop for every input."""
+    if text in (b"", b"."):
+        return Name.root()
+    return Name(Name._escaped_labels(text[:-1] if text.endswith(b".") else text))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).labels
+    except (NameError_, ValueError) as error:
+        return type(error).__name__, str(error)
+
+
+#: Label pieces: hostname bytes, and (in the escaped variant) every kind
+#: of escape, a decimal one out of range and a dangling backslash.
+_PLAIN = st.sampled_from([b"a", b"Z", b"0", b"-", b"_", b"xn--", b"www", b"a" * 31])
+_ESCAPED = st.sampled_from([b"\\.", b"\\\\", b"\\032", b"\\x", b"\\999", b"\\04", b"\\"])
+
+
+def _texts(pieces):
+    # 0 pieces = an empty label, 3+ of b"a" * 31 = an oversized one,
+    # 9 full-size labels = an oversized name
+    label = st.lists(pieces, min_size=0, max_size=3).map(b"".join)
+    return st.builds(
+        lambda labels, dot: b".".join(labels) + dot,
+        st.lists(label, min_size=0, max_size=9),
+        st.sampled_from([b"", b".", b".."]),
+    )
+
+
+class TestParseFastPath:
+    """A name without a backslash is split at its dots; the result, and
+    every error, is the byte loop's."""
+
+    @given(_texts(_PLAIN))
+    @settings(max_examples=300)
+    def test_split_equals_loop_without_escapes(self, text):
+        assert b"\\" not in text
+        assert _outcome(Name._parse_text, text) == _outcome(_loop_parse, text)
+
+    @given(_texts(st.one_of(_PLAIN, _ESCAPED)))
+    @settings(max_examples=300)
+    def test_escapes_still_take_the_loop(self, text):
+        assert _outcome(Name._parse_text, text) == _outcome(_loop_parse, text)
+
+    def test_every_error_is_reachable_on_both_paths(self):
+        for text, message in [
+            (b"a..com", "empty label in b'a..com'"),
+            (b".com", "empty label in b'.com'"),
+            (b"..", "empty label in b'.'"),
+            (b"com..", "empty trailing label in b'com.'"),
+            (b"a" * 64 + b".com", "label too long: 64 bytes"),
+            (b".".join([b"a" * 63] * 4), "name too long: 257 bytes"),
+        ]:
+            for parse in (Name._parse_text, _loop_parse):
+                with pytest.raises(NameError_) as raised:
+                    parse(text)
+                assert str(raised.value) == message, (parse, text)
 
 
 class TestSemantics:

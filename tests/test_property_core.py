@@ -97,7 +97,7 @@ class TestSimulatorInvariants:
         cpu = CPUModel(sim, cores=cores)
 
         def worker(cost):
-            yield cpu.execute(cost)
+            yield cpu.occupy(cost)
 
         sim.run_all(worker(c) for c in costs)
         assert cpu.busy_seconds == sum(costs)

@@ -289,65 +289,199 @@ class TestTimerCancellation:
 
 
 class TestTimeoutRace:
+    """Reply against timeout is one future: ``future_with_deadline``."""
+
     def test_future_wins(self):
         sim = Simulator()
-        inner = SimFuture()
-        sim.call_later(1.0, lambda: inner.set_result("data"))
-        race = sim.timeout_race(inner, timeout=5.0)
+        reply = sim.future_with_deadline(timeout=5.0)
+        sim.call_later(1.0, lambda: reply.set_result("data"))
 
         def routine():
-            return (yield race)
+            return (yield reply)
 
         future = sim.spawn(routine())
         sim.run()
-        assert future.result() == "data"
+        assert future.result() == "data" and not reply.abandoned
         # the loser's timer is cancelled, so the clock never visits 5.0
         assert sim.now == 1.0
         assert sim.timers_cancelled == 1
 
     def test_timeout_wins(self):
         sim = Simulator()
-        inner = SimFuture()
-        race = sim.timeout_race(inner, timeout=2.0)
+        reply = sim.future_with_deadline(timeout=2.0)
 
         def routine():
-            return (yield race)
+            return (yield reply)
 
         future = sim.spawn(routine())
         sim.run()
-        assert future.result() is None
+        assert future.result() is None and reply.abandoned
+        assert sim.now == 2.0
+        assert sim.timers_cancelled == 0
 
     def test_late_result_after_timeout_is_ignored(self):
+        """A producer arriving after the deadline finds the future done
+        (and flagged), which is how it knows to do no work for nobody;
+        resolving it anyway is the double-resolve error."""
         sim = Simulator()
-        inner = SimFuture()
-        sim.call_later(3.0, lambda: inner.set_result("late"))
-        race = sim.timeout_race(inner, timeout=1.0)
+        reply = sim.future_with_deadline(timeout=1.0)
+        found = []
+
+        def late_producer():
+            found.append((reply.done, reply.abandoned))
+            with pytest.raises(SimulationError):
+                reply.set_result("late")
+
+        sim.call_later(3.0, late_producer)
 
         def routine():
-            return (yield race)
+            return (yield reply)
 
         future = sim.spawn(routine())
         sim.run()
         assert future.result() is None
+        assert found == [(True, True)]
 
-    def test_timed_out_race_whose_reply_never_arrives_leaves_no_cycle(self):
+    def test_timed_out_race_whose_reply_never_arrives_leaves_no_cycle(self, no_garbage):
         """A fired timer drops its callback just as a cancelled one does;
-        keeping it held future -> on_future -> timer -> on_timeout ->
-        future alive until a cyclic pass, for every timed-out query."""
+        keeping it held future -> timer -> future's bound method alive
+        until a cyclic pass, for every timed-out query."""
         sim = Simulator()
-        gc.collect()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            inner = SimFuture()
-            race = sim.timeout_race(inner, timeout=1.0)
+        with no_garbage():
+            reply = sim.future_with_deadline(timeout=1.0)
             sim.run()
-            assert race.result() is None and inner.abandoned
-            del inner, race
-            gc.collect()
-            assert gc.garbage == []
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
+            assert reply.result() is None and reply.abandoned
+            del reply
+
+    def test_answered_future_and_finished_task_leave_no_cycle(self, no_garbage):
+        """The other two ends of a wait: a future resolved before its
+        deadline (cancelled timer), and the task object of a routine
+        that slept, awaited and returned."""
+        sim = Simulator()
+        with no_garbage():
+            reply = sim.future_with_deadline(timeout=5.0)
+            sim.call_later(1.0, lambda: reply.set_result("data"))
+
+            def routine(awaited):
+                yield 0.5
+                return (yield awaited)
+
+            outcome = sim.spawn(routine(reply))
+            sim.run()
+            assert outcome.result() == "data"
+            del reply, outcome
+
+
+class TestRoutineContract:
+    """What a routine may yield, how many may wait, where resumption
+    runs — the module docstring of ``net/sim.py``, executed."""
+
+    def test_two_routines_awaiting_one_future_both_resume_in_wait_order(self):
+        sim = Simulator()
+        gate = SimFuture()
+        seen = []
+
+        def waiter(tag, delay):
+            yield delay
+            seen.append((tag, (yield gate)))
+
+        # "late" is spawned first but begins waiting second
+        sim.spawn(waiter("late", 0.5))
+        sim.spawn(waiter("early", 0.25))
+        sim.call_later(1.0, lambda: gate.set_result("open"))
+        sim.run()
+        assert seen == [("early", "open"), ("late", "open")]
+
+    def test_already_resolved_future_resumes_from_the_ready_queue(self):
+        sim = Simulator()
+        gate = SimFuture()
+        gate.set_result("ready")
+        seen = []
+
+        def routine():
+            sim.call_soon(lambda: seen.append("queued before the yield"))
+            seen.append((yield gate))
+
+        sim.spawn(routine())
+        sim.run()
+        # inline resumption would have put "ready" first
+        assert seen == ["queued before the yield", "ready"]
+
+    def test_set_result_never_runs_the_waiter_inline(self):
+        sim = Simulator()
+        gate = SimFuture()
+        seen = []
+
+        def routine():
+            seen.append((yield gate))
+
+        sim.spawn(routine())
+
+        def producer():
+            gate.set_result("value")
+            seen.append("producer returned")
+
+        sim.call_later(1.0, producer)
+        sim.run()
+        assert seen == ["producer returned", "value"]
+
+    def test_timer_and_delivery_at_one_instant_wake_in_schedule_order(self):
+        """Binary-exact delays put a deadline, a sleep and a delivery on
+        the same instant; their routines resume in the order the three
+        events were scheduled, whichever structure held them."""
+        sim = Simulator()
+        seen = []
+
+        def waits_on(tag, future):
+            seen.append((tag, (yield future), sim.now))
+
+        def sleeps(tag, delay):
+            yield delay
+            seen.append((tag, None, sim.now))
+
+        timed_out = sim.future_with_deadline(timeout=0.75)  # scheduled first
+        sim.spawn(waits_on("deadline", timed_out))
+        sim.spawn(sleeps("sleep", 0.75))  # its timer is scheduled when it first runs
+        delivered = SimFuture()
+        sim.call_later(0.25, lambda: sim.call_later(0.5, lambda: delivered.set_result("reply")))
+        sim.spawn(waits_on("delivery", delivered))
+        sim.run()
+        # the sleeper runs inside its own timer event; the two waiters
+        # are queued by theirs and run after every event already due
+        assert seen == [
+            ("sleep", None, 0.75),
+            ("deadline", None, 0.75),
+            ("delivery", "reply", 0.75),
+        ]
+
+    def test_zero_sleep_yields_to_work_already_due(self):
+        sim = Simulator()
+        seen = []
+
+        def routine():
+            sim.call_soon(lambda: seen.append("other"))
+            yield 0
+            seen.append("routine")
+
+        sim.spawn(routine())
+        sim.run()
+        assert seen == ["other", "routine"]
+
+    def test_event_budget_of_a_routine(self):
+        """One event per spawn, per sleep and per future wake; the event
+        that resolves a future is the producer's, not the waiter's."""
+        sim = Simulator()
+        gate = SimFuture()
+
+        def routine():
+            yield 0.5  # 1: the spawn runs up to here; 2: the sleep ends
+            yield gate  # 4: the wake (3 is the producer's timer)
+            yield sim.future_with_deadline(1.0)  # 5: the deadline; 6: the wake
+
+        sim.spawn(routine())
+        sim.call_later(1.0, lambda: gate.set_result(None))
+        sim.run()
+        assert sim.events_executed == 6
 
 
 class TestCollectorPolicy:

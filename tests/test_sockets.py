@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dnslib import Message, Name, Rcode, ResourceRecord, RRType, add_edns
+from repro.dnslib import CODEC_STATS, Message, Name, Rcode, ResourceRecord, RRType, add_edns
 from repro.dnslib.rdata.address import A
 from repro.net import (
     LatencyModel,
@@ -155,6 +155,52 @@ class TestQueryPath:
         sim, network, _ = build()
         run_query(sim, network)
         assert network.stats.udp_queries == 1
+
+
+class TestExchangeCost:
+    """What one ``_query`` costs the scheduler (events, exact) and the
+    collector (nothing: every object of a finished exchange dies by
+    reference count)."""
+
+    def test_answered_exchange_is_three_events_and_the_spawn(self):
+        sim, network, _ = build()
+        assert run_query(sim, network) is not None
+        # spawn, at_server, deliver, wake
+        assert sim.events_executed == 4
+        assert (sim.timers_scheduled, sim.timers_cancelled) == (3, 1)
+
+    def test_timed_out_exchange_is_three_events_and_the_spawn(self):
+        sim, network, _ = build(server=EchoServer(drop=True))
+        assert run_query(sim, network) is None
+        # spawn, at_server, deadline, wake
+        assert sim.events_executed == 4
+        assert (sim.timers_scheduled, sim.timers_cancelled) == (2, 0)
+
+    def test_reply_after_the_deadline_is_one_more_event_and_no_decode(self):
+        sim, network, _ = build(latency=LatencyModel(median=1.0, sigma=0.0))
+        before = CODEC_STATS["decode_calls"]
+        assert run_query(sim, network, timeout=0.25) is None
+        # spawn, at_server, deadline, wake, deliver
+        assert sim.events_executed == 5
+        # the server read the query; nobody read the reply
+        assert CODEC_STATS["decode_calls"] == before + 1
+
+    def test_unrouted_exchange_nobody_awaits_is_the_deadline_alone(self):
+        sim = Simulator()
+        network = SimNetwork(sim)
+        message = Message.make_query("x.com", RRType.A)
+        future = network.query_udp("198.18.0.0", "10.9.9.9", message, 1.5)
+        sim.run()
+        assert future.result() is None and future.abandoned
+        assert sim.events_executed == 1
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["answered", "timed-out"])
+    def test_finished_exchange_leaves_no_garbage(self, drop, no_garbage):
+        sim, network, _ = build(server=EchoServer(drop=drop))
+        with no_garbage():
+            response = run_query(sim, network)
+            assert (response is None) == drop
+            del response
 
 
 class TestTruncation:

@@ -193,6 +193,80 @@ class TestCAAProfiles:
                 assert profile.caa is None
 
 
+class TestLazyContentFacts:
+    """``has_mx``/``has_spf``/``has_dmarc``/``caa`` are drawn on first
+    read; the values are the ones an eager profile had, so no zone
+    anywhere changes."""
+
+    LAZY = ("has_mx", "has_spf", "has_dmarc", "caa")
+
+    @staticmethod
+    def corpus_bases(count):
+        from repro.workloads import DomainCorpus
+
+        corpus = DomainCorpus()
+        bases = {}  # consecutive corpus indices share base domains
+        index = 0
+        while len(bases) < count:
+            bases[N(corpus.base_domain(index))] = None
+            index += 1
+        return list(bases)
+
+    @pytest.mark.parametrize("generation", [0, 1])
+    def test_lazy_equals_eager(self, generation):
+        from repro.ecosystem import rand
+
+        synth = ZoneSynthesizer(EcosystemParams(seed=2022))
+        seed = synth.params.seed
+        with_caa = 0
+        for base in self.corpus_bases(2000):
+            if generation:
+                synth.bump_generation(base)
+            profile = synth.profile(base)
+            assert not set(self.LAZY) & set(vars(profile)), "drawn before anyone read it"
+            key = base.key_text()
+            gkey = f"{key}#gen{generation}" if generation else key
+            # the draws as ``_profile`` made them eagerly
+            eager = {
+                "has_mx": rand.uniform(seed, gkey, "mx") < 0.72,
+                "has_spf": rand.uniform(seed, gkey, "spf") < 0.60,
+                "has_dmarc": rand.uniform(seed, gkey, "dmarc") < 0.42,
+                "caa": synth._caa_profile(gkey, profile.tld, profile.tld_cls)
+                if profile.exists
+                else None,
+            }
+            assert {name: getattr(profile, name) for name in self.LAZY} == eager
+            assert set(self.LAZY) <= set(vars(profile))  # drawn once, kept
+            with_caa += profile.caa is not None
+        assert with_caa > 0  # the gated draws were exercised
+
+    def test_equality_hash_and_repr_see_the_lazy_fields(self):
+        read, compared, printed = (ZoneSynthesizer(EcosystemParams(seed=2022)) for _ in range(3))
+        for base in self.corpus_bases(200):
+            a = read.profile(base)
+            facts = [getattr(a, name) for name in self.LAZY]
+            b = compared.profile(base)  # nothing read yet
+            assert a == b and hash(a) == hash(b)
+            text = repr(printed.profile(base))  # nothing read yet
+            assert text == repr(a)
+            assert f"has_mx={facts[0]!r}, has_spf={facts[1]!r}, has_dmarc={facts[2]!r}" in text
+            assert text.endswith(f"caa={facts[3]!r})")
+
+    def test_differing_lazy_field_breaks_equality(self):
+        synth = ZoneSynthesizer(EcosystemParams(seed=2022))
+        base = self.corpus_bases(1)[0]
+        a = synth.profile(base)
+        b = ZoneSynthesizer(EcosystemParams(seed=2022)).profile(base)
+        object.__setattr__(b, "has_mx", not a.has_mx)
+        assert a != b
+
+    def test_unknown_attribute_is_still_an_attribute_error(self):
+        profile = ZoneSynthesizer(EcosystemParams(seed=2022)).profile(N("example.com"))
+        with pytest.raises(AttributeError):
+            profile.has_mxx
+        assert not hasattr(profile, "nameserver")
+
+
 class TestInfraAddressBook:
     def test_tld_ns_resolvable(self, synth):
         name = synth.tld_ns_name("com", 0)
