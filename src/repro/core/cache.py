@@ -34,9 +34,10 @@ Service-mode extensions (all inert for batch scans):
   paths (``_probe``/``best_delegation``/``get_answer``) treat a
   stale-retained entry exactly like a miss.
 * heat tracking (``track_heat=True``) — per-answer hit counts backing
-  prefetch decisions: ``answer_heat`` reports (remaining TTL, hits
-  since last store) so a service can refresh hot, about-to-expire
-  entries.  A store resets the count: new data starts cold.
+  prefetch decisions: ``hot_answers`` enumerates the entries that were
+  hit, ``answer_heat`` reports (remaining TTL, hits since last store),
+  so a service can refresh hot, about-to-expire entries.  A store
+  resets the count: new data starts cold.
 * revalidation hooks — ``invalidate_subtree(zone)`` drops every
   delegation, answer, and negative entry at/below a zone cut (the
   Janus-style incremental path after a zone delta) and ``flush()``
@@ -420,6 +421,21 @@ class SelectiveCache:
             return None
         hits = self._heat.get(key, 0) if self._heat is not None else 0
         return expires - self._clock(), hits
+
+    def hot_answers(self, min_hits: int) -> list[tuple[tuple[bytes, ...], int]]:
+        """Prefetch introspection: ``(canonical_key, qtype)`` of every
+        cached positive answer hit at least ``min_hits`` times since it
+        was stored, so that a sweep's cost follows the entries that are
+        hot and not a catalogue of names.  An entry never hit has no
+        heat record: ``min_hits <= 0`` walks every entry instead.  Pure
+        read: no stats, no recency."""
+        heat = self._heat or {}
+        keys = heat if min_hits > 0 else self._entries
+        return [
+            (key[1], key[2])
+            for key in keys
+            if key[0] == "ans" and heat.get(key, 0) >= min_hits
+        ]
 
     # -- revalidation hooks ------------------------------------------------
 

@@ -76,7 +76,7 @@ class SimDriver:
             )
         return message
 
-    def execute(self, machine_gen, socket: SimUDPSocket, pool: SourceIPPool | None = None) -> Routine:
+    def execute(self, machine_gen, socket: SimUDPSocket) -> Routine:
         """A simulator routine driving one lookup to completion."""
         if self.cpu is not None and self.costs.per_lookup:
             yield self.cpu.occupy(self.costs.per_lookup)

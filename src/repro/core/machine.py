@@ -328,7 +328,7 @@ class IterativeMachine:
             servers = list(self.root_ips)
 
         for _layer_hop in range(self.config.max_referrals):
-            response, server_ip, protocol = yield from self._query_layer(
+            response = yield from self._query_layer(
                 name, qtype, servers, result, budget, zone, depth, parent=span
             )
             rcode = response.rcode
@@ -385,8 +385,25 @@ class IterativeMachine:
 
         return [], Status.ITER_LIMIT
 
+    def _admit(self, response: Message, name: Name, qtype: int, zone: Name):
+        """The one accept path of a reply, whichever leg carried it:
+        shape-check, then (strict bailiwick) strip what ``zone``'s
+        server has no authority to assert.  A TCP retry is as forgeable
+        as the UDP leg was — the differential oracle found a garbage TCP
+        reply accepted as an authoritative NODATA, and out-of-bailiwick
+        glue rode in the same way.  Returns ``(response, failure)``."""
+        config = self.config
+        if config.validate_responses:
+            if validate_response_shape(name, qtype, response) is not None:
+                # malformed/hostile response: treat like packet loss
+                return response, Status.FORMERR
+            if config.strict_bailiwick:
+                response, _report = sanitize_response(response, name, qtype, zone)
+        return response, None
+
     def _query_layer(self, name, qtype, servers, result, budget, zone, depth, parent=None):
-        """Try the layer's servers (with retries) until one responds."""
+        """Try the layer's servers (with retries) until one responds;
+        returns its (admitted) response."""
         config = self.config
         health = config.health
         if health is not None:
@@ -400,8 +417,6 @@ class IterativeMachine:
         tries = config.retries + 1
         timeout = config.iteration_timeout
         dnssec_ok = config.dnssec
-        backoff_base = config.backoff_base
-        backoff_cap = config.backoff_cap
         last_pause = 0.0
         # Everything the per-attempt trace rows share is computed once.
         name_text = name.to_text(omit_final_dot=True)
@@ -410,7 +425,6 @@ class IterativeMachine:
         qtype_int = int(qtype)
         collect = config.collect_trace
         last_failure = Status.ITERATIVE_TIMEOUT
-        attempt = 0
         for attempt in range(tries):
             server_ip = order[attempt % len(order)]
             budget.spend()
@@ -427,9 +441,9 @@ class IterativeMachine:
                 if collect
                 else None
             )
-            qspan = (
-                tracer.start(
-                    "query",
+            qspan = None
+            if tracer is not None:
+                span_fields = dict(
                     parent=parent,
                     name=name_text,
                     layer=layer_text,
@@ -438,157 +452,70 @@ class IterativeMachine:
                     try_count=attempt + 1,
                     type=qtype_int,
                 )
-                if tracer is not None
-                else None
-            )
-            response = yield SendQuery(
+                qspan = tracer.start("query", **span_fields)
+            query = SendQuery(
                 server_ip=server_ip,
                 name=name,
                 qtype=qtype,
                 timeout=timeout,
                 dnssec_ok=dnssec_ok,
             )
+            response = yield query
+            # What did this attempt die of?  ``failure`` closes its span
+            # and (unless a plain timeout) is what the layer reports if
+            # every attempt dies; ``row`` is the trace row's status where
+            # that differs.
+            failure = row = None
             if response is None:
-                if qspan is not None:
-                    qspan.finish(status=str(Status.TIMEOUT))
-                if step is not None:
-                    step.status = str(Status.TIMEOUT)
-                    result.trace.add(step)
-                budget.retries += 1
-                if health is not None:
-                    health.record_failure(server_ip)
-                if backoff_base and attempt + 1 < tries:
-                    last_pause = min(
-                        backoff_cap,
-                        self.rng.uniform(backoff_base, 3.0 * (last_pause or backoff_base)),
-                    )
-                    yield Backoff(last_pause)
-                continue
-            if config.validate_responses:
-                reason = validate_response_shape(name, int(qtype), response)
-                if reason is not None:
-                    # malformed/hostile response: treat like packet loss
+                failure = Status.TIMEOUT
+            else:
+                response, failure = self._admit(response, name, qtype_int, zone)
+                if failure is None and response.flags.truncated:
                     if qspan is not None:
-                        qspan.finish(status=str(Status.FORMERR))
-                    if step is not None:
-                        step.status = str(Status.FORMERR)
-                        result.trace.add(step)
-                    budget.retries += 1
-                    last_failure = Status.FORMERR
-                    if health is not None:
-                        health.record_failure(server_ip)
-                    if backoff_base and attempt + 1 < tries:
-                        last_pause = min(
-                            backoff_cap,
-                            self.rng.uniform(backoff_base, 3.0 * (last_pause or backoff_base)),
-                        )
-                        yield Backoff(last_pause)
-                    continue
-                if config.strict_bailiwick:
-                    response, _report = sanitize_response(response, name, int(qtype), zone)
-            if response.flags.truncated and not config.tcp_on_truncated:
-                if qspan is not None:
-                    qspan.finish(status=str(Status.TRUNCATED))
-                if step is not None:
-                    step.status = str(Status.TRUNCATED)
-                    result.trace.add(step)
-                raise _Abort(Status.TRUNCATED)
-            if response.flags.truncated and config.tcp_on_truncated:
-                if qspan is not None:
-                    # the UDP leg ended truncated; the TCP retry is its
-                    # own span so both timings stay visible
-                    qspan.finish(status=str(Status.TRUNCATED))
-                    qspan = tracer.start(
-                        "query",
-                        parent=parent,
-                        name=name_text,
-                        layer=layer_text,
-                        depth=step_depth,
-                        name_server=f"{server_ip}:53",
-                        try_count=attempt + 1,
-                        type=qtype_int,
-                        protocol="tcp",
-                    )
-                budget.spend()
-                response_tcp = yield SendQuery(
-                    server_ip=server_ip,
-                    name=name,
-                    qtype=qtype,
-                    timeout=timeout,
-                    protocol="tcp",
-                    dnssec_ok=dnssec_ok,
-                )
-                if response_tcp is None:
-                    if qspan is not None:
-                        qspan.finish(status=str(Status.TIMEOUT))
-                    if step is not None:
-                        step.status = str(Status.TRUNCATED)
-                        result.trace.add(step)
-                    budget.retries += 1
-                    if health is not None:
-                        health.record_failure(server_ip)
-                    if backoff_base and attempt + 1 < tries:
-                        last_pause = min(
-                            backoff_cap,
-                            self.rng.uniform(backoff_base, 3.0 * (last_pause or backoff_base)),
-                        )
-                        yield Backoff(last_pause)
-                    continue
-                if config.validate_responses:
-                    # the TCP retry is as forgeable as the UDP leg was:
-                    # a malformed/hostile reply here must not sail past
-                    # the shape checks just because it arrived over TCP
-                    # (found by the differential oracle: a truncated
-                    # UDP response followed by a garbage TCP reply was
-                    # accepted as an authoritative NODATA)
-                    reason = validate_response_shape(name, int(qtype), response_tcp)
-                    if reason is not None:
-                        if qspan is not None:
-                            qspan.finish(status=str(Status.FORMERR))
+                        qspan.finish(status=str(Status.TRUNCATED))
+                    if not config.tcp_on_truncated:
                         if step is not None:
-                            step.status = str(Status.FORMERR)
+                            step.status = str(Status.TRUNCATED)
                             result.trace.add(step)
-                        budget.retries += 1
-                        last_failure = Status.FORMERR
-                        if health is not None:
-                            health.record_failure(server_ip)
-                        if backoff_base and attempt + 1 < tries:
-                            last_pause = min(
-                                backoff_cap,
-                                self.rng.uniform(backoff_base, 3.0 * (last_pause or backoff_base)),
-                            )
-                            yield Backoff(last_pause)
-                        continue
-                response = response_tcp
-                if step is not None:
-                    step = replace(step, results=None)
-            if response.rcode in (Rcode.SERVFAIL, Rcode.REFUSED):
+                        raise _Abort(Status.TRUNCATED)
+                    if qspan is not None:
+                        # the UDP leg ended truncated; the TCP retry is its
+                        # own span so both timings stay visible
+                        qspan = tracer.start("query", **span_fields, protocol="tcp")
+                    budget.spend()
+                    response = yield replace(query, protocol="tcp")
+                    if response is None:
+                        # the row keeps what the UDP leg ended as
+                        failure, row = Status.TIMEOUT, Status.TRUNCATED
+                    else:
+                        response, failure = self._admit(response, name, qtype_int, zone)
+                if failure is None and response.rcode in (Rcode.SERVFAIL, Rcode.REFUSED):
+                    failure = status_from_rcode(response.rcode)
+            if failure is None:
+                status = str(status_from_rcode(response.rcode))
                 if qspan is not None:
-                    qspan.finish(status=str(status_from_rcode(response.rcode)))
+                    qspan.finish(status=status)
                 if step is not None:
-                    step.status = str(status_from_rcode(response.rcode))
+                    step.status = status
+                    if config.record_trace_results:
+                        step.results = message_to_json(response, f"{server_ip}:53")
                     result.trace.add(step)
-                last_failure = status_from_rcode(response.rcode)
-                budget.retries += 1
                 if health is not None:
-                    health.record_failure(server_ip)
-                if backoff_base and attempt + 1 < tries:
-                    last_pause = min(
-                        backoff_cap,
-                        self.rng.uniform(backoff_base, 3.0 * (last_pause or backoff_base)),
-                    )
-                    yield Backoff(last_pause)
-                continue
+                    health.record_success(server_ip)
+                return response
             if qspan is not None:
-                qspan.finish(status=str(status_from_rcode(response.rcode)))
+                qspan.finish(status=str(failure))
             if step is not None:
-                step.status = str(status_from_rcode(response.rcode))
-                if config.record_trace_results:
-                    step.results = message_to_json(response, f"{server_ip}:53")
+                step.status = str(row or failure)
                 result.trace.add(step)
+            budget.retries += 1
+            if failure is not Status.TIMEOUT:
+                last_failure = failure
             if health is not None:
-                health.record_success(server_ip)
-            return response, server_ip, "udp"
+                health.record_failure(server_ip)
+            if config.backoff_base and attempt + 1 < tries:
+                last_pause = _next_pause(config, self.rng, last_pause)
+                yield Backoff(last_pause)
         raise _Abort(last_failure)
 
     def _resolve_glueless(self, delegation: Delegation, result, budget, depth, parent=None):
@@ -662,8 +589,6 @@ class ExternalMachine:
         status = Status.TIMEOUT
         tracer = config.tracer
         health = config.health
-        backoff_base = config.backoff_base
-        backoff_cap = config.backoff_cap
         last_pause = 0.0
         span = (
             tracer.start("lookup", name=result.name, type=int(qtype), mode="external")
@@ -683,19 +608,17 @@ class ExternalMachine:
                 ]
             result.resolver = f"{server_ip}:53"
             result.queries_sent += 1
-            qspan = (
-                tracer.start(
-                    "query",
+            qspan = None
+            if tracer is not None:
+                span_fields = dict(
                     parent=span,
                     name=result.name,
                     name_server=f"{server_ip}:53",
                     try_count=attempt + 1,
                     type=int(qtype),
                 )
-                if tracer is not None
-                else None
-            )
-            response = yield SendQuery(
+                qspan = tracer.start("query", **span_fields)
+            query = SendQuery(
                 server_ip=server_ip,
                 name=name,
                 qtype=qtype,
@@ -703,96 +626,49 @@ class ExternalMachine:
                 recursion_desired=True,
                 dnssec_ok=config.dnssec,
             )
-            if response is None:
-                if qspan is not None:
-                    qspan.finish(status=str(Status.TIMEOUT))
-                result.retries_used += 1
-                if health is not None:
-                    health.record_failure(server_ip)
-                if backoff_base and attempt + 1 < tries:
-                    last_pause = min(
-                        backoff_cap,
-                        self.rng.uniform(backoff_base, 3.0 * (last_pause or backoff_base)),
-                    )
-                    yield Backoff(last_pause)
-                continue
-            if response.flags.truncated and config.tcp_on_truncated:
+            response = yield query
+            if response is not None and response.flags.truncated and config.tcp_on_truncated:
                 if qspan is not None:
                     qspan.finish(status=str(Status.TRUNCATED))
-                    qspan = tracer.start(
-                        "query",
-                        parent=span,
-                        name=result.name,
-                        name_server=f"{server_ip}:53",
-                        try_count=attempt + 1,
-                        type=int(qtype),
-                        protocol="tcp",
-                    )
+                    qspan = tracer.start("query", **span_fields, protocol="tcp")
                 result.queries_sent += 1
-                response = yield SendQuery(
-                    server_ip=server_ip,
-                    name=name,
-                    qtype=qtype,
-                    timeout=config.external_timeout,
-                    protocol="tcp",
-                    recursion_desired=True,
-                    dnssec_ok=config.dnssec,
-                )
-                if response is None:
-                    if qspan is not None:
-                        qspan.finish(status=str(Status.TIMEOUT))
-                    result.retries_used += 1
-                    if health is not None:
-                        health.record_failure(server_ip)
-                    if backoff_base and attempt + 1 < tries:
-                        last_pause = min(
-                            backoff_cap,
-                            self.rng.uniform(backoff_base, 3.0 * (last_pause or backoff_base)),
-                        )
-                        yield Backoff(last_pause)
-                    continue
-                result.protocol = "tcp"
-            if config.validate_responses:
-                reason = validate_response_shape(name, int(qtype), response)
-                if reason is not None:
-                    # malformed/hostile response: treat like packet loss
-                    if qspan is not None:
-                        qspan.finish(status=str(Status.FORMERR))
-                    status = Status.FORMERR
-                    result.retries_used += 1
-                    if health is not None:
-                        health.record_failure(server_ip)
-                    if backoff_base and attempt + 1 < tries:
-                        last_pause = min(
-                            backoff_cap,
-                            self.rng.uniform(backoff_base, 3.0 * (last_pause or backoff_base)),
-                        )
-                        yield Backoff(last_pause)
-                    continue
-            status = status_from_rcode(response.rcode)
-            if qspan is not None:
-                qspan.finish(status=str(status))
-            if (
-                config.retry_servfail
-                and status in (Status.SERVFAIL, Status.REFUSED)
-                and attempt + 1 < tries
+                response = yield replace(query, protocol="tcp")
+                if response is not None:
+                    result.protocol = "tcp"
+            # What did this attempt die of?  (Never a plain timeout's
+            # business to overwrite an earlier attempt's status.)
+            failure = None
+            if response is None:
+                failure = Status.TIMEOUT
+            elif (
+                config.validate_responses
+                and validate_response_shape(name, int(qtype), response) is not None
             ):
-                result.retries_used += 1
+                # malformed/hostile response: treat like packet loss
+                failure = status = Status.FORMERR
+            else:
+                status = status_from_rcode(response.rcode)
+                if (
+                    config.retry_servfail
+                    and status in (Status.SERVFAIL, Status.REFUSED)
+                    and attempt + 1 < tries
+                ):
+                    failure = status
+            if qspan is not None:
+                qspan.finish(status=str(failure or status))
+            if failure is None:
                 if health is not None:
-                    health.record_failure(server_ip)
-                if backoff_base:
-                    last_pause = min(
-                        backoff_cap,
-                        self.rng.uniform(backoff_base, 3.0 * (last_pause or backoff_base)),
-                    )
-                    yield Backoff(last_pause)
-                continue
+                    health.record_success(server_ip)
+                result.answers = list(response.answers)
+                result.authorities = list(response.authorities)
+                result.additionals = list(response.additionals)
+                break
+            result.retries_used += 1
             if health is not None:
-                health.record_success(server_ip)
-            result.answers = list(response.answers)
-            result.authorities = list(response.authorities)
-            result.additionals = list(response.additionals)
-            break
+                health.record_failure(server_ip)
+            if config.backoff_base and attempt + 1 < tries:
+                last_pause = _next_pause(config, self.rng, last_pause)
+                yield Backoff(last_pause)
         result.status = status
         if span is not None:
             span.finish(
@@ -801,6 +677,12 @@ class ExternalMachine:
                 retries=result.retries_used,
             )
         return result
+
+
+def _next_pause(config: ResolverConfig, rng: random.Random, last_pause: float) -> float:
+    """The next retry pause: decorrelated jitter, capped."""
+    base = config.backoff_base
+    return min(config.backoff_cap, rng.uniform(base, 3.0 * (last_pause or base)))
 
 
 class _Budget:

@@ -218,11 +218,8 @@ class Name:
         return Name((label,) + self.labels)
 
     def concatenate(self, suffix: "Name") -> "Name":
-        """``self`` + ``suffix``, memoised: zone parsing joins the same
-        relative owner / origin pairs for every line of a bulk load."""
-        # keyed on the raw label tuples, not the Names: Name hashing is
-        # case-insensitive and the cache must preserve exact spelling
-        return _concatenated(self.labels, suffix.labels)
+        """``self`` + ``suffix``."""
+        return Name(self.labels + suffix.labels)
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True when ``self`` equals ``other`` or sits beneath it."""
@@ -287,11 +284,6 @@ def _interned(labels: tuple[bytes, ...]) -> Name:
 @lru_cache(maxsize=65_536)
 def _from_text(text: str | bytes) -> Name:
     return Name._parse_text(text)
-
-
-@lru_cache(maxsize=65_536)
-def _concatenated(prefix: tuple[bytes, ...], suffix: tuple[bytes, ...]) -> Name:
-    return Name(prefix + suffix)
 
 
 def name_from_ipv4_ptr(address: str) -> Name:

@@ -41,7 +41,9 @@ def registered_types() -> frozenset[int]:
 #: class -> value-field names, in MRO definition order.  ``__slots__`` on
 #: the *leaf* class is empty for most registered types (NS, TXT, MX, ...
 #: inherit their fields), so equality must walk every class in the MRO
-#: rather than read ``self.__slots__`` directly.
+#: rather than read ``self.__slots__`` directly.  A slot with a leading
+#: underscore (``_hash``, the address types' ``_packed``) is derived
+#: from the value fields and is not one of them.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
@@ -49,7 +51,7 @@ def _field_names(cls: type) -> tuple[str, ...]:
     seen: list[str] = []
     for klass in reversed(cls.__mro__):
         for slot in klass.__dict__.get("__slots__", ()):
-            if slot != "_hash" and slot not in seen:
+            if not slot.startswith("_") and slot not in seen:
                 seen.append(slot)
     names = tuple(seen)
     _FIELD_NAMES[cls] = names

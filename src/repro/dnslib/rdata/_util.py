@@ -9,17 +9,11 @@ from functools import lru_cache
 
 from ..wire import WireError, WireReader, WireWriter
 
-# Address conversions are memoised: a scan touches the same server and
-# glue addresses millions of times, and ``ipaddress`` object churn was a
-# measurable slice of encode/decode profiles.
-
-
 #: Every canonical octet spelling; probing this rejects leading zeros,
 #: signs, whitespace, and out-of-range values in one dict hit.
 _OCTETS = {str(i): i for i in range(256)}
 
 
-@lru_cache(maxsize=65_536)
 def ipv4_to_bytes(text: str) -> bytes:
     # Fast strict parse for the canonical dotted quads the simulator
     # generates; anything unusual (shorthand, leading zeros, garbage)
@@ -36,30 +30,19 @@ def ipv4_to_bytes(text: str) -> bytes:
     return ipaddress.IPv4Address(text).packed
 
 
-@lru_cache(maxsize=65_536)
 def bytes_to_ipv4(data: bytes) -> str:
     if len(data) != 4:
         raise WireError(f"A record rdata must be 4 bytes, got {len(data)}")
     return "%d.%d.%d.%d" % (data[0], data[1], data[2], data[3])
 
 
-@lru_cache(maxsize=65_536)
-def normalize_ipv4(text: str) -> str:
-    """Canonical presentation of ``text`` (one cache probe on the A/L32
-    construction path instead of a parse + format pair)."""
-    return bytes_to_ipv4(ipv4_to_bytes(text))
-
-
-@lru_cache(maxsize=16_384)
 def ipv6_to_bytes(text: str) -> bytes:
     return ipaddress.IPv6Address(text).packed
 
 
-@lru_cache(maxsize=16_384)
-def normalize_ipv6(text: str) -> str:
-    return bytes_to_ipv6(ipv6_to_bytes(text))
-
-
+# The one conversion worth a memo: compressing an IPv6 address is a
+# stdlib ``ipaddress`` object per call (the codec corpus decodes
+# 4-17 % slower without it; EXPERIMENTS.md "Ledger entry 5").
 @lru_cache(maxsize=16_384)
 def bytes_to_ipv6(data: bytes) -> str:
     if len(data) != 16:

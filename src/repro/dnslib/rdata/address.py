@@ -10,27 +10,27 @@ from ..name import Name
 from ..types import RRType
 from ..wire import WireError, WireReader, WireWriter
 from . import RData, register
-from ._util import (
-    bytes_to_ipv4,
-    bytes_to_ipv6,
-    ipv4_to_bytes,
-    ipv6_to_bytes,
-    normalize_ipv4,
-    normalize_ipv6,
-)
+from ._util import bytes_to_ipv4, bytes_to_ipv6, ipv4_to_bytes, ipv6_to_bytes
+
+# An address record is built from text (parse, keep the bytes, format
+# the canonical text) or from the wire (keep the bytes, format the
+# text): ``_packed`` is whichever form construction had in hand, so
+# ``to_wire`` re-derives nothing.  It is not a value field (the leading
+# underscore keeps it out of eq / hash / repr, as ``_hash`` is).
 
 
 @register(RRType.A)
 class A(RData):
     """IPv4 host address (RFC 1035)."""
 
-    __slots__ = ("address",)
+    __slots__ = ("address", "_packed")
 
     def __init__(self, address: str):
-        self.address = normalize_ipv4(address)
+        self._packed = ipv4_to_bytes(address)
+        self.address = bytes_to_ipv4(self._packed)
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write(ipv4_to_bytes(self.address))
+        writer.write(self._packed)
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "A":
@@ -46,26 +46,33 @@ class A(RData):
 
 @lru_cache(maxsize=65_536)
 def _a_instance(data: bytes) -> "A":
-    return A(bytes_to_ipv4(data))
+    self = A.__new__(A)
+    self._packed = data
+    self.address = bytes_to_ipv4(data)
+    return self
 
 
 @register(RRType.AAAA)
 class AAAA(RData):
     """IPv6 host address (RFC 3596)."""
 
-    __slots__ = ("address",)
+    __slots__ = ("address", "_packed")
 
     def __init__(self, address: str):
-        self.address = normalize_ipv6(address)
+        self._packed = ipv6_to_bytes(address)
+        self.address = bytes_to_ipv6(self._packed)
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write(ipv6_to_bytes(self.address))
+        writer.write(self._packed)
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "AAAA":
         if rdlength != 16:
             raise WireError(f"AAAA rdlength {rdlength} != 16")
-        return cls(bytes_to_ipv6(reader.read(16)))
+        self = cls.__new__(cls)
+        self._packed = reader.read(16)
+        self.address = bytes_to_ipv6(self._packed)
+        return self
 
     def to_text(self) -> str:
         return self.address
@@ -103,21 +110,26 @@ class NID(RData):
 class L32(RData):
     """ILNP 32-bit locator (RFC 6742)."""
 
-    __slots__ = ("preference", "locator")
+    __slots__ = ("preference", "locator", "_packed")
 
     def __init__(self, preference: int, locator: str):
         self.preference = preference
-        self.locator = normalize_ipv4(locator)
+        self._packed = ipv4_to_bytes(locator)
+        self.locator = bytes_to_ipv4(self._packed)
 
     def to_wire(self, writer: WireWriter) -> None:
         writer.write_u16(self.preference)
-        writer.write(ipv4_to_bytes(self.locator))
+        writer.write(self._packed)
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "L32":
         if rdlength != 6:
             raise WireError(f"L32 rdlength {rdlength} != 6")
-        return cls(reader.read_u16(), bytes_to_ipv4(reader.read(4)))
+        self = cls.__new__(cls)
+        self.preference = reader.read_u16()
+        self._packed = reader.read(4)
+        self.locator = bytes_to_ipv4(self._packed)
+        return self
 
     def to_text(self) -> str:
         return f"{self.preference} {self.locator}"

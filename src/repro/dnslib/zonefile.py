@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .message import ResourceRecord
 from .name import Name
-from .text_format import TextParseError, rdata_from_text
+from .text_format import TextParseError, rdata_from_text, relative_name
 from .types import DNSClass, RRType, type_from_text
 
 _CLASSES = {"IN", "CH", "HS"}
@@ -30,9 +30,7 @@ class Zone:
 
     def find(self, name: Name | str, rrtype: RRType | None = None) -> list[ResourceRecord]:
         if isinstance(name, str):
-            name = Name.from_text(name) if name.endswith(".") else (
-                Name.from_text(name).concatenate(self.origin)
-            )
+            name = Name.from_text(name) if name.endswith(".") else relative_name(name, self.origin)
         return [
             record
             for record in self.records
@@ -190,7 +188,7 @@ def _owner_name(token: str, origin: Name | None, number: int) -> Name:
         return Name.from_text(token)
     if origin is None:
         raise ZoneParseError(f"line {number}: relative owner without $ORIGIN")
-    return Name.from_text(token).concatenate(origin)
+    return relative_name(token, origin)
 
 
 def load_zone(path: str, origin: Name | str | None = None) -> Zone:

@@ -11,14 +11,14 @@ breaking its two load-bearing properties:
   so two runs that publish the same deltas at the same virtual times see
   byte-identical universes.  Batch scans never publish, their generation
   map stays empty, and the synthesiser's hot path is untouched.
-* **Memo transparency.**  Authoritative servers memoise fully built
-  responses (:class:`~repro.ecosystem.servers.ResponseMemo`).  Those
-  memos are pure performance caches, so clearing them is always safe —
-  and after a delta it is *required*, or the old generation's referrals
-  and answers would keep being served.  ``publish_zone_delta`` clears
-  every registered server's memo; selective clearing would save a few
-  rebuilds but risks missing a holder (glue in additionals, CNAME
-  chases into the mutated zone), and correctness wins.
+* **Nothing to flush.**  No authoritative server keeps a response:
+  each reply is built from the synthesiser for the query in hand, and
+  the synthesiser's own memos (``_profile``, ``_dnssec_profile``) carry
+  the generation in their key.  The query after a delta is therefore
+  answered from the new generation by every server that can speak for
+  the zone (TLD referral, provider answer, glue, CNAME chases into it)
+  with no server visited; what a delta leaves stale is the *resolver's*
+  cache, which the service revalidates incrementally.
 
 What a delta changes: the domain's delegation (provider, NS set,
 per-server flakiness), its leaf content (host addresses, MX/SPF/DMARC
@@ -63,9 +63,9 @@ def publish_zone_delta(internet, base: Name | str) -> int:
 
     Advances the zone's generation in the universe's synthesiser (the
     next ``profile()``/``host_addresses()`` calls re-derive delegation
-    and content under the new generation) and clears the response memo
-    of every registered server, so no pre-delta response survives.
-    Returns the new generation number.
+    and content under the new generation; no server holds a pre-delta
+    response, so nothing is flushed).  Returns the new generation
+    number.
 
     The caller decides *when* (virtual time) and *what* (which base);
     this function is pure bookkeeping, so it is equally usable by the
@@ -79,9 +79,4 @@ def publish_zone_delta(internet, base: Name | str) -> int:
     registrable = synth.base_domain_of(base)
     if registrable is None:
         raise ValueError(f"{base.to_text()} is not under a known TLD")
-    generation = synth.bump_generation(registrable)
-    for server in internet.network.servers():
-        memo = getattr(server, "memo", None)
-        if memo is not None:
-            memo._entries.clear()
-    return generation
+    return synth.bump_generation(registrable)

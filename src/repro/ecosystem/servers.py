@@ -1,10 +1,18 @@
 """Simulated authoritative DNS servers: root, TLD, provider, reverse-DNS
-and infrastructure servers, all answering from procedural zone data."""
+and infrastructure servers, all answering from procedural zone data.
+
+No server keeps a response: every reply is built from the synthesiser
+for the query in hand, in section lists of its own (a client that
+sanitises one reply cannot edit the next), so a zone delta is served
+from the next query on with nothing to flush.  Scan names do not
+repeat: a per-question memo hit 0.4-5 % of its probes on the ledger's
+workloads and retained every response built (EXPERIMENTS.md "Ledger
+entry 5").
+"""
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 
 from ..dnslib import Message, Name, Rcode, RRType
 from ..dnslib.rdata.address import A
@@ -31,65 +39,6 @@ _EXAMPLE = Name.from_text("example")
 _VERSION_BIND = Name.from_text("version.bind")
 
 
-class ResponseMemo:
-    """Bounded memo of fully built responses, keyed by the question.
-
-    Zone content is a pure function of the question (plus, for provider
-    servers, the transport protocol), so identical queries rebuild
-    byte-identical responses — dense workloads like the PTR sweeps
-    revisit the same owner names hundreds of times.  A hit hands back a
-    *clone* sharing the immutable records and the encoded wire template
-    (so re-encoding patches two transaction-id bytes), while the clone's
-    section lists stay private in case a client sanitises them.
-
-    Probabilistic behaviour must stay outside the memo: the provider
-    servers draw their drop-probability sample *before* consulting it,
-    keeping the RNG consumption sequence — and thus the simulated
-    universe — identical for a given seed.
-    """
-
-    __slots__ = ("capacity", "hits", "misses", "_entries")
-
-    def __init__(self, capacity: int = 8192):
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[tuple, Message] = OrderedDict()
-
-    @staticmethod
-    def key(query: Message, extra=None) -> tuple:
-        question = query.question
-        return (
-            question.name.labels,  # spelling-preserving: responses echo case
-            int(question.rrtype),
-            int(question.rrclass),
-            query.flags.to_int(),
-            extra,
-        )
-
-    def get(self, key: tuple, query: Message) -> Message | None:
-        stored = self._entries.get(key)
-        if stored is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return Message(
-            id=query.id,
-            flags=stored.flags,
-            questions=list(stored.questions),
-            answers=list(stored.answers),
-            authorities=list(stored.authorities),
-            additionals=list(stored.additionals),
-        )
-
-    def put(self, key: tuple, message: Message) -> None:
-        entries = self._entries
-        entries[key] = message
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-
-
 def _query_do(query: Message) -> bool:
     """The query's EDNS DO bit (False when there is no OPT record)."""
     for record in query.additionals:
@@ -98,31 +47,14 @@ def _query_do(query: Message) -> bool:
     return False
 
 
-class _MemoisedServer:
-    """Mixin: cache ``_respond`` results per question.
-
-    Only for handlers whose responses depend on nothing but the query
-    (and never return ``None``/a delayed reply)."""
-
-    def _init_memo(self, capacity: int = 8192) -> None:
-        self.memo = ResponseMemo(capacity)
+class _ZoneServer:
+    """The servers whose reply depends on nothing but the query: refuse
+    a question-less query, read the DO bit, build the reply."""
 
     def handle_query(self, query, client_ip, now, protocol):
-        question = query.question
-        if question is None:
+        if query.question is None:
             return ServerReply(_refused(query))
-        memo = self.memo
-        # DO folds into the memo key only when set, so queries without
-        # it keep their pre-DNSSEC key shape (and response bytes).
-        do = _query_do(query)
-        key = ResponseMemo.key(query, extra=True if do else None)
-        cached = memo.get(key, query)
-        if cached is not None:
-            return ServerReply(cached)
-        reply = self._respond(query, client_ip, now, protocol, do)
-        if reply is not None and reply.delay == 0.0:
-            memo.put(key, reply.message)
-        return reply
+        return ServerReply(self._respond(query, _query_do(query)))
 
 
 def _referral(
@@ -145,7 +77,7 @@ def _refused(query: Message) -> Message:
     return query.make_response(rcode=Rcode.REFUSED)
 
 
-class RootServer(_MemoisedServer):
+class RootServer(_ZoneServer):
     """One of the 13 root servers: delegates TLDs."""
 
     def __init__(self, synth: ZoneSynthesizer):
@@ -164,33 +96,32 @@ class RootServer(_MemoisedServer):
             tld: [(synth.tld_ns_name(tld, k), synth.tld_ns_ip(tld, k)) for k in range(2)]
             for tld in self._tlds
         }
-        self._init_memo()
 
-    def _respond(self, query, client_ip, now, protocol, do=False):
+    def _respond(self, query: Message, do: bool) -> Message:
         name = query.question.name
         if name.is_root:
             signed = apex_answer(self.synth, query, Name.root(), do)
             if signed is not None:
-                return ServerReply(signed)
-            return ServerReply(nodata(query, Name.root()))
+                return signed
+            return nodata(query, Name.root())
         tld = name.labels[-1].decode("ascii", "replace").lower()
         if tld == "arpa":
             zone = _IN_ADDR if name.is_subdomain_of(_IN_ADDR) else _ARPA
-            return ServerReply(_referral(query, zone, self._arpa_pairs))
+            return _referral(query, zone, self._arpa_pairs)
         if tld == "example":
-            return ServerReply(_referral(query, _EXAMPLE, self._infra_pairs))
+            return _referral(query, _EXAMPLE, self._infra_pairs)
         pairs = self._tld_pairs.get(tld)
         if pairs is not None:
             zone = Name((name.labels[-1],))
             if do and len(name.labels) == 1 and int(query.question.rrtype) == int(RRType.DS):
                 # DS lives at the parent: the root answers it, not the TLD
-                return ServerReply(ds_answer(self.synth, query, Name.root(), zone))
+                return ds_answer(self.synth, query, Name.root(), zone)
             proof = referral_proof(self.synth, Name.root(), zone) if do else ()
-            return ServerReply(_referral(query, zone, pairs, proof))
-        return ServerReply(signed_nxdomain(self.synth, query, Name.root(), do))
+            return _referral(query, zone, pairs, proof)
+        return signed_nxdomain(self.synth, query, Name.root(), do)
 
 
-class TLDServer(_MemoisedServer):
+class TLDServer(_ZoneServer):
     """Registry server for one TLD: delegates registered base domains."""
 
     #: Dark address space for dead delegations: routed nowhere.
@@ -200,23 +131,22 @@ class TLDServer(_MemoisedServer):
         self.synth = synth
         self.tld = tld
         self.zone = Name.from_text(tld)
-        self._init_memo()
 
-    def _respond(self, query, client_ip, now, protocol, do=False):
+    def _respond(self, query: Message, do: bool) -> Message:
         question = query.question
         if not question.name.is_subdomain_of(self.zone):
-            return ServerReply(_refused(query))
+            return _refused(query)
         if question.name == self.zone:
             signed = apex_answer(self.synth, query, self.zone, do)
             if signed is not None:
-                return ServerReply(signed)
-            return ServerReply(nodata(query, self.zone))
+                return signed
+            return nodata(query, self.zone)
         base = self.synth.base_domain_of(question.name)
         if base is None:
-            return ServerReply(signed_nxdomain(self.synth, query, self.zone, do))
+            return signed_nxdomain(self.synth, query, self.zone, do)
         profile = self.synth.profile(base)
         if not profile.exists and not profile.dead:
-            return ServerReply(signed_nxdomain(self.synth, query, self.zone, do))
+            return signed_nxdomain(self.synth, query, self.zone, do)
         if profile.dead:
             # registered, but its nameservers are unreachable
             pairs = [
@@ -225,25 +155,24 @@ class TLDServer(_MemoisedServer):
             ]
         elif do and question.name == base and int(question.rrtype) == int(RRType.DS):
             # parent-side DS for a delegated child, answered here
-            return ServerReply(ds_answer(self.synth, query, self.zone, base))
+            return ds_answer(self.synth, query, self.zone, base)
         else:
             pairs = [(ns.name, ns.ip) for ns in profile.nameservers]
         proof = referral_proof(self.synth, self.zone, base) if do else ()
-        return ServerReply(_referral(query, base, pairs, proof))
+        return _referral(query, base, pairs, proof)
 
 
-class InfraServer(_MemoisedServer):
+class InfraServer(_ZoneServer):
     """Authoritative for the synthetic ``example`` TLD: nameserver host
     records and reverse-pointer targets live here."""
 
     def __init__(self, synth: ZoneSynthesizer):
         self.synth = synth
-        self._init_memo()
 
-    def _respond(self, query, client_ip, now, protocol, do=False):
+    def _respond(self, query: Message, do: bool) -> Message:
         question = query.question
         if not question.name.is_subdomain_of(_EXAMPLE):
-            return ServerReply(_refused(query))
+            return _refused(query)
         name = question.name
         ip = self.synth.infra_a_record(name)
         wants_a = int(question.rrtype) in (int(RRType.A), int(RRType.ANY))
@@ -253,7 +182,7 @@ class InfraServer(_MemoisedServer):
                 response.answers.append(rr(name, RRType.A, ANSWER_TTL, A(ip)))
             else:
                 response.authorities.append(soa_for(_EXAMPLE))
-            return ServerReply(response)
+            return response
         text = name.key_text()
         if text.startswith("host-") or ".isp" in text:
             # PTR targets resolve deterministically
@@ -263,8 +192,8 @@ class InfraServer(_MemoisedServer):
                 response.answers.append(rr(name, RRType.A, ANSWER_TTL, A(address)))
             else:
                 response.authorities.append(soa_for(_EXAMPLE))
-            return ServerReply(response)
-        return ServerReply(nxdomain(query, _EXAMPLE))
+            return response
+        return nxdomain(query, _EXAMPLE)
 
 
 class ProviderAuthServer:
@@ -283,7 +212,6 @@ class ProviderAuthServer:
         self.rng = random.Random(seed ^ (provider_index << 8) ^ pool_slot)
         self.refused = 0
         self.dropped = 0
-        self.memo = ResponseMemo()
 
     #: Software versions by provider (exposed via version.bind, the
     #: paper's bind.version misc module).
@@ -319,51 +247,39 @@ class ProviderAuthServer:
             # probabilistic blocking: silently ignore this query
             self.dropped += 1
             return None
-        # Memoised *after* the drop draw so the RNG sequence (and hence
-        # the simulated universe) is untouched; answers can differ per
-        # protocol (UDP truncation), so the key carries it.  DO widens
-        # the key only when set: DO-less keys keep their pre-DNSSEC
-        # shape, so those cached responses stay byte-identical.
         do = _query_do(query)
-        key = ResponseMemo.key(query, extra=(protocol, True) if do else protocol)
-        cached = self.memo.get(key, query)
-        if cached is not None:
-            return ServerReply(cached)
-        response = build_answer(self.synth, query, profile, ns=me, protocol=protocol, do=do)
-        self.memo.put(key, response)
-        return ServerReply(response)
+        return ServerReply(build_answer(self.synth, query, profile, ns=me, protocol=protocol, do=do))
 
 
-class ArpaServer(_MemoisedServer):
+class ArpaServer(_ZoneServer):
     """Authoritative for arpa/in-addr.arpa: delegates /8 zones."""
 
     def __init__(self, synth: ZoneSynthesizer):
         self.synth = synth
-        self._init_memo()
 
-    def _respond(self, query, client_ip, now, protocol, do=False):
+    def _respond(self, query: Message, do: bool) -> Message:
         question = query.question
         if not question.name.is_subdomain_of(_ARPA):
-            return ServerReply(_refused(query))
+            return _refused(query)
         name = question.name
         if not name.is_subdomain_of(_IN_ADDR):
-            return ServerReply(nxdomain(query, _ARPA))
+            return nxdomain(query, _ARPA)
         rev = name.relativize(_IN_ADDR)
         if not rev:
-            return ServerReply(nodata(query, _IN_ADDR))
+            return nodata(query, _IN_ADDR)
         octet = _octet(rev[-1])
         if octet is None:
-            return ServerReply(nxdomain(query, _IN_ADDR))
+            return nxdomain(query, _IN_ADDR)
         zone = Name((rev[-1],)).concatenate(_IN_ADDR)
         operator = self.synth.rdns_operator((octet,))
         pairs = [
             (self.synth.rdns_ns_name(operator, k), self.synth.rdns_ns_ip(operator, k))
             for k in range(2)
         ]
-        return ServerReply(_referral(query, zone, pairs))
+        return _referral(query, zone, pairs)
 
 
-class RdnsOperatorServer(_MemoisedServer):
+class RdnsOperatorServer(_ZoneServer):
     """One reverse-DNS operator host, authoritative for every /8, /16
     and /24 reverse zone that hashes to its operator id."""
 
@@ -371,18 +287,17 @@ class RdnsOperatorServer(_MemoisedServer):
         self.synth = synth
         self.operator = operator
         self.pool_slot = pool_slot
-        self._init_memo()
 
-    def _respond(self, query, client_ip, now, protocol, do=False):
+    def _respond(self, query: Message, do: bool) -> Message:
         question = query.question
         if not question.name.is_subdomain_of(_IN_ADDR):
-            return ServerReply(_refused(query))
+            return _refused(query)
         rev = question.name.relativize(_IN_ADDR)
         octets = []
         for label in reversed(rev):
             value = _octet(label)
             if value is None:
-                return ServerReply(_refused(query))
+                return _refused(query)
             octets.append(value)
         prefix = tuple(octets)
         synth = self.synth
@@ -397,9 +312,9 @@ class RdnsOperatorServer(_MemoisedServer):
             return self._refer(query, prefix[:3])
         if synth.rdns_operator(prefix[:1]) == self.operator:
             return self._refer(query, prefix[:2])
-        return ServerReply(_refused(query))
+        return _refused(query)
 
-    def _refer(self, query: Message, child: tuple[int, ...]) -> ServerReply:
+    def _refer(self, query: Message, child: tuple[int, ...]) -> Message:
         synth = self.synth
         zone = _rev_zone(child)
         if len(child) == 3 and synth.ptr_zone_dead(child):
@@ -407,27 +322,27 @@ class RdnsOperatorServer(_MemoisedServer):
                 (Name.from_text(f"ns{k + 1}.dead-rdns.example"), f"203.0.113.{100 + k}")
                 for k in range(2)
             ]
-            return ServerReply(_referral(query, zone, pairs))
+            return _referral(query, zone, pairs)
         operator = synth.rdns_operator(child)
         pairs = [
             (synth.rdns_ns_name(operator, k), synth.rdns_ns_ip(operator, k)) for k in range(2)
         ]
-        return ServerReply(_referral(query, zone, pairs))
+        return _referral(query, zone, pairs)
 
-    def _answer_leaf(self, query: Message, octets: tuple[int, ...]) -> ServerReply:
+    def _answer_leaf(self, query: Message, octets: tuple[int, ...]) -> Message:
         zone = _rev_zone(octets[:3])
         if len(octets) != 4:
-            return ServerReply(nodata(query, zone))
+            return nodata(query, zone)
         ip = ".".join(str(o) for o in octets)
         if self.synth.ptr_status(ip) != "noerror":
-            return ServerReply(nxdomain(query, zone))
+            return nxdomain(query, zone)
         if int(query.question.rrtype) not in (int(RRType.PTR), int(RRType.ANY)):
-            return ServerReply(nodata(query, zone))
+            return nodata(query, zone)
         response = query.make_response(authoritative=True)
         response.answers.append(
             rr(query.question.name, RRType.PTR, ANSWER_TTL, PTR(self.synth.ptr_target(ip)))
         )
-        return ServerReply(response)
+        return response
 
 
 def _rev_zone(octets: tuple[int, ...]) -> Name:

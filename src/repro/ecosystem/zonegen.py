@@ -253,9 +253,10 @@ class ZoneSynthesizer:
         delta): delegation and content draws re-roll under the new
         generation while registration (exists/dead) stays fixed, so the
         domain changes hands/records without blinking out of the
-        namespace.  Callers normally go through
-        :func:`repro.ecosystem.deltas.publish_zone_delta`, which also
-        clears the affected servers' response memos."""
+        namespace.  The servers keep no response, so the next query is
+        answered from the new generation; callers normally go through
+        :func:`repro.ecosystem.deltas.publish_zone_delta`, which
+        resolves a name to its registrable base first."""
         base = Name.intern(base.labels)
         gen = self._generations.get(base, 0) + 1
         self._generations[base] = gen
@@ -474,18 +475,11 @@ class ZoneSynthesizer:
     def host_addresses(self, fqdn: Name, count_tag: str = "a") -> list[str]:
         """Deterministic public IPv4 addresses for a hostname (re-drawn
         when the owning base domain's zone generation advances)."""
-        generation = 0
-        if self._generations:
-            base = self.base_domain_of(fqdn)
-            if base is not None:
-                generation = self._generations.get(base, 0)
-        return self._host_addresses(fqdn, count_tag, generation)
-
-    @lru_cache(maxsize=131_072)
-    def _host_addresses(self, fqdn: Name, count_tag: str, generation: int) -> list[str]:
         key = fqdn.key_text()
-        if generation:
-            key = f"{key}#gen{generation}"
+        if self._generations:
+            generation = self._generations.get(self.base_domain_of(fqdn), 0)
+            if generation:
+                key = f"{key}#gen{generation}"
         seed = self.params.seed
         count = 1 + rand.h64(seed, key, count_tag, "count") % 3
         addresses = []

@@ -189,8 +189,7 @@ class SimNetwork:
     def servers(self) -> list[SimServer]:
         """Every registered server object, deduplicated (a server bound
         to several IPs — the 13-address root, dual-homed TLDs — appears
-        once), in registration order.  The zone-delta publisher walks
-        this to clear response memos after a mutation."""
+        once), in registration order."""
         seen: set[int] = set()
         out: list[SimServer] = []
         for destination in self._servers.values():

@@ -470,15 +470,30 @@ class ResolverService:
     # -- prefetch ----------------------------------------------------------
 
     def _prefetch_sweep(self):
+        """Refresh hot, about-to-expire answers.  The sweep follows the
+        cache's hot entries, not the catalogue (4,000 ``answer_heat``
+        reads per sweep for a few dozen candidates): each hot key maps
+        back to every catalogue index that spells the name — corpus
+        names repeat, and each index schedules its own job — visited in
+        ascending index order, as a walk of the catalogue would."""
         cfg = self.config
+        indices: dict[tuple, list[int]] = {}
+        for index, qname in enumerate(self._catalog):
+            indices.setdefault(qname.canonical_key(), []).append(index)
         while True:
             yield cfg.prefetch_interval
             if self._stopping:
                 return
-            for index, qname in enumerate(self._catalog):
+            hot = [
+                index
+                for key, qtype in self.cache.hot_answers(cfg.prefetch_min_hits)
+                if qtype == _A
+                for index in indices.get(key, ())
+            ]
+            for index in sorted(hot):
                 if index in self._prefetch_pending:
                     continue
-                heat = self.cache.answer_heat(qname, _A)
+                heat = self.cache.answer_heat(self._catalog[index], _A)
                 if heat is None:
                     continue
                 remaining, hits = heat

@@ -568,6 +568,27 @@ class TestHeatAndPrefetchState:
         assert cache.answer_heat(N("nope.com"), RRType.A) is None
         assert cache.stats.answer_misses == 0  # pure read: no stats
 
+    def test_hot_answers_enumerates_what_was_hit(self):
+        cache, now = self._cache()
+        hot, cold = N("a.com"), N("cold.com")
+        cache.put_answer(hot, RRType.A, [self._record()])
+        cache.put_answer(cold, RRType.A, [self._record()])
+        cache.put_delegation(Delegation(N("com"), (N("ns.com"),), ((N("ns.com"), "1.1.1.1"),), 300))
+        cache.put_delegation(Delegation(N("com"), (N("ns.com"),), ((N("ns.com"), "1.1.1.1"),), 300))
+        for _ in range(3):
+            cache.get_answer(hot, RRType.A)
+        reads = (cache.stats.answer_hits, cache.stats.answer_misses)
+        assert cache.hot_answers(3) == [(hot.canonical_key(), int(RRType.A))]
+        assert cache.hot_answers(4) == []
+        # an entry never hit has no heat record, and 0 hits is a legal bar:
+        # answers only, though a re-stored delegation has one too
+        assert sorted(cache.hot_answers(0)) == sorted(
+            [(hot.canonical_key(), 1), (cold.canonical_key(), 1)]
+        )
+        cache.put_answer(hot, RRType.A, [self._record("9.9.9.9")])
+        assert cache.hot_answers(1) == []  # fresh data starts cold
+        assert (cache.stats.answer_hits, cache.stats.answer_misses) == reads  # pure read
+
 
 class TestRevalidationHooks:
     def _cache(self, **kwargs):

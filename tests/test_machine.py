@@ -421,6 +421,32 @@ class TestTCPFallbackValidation:
         assert not (result.status == Status.NOERROR and not result.answers)
         assert result.status != Status.NOERROR
 
+    @pytest.mark.parametrize("leg", ["udp", "tcp"])
+    def test_strict_bailiwick_strips_either_leg(self, leg):
+        """``sanitize_response`` sat in the UDP branch only: a truncated
+        UDP reply followed by a TCP referral carrying out-of-bailiwick
+        glue cached ``ns1.bank.org -> 6.6.6.6`` on a ``com`` server's
+        word and queried it.  Both legs go through one accept path."""
+        net = standard_tree()
+
+        def com(effect):
+            poisoned = Message(flags=Flags(response=True))
+            poisoned.authorities.append(rr("example.com", RRType.NS, NS(N("ns1.bank.org"))))
+            poisoned.additionals.append(rr("ns1.bank.org", RRType.A, A("6.6.6.6")))
+            if leg == "tcp" and effect.protocol == "udp":
+                return answer_msg(effect.name.to_text(), [], authoritative=False, truncated=True)
+            return poisoned
+
+        net.add("10.0.0.1", com)
+        net.add("6.6.6.6", lambda e: answer_msg(e.name.to_text(), [rr("www.example.com", RRType.A, A("6.6.6.7"))]))
+        cache = SelectiveCache(capacity=1000)
+        config = ResolverConfig(retries=1, strict_bailiwick=True)
+        result = drive(machine(cache, config).resolve("www.example.com", RRType.A), net)
+        assert "6.6.6.6" not in [entry[0] for entry in net.log]
+        assert cache.get_delegation(N("example.com")).glue == ()
+        assert result.status != Status.NOERROR
+        assert (leg == "tcp") == any(entry[3] == "tcp" for entry in net.log)
+
 
 class FaultyResponder:
     """Wraps a responder with a :class:`FaultInjector`, mimicking the

@@ -1,5 +1,7 @@
 """Round-trip and behaviour tests for every RDATA codec."""
 
+import ipaddress
+
 import pytest
 
 from repro.dnslib import (
@@ -13,7 +15,7 @@ from repro.dnslib import (
     rdata_class,
     registered_types,
 )
-from repro.dnslib.rdata.address import A, AAAA, EUI48
+from repro.dnslib.rdata.address import A, AAAA, EUI48, L32
 from repro.dnslib.rdata.security import CAA
 from repro.dnslib.rdata.text import TXT, TextRData
 from repro.dnslib.rdata._util import decode_type_bitmap, encode_type_bitmap
@@ -99,6 +101,51 @@ class TestAddress:
     def test_invalid_address_rejected(self):
         with pytest.raises(ValueError):
             A("999.0.0.1")
+
+    @pytest.mark.parametrize(
+        "build, reference, text",
+        [
+            (build, reference, text)
+            for build, reference, texts in (
+                (A, ipaddress.IPv4Address, ("1.2.3", "01.2.3.4", "garbage", " 1.2.3.4", "", "1.2.3.256")),
+                (lambda text: L32(1, text), ipaddress.IPv4Address, ("10.1", "010.1.2.3")),
+                (AAAA, ipaddress.IPv6Address, ("1.2.3.4", "::g", "")),
+            )
+            for text in texts
+        ],
+    )
+    def test_unusual_text_raises_what_ipaddress_raises(self, build, reference, text):
+        """Shorthand, leading zeros and garbage fall through the fast
+        parse to ``ipaddress``: same exception type, same words."""
+        with pytest.raises(ipaddress.AddressValueError) as expected:
+            reference(text)
+        with pytest.raises(ipaddress.AddressValueError) as caught:
+            build(text)
+        assert str(caught.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "from_text, wire",
+        [
+            (A("1.2.3.4"), b"\x01\x02\x03\x04"),
+            (AAAA("2001:0DB8:0:0::1"), bytes.fromhex("20010db8000000000000000000000001")),
+            (L32(10, "10.1.2.3"), b"\x00\x0a\x0a\x01\x02\x03"),
+        ],
+        ids=["A", "AAAA", "L32"],
+    )
+    def test_packed_form_is_not_a_value_field(self, from_text, wire):
+        """An address record keeps the bytes it was parsed from or
+        decoded as in a private slot; eq, hash, repr and JSON see the
+        text only, however the record was built."""
+        from_wire = type(from_text).from_wire(WireReader(wire), len(wire))
+        assert from_text == from_wire and hash(from_text) == hash(from_wire)
+        assert repr(from_text) == repr(from_wire) and "packed" not in repr(from_text)
+        assert from_text.zdns_answer() == from_wire.zdns_answer() == from_text.to_text()
+        for rdata in (from_text, from_wire):
+            writer = WireWriter()
+            rdata.to_wire(writer)
+            assert writer.getvalue() == wire
+        record = ResourceRecord(Name.from_text("h.example"), from_text.rrtype, 1, 60, from_wire)
+        assert "packed" not in str(record.to_json())
 
     def test_eui48_length_enforced(self):
         with pytest.raises(ValueError):

@@ -327,6 +327,44 @@ class TestReverseTree:
             assert response.rcode == Rcode.REFUSED
 
 
+class TestNothingKept:
+    """No server keeps a response: identical queries are answered with
+    equal bytes in section lists of their own, so a client that
+    sanitises one reply cannot edit the next."""
+
+    def cases(self, synth):
+        base, profile = find_domain(
+            synth, lambda p: p.exists and not p.truncates
+            and p.nameservers[0].drop_prob == 0 and not p.nameservers[0].lame
+        )
+        slot = int(profile.nameservers[0].name.labels[0][2:]) - 1
+        leaf = next(
+            f"23.40.{i}.9" for i in range(256) if synth.ptr_status(f"23.40.{i}.9") == "noerror"
+        )
+        leaf_operator = synth.rdns_operator(tuple(int(x) for x in leaf.split("."))[:3])
+        return [
+            (RootServer(synth), "example.com", RRType.A),
+            (TLDServer(synth, "com"), base, RRType.A),
+            (InfraServer(synth), synth.tld_ns_name("com", 0), RRType.A),
+            (ProviderAuthServer(synth, profile.provider_index, slot, seed=33), base, RRType.A),
+            (ArpaServer(synth), "9.8.7.23.in-addr.arpa", RRType.PTR),
+            (RdnsOperatorServer(synth, leaf_operator, 0), name_from_ipv4_ptr(leaf), RRType.PTR),
+        ]
+
+    @pytest.mark.parametrize("do", [False, True])
+    def test_equal_bytes_in_lists_of_their_own(self, synth, do):
+        for server, name, rrtype in self.cases(synth):
+            first = ask(server, name, rrtype, do=do)
+            second = ask(server, name, rrtype, do=do)
+            wire = second.to_wire()
+            assert first.to_wire() == wire, type(server).__name__
+            assert first.answers or first.authorities
+            for section in ("questions", "answers", "authorities", "additionals"):
+                assert getattr(first, section) is not getattr(second, section)
+                getattr(first, section).clear()  # what a sanitising client may do
+            assert ask(server, name, rrtype, do=do).to_wire() == wire, type(server).__name__
+
+
 class TestPublicResolverModel:
     def test_google_rate_limit_drops(self, synth):
         resolver = PublicResolver(synth, rate_limit_per_ip=10.0)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.dnslib import DNSClass, Name, ResourceRecord, RRType
+from repro.dnslib import DNSClass, Message, Name, ResourceRecord, RRType
 from repro.dnslib.rdata.address import A
 from repro.ecosystem import EcosystemParams, build_internet, publish_zone_delta
 from repro.oracle import DifferentialOracle
@@ -110,19 +110,48 @@ class TestZoneDeltas:
             publish_zone_delta(internet, base)
         assert synth.profile(base).exists == exists_before
 
-    def test_delta_clears_every_server_memo(self):
+    def test_delta_is_served_by_the_next_query(self):
+        """No server keeps a response, so a delta needs no flush: the
+        same TLD and provider server objects, asked before and after
+        with nothing cleared in between, answer from generation 0 and
+        then from generation 1."""
         internet = build_internet(params=EcosystemParams(seed=11), wire_mode="never")
-        base = internet.synth.base_domain_of(N("www.d1-0.com"))
-        memos = [
-            server.memo
-            for server in internet.network.servers()
-            if getattr(server, "memo", None) is not None
-        ]
-        assert memos  # the universe has memoised servers
-        for memo in memos:
-            memo._entries["sentinel"] = object()
-        publish_zone_delta(internet, base)
-        assert all(len(memo._entries) == 0 for memo in memos)
+        synth, network = internet.synth, internet.network
+
+        def serving(profile):
+            return {
+                ns.ip for ns in profile.nameservers if not ns.lame and ns.drop_prob == 0
+            }
+
+        # a zone that changes hands while one nameserver keeps serving it
+        for i in range(2000):
+            base = N(f"d{i}-0.com")
+            before, after = synth._profile(base, 0), synth._profile(base, 1)
+            kept = serving(before) & serving(after)
+            if (
+                before.exists and kept and before.nameservers != after.nameservers
+                and not (before.truncates or after.truncates)
+            ):
+                break
+        tld = network.server_for(synth.tld_ns_ip("com", 0))
+        provider = network.server_for(min(kept))
+
+        def ask(server):
+            query = Message.make_query(base, RRType.A, txid=1, recursion_desired=False)
+            return server.handle_query(query, "198.18.0.1", 0.0, "udp").message
+
+        def glue(response):
+            return {record.rdata.address for record in response.additionals}
+
+        def addresses(response):
+            return {record.rdata.address for record in response.answers}
+
+        assert glue(ask(tld)) == {ns.ip for ns in before.nameservers}
+        old_addresses = addresses(ask(provider))
+        assert old_addresses == set(synth.host_addresses(base))
+        assert publish_zone_delta(internet, base) == 1
+        assert glue(ask(tld)) == {ns.ip for ns in after.nameservers}
+        assert addresses(ask(provider)) == set(synth.host_addresses(base)) != old_addresses
 
     def test_unknown_tld_rejected(self):
         internet = build_internet(params=EcosystemParams(seed=11), wire_mode="never")
@@ -223,6 +252,41 @@ class TestServiceRun:
         assert report.oracle["checked"] > 10
         assert report.oracle["divergences"] == 0
         assert report.divergences == []
+
+    @pytest.mark.parametrize("min_hits", [0, 2])
+    def test_prefetch_sweep_equals_a_catalogue_walk(self, min_hits, monkeypatch):
+        """The sweep follows the cache's hot entries; the reference
+        asks about every catalogue name in index order, as the sweep
+        used to.  Same jobs in the same order, so the same run — also
+        at ``prefetch_min_hits=0``, where never-hit entries qualify,
+        and with corpus names that repeat in the catalogue."""
+        from repro.service.daemon import _Job
+
+        config = dict(duration=900.0, base_qps=6.0, prefetch_min_hits=min_hits)
+        swept = run_service(small_config(**config))
+
+        def catalogue_walk(self):
+            cfg = self.config
+            while True:
+                yield cfg.prefetch_interval
+                if self._stopping:
+                    return
+                for index, qname in enumerate(self._catalog):
+                    heat = self.cache.answer_heat(qname, RRType.A)
+                    if index in self._prefetch_pending or heat is None:
+                        continue
+                    remaining, hits = heat
+                    if 0.0 < remaining <= cfg.prefetch_threshold and hits >= min_hits:
+                        self._prefetch_pending.add(index)
+                        self.counters["prefetch_scheduled"] += 1
+                        self._submit(_Job("prefetch", index, self.sim.now))
+
+        monkeypatch.setattr(ResolverService, "_prefetch_sweep", catalogue_walk)
+        walked = run_service(small_config(**config))
+        assert swept.counters["prefetch_scheduled"] > 0
+        assert len(set(ResolverService(small_config())._catalog_text)) < 40  # names do repeat
+        assert swept.determinism_digest() == walked.determinism_digest()
+        assert swept.counters == walked.counters
 
     def test_prefetch_refreshes_hot_entries(self):
         report = run_service(
