@@ -1,14 +1,10 @@
 """Wire-codec microbenchmarks over a realistic message corpus.
 
-``bench_wallclock_hotpath.bench_codec`` hammers three fixed packets —
-fine for a regression trendline, but every name in them is interned
-after the first pass.  This file measures the codec the way a scan of
-distinct names uses it:
+Measures the codec the way a scan of distinct names uses it:
 
 * **cold decode** — every packet distinct and the decoder's shared
   value caches cleared before each pass: the price of a first-contact
-  packet, and what ``scripts/bench_compare.py --codec-smoke`` holds a
-  floor under;
+  packet;
 * **decode** — the same corpus with names and addresses already
   interned (a scan's later hops);
 * **batch decode** — ``decode_many`` over a burst of buffers;
@@ -16,9 +12,9 @@ distinct names uses it:
 * **bulk zone parse** — ``parse_zone_lines`` over generated master-file
   lines, the ecosystem-synthesis workload.
 
-Helpers are import-safe (no pytest required) so
-``scripts/bench_compare.py --codec-smoke`` can reuse them; the pytest
-entry is marked ``bench``/``tier2``.
+These are layer numbers on a synthetic corpus, not evidence of a speed
+change: that is the end-to-end ledger's job (``benchmarks/ledger/``).
+The pytest entry is marked ``bench``/``tier2``.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import time
 
 import pytest
 
-from conftest import BENCH_SEED, dense_ptr_targets, emit
+from conftest import emit
 
 PROFILES = {
     "check": {"corpus": 384, "passes": 20, "zone_hosts": 1200},
@@ -211,69 +207,6 @@ def metric_lines(results: dict) -> list[str]:
         if key in results:
             out.append(f"  {label:<26} {results[key]:>10,} {units.get(key, 'msgs/s')}")
     return out
-
-
-# --------------------------------------------------------------------------
-# behaviour fingerprints: fig1/fig2/table2-shaped smoke scans
-#
-# Each shape runs the full resolver pipeline at a fixed (unscaled) size.
-# Under ``wire_mode="always"`` every packet crosses the codec, so the
-# virtual-time fingerprint is a behavioural checksum of the rewrite: it
-# must match the ``wire_mode="never"`` run of the same shape (the codec
-# may not change what a scan resolves) and the stored pre-rewrite
-# reference in ``BENCH_hotpath.json``.
-
-SMOKE_SHAPES = ("fig1", "fig2", "table2")
-
-
-def smoke_fingerprint(shape: str, wire_mode: str) -> dict:
-    """One deterministic smoke scan; returns its virtual-time fingerprint."""
-    from repro.ecosystem import EcosystemParams, build_internet
-    from repro.framework import ScanConfig, ScanRunner
-    from repro.workloads import DomainCorpus
-
-    internet = build_internet(params=EcosystemParams(seed=BENCH_SEED), wire_mode=wire_mode)
-    if shape == "fig1":
-        # figure 1 shape: iterative A scan from a /28
-        config = ScanConfig(
-            module="A", mode="iterative", threads=400, source_prefix=28,
-            cache_size=600_000, seed=BENCH_SEED,
-        )
-        names = list(DomainCorpus().fqdns(1200, start=0))
-    elif shape == "fig2":
-        # figure 2 shape: reverse scan under a small random-eviction cache
-        config = ScanConfig(
-            module="PTRIP", mode="iterative", threads=500, source_prefix=28,
-            cache_size=1500, cache_eviction="random", seed=BENCH_SEED,
-        )
-        names = dense_ptr_targets(2000, 0)
-    elif shape == "table2":
-        # table 2 shape: forwarding through a public recursive resolver
-        config = ScanConfig(
-            module="A", mode="external", resolver_ips=[internet.google_ip],
-            threads=400, retries=3, seed=BENCH_SEED,
-        )
-        names = list(DomainCorpus().fqdns(1500, start=20_000))
-    else:
-        raise ValueError(f"unknown smoke shape {shape!r}")
-
-    report = ScanRunner(internet, config).run(names)
-    stats = report.stats
-    fingerprint = {
-        "total": stats.total,
-        "successes": stats.successes,
-        "statuses": dict(sorted(stats.by_status.items())),
-        "queries_sent": stats.queries_sent,
-        "duration_virtual_s": round(stats.duration, 6),
-    }
-    if shape == "fig2":
-        fingerprint["cache_hit_rate"] = report.cache_stats["hit_rate"]
-        fingerprint["cache_evictions"] = report.cache_stats["evictions"]
-    return fingerprint
-
-
-def smoke_fingerprints(wire_mode: str = "always") -> dict:
-    return {shape: smoke_fingerprint(shape, wire_mode) for shape in SMOKE_SHAPES}
 
 
 # --------------------------------------------------------------------------

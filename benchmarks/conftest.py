@@ -21,6 +21,8 @@ import pathlib
 
 import pytest
 
+from repro.workloads import dense_ptr_targets  # noqa: F401  (the benchmarks import it from here)
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 SCALE = float(os.environ.get("REPRO_SCALE", "1.0"))
@@ -49,24 +51,6 @@ def emit(name: str, lines: list[str], payload: dict) -> None:
     for line in lines:
         print(line)
     save_results(name, payload)
-
-
-#: The paper's 10M-lookup reverse scans revisit each /16 zone ~150
-#: times.  Folding targets into eight /8s preserves that reuse density
-#: at scaled lookup counts (2048 /16 zones).
-DENSE_FIRST_OCTETS = [23, 34, 45, 52, 64, 77, 81, 89]
-
-
-def dense_ptr_targets(count: int, offset: int, seed: int = BENCH_SEED) -> list[str]:
-    """IPv4 targets folded into a dense /8 subset (cache-study workload)."""
-    from repro.workloads import permuted_ipv4
-
-    targets = []
-    for ip in permuted_ipv4(count, seed=seed, start=offset):
-        first, rest = ip.split(".", 1)
-        folded = DENSE_FIRST_OCTETS[int(first) % len(DENSE_FIRST_OCTETS)]
-        targets.append(f"{folded}.{rest}")
-    return targets
 
 
 @pytest.fixture

@@ -15,8 +15,9 @@ accidents of the zone generator into *scriptable adversity*:
   empty plan is indistinguishable from no injector.
 * :mod:`repro.faults.plans` — the bundled escalating-severity ladder
   the chaos soak harness (``tests/soak/``) climbs.
-* ``python -m repro.faults.selfcheck`` — an end-to-end smoke test of
-  the whole subsystem, mirroring ``repro.obs.selfcheck``.
+
+``tests/test_faults.py`` is the tier-1 slice of the subsystem's checks;
+``pytest -m soak tests/soak`` runs the 10k-name chaos soak.
 """
 
 from .injector import FaultInjector, SendVerdict

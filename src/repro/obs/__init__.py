@@ -13,8 +13,9 @@ one package:
 * :mod:`repro.obs.metadata` — the ``--metadata-file`` run summary.
 * :mod:`repro.obs.server` — the live HTTP control plane (``/metrics``,
   ``/status.json``, and the ``/`` dashboard) behind ``--http-port``.
-* ``python -m repro.obs.selfcheck`` — an end-to-end smoke test of the
-  whole layer against a tiny simulated scan.
+
+``tests/test_obs.py`` and ``tests/test_control_plane.py`` exercise the
+whole layer against small simulated scans.
 """
 
 from .metadata import build_run_metadata, write_metadata

@@ -417,7 +417,7 @@ def parse_prometheus(text: str) -> dict:
     """Parse (and validate) Prometheus text-exposition output.
 
     The strict inverse of :meth:`MetricsRegistry.render_prometheus`,
-    used by the round-trip tests and the ``--http-smoke`` gate: every
+    used by the round-trip tests and the live control-plane soak: every
     sample must belong to an announced ``# TYPE`` family, names must
     match the exposition grammar, values must parse as floats, and
     histogram families must form a *cumulative* bucket series —

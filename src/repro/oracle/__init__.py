@@ -23,10 +23,10 @@ compares the two:
 
 Scan integration: ``pyzdns <module> --oracle-check K`` shadows every
 Kth lookup of a simulated iterative scan (divergences become structured
-output rows; counters land in the ``oracle.*`` metric scope), and
-``scripts/bench_compare.py --oracle-smoke`` is the CI gate.
-
-Run ``python -m repro.oracle.selfcheck`` for a quick standalone sweep.
+output rows; counters land in the ``oracle.*`` metric scope).
+``tests/test_oracle.py`` holds the gate: a policy × eviction ×
+fault-plan sweep with zero divergences, and a planted lying cache that
+must be caught and shrunk to a fault-free case.
 """
 
 from .harness import (

@@ -8,7 +8,13 @@ from .corpus import (
     DomainCorpus,
     census,
 )
-from .ipv4 import PUBLIC_IPV4_COUNT, is_public, permuted_ipv4, ptr_names
+from .ipv4 import (
+    PUBLIC_IPV4_COUNT,
+    dense_ptr_targets,
+    is_public,
+    permuted_ipv4,
+    ptr_names,
+)
 
 __all__ = [
     "CorpusCensus",
@@ -17,6 +23,7 @@ __all__ = [
     "FQDNS_PER_DOMAIN",
     "PUBLIC_IPV4_COUNT",
     "census",
+    "dense_ptr_targets",
     "is_public",
     "permuted_ipv4",
     "ptr_names",

@@ -40,6 +40,24 @@ def permuted_ipv4(count: int, seed: int = 0, start: int = 0) -> Iterator[str]:
         emitted += 1
 
 
+#: The paper's 10M-lookup reverse scans revisit each /16 zone ~150
+#: times.  Folding targets into eight /8s preserves that reuse density
+#: at scaled lookup counts (2048 /16 zones).
+_DENSE_FIRST_OCTETS = (23, 34, 45, 52, 64, 77, 81, 89)
+
+
+def dense_ptr_targets(count: int, offset: int, seed: int = 2022) -> list[str]:
+    """``count`` permuted IPv4 targets from index ``offset``, folded into
+    a dense /8 subset: the Figure 2 cache-study workload.  The default
+    seed is the one every benchmark runs under."""
+    targets = []
+    for ip in permuted_ipv4(count, seed=seed, start=offset):
+        first, rest = ip.split(".", 1)
+        folded = _DENSE_FIRST_OCTETS[int(first) % len(_DENSE_FIRST_OCTETS)]
+        targets.append(f"{folded}.{rest}")
+    return targets
+
+
 def ptr_names(count: int, seed: int = 0, start: int = 0) -> Iterator[str]:
     """The same targets as in-addr.arpa names (raw PTR module input)."""
     for ip in permuted_ipv4(count, seed, start):

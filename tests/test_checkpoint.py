@@ -470,6 +470,33 @@ class TestResumeInProcess:
         assert second_report.resumed_tasks == second_report.tasks == SHARDS * 4
         assert second_report.stats.to_json() == first_report.stats.to_json()
 
+    def test_resume_reruns_only_unjournaled_tasks(self, tmp_path, monkeypatch):
+        """Resume is work-proportional by count: with the journal cut
+        back to its first 10 of 16 task records (what a parent killed
+        after its 10th checkpoint leaves), exactly 10 tasks replay, the
+        other 6 re-run, and the result is the uninterrupted one."""
+        corpus = _corpus()
+        first, first_report = _run_in_process(
+            corpus, processes=2, quantum=QUANTUM,
+            checkpoint_dir=str(tmp_path), monkeypatch=monkeypatch,
+        )
+        journal = tmp_path / JOURNAL_NAME
+        kept, tasks = [], 0
+        for line in journal.read_text().splitlines(keepends=True):
+            if tasks == 10:
+                break
+            kept.append(line)
+            tasks += json.loads(line)["kind"] == "task"
+        journal.write_text("".join(kept))
+        resumed, report = _run_in_process(
+            corpus, processes=2, quantum=QUANTUM,
+            checkpoint_dir=str(tmp_path), resume=True, monkeypatch=monkeypatch,
+        )
+        assert report.resumed_tasks == 10
+        assert report.tasks == first_report.tasks == SHARDS * 4
+        assert resumed == first
+        assert report.stats.to_json() == first_report.stats.to_json()
+
     def test_resume_against_wrong_corpus_is_rejected(self, tmp_path, monkeypatch):
         corpus = _corpus()
         _run_in_process(

@@ -256,15 +256,17 @@ class TestServerEndpoints:
             assert snapshot["fleet"]["complete"] is True
             assert snapshot["run"]["module"] == "A"
             assert snapshot["fleet"]["cache_hit_rate"] >= 0.0
+            assert len(snapshot["shards"]) == 1
 
             status, ctype, body = _get(f"{server.url}/metrics")
             assert status == 200 and "text/plain" in ctype
             families = parse_prometheus(body.decode("utf-8"))
             assert families["pyzdns_engine_lookups"]["samples"][0][2] == 60.0
+            assert any(name.startswith("pyzdns_codec_") for name in families)
 
             status, ctype, body = _get(f"{server.url}/")
             assert status == 200 and "text/html" in ctype
-            assert b"status.json" in body
+            assert b"status.json" in body and b"<svg" in body
         finally:
             server.stop()
 

@@ -2,14 +2,22 @@
 byte-identical — output rows, virtual duration, and (with a fault plan)
 injected adversity.  This is the replay contract every debugging and
 chaos workflow leans on; it runs tier-1 so drift is caught at the PR
-that introduces it."""
+that introduces it.
+
+The fig1/fig2/table2-shaped scans at the bottom (plus fig1 at 6,000
+names) pin what a scan resolves to literal virtual-time fingerprints,
+under both wire modes: the codec may not change a result, and neither
+may anything off by default (``--dnssec`` off sets no DO bit, stores no
+memo)."""
 
 import json
 
 import pytest
 
+from repro.ecosystem import EcosystemParams, build_internet
+from repro.framework import ScanConfig, ScanRunner
 from repro.framework.cli import main
-from repro.workloads import CorpusConfig, DomainCorpus
+from repro.workloads import CorpusConfig, DomainCorpus, dense_ptr_targets
 
 NAMES = 500
 
@@ -68,3 +76,86 @@ def test_different_chaos_seed_diverges(tmp_path, names_file):
     output_a, _ = _run_cli(tmp_path, names_file, "s5", ("--chaos-seed", "5", *base))
     output_b, _ = _run_cli(tmp_path, names_file, "s6", ("--chaos-seed", "6", *base))
     assert output_a != output_b
+
+
+SHAPE_SEED = 2022
+
+#: Virtual-time fingerprints of the paper-shaped scans below.  A change
+#: that legitimately moves one edits the literal in its own diff.
+SHAPE_FINGERPRINTS = {
+    "e2e": {
+        "duration_virtual_s": 8.405485,
+        "queries_sent": 11481,
+        "statuses": {"ITERATIVE_TIMEOUT": 176, "NOERROR": 4232, "NXDOMAIN": 1592},
+        "successes": 5824,
+        "total": 6000,
+    },
+    "fig1": {
+        "duration_virtual_s": 6.451903,
+        "queries_sent": 2363,
+        "statuses": {"ITERATIVE_TIMEOUT": 29, "NOERROR": 839, "NXDOMAIN": 332},
+        "successes": 1171,
+        "total": 1200,
+    },
+    "fig2": {
+        "cache_evictions": 2276,
+        "cache_hit_rate": 0.9935,
+        "duration_virtual_s": 7.016994,
+        "queries_sent": 6058,
+        "statuses": {"ITERATIVE_TIMEOUT": 111, "NOERROR": 1095, "NXDOMAIN": 794},
+        "successes": 1889,
+        "total": 2000,
+    },
+    "table2": {
+        "duration_virtual_s": 4.98223,
+        "queries_sent": 1626,
+        "statuses": {"NOERROR": 1057, "NXDOMAIN": 404, "SERVFAIL": 39},
+        "successes": 1461,
+        "total": 1500,
+    },
+}
+
+
+def _shape_scan(shape, wire_mode):
+    internet = build_internet(params=EcosystemParams(seed=SHAPE_SEED), wire_mode=wire_mode)
+    if shape in ("fig1", "e2e"):
+        # iterative A scan from a /28; "e2e" is the same at 5x the names
+        threads, count = (400, 1200) if shape == "fig1" else (2000, 6000)
+        config = ScanConfig(
+            module="A", mode="iterative", threads=threads, source_prefix=28,
+            cache_size=600_000, seed=SHAPE_SEED,
+        )
+        names = list(DomainCorpus().fqdns(count, start=0))
+    elif shape == "fig2":
+        # reverse scan under a small random-eviction cache
+        config = ScanConfig(
+            module="PTRIP", mode="iterative", threads=500, source_prefix=28,
+            cache_size=1500, cache_eviction="random", seed=SHAPE_SEED,
+        )
+        names = dense_ptr_targets(2000, 0, seed=SHAPE_SEED)
+    else:
+        # forwarding through a public recursive resolver
+        config = ScanConfig(
+            module="A", mode="external", resolver_ips=[internet.google_ip],
+            threads=400, retries=3, seed=SHAPE_SEED,
+        )
+        names = list(DomainCorpus().fqdns(1500, start=20_000))
+    return ScanRunner(internet, config).run(names)
+
+
+@pytest.mark.parametrize("wire_mode", ["always", "never"])
+@pytest.mark.parametrize("shape", sorted(SHAPE_FINGERPRINTS))
+def test_paper_shapes_match_pinned_fingerprints(shape, wire_mode):
+    report = _shape_scan(shape, wire_mode)
+    stats = report.stats
+    fingerprint = {
+        "total": stats.total,
+        "successes": stats.successes,
+        "statuses": dict(stats.by_status),
+        "queries_sent": stats.queries_sent,
+        "duration_virtual_s": round(stats.duration, 6),
+    }
+    if shape == "fig2":
+        fingerprint["cache_hit_rate"] = report.cache_stats["hit_rate"]
+        fingerprint["cache_evictions"] = report.cache_stats["evictions"]
+    assert fingerprint == SHAPE_FINGERPRINTS[shape]

@@ -10,6 +10,7 @@ parent DS, ``smoke-3206.org`` serves expired signatures, and the
 ``com`` TLD is one of the unsigned registries.
 """
 
+import json
 import random
 from types import SimpleNamespace
 
@@ -805,20 +806,42 @@ class TestOracleSecurity:
 
 
 class TestDeploymentStudy:
-    def test_measured_equals_planted(self, internet):
+    def test_measured_equals_planted(self):
         from repro.analysis import run_dnssec_study
 
         bases = list(DomainCorpus(CorpusConfig(seed=SEED)).base_domains(2000))
-        findings = run_dnssec_study(internet, bases, threads=500, seed=SEED)
+
+        def study():
+            # a fresh universe each time: the module's shared one carries
+            # warm state from earlier tests, which moves the chain counts
+            internet = build_internet(params=EcosystemParams(seed=SEED))
+            return run_dnssec_study(internet, bases, threads=500, seed=SEED)
+
+        findings = study()
         assert findings.mismatches == 0
         assert findings.domains_semantic > 0
-        assert findings.measured["secure"] == findings.planted["secure"]
-        assert findings.measured["bogus"] == findings.planted["bogus"]
+        for state in ("secure", "insecure", "bogus"):
+            assert findings.measured[state] == findings.planted[state], state
         assert findings.measured["bogus"] > 0  # the anomalies actually fired
         assert 0.0 < findings.signed_fraction < 0.2
         payload = findings.to_json()
         assert payload["mismatches"] == 0
         assert payload["measured_secure_pct"] == payload["planted_secure_pct"]
+        # What validation asked the network for, exactly.  A DS round
+        # trip per zone creeping back shows as ds_queries /
+        # proof_fallbacks rising; a signed parent's referrals no longer
+        # carrying the DS / no-DS proof shows as proofs_harvested falling.
+        # A change that moves a count edits it here, in its own diff.
+        chain = findings.chain
+        assert chain["ds_queries"] == 28
+        assert chain["proof_fallbacks"] == 28
+        assert chain["dnskey_queries"] == 108
+        assert chain["proofs_harvested"] == 965
+        assert chain["ds_queries"] + chain["dnskey_queries"] == chain["chain_queries"]
+        # and the whole study replays byte for byte
+        assert json.dumps(study().to_json(), sort_keys=True) == json.dumps(
+            payload, sort_keys=True
+        )
 
 
 # ---------------------------------------------------------------------------

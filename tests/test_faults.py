@@ -117,6 +117,11 @@ class TestPlanParsing:
         assert plan_by_name("severe")
         with pytest.raises(KeyError):
             plan_by_name("apocalyptic")
+        for plan in ladder:
+            text = json.dumps(plan.to_json(), sort_keys=True)
+            again = FaultPlan.from_json(json.loads(text))
+            assert json.dumps(again.to_json(), sort_keys=True) == text
+            assert len(again) == len(plan)
 
 
 class TestLossModels:
@@ -141,6 +146,17 @@ class TestLossModels:
             p_enter=1.0, p_exit=0.0, loss_good=0.0, loss_bad=1.0
         )
         assert all(stuck.dropped(rng) for _ in range(200))
+
+    def test_gilbert_elliott_stationary_rate_and_bursts(self):
+        chain = GilbertElliottLoss(p_enter=0.1, p_exit=0.5, loss_good=0.0, loss_bad=1.0)
+        rng = random.Random(42)
+        draws = [chain.dropped(rng) for _ in range(20_000)]
+        # stationary bad-state share = p_enter / (p_enter + p_exit) = 1/6
+        assert 0.12 < sum(draws) / len(draws) < 0.21
+        # losses come in bursts: mean run length ~ 1/p_exit = 2, so there
+        # are well fewer distinct loss runs than losses
+        runs = sum(1 for i, d in enumerate(draws) if d and (i == 0 or not draws[i - 1]))
+        assert runs < 0.75 * sum(draws)
 
     def test_gilbert_elliott_validates(self):
         with pytest.raises(ValueError):
@@ -414,6 +430,9 @@ class TestScanIntegration:
         assert sum(report.stats.by_status.values()) == 60
         assert all("status" in row for row in rows)
         assert injector.total_activations() > 0
+        # adversity never makes a scan succeed more often
+        _, baseline, _ = self._scan(None)
+        assert report.stats.successes <= baseline.stats.successes
 
     def test_empty_plan_equivalent_with_hardening_on(self):
         rows_a, report_a, _ = self._scan(None)

@@ -85,7 +85,9 @@ class TestCountersAndGauges:
 class TestHistogram:
     def test_bucket_boundaries_contain_their_values(self):
         # powers of two sit at bucket lower edges; 1.5x points split them
-        for value in (0.001, 0.0015, 0.5, 0.74, 0.75, 1.0, 1.49, 1.5, 2.0, 1000.0):
+        for value in (
+            0.001, 0.0013, 0.0015, 0.5, 0.74, 0.75, 1.0, 1.49, 1.5, 2.0, 250.0, 1000.0
+        ):
             low, high = bucket_bounds(bucket_index(value))
             assert low <= value < high, (value, low, high)
 
@@ -388,6 +390,12 @@ class TestStatusEmitter:
             "t=5.0s; 1234 done; 800.0/s now; 246.8/s avg; 97.2% ok; "
             "50 in-flight; 12 timeouts; 34 retries; cache 99.1%"
         )
+        line = format_status_line(
+            elapsed=2.0, total=100, interval_rate=50.0, average_rate=50.0,
+            success_rate=0.97, in_flight=20, timeouts=1, retries=2,
+            cache_hit_rate=None, target=500, eta=estimate_eta(100, 500, 50.0),
+        )
+        assert line.startswith("t=2.0s; 100/500 done; eta 8s; 50.0/s now")
 
     def test_cache_segment_optional(self):
         line = format_status_line(
@@ -517,6 +525,48 @@ class TestRunnerIntegration:
         second = self._run(small_scan_names, metrics=True)
         assert first.metrics == second.metrics
 
+    def test_metrics_status_and_spans_together(self, small_scan_names):
+        """Every layer on at once, as a monitored scan runs: streamed
+        spans form closed trees, status lines flow, the report feeds the
+        metadata builder, and the results equal an unwatched scan's."""
+        from repro.ecosystem import EcosystemParams, build_internet
+
+        spans, status = [], io.StringIO()
+        report = ScanRunner(
+            build_internet(params=EcosystemParams(seed=11)),
+            ScanConfig(threads=10, seed=11, metrics=True, status_interval=1.0,
+                       collect_spans=True),
+            span_sink=spans.append,
+            status_stream=status,
+        ).run(small_scan_names)
+        assert report.stats.total == 60
+        lines = status.getvalue().splitlines()
+        assert lines and all("/s avg" in line for line in lines)
+        assert report.metrics["engine.lookups"] == 60
+        assert report.metrics["engine.inflight"] == 0
+
+        ids = {row["id"] for row in spans}
+        children = [row for row in spans if row["parent"] is not None]
+        assert children and all(row["parent"] in ids for row in children)
+        assert all(row["end"] >= row["start"] for row in spans)
+        assert sum(row["span"] == "lookup" for row in spans) == 60
+
+        metadata = build_run_metadata(
+            report.stats.to_json(),
+            args={"module": "A", "threads": 10},
+            wall_seconds=0.5,
+            virtual_seconds=report.stats.duration,
+            metrics=report.metrics,
+        )
+        assert metadata["total"] == 60
+        assert metadata["durations"]["wall_s"] == 0.5
+        assert metadata["metrics"]["engine.lookups"] == 60
+
+        # watching changes nothing about what the scan resolves
+        plain = self._run(small_scan_names).stats
+        assert report.stats.to_json() == plain.to_json()
+        assert report.stats.duration == plain.duration
+
 
 class TestCliObservability:
     @pytest.fixture()
@@ -590,11 +640,3 @@ class TestCliObservability:
         ])
         assert args.status_interval == 2.5
         assert args.metrics_out == "-"
-
-
-class TestSelfcheck:
-    def test_selfcheck_passes(self, capsys):
-        from repro.obs.selfcheck import main
-
-        assert main() == 0
-        assert "OK" in capsys.readouterr().out

@@ -1,11 +1,17 @@
-"""Tests for the differential resolution oracle (``repro.oracle``)."""
+"""Tests for the differential resolution oracle (``repro.oracle``).
+
+The oracle's gate is here: a policy × eviction × fault-plan sweep with
+zero divergences, and a planted lying cache it must catch and shrink to
+a fault-free case — a sweep that cannot catch a planted bug proves
+nothing by passing."""
 
 import json
 
 import pytest
 
-from repro.core import Resolver
-from repro.dnslib import Name, RRType
+from repro.core import Resolver, SelectiveCache
+from repro.dnslib import Name, ResourceRecord, RRType
+from repro.dnslib.rdata.address import A
 from repro.ecosystem import EcosystemParams, build_internet
 from repro.framework import ScanConfig, ScanRunner
 from repro.framework.cli import main as cli_main
@@ -22,11 +28,55 @@ from repro.oracle import (
     run_differential,
     shrink_divergence,
 )
-from repro.oracle.selfcheck import planted_bug_canary, stale_cache_factory
 from repro.workloads import CorpusConfig, DomainCorpus
 
 N = Name.from_text
 SEED = 2022
+
+#: The fabricated address the planted bug serves (TEST-NET-3 space, so
+#: it can never collide with a synthesized zone's real data).
+BOGUS_IP = "203.0.113.99"
+
+
+class StaleAnswerCache(SelectiveCache):
+    """Deliberately buggy cache: every answer-table hit is rewritten to
+    a fabricated A record, as a stale or corrupt entry would be served.
+    Only meaningful with ``policy="all"``."""
+
+    def get_answer(self, qname, qtype):
+        value = super().get_answer(qname, qtype)
+        if not value:
+            return value
+        return [
+            ResourceRecord(record.name, RRType.A, record.rrclass, record.ttl, A(BOGUS_IP))
+            for record in value
+        ]
+
+
+def stale_cache_factory(policy, eviction, capacity, internet):
+    """``cache_factory`` hook planting :class:`StaleAnswerCache`."""
+    return StaleAnswerCache(
+        capacity=capacity,
+        policy=policy,
+        eviction=eviction,
+        clock=lambda: internet.sim.now,
+    )
+
+
+def planted_bug_canary(seed):
+    """Run corpus names through a production resolver whose answer cache
+    lies, under the ``moderate`` fault plan, until one diverges; return
+    (divergence, shrunk case), or (None, None) if none does."""
+    for name in DomainCorpus(CorpusConfig(seed=seed)).fqdns(25):
+        divergence = check_one(
+            name, seed=seed, policy="all", plan="moderate",
+            cache_factory=stale_cache_factory,
+        )
+        if divergence is not None:
+            return divergence, shrink_divergence(
+                divergence, cache_factory=stale_cache_factory
+            )
+    return None, None
 
 
 @pytest.fixture(scope="module")
@@ -158,20 +208,20 @@ class TestDifferentialSweep:
     def test_small_sweep_is_clean(self):
         config = DifferentialConfig(
             seed=SEED,
-            names=12,
+            names=40,
             policies=("selective", "all"),
-            evictions=("random",),
+            evictions=("random", "lru"),
             fault_plans=(None, "moderate"),
         )
         report = run_differential(config)
         assert report.ok, [d.reason for d in report.divergences]
-        assert report.names_checked == 12 * 4
+        assert report.names_checked == 40 * 8
         # cold + warm per name, plus a cold-vs-warm invariant check
         # whenever both phases produced semantic answers
         assert report.names_checked * 2 <= report.checks <= report.names_checked * 3
         payload = report.to_json()
         assert payload["divergences"] == []
-        assert len(payload["combos"]) == 4
+        assert len(payload["combos"]) == 8
 
     def test_sweep_catches_planted_cache_bug(self):
         config = DifferentialConfig(

@@ -15,6 +15,7 @@ import pytest
 from repro.framework import FleetView, ScanConfig, run_parallel_scan
 from repro.framework.cli import main
 from repro.framework.io import shard
+from repro.framework.parallel import _plan_tasks, _relabel_for, _run_task, _ShardSpec
 from repro.framework.stats import ScanStats
 from repro.obs import MetricsRegistry, parse_prometheus
 from repro.workloads import CorpusConfig, DomainCorpus
@@ -208,6 +209,27 @@ class TestParallelDeterminism:
         snap_1 = {k: v for k, v in report_1.metrics.items() if not k.startswith("mp.")}
         snap_4 = {k: v for k, v in report_4.metrics.items() if not k.startswith("mp.")}
         assert snap_1 == snap_4
+
+        # ...and that merged registry is exactly the sum of the per-task
+        # registries: re-run every task in-process through the worker's
+        # own code path and fold the dumps with the parent's relabelling
+        class Collector:
+            payload = None
+
+            def send(self, message):
+                if message[0] == "task_done":
+                    self.payload = message[2]
+
+        spec = _ShardSpec(
+            names=corpus, shards=4, config=_config(metrics=True),
+            collect_metrics=True, add_timestamp=False,
+        )
+        expected = MetricsRegistry(enabled=True)
+        for task in _plan_tasks([len(list(shard(corpus, 4, k))) for k in range(4)], None):
+            collector = Collector()
+            _run_task(task, spec, collector)
+            expected.merge_dump(collector.payload["metrics"], rename=_relabel_for(task.shard))
+        assert expected.snapshot() == snap_4
 
     def test_rows_cover_every_name_exactly_once(self, corpus):
         out, report = _run(corpus, processes=2)

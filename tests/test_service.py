@@ -190,6 +190,29 @@ class TestServiceRun:
         assert a.determinism_digest() == b.determinism_digest()
         assert json.dumps(a.events) == json.dumps(b.events)
 
+        # counter consistency: every client query is accounted for
+        # exactly once; warm, revalidate and successful prefetch jobs
+        # share the per-path breakdown, so it covers every served query
+        # and exceeds ``served`` by at most their count; prefetch
+        # outcomes never exceed what was scheduled
+        counters = a.counters
+        assert counters["served"] + counters["failed"] == counters["queries"]
+        breakdown = (
+            counters["fresh_hits"] + counters["negative_hits"]
+            + counters["resolved"] + counters["resolved_negative"]
+            + counters["stale_answers_served"] + counters["stale_negatives_served"]
+        )
+        background = (
+            counters["warm_jobs"] + counters["revalidate_jobs"]
+            + counters["prefetch_refreshed"]
+        )
+        assert counters["served"] <= breakdown <= counters["served"] + background
+        assert (
+            counters["prefetch_refreshed"] + counters["prefetch_failed"]
+            <= counters["prefetch_scheduled"]
+        )
+        assert counters["deltas_published"] == 2
+
     def test_different_seed_diverges(self):
         a = run_service(small_config(duration=120.0))
         b = run_service(small_config(duration=120.0, seed=8))

@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulator core."""
 
 import gc
+from functools import partial
 
 import pytest
 
@@ -305,6 +306,29 @@ class TestTimeoutRace:
         # the loser's timer is cancelled, so the clock never visits 5.0
         assert sim.now == 1.0
         assert sim.timers_cancelled == 1
+
+    def test_replies_beating_deadlines_at_scale(self):
+        """200 routines x 100 queries, every reply 50 ms ahead of its
+        5 s deadline: each reply wins, each deadline is cancelled, and the
+        scheduler's counters come out exactly the same every run."""
+        sim = Simulator()
+
+        def querier(n):
+            for i in range(n):
+                response = sim.future_with_deadline(5.0)
+                sim.call_later(0.05, partial(response.set_result, i))
+                assert (yield response) == i and not response.abandoned
+            return n
+
+        sim.run_all(querier(100) for _ in range(200))
+        assert sim.counters() == {
+            "timers_scheduled": 40_000,
+            "timers_cancelled": 20_000,
+            "events_executed": 40_200,
+            "peak_heap_size": 400,
+            "peak_ready_depth": 200,
+            "heap_compactions": 200,
+        }
 
     def test_timeout_wins(self):
         sim = Simulator()
