@@ -128,6 +128,9 @@ class NetworkStats:
     server_drops: int = 0
     truncated_replies: int = 0
     wire_validations: int = 0
+    #: encoded packets that failed to decode (the original object was
+    #: delivered instead): a codec regression, unless a test plants one
+    wire_errors: int = 0
 
 
 @dataclass
@@ -328,14 +331,14 @@ class SimNetwork:
             return message.to_wire()
         return None
 
-    @staticmethod
-    def _maybe_unwire(wire: bytes | None, original: Message) -> Message:
+    def _maybe_unwire(self, wire: bytes | None, original: Message) -> Message:
         if wire is None:
             return original
         try:
             return Message.from_wire(wire)
         except WireError:
             # A malformed packet a real scanner would have to tolerate.
+            self.stats.wire_errors += 1
             return original
 
 

@@ -5,18 +5,23 @@ Architecture, in one pass:
 * An **arrival process** draws exponential interarrivals at a
   diurnally modulated rate and Zipf-picks a catalog name per arrival —
   the stub-client population.
-* A **worker pool** (one simulator routine per worker, each with its
-  own long-lived simulated socket) serves jobs from a shared queue:
-  fresh cache hit, negative-cache hit, or a full iterative resolution
-  through the shared :class:`~repro.core.cache.SelectiveCache`.  When
-  upstream resolution *fails*, and only then, the worker may serve the
-  RFC 8767 stale copy — bounded by the cache's ``stale_ttl``, never
-  rejuvenated by being served.
-* A **prefetch sweep** periodically walks the catalog and re-resolves
-  hot entries whose remaining TTL fell under the threshold, through a
-  cache view whose ``get_answer`` is blind (the refresh must actually
-  go upstream).  A failed prefetch stores nothing, so a stale entry
-  can never be refreshed into a *younger* stale entry.
+* A client query the cache can answer (fresh or negative entry) is
+  answered **at arrival** and never queues behind recursion.  Only a
+  miss becomes a job for the **worker pool** (one simulator routine
+  per worker, each with its own long-lived simulated socket), which
+  serves a shared FIFO queue: it probes the cache again at dequeue
+  (the job ahead may have filled the entry), else runs a full
+  iterative resolution through the shared
+  :class:`~repro.core.cache.SelectiveCache`.  When upstream resolution
+  *fails*, and only then, the worker may serve the RFC 8767 stale copy
+  — bounded by the cache's ``stale_ttl``, never rejuvenated by being
+  served.
+* A **prefetch sweep** periodically follows the cache's hot answers
+  (``hot_answers``) and re-resolves those whose remaining TTL fell
+  under the threshold, through a cache view whose ``get_answer`` is
+  blind (the refresh must actually go upstream).  A failed prefetch
+  stores nothing, so a stale entry can never be refreshed into a
+  *younger* stale entry.
 * A **delta routine** publishes zone mutations
   (:func:`repro.ecosystem.publish_zone_delta`) at fixed virtual times,
   mirrors each into the differential oracle, and revalidates: the
@@ -26,8 +31,9 @@ Architecture, in one pass:
 * **Blackout windows** become a :class:`repro.faults.FaultPlan` of
   all-server :class:`~repro.faults.Blackout` directives; availability
   during them is accounted separately, with the RFC 8767 eligibility
-  rule (a name the service *never* successfully served has nothing
-  stale to serve, so it does not count against serve-stale).
+  rule judged at arrival (a name the service had *never* successfully
+  served has nothing stale to serve, so it does not count against
+  serve-stale).
 
 Everything runs on one :class:`~repro.net.Simulator`; every random
 draw comes from a stream derived from ``config.seed`` — two runs with
@@ -65,13 +71,17 @@ __all__ = ["ResolverService", "ServiceReport", "run_service"]
 _A = RRType.A
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Job:
-    """One unit of worker work."""
+    """One unit of worker work (one per client arrival: not frozen,
+    whose ``__init__`` costs four times as much)."""
 
     kind: str  # "client" | "warm" | "prefetch" | "revalidate"
     index: int  # catalog index
     created: float
+    # client jobs only, judged at arrival
+    blackout: bool = False
+    eligible: bool = False
 
 
 class _UpstreamOnlyCache:
@@ -215,7 +225,11 @@ class ResolverService:
         self._prefetch_pending: set[int] = set()
         self._ever_served: set[int] = set()
         self._delta_times = cfg.resolved_delta_times()
-        self._latency = self.registry.scope("service").histogram("latency")
+        scope = self.registry.scope("service")
+        #: arrival to answer, every client query
+        self._latency = scope.histogram("latency")
+        #: arrival to dequeue, client queries that missed at arrival
+        self._queue_wait = scope.histogram("queue_wait")
 
         # -- counters (mirrored into the registry at publish time) ---------
         self.counters = {
@@ -224,6 +238,7 @@ class ResolverService:
             "failed": 0,
             "fresh_hits": 0,
             "negative_hits": 0,
+            "arrival_hits": 0,  # client hits answered at arrival, never queued
             "resolved": 0,
             "resolved_negative": 0,
             "stale_answers_served": 0,
@@ -312,10 +327,19 @@ class ResolverService:
         mix = random.Random(derive_seed(cfg.seed, "mix"))
         while True:
             yield interarrival.expovariate(self._rate(self.sim.now))
-            if self._stopping or self.sim.now >= cfg.duration:
+            now = self.sim.now
+            if self._stopping or now >= cfg.duration:
                 return
             index = bisect.bisect_left(self._zipf_cdf, mix.random())
-            self._submit(_Job("client", index, self.sim.now))
+            # RFC 8767 eligibility is judged at arrival: a name the
+            # service had never successfully served has nothing stale
+            # to offer, whatever a job ahead of this one serves
+            blackout = self._in_blackout(now)
+            job = _Job("client", index, now, blackout, blackout and index in self._ever_served)
+            if self._answer_from_cache(job):
+                self.counters["arrival_hits"] += 1
+            else:
+                self._submit(job)
 
     def _submit(self, job: _Job) -> None:
         if self._stopping:
@@ -358,77 +382,95 @@ class ResolverService:
                 return True
         return False
 
+    def _answer_from_cache(self, job: _Job) -> bool:
+        """Answer a client or warm job from a fresh positive or negative
+        entry, accounting it as served; False on a miss.  The one hit
+        path: at a client's arrival, and again at dequeue."""
+        qname = self._catalog[job.index]
+        if self.cache.get_answer(qname, _A) is not None:
+            self.counters["fresh_hits"] += 1
+        elif self.cache.get_negative(qname, _A) is not None:
+            self.counters["negative_hits"] += 1
+        else:
+            return False
+        self._finish(job, served=True)
+        return True
+
+    def _finish(self, job: _Job, served: bool) -> None:
+        """Account a finished client, warm or revalidate job."""
+        if served:
+            self._ever_served.add(job.index)
+        if job.kind != "client":
+            return
+        counters = self.counters
+        counters["queries"] += 1
+        counters["served" if served else "failed"] += 1
+        if job.blackout:
+            blackout = self.blackout
+            blackout["queries"] += 1
+            if job.eligible:
+                blackout["eligible"] += 1
+            if served:
+                blackout["served"] += 1
+                if job.eligible:
+                    blackout["eligible_served"] += 1
+        self._latency.observe(max(self.sim.now - job.created, 1e-9))
+
     def _serve(self, job: _Job, socket: SimUDPSocket, rng: random.Random):
         cfg = self.config
         counters = self.counters
         qname = self._catalog[job.index]
-        client = job.kind == "client"
-        blackout = client and self._in_blackout(job.created)
-        # RFC 8767 eligibility is judged at arrival: a name the service
-        # had never successfully served has nothing stale to offer
-        eligible = blackout and job.index in self._ever_served
-        if client:
-            counters["queries"] += 1
-            if blackout:
-                self.blackout["queries"] += 1
-                if eligible:
-                    self.blackout["eligible"] += 1
+        if job.kind == "client":
+            self._queue_wait.observe(self.sim.now - job.created)
         elif job.kind == "warm":
             counters["warm_jobs"] += 1
         elif job.kind == "revalidate":
             counters["revalidate_jobs"] += 1
 
-        outcome = None
-        if job.kind in ("client", "warm"):
-            if self.cache.get_answer(qname, _A) is not None:
-                outcome = "fresh_hit"
-                counters["fresh_hits"] += 1
-            elif self.cache.get_negative(qname, _A) is not None:
-                outcome = "negative_hit"
-                counters["negative_hits"] += 1
+        if job.kind in ("client", "warm") and self._answer_from_cache(job):
+            return
 
-        if outcome is None:
-            cache = (
-                _UpstreamOnlyCache(self.cache)
-                if job.kind in ("prefetch", "revalidate")
-                else self.cache
-            )
-            machine = IterativeMachine(
-                cache, self.internet.root_ips, self._resolver_config, rng
-            )
-            result = yield from self._driver.execute(
-                machine.resolve(qname, _A), socket
-            )
-            counters["upstream_resolutions"] += 1
-            status = str(result.status)
-            if status in SEMANTIC_STATUSES:
-                if status == "NOERROR" and result.answers:
-                    outcome = "resolved"
-                    counters["resolved"] += 1
-                else:
-                    # NXDOMAIN, or NODATA (NOERROR with an empty answer
-                    # section): cache the negative outcome (RFC 2308)
-                    self.cache.put_negative(qname, _A, status, cfg.negative_ttl)
-                    outcome = "resolved_negative"
-                    counters["resolved_negative"] += 1
-                self._shadow_check(qname, result)
-            elif job.kind not in ("client", "warm"):
-                # a failed prefetch/revalidation serves nobody: do not
-                # probe (and count) the stale window on its behalf
-                outcome = "failed"
+        cache = (
+            _UpstreamOnlyCache(self.cache)
+            if job.kind in ("prefetch", "revalidate")
+            else self.cache
+        )
+        machine = IterativeMachine(
+            cache, self.internet.root_ips, self._resolver_config, rng
+        )
+        result = yield from self._driver.execute(
+            machine.resolve(qname, _A), socket
+        )
+        counters["upstream_resolutions"] += 1
+        status = str(result.status)
+        if status in SEMANTIC_STATUSES:
+            if status == "NOERROR" and result.answers:
+                outcome = "resolved"
+                counters["resolved"] += 1
             else:
-                # upstream failure — and only now — may serve stale
-                stale = self.cache.get_stale_answer(qname, _A)
-                if stale is not None:
-                    outcome = "stale_answer"
-                    counters["stale_answers_served"] += 1
+                # NXDOMAIN, or NODATA (NOERROR with an empty answer
+                # section): cache the negative outcome (RFC 2308)
+                self.cache.put_negative(qname, _A, status, cfg.negative_ttl)
+                outcome = "resolved_negative"
+                counters["resolved_negative"] += 1
+            self._shadow_check(qname, result)
+        elif job.kind not in ("client", "warm"):
+            # a failed prefetch/revalidation serves nobody: do not
+            # probe (and count) the stale window on its behalf
+            outcome = "failed"
+        else:
+            # upstream failure — and only now — may serve stale
+            stale = self.cache.get_stale_answer(qname, _A)
+            if stale is not None:
+                outcome = "stale_answer"
+                counters["stale_answers_served"] += 1
+            else:
+                stale_negative = self.cache.get_stale_negative(qname, _A)
+                if stale_negative is not None:
+                    outcome = "stale_negative"
+                    counters["stale_negatives_served"] += 1
                 else:
-                    stale_negative = self.cache.get_stale_negative(qname, _A)
-                    if stale_negative is not None:
-                        outcome = "stale_negative"
-                        counters["stale_negatives_served"] += 1
-                    else:
-                        outcome = "failed"
+                    outcome = "failed"
 
         if job.kind == "prefetch":
             self._prefetch_pending.discard(job.index)
@@ -437,20 +479,7 @@ class ResolverService:
             else:
                 counters["prefetch_failed"] += 1
             return
-
-        served = outcome != "failed"
-        if served:
-            self._ever_served.add(job.index)
-        if client:
-            if served:
-                counters["served"] += 1
-            else:
-                counters["failed"] += 1
-            if blackout and served:
-                self.blackout["served"] += 1
-                if eligible:
-                    self.blackout["eligible_served"] += 1
-            self._latency.observe(max(self.sim.now - job.created, 1e-9))
+        self._finish(job, served=outcome != "failed")
 
     def _shadow_check(self, qname: Name, result) -> None:
         oracle = self.oracle

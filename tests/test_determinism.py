@@ -8,7 +8,7 @@ The fig1/fig2/table2-shaped scans at the bottom (plus fig1 at 6,000
 names) pin what a scan resolves to literal virtual-time fingerprints,
 under both wire modes: the codec may not change a result, and neither
 may anything off by default (``--dnssec`` off sets no DO bit, stores no
-memo)."""
+memo) — and under ``always`` not one packet may fail to decode."""
 
 import json
 
@@ -159,3 +159,8 @@ def test_paper_shapes_match_pinned_fingerprints(shape, wire_mode):
         fingerprint["cache_hit_rate"] = report.cache_stats["hit_rate"]
         fingerprint["cache_evictions"] = report.cache_stats["evictions"]
     assert fingerprint == SHAPE_FINGERPRINTS[shape]
+    if wire_mode == "always":
+        # equal fingerprints prove nothing if every packet fell back to
+        # its original object: each one decoded
+        assert report.network_stats["wire_validations"] > 0
+        assert report.network_stats["wire_errors"] == 0

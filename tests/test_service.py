@@ -212,6 +212,14 @@ class TestServiceRun:
             <= counters["prefetch_scheduled"]
         )
         assert counters["deltas_published"] == 2
+        # every client query has a latency; only those that missed at
+        # arrival queued, and each of them waited exactly once
+        assert a.metrics["service.latency"]["count"] == counters["queries"]
+        assert 0 < counters["arrival_hits"] < counters["queries"]
+        assert (
+            a.metrics["service.queue_wait"]["count"]
+            == counters["queries"] - counters["arrival_hits"]
+        )
 
     def test_different_seed_diverges(self):
         a = run_service(small_config(duration=120.0))
@@ -412,3 +420,68 @@ class TestStalePrefetchInteraction:
         assert report.counters["failed"] > 0  # after the cap (t >= 60)
         assert service.cache.get_stale_answer(qname, RRType.A) is None
         assert report.cache["expired"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# the hit path: cache hits are answered at arrival
+# ---------------------------------------------------------------------------
+
+
+class TestHitsAtArrival:
+    #: Events that are not client queries: 4 worker spawns and their 4
+    #: wakes (to ``None``) at the drain; the arrival process's spawn and
+    #: its last sleep, which ends past ``duration``; the controller's
+    #: spawn and its one sleep.  A number here that has to go up is a
+    #: hit that took a queue hop again.
+    OVERHEAD = 4 + 4 + 2 + 2
+
+    def test_a_cached_catalogue_costs_one_event_per_query(self):
+        """With every name cached (two in three positive, the rest
+        negative), no background work and no deltas, each client query
+        is the one event of its arrival: nothing queues, no worker ever
+        wakes to serve, nothing goes upstream, and every answer lands at
+        the latency floor."""
+        service = ResolverService(
+            small_config(warm_catalog=False, prefetch_interval=0, status_interval=0)
+        )
+        for index, qname in enumerate(service._catalog):
+            if index % 3:
+                service.cache.put_answer(qname, RRType.A, [_answer(str(qname), 10**6)])
+            else:
+                service.cache.put_negative(qname, RRType.A, "NXDOMAIN", 10**6)
+        report = service.run()
+        counters = report.counters
+        assert counters["queries"] == counters["arrival_hits"] == counters["served"] == 557
+        assert counters["fresh_hits"] + counters["negative_hits"] == 557
+        assert counters["negative_hits"] > 0
+        assert counters["upstream_resolutions"] == 0
+        assert service.sim.events_executed == counters["queries"] + self.OVERHEAD
+        assert report.metrics["service.queue_wait"]["count"] == 0
+        assert report.metrics["service.latency"]["count"] == 557
+        assert report.metrics["service.latency"]["max"] == 1e-9
+
+    def test_eligibility_is_judged_at_arrival(self):
+        """One name, one worker, an upstream blackout from t=0.001 to
+        past the end.  The warm job is in flight when the blackout
+        starts; it fails upstream and serves the name from a stale
+        entry (seeded expired) at about t=6, while the clients that
+        arrived meanwhile wait behind it.  Those clients asked for a
+        name the service had never served: not eligible, although the
+        name has been served by the time they are dequeued.  Clients
+        arriving after t=6 are eligible."""
+        service = ResolverService(
+            small_config(
+                catalog_size=1, duration=12.0, base_qps=4.0, workers=1,
+                prefetch_interval=0, status_interval=0, blackouts=((0.001, 1e9),),
+            )
+        )
+        qname = service._catalog[0]
+        service.cache.put_answer(qname, RRType.A, [_answer(str(qname), 0)])
+        report = service.run()
+        counters, blackout = report.counters, report.availability
+        assert counters["warm_jobs"] == 1
+        assert counters["arrival_hits"] == 0  # nothing fresh: every client queued
+        assert counters["stale_answers_served"] == counters["queries"] + 1  # + the warm job
+        assert blackout["queries"] == blackout["served"] == counters["queries"]
+        assert 0 < blackout["eligible"] < blackout["queries"]
+        assert blackout["eligible_served"] == blackout["eligible"]

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.dnslib import CODEC_STATS, Message, Name, Rcode, ResourceRecord, RRType, add_edns
+from repro.dnslib import (
+    CODEC_STATS,
+    Message,
+    Name,
+    Rcode,
+    ResourceRecord,
+    RRType,
+    WireError,
+    add_edns,
+)
 from repro.dnslib.rdata.address import A
 from repro.net import (
     LatencyModel,
@@ -305,6 +314,21 @@ class TestWireModes:
         sim, network, _ = build(wire_mode="always")
         run_query(sim, network)
         assert network.stats.wire_validations == 2  # query + reply
+        assert network.stats.wire_errors == 0
+
+    def test_decode_failure_is_counted_and_tolerated(self, monkeypatch):
+        """A packet that fails to decode is delivered as the original
+        object, as a scanner tolerates it, but never silently: a codec
+        regression shows in ``wire_errors``."""
+
+        def broken(wire):
+            raise WireError("planted")
+
+        sim, network, _ = build(wire_mode="always")
+        monkeypatch.setattr(Message, "from_wire", staticmethod(broken))
+        response = run_query(sim, network)
+        assert response is not None and response.answers
+        assert network.stats.wire_errors == 2  # query + reply
 
     def test_never_validates_nothing(self):
         sim, network, _ = build(wire_mode="never")
