@@ -8,14 +8,11 @@ bounded by how many processes one can reasonably keep in flight.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from ..core import IterativeMachine, ExternalMachine, ResolverConfig, SelectiveCache, SimDriver
-from ..core.config import ClientCostModel
+from ..core import ClientCostModel, Resolver, ResolverConfig
 from ..ecosystem import SimInternet
 from ..framework.stats import ScanStats
-from ..net import CPUModel, SimUDPSocket, SourceIPPool
 
 #: CPU burned forking and exec-ing one dig process (measured digs take
 #: tens of ms of setup; includes output formatting/parsing overhead).
@@ -42,32 +39,33 @@ class DigBaseline:
         self.internet = internet
         self.seed = seed
 
-    def _driver(self, cpu: CPUModel) -> SimDriver:
-        # dig's per-packet work is negligible next to process startup
-        costs = ClientCostModel(per_send=20e-6, per_receive=20e-6)
-        return SimDriver(self.internet.network, cpu=cpu, costs=costs, seed=self.seed)
+    def _resolver(self, mode: str, resolver_ips: list[str] | None = None) -> Resolver:
+        return Resolver(
+            self.internet,
+            mode,
+            ResolverConfig(retries=2),
+            resolver_ips=resolver_ips,
+            seed=self.seed,
+            # no cache: every trace restarts from the roots
+            cache_size=1,
+            cache_policy="none",
+            cores=24,
+            # dig's per-packet work is negligible next to process startup
+            costs=ClientCostModel(per_send=20e-6, per_receive=20e-6),
+            driver_seed=self.seed,
+        )
 
     def run_batch_trace(self, names) -> DigReport:
         """``dig +trace`` in batch mode: strictly sequential, no cache."""
         sim = self.internet.sim
-        cpu = CPUModel(sim, cores=24)
-        driver = self._driver(cpu)
-        pool = SourceIPPool(prefix_length=32)
-        socket = SimUDPSocket(self.internet.network, pool)
+        resolver = self._resolver("iterative")
+        cpu, driver, context = resolver.cpu, resolver.driver, resolver.context
+        socket = resolver.socket()
         stats = ScanStats(threads_requested=1, threads_running=1, started_at=sim.now)
-        config = ResolverConfig(retries=2)
-        rng = random.Random(self.seed)
 
         def routine():
             for raw in names:
-                # no cache: every trace restarts from the roots
-                machine = IterativeMachine(
-                    SelectiveCache(capacity=1, policy="none"),
-                    self.internet.root_ips,
-                    config,
-                    rng,
-                )
-                result = yield from driver.execute(machine.resolve(raw, _qtype(raw)), socket)
+                result = yield from driver.execute(context.machine().resolve(raw, _qtype(raw)), socket)
                 yield cpu.occupy(DIG_PROCESS_CPU)
                 yield DIG_BATCH_OVERHEAD
                 stats.record(str(result.status), sim.now, result.queries_sent, result.retries_used)
@@ -80,12 +78,9 @@ class DigBaseline:
     def run_forked(self, names, resolver_ip: str, processes: int = DEFAULT_FORK_PROCESSES) -> DigReport:
         """One dig process per lookup, ``processes`` in flight at once."""
         sim = self.internet.sim
-        cpu = CPUModel(sim, cores=24)
-        driver = self._driver(cpu)
-        pool = SourceIPPool(prefix_length=32)
+        resolver = self._resolver("external", [resolver_ip])
+        cpu, driver, context = resolver.cpu, resolver.driver, resolver.context
         stats = ScanStats(threads_requested=processes, threads_running=processes, started_at=sim.now)
-        config = ResolverConfig(retries=2)
-        rng = random.Random(self.seed)
         name_iter = iter(names)
 
         def worker(socket):
@@ -97,13 +92,10 @@ class DigBaseline:
                     return
                 # fork + exec + dig startup before the query even flows
                 yield cpu.occupy(DIG_PROCESS_CPU)
-                machine = ExternalMachine([resolver_ip], config, rng)
-                result = yield from driver.execute(machine.resolve(raw, _qtype(raw)), socket)
+                result = yield from driver.execute(context.machine().resolve(raw, _qtype(raw)), socket)
                 stats.record(str(result.status), sim.now, result.queries_sent, result.retries_used)
 
-        futures = [
-            sim.spawn(worker(SimUDPSocket(self.internet.network, pool))) for _ in range(processes)
-        ]
+        futures = [sim.spawn(worker(resolver.socket())) for _ in range(processes)]
         sim.run()
         for future in futures:
             future.result()

@@ -9,16 +9,27 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 from ..dnslib import Message, add_edns
 from ..dnslib.edns import OPT
 from ..dnslib.message import ResourceRecord
 from ..dnslib.name import Name
 from ..dnslib.types import RRType
-from ..net import CPUModel, Routine, SimNetwork, SimUDPSocket, SourceIPPool, UDPTransport
+from ..net import (
+    DEFAULT_PORTS_PER_IP,
+    CPUModel,
+    GCModel,
+    Routine,
+    SimNetwork,
+    SimUDPSocket,
+    SourceIPPool,
+    UDPTransport,
+)
 from .cache import SelectiveCache
 from .config import ClientCostModel, ResolverConfig
-from .machine import Backoff, ExternalMachine, IterativeMachine, LookupResult, SendQuery
+from .dnssec import trust_anchor_for
+from .machine import Backoff, LookupResult, SendQuery
 
 
 class SimDriver:
@@ -174,59 +185,120 @@ class LiveDriver:
 
 
 class Resolver:
-    """Convenience facade: one-shot lookups on a simulated Internet.
+    """One resolver stack on a simulated Internet, built in one place.
 
-    For high-throughput scanning use :mod:`repro.framework`, which runs
-    thousands of concurrent routines; this class is the simple library
-    entry point the paper's Section 7 community request asks for.
+    Owns the pieces every lookup needs: a copy of the
+    :class:`ResolverConfig` (with the DNSSEC trust anchor filled in),
+    the :class:`SelectiveCache` (iterative mode; on the simulator's
+    clock, RRSIG-aware when validating), the client CPU model, the
+    source-address pool, the :class:`SimDriver`, per-worker sockets
+    (:meth:`socket`) and the machine factory (``context.machine()``).
+
+    Used alone it is the library entry point the paper's Section 7
+    community request asks for: :meth:`lookup` runs one lookup to
+    quiescence.  The scan runner, the resolver daemon, the oracle sweep
+    and the dig baseline each build one and drive its pieces in their
+    own loops (``driver.execute(machine.resolve(...), socket)``); the
+    keywords after ``record_trace`` exist for them, and each passes the
+    seeds, cache policy, costs and CPU model it needs.
     """
 
-    def __init__(self, internet, mode: str = "iterative", config: ResolverConfig | None = None,
-                 cache: SelectiveCache | None = None, resolver_ips: list[str] | None = None,
-                 record_trace: bool = False):
-        from ..ecosystem import EPOCH_BASE, SimInternet  # local import to avoid cycles
+    def __init__(
+        self,
+        internet,
+        mode: str = "iterative",
+        config: ResolverConfig | None = None,
+        cache: SelectiveCache | None = None,
+        resolver_ips: list[str] | None = None,
+        record_trace: bool = False,
+        *,
+        #: the machines' RNG; None = the universe's seed
+        seed: int | None = None,
+        cache_size: int = 600_000,
+        cache_policy: str = "selective",
+        cache_eviction: str = "random",
+        cache_seed: int = 0,
+        stale_ttl: float | None = None,
+        track_heat: bool = False,
+        #: a CPU model shared with something else; else one of ``cores``
+        #: cores is built (None = lookups charge no client CPU)
+        cpu: CPUModel | None = None,
+        cores: int | None = None,
+        gc: GCModel | None = None,
+        #: None = the mode's calibrated default
+        costs: ClientCostModel | None = None,
+        reuse_sockets: bool = True,
+        driver_seed: int = 0,
+        source_prefix: int = 32,
+        ports_per_ip: int = DEFAULT_PORTS_PER_IP,
+    ):
+        from ..ecosystem import EPOCH_BASE, SimInternet  # local imports to avoid cycles
+        from ..modules.base import ModuleContext
 
         if not isinstance(internet, SimInternet):
             raise TypeError("Resolver expects a SimInternet (see build_internet)")
-        self.internet = internet
-        self.config = config or ResolverConfig()
-        if record_trace:
-            self.config.record_trace_results = True
-        # "cache or ..." would wrongly discard an empty cache (it has __len__)
-        self.cache = cache if cache is not None else SelectiveCache(
-            capacity=600_000,
-            clock=lambda: internet.sim.now,
-            epoch_base=EPOCH_BASE if self.config.dnssec else None,
-        )
-        if self.config.dnssec and self.config.trust_anchor is None:
-            from .dnssec import trust_anchor_for
-
-            self.config.trust_anchor = trust_anchor_for(internet.synth)
-        self.mode = mode
-        self._pool = SourceIPPool(prefix_length=32)
-        self._driver = SimDriver(internet.network)
-        self._socket = SimUDPSocket(internet.network, self._pool)
-        self._rng = random.Random(internet.params.seed)
         if mode == "iterative":
-            self._machine_factory = lambda name, qtype: IterativeMachine(
-                self.cache, internet.root_ips, self.config, self._rng
-            ).resolve(name, qtype)
-        elif mode in ("google", "cloudflare", "external"):
-            if mode == "google":
-                ips = [internet.google_ip]
-            elif mode == "cloudflare":
-                ips = [internet.cloudflare_ip]
-            else:
-                ips = resolver_ips or [internet.google_ip]
-            self._machine_factory = lambda name, qtype: ExternalMachine(
-                ips, self.config, self._rng
-            ).resolve(name, qtype)
+            ips = []
+        elif mode == "google":
+            ips = [internet.google_ip]
+        elif mode == "cloudflare":
+            ips = [internet.cloudflare_ip]
+        elif mode == "external":
+            ips = list(resolver_ips or [internet.google_ip])
         else:
             raise ValueError(f"unknown mode {mode!r}")
+        iterative = mode == "iterative"
+        self.internet = internet
+        self.mode = mode
+        # a copy: the caller's config may go on to serve another universe
+        config = replace(config or ResolverConfig())
+        if record_trace:
+            config.record_trace_results = True
+        if config.dnssec and config.trust_anchor is None:
+            config.trust_anchor = trust_anchor_for(internet.synth)
+        self.config = config
+        sim = internet.sim
+        if cache is None and iterative:
+            cache = SelectiveCache(
+                capacity=cache_size,
+                policy=cache_policy,
+                eviction=cache_eviction,
+                seed=cache_seed,
+                clock=lambda: sim.now,
+                stale_ttl=stale_ttl,
+                track_heat=track_heat,
+                epoch_base=EPOCH_BASE if config.dnssec else None,
+            )
+        self.cache = cache
+        if cpu is None and cores is not None:
+            cpu = CPUModel(sim, cores=cores, gc=gc)
+        self.cpu = cpu
+        if costs is None:
+            costs = ClientCostModel.for_iterative() if iterative else ClientCostModel()
+        self.driver = SimDriver(
+            internet.network, cpu=cpu, costs=costs, reuse_sockets=reuse_sockets, seed=driver_seed
+        )
+        self.pool = SourceIPPool(prefix_length=source_prefix, ports_per_ip=ports_per_ip)
+        self.context = ModuleContext(
+            mode="iterative" if iterative else "external",
+            root_ips=internet.root_ips,
+            resolver_ips=ips,
+            cache=cache,
+            config=config,
+            rng=random.Random(internet.params.seed if seed is None else seed),
+        )
+        self._socket: SimUDPSocket | None = None
+
+    def socket(self) -> SimUDPSocket:
+        """A new simulated socket bound from the pool (one per worker);
+        raises :class:`~repro.net.PortExhaustedError` when it is spent."""
+        return SimUDPSocket(self.internet.network, self.pool)
 
     def lookup(self, name, qtype) -> LookupResult:
         """Resolve one name, running the simulation to quiescence."""
-        routine = self._driver.execute(self._machine_factory(name, qtype), self._socket)
+        if self._socket is None:
+            self._socket = self.socket()
+        routine = self.driver.execute(self.context.machine().resolve(name, qtype), self._socket)
         future = self.internet.sim.spawn(routine)
         self.internet.sim.run()
         return future.result()

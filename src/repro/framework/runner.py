@@ -1,5 +1,6 @@
-"""The scan orchestrator: spawns lookup routines, owns sockets, CPU and
-cache, delegates per-query logic to the module, and aggregates stats.
+"""The scan orchestrator: builds one resolver stack
+(:class:`repro.core.Resolver`), spawns lookup routines on its sockets,
+delegates per-query logic to the module, and aggregates stats.
 
 This is ZDNS's "framework" component (Section 3.2): light-weight and
 free of DNS-specific logic.  The framework also owns the telemetry
@@ -13,21 +14,14 @@ from __future__ import annotations
 
 import io
 import os
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from ..core import (
-    ClientCostModel,
-    ResolverConfig,
-    SelectiveCache,
-    ServerHealthTracker,
-    SimDriver,
-)
+from ..core import ClientCostModel, Resolver, ResolverConfig, SelectiveCache, ServerHealthTracker
 from ..dnslib import CODEC_STATS
 from ..ecosystem import SimInternet
-from ..modules import ModuleContext, ScanModule, get_module
-from ..net import CPUModel, GCModel, PortExhaustedError, SimUDPSocket, SourceIPPool
+from ..modules import ScanModule, get_module
+from ..net import CPUModel, GCModel, PortExhaustedError, SimUDPSocket
 from ..obs import MetricsRegistry, SpanTracer, StatusEmitter
 from .stats import ScanStats
 
@@ -157,7 +151,7 @@ class ScanRunner:
         self.sink = sink
         self.cache: SelectiveCache | None = None
         #: Externally supplied CPU model (e.g. shared with a co-located
-        #: Unbound); the runner builds its own when None.
+        #: Unbound); the resolver stack builds its own when None.
         self.cpu = cpu
         #: Externally supplied registry (e.g. shared across scan phases);
         #: the runner builds its own per run when None.
@@ -184,18 +178,6 @@ class ScanRunner:
         #: status lines and in the control-plane views.
         self.target = target
 
-    def _resolver_ips(self) -> list[str]:
-        config = self.config
-        if config.mode == "google":
-            return [self.internet.google_ip]
-        if config.mode == "cloudflare":
-            return [self.internet.cloudflare_ip]
-        if config.mode == "external":
-            if not config.resolver_ips:
-                raise ValueError("external mode needs resolver_ips")
-            return list(config.resolver_ips)
-        return []
-
     def run(self, names: Iterable[str]) -> ScanReport:
         internet = self.internet
         config = self.config
@@ -216,65 +198,52 @@ class ScanRunner:
         # the delta against this baseline (see the codec scope below)
         codec_baseline = dict(CODEC_STATS)
 
+        iterative = config.mode == "iterative"
+        if config.dnssec and not iterative:
+            raise ValueError("dnssec validation requires iterative mode")
+        if config.mode == "external" and not config.resolver_ips:
+            raise ValueError("external mode needs resolver_ips")
+        resolver_config = config.resolver_config()
+        # nothing consumes per-query trace rows without a sink: skip them
+        resolver_config.collect_trace = self.sink is not None
+        health = None
+        if config.server_health:
+            health = resolver_config.health = ServerHealthTracker(clock=lambda: sim.now)
+        tracer = None
+        if config.collect_spans or self.span_sink is not None:
+            tracer = resolver_config.tracer = SpanTracer(clock=lambda: sim.now, sink=self.span_sink)
         gc = None
         if config.gc_period is not None and config.gc_pause is not None:
             gc = GCModel(period=config.gc_period, pause=config.gc_pause)
-        cpu = self.cpu if self.cpu is not None else CPUModel(sim, cores=config.cores, gc=gc)
-        pool = SourceIPPool(
-            prefix_length=config.source_prefix, ports_per_ip=config.ports_per_ip
-        )
-        mode = "iterative" if config.mode == "iterative" else "external"
-        costs = config.costs
-        if costs is None:
-            costs = ClientCostModel.for_iterative() if mode == "iterative" else ClientCostModel()
-        driver = SimDriver(
-            internet.network,
-            cpu=cpu,
-            costs=costs,
-            reuse_sockets=config.reuse_sockets,
+        resolver = Resolver(
+            internet,
+            config.mode,
+            resolver_config,
+            resolver_ips=config.resolver_ips,
             seed=config.seed,
+            cache_size=config.cache_size,
+            cache_policy=config.cache_policy,
+            cache_eviction=config.cache_eviction,
+            cache_seed=config.seed,
+            cpu=self.cpu,
+            cores=config.cores,
+            gc=gc,
+            costs=config.costs,
+            reuse_sockets=config.reuse_sockets,
+            driver_seed=config.seed,
+            source_prefix=config.source_prefix,
+            ports_per_ip=config.ports_per_ip,
         )
-        if config.dnssec and mode != "iterative":
-            raise ValueError("dnssec validation requires iterative mode")
-        if mode == "iterative":
-            self.cache = SelectiveCache(
-                capacity=config.cache_size,
-                policy=config.cache_policy,
-                eviction=config.cache_eviction,
-                seed=config.seed,
-                clock=lambda: sim.now,
-                epoch_base=_dnssec_epoch_base() if config.dnssec else None,
-            )
-        resolver_config = config.resolver_config()
-        if config.dnssec:
-            from ..core import trust_anchor_for
-
-            resolver_config.trust_anchor = trust_anchor_for(internet.synth)
-        health = None
-        if config.server_health:
-            health = ServerHealthTracker(clock=lambda: sim.now)
-            resolver_config.health = health
-        if self.sink is None:
-            # nothing consumes per-query trace rows: skip assembling them
-            resolver_config.collect_trace = False
-        tracer = None
-        if config.collect_spans or self.span_sink is not None:
-            tracer = SpanTracer(clock=lambda: sim.now, sink=self.span_sink)
-            resolver_config.tracer = tracer
-        context = ModuleContext(
-            mode=mode,
-            root_ips=internet.root_ips,
-            resolver_ips=self._resolver_ips(),
-            cache=self.cache,
-            config=resolver_config,
-            rng=random.Random(config.seed),
-            build_rows=self.sink is not None,
-        )
+        self.cache = resolver.cache
+        cpu = resolver.cpu
+        driver = resolver.driver
+        context = resolver.context
+        context.build_rows = self.sink is not None
 
         oracle = None
         oracle_every = int(config.oracle_check or 0)
         if oracle_every:
-            if mode != "iterative":
+            if not iterative:
                 raise ValueError("oracle_check requires iterative mode")
             if self.module.qtype is None:
                 raise ValueError(
@@ -353,7 +322,7 @@ class ScanRunner:
         futures = []
         for index in range(config.threads):
             try:
-                socket = SimUDPSocket(internet.network, pool)
+                socket = resolver.socket()
             except PortExhaustedError:
                 # the /32 socket limit of Figure 1: fewer routines run
                 break
@@ -499,12 +468,6 @@ class ScanRunner:
             oracle_stats=oracle.stats() if oracle is not None else None,
             dnssec_stats=dict(security_counts) if security_counts is not None else None,
         )
-
-
-def _dnssec_epoch_base() -> int:
-    from ..ecosystem import EPOCH_BASE
-
-    return EPOCH_BASE
 
 
 def _run_with_optional_profile(sim, max_events: int | None = None) -> dict | None:

@@ -29,11 +29,13 @@ from ..dnslib import Name, RRType
 
 @dataclass
 class ModuleContext:
-    """Per-scan state the framework hands to modules."""
+    """Per-scan state the framework hands to modules (a scan's
+    :class:`~repro.core.Resolver` builds it as ``resolver.context``)."""
 
     mode: str  # "iterative" | "external"
     root_ips: list[str] = field(default_factory=list)
     resolver_ips: list[str] = field(default_factory=list)
+    #: Required in iterative mode: the resolver's cache, on its clock.
     cache: SelectiveCache | None = None
     config: ResolverConfig = field(default_factory=ResolverConfig)
     rng: random.Random = field(default_factory=lambda: random.Random(0))
@@ -41,11 +43,13 @@ class ModuleContext:
     #: modules may skip expensive row formatting.
     build_rows: bool = True
 
+    def __post_init__(self):
+        if self.mode == "iterative" and self.cache is None:
+            raise ValueError("an iterative ModuleContext needs a cache")
+
     def machine(self):
         """The single-lookup machine appropriate for the scan mode."""
         if self.mode == "iterative":
-            if self.cache is None:
-                self.cache = SelectiveCache()
             return IterativeMachine(self.cache, self.root_ips, self.config, self.rng)
         return ExternalMachine(self.resolver_ips, self.config, self.rng)
 

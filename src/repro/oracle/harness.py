@@ -432,39 +432,36 @@ def run_differential(
 
 
 def _run_combo(combo, combo_names, config, oracle_for, cache_factory, plan_spec):
+    """Resolve each name cold then warm on a fresh universe under one
+    combination, recording every divergence on ``combo``.  The sweep
+    and the shrinker (:func:`repro.oracle.shrink.check_one`) both run
+    through here."""
     internet = build_internet(params=EcosystemParams(seed=config.seed))
     plan = _resolve_spec(plan_spec)
     if plan is not None and len(plan):
         from ..faults import FaultInjector
 
         FaultInjector(plan, sim=internet.sim, seed=config.seed).attach(internet.network)
-    if cache_factory is not None:
-        cache = cache_factory(
-            combo.policy, combo.eviction, config.cache_capacity, internet
-        )
-    else:
-        epoch_base = None
-        if config.dnssec:
-            from ..ecosystem import EPOCH_BASE
-
-            epoch_base = EPOCH_BASE
-        cache = SelectiveCache(
-            capacity=config.cache_capacity,
-            policy=combo.policy,
-            eviction=combo.eviction,
-            seed=config.seed,
-            clock=lambda: internet.sim.now,
-            epoch_base=epoch_base,
-        )
     resolver = Resolver(
-        internet, cache=cache, config=ResolverConfig(dnssec=config.dnssec)
+        internet,
+        config=ResolverConfig(retries=config.retries, dnssec=config.dnssec),
+        cache=(
+            cache_factory(combo.policy, combo.eviction, config.cache_capacity, internet)
+            if cache_factory is not None
+            else None
+        ),
+        cache_size=config.cache_capacity,
+        cache_policy=combo.policy,
+        cache_eviction=combo.eviction,
+        cache_seed=config.seed,
     )
-    resolver.config.retries = config.retries
     combo_info = {
         "policy": combo.policy,
         "eviction": combo.eviction,
         "plan": _plan_label(plan_spec),
         "capacity": config.cache_capacity,
+        "dnssec": config.dnssec,
+        "retries": config.retries,
     }
     for text in combo_names:
         qname = Name.from_text(text)

@@ -14,10 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Resolver, SelectiveCache
-from ..dnslib import Name, RRType
-from ..ecosystem import EcosystemParams, build_internet
-from .harness import Divergence, compare_views, production_view
+from ..dnslib import RRType
+from .harness import (
+    ComboReport,
+    DifferentialConfig,
+    Divergence,
+    _plan_label,
+    _resolve_spec,
+    _run_combo,
+)
 from .reference import ReferenceResolver
 
 
@@ -63,48 +68,21 @@ def check_one(
     capacity: int = 512,
     cache_factory=None,
     reference: ReferenceResolver | None = None,
+    dnssec: bool = False,
+    retries: int = 2,
 ) -> Divergence | None:
     """One name through a fresh production universe, cold then warm,
-    against the oracle.  The single-name analogue of the sweep."""
-    from .harness import _resolve_spec  # plan spec -> FaultPlan
-
+    against the oracle: the sweep's own combo path, for one name."""
     if reference is None:
-        reference = ReferenceResolver(seed=seed)
-    internet = build_internet(params=EcosystemParams(seed=seed))
-    resolved_plan = _resolve_spec(plan)
-    if resolved_plan is not None and len(resolved_plan):
-        from ..faults import FaultInjector
-
-        FaultInjector(resolved_plan, sim=internet.sim, seed=seed).attach(internet.network)
-    if cache_factory is not None:
-        cache = cache_factory(policy, eviction, capacity, internet)
-    else:
-        cache = SelectiveCache(
-            capacity=capacity,
-            policy=policy,
-            eviction=eviction,
-            seed=seed,
-            clock=lambda: internet.sim.now,
-        )
-    resolver = Resolver(internet, cache=cache)
-    qname = Name.from_text(name)
-    oracle = reference.resolve(qname, qtype)
-    combo = {"policy": policy, "eviction": eviction, "capacity": capacity}
-    for phase in ("cold", "warm"):
-        result = resolver.lookup(qname, RRType(qtype))
-        view = production_view(result, qname, qtype)
-        verdict, reason = compare_views(view, oracle)
-        if verdict == "diverge":
-            return Divergence(
-                name=name,
-                qtype=int(qtype),
-                seed=seed,
-                reason=reason or "disagreement",
-                production=view.to_json(),
-                oracle=oracle.to_json(),
-                combo=dict(combo, phase=phase),
-            )
-    return None
+        reference = ReferenceResolver(seed=seed, dnssec=dnssec)
+    config = DifferentialConfig(
+        seed=seed, qtype=int(qtype), cache_capacity=capacity, retries=retries, dnssec=dnssec
+    )
+    combo = ComboReport(policy, eviction, _plan_label(plan))
+    _run_combo(
+        combo, [name], config, lambda qname: reference.resolve(qname, qtype), cache_factory, plan
+    )
+    return combo.divergences[0] if combo.divergences else None
 
 
 def shrink_divergence(
@@ -124,12 +102,13 @@ def shrink_divergence(
     name is not a bundled spec).
     """
     from ..faults import FaultPlan
-    from .harness import _resolve_spec
 
     combo = divergence.combo or {}
     policy = combo.get("policy", "selective")
     eviction = combo.get("eviction", "random")
     capacity = int(combo.get("capacity", 512))
+    dnssec = bool(combo.get("dnssec", False))
+    retries = int(combo.get("retries", 2))
     if plan == "__from_combo__":
         label = combo.get("plan")
         try:
@@ -138,7 +117,7 @@ def shrink_divergence(
             plan = None  # a custom plan we cannot reconstruct by name
     seed = divergence.seed
     if reference is None:
-        reference = ReferenceResolver(seed=seed)
+        reference = ReferenceResolver(seed=seed, dnssec=dnssec)
 
     def probe(candidate_plan) -> Divergence | None:
         return check_one(
@@ -151,6 +130,8 @@ def shrink_divergence(
             capacity=capacity,
             cache_factory=cache_factory,
             reference=reference,
+            dnssec=dnssec,
+            retries=retries,
         )
 
     probes = 0

@@ -50,17 +50,11 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..core import ClientCostModel, IterativeMachine, ResolverConfig, SelectiveCache, SimDriver
+from ..core import IterativeMachine, Resolver, ResolverConfig, SelectiveCache
 from ..dnslib import Name, RRType
-from ..ecosystem import (
-    EPOCH_BASE,
-    EcosystemParams,
-    ZoneDelta,
-    build_internet,
-    publish_zone_delta,
-)
+from ..ecosystem import EcosystemParams, ZoneDelta, build_internet, publish_zone_delta
 from ..faults import Blackout, FaultInjector, FaultPlan
-from ..net import CPUModel, SimFuture, SimUDPSocket, SourceIPPool, derive_seed
+from ..net import SimFuture, SimUDPSocket, derive_seed
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 from ..oracle import SEMANTIC_STATUSES, DifferentialOracle
 from ..workloads import CorpusConfig, DomainCorpus
@@ -160,16 +154,22 @@ class ResolverService:
             net_seed=derive_seed(cfg.seed, "net"),
         )
         self.sim = self.internet.sim
-        self.cache = SelectiveCache(
-            capacity=cfg.cache_capacity,
-            policy="all",
-            eviction=cfg.cache_eviction,
-            seed=derive_seed(cfg.seed, "cache") % (2**31),
-            clock=lambda: self.sim.now,
+        #: the resolver stack; workers drive its driver and cache directly
+        self.resolver = Resolver(
+            self.internet,
+            config=ResolverConfig(retries=cfg.retries, collect_trace=False, dnssec=cfg.dnssec),
+            cache_size=cfg.cache_capacity,
+            cache_policy="all",
+            cache_eviction=cfg.cache_eviction,
+            cache_seed=derive_seed(cfg.seed, "cache") % (2**31),
             stale_ttl=cfg.stale_ttl,
             track_heat=cfg.prefetch_interval > 0,
-            epoch_base=EPOCH_BASE if cfg.dnssec else None,
+            cores=cfg.cores,
+            driver_seed=derive_seed(cfg.seed, "driver") % (2**31),
         )
+        self.cache = self.resolver.cache
+        self._driver = self.resolver.driver
+        self._resolver_config = self.resolver.config
         corpus = DomainCorpus(CorpusConfig(seed=cfg.seed))
         self._catalog_text: list[str] = list(corpus.fqdns(cfg.catalog_size))
         self._catalog: list[Name] = [Name.from_text(t) for t in self._catalog_text]
@@ -183,22 +183,6 @@ class ResolverService:
             cumulative.append(acc)
         cumulative[-1] = 1.0
         self._zipf_cdf = cumulative
-
-        self._cpu = CPUModel(self.sim, cores=cfg.cores)
-        self._pool = SourceIPPool(prefix_length=32)
-        self._driver = SimDriver(
-            self.internet.network,
-            cpu=self._cpu,
-            costs=ClientCostModel.for_iterative(),
-            seed=derive_seed(cfg.seed, "driver") % (2**31),
-        )
-        self._resolver_config = ResolverConfig(
-            retries=cfg.retries, collect_trace=False, dnssec=cfg.dnssec
-        )
-        if cfg.dnssec:
-            from ..core import trust_anchor_for
-
-            self._resolver_config.trust_anchor = trust_anchor_for(self.internet.synth)
 
         if cfg.blackouts:
             plan = FaultPlan(
@@ -358,7 +342,7 @@ class ResolverService:
     # -- the worker pool ---------------------------------------------------
 
     def _worker(self, wid: int):
-        socket = SimUDPSocket(self.internet.network, self._pool)
+        socket = self.resolver.socket()
         rng = random.Random(derive_seed(self.config.seed, "worker", str(wid)))
         try:
             while True:

@@ -93,3 +93,25 @@ def test_module_registry_covers_paper_footnote():
     modules = set(available_modules())
     for rrtype in RAW_MODULE_TYPES:
         assert rrtype.name in modules
+
+
+def test_one_place_builds_a_resolver_stack():
+    """The cache, driver, source pool, CPU model and trust anchor are
+    built by ``repro.core.Resolver`` alone: the scan runner, the daemon,
+    the oracle sweep and shrinker and the baselines take them from the
+    stack they build, so a piece cannot be wired two ways."""
+    import ast
+    import pathlib
+
+    pieces = {"SelectiveCache", "SimDriver", "SourceIPPool", "CPUModel", "trust_anchor_for"}
+    allowed = {"core/engine.py"}
+    root = pathlib.Path(repro.__file__).parent
+    sites = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in pieces:
+                    sites.add((path.relative_to(root).as_posix(), called))
+    assert {path for path, _ in sites} == allowed, sorted(sites)

@@ -396,3 +396,11 @@ class TestHTTPSRecords:
         row = run_module(internet, "HTTPS", name)
         assert row["status"] == "NOERROR"
         assert not row["data"]["answers"]
+
+
+def test_iterative_context_without_a_cache_raises():
+    """No silent clockless fallback cache (its entries never expired):
+    an iterative context takes the resolver stack's cache or none."""
+    with pytest.raises(ValueError, match="needs a cache"):
+        ModuleContext(mode="iterative", root_ips=["198.41.0.4"])
+    assert ModuleContext(mode="external", resolver_ips=["8.8.8.8"]).cache is None

@@ -9,10 +9,10 @@ import json
 
 import pytest
 
-from repro.core import Resolver, SelectiveCache
+from repro.core import INSECURE, Resolver, SelectiveCache
 from repro.dnslib import Name, ResourceRecord, RRType
 from repro.dnslib.rdata.address import A
-from repro.ecosystem import EcosystemParams, build_internet
+from repro.ecosystem import EPOCH_BASE, EcosystemParams, build_internet
 from repro.framework import ScanConfig, ScanRunner
 from repro.framework.cli import main as cli_main
 from repro.obs import MetricsRegistry
@@ -60,6 +60,29 @@ def stale_cache_factory(policy, eviction, capacity, internet):
         policy=policy,
         eviction=eviction,
         clock=lambda: internet.sim.now,
+    )
+
+
+class InsecureVerdictCache(SelectiveCache):
+    """Deliberately buggy cache lying only about security state: every
+    cached chain-of-trust verdict reads back as insecure, keyless.
+    Answers and delegations are untouched, so only a ``dnssec`` run
+    can see it."""
+
+    def get_security(self, zone):
+        if super().get_security(zone) is None:
+            return None
+        return INSECURE, b""
+
+
+def insecure_verdict_factory(policy, eviction, capacity, internet):
+    """``cache_factory`` hook planting :class:`InsecureVerdictCache`."""
+    return InsecureVerdictCache(
+        capacity=capacity,
+        policy=policy,
+        eviction=eviction,
+        clock=lambda: internet.sim.now,
+        epoch_base=EPOCH_BASE,
     )
 
 
@@ -246,6 +269,23 @@ class TestShrinker:
         assert minimal.seed == SEED
         payload = minimal.to_json()
         assert payload["name"] == minimal.name
+
+    def test_security_divergence_reproduces_under_dnssec(self):
+        """The shrinker re-runs a divergence with the sweep's ``dnssec``
+        and ``retries`` (recorded in its combo): a lie about security
+        state alone is invisible to a validation-off re-run."""
+        config = DifferentialConfig(
+            seed=SEED, names=5, policies=("selective",), evictions=("random",),
+            fault_plans=(None,), dnssec=True,
+        )
+        report = run_differential(config, cache_factory=insecure_verdict_factory)
+        assert run_differential(config).ok
+        divergence = report.divergences[0]
+        assert divergence.reason == "validation insecure != expected secure"
+        assert divergence.combo["dnssec"] is True and divergence.combo["retries"] == 2
+        minimal = shrink_divergence(divergence, cache_factory=insecure_verdict_factory)
+        assert minimal.reproduced
+        assert minimal.reason == divergence.reason
 
     def test_check_one_clean_name_has_no_divergence(self, corpus_names):
         assert check_one(corpus_names[0], seed=SEED) is None

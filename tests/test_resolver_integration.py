@@ -193,3 +193,32 @@ class TestResolverFacade:
     def test_rejects_unknown_mode(self, internet):
         with pytest.raises(ValueError):
             Resolver(internet, mode="quantum")
+
+    def test_leaves_the_callers_config_alone(self):
+        """The stack validates with its own copy of the config: reusing
+        one config across two universes must not carry the first root's
+        trust anchor into the second (it made every signed name bogus)."""
+        from collections import Counter
+
+        from repro.workloads import CorpusConfig, DomainCorpus
+
+        def universe(seed):
+            return build_internet(params=EcosystemParams(seed=seed, p_tld_signed=1.0))
+
+        config = ResolverConfig(dnssec=True)
+        first = Resolver(universe(1), config=config, record_trace=True)
+        assert first.config.trust_anchor is not None
+        assert first.config.record_trace_results
+        assert config.trust_anchor is None and not config.record_trace_results
+        names = list(DomainCorpus(CorpusConfig(seed=2)).fqdns(40))
+        verdicts = {}
+        for label, given in (("reused", config), ("fresh", ResolverConfig(dnssec=True))):
+            resolver = Resolver(universe(2), config=given)
+            verdicts[label] = Counter(resolver.lookup(n, RRType.A).security for n in names)
+        assert verdicts["reused"] == verdicts["fresh"]
+        assert verdicts["fresh"] == {"secure": 13, "insecure": 25, "indeterminate": 2}
+        assert config == ResolverConfig(dnssec=True)
+
+    def test_external_modes_build_no_cache(self, internet):
+        assert Resolver(internet, mode="google").cache is None
+        assert Resolver(internet).cache is not None
