@@ -21,7 +21,7 @@ from .io import (
 from .parallel import DEFAULT_LOGICAL_SHARDS, ParallelReport, run_parallel_scan
 from .runner import ScanConfig, ScanReport, ScanRunner, run_scan
 from .stats import ScanStats
-from .telemetry import DELTA_VERSION, FleetView, ScanView, TelemetryDelta
+from .telemetry import DELTA_VERSION, FleetView, TelemetryDelta
 
 __all__ = [
     "DEFAULT_LOGICAL_SHARDS",
@@ -37,7 +37,6 @@ __all__ = [
     "ScanReport",
     "ScanRunner",
     "ScanStats",
-    "ScanView",
     "TelemetryDelta",
     "clean_row",
     "config_fingerprint",

@@ -88,19 +88,17 @@ def config_fingerprint(
     shards: int,
     steal_quantum: int | None,
     wire_mode: str,
-    wire_sample: int,
-    collect_metrics: bool,
     fault_plan: str | None,
     chaos_seed: int | None,
     add_timestamp: bool,
-    collect_spans: bool,
     names_digest: str,
 ) -> str:
     """SHA-256 fingerprint of everything that shapes a scan's bytes.
 
     Two runs with equal fingerprints produce byte-identical merged
     output — that is the property resume validation leans on.  The
-    fingerprint covers the full :class:`ScanConfig` (minus
+    fingerprint covers the full :class:`ScanConfig` as the tasks run it
+    (so whether metrics and spans are collected; minus
     ``status_interval``, which only affects stderr), the shard/segment
     topology, the fault plan, and a digest of the input names.
     Deliberately *not* covered: the process count (a pure wall-clock
@@ -112,12 +110,9 @@ def config_fingerprint(
         "shards": shards,
         "steal_quantum": steal_quantum,
         "wire_mode": wire_mode,
-        "wire_sample": wire_sample,
-        "collect_metrics": collect_metrics,
         "fault_plan": fault_plan,
         "chaos_seed": chaos_seed,
         "add_timestamp": add_timestamp,
-        "collect_spans": collect_spans,
         "names": names_digest,
     }
     canonical = json.dumps(

@@ -289,10 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.live_resolver:
             summary, report = _run_live(args, module, names, out_handle)
-        elif args.processes is not None:
-            summary, report = _run_parallel(args, names, out_handle)
         else:
-            summary, report = _run_simulated(args, module, names, out_handle)
+            report = _run_simulated(args, module, names, out_handle)
+            summary = report.summary()
         wall_seconds = time.monotonic() - started
         if not args.quiet:
             print(json.dumps(summary, sort_keys=True), file=sys.stderr)
@@ -363,57 +362,73 @@ def _run_info(args) -> dict:
     }
 
 
-def _start_server(args, view):
-    """Start the control-plane server over ``view`` when ``--http-port``
-    was given; announces the URL on stderr (the scan owns stdout)."""
-    if args.http_port is None:
-        return None
-    from ..obs.server import TelemetryServer
-
-    server = TelemetryServer(
-        status=view.status_snapshot, metrics=view.prometheus, port=args.http_port
-    ).start()
-    if not args.quiet:
-        print(f"pyzdns: control plane at {server.url}", file=sys.stderr)
-    return server
-
-
-def _run_parallel(args, names, out_handle):
-    """Multi-process scan: fork workers, merge shards (see
-    :mod:`repro.framework.parallel`)."""
+def _run_simulated(args, module, names, out_handle):
+    """A simulated scan: in this process through :class:`ScanRunner`,
+    or with ``--processes`` across the shard executor (see
+    :mod:`repro.framework.parallel`).  Either way ``--http-port`` serves
+    a :class:`~repro.framework.telemetry.FleetView` fed by the scan's
+    telemetry deltas."""
     from .checkpoint import CheckpointError
     from .telemetry import FleetView
 
-    if args.fault_plan:
-        _load_fault_plan(args.fault_plan)  # fail fast on a bad spec
+    plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
     config = _scan_config(args)
-    config.status_interval = None  # the parent emits the fleet-wide line
-    fleet = FleetView(run_info=_run_info(args))
-    server = _start_server(args, fleet)
-    span_handle = None
-    if args.spans_file:
-        span_handle = open(args.spans_file, "w")
+    fleet = server = None
+    if args.http_port is not None:
+        from ..obs.server import TelemetryServer
+
+        fleet = FleetView(run_info=_run_info(args), shards=1)
+        server = TelemetryServer(
+            status=fleet.status_snapshot, metrics=fleet.prometheus, port=args.http_port
+        ).start()
+        if not args.quiet:  # the scan owns stdout
+            print(f"pyzdns: control plane at {server.url}", file=sys.stderr)
+    span_handle = open(args.spans_file, "w") if args.spans_file else None
     try:
-        report = run_parallel_scan(
-            names,
-            config,
-            processes=args.processes,
-            out=out_handle,
-            shards=args.mp_shards,
-            collect_metrics=config.metrics,
-            status_interval=args.status_interval,
-            fault_plan=args.fault_plan,
-            chaos_seed=args.chaos_seed,
-            add_timestamp=not args.no_timestamps,
-            collect_spans=span_handle is not None,
-            span_out=span_handle,
-            fleet_view=fleet if server is not None else None,
-            steal_quantum=args.steal_quantum,
-            checkpoint_dir=args.resume or args.checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_fsync=args.checkpoint_fsync or "always",
-            resume=args.resume is not None,
-        )
+        if args.processes is None:
+            internet = build_internet(params=EcosystemParams(seed=args.seed))
+            if plan is not None:
+                from ..faults import FaultInjector
+
+                chaos_seed = args.chaos_seed if args.chaos_seed is not None else args.seed
+                FaultInjector(plan, sim=internet.sim, seed=chaos_seed).attach(internet.network)
+            target = None
+            if fleet is not None or config.status_interval is not None:
+                # done/target and ETA need the total up front; stdin is a
+                # stream, so materialise (the executor does the same)
+                names = list(names)
+                target = len(names)
+                if fleet is not None:
+                    fleet.target = target
+            report = ScanRunner(
+                internet,
+                config,
+                module=module,
+                sink=JsonLineSink(out_handle, add_timestamp=not args.no_timestamps),
+                span_sink=JsonLineSink(span_handle) if span_handle is not None else None,
+                progress=fleet.update if fleet is not None else None,
+                target=target,
+            ).run(names)
+            if fleet is not None:
+                fleet.finish()
+        else:
+            report = run_parallel_scan(
+                names,
+                config,
+                processes=args.processes,
+                out=out_handle,
+                shards=args.mp_shards,
+                fault_plan=args.fault_plan,
+                chaos_seed=args.chaos_seed,
+                add_timestamp=not args.no_timestamps,
+                span_out=span_handle,
+                fleet_view=fleet,
+                steal_quantum=args.steal_quantum,
+                checkpoint_dir=args.resume or args.checkpoint_dir,
+                checkpoint_interval=args.checkpoint_interval,
+                checkpoint_fsync=args.checkpoint_fsync or "always",
+                resume=args.resume is not None,
+            )
     except CheckpointError as error:
         raise SystemExit(f"pyzdns: {error}")
     finally:
@@ -421,60 +436,7 @@ def _run_parallel(args, names, out_handle):
             span_handle.close()
         if server is not None:
             server.stop()
-    return report.summary(), report
-
-
-def _run_simulated(args, module, names, out_handle):
-    internet = build_internet(params=EcosystemParams(seed=args.seed))
-    if args.fault_plan:
-        from ..faults import FaultInjector
-
-        plan = _load_fault_plan(args.fault_plan)
-        chaos_seed = args.chaos_seed if args.chaos_seed is not None else args.seed
-        FaultInjector(plan, sim=internet.sim, seed=chaos_seed).attach(internet.network)
-    config = _scan_config(args)
-    sink = JsonLineSink(out_handle, add_timestamp=not args.no_timestamps)
-    span_handle = None
-    span_sink = None
-    if args.spans_file:
-        span_handle = open(args.spans_file, "w")
-        span_sink = JsonLineSink(span_handle)
-    view = None
-    server = None
-    target = None
-    if args.http_port is not None or args.status_interval is not None:
-        # done/target and ETA need the total up front; stdin is a stream,
-        # so materialise (the mp path already does the same)
-        names = list(names)
-        target = len(names)
-    if args.http_port is not None:
-        from .telemetry import ScanView
-
-        view = ScanView(run_info=_run_info(args))
-        server = _start_server(args, view)
-    try:
-        report = ScanRunner(
-            internet,
-            config,
-            module=module,
-            sink=sink,
-            span_sink=span_sink,
-            view=view,
-            target=target,
-        ).run(names)
-    finally:
-        if span_handle is not None:
-            span_handle.close()
-        if server is not None:
-            server.stop()
-    summary = report.stats.to_json()
-    summary["cache"] = report.cache_stats
-    summary["cpu_utilisation"] = round(report.cpu_utilisation, 3)
-    if report.oracle_stats is not None:
-        summary["oracle"] = report.oracle_stats
-    if report.dnssec_stats is not None:
-        summary["dnssec"] = report.dnssec_stats
-    return summary, report
+    return report
 
 
 def _run_live(args, module, names, out_handle):

@@ -30,10 +30,11 @@ Design invariants, in order:
    manual ``--shards S --shard k`` fleet would have produced.
 3. **Telemetry merges, not samples.**  ``ScanStats`` fold together
    (status counts, completion times, retries), metrics registries merge
-   (counter/gauge sums, histogram bucket adds), and fault-injection /
-   server-health scopes are relabelled per shard
-   (``faults.* -> faults.shardK.*``) so a post-mortem can still tell
-   which slice of the fleet saw the trouble.
+   (counter/gauge sums, histogram bucket adds, ratio gauges recomputed
+   — see :func:`~repro.framework.telemetry.fold_metrics`), cache and
+   DNSSEC tallies sum, and fault-injection / server-health scopes are
+   relabelled per shard (``faults.* -> faults.shardK.*``) so a
+   post-mortem can still tell which slice of the fleet saw the trouble.
 4. **Scheduling is dynamic; bytes are not.**  Workers *pull*: each sends
    ``ready`` and the parent hands it the lowest pending segment of a
    shard it owns (``shard % processes``), or — when its own shards are
@@ -89,13 +90,13 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Iterable, TextIO
 
 from ..net import derive_seed
-from ..obs import MetricsRegistry, format_status_line
+from ..obs import format_status_line
 from ..obs.status import estimate_eta
 from .checkpoint import CheckpointJournal, CheckpointWriter, config_fingerprint
 from .io import encode_row, names_digest, shard
-from .runner import ScanConfig, ScanRunner
+from .runner import ScanConfig, ScanReport, ScanRunner
 from .stats import ScanStats
-from .telemetry import FleetView, TelemetryDelta
+from .telemetry import FleetView, TelemetryDelta, fold_metrics
 
 __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",
@@ -103,12 +104,6 @@ __all__ = [
     "ParallelReport",
     "run_parallel_scan",
 ]
-
-#: Default interval, in *virtual* seconds on each task's clock, between
-#: streamed telemetry deltas.  Deterministic for a fixed corpus (virtual
-#: timers fire at the same points regardless of wall-clock load), so the
-#: message sequence itself is reproducible.
-DEFAULT_DELTA_INTERVAL = 0.5
 
 #: Default logical shard count.  Fixed — deliberately *not* derived from
 #: the process count — so ``--processes 1`` and ``--processes 4`` run
@@ -177,18 +172,17 @@ class _ShardSpec:
 
     names: list[str]
     shards: int
+    #: The config every task runs, seed aside: ``metrics`` as the caller
+    #: set it, ``collect_spans`` iff the parent merges a spans file, no
+    #: ``status_interval`` (the parent emits the fleet-wide line).
     config: ScanConfig
     wire_mode: str = "always"
-    wire_sample: int = 16
-    collect_metrics: bool = False
     fault_plan: str | None = None
     chaos_seed: int | None = None
     add_timestamp: bool = True
-    #: Stream resolution spans back task-tagged (lifts the old
-    #: ``--spans-file × --processes`` restriction).
-    collect_spans: bool = False
-    #: Virtual seconds between telemetry deltas; None = no streaming.
-    delta_interval: float | None = None
+    #: Stream telemetry deltas (a fleet view, the parent's status line or
+    #: the checkpoint cadence consumes them).
+    stream_deltas: bool = False
 
 
 class _PipeSink:
@@ -267,7 +261,6 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn, kill_on_progress: bool =
     internet = build_internet(
         params=EcosystemParams(seed=base_seed),
         wire_mode=spec.wire_mode,
-        wire_sample=spec.wire_sample,
         net_seed=derive_seed(base_seed, "net", *streams),
     )
     if spec.fault_plan is not None:
@@ -280,57 +273,25 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn, kill_on_progress: bool =
             seed=derive_seed(chaos_base, "chaos", *streams),
         ).attach(internet.network)
 
-    config = replace(
-        spec.config,
-        seed=derive_seed(base_seed, "scan", *streams),
-        metrics=spec.collect_metrics,
-        status_interval=None,  # the parent emits the fleet-wide line
-        collect_spans=False,  # spans flow through the pipe sink instead
-    )
+    config = replace(spec.config, seed=derive_seed(base_seed, "scan", *streams))
     sink = _PipeSink(conn, task.key, spec.add_timestamp)
-    span_sink = _SpanPipeSink(conn, task.key) if spec.collect_spans else None
+    span_sink = _SpanPipeSink(conn, task.key) if config.collect_spans else None
     shard_names = list(shard(spec.names, spec.shards, task.shard))
     task_names = shard_names[task.start:task.stop]
 
-    progress = None
-    if spec.delta_interval is not None:
-        seq = [0]
-        target = len(task_names)
-
-        def progress(*, stats, registry, in_flight, now, complete):
-            if kill_on_progress:
-                # deterministic mid-task crash for the durability suite:
-                # die before anything about this emission hits the pipe
-                os.kill(os.getpid(), signal.SIGKILL)
-            seq[0] += 1
-            if complete:
-                # flush row/span batches *before* the complete delta, so
-                # its cursor never undercounts delivered rows and the
-                # delta always reaches the parent ahead of task_done
-                sink.flush()
-                if span_sink is not None:
-                    span_sink.flush()
-            delta = TelemetryDelta(
-                shard=task.shard,
-                segment=task.segment,
-                segments=task.segments,
-                seq=seq[0],
-                done=stats.total,
-                successes=stats.successes,
-                timeouts=stats.timeouts,
-                retries=stats.retries_used,
-                queries_sent=stats.queries_sent,
-                in_flight=in_flight,
-                virtual_now=now,
-                cursor=sink.total,
-                target=target,
-                complete=complete,
-                # cumulative mergeable state: the final (complete) delta
-                # is exactly a task checkpoint
-                stats=stats.to_state(),
-                metrics=registry.dump() if registry.enabled else [],
-            )
-            conn.send(("delta", task.key, delta.to_payload()))
+    def send_delta(delta: TelemetryDelta) -> None:
+        if kill_on_progress:
+            # deterministic mid-task crash for the durability suite:
+            # die before anything about this emission hits the pipe
+            os.kill(os.getpid(), signal.SIGKILL)
+        delta.shard, delta.segment, delta.segments = task.shard, task.segment, task.segments
+        if delta.complete:
+            # flush row/span batches *before* the complete delta, so the
+            # delta always reaches the parent ahead of task_done
+            sink.flush()
+            if span_sink is not None:
+                span_sink.flush()
+        conn.send(("delta", task.key, delta.to_payload()))
 
     report = ScanRunner(
         internet,
@@ -338,8 +299,7 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn, kill_on_progress: bool =
         module=get_module(config.module),
         sink=sink,
         span_sink=span_sink,
-        progress=progress,
-        progress_interval=spec.delta_interval,
+        progress=send_delta if spec.stream_deltas else None,
         target=len(task_names),
     ).run(task_names)
     sink.flush()
@@ -355,6 +315,7 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn, kill_on_progress: bool =
                 "metrics": registry.dump() if registry is not None and registry.enabled else [],
                 "cache": report.cache_stats,
                 "cpu_utilisation": report.cpu_utilisation,
+                "dnssec": report.dnssec_stats,
             },
         )
     )
@@ -447,22 +408,15 @@ def _worker_main(worker_index: int, spec: _ShardSpec, conn, inherited=()) -> Non
 
 
 @dataclass
-class ParallelReport:
-    """Fleet-wide outcome of a multi-process scan.
-
-    Duck-compatible with :class:`repro.framework.runner.ScanReport`
-    where the CLI needs it (``stats``, ``registry``, ``metrics``,
-    ``cache_stats``, ``cpu_utilisation``, ``profile``) plus the
-    executor's own shape: per-shard summaries, the process/shard/task
-    topology, and the durability outcome (steals, resumed tasks).
+class ParallelReport(ScanReport):
+    """Fleet-wide outcome of a multi-process scan: the merged
+    :class:`~repro.framework.runner.ScanReport` (``cpu_utilisation`` is
+    the mean across tasks — each task models its own core pool; the
+    executor never profiles) plus the executor's own shape: per-shard
+    summaries, the process/shard/task topology, and the durability
+    outcome (steals, resumed tasks).
     """
 
-    stats: ScanStats
-    registry: MetricsRegistry | None = None
-    metrics: dict = field(default_factory=dict)
-    cache_stats: dict | None = None
-    #: Mean across tasks — each task models its own core pool.
-    cpu_utilisation: float = 0.0
     shard_summaries: list[dict] = field(default_factory=list)
     processes: int = 0
     shards: int = 0
@@ -478,23 +432,28 @@ class ParallelReport:
     #: Tasks replayed from a checkpoint journal instead of re-run.
     resumed_tasks: int = 0
     checkpoint_dir: str | None = None
-    #: The mp executor never profiles (cProfile per worker would need
-    #: per-process files); present for ScanReport duck-compatibility.
-    profile: dict | None = None
 
     def summary(self) -> dict:
-        """The CLI's stderr summary, same shape as a single-process run
-        plus an ``mp`` topology block.
+        """A single-process run's summary plus an ``mp`` topology block.
 
         Deliberately silent about steals and resume: the summary (like
         the rows, stats, and metrics) must be byte-identical whether the
         scan ran straight through, was stolen from, or was resumed.
         """
-        summary = self.stats.to_json()
-        summary["cache"] = self.cache_stats
-        summary["cpu_utilisation"] = round(self.cpu_utilisation, 3)
+        summary = super().summary()
         summary["mp"] = {"processes": self.processes, "shards": self.shards}
         return summary
+
+
+def _add_counts(totals: dict | None, counts: dict | None) -> dict | None:
+    """Key-wise sum of one task's tallies into the fleet's (``None``:
+    no task has kept any yet)."""
+    if counts is None:
+        return totals
+    totals = {} if totals is None else totals
+    for key, value in counts.items():
+        totals[key] = totals.get(key, 0) + value
+    return totals
 
 
 def _mp_context():
@@ -507,21 +466,6 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _relabel_for(shard_index: int):
-    """Metric renamer: per-shard labels for the scopes where summing
-    would destroy the signal (which server slice was faulted / unhealthy
-    in *this* shard's chaos stream, how many packets *this* shard's
-    codec handled), fleet sums for everything else."""
-
-    def relabel(name: str) -> str:
-        for scope in ("faults.", "health.", "codec."):
-            if name.startswith(scope):
-                return f"{scope}shard{shard_index}.{name[len(scope):]}"
-        return name
-
-    return relabel
-
-
 def run_parallel_scan(
     names: Iterable[str],
     config: ScanConfig,
@@ -530,17 +474,12 @@ def run_parallel_scan(
     out: TextIO,
     shards: int | None = None,
     wire_mode: str = "always",
-    wire_sample: int = 16,
-    collect_metrics: bool = False,
-    status_interval: float | None = None,
     status_stream: TextIO | None = None,
     fault_plan: str | None = None,
     chaos_seed: int | None = None,
     add_timestamp: bool = True,
-    collect_spans: bool = False,
     span_out: TextIO | None = None,
     fleet_view: FleetView | None = None,
-    delta_interval: float | None = None,
     steal_quantum: int | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float | None = None,
@@ -555,9 +494,11 @@ def run_parallel_scan(
     independent tasks.  Workers pull tasks dynamically — owners first,
     then stealing from stragglers — and merged rows are written to
     ``out`` in canonical task order (see the module docstring for why
-    that order is the normal form).  ``collect_spans`` streams
-    task-tagged resolution spans to ``span_out`` with the same ordered
-    merge.  ``fleet_view`` (when given) receives streamed telemetry
+    that order is the normal form).  Given ``span_out``, task-tagged
+    resolution spans merge into it with the same ordered merge.
+    ``config.metrics`` keeps the merged registry; ``config.status_interval``
+    prints the parent's fleet-wide status line every that many *wall*
+    seconds.  ``fleet_view`` (when given) receives streamed telemetry
     deltas — hang the HTTP control plane off it; the fleet status line
     reads the same view.
 
@@ -591,22 +532,38 @@ def run_parallel_scan(
     #: one)
     processes = min(processes, len(tasks))
 
+    status_interval = config.status_interval
+    spec = _ShardSpec(
+        names=names,
+        shards=shards,
+        config=replace(config, status_interval=None, collect_spans=span_out is not None),
+        wire_mode=wire_mode,
+        fault_plan=fault_plan,
+        chaos_seed=chaos_seed,
+        add_timestamp=add_timestamp,
+        # deltas power the fleet view, the parent status line, and the
+        # cadence checkpoints; when no consumer exists the workers skip
+        # streaming entirely
+        stream_deltas=(
+            fleet_view is not None
+            or status_interval is not None
+            or checkpoint_dir is not None
+        ),
+    )
+
     # ---- durability: journal / resume -------------------------------------
     writer = None
     journal = None
     restored: dict[tuple[int, int], dict] = {}
     if checkpoint_dir is not None:
         fingerprint = config_fingerprint(
-            config=config,
+            config=spec.config,
             shards=shards,
             steal_quantum=steal_quantum,
             wire_mode=wire_mode,
-            wire_sample=wire_sample,
-            collect_metrics=collect_metrics,
             fault_plan=fault_plan,
             chaos_seed=chaos_seed,
             add_timestamp=add_timestamp,
-            collect_spans=collect_spans and span_out is not None,
             names_digest=names_digest(names),
         )
         plan = {
@@ -628,14 +585,6 @@ def run_parallel_scan(
         )
     if checkpoint_interval is None:
         checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
-
-    # deltas power the fleet view, the parent status line, and the
-    # cadence checkpoints; when no consumer exists the workers skip
-    # streaming entirely
-    if delta_interval is None and (
-        fleet_view is not None or status_interval is not None or writer is not None
-    ):
-        delta_interval = DEFAULT_DELTA_INTERVAL
 
     fleet = fleet_view if fleet_view is not None else FleetView()
     fleet.shards = shards
@@ -665,20 +614,6 @@ def run_parallel_scan(
                 delta.worker = None
                 delta.stolen_from = None
                 fleet.update(delta)
-
-    spec = _ShardSpec(
-        names=names,
-        shards=shards,
-        config=config,
-        wire_mode=wire_mode,
-        wire_sample=wire_sample,
-        collect_metrics=collect_metrics,
-        fault_plan=fault_plan,
-        chaos_seed=chaos_seed,
-        add_timestamp=add_timestamp,
-        collect_spans=collect_spans and span_out is not None,
-        delta_interval=delta_interval,
-    )
 
     pending: dict[int, deque[_ShardTask]] = {
         s: deque(t for t in tasks if t.shard == s and t.key not in restored)
@@ -921,23 +856,19 @@ def run_parallel_scan(
     # payloads and live payloads through the identical sequence, so the
     # merged stats/metrics are byte-identical to an uninterrupted run's
     merged_stats = ScanStats()
-    registry = MetricsRegistry(enabled=collect_metrics)
-    cache_totals: dict[str, int] = {}
-    cache_seen = False
-    utilisations = []
     per_shard_stats: dict[int, ScanStats] = {}
+    cache_stats = dnssec_stats = None
     for task in tasks:
         payload = payloads[task.key]
         task_stats = ScanStats.from_state(payload["stats"])
         merged_stats.merge(task_stats)
         per_shard_stats.setdefault(task.shard, ScanStats()).merge(task_stats)
-        registry.merge_dump(payload["metrics"], rename=_relabel_for(task.shard))
-        utilisations.append(payload["cpu_utilisation"])
-        if payload["cache"] is not None:
-            cache_seen = True
-            for cache_key, value in payload["cache"].items():
-                if cache_key != "hit_rate":
-                    cache_totals[cache_key] = cache_totals.get(cache_key, 0) + value
+        cache_stats = _add_counts(cache_stats, payload["cache"])
+        dnssec_stats = _add_counts(dnssec_stats, payload["dnssec"])
+    registry = fold_metrics(
+        ((task.shard, payloads[task.key]["metrics"]) for task in tasks),
+        enabled=config.metrics,
+    )
     shard_summaries = [
         {
             "shard": shard_index,
@@ -948,14 +879,10 @@ def run_parallel_scan(
         }
         for shard_index, shard_stats in sorted(per_shard_stats.items())
     ]
-    cache_stats = None
-    if cache_seen:
-        probes = cache_totals.get("hits", 0) + cache_totals.get("misses", 0)
-        cache_stats = dict(cache_totals)
-        cache_stats["hit_rate"] = round(
-            cache_totals.get("hits", 0) / probes if probes else 0.0, 4
-        )
-    cpu_utilisation = sum(utilisations) / len(utilisations) if utilisations else 0.0
+    if cache_stats is not None:
+        probes = cache_stats["hits"] + cache_stats["misses"]
+        cache_stats["hit_rate"] = round(cache_stats["hits"] / probes if probes else 0.0, 4)
+    cpu_utilisation = sum(payloads[task.key]["cpu_utilisation"] for task in tasks) / len(tasks)
     if registry.enabled:
         mp_scope = registry.scope("mp")
         mp_scope.gauge("processes").set(processes)
@@ -968,6 +895,7 @@ def run_parallel_scan(
         metrics=registry.snapshot(),
         cache_stats=cache_stats,
         cpu_utilisation=cpu_utilisation,
+        dnssec_stats=dnssec_stats,
         shard_summaries=shard_summaries,
         processes=processes,
         shards=shards,

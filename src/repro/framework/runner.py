@@ -7,7 +7,9 @@ free of DNS-specific logic.  The framework also owns the telemetry
 wiring (:mod:`repro.obs`): it builds the run's metrics registry, mirrors
 scan stats into the ``engine`` scope, publishes scheduler and cache
 pressure at scan end, drives the periodic status emitter on the virtual
-clock, and hands the span tracer to the resolver machines.
+clock, streams :class:`~repro.framework.telemetry.TelemetryDelta`
+snapshots to a ``progress`` consumer, and hands the span tracer to the
+resolver machines.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ..modules import ScanModule, get_module
 from ..net import CPUModel, GCModel, PortExhaustedError, SimUDPSocket
 from ..obs import MetricsRegistry, SpanTracer, StatusEmitter
 from .stats import ScanStats
+from .telemetry import DEFAULT_DELTA_INTERVAL, TelemetryDelta
 
 
 @dataclass
@@ -126,6 +129,18 @@ class ScanReport:
     #: explicit DS query after all).  Exact for a seed.
     dnssec_stats: dict | None = None
 
+    def summary(self) -> dict:
+        """The CLI's stderr summary: scan stats, cache, CPU, and the
+        oracle / DNSSEC tallies when the scan kept them."""
+        summary = self.stats.to_json()
+        summary["cache"] = self.cache_stats
+        summary["cpu_utilisation"] = round(self.cpu_utilisation, 3)
+        if self.oracle_stats is not None:
+            summary["oracle"] = self.oracle_stats
+        if self.dnssec_stats is not None:
+            summary["dnssec"] = self.dnssec_stats
+        return summary
+
 
 class ScanRunner:
     """Runs one scan on a simulated Internet."""
@@ -140,9 +155,7 @@ class ScanRunner:
         registry: MetricsRegistry | None = None,
         span_sink: Callable[[dict], None] | None = None,
         status_stream=None,
-        view=None,
-        progress: Callable[..., None] | None = None,
-        progress_interval: float | None = None,
+        progress: Callable[[TelemetryDelta], None] | None = None,
         target: int | None = None,
     ):
         self.internet = internet
@@ -161,21 +174,16 @@ class ScanRunner:
         self.span_sink = span_sink
         #: Status lines go here (default stderr).
         self.status_stream = status_stream
-        #: Control-plane view (:class:`~repro.framework.telemetry.ScanView`):
-        #: bound to the live stats/registry/cache at run start, marked
-        #: complete when the last routine finishes.  Read-only consumers
-        #: (the HTTP server) hang off it; the scan never reads it back.
-        self.view = view
-        #: Streaming telemetry hook: called every ``progress_interval``
-        #: *virtual* seconds with keyword args ``stats``, ``registry``,
-        #: ``in_flight``, ``now``, ``complete`` — and exactly once more,
-        #: ``complete=True``, when the last routine finishes.  The shard
-        #: executor uses it to stream :class:`TelemetryDelta` messages.
+        #: Streaming telemetry hook: handed a cumulative
+        #: :class:`TelemetryDelta` every :data:`DEFAULT_DELTA_INTERVAL`
+        #: *virtual* seconds, and exactly once more, ``complete=True``,
+        #: after the last routine finishes and every end-of-run scope is
+        #: published.  ``FleetView.update`` is one; the shard executor
+        #: stamps the task's shard/segment on and sends it up its pipe.
         self.progress = progress
-        self.progress_interval = progress_interval
         #: Total lookups this run will perform, when the caller knows it
         #: (materialised name lists) — enables done/target and ETA on
-        #: status lines and in the control-plane views.
+        #: status lines and in the control-plane view.
         self.target = target
 
     def run(self, names: Iterable[str]) -> ScanReport:
@@ -185,12 +193,11 @@ class ScanRunner:
 
         registry = self.registry
         if registry is None:
-            # the control plane (view / streaming progress) needs live
-            # metrics even when the run itself was not asked to keep them
+            # streamed deltas carry live metrics even when the run itself
+            # was not asked to keep them
             registry = MetricsRegistry(
                 enabled=config.metrics
                 or config.status_interval is not None
-                or self.view is not None
                 or self.progress is not None
             )
         engine_scope = registry.scope("engine")
@@ -264,15 +271,6 @@ class ScanRunner:
         if registry.enabled:
             stats.attach(engine_scope)
             inflight = engine_scope.gauge("inflight")
-        if self.view is not None:
-            self.view.bind(
-                stats=stats,
-                registry=registry,
-                cache=self.cache,
-                sim=sim,
-                inflight=inflight,
-                target=self.target,
-            )
         name_iter = iter(names)
         module = self.module
         sink = self.sink
@@ -345,44 +343,45 @@ class ScanRunner:
             ).start()
             finishers.append(emitter.stop)
 
-        emit_final_progress = None
+        emit_delta = None
         if self.progress is not None:
             progress = self.progress
-            interval = self.progress_interval or 1.0
-            progress_timer = [None]
+            seq = [0]
 
-            def _emit_progress(complete: bool) -> None:
+            def emit_delta(complete: bool) -> None:
+                seq[0] += 1
                 progress(
-                    stats=stats,
-                    registry=registry,
-                    in_flight=int(inflight.value) if inflight is not None else 0,
-                    now=sim.now,
-                    complete=complete,
+                    TelemetryDelta(
+                        shard=0,
+                        seq=seq[0],
+                        done=stats.total,
+                        successes=stats.successes,
+                        timeouts=stats.timeouts,
+                        retries=stats.retries_used,
+                        queries_sent=stats.queries_sent,
+                        in_flight=int(inflight.value) if inflight is not None else 0,
+                        virtual_now=sim.now,
+                        cursor=stats.total,
+                        target=self.target,
+                        complete=complete,
+                        # cumulative mergeable state: the final (complete)
+                        # delta is exactly a task checkpoint
+                        stats=stats.to_state(),
+                        metrics=registry.dump() if registry.enabled else [],
+                    )
                 )
 
-            def _progress_tick() -> None:
-                _emit_progress(False)
-                progress_timer[0] = sim.call_later(interval, _progress_tick)
+            ticker = [None]
 
-            progress_timer[0] = sim.call_later(interval, _progress_tick)
+            def _tick() -> None:
+                emit_delta(False)
+                ticker[0] = sim.call_later(DEFAULT_DELTA_INTERVAL, _tick)
 
-            def _progress_finish() -> None:
-                # only stop the repeating timer here: the final,
-                # complete=True emission happens after the end-of-run
-                # metric publishing below, so the delta it carries is
-                # the task's actual checkpoint state — emitting it from
-                # this finisher raced the end-of-run work (no scheduler/
-                # cache/net scopes yet, sinks not flushed) and shipped a
-                # checkpoint that undercounted the shard
-                if progress_timer[0] is not None:
-                    progress_timer[0].cancel()
-                    progress_timer[0] = None
-
-            finishers.append(_progress_finish)
-            emit_final_progress = _emit_progress
-
-        if self.view is not None:
-            finishers.append(self.view.finish)
+            ticker[0] = sim.call_later(DEFAULT_DELTA_INTERVAL, _tick)
+            # only the repeating timer stops with the last routine: the
+            # complete delta goes out after the end-of-run publishing
+            # below, so it carries the run's actual final state
+            finishers.append(lambda: ticker[0].cancel())
 
         if finishers:
             remaining = [len(futures)]
@@ -437,11 +436,8 @@ class ScanRunner:
         if registry.enabled:
             engine_scope.gauge("cpu_utilisation").set(round(cpu_utilisation, 4))
             engine_scope.gauge("threads_running").set(stats.threads_running)
-        if emit_final_progress is not None:
-            # the final, complete delta — a true task checkpoint: every
-            # end-of-run scope is published and (in the shard executor)
-            # the row/span sinks flush before the delta goes on the pipe
-            emit_final_progress(True)
+        if emit_delta is not None:
+            emit_delta(True)
         return ScanReport(
             stats=stats,
             cache_stats=(

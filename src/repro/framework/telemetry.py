@@ -1,12 +1,15 @@
 """Live scan telemetry: the streaming delta protocol and fleet views.
 
 The storage layer (:mod:`repro.obs`) can *record* a scan; this module is
-what lets an operator *watch* one from outside the process.  Three
+what lets an operator *watch* one from outside the process.  Two
 pieces:
 
-* :class:`TelemetryDelta` — the versioned message shard workers stream
-  to the parent over the executor's pipes: a cumulative snapshot of one
-  *task*'s progress counters, its
+* :class:`TelemetryDelta` — the versioned message a running scan emits:
+  :class:`~repro.framework.runner.ScanRunner` builds one every
+  :data:`DEFAULT_DELTA_INTERVAL` virtual seconds and once more, complete,
+  at the end, and shard workers stream them to the parent over the
+  executor's pipes.  A delta is a cumulative snapshot of one *task*'s
+  progress counters, its
   :class:`~repro.framework.stats.ScanStats` state, its metrics-registry
   dump, and its cursor (rows emitted so far).  *Cumulative* is the
   load-bearing property: a lost or coalesced delta costs freshness,
@@ -16,18 +19,17 @@ pieces:
   into segment tasks — and carries the scheduling annotations the
   parent stamps on receipt (``owner``, ``worker``, ``stolen_from``,
   ``resumed``).
-* :class:`FleetView` — the parent-side fold.  It keeps the latest delta
-  per task and rebuilds both the fleet aggregate and per-*shard* rows
-  (segments grouped back together) on demand, so the HTTP control plane
-  and the fleet status line read one consistent snapshot without ever
-  touching worker state.
-* :class:`ScanView` — the single-process equivalent: a thin, lock-free
-  view over the runner's *live* stats/registry/cache objects, shaped
-  like a one-shard fleet so ``/status.json`` looks the same either way.
+* :class:`FleetView` — the fold.  It keeps the latest delta per task
+  and rebuilds both the fleet aggregate and per-*shard* rows (segments
+  grouped back together) on demand, so the HTTP control plane and the
+  fleet status line read one consistent snapshot without ever touching
+  scan state.  A single-process scan feeds it directly
+  (``ScanRunner(progress=fleet.update)``) as a one-shard fleet, so
+  ``/status.json`` has one shape however the scan runs.
 
-Both views are read-only over the scan: the HTTP server thread only
-calls ``status_snapshot()`` / ``prometheus()``, never mutates, which is
-what keeps the server-on and server-off runs byte-identical.
+The view is read-only over the scan: the HTTP server thread only calls
+``status_snapshot()`` / ``prometheus()``, never mutates, which is what
+keeps the server-on and server-off runs byte-identical.
 """
 
 from __future__ import annotations
@@ -35,12 +37,18 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass
+from typing import Iterable
 
 from ..obs import MetricsRegistry
-from .stats import TIMEOUT_STATUSES as _TIMEOUT_STATUSES
 from .stats import ScanStats
 
-__all__ = ["DELTA_VERSION", "FleetView", "ScanView", "TelemetryDelta"]
+__all__ = [
+    "DEFAULT_DELTA_INTERVAL",
+    "DELTA_VERSION",
+    "FleetView",
+    "TelemetryDelta",
+    "fold_metrics",
+]
 
 #: Wire version of :class:`TelemetryDelta`.  Bump when fields change
 #: meaning; consumers (the parent fold, the checkpoint journal) must
@@ -48,6 +56,12 @@ __all__ = ["DELTA_VERSION", "FleetView", "ScanView", "TelemetryDelta"]
 #: v2: deltas are per ``(shard, segment)`` task and carry
 #: owner/worker/stolen_from/resumed scheduling state.
 DELTA_VERSION = 2
+
+#: Interval, in *virtual* seconds on the scan's clock, between deltas.
+#: Deterministic for a fixed corpus (virtual timers fire at the same
+#: points regardless of wall-clock load), so the message sequence itself
+#: is reproducible.
+DEFAULT_DELTA_INTERVAL = 0.5
 
 
 @dataclass
@@ -83,9 +97,10 @@ class TelemetryDelta:
     in_flight: int = 0
     #: Virtual-clock reading in the task's simulator at emission time.
     virtual_now: float = 0.0
-    #: Rows emitted so far.  The durable resume cursor is the *task
-    #: boundary* (completed tasks replay from the spool, incomplete
-    #: tasks re-run whole); this counter is the live progress within.
+    #: Lookups whose row has been emitted.  The durable resume cursor is
+    #: the *task boundary* (completed tasks replay from the spool,
+    #: incomplete tasks re-run whole); this counter is the live progress
+    #: within.
     cursor: int = 0
     #: Names assigned to this task (the task-local total target).
     target: int | None = None
@@ -125,10 +140,46 @@ class TelemetryDelta:
 _STATUS_SCOPES = ("faults", "health")
 
 
-def _scope_tree(registry: MetricsRegistry) -> dict:
-    """The ``faults``/``health`` sub-trees of a registry, when present."""
-    tree = registry.tree()
-    return {scope: tree[scope] for scope in _STATUS_SCOPES if scope in tree}
+def _relabel_for(shard_index: int):
+    """Metric renamer: per-shard labels for the scopes where summing
+    would destroy the signal (which server slice was faulted / unhealthy
+    in *this* shard's chaos stream, how many packets *this* shard's
+    codec handled), fleet sums for everything else."""
+
+    def relabel(name: str) -> str:
+        for scope in ("faults.", "health.", "codec."):
+            if name.startswith(scope):
+                return f"{scope}shard{shard_index}.{name[len(scope):]}"
+        return name
+
+    return relabel
+
+
+def fold_metrics(dumps: Iterable[tuple[int, list]], enabled: bool = True) -> MetricsRegistry:
+    """Fold per-task registry dumps, ``(shard, dump)`` in canonical task
+    order, into one fleet registry — the live view and the end-of-scan
+    merge both fold through here.
+
+    Counters, gauges and histograms add, with per-shard labels where
+    :func:`_relabel_for` keeps them.  Two gauges are ratios, whose sum
+    means nothing, so they are recomputed after the fold:
+    ``cache.hit_rate`` from the merged hits and misses, and
+    ``engine.cpu_utilisation`` as the mean over the tasks that published
+    it (each task models its own core pool).
+    """
+    registry = MetricsRegistry(enabled=enabled)
+    cpu_reports = 0
+    for shard, dump in dumps:
+        registry.merge_dump(dump, rename=_relabel_for(shard))
+        cpu_reports += any(name == "engine.cpu_utilisation" for name, _, _ in dump)
+    merged = {metric.name: metric for metric in registry}
+    if "cache.hit_rate" in merged:
+        hits, misses = merged["cache.hits"].value, merged["cache.misses"].value
+        merged["cache.hit_rate"].set(round(hits / (hits + misses), 4) if hits + misses else 0.0)
+    cpu = merged.get("engine.cpu_utilisation")
+    if cpu is not None:
+        cpu.set(round(cpu.value / cpu_reports, 4))
+    return registry
 
 
 def _shard_group_row(
@@ -180,11 +231,12 @@ def _shard_group_row(
 
 
 class FleetView:
-    """Thread-safe live state of a multi-process scan.
+    """Thread-safe live state of a scan, folded from its task deltas.
 
-    The executor's parent loop feeds it (:meth:`update` per delta,
-    :meth:`finish` at the end); the HTTP server and the fleet status
-    line read consistent snapshots.  All aggregation happens at read
+    The executor's parent loop — or, for a single-process scan, the
+    runner itself — feeds it (:meth:`update` per delta, :meth:`finish`
+    at the end); the HTTP server and the fleet status line read
+    consistent snapshots.  All aggregation happens at read
     time from the latest per-task deltas — updates are a dict store
     under a lock, so feeding the view never slows the merge loop.
     ``set_plan`` tells the view the shard decomposition up front, so a
@@ -291,19 +343,14 @@ class FleetView:
 
     def merged_registry(self) -> MetricsRegistry:
         """Live fleet registry: latest per-task dumps folded together
-        with the same per-shard relabelling the end-of-scan merge uses."""
-        from .parallel import _relabel_for  # local: avoid an import cycle
-
-        registry = MetricsRegistry(enabled=True)
+        by the same fold the end-of-scan merge uses."""
         with self._lock:
             dumps = [
                 (key[0], delta.metrics)
                 for key, delta in sorted(self._deltas.items())
                 if delta.metrics
             ]
-        for shard, dump in dumps:
-            registry.merge_dump(dump, rename=_relabel_for(shard))
-        return registry
+        return fold_metrics(dumps)
 
     def prometheus(self) -> str:
         return self.merged_registry().render_prometheus()
@@ -324,6 +371,7 @@ class FleetView:
         successes = sum(d.successes for d in deltas)
         average_rate = done / elapsed if elapsed > 0 else 0.0
         eta = None if complete else estimate_eta(done, self.target, average_rate)
+        tree = self.merged_registry().tree()
         return {
             "version": DELTA_VERSION,
             "run": dict(self.run_info),
@@ -348,139 +396,14 @@ class FleetView:
                 ),
                 "steals": sum(1 for d in deltas if d.stolen_from is not None),
                 "resumed_tasks": sum(1 for d in deltas if d.resumed),
+                # published when a task finishes: None until one has
+                "cache_hit_rate": tree.get("cache", {}).get("hit_rate"),
                 "complete": complete,
             },
             "shards": [
                 _shard_group_row(shard, ds, plan.get(shard, {}), elapsed)
                 for shard, ds in sorted(groups.items())
             ],
-            "scopes": _scope_tree(self.merged_registry()),
+            "scopes": {scope: tree[scope] for scope in _STATUS_SCOPES if scope in tree},
         }
 
-
-class ScanView:
-    """Single-process control-plane view: live references, fleet shape.
-
-    Bound by :class:`~repro.framework.runner.ScanRunner` at run start to
-    the scan's *live* ``ScanStats``, registry, cache, and simulator.
-    Reads happen from the HTTP server thread while the simulator thread
-    mutates; every read is either a plain attribute load (atomic under
-    the GIL) or retried on the rare ``RuntimeError`` a resizing dict
-    raises mid-iteration — the view never blocks or mutates the scan.
-    """
-
-    def __init__(self, run_info: dict | None = None, clock=time.monotonic):
-        self.run_info = dict(run_info or {})
-        self._clock = clock
-        self._started = clock()
-        self.target: int | None = None
-        self._stats = None
-        self._registry = None
-        self._cache = None
-        self._sim = None
-        self._inflight = None
-        self.complete = False
-
-    def bind(self, *, stats, registry=None, cache=None, sim=None,
-             inflight=None, target=None) -> "ScanView":
-        """Attach the live scan objects (called by the runner)."""
-        self._stats = stats
-        self._registry = registry
-        self._cache = cache
-        self._sim = sim
-        self._inflight = inflight
-        if target is not None:
-            self.target = target
-        self._started = self._clock()
-        return self
-
-    def finish(self) -> None:
-        self.complete = True
-
-    def _retry(self, fn, default):
-        """Run a read against live, mutating structures; a concurrently
-        resizing dict raises RuntimeError — retry, then fall back."""
-        for _ in range(8):
-            try:
-                return fn()
-            except RuntimeError:
-                continue
-        return default
-
-    def prometheus(self) -> str:
-        registry = self._registry
-        if registry is None or not registry.enabled:
-            return ""
-        return self._retry(registry.render_prometheus, "")
-
-    def status_snapshot(self) -> dict:
-        from ..obs.status import estimate_eta
-
-        elapsed = max(0.0, self._clock() - self._started)
-        stats = self._stats
-        done = stats.total if stats is not None else 0
-        successes = stats.successes if stats is not None else 0
-        timeouts = 0
-        if stats is not None:
-            timeouts = self._retry(
-                lambda: sum(stats.by_status.get(s, 0) for s in _TIMEOUT_STATUSES), 0
-            )
-        in_flight = int(self._inflight.value) if self._inflight is not None else 0
-        virtual_now = float(self._sim.now) if self._sim is not None else 0.0
-        average_rate = done / elapsed if elapsed > 0 else 0.0
-        complete = self.complete
-        eta = None if complete else estimate_eta(done, self.target, average_rate)
-        shard_row = {
-            "shard": 0,
-            "seq": done,
-            "done": done,
-            "target": self.target,
-            "successes": successes,
-            "timeouts": timeouts,
-            "retries": stats.retries_used if stats is not None else 0,
-            "queries_sent": stats.queries_sent if stats is not None else 0,
-            "in_flight": in_flight,
-            "virtual_now": round(virtual_now, 6),
-            "rate_per_s": round(average_rate, 2),
-            "complete": complete,
-            "segments": 1,
-            "segments_done": 1 if complete else 0,
-            "owner": 0,
-            "workers": [0],
-            "steals": 0,
-            "stolen_from": None,
-            "resumed": False,
-        }
-        scopes = {}
-        if self._registry is not None and self._registry.enabled:
-            scopes = self._retry(lambda: _scope_tree(self._registry), {})
-        snapshot = {
-            "version": DELTA_VERSION,
-            "run": dict(self.run_info),
-            "wall_elapsed_s": round(elapsed, 3),
-            "fleet": {
-                "done": done,
-                "target": self.target,
-                "successes": successes,
-                "success_rate": round(successes / done, 4) if done else 0.0,
-                "timeouts": timeouts,
-                "retries": shard_row["retries"],
-                "queries_sent": shard_row["queries_sent"],
-                "in_flight": in_flight,
-                "rate_per_s": round(average_rate, 2),
-                "eta_s": None if eta is None else round(eta, 1),
-                "virtual_now": round(virtual_now, 6),
-                "shards": 1,
-                "shards_reporting": 1 if stats is not None else 0,
-                "shards_complete": 1 if complete else 0,
-                "steals": 0,
-                "resumed_tasks": 0,
-                "complete": complete,
-            },
-            "shards": [shard_row] if stats is not None else [],
-            "scopes": scopes,
-        }
-        cache = self._cache
-        if cache is not None:
-            snapshot["fleet"]["cache_hit_rate"] = round(cache.stats.hit_rate, 4)
-        return snapshot

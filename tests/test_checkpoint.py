@@ -315,15 +315,13 @@ class TestJournalRejection:
 
 
 class TestConfigFingerprint:
-    def _fingerprint(self, *, seed=7, shards=4, quantum=4, digest="d", **extra):
+    def _fingerprint(self, *, seed=7, shards=4, quantum=4, digest="d", metrics=False, **extra):
         defaults = dict(
-            wire_mode="always", wire_sample=16, collect_metrics=False,
-            fault_plan=None, chaos_seed=None, add_timestamp=False,
-            collect_spans=False,
+            wire_mode="always", fault_plan=None, chaos_seed=None, add_timestamp=False,
         )
         defaults.update(extra)
         return config_fingerprint(
-            config=ScanConfig(module="A", seed=seed),
+            config=ScanConfig(module="A", seed=seed, metrics=metrics),
             shards=shards, steal_quantum=quantum, names_digest=digest,
             **defaults,
         )
@@ -336,15 +334,15 @@ class TestConfigFingerprint:
         assert base != self._fingerprint(digest="other")
         assert base != self._fingerprint(fault_plan="mild")
         assert base != self._fingerprint(add_timestamp=True)
+        assert base != self._fingerprint(metrics=True)
 
     def test_insensitive_to_wall_clock_knobs(self):
         """status_interval only shapes stderr; it must not block resume."""
         quiet = ScanConfig(module="A", seed=7, status_interval=None)
         chatty = ScanConfig(module="A", seed=7, status_interval=0.5)
         kwargs = dict(
-            shards=4, steal_quantum=4, wire_mode="always", wire_sample=16,
-            collect_metrics=False, fault_plan=None, chaos_seed=None,
-            add_timestamp=False, collect_spans=False, names_digest="d",
+            shards=4, steal_quantum=4, wire_mode="always", fault_plan=None,
+            chaos_seed=None, add_timestamp=False, names_digest="d",
         )
         assert config_fingerprint(config=quiet, **kwargs) == config_fingerprint(
             config=chatty, **kwargs

@@ -94,3 +94,20 @@ class TestMetadataFile:
         data = _json.loads(meta.read_text())
         assert data["total"] == 25
         assert "statuses" in data
+
+
+class TestControlPlaneFlag:
+    def test_server_leaves_single_process_rows_unchanged(self, names_file, tmp_path):
+        """A single-process scan streaming deltas to its control plane
+        writes exactly the rows of the same scan without a server."""
+        outputs = []
+        for extra in ([], ["--http-port", "0"]):
+            out = tmp_path / f"out-{len(outputs)}.jsonl"
+            code = main([
+                "A", "-f", names_file, "-o", str(out), "--no-timestamps",
+                "--threads", "10", "--seed", "5", "--quiet", *extra,
+            ])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 25

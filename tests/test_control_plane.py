@@ -1,8 +1,10 @@
 """Tests for the live scan control plane (repro.framework.telemetry +
-repro.obs.server): the versioned delta protocol, the parent-side fleet
-fold, the single-process view, ETA estimation, and the HTTP endpoints.
+repro.obs.server): the versioned delta protocol, the fleet fold (fed
+by the shard executor or by a single-process scan), ETA estimation, and
+the HTTP endpoints.
 """
 
+import io
 import json
 import urllib.error
 import urllib.request
@@ -15,8 +17,8 @@ from repro.framework import (
     FleetView,
     ScanConfig,
     ScanRunner,
-    ScanView,
     TelemetryDelta,
+    run_parallel_scan,
 )
 from repro.obs import MetricsRegistry, estimate_eta, parse_prometheus
 from repro.obs.server import DASHBOARD_HTML, TelemetryServer
@@ -216,7 +218,7 @@ class TestEstimateEta:
 
 
 # ---------------------------------------------------------------------------
-# ScanView + TelemetryServer: single-process control plane end to end
+# FleetView + TelemetryServer: single-process control plane end to end
 # ---------------------------------------------------------------------------
 
 
@@ -229,25 +231,27 @@ class TestServerEndpoints:
     def test_endpoints_serve_live_scan_state(self):
         internet = build_internet(params=EcosystemParams(seed=5))
         names = list(DomainCorpus(CorpusConfig(seed=5)).fqdns(60))
-        view = ScanView(run_info={"module": "A", "mode": "iterative"})
+        fleet = FleetView(run_info={"module": "A", "mode": "iterative"}, shards=1)
         server = TelemetryServer(
-            status=view.status_snapshot, metrics=view.prometheus
+            status=fleet.status_snapshot, metrics=fleet.prometheus
         ).start()
         try:
             assert server.port > 0
-            # before the scan binds: empty but well-formed documents
+            # before the first delta: empty but well-formed documents
             status, ctype, body = _get(f"{server.url}/status.json")
             assert status == 200 and ctype == "application/json"
             early = json.loads(body)
             assert early["fleet"]["done"] == 0
             assert early["shards"] == []
 
+            fleet.target = len(names)
             report = ScanRunner(
                 internet,
                 ScanConfig(module="A", threads=30, seed=5),
-                view=view,
+                progress=fleet.update,
                 target=len(names),
             ).run(names)
+            fleet.finish()
 
             status, _, body = _get(f"{server.url}/status.json")
             snapshot = json.loads(body)
@@ -271,8 +275,8 @@ class TestServerEndpoints:
             server.stop()
 
     def test_unknown_path_is_404(self):
-        view = ScanView()
-        with TelemetryServer(status=view.status_snapshot, metrics=view.prometheus) as server:
+        fleet = FleetView()
+        with TelemetryServer(status=fleet.status_snapshot, metrics=fleet.prometheus) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(f"{server.url}/nope")
             assert excinfo.value.code == 404
@@ -324,8 +328,8 @@ class TestServerEndpoints:
         assert by_shard[1]["stolen_from"] == 1
 
     def test_stop_is_idempotent_and_start_rebinds(self):
-        view = ScanView()
-        server = TelemetryServer(status=view.status_snapshot, metrics=view.prometheus)
+        fleet = FleetView()
+        server = TelemetryServer(status=fleet.status_snapshot, metrics=fleet.prometheus)
         server.start()
         first_port = server.port
         server.stop()
@@ -336,6 +340,48 @@ class TestServerEndpoints:
         assert status == 200
         server.stop()
         assert first_port > 0
+
+
+def _key_paths(document, prefix=""):
+    """Every key path of a JSON document; list items share one path."""
+    if isinstance(document, dict):
+        paths = set()
+        for key, value in document.items():
+            paths.add(f"{prefix}.{key}")
+            paths |= _key_paths(value, f"{prefix}.{key}")
+        return paths
+    if isinstance(document, list):
+        return set().union(*(_key_paths(item, f"{prefix}[]") for item in document))
+    return set()
+
+
+class TestOneStatusShape:
+    def test_single_process_status_matches_one_process_executor(self):
+        """A single-process scan streams the same deltas into the same
+        FleetView as the shard executor: ``/status.json`` has one shape."""
+        names = list(DomainCorpus(CorpusConfig(seed=5)).fqdns(40))
+        config = ScanConfig(module="A", threads=20, seed=5)
+
+        single = FleetView(run_info={"module": "A"}, shards=1, target=len(names))
+        ScanRunner(
+            build_internet(params=EcosystemParams(seed=5)),
+            config,
+            progress=single.update,
+            target=len(names),
+        ).run(names)
+        single.finish()
+
+        fleet = FleetView(run_info={"module": "A"})
+        run_parallel_scan(
+            names, config, processes=1, out=io.StringIO(), shards=1,
+            add_timestamp=False, fleet_view=fleet,
+        )
+
+        single_doc, fleet_doc = single.status_snapshot(), fleet.status_snapshot()
+        assert _key_paths(single_doc) == _key_paths(fleet_doc)
+        assert single_doc["fleet"]["done"] == fleet_doc["fleet"]["done"] == 40
+        assert single_doc["fleet"]["complete"] and fleet_doc["fleet"]["complete"]
+        assert 0.0 <= single_doc["fleet"]["cache_hit_rate"] <= 1.0
 
 
 class TestDashboard:

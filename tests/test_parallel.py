@@ -15,8 +15,9 @@ import pytest
 from repro.framework import FleetView, ScanConfig, run_parallel_scan
 from repro.framework.cli import main
 from repro.framework.io import shard
-from repro.framework.parallel import _plan_tasks, _relabel_for, _run_task, _ShardSpec
+from repro.framework.parallel import _plan_tasks, _run_task, _ShardSpec
 from repro.framework.stats import ScanStats
+from repro.framework.telemetry import fold_metrics
 from repro.obs import MetricsRegistry, parse_prometheus
 from repro.workloads import CorpusConfig, DomainCorpus
 
@@ -176,21 +177,20 @@ def corpus():
     return list(DomainCorpus(CorpusConfig(seed=91)).fqdns(NAMES))
 
 
-def _config(metrics=False):
+def _config(metrics=False, **overrides):
     return ScanConfig(
-        module="A", mode="iterative", threads=50, seed=11, metrics=metrics
+        module="A", mode="iterative", threads=50, seed=11, metrics=metrics, **overrides
     )
 
 
-def _run(corpus, processes, shards=4, metrics=False):
+def _run(corpus, processes, shards=4, metrics=False, **overrides):
     out = io_module.StringIO()
     report = run_parallel_scan(
         corpus,
-        _config(metrics=metrics),
+        _config(metrics=metrics, **overrides),
         processes=processes,
         out=out,
         shards=shards,
-        collect_metrics=metrics,
         add_timestamp=False,
     )
     return out.getvalue(), report
@@ -210,9 +210,9 @@ class TestParallelDeterminism:
         snap_4 = {k: v for k, v in report_4.metrics.items() if not k.startswith("mp.")}
         assert snap_1 == snap_4
 
-        # ...and that merged registry is exactly the sum of the per-task
+        # ...and that merged registry is exactly the fold of the per-task
         # registries: re-run every task in-process through the worker's
-        # own code path and fold the dumps with the parent's relabelling
+        # own code path and fold the dumps as the parent does
         class Collector:
             payload = None
 
@@ -221,15 +221,26 @@ class TestParallelDeterminism:
                     self.payload = message[2]
 
         spec = _ShardSpec(
-            names=corpus, shards=4, config=_config(metrics=True),
-            collect_metrics=True, add_timestamp=False,
+            names=corpus, shards=4, config=_config(metrics=True), add_timestamp=False,
         )
-        expected = MetricsRegistry(enabled=True)
+        dumps = []
         for task in _plan_tasks([len(list(shard(corpus, 4, k))) for k in range(4)], None):
             collector = Collector()
             _run_task(task, spec, collector)
-            expected.merge_dump(collector.payload["metrics"], rename=_relabel_for(task.shard))
-        assert expected.snapshot() == snap_4
+            dumps.append((task.shard, collector.payload["metrics"]))
+        assert fold_metrics(dumps).snapshot() == snap_4
+
+    def test_ratio_gauges_are_recomputed_not_summed(self, corpus):
+        """Regression: the fold summed every gauge, so the merged
+        ``cache.hit_rate`` of an 8-shard run read as the sum of eight
+        hit rates (> 1) and ``engine.cpu_utilisation`` as the sum of the
+        task utilisations."""
+        _, report = _run(corpus, processes=2, shards=8, metrics=True, dnssec=True)
+        metrics = report.metrics
+        assert metrics["cache.hit_rate"] == report.cache_stats["hit_rate"] <= 1
+        assert metrics["engine.cpu_utilisation"] == pytest.approx(
+            report.cpu_utilisation, abs=1e-4
+        )
 
     def test_rows_cover_every_name_exactly_once(self, corpus):
         out, report = _run(corpus, processes=2)
@@ -292,7 +303,6 @@ class TestParallelSpans:
             out=out,
             shards=shards,
             add_timestamp=False,
-            collect_spans=True,
             span_out=spans,
         )
         return spans.getvalue(), report
@@ -431,12 +441,11 @@ class TestFleetTelemetry:
         out, status = io_module.StringIO(), io_module.StringIO()
         run_parallel_scan(
             corpus,
-            _config(),
+            _config(status_interval=0.02),
             processes=2,
             out=out,
             shards=4,
             add_timestamp=False,
-            status_interval=0.02,
             status_stream=status,
         )
         for line in status.getvalue().splitlines():
@@ -527,3 +536,27 @@ class TestCliParallel:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == NAMES
+
+    def test_dnssec_summary_survives_processes(self, tmp_path, corpus, capsys):
+        """Regression: ``--processes N --dnssec`` printed no ``dnssec``
+        block, though the single-process summary carries one."""
+        names_file = tmp_path / "names.txt"
+        names_file.write_text("\n".join(corpus) + "\n")
+        summaries = []
+        for procs in ("1", "2"):
+            code = main(
+                [
+                    "A", "--input-file", str(names_file),
+                    "--output-file", str(tmp_path / f"out-{procs}.jsonl"),
+                    "--processes", procs, "--dnssec", "--no-timestamps",
+                    "--seed", "7", "--threads", "50",
+                ]
+            )
+            assert code == 0
+            summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert summary.pop("mp")["processes"] == int(procs)
+            summaries.append(summary)
+        assert summaries[0] == summaries[1]
+        dnssec = summaries[0]["dnssec"]
+        states = ("secure", "insecure", "bogus", "indeterminate")
+        assert sum(dnssec[state] for state in states) == summaries[0]["total"] == NAMES
