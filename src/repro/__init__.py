@@ -19,33 +19,24 @@ Public API surface:
 * :mod:`repro.analysis` — the Section 5 and 6 case studies.
 """
 
-from .core import (
-    IterativeMachine,
-    LookupResult,
-    Resolver,
-    ResolverConfig,
-    SelectiveCache,
-    Status,
-)
-from .ecosystem import EcosystemParams, build_internet
-from .framework import ScanConfig, ScanRunner, run_scan
-from .modules import available_modules, get_module
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "EcosystemParams",
-    "IterativeMachine",
-    "LookupResult",
-    "Resolver",
-    "ResolverConfig",
-    "ScanConfig",
-    "ScanRunner",
-    "SelectiveCache",
-    "Status",
-    "available_modules",
-    "build_internet",
-    "get_module",
-    "run_scan",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "IterativeMachine",
+            "LookupResult",
+            "Resolver",
+            "ResolverConfig",
+            "SelectiveCache",
+            "Status",
+        ),
+        ".ecosystem": ("EcosystemParams", "build_internet"),
+        ".framework": ("ScanConfig", "ScanRunner", "run_scan"),
+        ".modules": ("available_modules", "get_module"),
+    },
+)
+__all__ += ["__version__"]

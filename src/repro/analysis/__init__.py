@@ -1,15 +1,12 @@
 """repro.analysis — the paper's case studies as reusable analyses."""
 
-from .caastudy import CAAFindings, run_caa_study
-from .dnssecstudy import DNSSECFindings, expected_outcome, run_dnssec_study
-from .nsconsistency import NSConsistencyFindings, run_ns_consistency_study
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CAAFindings",
-    "DNSSECFindings",
-    "NSConsistencyFindings",
-    "expected_outcome",
-    "run_caa_study",
-    "run_dnssec_study",
-    "run_ns_consistency_study",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".caastudy": ("CAAFindings", "run_caa_study"),
+        ".dnssecstudy": ("DNSSECFindings", "expected_outcome", "run_dnssec_study"),
+        ".nsconsistency": ("NSConsistencyFindings", "run_ns_consistency_study"),
+    },
+)

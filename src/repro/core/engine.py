@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from ..dnslib import Message, add_edns
 from ..dnslib.edns import OPT
@@ -24,12 +25,13 @@ from ..net import (
     SimNetwork,
     SimUDPSocket,
     SourceIPPool,
-    UDPTransport,
 )
 from .cache import SelectiveCache
 from .config import ClientCostModel, ResolverConfig
-from .dnssec import trust_anchor_for
 from .machine import Backoff, LookupResult, SendQuery
+
+if TYPE_CHECKING:  # live transports load only where a live scan builds one
+    from ..net import UDPTransport
 
 
 class SimDriver:
@@ -254,8 +256,12 @@ class Resolver:
         config = replace(config or ResolverConfig())
         if record_trace:
             config.record_trace_results = True
-        if config.dnssec and config.trust_anchor is None:
-            config.trust_anchor = trust_anchor_for(internet.synth)
+        if config.dnssec:
+            # the validator loads with a validating stack, not mid-lookup
+            from .dnssec import trust_anchor_for
+
+            if config.trust_anchor is None:
+                config.trust_anchor = trust_anchor_for(internet.synth)
         self.config = config
         sim = internet.sim
         if cache is None and iterative:

@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from ..dnslib import Message, Name, Rcode, ResourceRecord, RRType
 from .cache import Delegation, SelectiveCache
 from .config import ResolverConfig
-from .dnssec import INDETERMINATE, ChainEvidence, Validator
 from .status import Status, status_from_rcode
 from .trace import Trace, TraceStep, message_to_json
 from .validation import sanitize_response, validate_response_shape
+
+if TYPE_CHECKING:  # the validator loads with a validating resolver (core.engine)
+    from .dnssec import ChainEvidence
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,8 @@ class IterativeMachine:
             name=name.to_text(omit_final_dot=True), qtype=qtype, resolver="iterative"
         )
         if self.config.dnssec:
+            from .dnssec import ChainEvidence
+
             result.evidence = ChainEvidence()
         budget = _Budget(self.config.max_queries)
         tracer = self.config.tracer
@@ -217,6 +222,8 @@ class IterativeMachine:
         its budget) but not its evidence: that stays what the lookup
         itself saw — above all the zone that issued the final denial —
         whatever servers validating it then talks to."""
+        from .dnssec import INDETERMINATE, Validator
+
         evidence, result.evidence = result.evidence, None
         sent_before = budget.sent
         try:

@@ -32,6 +32,11 @@ class Status(str, enum.Enum):
         return self in (Status.NOERROR, Status.NXDOMAIN)
 
 
+#: Statuses with resolution *meaning*; everything else is a failure to
+#: resolve (timeouts, lame zones, unreachable servers, chase limits).
+SEMANTIC_STATUSES = frozenset({"NOERROR", "NXDOMAIN"})
+
+
 _STATUS_BY_RCODE = {
     int(Rcode.NOERROR): Status.NOERROR,
     int(Rcode.NXDOMAIN): Status.NXDOMAIN,

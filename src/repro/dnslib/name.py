@@ -263,12 +263,17 @@ class Name:
         return enc
 
     def suffix_keys(self) -> tuple[tuple[bytes, ...], ...]:
-        """``canonical_key()[i:]`` for each label position, memoised —
-        the compression map probes these without re-slicing per write."""
+        """``labels[i:]`` for each label position, memoised — the
+        compression map probes these without re-slicing per write.
+
+        The labels are spelled exactly as given, not case-folded: a
+        pointer stands for the bytes it points at, so a suffix may only
+        reuse an earlier one spelled the same way, or the decoded name
+        would change case (RFC 4343 asks that case be preserved)."""
         suffixes = self._suffixes
         if suffixes is None:
-            key = self._key
-            suffixes = tuple(key[i:] for i in range(len(key)))
+            labels = self.labels
+            suffixes = tuple(labels[i:] for i in range(len(labels)))
             self._suffixes = suffixes
         return suffixes
 

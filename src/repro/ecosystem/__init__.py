@@ -5,52 +5,38 @@ plus the in-addr.arpa hierarchy), authoritative server models with the
 paper's observed misbehaviours, and public recursive resolver models.
 """
 
-from .deltas import ZoneDelta, publish_zone_delta
-from .dnssec import EPOCH_BASE
-from .params import (
-    CLOUDFLARE_RESOLVER_IP,
-    GOOGLE_RESOLVER_IP,
-    ROOT_SERVER_IPS,
-    EcosystemParams,
-    ProviderProfile,
-    all_tlds,
-    tld_class,
-)
-from .publicresolver import PublicResolver
-from .servers import (
-    ArpaServer,
-    InfraServer,
-    ProviderAuthServer,
-    RdnsOperatorServer,
-    RootServer,
-    TLDServer,
-)
-from .universe import SimInternet, build_internet
-from .zonegen import CAAProfile, DnssecProfile, DomainProfile, NameserverInfo, ZoneSynthesizer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArpaServer",
-    "CAAProfile",
-    "CLOUDFLARE_RESOLVER_IP",
-    "DnssecProfile",
-    "DomainProfile",
-    "EPOCH_BASE",
-    "EcosystemParams",
-    "GOOGLE_RESOLVER_IP",
-    "InfraServer",
-    "NameserverInfo",
-    "ProviderAuthServer",
-    "ProviderProfile",
-    "PublicResolver",
-    "ROOT_SERVER_IPS",
-    "RdnsOperatorServer",
-    "RootServer",
-    "SimInternet",
-    "TLDServer",
-    "ZoneDelta",
-    "ZoneSynthesizer",
-    "all_tlds",
-    "build_internet",
-    "publish_zone_delta",
-    "tld_class",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".deltas": ("ZoneDelta", "publish_zone_delta"),
+        ".dnssec": ("EPOCH_BASE",),
+        ".params": (
+            "CLOUDFLARE_RESOLVER_IP",
+            "GOOGLE_RESOLVER_IP",
+            "ROOT_SERVER_IPS",
+            "EcosystemParams",
+            "ProviderProfile",
+            "all_tlds",
+            "tld_class",
+        ),
+        ".publicresolver": ("PublicResolver",),
+        ".servers": (
+            "ArpaServer",
+            "InfraServer",
+            "ProviderAuthServer",
+            "RdnsOperatorServer",
+            "RootServer",
+            "TLDServer",
+        ),
+        ".universe": ("SimInternet", "build_internet"),
+        ".zonegen": (
+            "CAAProfile",
+            "DnssecProfile",
+            "DomainProfile",
+            "NameserverInfo",
+            "ZoneSynthesizer",
+        ),
+    },
+)

@@ -29,6 +29,9 @@ def rr(name: Name, rrtype: RRType, ttl: int, rdata) -> ResourceRecord:
 
 @lru_cache(maxsize=8192)
 def soa_for(zone: Name) -> ResourceRecord:
+    """The SOA at ``zone``'s apex.  ``zone`` must be spelled canonically
+    (lower case): the cache key ignores case, so any other spelling
+    would become the owner every later caller gets."""
     return rr(
         zone,
         RRType.SOA,

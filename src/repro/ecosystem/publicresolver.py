@@ -128,7 +128,7 @@ class PublicResolver:
             penalty = _DEAD_PENALTY if self._cold_query else 0.02
             return query.make_response(rcode=Rcode.SERVFAIL), extra + penalty
         if not profile.exists:
-            return nxdomain(query, Name((name.labels[-1],))), extra
+            return nxdomain(query, Name.intern(name.canonical_key()[-1:])), extra
         answer = build_answer(self.synth, query, profile, ns=None, protocol=protocol_for(query))
         if answer.rcode == Rcode.NOERROR and answer.answers:
             answer = self._chase_cname(answer, profile)

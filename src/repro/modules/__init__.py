@@ -5,39 +5,27 @@ mxlookup, nslookup), misc modules (spf, dmarc, bind.version), the CAA
 case-study module, and the all-nameservers case-study module.
 """
 
-from .base import (
-    ModuleContext,
-    ScanModule,
-    available_modules,
-    get_module,
-    register_module,
+from .._lazy import lazy_exports
+
+# the record-type modules register with the package; the rest register
+# when the registry first meets a name it does not know (``base``)
+from . import raw  # noqa: F401
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".allnameservers": ("AllNameserversModule",),
+        ".axfr": ("AXFRModule",),
+        ".base": (
+            "ModuleContext",
+            "ScanModule",
+            "available_modules",
+            "get_module",
+            "register_module",
+        ),
+        ".lookups": ("ALookupModule", "MXLookupModule", "NSLookupModule"),
+        ".misc": ("BindVersionModule", "CAAModule", "DMARCModule", "SPFModule"),
+        ".openresolver": ("OpenResolverModule",),
+        ".raw": ("RAW_MODULE_TYPES", "RawModule"),
+    },
 )
-
-# Importing the implementations populates the registry.
-from . import allnameservers, axfr, lookups, misc, openresolver, raw  # noqa: E402,F401
-from .allnameservers import AllNameserversModule
-from .axfr import AXFRModule
-from .openresolver import OpenResolverModule
-from .lookups import ALookupModule, MXLookupModule, NSLookupModule
-from .misc import BindVersionModule, CAAModule, DMARCModule, SPFModule
-from .raw import RAW_MODULE_TYPES, RawModule
-
-__all__ = [
-    "ALookupModule",
-    "AXFRModule",
-    "OpenResolverModule",
-    "AllNameserversModule",
-    "BindVersionModule",
-    "CAAModule",
-    "DMARCModule",
-    "MXLookupModule",
-    "ModuleContext",
-    "NSLookupModule",
-    "RAW_MODULE_TYPES",
-    "RawModule",
-    "SPFModule",
-    "ScanModule",
-    "available_modules",
-    "get_module",
-    "register_module",
-]

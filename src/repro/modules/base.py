@@ -13,6 +13,7 @@ receive responses), built by composing the core machines with
 
 from __future__ import annotations
 
+import importlib
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -90,6 +91,11 @@ class ScanModule:
 
 _REGISTRY: dict[str, Callable[[], ScanModule]] = {}
 
+#: The files whose modules register themselves when imported, besides
+#: ``raw`` (every record type, loaded with the package).  A scan uses
+#: one module, so these load the first time a name is not yet known.
+_MORE_MODULES = ("allnameservers", "axfr", "lookups", "misc", "openresolver")
+
 
 def register_module(cls: type[ScanModule]) -> type[ScanModule]:
     """Class decorator adding a module to the global registry."""
@@ -99,10 +105,18 @@ def register_module(cls: type[ScanModule]) -> type[ScanModule]:
     return cls
 
 
+def _register_all() -> None:
+    for name in _MORE_MODULES:
+        importlib.import_module(f"{__package__}.{name}")
+
+
 def get_module(name: str) -> ScanModule:
     """Instantiate a registered module by (case-insensitive) name."""
+    key = name.upper()
+    if key not in _REGISTRY:
+        _register_all()
     try:
-        return _REGISTRY[name.upper()]()
+        return _REGISTRY[key]()
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown module {name!r}; available: {known}") from None
@@ -110,4 +124,5 @@ def get_module(name: str) -> ScanModule:
 
 def available_modules() -> list[str]:
     """Names of every registered module, sorted."""
+    _register_all()
     return sorted(_REGISTRY)

@@ -6,62 +6,39 @@ the paper measured, plus a real UDP transport for loopback/production
 use.
 """
 
-from .cpu import CPUModel, GCModel
-from .links import (
-    CapacityQueue,
-    GilbertElliottLoss,
-    LatencyModel,
-    LossModel,
-    TokenBucket,
-)
-from .live import UDPServer, UDPTransport
-from .sim import (
-    HangError,
-    Routine,
-    SimFuture,
-    SimulationError,
-    Simulator,
-    TimerHandle,
-    derive_seed,
-)
-from .sockets import (
-    DEFAULT_PORTS_PER_IP,
-    NetworkStats,
-    PortExhaustedError,
-    ServerReply,
-    SimNetwork,
-    SimServer,
-    SimUDPSocket,
-    SourceIPPool,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CPUModel",
-    "CapacityQueue",
-    "DEFAULT_PORTS_PER_IP",
-    "GCModel",
-    "GilbertElliottLoss",
-    "HangError",
-    "LatencyModel",
-    "LossModel",
-    "NetworkStats",
-    "PortExhaustedError",
-    "Routine",
-    "ServerReply",
-    "SimFuture",
-    "SimNetwork",
-    "SimServer",
-    "SimUDPSocket",
-    "SimulationError",
-    "Simulator",
-    "SourceIPPool",
-    "TimerHandle",
-    "TokenBucket",
-    "UDPServer",
-    "UDPTransport",
-    "derive_seed",
-]
-
-from .encrypted import EncryptedTransportParams, SimEncryptedSocket  # noqa: E402
-
-__all__ += ["EncryptedTransportParams", "SimEncryptedSocket"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cpu": ("CPUModel", "GCModel"),
+        ".encrypted": ("EncryptedTransportParams", "SimEncryptedSocket"),
+        ".links": (
+            "CapacityQueue",
+            "GilbertElliottLoss",
+            "LatencyModel",
+            "LossModel",
+            "TokenBucket",
+        ),
+        ".live": ("UDPServer", "UDPTransport"),
+        ".sim": (
+            "HangError",
+            "Routine",
+            "SimFuture",
+            "SimulationError",
+            "Simulator",
+            "TimerHandle",
+            "derive_seed",
+        ),
+        ".sockets": (
+            "DEFAULT_PORTS_PER_IP",
+            "NetworkStats",
+            "PortExhaustedError",
+            "ServerReply",
+            "SimNetwork",
+            "SimServer",
+            "SimUDPSocket",
+            "SourceIPPool",
+        ),
+    },
+)

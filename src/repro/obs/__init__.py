@@ -18,36 +18,24 @@ one package:
 whole layer against small simulated scans.
 """
 
-from .metadata import build_run_metadata, write_metadata
-from .metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullInstrument,
-    Scope,
-    parse_prometheus,
-)
-from .server import TelemetryServer
-from .spans import Span, SpanTracer
-from .status import StatusEmitter, estimate_eta, format_status_line
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullInstrument",
-    "Scope",
-    "Span",
-    "SpanTracer",
-    "StatusEmitter",
-    "TelemetryServer",
-    "build_run_metadata",
-    "estimate_eta",
-    "format_status_line",
-    "parse_prometheus",
-    "write_metadata",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".metadata": ("build_run_metadata", "write_metadata"),
+        ".metrics": (
+            "NULL_REGISTRY",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "NullInstrument",
+            "Scope",
+            "parse_prometheus",
+        ),
+        ".server": ("TelemetryServer",),
+        ".spans": ("Span", "SpanTracer"),
+        ".status": ("StatusEmitter", "estimate_eta", "format_status_line"),
+    },
+)

@@ -29,38 +29,23 @@ fault-plan sweep with zero divergences, and a planted lying cache that
 must be caught and shrunk to a fault-free case.
 """
 
-from .harness import (
-    ComboReport,
-    DifferentialConfig,
-    DifferentialOracle,
-    DifferentialReport,
-    Divergence,
-    ProductionView,
-    compare_views,
-    production_view,
-    run_differential,
-)
-from .reference import (
-    SEMANTIC_STATUSES,
-    OracleResult,
-    ReferenceResolver,
-)
-from .shrink import MinimalCase, check_one, shrink_divergence
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SEMANTIC_STATUSES",
-    "OracleResult",
-    "ReferenceResolver",
-    "ProductionView",
-    "production_view",
-    "compare_views",
-    "Divergence",
-    "DifferentialOracle",
-    "DifferentialConfig",
-    "ComboReport",
-    "DifferentialReport",
-    "run_differential",
-    "MinimalCase",
-    "check_one",
-    "shrink_divergence",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".harness": (
+            "ComboReport",
+            "DifferentialConfig",
+            "DifferentialOracle",
+            "DifferentialReport",
+            "Divergence",
+            "ProductionView",
+            "compare_views",
+            "production_view",
+            "run_differential",
+        ),
+        ".reference": ("SEMANTIC_STATUSES", "OracleResult", "ReferenceResolver"),
+        ".shrink": ("MinimalCase", "check_one", "shrink_divergence"),
+    },
+)

@@ -32,13 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.status import SEMANTIC_STATUSES
 from ..dnslib import Message, Name, RRType
 from ..dnslib.types import Rcode
 from ..ecosystem import EcosystemParams, build_internet
-
-#: Statuses with resolution *meaning*; everything else is a failure to
-#: resolve (timeouts, lame zones, unreachable servers, chase limits).
-SEMANTIC_STATUSES = frozenset({"NOERROR", "NXDOMAIN"})
 
 _CLIENT_IP = "192.0.2.200"
 

@@ -11,7 +11,12 @@ prefetch of hot about-to-expire entries, and incremental (Janus-style)
 vs full-flush revalidation when the universe publishes zone deltas.
 """
 
-from .config import ServiceConfig
-from .daemon import ResolverService, ServiceReport, run_service
+from .._lazy import lazy_exports
 
-__all__ = ["ResolverService", "ServiceConfig", "ServiceReport", "run_service"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("ServiceConfig",),
+        ".daemon": ("ResolverService", "ServiceReport", "run_service"),
+    },
+)

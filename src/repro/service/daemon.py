@@ -51,12 +51,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..core import IterativeMachine, Resolver, ResolverConfig, SelectiveCache
+from ..core.status import SEMANTIC_STATUSES
 from ..dnslib import Name, RRType
 from ..ecosystem import EcosystemParams, ZoneDelta, build_internet, publish_zone_delta
-from ..faults import Blackout, FaultInjector, FaultPlan
 from ..net import SimFuture, SimUDPSocket, derive_seed
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-from ..oracle import SEMANTIC_STATUSES, DifferentialOracle
 from ..workloads import CorpusConfig, DomainCorpus
 from .config import ServiceConfig
 
@@ -185,6 +184,8 @@ class ResolverService:
         self._zipf_cdf = cumulative
 
         if cfg.blackouts:
+            from ..faults import Blackout, FaultInjector, FaultPlan
+
             plan = FaultPlan(
                 directives=[
                     Blackout(servers=("*",), start=start, end=end)
@@ -196,11 +197,11 @@ class ResolverService:
                 plan, sim=self.sim, seed=derive_seed(cfg.seed, "chaos") % (2**31)
             ).attach(self.internet.network)
 
-        self.oracle = (
-            DifferentialOracle(seed=cfg.seed, dnssec=cfg.dnssec)
-            if cfg.oracle_check_every > 0
-            else None
-        )
+        self.oracle = None
+        if cfg.oracle_check_every > 0:
+            from ..oracle import DifferentialOracle
+
+            self.oracle = DifferentialOracle(seed=cfg.seed, dnssec=cfg.dnssec)
 
         # -- run state -----------------------------------------------------
         self._queue: deque[_Job] = deque()

@@ -3,25 +3,17 @@ and the package version is coherent."""
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
 import repro
 
-PACKAGES = [
-    "repro",
-    "repro.analysis",
-    "repro.baselines",
-    "repro.core",
-    "repro.dnslib",
-    "repro.ecosystem",
-    "repro.framework",
-    "repro.modules",
-    "repro.net",
-    "repro.obs",
-    "repro.oracle",
-    "repro.workloads",
-]
+#: ``repro`` and every package under it, found rather than listed, so a
+#: new package's ``__all__`` is held to the same rules from day one.
+PACKAGES = ["repro"] + sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+)
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)

@@ -30,7 +30,7 @@ from repro.dnslib import (
     peek_txid,
 )
 from repro.dnslib.rdata.address import A, AAAA
-from repro.dnslib.rdata.names import NS
+from repro.dnslib.rdata.names import CNAME, NS
 from repro.dnslib.rdata.text import TXT
 from repro.net import LatencyModel, ServerReply, SimNetwork, Simulator, UDPTransport
 
@@ -67,6 +67,23 @@ def test_decoded_values_match_construction():
     assert [r.rdata for r in glue] == [A("10.7.0.1"), A("10.7.0.2")]
     txt = decoded.answers[0]
     assert txt.rdata == TXT((b"hello", b"world"))
+
+
+def test_compression_keeps_the_spelling_of_each_name():
+    """A CNAME target that differs from the owner's suffix only in case
+    is written out, not pointed at the other spelling (RFC 4343)."""
+    clear_codec_caches()
+    query = Message.make_query("www.example.com", RRType.A, txid=7)
+    response = query.make_response()
+    response.answers.append(
+        _rr("www.example.com", RRType.CNAME, CNAME(Name.from_text("EXAMPLE.com")))
+    )
+    response.answers.append(_rr("EXAMPLE.com", RRType.A, A("192.0.2.1")))
+    decoded = Message.from_wire(response.to_wire())
+    cname, address = decoded.answers
+    assert cname.rdata.target.to_text() == "EXAMPLE.com."
+    assert address.name.to_text() == "EXAMPLE.com."
+    assert decoded.questions[0].name.to_text() == "www.example.com."
 
 
 def test_bytearray_input_is_copied_before_decode():

@@ -10,12 +10,13 @@ under both wire modes: the codec may not change a result, and neither
 may anything off by default (``--dnssec`` off sets no DO bit, stores no
 memo) — and under ``always`` not one packet may fail to decode."""
 
+import io
 import json
 
 import pytest
 
 from repro.ecosystem import EcosystemParams, build_internet
-from repro.framework import ScanConfig, ScanRunner
+from repro.framework import JsonLineSink, ScanConfig, ScanRunner
 from repro.framework.cli import main
 from repro.workloads import CorpusConfig, DomainCorpus, dense_ptr_targets
 
@@ -164,3 +165,34 @@ def test_paper_shapes_match_pinned_fingerprints(shape, wire_mode):
         # its original object: each one decoded
         assert report.network_stats["wire_validations"] > 0
         assert report.network_stats["wire_errors"] == 0
+
+
+# -- case: what a name is spelled as never depends on wire mode or order -----
+
+#: A corpus base domain, and its ``www`` name (a CNAME to the apex at
+#: seed 2022), asked first in upper case.
+_MIXED_CASE = ["D7306587-9.com", "www.d7306587-9.com"]
+
+
+def _rows(names, wire_mode):
+    internet = build_internet(params=EcosystemParams(seed=SHAPE_SEED), wire_mode=wire_mode)
+    out = io.StringIO()
+    config = ScanConfig(module="A", mode="iterative", threads=1, seed=SHAPE_SEED)
+    ScanRunner(internet, config, sink=JsonLineSink(out, add_timestamp=False)).run(names)
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def test_wire_mode_keeps_the_spelling_of_mixed_case_names():
+    """Name compression may not point one spelling at another: a scan
+    reads the same rows whether or not every packet crosses the codec."""
+    assert _rows(_MIXED_CASE, "always") == _rows(_MIXED_CASE, "never")
+
+
+@pytest.mark.parametrize("wire_mode", ["always", "never"])
+def test_zone_data_is_spelled_the_same_whoever_asks_first(wire_mode):
+    """The ``www`` CNAME target is the zone's spelling of the apex, not
+    the spelling of the first query that built the zone's profile."""
+    alone = _rows(_MIXED_CASE[1:], wire_mode)[0]
+    after_upper = _rows(_MIXED_CASE, wire_mode)[1]
+    assert after_upper["data"]["answers"] == alone["data"]["answers"]
+    assert alone["data"]["answers"][0]["answer"] == "d7306587-9.com."
