@@ -13,7 +13,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".health": ("ServerHealthTracker",),
         ".machine": ("Backoff", "ExternalMachine", "IterativeMachine", "LookupResult", "SendQuery"),
         ".status": ("Status", "status_from_rcode"),
-        ".trace": ("Trace", "TraceStep", "message_to_json"),
+        ".trace": ("SpanTracer", "Trace", "TraceStep", "message_to_json"),
         ".validation": (
             "ValidationReport",
             "in_bailiwick",

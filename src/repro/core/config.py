@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
+
+from .trace import SpanTracer
 
 
 @dataclass
@@ -37,18 +39,17 @@ class ResolverConfig:
     #: glue as a performance simplification; turn on against servers
     #: that keep glue in-bailiwick.
     strict_bailiwick: bool = False
-    #: Record full response JSON in trace steps (Appendix C output).
+    #: Keep each query's full response JSON on its Appendix C row.
     record_trace_results: bool = False
-    #: Assemble per-query TraceStep rows at all.  The scan runner turns
-    #: this off when no output sink will consume rows — lookup behaviour
-    #: is identical, only the bookkeeping is skipped.
-    collect_trace: bool = True
-    #: A :class:`repro.obs.spans.SpanTracer` (or None).  When set, the
-    #: machines wrap every resolution step — delegation walk, cache
-    #: probe, query attempt, retry, timeout — in parent/child spans on
-    #: the tracer's clock.  None (the default) costs one attribute read
-    #: per lookup step.
-    tracer: Any = None
+    #: The run's :class:`~repro.core.trace.SpanTracer` (clock, span-id
+    #: counter, span sink), or None to record nothing.  While set, every
+    #: lookup records its steps — delegation walk, cache probe, query
+    #: attempt, TCP retry, glueless chase — on ``LookupResult.trace``,
+    #: which renders both the Appendix C rows and, when the tracer has a
+    #: sink, the span rows.  The default tracer has no clock and no sink:
+    #: rows only.  The scan runner sets None when nothing consumes rows
+    #: or spans; lookup behaviour is identical either way.
+    tracer: SpanTracer | None = field(default_factory=SpanTracer, compare=False)
     #: Exponential backoff with decorrelated jitter between retry
     #: attempts: the first pause draws uniform from
     #: ``[backoff_base, 3*backoff_base]`` and each subsequent pause from

@@ -20,7 +20,7 @@ from ..dnslib import Message, Name, Rcode, ResourceRecord, RRType
 from .cache import Delegation, SelectiveCache
 from .config import ResolverConfig
 from .status import Status, status_from_rcode
-from .trace import Trace, TraceStep, message_to_json
+from .trace import Trace, message_to_json
 from .validation import sanitize_response, validate_response_shape
 
 if TYPE_CHECKING:  # the validator loads with a validating resolver (core.engine)
@@ -99,8 +99,9 @@ class LookupResult:
             "status": str(self.status),
             "data": data,
         }
-        if len(self.trace):
-            out["trace"] = self.trace.to_json()
+        trace = self.trace.to_json()
+        if trace:
+            out["trace"] = trace
         return out
 
 
@@ -177,37 +178,30 @@ class IterativeMachine:
         if isinstance(name, str):
             name = Name.from_text(name)
         result = LookupResult(
-            name=name.to_text(omit_final_dot=True), qtype=qtype, resolver="iterative"
+            name=name.to_text(omit_final_dot=True),
+            qtype=qtype,
+            trace=Trace(self.config.tracer),
+            resolver="iterative",
         )
         if self.config.dnssec:
             from .dnssec import ChainEvidence
 
             result.evidence = ChainEvidence()
         budget = _Budget(self.config.max_queries)
-        tracer = self.config.tracer
-        span = (
-            tracer.start("lookup", name=result.name, type=int(qtype))
-            if tracer is not None
-            else None
-        )
+        trace = result.trace
+        trace.open("lookup", name=result.name, type=int(qtype))
         try:
-            answers, status = yield from self._resolve_with_cnames(
-                name, qtype, result, budget, span
-            )
+            answers, status = yield from self._resolve_with_cnames(name, qtype, result, budget)
             result.status = status
             result.answers = answers
         except _Abort as abort:
+            trace.unwind(str(abort.status))
             result.status = abort.status
         if self.config.dnssec:
             yield from self._validate(result, budget)
         result.queries_sent = budget.sent
         result.retries_used = budget.retries
-        if span is not None:
-            span.finish(
-                status=str(result.status),
-                queries=budget.sent,
-                retries=budget.retries,
-            )
+        trace.close(str(result.status), queries=budget.sent, retries=budget.retries)
         return result
 
     # ------------------------------------------------------------------
@@ -228,19 +222,18 @@ class IterativeMachine:
         sent_before = budget.sent
         try:
             result.security = yield from Validator(self).validate(result, evidence, budget)
-        except _Abort:
+        except _Abort as abort:
+            result.trace.unwind(str(abort.status))
             result.security = INDETERMINATE
         finally:
             result.evidence = evidence
         evidence.chain_queries = budget.sent - sent_before
 
-    def _resolve_with_cnames(self, name: Name, qtype: RRType, result, budget, span=None):
+    def _resolve_with_cnames(self, name: Name, qtype: RRType, result, budget):
         answers: list[ResourceRecord] = []
         current = name
         for _hop in range(self.config.max_cname_chase + 1):
-            step_answers, status = yield from self._resolve_once(
-                current, qtype, result, budget, parent=span
-            )
+            step_answers, status = yield from self._resolve_once(current, qtype, result, budget)
             answers.extend(step_answers)
             if status != Status.NOERROR or int(qtype) in (int(RRType.CNAME), int(RRType.ANY)):
                 return answers, status
@@ -250,56 +243,27 @@ class IterativeMachine:
             current = target
         return answers, Status.ERROR  # CNAME chain too long
 
-    def _resolve_once(self, name: Name, qtype: RRType, result, budget, depth: int = 0, parent=None):
-        """One iteration walk for a single owner name, as a "step" span."""
-        tracer = self.config.tracer
-        if tracer is None:
-            return (yield from self._resolve_once_inner(name, qtype, result, budget, depth, None))
-        span = tracer.start(
-            "step",
-            parent=parent,
-            name=name.to_text(omit_final_dot=True),
-            depth=depth,
-            type=int(qtype),
-        )
-        try:
-            answers, status = yield from self._resolve_once_inner(
-                name, qtype, result, budget, depth, span
-            )
-        except _Abort as abort:
-            span.finish(status=str(abort.status))
-            raise
-        except BaseException:
-            span.finish(status=str(Status.ERROR))
-            raise
-        span.finish(status=str(status))
+    def _resolve_once(self, name: Name, qtype: RRType, result, budget, depth: int = 0):
+        """One delegation walk for a single owner name, recorded as a
+        ``step``: returns (answers, status)."""
+        trace = result.trace
+        trace.open("step", name=name.to_text(omit_final_dot=True), depth=depth, type=int(qtype))
+        answers, status = yield from self._walk(name, qtype, result, budget, depth)
+        trace.close(str(status))
         return answers, status
 
-    def _resolve_once_inner(self, name: Name, qtype: RRType, result, budget, depth, span):
+    def _walk(self, name: Name, qtype: RRType, result, budget, depth):
         if depth > self.config.max_glueless_depth:
             raise _Abort(Status.ERROR)
-        tracer = self.config.tracer
+        trace = result.trace
         evidence = result.evidence
 
         # Leaf-answer cache: a no-op under the paper's selective policy,
         # only live for the policy="all" ablation (section 3.4).
-        probe = tracer.start("cache_probe", parent=span) if tracer is not None else None
+        trace.open("cache_probe")
         cached_answers = self.cache.get_answer(name, int(qtype))
         if cached_answers is not None:
-            if probe is not None:
-                probe.finish(status="answer_hit")
-            if self.config.collect_trace:
-                result.trace.add(
-                    TraceStep(
-                        name=name.to_text(omit_final_dot=True),
-                        layer=name.to_text(omit_final_dot=True) or ".",
-                        depth=depth,
-                        name_server="cache",
-                        cached=True,
-                        try_count=0,
-                        qtype=int(qtype),
-                    )
-                )
+            trace.close("answer_hit", row={"depth": depth})
             return list(cached_answers), Status.NOERROR
 
         start = name
@@ -309,34 +273,22 @@ class IterativeMachine:
             # the query to the child zone, which cannot answer it.
             start = name.parent()
         cached = self.cache.best_delegation(start)
-        if probe is not None:
-            hit = cached is not None and bool(cached.addresses())
-            probe.finish(
-                status="hit" if hit else "miss",
-                layer=(cached.zone.to_text(omit_final_dot=True) or ".") if hit else None,
-            )
-        if cached is not None and cached.addresses():
+        servers = cached.addresses() if cached is not None else None
+        if servers:
             zone = cached.zone
-            servers = cached.addresses()
-            if self.config.collect_trace:
-                result.trace.add(
-                    TraceStep(
-                        name=name.to_text(omit_final_dot=True),
-                        layer=zone.to_text(omit_final_dot=True) or ".",
-                        depth=depth + len(zone.labels),
-                        name_server="cache",
-                        cached=True,
-                        try_count=0,
-                        qtype=int(qtype),
-                    )
-                )
+            trace.close(
+                "hit",
+                row={"depth": depth + len(zone.labels)},
+                layer=zone.to_text(omit_final_dot=True) or ".",
+            )
         else:
+            trace.close("miss", layer=None)
             zone = Name.root()
             servers = list(self.root_ips)
 
         for _layer_hop in range(self.config.max_referrals):
             response = yield from self._query_layer(
-                name, qtype, servers, result, budget, zone, depth, parent=span
+                name, qtype, servers, result, budget, zone, depth
             )
             rcode = response.rcode
             if evidence is not None:
@@ -368,9 +320,10 @@ class IterativeMachine:
                     evidence.harvest(referral, response.authorities)
                 addresses = delegation.addresses()
                 if not addresses:
-                    addresses = yield from self._resolve_glueless(
-                        delegation, result, budget, depth, parent=span
-                    )
+                    layer = referral.to_text(omit_final_dot=True) or "."
+                    trace.open("glueless", layer=layer, depth=depth)
+                    addresses = yield from self._resolve_glueless(delegation, result, budget, depth)
+                    trace.close("NOERROR" if addresses else str(Status.SERVFAIL))
                     if not addresses:
                         return [], Status.SERVFAIL
                 zone = referral
@@ -408,7 +361,7 @@ class IterativeMachine:
                 response, _report = sanitize_response(response, name, qtype, zone)
         return response, None
 
-    def _query_layer(self, name, qtype, servers, result, budget, zone, depth, parent=None):
+    def _query_layer(self, name, qtype, servers, result, budget, zone, depth):
         """Try the layer's servers (with retries) until one responds;
         returns its (admitted) response."""
         config = self.config
@@ -420,46 +373,29 @@ class IterativeMachine:
         else:
             order = list(servers)
             self.rng.shuffle(order)
-        tracer = config.tracer
+        trace = result.trace
         tries = config.retries + 1
         timeout = config.iteration_timeout
         dnssec_ok = config.dnssec
         last_pause = 0.0
-        # Everything the per-attempt trace rows share is computed once.
+        # Everything the attempts' steps share is computed once.
         name_text = name.to_text(omit_final_dot=True)
         layer_text = zone.to_text(omit_final_dot=True) or "."
         step_depth = depth + len(zone.labels) + 1
         qtype_int = int(qtype)
-        collect = config.collect_trace
         last_failure = Status.ITERATIVE_TIMEOUT
         for attempt in range(tries):
             server_ip = order[attempt % len(order)]
             budget.spend()
-            step = (
-                TraceStep(
-                    name=name_text,
-                    layer=layer_text,
-                    depth=step_depth,
-                    name_server=f"{server_ip}:53",
-                    cached=False,
-                    try_count=attempt + 1,
-                    qtype=qtype_int,
-                )
-                if collect
-                else None
+            trace.open(
+                "query",
+                name=name_text,
+                layer=layer_text,
+                depth=step_depth,
+                name_server=f"{server_ip}:53",
+                try_count=attempt + 1,
+                type=qtype_int,
             )
-            qspan = None
-            if tracer is not None:
-                span_fields = dict(
-                    parent=parent,
-                    name=name_text,
-                    layer=layer_text,
-                    depth=step_depth,
-                    name_server=f"{server_ip}:53",
-                    try_count=attempt + 1,
-                    type=qtype_int,
-                )
-                qspan = tracer.start("query", **span_fields)
             query = SendQuery(
                 server_ip=server_ip,
                 name=name,
@@ -468,53 +404,42 @@ class IterativeMachine:
                 dnssec_ok=dnssec_ok,
             )
             response = yield query
-            # What did this attempt die of?  ``failure`` closes its span
+            # What did this attempt die of?  ``failure`` closes its step
             # and (unless a plain timeout) is what the layer reports if
-            # every attempt dies; ``row`` is the trace row's status where
-            # that differs.
-            failure = row = None
+            # every attempt dies.
+            failure = None
             if response is None:
                 failure = Status.TIMEOUT
             else:
                 response, failure = self._admit(response, name, qtype_int, zone)
                 if failure is None and response.flags.truncated:
-                    if qspan is not None:
-                        qspan.finish(status=str(Status.TRUNCATED))
+                    # the UDP leg ends truncated; the TCP retry is its own
+                    # step, so both timings stay visible
+                    trace.close(str(Status.TRUNCATED))
                     if not config.tcp_on_truncated:
-                        if step is not None:
-                            step.status = str(Status.TRUNCATED)
-                            result.trace.add(step)
                         raise _Abort(Status.TRUNCATED)
-                    if qspan is not None:
-                        # the UDP leg ended truncated; the TCP retry is its
-                        # own span so both timings stay visible
-                        qspan = tracer.start("query", **span_fields, protocol="tcp")
                     budget.spend()
+                    trace.reopen(protocol="tcp")
                     response = yield replace(query, protocol="tcp")
                     if response is None:
-                        # the row keeps what the UDP leg ended as
-                        failure, row = Status.TIMEOUT, Status.TRUNCATED
+                        failure = Status.TIMEOUT
                     else:
                         response, failure = self._admit(response, name, qtype_int, zone)
                 if failure is None and response.rcode in (Rcode.SERVFAIL, Rcode.REFUSED):
                     failure = status_from_rcode(response.rcode)
             if failure is None:
-                status = str(status_from_rcode(response.rcode))
-                if qspan is not None:
-                    qspan.finish(status=status)
-                if step is not None:
-                    step.status = status
-                    if config.record_trace_results:
-                        step.results = message_to_json(response, f"{server_ip}:53")
-                    result.trace.add(step)
+                trace.close(
+                    str(status_from_rcode(response.rcode)),
+                    row=(
+                        {"results": message_to_json(response, f"{server_ip}:53")}
+                        if config.record_trace_results
+                        else None
+                    ),
+                )
                 if health is not None:
                     health.record_success(server_ip)
                 return response
-            if qspan is not None:
-                qspan.finish(status=str(failure))
-            if step is not None:
-                step.status = str(row or failure)
-                result.trace.add(step)
+            trace.close(str(failure))
             budget.retries += 1
             if failure is not Status.TIMEOUT:
                 last_failure = failure
@@ -525,35 +450,11 @@ class IterativeMachine:
                 yield Backoff(last_pause)
         raise _Abort(last_failure)
 
-    def _resolve_glueless(self, delegation: Delegation, result, budget, depth, parent=None):
+    def _resolve_glueless(self, delegation: Delegation, result, budget, depth):
         """Referral without glue: resolve one NS name's address."""
-        tracer = self.config.tracer
-        gspan = (
-            tracer.start(
-                "glueless",
-                parent=parent,
-                layer=delegation.zone.to_text(omit_final_dot=True) or ".",
-                depth=depth,
-            )
-            if tracer is not None
-            else None
-        )
-        try:
-            addresses = yield from self._resolve_glueless_inner(
-                delegation, result, budget, depth, gspan
-            )
-        except _Abort as abort:
-            if gspan is not None:
-                gspan.finish(status=str(abort.status))
-            raise
-        if gspan is not None:
-            gspan.finish(status="NOERROR" if addresses else str(Status.SERVFAIL))
-        return addresses
-
-    def _resolve_glueless_inner(self, delegation, result, budget, depth, gspan):
         for ns_name in delegation.ns_names:
             answers, status = yield from self._resolve_once(
-                ns_name, RRType.A, result, budget, depth + 1, parent=gspan
+                ns_name, RRType.A, result, budget, depth + 1
             )
             addresses = []
             ttl = delegation.ttl
@@ -591,17 +492,15 @@ class ExternalMachine:
         if isinstance(name, str):
             name = Name.from_text(name)
         config = self.config
-        result = LookupResult(name=name.to_text(omit_final_dot=True), qtype=qtype)
+        result = LookupResult(
+            name=name.to_text(omit_final_dot=True), qtype=qtype, trace=Trace(config.tracer)
+        )
+        trace = result.trace
         tries = config.retries + 1
         status = Status.TIMEOUT
-        tracer = config.tracer
         health = config.health
         last_pause = 0.0
-        span = (
-            tracer.start("lookup", name=result.name, type=int(qtype), mode="external")
-            if tracer is not None
-            else None
-        )
+        trace.open("lookup", name=result.name, type=int(qtype), mode="external")
         for attempt in range(tries):
             if health is not None and len(self.resolver_ips) > 1:
                 # failure-aware pick: healthy upstreams first
@@ -615,16 +514,13 @@ class ExternalMachine:
                 ]
             result.resolver = f"{server_ip}:53"
             result.queries_sent += 1
-            qspan = None
-            if tracer is not None:
-                span_fields = dict(
-                    parent=span,
-                    name=result.name,
-                    name_server=f"{server_ip}:53",
-                    try_count=attempt + 1,
-                    type=int(qtype),
-                )
-                qspan = tracer.start("query", **span_fields)
+            trace.open(
+                "query",
+                name=result.name,
+                name_server=f"{server_ip}:53",
+                try_count=attempt + 1,
+                type=int(qtype),
+            )
             query = SendQuery(
                 server_ip=server_ip,
                 name=name,
@@ -635,9 +531,8 @@ class ExternalMachine:
             )
             response = yield query
             if response is not None and response.flags.truncated and config.tcp_on_truncated:
-                if qspan is not None:
-                    qspan.finish(status=str(Status.TRUNCATED))
-                    qspan = tracer.start("query", **span_fields, protocol="tcp")
+                trace.close(str(Status.TRUNCATED))
+                trace.reopen(protocol="tcp")
                 result.queries_sent += 1
                 response = yield replace(query, protocol="tcp")
                 if response is not None:
@@ -661,8 +556,7 @@ class ExternalMachine:
                     and attempt + 1 < tries
                 ):
                     failure = status
-            if qspan is not None:
-                qspan.finish(status=str(failure or status))
+            trace.close(str(failure or status))
             if failure is None:
                 if health is not None:
                     health.record_success(server_ip)
@@ -677,12 +571,7 @@ class ExternalMachine:
                 last_pause = _next_pause(config, self.rng, last_pause)
                 yield Backoff(last_pause)
         result.status = status
-        if span is not None:
-            span.finish(
-                status=str(status),
-                queries=result.queries_sent,
-                retries=result.retries_used,
-            )
+        trace.close(str(status), queries=result.queries_sent, retries=result.retries_used)
         return result
 
 
@@ -701,9 +590,10 @@ class _Budget:
         self.retries = 0
 
     def spend(self) -> None:
-        self.sent += 1
-        if self.sent > self.limit:
+        """Count one query about to be sent, or refuse it."""
+        if self.sent >= self.limit:
             raise _Abort(Status.ITER_LIMIT)
+        self.sent += 1
 
 
 def _cname_target(answers: list[ResourceRecord], name: Name, qtype: RRType) -> Name | None:

@@ -1,13 +1,29 @@
-"""Exposed lookup chains: the trace format of Appendix C.
+"""One record of a lookup: the steps the machine took, and two renderings.
 
-Every step of an iterative resolution is recorded as a JSON-exportable
-entry so that researchers can inspect the internal DNS operations that
-recursive resolvers normally hide.
+Every lookup keeps one :class:`Trace`: the ordered list of its steps
+(``lookup``, ``step`` — one delegation walk for one owner name —,
+``cache_probe``, ``query`` and ``glueless``), each an interval on the
+run's clock with a kind, attributes, a status and a parent.  Two views
+render from that one list:
+
+* the Appendix C lookup chain (:meth:`Trace.__iter__` /
+  :meth:`Trace.to_json`): one row per server contacted or cache layer
+  used, so researchers can inspect the internal DNS operations that
+  recursive resolvers normally hide;
+* span rows (:meth:`Step.to_span`), streamed one JSON line per step as
+  each closes — where a lookup's time went.
+
+The trace parents each step on its own stack of open steps.  Tens of
+thousands of lookups interleave on one simulator thread, so one ambient
+"current step" per run would cross-wire them; one stack per lookup
+cannot.  What is shared by a run — the clock, the span-id counter and
+the span sink — is the :class:`SpanTracer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..dnslib import Message
 
@@ -25,9 +41,9 @@ def message_to_json(message: Message, resolver: str, protocol: str = "udp") -> d
     }
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
-    """One query in a lookup chain (Appendix C entry)."""
+    """One row of the Appendix C lookup chain."""
 
     name: str
     layer: str
@@ -57,25 +73,157 @@ class TraceStep:
         return entry
 
 
-@dataclass
+def _no_clock() -> float:
+    return 0.0
+
+
+class SpanTracer:
+    """What a run's lookups share: the clock every step is timed on
+    (``lambda: sim.now`` for virtual time), the run-wide span-id counter
+    (a step takes its id when it opens) and the sink each closed step's
+    span row streams to.  Without a sink, steps are kept on their
+    lookup's trace only."""
+
+    __slots__ = ("clock", "sink", "started")
+
+    def __init__(
+        self,
+        clock: Callable[[], float] = _no_clock,
+        sink: Callable[[dict], Any] | None = None,
+    ):
+        self.clock = clock
+        self.sink = sink
+        self.started = 0
+
+
+class Step:
+    """One recorded step of a lookup: an interval with a parent."""
+
+    __slots__ = ("kind", "id", "parent", "start", "end", "status", "attrs", "row")
+
+    def __init__(self, kind: str, step_id: int, parent: Step | None, start: float, attrs: dict):
+        self.kind = kind
+        self.id = step_id
+        self.parent = parent
+        self.start = start
+        self.end: float | None = None
+        self.status: str | None = None
+        self.attrs = attrs
+        #: What only the Appendix C row carries: a query's ``results``
+        #: block, a cache hit's layer ``depth``.
+        self.row: dict | None = None
+
+    def to_span(self) -> dict:
+        """The span row: identity, interval, status, then attributes."""
+        row = {
+            "span": self.kind,
+            "id": self.id,
+            "parent": self.parent.id if self.parent is not None else None,
+            "start": round(self.start, 9),
+            "end": round(self.end, 9),
+            "duration": round(self.end - self.start, 9),
+            "status": self.status,
+        }
+        row.update(self.attrs)
+        return row
+
+
 class Trace:
-    """The ordered lookup chain of one resolution."""
+    """The steps of one lookup, in the order they opened.
 
-    steps: list[TraceStep] = field(default_factory=list)
+    With no tracer nothing is recorded: ``open`` and ``close`` return
+    at once."""
 
-    def add(self, step: TraceStep) -> None:
+    __slots__ = ("tracer", "steps", "_top")
+
+    def __init__(self, tracer: SpanTracer | None = None):
+        self.tracer = tracer
+        self.steps: list[Step] = []
+        #: The innermost open step; the open steps are its parent chain.
+        self._top: Step | None = None
+
+    def open(self, kind: str, **attrs) -> Step | None:
+        """Open a step under the innermost open one."""
+        tracer = self.tracer
+        if tracer is None:
+            return None
+        tracer.started += 1
+        step = self._top = Step(kind, tracer.started, self._top, tracer.clock(), attrs)
         self.steps.append(step)
+        return step
 
-    def __len__(self) -> int:
-        return len(self.steps)
+    def close(self, status: str, row: dict | None = None, **attrs) -> None:
+        """Close the innermost open step; its span row streams out."""
+        tracer = self.tracer
+        if tracer is None:
+            return
+        step = self._top
+        self._top = step.parent
+        step.status = status
+        step.row = row
+        if attrs:
+            step.attrs.update(attrs)
+        step.end = tracer.clock()
+        if tracer.sink is not None:
+            tracer.sink(step.to_span())
+
+    def reopen(self, **attrs) -> Step | None:
+        """Open the step just closed again, with ``attrs`` added (a
+        query's TCP retry of its truncated UDP leg)."""
+        if self.tracer is None:
+            return None
+        last = self.steps[-1]
+        return self.open(last.kind, **last.attrs, **attrs)
+
+    def unwind(self, status: str) -> None:
+        """Close every open step but the outermost (the lookup), innermost
+        first: an abort ends each walk it passes through."""
+        while self._top is not None and self._top.parent is not None:
+            self.close(status)
 
     def __iter__(self):
-        return iter(self.steps)
+        """The Appendix C rows: one per query sent inside a walk (a
+        truncated UDP leg and its TCP retry fold into one row) and one
+        per cache layer a walk started from."""
+        rows: list[TraceStep] = []
+        for step in self.steps:
+            kind = step.kind
+            if kind == "query":
+                walk = step.parent
+                if walk is None or walk.kind != "step":
+                    continue  # a stub lookup's queries: no chain to expose
+                attrs = step.attrs
+                status = step.status
+                if attrs.get("protocol") == "tcp":
+                    rows.pop()  # the truncated UDP leg this retried
+                    if status == "TIMEOUT":
+                        status = "TRUNCATED"  # what the UDP leg ended as
+                rows.append(
+                    TraceStep(
+                        attrs["name"],
+                        attrs["layer"],
+                        attrs["depth"],
+                        attrs["name_server"],
+                        False,
+                        attrs["try_count"],
+                        attrs["type"],
+                        1,
+                        step.row["results"] if step.row else None,
+                        status,
+                    )
+                )
+            elif kind == "cache_probe" and step.status in ("hit", "answer_hit"):
+                walk = step.parent.attrs
+                layer = step.attrs.get("layer") or walk["name"] or "."
+                rows.append(
+                    TraceStep(
+                        walk["name"], layer, step.row["depth"], "cache", True, 0, walk["type"]
+                    )
+                )
+        return iter(rows)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
     def to_json(self) -> list[dict]:
-        return [step.to_json() for step in self.steps]
-
-    @property
-    def query_count(self) -> int:
-        """Queries actually sent (cached steps sent nothing)."""
-        return sum(1 for step in self.steps if not step.cached)
+        return [row.to_json() for row in self]

@@ -8,8 +8,8 @@ wiring (:mod:`repro.obs`): it builds the run's metrics registry, mirrors
 scan stats into the ``engine`` scope, publishes scheduler and cache
 pressure at scan end, drives the periodic status emitter on the virtual
 clock, streams :class:`~repro.framework.telemetry.TelemetryDelta`
-snapshots to a ``progress`` consumer, and hands the span tracer to the
-resolver machines.
+snapshots to a ``progress`` consumer, and gives the resolver machines
+the run's span tracer (:class:`repro.core.trace.SpanTracer`).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
-from ..core import ClientCostModel, Resolver, ResolverConfig, SelectiveCache
+from ..core import ClientCostModel, Resolver, ResolverConfig, SelectiveCache, SpanTracer
 from ..dnslib import CODEC_STATS
 from ..ecosystem import SimInternet
 from ..modules import ScanModule, get_module
@@ -27,9 +27,6 @@ from ..net import CPUModel, GCModel, PortExhaustedError, SimUDPSocket
 from ..obs import MetricsRegistry, StatusEmitter
 from .stats import ScanStats
 from .telemetry import DEFAULT_DELTA_INTERVAL, TelemetryDelta
-
-if TYPE_CHECKING:
-    from ..obs import SpanTracer
 
 
 @dataclass
@@ -67,7 +64,7 @@ class ScanConfig:
     metrics: bool = False
     #: Emit a status line every this many *virtual* seconds (None = off).
     status_interval: float | None = None
-    #: Wrap every resolution step in tracer spans (see repro.obs.spans).
+    #: Emit every lookup step as a span row (see repro.core.trace).
     collect_spans: bool = False
     #: Retry backoff base (decorrelated jitter); 0.0 = no backoff, no
     #: extra RNG draws — the byte-identical default.
@@ -116,8 +113,8 @@ class ScanReport:
     #: configured with metrics) and its flat snapshot.
     registry: MetricsRegistry | None = None
     metrics: dict = field(default_factory=dict)
-    #: Span tracer, when the scan collected spans without a sink.
-    tracer: SpanTracer | None = None
+    #: Span rows, when the scan collected spans without a sink.
+    spans: list[dict] | None = None
     #: cProfile output captured by the ``REPRO_PROFILE`` hook, routed
     #: here so it lands in the metadata file next to the run summary.
     profile: dict | None = None
@@ -173,7 +170,7 @@ class ScanRunner:
         #: the runner builds its own per run when None.
         self.registry = registry
         #: Finished spans stream here as JSON rows; when None but span
-        #: collection is on, the tracer retains them on the report.
+        #: collection is on, they are kept on the report.
         self.span_sink = span_sink
         #: Status lines go here (default stderr).
         self.status_stream = status_stream
@@ -195,8 +192,6 @@ class ScanRunner:
             from ..core import dnssec  # noqa: F401
         if config.server_health:
             from ..core import health  # noqa: F401
-        if config.collect_spans or span_sink is not None:
-            from ..obs import spans  # noqa: F401
         #: The differential oracle every ``oracle_check``-th lookup is
         #: shadowed against.  Built here, with its reference Internet:
         #: set-up work, loaded and paid before the scan starts (one
@@ -238,18 +233,21 @@ class ScanRunner:
         if config.mode == "external" and not config.resolver_ips:
             raise ValueError("external mode needs resolver_ips")
         resolver_config = config.resolver_config()
-        # nothing consumes per-query trace rows without a sink: skip them
-        resolver_config.collect_trace = self.sink is not None
+        kept_spans = None
+        if config.collect_spans or self.span_sink is not None:
+            span_sink = self.span_sink
+            if span_sink is None:
+                kept_spans = []
+                span_sink = kept_spans.append
+            resolver_config.tracer = SpanTracer(clock=lambda: sim.now, sink=span_sink)
+        elif self.sink is None:
+            # nothing consumes a lookup's record without a sink: skip it
+            resolver_config.tracer = None
         health = None
         if config.server_health:
             from ..core.health import ServerHealthTracker
 
             health = resolver_config.health = ServerHealthTracker(clock=lambda: sim.now)
-        tracer = None
-        if config.collect_spans or self.span_sink is not None:
-            from ..obs.spans import SpanTracer
-
-            tracer = resolver_config.tracer = SpanTracer(clock=lambda: sim.now, sink=self.span_sink)
         gc = None
         if config.gc_period is not None and config.gc_pause is not None:
             gc = GCModel(period=config.gc_period, pause=config.gc_pause)
@@ -480,7 +478,7 @@ class ScanRunner:
             cpu_utilisation=cpu_utilisation,
             registry=registry,
             metrics=registry.snapshot(),
-            tracer=tracer if self.span_sink is None else None,
+            spans=kept_spans,
             profile=profile,
             oracle_stats=oracle.stats() if oracle is not None else None,
             dnssec_stats=dict(security_counts) if security_counts is not None else None,

@@ -6,9 +6,10 @@ one package:
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, and
   log-bucketed histograms with dotted scopes (``engine``, ``cache``,
   ``scheduler``, ``codec``) and near-zero overhead when disabled.
-* :mod:`repro.obs.spans` — per-lookup spans: parent/child intervals on
-  the virtual clock for every delegation walk, cache probe, query
-  attempt, retry, and timeout; exported as JSON lines.
+* per-lookup spans are one rendering of a lookup's recorded steps
+  (:mod:`repro.core.trace`): parent/child intervals on the virtual clock
+  for every delegation walk, cache probe, query attempt, retry, and
+  timeout, exported as JSON lines.
 * :mod:`repro.obs.status` — the periodic one-line scan status stream.
 * :mod:`repro.obs.metadata` — the ``--metadata-file`` run summary.
 * :mod:`repro.obs.server` — the live HTTP control plane (``/metrics``,
@@ -35,7 +36,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "parse_prometheus",
         ),
         ".server": ("TelemetryServer",),
-        ".spans": ("Span", "SpanTracer"),
         ".status": ("StatusEmitter", "estimate_eta", "format_status_line"),
     },
 )

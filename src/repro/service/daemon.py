@@ -156,7 +156,7 @@ class ResolverService:
         #: the resolver stack; workers drive its driver and cache directly
         self.resolver = Resolver(
             self.internet,
-            config=ResolverConfig(retries=cfg.retries, collect_trace=False, dnssec=cfg.dnssec),
+            config=ResolverConfig(retries=cfg.retries, tracer=None, dnssec=cfg.dnssec),
             cache_size=cfg.cache_capacity,
             cache_policy="all",
             cache_eviction=cfg.cache_eviction,

@@ -137,7 +137,7 @@ class TestIterativeWalk:
         result = drive(machine(cache).resolve("other.example.com", RRType.A), net)
         assert result.status == Status.NOERROR
         assert [entry[0] for entry in net.log] == ["10.1.0.1"]
-        assert result.trace.steps[0].cached
+        assert next(iter(result.trace)).cached
 
     def test_leaf_answers_not_cached(self):
         cache = SelectiveCache(capacity=100)
@@ -240,7 +240,21 @@ class TestFailureHandling:
         net.add("10.0.0.9", refer_deeper)
         result = drive(machine(config=config).resolve(labels, RRType.A), net)
         assert result.status in (Status.ITER_LIMIT, Status.ERROR)
-        assert result.queries_sent <= 6
+        # the refused sixth query was never sent, so it is not counted
+        assert result.queries_sent == len(net.log) == 5
+
+    def test_budget_spent_at_tcp_fallback_keeps_the_udp_row(self):
+        net = standard_tree()
+        net.add("10.1.0.1", lambda e: answer_msg("www.example.com", [], truncated=True))
+        config = ResolverConfig(retries=0, max_queries=3)
+        result = drive(machine(config=config).resolve("www.example.com", RRType.A), net)
+        assert result.status == Status.ITER_LIMIT
+        assert result.queries_sent == len(net.log) == 3
+        assert [(step.layer, step.status) for step in result.trace if not step.cached] == [
+            (".", "NOERROR"),
+            ("com", "NOERROR"),
+            ("example.com", "TRUNCATED"),
+        ]
 
 
 class TestTruncationFallback:

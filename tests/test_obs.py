@@ -12,7 +12,9 @@ from repro.core import (
     ResolverConfig,
     SelectiveCache,
     SendQuery,
+    SpanTracer,
     Status,
+    Trace,
 )
 from repro.dnslib import RRType
 from repro.framework import ScanConfig, ScanRunner
@@ -21,7 +23,6 @@ from repro.net.sim import Simulator
 from repro.obs import (
     MetricsRegistry,
     NullInstrument,
-    SpanTracer,
     StatusEmitter,
     build_run_metadata,
     estimate_eta,
@@ -220,28 +221,38 @@ class TestPrometheusRendering:
 
 class TestSpans:
     def test_parent_child_nesting(self):
-        tracer = SpanTracer(clock=lambda: 0.0)
-        root = tracer.start("lookup", name="example.com")
-        child = tracer.start("step", parent=root, depth=0)
-        child.finish(status="NOERROR")
-        root.finish(status="NOERROR")
-        rows = [span.to_json() for span in tracer.spans]
-        assert rows[0]["span"] == "step" and rows[0]["parent"] == root.span_id
+        rows = []
+        tracer = SpanTracer(sink=rows.append)
+        trace, interleaved = Trace(tracer), Trace(tracer)
+        root = trace.open("lookup", name="example.com")
+        interleaved.open("lookup", name="other.com")  # another lookup of the run
+        trace.open("step", depth=0)
+        trace.close("NOERROR")
+        trace.close("NOERROR")
+        # span ids count run-wide; parents come from each lookup's own stack
+        assert rows[0]["span"] == "step" and rows[0]["id"] == 3
+        assert rows[0]["parent"] == root.id == 1
         assert rows[1]["span"] == "lookup" and rows[1]["parent"] is None
 
-    def test_finish_is_idempotent(self):
-        clock = iter([0.0, 1.0, 2.0])
-        tracer = SpanTracer(clock=lambda: next(clock))
-        span = tracer.start("x")
-        span.finish(status="A")
-        span.finish(status="B")
-        assert span.status == "A" and span.end == 1.0
-        assert tracer.finished == 1
+    def test_unwind_closes_each_open_step_once(self):
+        clock = iter([0.0, 1.0, 2.0, 3.0, 4.0])
+        rows = []
+        trace = Trace(SpanTracer(clock=lambda: next(clock), sink=rows.append))
+        trace.open("lookup")
+        trace.open("step")
+        trace.open("glueless")
+        trace.unwind("ITER_LIMIT")
+        lookup, step, glueless = trace.steps
+        assert (glueless.status, glueless.end) == ("ITER_LIMIT", 3.0)
+        assert (step.status, step.end) == ("ITER_LIMIT", 4.0)
+        assert lookup.end is None  # the lookup closes itself
+        assert [row["span"] for row in rows] == ["glueless", "step"]
 
     def test_sink_streams_rows(self):
         rows = []
-        tracer = SpanTracer(clock=lambda: 0.0, sink=rows.append)
-        tracer.start("x", name="a.com").finish(status="NOERROR")
+        trace = Trace(SpanTracer(clock=lambda: 0.0, sink=rows.append))
+        trace.open("x", name="a.com")
+        trace.close("NOERROR")
         assert rows == [
             {
                 "span": "x",
@@ -254,14 +265,21 @@ class TestSpans:
                 "name": "a.com",
             }
         ]
-        assert tracer.spans == []
 
-    def test_export_jsonl(self):
-        tracer = SpanTracer(clock=lambda: 0.0)
-        tracer.start("x").finish()
+    def test_span_rows_write_as_json_lines(self):
+        from repro.framework import JsonLineSink
+
         handle = io.StringIO()
-        assert tracer.export_jsonl(handle) == 1
+        trace = Trace(SpanTracer(sink=JsonLineSink(handle)))
+        trace.open("x")
+        trace.close("NOERROR")
         assert json.loads(handle.getvalue())["span"] == "x"
+
+    def test_no_tracer_records_nothing(self):
+        trace = Trace(None)
+        assert trace.open("lookup") is None
+        trace.close("NOERROR")
+        assert trace.steps == [] and trace.to_json() == []
 
 
 class TestMachineSpans:
@@ -273,9 +291,9 @@ class TestMachineSpans:
         (a list; None entries are timeouts) and return the span rows."""
         from tests.test_machine import answer_msg, referral_msg, ROOTS
 
-        tracer = SpanTracer(clock=lambda: 0.0)
+        rows = []
         config = config or ResolverConfig(retries=2)
-        config.tracer = tracer
+        config.tracer = SpanTracer(clock=lambda: 0.0, sink=rows.append)
         machine = IterativeMachine(
             SelectiveCache(capacity=100), ROOTS, config, random.Random(0)
         )
@@ -296,7 +314,7 @@ class TestMachineSpans:
                 effect = gen.send(respond(effect))
         except StopIteration as stop:
             result = stop.value
-        return result, [span.to_json() for span in tracer.spans]
+        return result, rows
 
     def test_clean_lookup_has_nested_query_spans(self):
         from tests.test_machine import answer_msg
@@ -330,6 +348,17 @@ class TestMachineSpans:
         step = [r for r in rows if r["span"] == "step"][0]
         assert step["status"] == "NOERROR"
         assert all(q["parent"] == step["id"] for q in leaf)
+
+    def test_budget_spent_at_tcp_fallback_closes_every_span(self):
+        from tests.test_machine import answer_msg
+
+        config = ResolverConfig(retries=0, max_queries=3)
+        result, rows = self._resolve([answer_msg("www.example.com", [], truncated=True)], config)
+        assert result.status == Status.ITER_LIMIT
+        # every span opened (ids count from 1) was closed and streamed
+        assert config.tracer.started == len(rows) == 6
+        leaf = [r for r in rows if r["span"] == "query" and r["name_server"] == "10.1.0.1:53"]
+        assert [(q.get("protocol"), q["status"]) for q in leaf] == [(None, "TRUNCATED")]
 
     def test_exhausted_retries_close_every_span(self):
         result, rows = self._resolve([None, None, None])
@@ -462,6 +491,44 @@ def small_scan_names():
     return list(DomainCorpus(CorpusConfig(seed=11)).fqdns(60))
 
 
+def _renderings_agree(rows, spans) -> int:
+    """Check that a scan's output rows and span rows render the same
+    steps: every span's parent chain ends at a ``lookup``; per lookup the
+    span tree holds ``queries`` query spans; and each lookup has one
+    non-cached Appendix C row per query span that is not a TCP retry and
+    one cached row per cache hit.  Returns the queries sent."""
+    by_id = {(span.get("shard"), span["id"]): span for span in spans}
+    seen = {}
+    for span in spans:
+        lookup = span
+        while lookup["parent"] is not None:
+            lookup = by_id[(span.get("shard"), lookup["parent"])]
+        assert lookup["span"] == "lookup", span
+        counts = seen.setdefault(id(lookup), {"query": 0, "tcp": 0, "hit": 0})
+        if span["span"] == "query":
+            counts["query"] += 1
+            counts["tcp"] += span.get("protocol") == "tcp"
+        elif span["span"] == "cache_probe":
+            counts["hit"] += span["status"] in ("hit", "answer_hit")
+    lookups = [span for span in spans if span["span"] == "lookup"]
+    assert len(lookups) == len(seen) == len(rows)
+    from_spans = []
+    for lookup in lookups:
+        counts = seen[id(lookup)]
+        assert lookup["queries"] == counts["query"]
+        from_spans.append((lookup["name"], counts["query"] - counts["tcp"], counts["hit"]))
+    from_rows = sorted(
+        (
+            row["name"],
+            sum(not step["cached"] for step in row.get("trace", ())),
+            sum(step["cached"] for step in row.get("trace", ())),
+        )
+        for row in rows
+    )
+    assert from_rows == sorted(from_spans)
+    return sum(counts["query"] for counts in seen.values())
+
+
 class TestRunnerIntegration:
     def _run(self, names, **kwargs):
         from repro.ecosystem import EcosystemParams, build_internet
@@ -498,7 +565,7 @@ class TestRunnerIntegration:
         report = self._run(small_scan_names)
         assert report.metrics == {}
         assert not report.registry.enabled
-        assert report.tracer is None
+        assert report.spans is None
 
     def test_status_interval_emits_and_terminates(self, small_scan_names):
         stream = io.StringIO()
@@ -515,9 +582,9 @@ class TestRunnerIntegration:
 
     def test_span_collection_on_report(self, small_scan_names):
         report = self._run(small_scan_names, collect_spans=True)
-        tracer = report.tracer
-        assert tracer is not None and tracer.finished == tracer.started
-        lookups = [s for s in tracer.spans if s.name == "lookup"]
+        # every span opened (ids count from 1) was closed and kept
+        assert sorted(row["id"] for row in report.spans) == list(range(1, len(report.spans) + 1))
+        lookups = [row for row in report.spans if row["span"] == "lookup"]
         assert len(lookups) == 60
 
     def test_deterministic_across_runs(self, small_scan_names):
@@ -528,14 +595,19 @@ class TestRunnerIntegration:
     def test_metrics_status_and_spans_together(self, small_scan_names):
         """Every layer on at once, as a monitored scan runs: streamed
         spans form closed trees, status lines flow, the report feeds the
-        metadata builder, and the results equal an unwatched scan's."""
+        metadata builder, the rows and spans are two renderings of the
+        same steps (also through the shard executor, validating, with
+        faults that force TCP retries), and the results equal an
+        unwatched scan's."""
         from repro.ecosystem import EcosystemParams, build_internet
+        from repro.framework import run_parallel_scan
 
-        spans, status = [], io.StringIO()
+        rows, spans, status = [], [], io.StringIO()
         report = ScanRunner(
             build_internet(params=EcosystemParams(seed=11)),
             ScanConfig(threads=10, seed=11, metrics=True, status_interval=1.0,
                        collect_spans=True),
+            sink=rows.append,
             span_sink=spans.append,
             status_stream=status,
         ).run(small_scan_names)
@@ -550,6 +622,19 @@ class TestRunnerIntegration:
         assert children and all(row["parent"] in ids for row in children)
         assert all(row["end"] >= row["start"] for row in spans)
         assert sum(row["span"] == "lookup" for row in spans) == 60
+        assert _renderings_agree(rows, spans) == report.stats.queries_sent
+
+        rows_out, spans_out = io.StringIO(), io.StringIO()
+        sharded = run_parallel_scan(
+            small_scan_names, ScanConfig(threads=10, seed=11, dnssec=True),
+            processes=2, out=rows_out, span_out=spans_out, add_timestamp=False,
+            fault_plan="moderate",
+        )
+        sent = _renderings_agree(
+            [json.loads(line) for line in rows_out.getvalue().splitlines()],
+            [json.loads(line) for line in spans_out.getvalue().splitlines()],
+        )
+        assert sent == sharded.stats.queries_sent
 
         metadata = build_run_metadata(
             report.stats.to_json(),

@@ -123,7 +123,7 @@ class TestIterativeOnUniverse:
         r1 = resolver.lookup(first, RRType.A)
         r2 = resolver.lookup(second, RRType.A)
         # second lookup starts at the cached .com delegation
-        assert r2.trace.steps[0].cached
+        assert next(iter(r2.trace)).cached
         assert cache.stats.hits >= 1
 
     def test_trace_layers_descend(self, internet, synth):

@@ -55,7 +55,6 @@ OPTIONAL = (
     "repro.net.live",
     "repro.obs.metadata",
     "repro.obs.server",
-    "repro.obs.spans",
     "repro.oracle",
     "traceback",
 )

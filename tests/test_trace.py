@@ -2,7 +2,15 @@
 
 import json
 
-from repro.core import Resolver, SelectiveCache, Status, Trace, TraceStep, message_to_json
+from repro.core import (
+    Resolver,
+    SelectiveCache,
+    SpanTracer,
+    Status,
+    Trace,
+    TraceStep,
+    message_to_json,
+)
 from repro.dnslib import Message, Name, ResourceRecord, RRType
 from repro.dnslib.rdata.address import A
 from repro.ecosystem import EcosystemParams, build_internet
@@ -44,13 +52,35 @@ class TestTraceStructures:
         assert data["results"]["answers"][0]["answer"] == "9.9.9.9"
         assert data["results"]["flags"]["response"] is True
 
-    def test_trace_query_count_excludes_cached(self):
-        trace = Trace()
-        trace.add(TraceStep("a", ".", 1, "cache", True, 0, 1))
-        trace.add(TraceStep("a", "com", 2, "1.1.1.1:53", False, 1, 1))
-        assert trace.query_count == 1
-        assert len(trace) == 2
-        assert len(list(iter(trace))) == 2
+    def test_rows_render_from_steps(self):
+        trace = Trace(SpanTracer())
+        trace.open("lookup", name="a.com", type=1)
+        trace.open("step", name="a.com", depth=0, type=1)
+        trace.open("cache_probe")
+        trace.close("hit", row={"depth": 1}, layer="com")
+        query = dict(
+            name="a.com", layer="com", depth=2, name_server="1.1.1.1:53", try_count=1, type=1
+        )
+        trace.open("query", **query)
+        trace.close("TIMEOUT")
+        trace.open("query", **{**query, "try_count": 2})
+        trace.close("TRUNCATED")
+        trace.open("query", **{**query, "try_count": 2}, protocol="tcp")
+        trace.close("NOERROR", row={"results": {"resolver": "1.1.1.1:53"}})
+        trace.close("NOERROR")
+        trace.close("NOERROR", queries=3, retries=1)
+        rows = trace.to_json()
+        assert rows[0] == {
+            "name": "a.com", "layer": "com", "depth": 1, "name_server": "cache",
+            "cached": True, "try": 0, "type": 1, "class": 1, "status": "NOERROR",
+        }
+        # the truncated UDP leg folds into the row of its TCP retry
+        assert [(row["try"], row["status"]) for row in rows[1:]] == [(1, "TIMEOUT"), (2, "NOERROR")]
+        assert rows[2]["results"] == {"resolver": "1.1.1.1:53"}
+        assert len(trace) == 3 and len(list(iter(trace))) == 3
+        assert [step.kind for step in trace.steps] == [
+            "lookup", "step", "cache_probe", "query", "query", "query",
+        ]
 
     def test_message_to_json_sections(self):
         message = Message.make_query("b.com", RRType.A).make_response()
