@@ -69,6 +69,7 @@ class DigBaseline:
                 yield cpu.occupy(DIG_PROCESS_CPU)
                 yield DIG_BATCH_OVERHEAD
                 stats.record(str(result.status), sim.now, result.queries_sent, result.retries_used)
+                del result  # not kept through the next lookup
 
         future = sim.spawn(routine())
         sim.run()
@@ -94,6 +95,7 @@ class DigBaseline:
                 yield cpu.occupy(DIG_PROCESS_CPU)
                 result = yield from driver.execute(context.machine().resolve(raw, _qtype(raw)), socket)
                 stats.record(str(result.status), sim.now, result.queries_sent, result.retries_used)
+                del result  # not kept through the next process's start-up
 
         futures = [sim.spawn(worker(resolver.socket())) for _ in range(processes)]
         sim.run()

@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .name import Name, _interned
+from .name import Name, _from_text, _interned
 from .rdata import RData, rdata_class
 from .rdata.address import _a_instance
 from .rdata.names import CNAME, NS, PTR, _single_name_instance
@@ -300,10 +300,11 @@ def decode_many(buffers) -> list["Message"]:
 
 def clear_codec_caches() -> None:
     """Forget every value the decoder shares between packets (interned
-    names, address and single-name rdata instances), so that a
+    and parsed names, address and single-name rdata instances), so that a
     benchmark's next pass pays what a first-contact packet pays.
     Results never depend on these caches."""
     _interned.cache_clear()
+    _from_text.cache_clear()  # its names are interned ones: forget both together
     _a_instance.cache_clear()
     _single_name_instance.cache_clear()
 

@@ -54,7 +54,9 @@ class Name:
         if total > MAX_NAME_LENGTH:
             raise NameError_(f"name too long: {total} bytes")
         self.labels = labels
-        self._key = tuple(label.lower() for label in labels)
+        key = tuple(label.lower() for label in labels)
+        # a lower-case spelling (nearly every name a scan sees) is its own key
+        self._key = labels if key == labels else key
         self._hash = hash(self._key)
         self._wlen = total
         self._text: str | None = None  # memoised presentation form
@@ -71,10 +73,12 @@ class Name:
     def intern(cls, labels: tuple[bytes, ...]) -> "Name":
         """A shared, validated instance for ``labels``.
 
-        Names are value-immutable, so the wire decoder and the zone
-        machinery reuse one instance (with its memoised key/hash/text/
-        encoding) instead of re-validating and re-lowercasing the same
-        labels millions of times per scan."""
+        Names are value-immutable, so every constructor callers use —
+        ``from_text``, the wire decoder, ``parent``, ``child`` and
+        ``concatenate`` — hands out this one instance per exact spelling
+        (with its memoised key/hash/text/encoding) instead of
+        re-validating and re-lowercasing the same labels millions of
+        times per scan and keeping a copy of each."""
         return _interned(labels)
 
     @classmethod
@@ -94,14 +98,14 @@ class Name:
         if text.endswith(b"."):
             text = text[:-1]
         if b"\\" in text:
-            return cls(cls._escaped_labels(text))
+            return _interned(tuple(cls._escaped_labels(text)))
         # no escapes (every scan input): the dots are the label boundaries
         labels = text.split(b".")
         if b"" in labels:
             if b"" in labels[:-1]:
                 raise NameError_(f"empty label in {text!r}")
             raise NameError_(f"empty trailing label in {text!r}")
-        return cls(labels)
+        return _interned(tuple(labels))
 
     @staticmethod
     def _escaped_labels(text: bytes) -> list[bytes]:
@@ -171,7 +175,10 @@ class Name:
         the zone synthesiser keys every deterministic draw on this."""
         text = self._ktext
         if text is None:
-            text = self._ktext = self.to_text(omit_final_dot=True).lower()
+            text = self.to_text(omit_final_dot=True)
+            if self._key is not self.labels:
+                text = text.lower()
+            self._ktext = text
         return text
 
     @property
@@ -215,11 +222,11 @@ class Name:
     def child(self, label: bytes | str) -> "Name":
         if isinstance(label, str):
             label = label.encode("ascii")
-        return Name((label,) + self.labels)
+        return _interned((label,) + self.labels)
 
     def concatenate(self, suffix: "Name") -> "Name":
         """``self`` + ``suffix``."""
-        return Name(self.labels + suffix.labels)
+        return _interned(self.labels + suffix.labels)
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True when ``self`` equals ``other`` or sits beneath it."""
@@ -283,7 +290,7 @@ _ROOT = Name(())
 
 @lru_cache(maxsize=131_072)
 def _interned(labels: tuple[bytes, ...]) -> Name:
-    return Name(labels)
+    return Name(labels) if labels else _ROOT
 
 
 @lru_cache(maxsize=65_536)
@@ -300,6 +307,5 @@ def name_from_ipv4_ptr(address: str) -> Name:
     octets = address.split(".")
     if len(octets) != 4 or not all(o.isdigit() and 0 <= int(o) <= 255 for o in octets):
         raise NameError_(f"invalid IPv4 address {address!r}")
-    labels = [o.encode("ascii") for o in reversed(octets)]
-    labels += [b"in-addr", b"arpa"]
-    return Name(labels)
+    labels = tuple(o.encode("ascii") for o in reversed(octets))
+    return _interned(labels + (b"in-addr", b"arpa"))

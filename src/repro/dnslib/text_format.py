@@ -48,8 +48,8 @@ def _tokens(text: str) -> list[str]:
 def relative_name(token: str, origin: Name) -> Name:
     """``token`` under ``origin``, memoised: a bulk load joins the same
     relative owner / origin pairs on every line.  (Scans never repeat a
-    join — 0 hits on every ledger workload — so ``Name.concatenate``
-    itself keeps nothing.)"""
+    join — 0 hits on every ledger workload — so this memo sits here and
+    not on ``Name.concatenate``.)"""
     # keyed on the raw label tuples, not the Names: Name hashing is
     # case-insensitive and the memo must preserve exact spelling
     return _joined(Name.from_text(token).labels, origin.labels)
@@ -57,7 +57,7 @@ def relative_name(token: str, origin: Name) -> Name:
 
 @lru_cache(maxsize=65_536)
 def _joined(prefix: tuple[bytes, ...], suffix: tuple[bytes, ...]) -> Name:
-    return Name(prefix + suffix)
+    return Name.intern(prefix + suffix)
 
 
 def _name(token: str, origin: Name | None) -> Name:

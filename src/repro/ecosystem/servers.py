@@ -112,7 +112,7 @@ class RootServer(_ZoneServer):
             return _referral(query, _EXAMPLE, self._infra_pairs)
         pairs = self._tld_pairs.get(tld)
         if pairs is not None:
-            zone = Name((name.labels[-1],))
+            zone = Name.intern(name.labels[-1:])
             if do and len(name.labels) == 1 and int(query.question.rrtype) == int(RRType.DS):
                 # DS lives at the parent: the root answers it, not the TLD
                 return ds_answer(self.synth, query, Name.root(), zone)

@@ -335,6 +335,7 @@ class ScanRunner:
                             sink(divergence.to_row())
                 if sink is not None:
                     sink(row)
+                del row, result  # nothing of a finished lookup outlives its row
 
         futures = []
         for index in range(config.threads):

@@ -69,6 +69,17 @@ def test_decoded_values_match_construction():
     assert txt.rdata == TXT((b"hello", b"world"))
 
 
+def test_a_clear_keeps_one_name_per_spelling():
+    """Clearing forgets parsed names with decoded ones: afterwards the
+    text parser and the decoder still hand out one instance."""
+    Name.from_text("ns1.host.example")  # parsed before the clear
+    clear_codec_caches()
+    decoded = Message.from_wire(_referral_wire()[1])
+    owner = decoded.additionals[0].name
+    assert owner.to_text() == "ns1.host.example."
+    assert Name.from_text("ns1.host.example") is owner
+
+
 def test_compression_keeps_the_spelling_of_each_name():
     """A CNAME target that differs from the owner's suffix only in case
     is written out, not pointed at the other spelling (RFC 4343)."""

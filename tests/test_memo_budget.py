@@ -22,7 +22,7 @@ from repro.workloads import DomainCorpus
 MEMOS = {
     "repro.dnslib.message._flags_to_int": "every encode: a scan uses six flag words",
     "repro.dnslib.message._flags_from_int": "every decode: the same six",
-    "repro.dnslib.name._interned": "decode and zone machinery: TLD / base / nameserver names recur",
+    "repro.dnslib.name._interned": "one Name per spelling (parsed, decoded, joined): TLD / base / NS names recur",
     "repro.dnslib.name._from_text": "server construction and referrals re-parse nameserver names",
     "repro.dnslib.rdata._util.bytes_to_ipv6": "AAAA decode (slow path is stdlib ipaddress); idle on A scans",
     "repro.dnslib.rdata.address._a_instance": "A decode: glue addresses recur across referrals",
