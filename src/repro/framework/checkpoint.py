@@ -76,6 +76,10 @@ SPOOL_DIR = "spool"
 #: Accepted ``--checkpoint-fsync`` policies.
 FSYNC_POLICIES = ("always", "interval", "never")
 
+#: The line streams a task spools, each with its ``task`` record keys
+#: (line count, byte count).  A stream's name is its spool file suffix.
+STREAMS = {"rows": ("rows", "row_bytes"), "spans": ("spans", "span_bytes")}
+
 
 class CheckpointError(RuntimeError):
     """A checkpoint directory cannot be used: missing, corrupt,
@@ -156,8 +160,8 @@ def _restore_delta_payload(payload: dict | None) -> dict | None:
     return payload
 
 
-def _spool_name(key: tuple[int, int], suffix: str) -> str:
-    return f"shard-{key[0]}.seg-{key[1]}.{suffix}"
+def _spool_name(key: tuple[int, int], stream: str) -> str:
+    return f"shard-{key[0]}.seg-{key[1]}.{stream}"
 
 
 def _atomic_write_json(path: str, document: dict) -> None:
@@ -174,8 +178,8 @@ class CheckpointWriter:
     """Parent-side journal writer for one executor session.
 
     The *parent* merge loop is the only writer — workers never touch the
-    checkpoint directory, so a SIGKILLed worker cannot corrupt it.  Rows
-    and spans spool incrementally as their pipe batches arrive; a task
+    checkpoint directory, so a SIGKILLed worker cannot corrupt it.  Each
+    stream (:data:`STREAMS`) spools as its pipe batches arrive; a task
     becomes durable at :meth:`task_done` (spool flush + fsync, then the
     journal record); :meth:`checkpoint` is the cadence hook that
     journals progress deltas for still-running tasks and rewrites
@@ -205,10 +209,10 @@ class CheckpointWriter:
             )
         os.makedirs(os.path.join(directory, SPOOL_DIR), exist_ok=True)
         self._journal = open(journal_path, "a", encoding="utf-8")
-        #: per-key open spool handles; first write in a session truncates
-        #: (an incomplete task's stale spool must not survive the rerun)
-        self._rows: dict[tuple[int, int], object] = {}
-        self._spans: dict[tuple[int, int], object] = {}
+        #: open spool handles by (task key, stream); first write in a
+        #: session truncates (an incomplete task's stale spool must not
+        #: survive the rerun)
+        self._spools: dict[tuple[tuple[int, int], str], object] = {}
         self._counts: dict[tuple[int, int], dict] = {}
         self._latest: dict[tuple[int, int], dict] = {}
         self._dirty: set[tuple[int, int]] = set()
@@ -236,36 +240,26 @@ class CheckpointWriter:
         if sync:
             os.fsync(self._journal.fileno())
 
-    def _spool_handle(self, key: tuple[int, int], suffix: str, table: dict):
-        handle = table.get(key)
-        if handle is None:
-            path = os.path.join(self.directory, SPOOL_DIR, _spool_name(key, suffix))
-            handle = table[key] = open(path, "wb")
-        return handle
-
     def _count(self, key: tuple[int, int]) -> dict:
         counts = self._counts.get(key)
         if counts is None:
-            counts = self._counts[key] = {
-                "rows": 0, "row_bytes": 0, "spans": 0, "span_bytes": 0,
-            }
+            counts = self._counts[key] = {name: 0 for pair in STREAMS.values() for name in pair}
         return counts
 
     # -- streaming input from the merge loop --------------------------------
 
-    def spool_rows(self, key: tuple[int, int], lines: list[str]) -> None:
+    def spool(self, stream: str, key: tuple[int, int], lines: list[str]) -> None:
+        """Append one batch of a task's ``rows`` or ``spans`` lines."""
         data = "".join(lines).encode("utf-8")
-        self._spool_handle(key, "rows", self._rows).write(data)
+        handle = self._spools.get((key, stream))
+        if handle is None:
+            path = os.path.join(self.directory, SPOOL_DIR, _spool_name(key, stream))
+            handle = self._spools[(key, stream)] = open(path, "wb")
+        handle.write(data)
         counts = self._count(key)
-        counts["rows"] += len(lines)
-        counts["row_bytes"] += len(data)
-
-    def spool_spans(self, key: tuple[int, int], lines: list[str]) -> None:
-        data = "".join(lines).encode("utf-8")
-        self._spool_handle(key, "spans", self._spans).write(data)
-        counts = self._count(key)
-        counts["spans"] += len(lines)
-        counts["span_bytes"] += len(data)
+        lines_key, bytes_key = STREAMS[stream]
+        counts[lines_key] += len(lines)
+        counts[bytes_key] += len(data)
 
     def note_delta(self, key: tuple[int, int], payload: dict) -> None:
         """Remember the task's latest telemetry delta; journaled at the
@@ -283,8 +277,8 @@ class CheckpointWriter:
         spool bytes it counts exist.
         """
         sync = self._fsync == "always"
-        for table in (self._rows, self._spans):
-            handle = table.get(key)
+        for stream in STREAMS:
+            handle = self._spools.get((key, stream))
             if handle is not None:
                 handle.flush()
                 if sync:
@@ -337,12 +331,11 @@ class CheckpointWriter:
         if self._closed:
             return
         self._closed = True
-        for table in (self._rows, self._spans):
-            for handle in table.values():
-                handle.flush()
-                if self._fsync != "never":
-                    os.fsync(handle.fileno())
-                handle.close()
+        for handle in self._spools.values():
+            handle.flush()
+            if self._fsync != "never":
+                os.fsync(handle.fileno())
+            handle.close()
         for key in sorted(self._dirty):
             self._append(
                 {"kind": "delta", "key": list(key), "delta": self._latest[key]},
@@ -360,28 +353,20 @@ class CheckpointJournal:
 
     ``tasks`` maps ``(shard, segment)`` to the journal's ``task``
     record, with metric dumps restored to their live in-memory format
-    (see :func:`restore_metrics_dump`); :meth:`rows_for` /
-    :meth:`spans_for` replay a durable task's exact output bytes.
+    (see :func:`restore_metrics_dump`); :meth:`lines_for` replays one
+    stream of a durable task's exact output bytes.  ``delta`` and
+    ``resume`` records are freshness and history for operators; loading
+    skips them.
     """
 
     def __init__(
-        self,
-        directory: str,
-        *,
-        version: int,
-        fingerprint: str,
-        plan: dict,
-        tasks: dict,
-        deltas: dict,
-        resumes: int,
+        self, directory: str, *, version: int, fingerprint: str, plan: dict, tasks: dict
     ):
         self.directory = directory
         self.version = version
         self.fingerprint = fingerprint
         self.plan = plan
         self.tasks = tasks
-        self.deltas = deltas
-        self.resumes = resumes
 
     @classmethod
     def load(cls, directory: str) -> "CheckpointJournal":
@@ -406,8 +391,6 @@ class CheckpointJournal:
                 f"journal version {version} != supported {JOURNAL_VERSION} ({path})"
             )
         tasks: dict[tuple[int, int], dict] = {}
-        deltas: dict[tuple[int, int], dict] = {}
-        resumes = 0
         last = len(raw_lines) - 1
         for number, raw in enumerate(raw_lines[1:], start=1):
             try:
@@ -420,25 +403,17 @@ class CheckpointJournal:
                 raise CheckpointError(
                     f"corrupt journal record at {path}:{number + 1}: {error}"
                 )
-            kind = record["kind"]
-            if kind == "task":
-                key = tuple(record["key"])
+            if record["kind"] == "task":
                 record["payload"] = _restore_task_payload(record["payload"])
                 record["delta"] = _restore_delta_payload(record.get("delta"))
-                tasks[key] = record
-            elif kind == "delta":
-                deltas[tuple(record["key"])] = _restore_delta_payload(record["delta"])
-            elif kind == "resume":
-                resumes += 1
-            # unknown record kinds under the same version are ignored
+                tasks[tuple(record["key"])] = record
+            # every other record kind (delta, resume, unknown) is skipped
         journal = cls(
             directory,
             version=version,
             fingerprint=header.get("fingerprint", ""),
             plan=header.get("plan", {}),
             tasks=tasks,
-            deltas=deltas,
-            resumes=resumes,
         )
         journal._check_spools()
         return journal
@@ -448,11 +423,11 @@ class CheckpointJournal:
         writer fsyncs spools before journal records, so a short spool is
         corruption, not a crash artifact."""
         for key, record in self.tasks.items():
-            for suffix, bytes_key in (("rows", "row_bytes"), ("spans", "span_bytes")):
+            for stream, (_, bytes_key) in STREAMS.items():
                 expected = record.get(bytes_key, 0)
                 if not expected:
                     continue
-                path = os.path.join(self.directory, SPOOL_DIR, _spool_name(key, suffix))
+                path = os.path.join(self.directory, SPOOL_DIR, _spool_name(key, stream))
                 try:
                     size = os.path.getsize(path)
                 except OSError:
@@ -477,15 +452,16 @@ class CheckpointJournal:
                 "checkpoint task plan does not match this run's plan"
             )
 
-    def _spool_lines(
-        self, key: tuple[int, int], suffix: str, count_key: str, bytes_key: str
-    ) -> list[str]:
+    def lines_for(self, stream: str, key: tuple[int, int]) -> list[str]:
+        """The exact ``rows`` or ``spans`` lines a durable task produced
+        (read from its spool now, one task at a time)."""
+        lines_key, bytes_key = STREAMS[stream]
         record = self.tasks[key]
-        expected_lines = record.get(count_key, 0)
+        expected_lines = record.get(lines_key, 0)
         expected_bytes = record.get(bytes_key, 0)
         if not expected_lines:
             return []
-        path = os.path.join(self.directory, SPOOL_DIR, _spool_name(key, suffix))
+        path = os.path.join(self.directory, SPOOL_DIR, _spool_name(key, stream))
         with open(path, "rb") as handle:
             data = handle.read(expected_bytes)
         if len(data) < expected_bytes:
@@ -496,15 +472,7 @@ class CheckpointJournal:
         lines = data.decode("utf-8").splitlines(keepends=True)
         if len(lines) != expected_lines:
             raise CheckpointError(
-                f"checkpoint spool {path} holds {len(lines)} rows, "
+                f"checkpoint spool {path} holds {len(lines)} {stream}, "
                 f"journal recorded {expected_lines}"
             )
         return lines
-
-    def rows_for(self, key: tuple[int, int]) -> list[str]:
-        """The exact output lines a durable task produced."""
-        return self._spool_lines(key, "rows", "rows", "row_bytes")
-
-    def spans_for(self, key: tuple[int, int]) -> list[str]:
-        """The exact span lines a durable task produced."""
-        return self._spool_lines(key, "spans", "spans", "span_bytes")

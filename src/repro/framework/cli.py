@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="print a status line to stderr every SECONDS of scan time",
+        help="print a status line to stderr every SECONDS (> 0) of scan time",
     )
     parser.add_argument(
         "--metrics-out",
@@ -258,6 +258,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(
                 f"--checkpoint-interval must be > 0 (got {args.checkpoint_interval})"
             )
+    if args.status_interval is not None and args.status_interval <= 0:
+        parser.error(f"--status-interval must be > 0 (got {args.status_interval})")
     if args.checkpoint_fsync is not None and not checkpointing:
         parser.error("--checkpoint-fsync requires --checkpoint-dir or --resume")
 

@@ -52,7 +52,7 @@ Design invariants, in order:
    task order — an interrupted-then-resumed scan is byte-identical to
    an uninterrupted one (rows, stats, metrics, spans).
 
-Workers stream row batches over the pipes as they complete, so the
+Workers stream line batches over the pipes as they complete, so the
 parent overlaps merging with scanning; a final per-task payload carries
 the mergeable stats/metrics state.  Between batches, workers also stream
 :class:`~repro.framework.telemetry.TelemetryDelta` snapshots (periodic
@@ -61,26 +61,20 @@ state (owner/worker/stolen_from) and folds into a live
 :class:`~repro.framework.telemetry.FleetView` — the fleet status line
 and the HTTP control plane read the view; the authoritative end-of-scan
 merge still comes only from the final ``task_done`` payloads, so the
-live path can never perturb the determinism contract.  Span rows
-(``--spans-file``) travel task-tagged over the same pipes and are merged
-with the same ordered buffering as output rows.  ``fork`` is preferred
-(the corpus is inherited copy-on-write); the spec is picklable, so
-``spawn`` platforms work too, just with a higher start-up cost.
-
-Test hooks (deterministic crash injection for the durability suite):
-``REPRO_TEST_CRASH=worker:W:after:N`` SIGKILLs worker ``W`` after its
-``N``-th completed task; ``worker:W:during:N`` SIGKILLs it at the first
-telemetry emission of its ``N``-th task; ``parent:after:N`` SIGKILLs
-the parent right after journaling its ``N``-th task record of the
-session.  ``REPRO_TEST_TASK_DELAY=W:SECONDS`` slows worker ``W`` down
-before each task, to force steals deterministically.
+live path can never perturb the determinism contract.  A task's lines
+belong to one of two *streams* — ``rows`` (the output file) and
+``spans`` (``--spans-file``, shard-tagged) — and every stage of the
+merge (worker sink, pipe message, parent buffer, checkpoint spool,
+journal replay) handles both through one code path keyed by stream.
+``fork`` is preferred (the corpus is inherited copy-on-write); the spec
+is picklable, so ``spawn`` platforms work too, just with a higher
+start-up cost.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
 import sys
 import time
 from collections import deque
@@ -177,72 +171,37 @@ class _ShardSpec:
 
 
 class _PipeSink:
-    """Worker-side sink: encodes rows and ships them in batches.
+    """Worker-side sink for one line stream of one task: encodes each
+    row and ships the lines in ``("lines", key, stream, lines)`` batches.
 
     Encoding happens in the worker — that is the point of the exercise:
     JSON serialisation parallelises across cores instead of serialising
-    in the parent.  Alongside each batch travel the task's cumulative
-    progress counters, which the parent sums into the fleet status line.
+    in the parent.  The ``spans`` stream tags each span row with its
+    shard, so a merged spans file is the concatenation of the per-shard
+    spans files, shard 0 first.
     """
 
-    def __init__(self, conn, key: tuple[int, int], add_timestamp: bool):
+    def __init__(self, conn, key: tuple[int, int], stream: str, add_timestamp: bool = False):
         self._conn = conn
         self._key = key
+        self._stream = stream
         self._add_timestamp = add_timestamp
         self._lines: list[str] = []
-        self.total = 0
-        self.successes = 0
-        self.timeouts = 0
 
     def __call__(self, row: dict) -> None:
-        status = row.get("status")
-        self.total += 1
-        if status in ("NOERROR", "NXDOMAIN"):
-            self.successes += 1
-        elif status == "TIMEOUT":
-            self.timeouts += 1
+        if self._stream == "spans":
+            row["shard"] = self._key[0]
         self._lines.append(encode_row(row, self._add_timestamp))
         if len(self._lines) >= _ROW_BATCH:
             self.flush()
 
     def flush(self) -> None:
         if self._lines:
-            self._conn.send(
-                ("rows", self._key, self._lines,
-                 (self.total, self.successes, self.timeouts))
-            )
+            self._conn.send(("lines", self._key, self._stream, self._lines))
             self._lines = []
 
 
-class _SpanPipeSink:
-    """Worker-side span sink: shard-tags each span row and ships batches.
-
-    Spans ride the same pipe as output rows but under their own message
-    kind, so the parent can merge them into the spans file with the same
-    task-ordered buffering — a merged multi-process spans file is the
-    concatenation of the per-shard spans files, shard 0 first.
-    """
-
-    def __init__(self, conn, key: tuple[int, int]):
-        self._conn = conn
-        self._key = key
-        self._lines: list[str] = []
-        self.count = 0
-
-    def __call__(self, span_row: dict) -> None:
-        span_row["shard"] = self._key[0]
-        self._lines.append(encode_row(span_row))
-        self.count += 1
-        if len(self._lines) >= _ROW_BATCH:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._lines:
-            self._conn.send(("spans", self._key, self._lines))
-            self._lines = []
-
-
-def _run_task(task: _ShardTask, spec: _ShardSpec, conn, kill_on_progress: bool = False) -> None:
+def _run_task(task: _ShardTask, spec: _ShardSpec, conn) -> None:
     """One hermetic sub-scan: own Internet, own RNG streams, own cache."""
     from ..ecosystem import EcosystemParams, build_internet
     from ..modules import get_module
@@ -265,23 +224,19 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn, kill_on_progress: bool =
         ).attach(internet.network)
 
     config = replace(spec.config, seed=derive_seed(base_seed, "scan", *streams))
-    sink = _PipeSink(conn, task.key, spec.add_timestamp)
-    span_sink = _SpanPipeSink(conn, task.key) if config.collect_spans else None
+    sink = _PipeSink(conn, task.key, "rows", spec.add_timestamp)
+    span_sink = _PipeSink(conn, task.key, "spans") if config.collect_spans else None
+    sinks = [sink] if span_sink is None else [sink, span_sink]
     shard_names = list(shard(spec.names, spec.shards, task.shard))
     task_names = shard_names[task.start:task.stop]
 
     def send_delta(delta: TelemetryDelta) -> None:
-        if kill_on_progress:
-            # deterministic mid-task crash for the durability suite:
-            # die before anything about this emission hits the pipe
-            os.kill(os.getpid(), signal.SIGKILL)
         delta.shard, delta.segment, delta.segments = task.shard, task.segment, task.segments
         if delta.complete:
             # flush row/span batches *before* the complete delta, so the
             # delta always reaches the parent ahead of task_done
-            sink.flush()
-            if span_sink is not None:
-                span_sink.flush()
+            for each in sinks:
+                each.flush()
         conn.send(("delta", task.key, delta.to_payload()))
 
     report = ScanRunner(
@@ -293,9 +248,8 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn, kill_on_progress: bool =
         progress=send_delta if spec.stream_deltas else None,
         target=len(task_names),
     ).run(task_names)
-    sink.flush()
-    if span_sink is not None:
-        span_sink.flush()
+    for each in sinks:
+        each.flush()
     registry = report.registry
     conn.send(
         (
@@ -310,44 +264,6 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn, kill_on_progress: bool =
             },
         )
     )
-
-
-def _worker_crash_spec(worker_index: int) -> tuple[str, int] | None:
-    """Parse ``REPRO_TEST_CRASH`` for this worker, if it targets it."""
-    spec = os.environ.get("REPRO_TEST_CRASH", "")
-    parts = spec.split(":")
-    if len(parts) == 4 and parts[0] == "worker":
-        try:
-            if int(parts[1]) == worker_index and parts[2] in ("after", "during"):
-                return parts[2], int(parts[3])
-        except ValueError:
-            return None
-    return None
-
-
-def _parent_crash_after() -> int | None:
-    """Parse ``REPRO_TEST_CRASH=parent:after:N`` in the parent."""
-    spec = os.environ.get("REPRO_TEST_CRASH", "")
-    parts = spec.split(":")
-    if len(parts) == 3 and parts[0] == "parent" and parts[1] == "after":
-        try:
-            return int(parts[2])
-        except ValueError:
-            return None
-    return None
-
-
-def _worker_delay(worker_index: int) -> float:
-    """Parse ``REPRO_TEST_TASK_DELAY=W:SECONDS`` (steal-forcing hook)."""
-    spec = os.environ.get("REPRO_TEST_TASK_DELAY", "")
-    parts = spec.split(":")
-    if len(parts) == 2:
-        try:
-            if int(parts[0]) == worker_index:
-                return float(parts[1])
-        except ValueError:
-            return 0.0
-    return 0.0
 
 
 def _worker_main(worker_index: int, spec: _ShardSpec, conn, inherited=()) -> None:
@@ -365,23 +281,13 @@ def _worker_main(worker_index: int, spec: _ShardSpec, conn, inherited=()) -> Non
     """
     for extra in inherited:
         extra.close()
-    crash = _worker_crash_spec(worker_index)
-    delay = _worker_delay(worker_index)
-    completed = 0
     try:
         while True:
             conn.send(("ready", worker_index, None))
             directive = conn.recv()
             if not directive or directive[0] != "task":
                 break
-            task = directive[1]
-            if delay:
-                time.sleep(delay)
-            kill_during = crash == ("during", completed + 1)
-            _run_task(task, spec, conn, kill_on_progress=kill_during)
-            completed += 1
-            if crash == ("after", completed):
-                os.kill(os.getpid(), signal.SIGKILL)
+            _run_task(directive[1], spec, conn)
     except EOFError:  # parent went away: nothing left to report to
         pass
     except BaseException:
@@ -424,7 +330,6 @@ class ParallelReport(ScanReport):
     steal_events: list[dict] = field(default_factory=list)
     #: Tasks replayed from a checkpoint journal instead of re-run.
     resumed_tasks: int = 0
-    checkpoint_dir: str | None = None
 
     def summary(self) -> dict:
         """A single-process run's summary plus an ``mp`` topology block.
@@ -514,6 +419,13 @@ def run_parallel_scan(
         raise ValueError("steal_quantum must be >= 1")
     if resume and checkpoint_dir is None:
         raise ValueError("resume requires a checkpoint_dir")
+    status_interval = config.status_interval
+    if status_interval is not None and status_interval <= 0:
+        raise ValueError("status_interval must be > 0")
+    if checkpoint_interval is None:
+        checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
+    elif checkpoint_interval <= 0:
+        raise ValueError("checkpoint_interval must be > 0")
     names = list(names)
     total_names = len(names)
     shard_sizes = [len(range(k, total_names, shards)) for k in range(shards)]
@@ -525,7 +437,6 @@ def run_parallel_scan(
     #: one)
     processes = min(processes, len(tasks))
 
-    status_interval = config.status_interval
     spec = _ShardSpec(
         names=names,
         shards=shards,
@@ -578,8 +489,6 @@ def run_parallel_scan(
             fsync=checkpoint_fsync,
             resume=resume,
         )
-    if checkpoint_interval is None:
-        checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
 
     fleet = fleet_view if fleet_view is not None else FleetView()
     fleet.shards = shards
@@ -633,55 +542,43 @@ def run_parallel_scan(
         workers.append(process)
         connections.append(parent_conn)
 
-    buffers: dict[tuple[int, int], list[str]] = {}
-    span_buffers: dict[tuple[int, int], list[str]] = {}
+    # one output per line stream; a stream's lines for a task that is
+    # not yet the head of the canonical order wait in its buffer
+    outputs = {"rows": out} if span_out is None else {"rows": out, "spans": span_out}
+    buffers: dict[str, dict[tuple[int, int], list[str]]] = {stream: {} for stream in outputs}
+    written = {"rows": 0, "spans": 0}
     payloads: dict[tuple[int, int], dict] = {
         key: record["payload"] for key, record in restored.items()
     }
     done_keys: set[tuple[int, int]] = set(restored)
-    latest_delta: dict[tuple[int, int], dict] = {}
     assignments: dict[tuple[int, int], tuple[int, int | None]] = {}
     steal_events: list[dict] = []
     errors: list[tuple[int, str]] = []
     flush_index = 0
-    rows_written = 0
-    spans_written = 0
     started = time.monotonic()
     last_status_total = 0
-    next_status = started + status_interval if status_interval else None
+    next_status = started + status_interval if status_interval is not None else None
     next_checkpoint = started + checkpoint_interval if writer is not None else None
-    crash_after = _parent_crash_after() if writer is not None else None
-    session_records = 0
-    stream = status_stream if status_stream is not None else sys.stderr
+    status_out = status_stream if status_stream is not None else sys.stderr
 
     def advance() -> None:
         """Flush every consecutively finished task in canonical order,
         then let the new head task's buffer catch up so its subsequent
         batches stream directly."""
-        nonlocal flush_index, rows_written, spans_written
+        nonlocal flush_index
         while flush_index < len(order) and order[flush_index] in done_keys:
             key = order[flush_index]
-            if key in restored:
-                lines = journal.rows_for(key)
-                rows_written += len(lines)
-                out.writelines(lines)
-                if span_out is not None:
-                    span_lines = journal.spans_for(key)
-                    spans_written += len(span_lines)
-                    span_out.writelines(span_lines)
-            else:
-                out.writelines(buffers.pop(key, []))
-                if span_out is not None:
-                    span_out.writelines(span_buffers.pop(key, []))
+            for stream, handle in outputs.items():
+                if key in restored:
+                    lines = journal.lines_for(stream, key)
+                    written[stream] += len(lines)
+                else:
+                    lines = buffers[stream].pop(key, ())
+                handle.writelines(lines)
             flush_index += 1
         if flush_index < len(order):
-            head = order[flush_index]
-            if head in buffers:
-                out.writelines(buffers.pop(head))
-                buffers[head] = []
-            if span_out is not None and head in span_buffers:
-                span_out.writelines(span_buffers.pop(head))
-                span_buffers[head] = []
+            for stream, handle in outputs.items():
+                handle.writelines(buffers[stream].pop(order[flush_index], ()))
 
     def next_task(worker: int) -> tuple[_ShardTask | None, int | None]:
         """Dispatch: lowest pending segment of an owned shard, else
@@ -717,7 +614,7 @@ def run_parallel_scan(
                 target=total_names,
                 eta=estimate_eta(total, total_names, average_rate),
             ),
-            file=stream,
+            file=status_out,
         )
         last_status_total = total
 
@@ -761,25 +658,15 @@ def run_parallel_scan(
                                 }
                             )
                         conn.send(("task", task))
-                elif kind == "rows":
-                    _, key, lines, _counters = message
-                    rows_written += len(lines)
+                elif kind == "lines":
+                    _, key, stream, lines = message
+                    written[stream] += len(lines)
                     if writer is not None:
-                        writer.spool_rows(key, lines)
+                        writer.spool(stream, key, lines)
                     if flush_index < len(order) and key == order[flush_index]:
-                        out.writelines(lines)
+                        outputs[stream].writelines(lines)
                     else:
-                        buffers.setdefault(key, []).extend(lines)
-                elif kind == "spans":
-                    _, key, lines = message
-                    spans_written += len(lines)
-                    if writer is not None:
-                        writer.spool_spans(key, lines)
-                    if span_out is not None:
-                        if flush_index < len(order) and key == order[flush_index]:
-                            span_out.writelines(lines)
-                        else:
-                            span_buffers.setdefault(key, []).extend(lines)
+                        buffers[stream].setdefault(key, []).extend(lines)
                 elif kind == "delta":
                     _, key, payload = message
                     delta = TelemetryDelta.from_payload(payload)
@@ -788,19 +675,14 @@ def run_parallel_scan(
                     delta.owner = owner.get(delta.shard)
                     delta.stolen_from = stolen_from
                     fleet.update(delta)
-                    annotated = delta.to_payload()
-                    latest_delta[key] = annotated
                     if writer is not None:
-                        writer.note_delta(key, annotated)
+                        writer.note_delta(key, delta.to_payload())
                 elif kind == "task_done":
                     _, key, payload = message
                     payloads[key] = payload
                     done_keys.add(key)
                     if writer is not None:
                         writer.task_done(key, payload)
-                        session_records += 1
-                        if crash_after is not None and session_records == crash_after:
-                            os.kill(os.getpid(), signal.SIGKILL)
                     advance()
                 elif kind == "done":
                     live.discard(conn)
@@ -882,7 +764,7 @@ def run_parallel_scan(
         mp_scope = registry.scope("mp")
         mp_scope.gauge("processes").set(processes)
         mp_scope.gauge("shards").set(shards)
-        mp_scope.gauge("rows_merged").set(rows_written)
+        mp_scope.gauge("rows_merged").set(written["rows"])
 
     return ParallelReport(
         stats=merged_stats,
@@ -895,10 +777,9 @@ def run_parallel_scan(
         processes=processes,
         shards=shards,
         tasks=len(tasks),
-        rows_written=rows_written,
-        spans_written=spans_written,
+        rows_written=written["rows"],
+        spans_written=written["spans"],
         steals=len(steal_events),
         steal_events=steal_events,
         resumed_tasks=len(restored),
-        checkpoint_dir=checkpoint_dir,
     )

@@ -13,7 +13,8 @@ process count → identical bytes).
 Baselines are always runs with checkpointing enabled: streaming
 telemetry schedules virtual-clock timers, so (exactly like
 ``--status-interval`` and ``--http-port``) it is part of the scan
-configuration the fingerprint pins.
+configuration the fingerprint pins.  Kills and steal-forcing delays
+come from :mod:`tests.crashpoints`.
 """
 
 import io as io_module
@@ -41,6 +42,8 @@ from repro.framework.io import names_digest
 from repro.framework.stats import ScanStats
 from repro.obs import MetricsRegistry
 
+from .crashpoints import injected
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NAMES = 60
 SHARDS = 4
@@ -64,28 +67,30 @@ def names_file(tmp_path_factory):
     return path
 
 
-def _cli_env(crash=None, delay=None):
+def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    env.pop("REPRO_TEST_CRASH", None)
-    env.pop("REPRO_TEST_TASK_DELAY", None)
-    if crash is not None:
-        env["REPRO_TEST_CRASH"] = crash
-    if delay is not None:
-        env["REPRO_TEST_TASK_DELAY"] = delay
     return env
 
 
 def _cli_scan(names_file, workdir, tag, *, processes, checkpoint=None,
               resume=None, crash=None, delay=None, extra=()):
-    """One CLI scan as a subprocess; returns (returncode, stderr, paths)."""
+    """One CLI scan as a subprocess, through ``tests/crashpoints.py``
+    when a crash or delay is asked for; returns (process, paths)."""
     out = workdir / f"{tag}.jsonl"
     prom = workdir / f"{tag}.prom"
     spans = workdir / f"{tag}.spans"
+    if crash is None and delay is None:
+        launcher = ["-m", "repro.framework.cli"]
+    else:
+        launcher = [str(REPO_ROOT / "tests" / "crashpoints.py")]
+        launcher += ["--crash", crash] if crash is not None else []
+        launcher += ["--delay", delay] if delay is not None else []
+        launcher.append("--")
     argv = [
-        sys.executable, "-m", "repro.framework.cli", "A",
+        sys.executable, *launcher, "A",
         "-f", str(names_file), "-o", str(out),
         "--processes", str(processes),
         "--mp-shards", str(SHARDS),
@@ -101,7 +106,7 @@ def _cli_scan(names_file, workdir, tag, *, processes, checkpoint=None,
     if resume is not None:
         argv += ["--resume", str(resume)]
     proc = subprocess.run(
-        argv, env=_cli_env(crash=crash, delay=delay),
+        argv, env=_cli_env(),
         capture_output=True, text=True, timeout=120, cwd=str(REPO_ROOT),
     )
     return proc, {"rows": out, "prom": prom, "spans": spans}
@@ -174,9 +179,9 @@ class TestJournalRoundTrip:
             str(directory), fingerprint="fp-1", plan={"tasks": [[0, 0, 0, 2]]},
             fsync=fsync,
         )
-        writer.spool_rows((0, 0), ['{"name": "a"}\n'])
-        writer.spool_rows((0, 0), ['{"name": "b"}\n'])
-        writer.spool_spans((0, 0), ['{"span": "lookup"}\n'])
+        writer.spool("rows", (0, 0), ['{"name": "a"}\n'])
+        writer.spool("rows", (0, 0), ['{"name": "b"}\n'])
+        writer.spool("spans", (0, 0), ['{"span": "lookup"}\n'])
         writer.note_delta((0, 0), {"shard": 0, "seq": 3, "version": 2})
         writer.task_done((0, 0), _sample_payload())
         writer.finalize(complete=True, counters={"done": 2})
@@ -191,8 +196,8 @@ class TestJournalRoundTrip:
         assert record["rows"] == 2
         assert record["spans"] == 1
         assert record["delta"]["seq"] == 3
-        assert journal.rows_for((0, 0)) == ['{"name": "a"}\n', '{"name": "b"}\n']
-        assert journal.spans_for((0, 0)) == ['{"span": "lookup"}\n']
+        assert journal.lines_for("rows", (0, 0)) == ['{"name": "a"}\n', '{"name": "b"}\n']
+        assert journal.lines_for("spans", (0, 0)) == ['{"span": "lookup"}\n']
 
     @pytest.mark.parametrize("fsync", ["always", "interval", "never"])
     def test_all_fsync_policies_produce_loadable_journals(self, tmp_path, fsync):
@@ -229,16 +234,48 @@ class TestJournalRoundTrip:
         """A resumed session re-running a task must overwrite, not
         append to, the crashed attempt's partial spool."""
         writer = CheckpointWriter(str(tmp_path), fingerprint="f", plan={})
-        writer.spool_rows((0, 0), ["stale-line-1\n", "stale-line-2\n"])
+        writer.spool("rows", (0, 0), ["stale-line-1\n", "stale-line-2\n"])
         writer.finalize(complete=False)  # crash before task_done
         resumed = CheckpointWriter(
             str(tmp_path), fingerprint="f", plan={}, resume=True
         )
-        resumed.spool_rows((0, 0), ["fresh\n"])
+        resumed.spool("rows", (0, 0), ["fresh\n"])
         resumed.task_done((0, 0), _sample_payload())
         resumed.finalize(complete=True)
         journal = CheckpointJournal.load(str(tmp_path))
-        assert journal.rows_for((0, 0)) == ["fresh\n"]
+        assert journal.lines_for("rows", (0, 0)) == ["fresh\n"]
+
+
+class TestJournalOnDiskShape:
+    def test_header_task_record_and_spool_names_are_pinned(self, tmp_path):
+        """The journal format is a contract between versions of this
+        code: a journal written by one must resume under the other.
+        Literals on purpose — renaming a key or a spool file breaks it."""
+        writer = CheckpointWriter(str(tmp_path), fingerprint="fp", plan={"tasks": []})
+        writer.spool("rows", (2, 1), ['{"name": "a"}\n', '{"name": "b"}\n'])
+        writer.spool("spans", (2, 1), ['{"span": "lookup"}\n'])
+        writer.note_delta((2, 1), {"shard": 2})
+        writer.task_done((2, 1), _sample_payload())
+        writer.finalize(complete=True)
+        header, task = [
+            json.loads(line) for line in (tmp_path / "journal.jsonl").read_text().splitlines()
+        ]
+        assert sorted(header) == ["fingerprint", "kind", "plan", "time", "version"]
+        assert (header["kind"], header["version"]) == ("header", 1)
+        assert sorted(task) == [
+            "delta", "key", "kind", "payload", "row_bytes", "rows", "span_bytes", "spans",
+        ]
+        assert (task["kind"], task["key"]) == ("task", [2, 1])
+        assert (task["rows"], task["row_bytes"], task["spans"], task["span_bytes"]) == (
+            2, 28, 1, 19,
+        )
+        assert sorted(os.listdir(tmp_path)) == ["journal.jsonl", "spool", "state.json"]
+        assert sorted(os.listdir(tmp_path / "spool")) == [
+            "shard-2.seg-1.rows", "shard-2.seg-1.spans",
+        ]
+        assert (tmp_path / "spool" / "shard-2.seg-1.spans").read_bytes() == (
+            b'{"span": "lookup"}\n'
+        )
 
 
 class TestJournalRejection:
@@ -249,7 +286,7 @@ class TestJournalRejection:
         writer = CheckpointWriter(
             str(tmp_path), fingerprint="fp-good", plan={"tasks": [[0, 0, 0, 1]]}
         )
-        writer.spool_rows((0, 0), ['{"name": "x"}\n'])
+        writer.spool("rows", (0, 0), ['{"name": "x"}\n'])
         writer.task_done((0, 0), _sample_payload())
         writer.finalize(complete=False)
         return tmp_path
@@ -359,24 +396,21 @@ class TestConfigFingerprint:
 # ---------------------------------------------------------------------------
 
 
-def _run_in_process(corpus, *, processes, quantum=None, delay=None,
-                    checkpoint_dir=None, resume=False, monkeypatch=None):
-    if delay is not None:
-        monkeypatch.setenv("REPRO_TEST_TASK_DELAY", delay)
-    elif monkeypatch is not None:
-        monkeypatch.delenv("REPRO_TEST_TASK_DELAY", raising=False)
+def _run_in_process(corpus, *, processes, quantum=None, crash=None, delay=None,
+                    checkpoint_dir=None, resume=False):
     out = io_module.StringIO()
-    report = run_parallel_scan(
-        corpus,
-        ScanConfig(module="A", mode="iterative", threads=50, seed=11),
-        processes=processes,
-        out=out,
-        shards=SHARDS,
-        add_timestamp=False,
-        steal_quantum=quantum,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
+    with injected(crash=crash, delay=delay):
+        report = run_parallel_scan(
+            corpus,
+            ScanConfig(module="A", mode="iterative", threads=50, seed=11),
+            processes=processes,
+            out=out,
+            shards=SHARDS,
+            add_timestamp=False,
+            steal_quantum=quantum,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+        )
     return out.getvalue(), report
 
 
@@ -385,29 +419,25 @@ class TestStealDeterminism:
     def corpus(self):
         return _corpus()
 
-    def test_any_steal_schedule_yields_identical_bytes(self, corpus, monkeypatch):
+    def test_any_steal_schedule_yields_identical_bytes(self, corpus):
         """The property the whole design rests on: bytes are a function
         of (seed, shards, quantum) — never of which worker ran what.
         Different worker delays force different steal schedules."""
-        reference, _ = _run_in_process(
-            corpus, processes=1, quantum=QUANTUM, monkeypatch=monkeypatch
-        )
+        reference, _ = _run_in_process(corpus, processes=1, quantum=QUANTUM)
         stolen = 0
         for schedule in (None, "0:0.3", "1:0.2", "2:0.25"):
             text, report = _run_in_process(
-                corpus, processes=3, quantum=QUANTUM,
-                delay=schedule, monkeypatch=monkeypatch,
+                corpus, processes=3, quantum=QUANTUM, delay=schedule
             )
             assert text == reference, f"schedule {schedule} changed bytes"
             stolen += report.steals
         assert stolen >= 1  # at least one schedule actually stole
 
-    def test_forced_steal_is_observable(self, corpus, monkeypatch):
+    def test_forced_steal_is_observable(self, corpus):
         """Slowing worker 0 to a crawl guarantees the other workers
         drain its shards: steals must be reported, with provenance."""
         text, report = _run_in_process(
-            corpus, processes=3, quantum=QUANTUM,
-            delay="0:0.5", monkeypatch=monkeypatch,
+            corpus, processes=3, quantum=QUANTUM, delay="0:0.5"
         )
         assert report.steals >= 1
         assert report.tasks == SHARDS * 4
@@ -415,35 +445,24 @@ class TestStealDeterminism:
             assert event["to"] != event["from"]
             assert event["stop"] > event["start"]
 
-    def test_quantum_covering_shard_matches_legacy_decomposition(self, corpus, monkeypatch):
+    def test_quantum_covering_shard_matches_legacy_decomposition(self, corpus):
         """steal_quantum >= shard size degenerates to whole-shard tasks,
         which must reproduce the historical (no-quantum) bytes exactly —
         the legacy per-shard RNG stream contract."""
-        legacy, legacy_report = _run_in_process(
-            corpus, processes=2, monkeypatch=monkeypatch
-        )
-        huge, huge_report = _run_in_process(
-            corpus, processes=2, quantum=10_000, monkeypatch=monkeypatch
-        )
+        legacy, legacy_report = _run_in_process(corpus, processes=2)
+        huge, huge_report = _run_in_process(corpus, processes=2, quantum=10_000)
         assert huge == legacy
         assert legacy_report.tasks == SHARDS
         assert huge_report.tasks == SHARDS
 
-    def test_worker_death_between_tasks_self_heals(self, corpus, monkeypatch):
+    def test_worker_death_between_tasks_self_heals(self, corpus):
         """A worker SIGKILLed between tasks is not fatal: survivors
         steal its queue and the scan completes with identical bytes."""
-        reference, _ = _run_in_process(
-            corpus, processes=2, quantum=QUANTUM, monkeypatch=monkeypatch
+        reference, _ = _run_in_process(corpus, processes=2, quantum=QUANTUM)
+        text, report = _run_in_process(
+            corpus, processes=2, quantum=QUANTUM, crash="worker:0:after:1"
         )
-        monkeypatch.setenv("REPRO_TEST_CRASH", "worker:0:after:1")
-        out = io_module.StringIO()
-        report = run_parallel_scan(
-            _corpus(),
-            ScanConfig(module="A", mode="iterative", threads=50, seed=11),
-            processes=2, out=out, shards=SHARDS,
-            add_timestamp=False, steal_quantum=QUANTUM,
-        )
-        assert out.getvalue() == reference
+        assert text == reference
         assert report.stats.total == NAMES
 
 
@@ -453,22 +472,22 @@ class TestStealDeterminism:
 
 
 class TestResumeInProcess:
-    def test_resume_of_complete_journal_replays_everything(self, tmp_path, monkeypatch):
+    def test_resume_of_complete_journal_replays_everything(self, tmp_path):
         corpus = _corpus()
         first, first_report = _run_in_process(
             corpus, processes=2, quantum=QUANTUM,
-            checkpoint_dir=str(tmp_path), monkeypatch=monkeypatch,
+            checkpoint_dir=str(tmp_path),
         )
         second, second_report = _run_in_process(
             corpus, processes=2, quantum=QUANTUM,
-            checkpoint_dir=str(tmp_path), resume=True, monkeypatch=monkeypatch,
+            checkpoint_dir=str(tmp_path), resume=True,
         )
         assert second == first
         assert first_report.resumed_tasks == 0
         assert second_report.resumed_tasks == second_report.tasks == SHARDS * 4
         assert second_report.stats.to_json() == first_report.stats.to_json()
 
-    def test_resume_reruns_only_unjournaled_tasks(self, tmp_path, monkeypatch):
+    def test_resume_reruns_only_unjournaled_tasks(self, tmp_path):
         """Resume is work-proportional by count: with the journal cut
         back to its first 10 of 16 task records (what a parent killed
         after its 10th checkpoint leaves), exactly 10 tasks replay, the
@@ -476,7 +495,7 @@ class TestResumeInProcess:
         corpus = _corpus()
         first, first_report = _run_in_process(
             corpus, processes=2, quantum=QUANTUM,
-            checkpoint_dir=str(tmp_path), monkeypatch=monkeypatch,
+            checkpoint_dir=str(tmp_path),
         )
         journal = tmp_path / JOURNAL_NAME
         kept, tasks = [], 0
@@ -488,30 +507,42 @@ class TestResumeInProcess:
         journal.write_text("".join(kept))
         resumed, report = _run_in_process(
             corpus, processes=2, quantum=QUANTUM,
-            checkpoint_dir=str(tmp_path), resume=True, monkeypatch=monkeypatch,
+            checkpoint_dir=str(tmp_path), resume=True,
         )
         assert report.resumed_tasks == 10
         assert report.tasks == first_report.tasks == SHARDS * 4
         assert resumed == first
         assert report.stats.to_json() == first_report.stats.to_json()
 
-    def test_resume_against_wrong_corpus_is_rejected(self, tmp_path, monkeypatch):
+    def test_resume_against_wrong_corpus_is_rejected(self, tmp_path):
         corpus = _corpus()
         _run_in_process(
             corpus, processes=1, quantum=QUANTUM,
-            checkpoint_dir=str(tmp_path), monkeypatch=monkeypatch,
+            checkpoint_dir=str(tmp_path),
         )
         with pytest.raises(CheckpointError, match="different scan configuration"):
             _run_in_process(
                 corpus[:-1] + ["sneaky.extra.com"], processes=1, quantum=QUANTUM,
-                checkpoint_dir=str(tmp_path), resume=True, monkeypatch=monkeypatch,
+                checkpoint_dir=str(tmp_path), resume=True,
             )
 
-    def test_resume_without_journal_is_rejected(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("interval", [0, -1.0])
+    def test_checkpoint_interval_must_be_positive(self, tmp_path, interval):
+        """A zero or negative cadence would wake the parent in a loop,
+        fsyncing the journal and rewriting ``state.json`` each time."""
+        with pytest.raises(ValueError, match="checkpoint_interval"):
+            run_parallel_scan(
+                _corpus()[:8], ScanConfig(module="A", seed=11), processes=2,
+                out=io_module.StringIO(), checkpoint_dir=str(tmp_path),
+                checkpoint_interval=interval,
+            )
+        assert not (tmp_path / JOURNAL_NAME).exists()
+
+    def test_resume_without_journal_is_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint journal"):
             _run_in_process(
                 _corpus(), processes=1, quantum=QUANTUM,
-                checkpoint_dir=str(tmp_path), resume=True, monkeypatch=monkeypatch,
+                checkpoint_dir=str(tmp_path), resume=True,
             )
 
 

@@ -196,6 +196,18 @@ def _run(corpus, processes, shards=4, metrics=False, **overrides):
     return out.getvalue(), report
 
 
+class TestApiValidation:
+    @pytest.mark.parametrize("interval", [0, -1.0])
+    def test_status_interval_must_be_positive(self, interval):
+        status = io_module.StringIO()
+        with pytest.raises(ValueError, match="status_interval"):
+            run_parallel_scan(
+                ["a.com", "b.com", "c.net", "d.org"], _config(status_interval=interval),
+                processes=2, out=io_module.StringIO(), status_stream=status,
+            )
+        assert status.getvalue() == ""
+
+
 class TestParallelDeterminism:
     def test_merged_output_independent_of_process_count(self, corpus):
         """The determinism contract: for fixed (seed, shards) the merged
@@ -508,6 +520,19 @@ class TestCliValidation:
 
     def test_unknown_module_is_clean(self, capsys):
         self._expect_usage_error(["NOSUCHMODULE"], capsys)
+
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_status_interval_must_be_positive(self, tmp_path, capsys, interval):
+        """Rejected before the scan, with or without --processes: the
+        single-process status emitter raises mid-scan, and the fleet
+        status loop prints nothing at 0 and spins below it."""
+        names_file = tmp_path / "names.txt"
+        names_file.write_text("a.com\nb.com\nc.net\nd.org\n")
+        err = self._expect_usage_error(
+            ["A", "-f", str(names_file), "--threads", "4", "--status-interval", interval],
+            capsys,
+        )
+        assert "--status-interval must be > 0" in err
 
 
 class TestCliParallel:
