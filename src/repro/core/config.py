@@ -80,6 +80,11 @@ class ResolverConfig:
     #: read per layer.
     health: Any = None
 
+    def __post_init__(self):
+        if self.retries < 0:
+            # a negative count would send no query at all
+            raise ValueError(f"retries must be >= 0 (got {self.retries})")
+
 
 @dataclass
 class ClientCostModel:

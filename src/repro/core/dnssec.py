@@ -136,7 +136,7 @@ class Validator:
 
     Drives sub-resolutions (DNSKEY fetches, and DS fetches for cuts no
     referral vouched for) through the owning :class:`IterativeMachine`'s
-    ``_resolve_once`` against the lookup's own query budget, so
+    ``_walk`` against the lookup's own query budget, so
     validation cost is bounded by the same ``max_queries`` cap as
     resolution itself.
     """
@@ -159,7 +159,7 @@ class Validator:
 
     def _fetch(self, name: Name, qtype: RRType):
         """A chain fetch through the owning machine (answers, status)."""
-        return (yield from self.machine._resolve_once(name, qtype, self._result, self._budget))
+        return (yield from self.machine._walk(name, qtype, self._result, self._budget))
 
     def _provable_for(self, records, sigs, signer: Name, key: bytes | None) -> int | None:
         """Seconds ``records`` stay provable — their TTL, clamped to the

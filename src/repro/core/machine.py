@@ -54,8 +54,15 @@ class Backoff:
     delay: float
 
 
-@dataclass
-class LookupResult:
+class _WeaklyReferenced:
+    """A ``__weakref__`` slot for a slotted dataclass on every supported
+    Python (``dataclass(weakref_slot=True)`` needs 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(slots=True)
+class LookupResult(_WeaklyReferenced):
     """Outcome of one full lookup."""
 
     name: str
@@ -156,7 +163,11 @@ def _delegation_from(response: Message, zone: Name) -> Delegation:
 
 
 class IterativeMachine:
-    """Performs full iterative resolution with selective caching."""
+    """Performs full iterative resolution with selective caching.
+
+    Keeps no state between lookups: every lookup's state lives in its
+    own generator frames and :class:`LookupResult`, so one machine
+    serves a whole scan."""
 
     def __init__(
         self,
@@ -174,7 +185,7 @@ class IterativeMachine:
 
     def resolve(self, name: Name | str, qtype: RRType):
         """Generator: yields SendQuery, receives Message|None, returns
-        LookupResult."""
+        LookupResult.  One walk per owner name along a CNAME chain."""
         if isinstance(name, str):
             name = Name.from_text(name)
         result = LookupResult(
@@ -191,7 +202,18 @@ class IterativeMachine:
         trace = result.trace
         trace.open("lookup", name=result.name, type=int(qtype))
         try:
-            answers, status = yield from self._resolve_with_cnames(name, qtype, result, budget)
+            answers: list[ResourceRecord] = []
+            current = name
+            for _hop in range(self.config.max_cname_chase + 1):
+                step_answers, status = yield from self._walk(current, qtype, result, budget)
+                answers.extend(step_answers)
+                if status != Status.NOERROR or int(qtype) in (int(RRType.CNAME), int(RRType.ANY)):
+                    break
+                current = _cname_target(step_answers, current, qtype)
+                if current is None:
+                    break
+            else:
+                status = Status.ERROR  # CNAME chain too long
             result.status = status
             result.answers = answers
         except _Abort as abort:
@@ -229,33 +251,13 @@ class IterativeMachine:
             result.evidence = evidence
         evidence.chain_queries = budget.sent - sent_before
 
-    def _resolve_with_cnames(self, name: Name, qtype: RRType, result, budget):
-        answers: list[ResourceRecord] = []
-        current = name
-        for _hop in range(self.config.max_cname_chase + 1):
-            step_answers, status = yield from self._resolve_once(current, qtype, result, budget)
-            answers.extend(step_answers)
-            if status != Status.NOERROR or int(qtype) in (int(RRType.CNAME), int(RRType.ANY)):
-                return answers, status
-            target = _cname_target(step_answers, current, qtype)
-            if target is None:
-                return answers, status
-            current = target
-        return answers, Status.ERROR  # CNAME chain too long
-
-    def _resolve_once(self, name: Name, qtype: RRType, result, budget, depth: int = 0):
+    def _walk(self, name: Name, qtype: RRType, result, budget, depth: int = 0):
         """One delegation walk for a single owner name, recorded as a
         ``step``: returns (answers, status)."""
         trace = result.trace
         trace.open("step", name=name.to_text(omit_final_dot=True), depth=depth, type=int(qtype))
-        answers, status = yield from self._walk(name, qtype, result, budget, depth)
-        trace.close(str(status))
-        return answers, status
-
-    def _walk(self, name: Name, qtype: RRType, result, budget, depth):
         if depth > self.config.max_glueless_depth:
             raise _Abort(Status.ERROR)
-        trace = result.trace
         evidence = result.evidence
 
         # Leaf-answer cache: a no-op under the paper's selective policy,
@@ -264,7 +266,7 @@ class IterativeMachine:
         cached_answers = self.cache.get_answer(name, int(qtype))
         if cached_answers is not None:
             trace.close("answer_hit", row={"depth": depth})
-            return list(cached_answers), Status.NOERROR
+            return _ended(trace, list(cached_answers), Status.NOERROR)
 
         start = name
         if self.config.dnssec and int(qtype) == int(RRType.DS) and name.labels:
@@ -294,25 +296,24 @@ class IterativeMachine:
             if evidence is not None:
                 evidence.last_zone = zone
 
-            if rcode == Rcode.NXDOMAIN:
-                return [], Status.NXDOMAIN
             if rcode != Rcode.NOERROR:
-                return [], status_from_rcode(rcode)
+                return _ended(trace, [], status_from_rcode(rcode))
 
             matched = _match_answers(response, name, int(qtype))
             if matched:
                 self.cache.put_answer(name, int(qtype), matched)
-                return matched, Status.NOERROR
+                return _ended(trace, matched, Status.NOERROR)
             if response.answers and not matched:
-                return [], Status.NOERROR  # answers for someone else: no data for us
+                # answers for someone else: no data for us
+                return _ended(trace, [], Status.NOERROR)
 
             referral = _referral_zone(response)
             if referral is not None and not response.flags.authoritative:
                 if not referral.is_subdomain_of(zone) or referral == zone:
                     # upward or sideways referral: lame server
-                    return [], Status.ERROR
+                    return _ended(trace, [], Status.ERROR)
                 if not name.is_subdomain_of(referral):
-                    return [], Status.ERROR
+                    return _ended(trace, [], Status.ERROR)
                 delegation = _delegation_from(response, referral)
                 if delegation.ns_names:
                     self.cache.put_delegation(delegation)
@@ -325,7 +326,7 @@ class IterativeMachine:
                     addresses = yield from self._resolve_glueless(delegation, result, budget, depth)
                     trace.close("NOERROR" if addresses else str(Status.SERVFAIL))
                     if not addresses:
-                        return [], Status.SERVFAIL
+                        return _ended(trace, [], Status.SERVFAIL)
                 zone = referral
                 servers = addresses
                 continue
@@ -340,10 +341,10 @@ class IterativeMachine:
                     for record in response.authorities
                     if int(record.rrtype) in (int(RRType.NSEC), int(RRType.RRSIG))
                 ]
-                return denial, Status.NOERROR
-            return [], Status.NOERROR
+                return _ended(trace, denial, Status.NOERROR)
+            return _ended(trace, [], Status.NOERROR)
 
-        return [], Status.ITER_LIMIT
+        return _ended(trace, [], Status.ITER_LIMIT)
 
     def _admit(self, response: Message, name: Name, qtype: int, zone: Name):
         """The one accept path of a reply, whichever leg carried it:
@@ -453,9 +454,7 @@ class IterativeMachine:
     def _resolve_glueless(self, delegation: Delegation, result, budget, depth):
         """Referral without glue: resolve one NS name's address."""
         for ns_name in delegation.ns_names:
-            answers, status = yield from self._resolve_once(
-                ns_name, RRType.A, result, budget, depth + 1
-            )
+            answers, status = yield from self._walk(ns_name, RRType.A, result, budget, depth + 1)
             addresses = []
             ttl = delegation.ttl
             for record in answers:
@@ -594,6 +593,12 @@ class _Budget:
         if self.sent >= self.limit:
             raise _Abort(Status.ITER_LIMIT)
         self.sent += 1
+
+
+def _ended(trace: Trace, answers: list[ResourceRecord], status: Status):
+    """Close a walk's ``step`` with its status; returns (answers, status)."""
+    trace.close(str(status))
+    return answers, status
 
 
 def _cname_target(answers: list[ResourceRecord], name: Name, qtype: RRType) -> Name | None:

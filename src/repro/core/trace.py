@@ -80,11 +80,13 @@ def _no_clock() -> float:
 class SpanTracer:
     """What a run's lookups share: the clock every step is timed on
     (``lambda: sim.now`` for virtual time), the run-wide span-id counter
-    (a step takes its id when it opens) and the sink each closed step's
-    span row streams to.  Without a sink, steps are kept on their
-    lookup's trace only."""
+    (a step takes its id when it opens), the sink each closed step's
+    span row streams to, and one tuple of attribute names per sequence
+    a step was opened or closed with (the machine's handful of call
+    shapes), which every step of that shape refers to.  Without a sink,
+    steps are kept on their lookup's trace only."""
 
-    __slots__ = ("clock", "sink", "started")
+    __slots__ = ("clock", "sink", "started", "fields")
 
     def __init__(
         self,
@@ -94,24 +96,34 @@ class SpanTracer:
         self.clock = clock
         self.sink = sink
         self.started = 0
+        self.fields: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 
 class Step:
-    """One recorded step of a lookup: an interval with a parent."""
+    """One recorded step of a lookup: an interval with a parent.
 
-    __slots__ = ("kind", "id", "parent", "start", "end", "status", "attrs", "row")
+    Its attributes are ``values`` against ``fields``, the tuple of
+    their names its tracer shares among steps of one shape: no dict
+    per step.  A walk's ``query`` step opens with ``name, layer, depth,
+    name_server, try_count, type`` in that order (its TCP retry adds
+    ``protocol``), and its Appendix C row reads them by position."""
 
-    def __init__(self, kind: str, step_id: int, parent: Step | None, start: float, attrs: dict):
+    __slots__ = ("kind", "id", "parent", "start", "end", "status", "fields", "values", "row")
+
+    def __init__(
+        self, kind: str, step_id: int, parent: Step | None, start: float, fields: tuple, values: tuple
+    ):
         self.kind = kind
         self.id = step_id
         self.parent = parent
         self.start = start
         self.end: float | None = None
         self.status: str | None = None
-        self.attrs = attrs
+        self.fields = fields
+        self.values = values
         #: What only the Appendix C row carries: a query's ``results``
         #: block, a cache hit's layer ``depth``.
-        self.row: dict | None = None
+        self.row = None
 
     def to_span(self) -> dict:
         """The span row: identity, interval, status, then attributes."""
@@ -124,7 +136,7 @@ class Step:
             "duration": round(self.end - self.start, 9),
             "status": self.status,
         }
-        row.update(self.attrs)
+        row.update(zip(self.fields, self.values))
         return row
 
 
@@ -148,21 +160,30 @@ class Trace:
         if tracer is None:
             return None
         tracer.started += 1
-        step = self._top = Step(kind, tracer.started, self._top, tracer.clock(), attrs)
+        fields = tuple(attrs)
+        fields = tracer.fields.setdefault(fields, fields)
+        step = self._top = Step(
+            kind, tracer.started, self._top, tracer.clock(), fields, tuple(attrs.values())
+        )
         self.steps.append(step)
         return step
 
     def close(self, status: str, row: dict | None = None, **attrs) -> None:
-        """Close the innermost open step; its span row streams out."""
+        """Close the innermost open step; its span row streams out.
+        ``row`` is a one-entry dict, ``{"results": ...}`` or
+        ``{"depth": ...}``: what only the Appendix C row carries."""
         tracer = self.tracer
         if tracer is None:
             return
         step = self._top
         self._top = step.parent
         step.status = status
-        step.row = row
+        if row is not None:
+            (step.row,) = row.values()
         if attrs:
-            step.attrs.update(attrs)
+            fields = step.fields + tuple(attrs)
+            step.fields = tracer.fields.setdefault(fields, fields)
+            step.values += tuple(attrs.values())
         step.end = tracer.clock()
         if tracer.sink is not None:
             tracer.sink(step.to_span())
@@ -173,7 +194,7 @@ class Trace:
         if self.tracer is None:
             return None
         last = self.steps[-1]
-        return self.open(last.kind, **last.attrs, **attrs)
+        return self.open(last.kind, **dict(zip(last.fields, last.values)), **attrs)
 
     def unwind(self, status: str) -> None:
         """Close every open step but the outermost (the lookup), innermost
@@ -192,34 +213,21 @@ class Trace:
                 walk = step.parent
                 if walk is None or walk.kind != "step":
                     continue  # a stub lookup's queries: no chain to expose
-                attrs = step.attrs
+                values = step.values
                 status = step.status
-                if attrs.get("protocol") == "tcp":
+                if len(values) > 6 and values[6] == "tcp":
                     rows.pop()  # the truncated UDP leg this retried
                     if status == "TIMEOUT":
                         status = "TRUNCATED"  # what the UDP leg ended as
+                name, layer, depth, server, tries, qtype = values[:6]
                 rows.append(
-                    TraceStep(
-                        attrs["name"],
-                        attrs["layer"],
-                        attrs["depth"],
-                        attrs["name_server"],
-                        False,
-                        attrs["try_count"],
-                        attrs["type"],
-                        1,
-                        step.row["results"] if step.row else None,
-                        status,
-                    )
+                    TraceStep(name, layer, depth, server, False, tries, qtype, 1, step.row, status)
                 )
             elif kind == "cache_probe" and step.status in ("hit", "answer_hit"):
-                walk = step.parent.attrs
-                layer = step.attrs.get("layer") or walk["name"] or "."
-                rows.append(
-                    TraceStep(
-                        walk["name"], layer, step.row["depth"], "cache", True, 0, walk["type"]
-                    )
-                )
+                walk = step.parent.values  # name, depth, type
+                # a delegation hit closes with its layer, an answer hit bare
+                layer = (step.values[0] if step.values else None) or walk[0] or "."
+                rows.append(TraceStep(walk[0], layer, step.row, "cache", True, 0, walk[2]))
         return iter(rows)
 
     def __len__(self) -> int:

@@ -50,7 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--source-prefix", type=int, default=32, help="scanning subnet size (32, 29, 28)")
     parser.add_argument("--cache-size", type=int, default=600_000, help="delegation cache entries")
     parser.add_argument("--retries", type=int, default=2, help="extra attempts per query")
-    parser.add_argument("--timeout", type=float, default=3.0, help="per-query timeout seconds")
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=3.0,
+        help="per-query timeout seconds against a recursive resolver (--mode google, "
+        "cloudflare, external, --live-resolver); iterative queries wait 2 s",
+    )
     parser.add_argument("--trace", action="store_true", help="record full lookup chains")
     parser.add_argument("--seed", type=int, default=2022, help="simulation seed")
     parser.add_argument("--cores", type=int, default=24, help="simulated CPU cores")
@@ -218,8 +224,21 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as error:
         parser.error(str(error))
 
-    # Validate the sharding/process topology eagerly: a bad combination
-    # must exit as a clean usage error, not a traceback mid-scan.
+    # Validate numbers and the sharding/process topology eagerly: a bad
+    # value must exit as a clean usage error, not a traceback mid-scan
+    # (or, worse, a silent empty or query-less scan).
+    for flag, value, least in (
+        ("--threads", args.threads, 1),
+        ("--cores", args.cores, 1),
+        ("--cache-size", args.cache_size, 1),
+        ("--retries", args.retries, 0),
+    ):
+        if value < least:
+            parser.error(f"{flag} must be >= {least} (got {value})")
+    if not 0 <= args.source_prefix <= 32:
+        parser.error(f"--source-prefix must be 0..32 (got {args.source_prefix})")
+    if args.timeout <= 0:
+        parser.error(f"--timeout must be > 0 (got {args.timeout})")
     if args.shards < 1:
         parser.error(f"--shards must be >= 1 (got {args.shards})")
     if not 0 <= args.shard < args.shards:

@@ -412,6 +412,8 @@ def run_parallel_scan(
     """
     if processes < 1:
         raise ValueError("processes must be >= 1")
+    if config.threads < 1:
+        raise ValueError(f"threads must be >= 1 (got {config.threads})")
     shards = DEFAULT_LOGICAL_SHARDS if shards is None else shards
     if shards < 1:
         raise ValueError("shards must be >= 1")

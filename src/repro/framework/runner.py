@@ -228,6 +228,8 @@ class ScanRunner:
         codec_baseline = dict(CODEC_STATS)
 
         iterative = config.mode == "iterative"
+        if config.threads < 1:
+            raise ValueError(f"threads must be >= 1 (got {config.threads})")
         if config.dnssec and not iterative:
             raise ValueError("dnssec validation requires iterative mode")
         if config.mode == "external" and not config.resolver_ips:

@@ -45,14 +45,17 @@ class ModuleContext:
     build_rows: bool = True
 
     def __post_init__(self):
-        if self.mode == "iterative" and self.cache is None:
+        if self.mode != "iterative":
+            self._machine = ExternalMachine(self.resolver_ips, self.config, self.rng)
+        elif self.cache is None:
             raise ValueError("an iterative ModuleContext needs a cache")
+        else:
+            self._machine = IterativeMachine(self.cache, self.root_ips, self.config, self.rng)
 
     def machine(self):
-        """The single-lookup machine appropriate for the scan mode."""
-        if self.mode == "iterative":
-            return IterativeMachine(self.cache, self.root_ips, self.config, self.rng)
-        return ExternalMachine(self.resolver_ips, self.config, self.rng)
+        """The machine appropriate for the scan mode: one for every
+        lookup of the scan, as it keeps no state between lookups."""
+        return self._machine
 
 
 class ScanModule:

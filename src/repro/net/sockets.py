@@ -263,56 +263,11 @@ class SimNetwork:
             self.stats.lost_outbound += 1
             return response_future
 
-        arrival = self.sim.now + rtt / 2
-
-        def at_server() -> None:
-            query = self._maybe_unwire(query_wire, message)
-            synthetic = (
-                injector.at_server(dst_ip, protocol, query)
-                if injector is not None
-                else None
-            )
-            if synthetic is not None:
-                reply = ServerReply(synthetic)
-            else:
-                reply = destination.server.handle_query(query, src_ip, self.sim.now, protocol)
-            if reply is None:
-                self.stats.server_drops += 1
-                return
-            response = reply.message
-            if injector is not None:
-                response = injector.on_reply(dst_ip, protocol, query, response)
-                if response is None:
-                    return  # injected inbound drop (counted per directive)
-            reply_wire = self._maybe_wire(response)
-            if (
-                protocol == "udp"
-                and reply_wire is not None
-                # no client advertises less, so most replies skip the OPT parse
-                and len(reply_wire) > MAX_UDP_PAYLOAD
-            ):
-                # Size-based truncation against the client's EDNS payload.
-                limit = max_payload(query)
-                if len(reply_wire) > limit:
-                    reply_wire = response.to_wire(max_size=limit)
-                    response = Message.from_wire(reply_wire)
-            if response.flags.truncated:
-                self.stats.truncated_replies += 1
-            # the response leg's independent per-direction loss draw
-            if protocol == "udp" and destination.loss.dropped(self.rng):
-                self.stats.lost_inbound += 1
-                return
-            deliver_at = self.sim.now + rtt / 2 + reply.delay
-
-            def deliver() -> None:
-                # after the deadline the waiter is gone: no decoding a
-                # reply nobody will ever read
-                if not response_future.done:
-                    response_future.set_result(self._maybe_unwire(reply_wire, response))
-
-            self.sim._at(deliver_at, deliver)
-
-        self.sim._at(arrival, at_server)
+        exchange = _Exchange(
+            self, destination, injector, src_ip, dst_ip, protocol, message, query_wire, rtt,
+            response_future,
+        )
+        self.sim._at(self.sim.now + rtt / 2, exchange.at_server)
         return response_future
 
     # -- wire fidelity --------------------------------------------------------
@@ -340,6 +295,73 @@ class SimNetwork:
             # A malformed packet a real scanner would have to tolerate.
             self.stats.wire_errors += 1
             return original
+
+
+@dataclass(slots=True)
+class _Exchange:
+    """One query in flight: what its two events — arrival at the server,
+    then delivery of the reply — need, scheduled as its bound methods."""
+
+    network: SimNetwork
+    destination: _Destination
+    injector: object
+    src_ip: str
+    dst_ip: str
+    protocol: str
+    message: Message | None
+    query_wire: bytes | None
+    rtt: float
+    future: SimFuture
+    response: Message | None = None
+    reply_wire: bytes | None = None
+
+    def at_server(self) -> None:
+        network, injector = self.network, self.injector
+        dst_ip, protocol = self.dst_ip, self.protocol
+        query = network._maybe_unwire(self.query_wire, self.message)
+        synthetic = injector.at_server(dst_ip, protocol, query) if injector is not None else None
+        if synthetic is not None:
+            reply = ServerReply(synthetic)
+        else:
+            server = self.destination.server
+            reply = server.handle_query(query, self.src_ip, network.sim.now, protocol)
+        if reply is None:
+            network.stats.server_drops += 1
+            return
+        response = reply.message
+        if injector is not None:
+            response = injector.on_reply(dst_ip, protocol, query, response)
+            if response is None:
+                return  # injected inbound drop (counted per directive)
+        reply_wire = network._maybe_wire(response)
+        if (
+            protocol == "udp"
+            and reply_wire is not None
+            # no client advertises less, so most replies skip the OPT parse
+            and len(reply_wire) > MAX_UDP_PAYLOAD
+        ):
+            # Size-based truncation against the client's EDNS payload.
+            limit = max_payload(query)
+            if len(reply_wire) > limit:
+                reply_wire = response.to_wire(max_size=limit)
+                response = Message.from_wire(reply_wire)
+        if response.flags.truncated:
+            network.stats.truncated_replies += 1
+        # the response leg's independent per-direction loss draw
+        if protocol == "udp" and self.destination.loss.dropped(network.rng):
+            network.stats.lost_inbound += 1
+            return
+        self.message = self.query_wire = None
+        self.response = response
+        self.reply_wire = reply_wire
+        network.sim._at(network.sim.now + self.rtt / 2 + reply.delay, self.deliver)
+
+    def deliver(self) -> None:
+        # after the deadline the waiter is gone: no decoding a reply
+        # nobody will ever read
+        future = self.future
+        if not future.done:
+            future.set_result(self.network._maybe_unwire(self.reply_wire, self.response))
 
 
 class SimUDPSocket:

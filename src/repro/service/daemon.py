@@ -345,6 +345,11 @@ class ResolverService:
     def _worker(self, wid: int):
         socket = self.resolver.socket()
         rng = random.Random(derive_seed(self.config.seed, "worker", str(wid)))
+        # one machine per cache view, each on this worker's RNG stream
+        machines = tuple(
+            IterativeMachine(cache, self.internet.root_ips, self._resolver_config, rng)
+            for cache in (self.cache, _UpstreamOnlyCache(self.cache))
+        )
         try:
             while True:
                 if self._queue:
@@ -357,7 +362,7 @@ class ResolverService:
                     job = yield future
                     if job is None:
                         return
-                yield from self._serve(job, socket, rng)
+                yield from self._serve(job, socket, machines)
         finally:
             socket.close()
 
@@ -401,7 +406,9 @@ class ResolverService:
                     blackout["eligible_served"] += 1
         self._latency.observe(max(self.sim.now - job.created, 1e-9))
 
-    def _serve(self, job: _Job, socket: SimUDPSocket, rng: random.Random):
+    def _serve(self, job: _Job, socket: SimUDPSocket, machines: tuple[IterativeMachine, ...]):
+        """Serve one job: from the cache when it can, else upstream on
+        the worker's ``machines`` — (plain, upstream-only)."""
         cfg = self.config
         counters = self.counters
         qname = self._catalog[job.index]
@@ -415,14 +422,7 @@ class ResolverService:
         if job.kind in ("client", "warm") and self._answer_from_cache(job):
             return
 
-        cache = (
-            _UpstreamOnlyCache(self.cache)
-            if job.kind in ("prefetch", "revalidate")
-            else self.cache
-        )
-        machine = IterativeMachine(
-            cache, self.internet.root_ips, self._resolver_config, rng
-        )
+        machine = machines[1] if job.kind in ("prefetch", "revalidate") else machines[0]
         result = yield from self._driver.execute(
             machine.resolve(qname, _A), socket
         )

@@ -161,6 +161,13 @@ class TestScanRunner:
         with pytest.raises(ValueError):
             ScanRunner(internet, config).run(["a.com"])
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_must_be_positive(self, internet, threads):
+        # fewer than one routine used to finish at once with no rows
+        config = ScanConfig(module="A", mode="google", threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            ScanRunner(internet, config).run(["a.com", "b.com"])
+
     def test_run_scan_convenience(self, internet, corpus):
         report = run_scan(internet, corpus.fqdns(50), module="A", mode="google", threads=10, seed=1)
         assert report.stats.total == 50

@@ -158,6 +158,11 @@ class TestIterativeWalk:
 
 
 class TestFailureHandling:
+    def test_negative_retries_rejected(self):
+        # -1 used to mean zero attempts: no query sent, every name a timeout
+        with pytest.raises(ValueError, match="retries"):
+            ResolverConfig(retries=-1)
+
     def test_timeouts_exhaust_to_iterative_timeout(self):
         net = ScriptedInternet()
         for ip in ROOTS:

@@ -11,19 +11,29 @@ outlives a lookup" has the measured bytes):
 * and both happen by reference count: the event loop runs the cyclic
   collector with a 50,000-object nursery (``LOOP_GC_NURSERY``), which
   would hide a cycle that only a collection frees.
+
+And what a lookup holds while it waits (its in-flight shape): four
+generator levels from the module down to the query it awaits, steps
+without a dict each, one machine for every lookup of a scan, and one
+slotted object per packet in flight.
 """
 
 import gc
+import inspect
 import weakref
 
 import pytest
 
 from repro.baselines import DigBaseline
+from repro.core import Resolver, SelectiveCache, SendQuery
 from repro.core.machine import ExternalMachine, IterativeMachine
+from repro.dnslib import Message, RRType
 from repro.dnslib.message import clear_codec_caches
 from repro.dnslib.name import Name
 from repro.ecosystem import EcosystemParams, build_internet
 from repro.framework import ScanConfig, ScanRunner
+from repro.modules import ModuleContext, get_module
+from repro.net import TimerHandle
 
 from .test_memo_budget import distinct_names, scan
 
@@ -105,3 +115,53 @@ def test_scan_leaves_no_cyclic_garbage(dnssec, no_garbage):
     names = distinct_names(300, offset=2022 * 6000)
     with no_garbage():
         scan(names, dnssec=dnssec)
+
+
+class TestInFlightShape:
+    def test_generator_depth_at_the_first_query(self):
+        """module.lookup -> resolve -> _walk -> _query_layer: the CNAME
+        loop lives in ``resolve`` and a walk opens its own step."""
+        context = ModuleContext(mode="iterative", root_ips=["198.41.0.4"], cache=SelectiveCache())
+        lookup = get_module("A").lookup("www.example.com", context)
+        assert type(next(lookup)) is SendQuery
+        depth, level = 0, lookup
+        while level is not None:
+            depth += 1
+            level = level.gi_yieldfrom
+        assert depth == 4
+
+    @pytest.mark.parametrize("record_trace", [False, True], ids=["rows", "trace"])
+    def test_steps_keep_no_dict(self, record_trace):
+        """A step's attributes are a tuple against shared names; the one
+        dict a step may hold is a ``--trace`` query's ``results`` block."""
+        internet = build_internet(params=EcosystemParams(seed=2022))
+        resolver = Resolver(internet, record_trace=record_trace)
+        steps = []
+        for name in three_names():
+            steps += resolver.lookup(name, RRType.A).trace.steps
+        assert {step.kind for step in steps} >= {"lookup", "step", "cache_probe", "query"}
+        results = 0
+        for step in steps:
+            assert not hasattr(step, "__dict__")
+            held = [getattr(step, slot) for slot in type(step).__slots__]
+            held += [item for value in held if type(value) is tuple for item in value]
+            dicts = [value for value in held if isinstance(value, dict)]
+            if dicts:
+                assert record_trace and step.kind == "query" and dicts == [step.row]
+                results += 1
+        assert (results > 0) == record_trace
+
+    def test_one_machine_per_scan(self):
+        context = Resolver(build_internet(params=EcosystemParams(seed=2022))).context
+        assert context.machine() is context.machine()
+
+    def test_a_packet_in_flight_is_one_slotted_object(self):
+        internet = build_internet(params=EcosystemParams(seed=2022))
+        socket = Resolver(internet).socket()
+        socket.query(internet.root_ips[0], Message.make_query("com", RRType.NS), 2.0)
+        (event,) = [
+            entry[2] for entry in internet.sim._heap if type(entry[2]) is not TimerHandle
+        ]
+        assert inspect.ismethod(event)
+        assert hasattr(type(event.__self__), "__slots__")
+        assert not hasattr(event.__self__, "__dict__")

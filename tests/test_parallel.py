@@ -197,6 +197,12 @@ def _run(corpus, processes, shards=4, metrics=False, **overrides):
 
 
 class TestApiValidation:
+    def test_threads_must_be_positive(self):
+        with pytest.raises(ValueError, match="threads"):
+            run_parallel_scan(
+                ["a.com", "b.com"], ScanConfig(threads=0), processes=2, out=io_module.StringIO()
+            )
+
     @pytest.mark.parametrize("interval", [0, -1.0])
     def test_status_interval_must_be_positive(self, interval):
         status = io_module.StringIO()
@@ -517,6 +523,33 @@ class TestCliValidation:
     def test_http_port_range_checked(self, capsys):
         err = self._expect_usage_error(["A", "--http-port", "70000"], capsys)
         assert "--http-port" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--threads", "0"],
+            ["--threads", "-3"],
+            ["-p", "2", "--threads", "0"],
+            ["--retries", "-1"],
+            ["--cores", "0"],
+            ["--cache-size", "0"],
+            ["--source-prefix", "33"],
+            ["--timeout", "0"],
+            ["--timeout", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_numeric_flags_checked(self, tmp_path, capsys, argv):
+        """Each once ran: an empty or query-less scan that exited 0, or
+        a ValueError traceback."""
+        names_file = tmp_path / "names.txt"
+        names_file.write_text("a.com\nb.com\n")
+        out = tmp_path / "rows.jsonl"
+        err = self._expect_usage_error(
+            ["A", "-f", str(names_file), "-o", str(out), "--quiet", *argv], capsys
+        )
+        assert f"{argv[-2]} must be" in err
+        assert not out.exists()
 
     def test_unknown_module_is_clean(self, capsys):
         self._expect_usage_error(["NOSUCHMODULE"], capsys)
