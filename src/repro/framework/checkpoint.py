@@ -22,21 +22,23 @@ Layout of a checkpoint directory::
   fsynced; a journal whose header cannot be read is rejected whole.
 * ``task`` — one completed task: spool byte/line counts (the spool is
   flushed and fsynced *before* this record, so a record implies a valid
-  spool), the task's mergeable payload (``ScanStats`` state, metrics
-  dump, cache counters, CPU utilisation), and its final
-  :class:`~repro.framework.telemetry.TelemetryDelta` payload.
-* ``delta`` — a periodic progress snapshot for a still-running task
-  (cadence checkpoints; freshness only, never needed for correctness).
+  spool) and the task's mergeable ``payload``: one ``ScanStats`` state,
+  one metrics dump, cache counters, CPU utilisation and DNSSEC tallies.
+  On resume the fleet view's delta for the task is rebuilt from it.
+  (Journals written before the delta lost its ``stats`` block also hold
+  the task's final delta under ``delta``; loading ignores it.)
 * ``resume`` — appended when a later session resumes this journal.
 
 Failure model: the journal is append-only, so the only corruption a
 crash can produce is a torn final line — :meth:`CheckpointJournal.load`
 tolerates exactly that (the torn record is discarded) and treats any
-*earlier* unparsable line, a bad header, or a spool shorter than its
-journaled byte count as real corruption (:class:`CheckpointError`).
+*earlier* unparsable line, a bad header, a ``task`` record with a
+missing or unknown key, or a spool shorter than its journaled byte
+count as real corruption (:class:`CheckpointError`).
 The fsync policy trades durability for speed: ``always`` fsyncs spool +
 journal at every task completion, ``interval`` only at the cadence
-checkpoint, ``never`` leaves flushing to the OS.
+checkpoint (which rewrites ``state.json``), ``never`` leaves flushing
+to the OS.
 
 Exact resume leans on determinism, not on snapshotting simulator
 internals: completed tasks are *replayed from the spool* byte-for-byte,
@@ -55,6 +57,8 @@ import os
 import time
 from dataclasses import asdict
 from typing import Iterable
+
+from .stats import ScanStats
 
 __all__ = [
     "CheckpointError",
@@ -79,6 +83,10 @@ FSYNC_POLICIES = ("always", "interval", "never")
 #: The line streams a task spools, each with its ``task`` record keys
 #: (line count, byte count).  A stream's name is its spool file suffix.
 STREAMS = {"rows": ("rows", "row_bytes"), "spans": ("spans", "span_bytes")}
+
+#: The keys of a ``task`` record's payload (what a shard worker's
+#: ``task_done`` message carries).
+PAYLOAD_KEYS = ("stats", "metrics", "cache", "cpu_utilisation", "dnssec")
 
 
 class CheckpointError(RuntimeError):
@@ -145,19 +153,20 @@ def restore_metrics_dump(dump: Iterable) -> list[tuple]:
     return restored
 
 
-def _restore_task_payload(payload: dict) -> dict:
-    payload = dict(payload)
-    payload["metrics"] = restore_metrics_dump(payload.get("metrics") or [])
-    return payload
-
-
-def _restore_delta_payload(payload: dict | None) -> dict | None:
-    if payload is None:
-        return None
-    payload = dict(payload)
-    if payload.get("metrics"):
-        payload["metrics"] = restore_metrics_dump(payload["metrics"])
-    return payload
+def _restore_task_record(record: dict) -> tuple[tuple[int, int], dict]:
+    """The task key and the record, its payload checked and its metrics
+    dump restored.  The loader turns the exception a malformed record
+    raises into a :class:`CheckpointError`."""
+    shard, segment = record["key"]
+    key = (int(shard), int(segment))
+    payload = record["payload"]
+    if not isinstance(payload, dict) or set(payload) != set(PAYLOAD_KEYS):
+        keys = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
+        raise ValueError(f"payload keys {keys} != {sorted(PAYLOAD_KEYS)}")
+    ScanStats.from_state(payload["stats"])
+    record = dict(record, payload=dict(payload, metrics=restore_metrics_dump(payload["metrics"])))
+    record.pop("delta", None)  # a journal from before v3 deltas: the payload holds its counts
+    return key, record
 
 
 def _spool_name(key: tuple[int, int], stream: str) -> str:
@@ -181,8 +190,8 @@ class CheckpointWriter:
     checkpoint directory, so a SIGKILLed worker cannot corrupt it.  Each
     stream (:data:`STREAMS`) spools as its pipe batches arrive; a task
     becomes durable at :meth:`task_done` (spool flush + fsync, then the
-    journal record); :meth:`checkpoint` is the cadence hook that
-    journals progress deltas for still-running tasks and rewrites
+    journal record); :meth:`checkpoint` is the cadence hook that fsyncs
+    the journal (under ``always`` and ``interval``) and rewrites
     ``state.json`` atomically.
     """
 
@@ -214,8 +223,6 @@ class CheckpointWriter:
         #: survive the rerun)
         self._spools: dict[tuple[tuple[int, int], str], object] = {}
         self._counts: dict[tuple[int, int], dict] = {}
-        self._latest: dict[tuple[int, int], dict] = {}
-        self._dirty: set[tuple[int, int]] = set()
         self._done: set[tuple[int, int]] = set()
         self._closed = False
         if resume:
@@ -261,12 +268,6 @@ class CheckpointWriter:
         counts[lines_key] += len(lines)
         counts[bytes_key] += len(data)
 
-    def note_delta(self, key: tuple[int, int], payload: dict) -> None:
-        """Remember the task's latest telemetry delta; journaled at the
-        next cadence checkpoint (or inside its ``task`` record)."""
-        self._latest[key] = payload
-        self._dirty.add(key)
-
     # -- durability points --------------------------------------------------
 
     def task_done(self, key: tuple[int, int], payload: dict) -> None:
@@ -290,22 +291,14 @@ class CheckpointWriter:
                 "key": list(key),
                 **counts,
                 "payload": payload,
-                "delta": self._latest.get(key),
             },
             sync=sync,
         )
-        self._dirty.discard(key)
         self._done.add(key)
 
     def checkpoint(self, counters: dict | None = None) -> None:
-        """Cadence hook: journal progress deltas for running tasks and
-        atomically rewrite the ``state.json`` snapshot."""
-        for key in sorted(self._dirty):
-            self._append(
-                {"kind": "delta", "key": list(key), "delta": self._latest[key]},
-                sync=False,
-            )
-        self._dirty.clear()
+        """Cadence hook: fsync the journal and atomically rewrite the
+        ``state.json`` snapshot."""
         if self._fsync in ("always", "interval"):
             os.fsync(self._journal.fileno())
         self._write_state(complete=False, counters=counters)
@@ -336,12 +329,6 @@ class CheckpointWriter:
             if self._fsync != "never":
                 os.fsync(handle.fileno())
             handle.close()
-        for key in sorted(self._dirty):
-            self._append(
-                {"kind": "delta", "key": list(key), "delta": self._latest[key]},
-                sync=False,
-            )
-        self._dirty.clear()
         if self._fsync != "never":
             os.fsync(self._journal.fileno())
         self._journal.close()
@@ -354,9 +341,10 @@ class CheckpointJournal:
     ``tasks`` maps ``(shard, segment)`` to the journal's ``task``
     record, with metric dumps restored to their live in-memory format
     (see :func:`restore_metrics_dump`); :meth:`lines_for` replays one
-    stream of a durable task's exact output bytes.  ``delta`` and
-    ``resume`` records are freshness and history for operators; loading
-    skips them.
+    stream of a durable task's exact output bytes.  ``resume`` records
+    are history for operators, and the ``delta`` records an older
+    writer journaled on its cadence were freshness only; loading skips
+    both.
     """
 
     def __init__(
@@ -404,10 +392,15 @@ class CheckpointJournal:
                     f"corrupt journal record at {path}:{number + 1}: {error}"
                 )
             if record["kind"] == "task":
-                record["payload"] = _restore_task_payload(record["payload"])
-                record["delta"] = _restore_delta_payload(record.get("delta"))
-                tasks[tuple(record["key"])] = record
-            # every other record kind (delta, resume, unknown) is skipped
+                try:
+                    key, record = _restore_task_record(record)
+                except (AttributeError, KeyError, TypeError, ValueError) as error:
+                    raise CheckpointError(
+                        f"malformed task record at {path}:{number + 1}: {error!r}"
+                    )
+                tasks[key] = record
+            # every other record kind (resume, an older writer's delta,
+            # unknown) is skipped
         journal = cls(
             directory,
             version=version,
@@ -451,6 +444,9 @@ class CheckpointJournal:
             raise CheckpointError(
                 "checkpoint task plan does not match this run's plan"
             )
+        stray = sorted(set(self.tasks) - {(t[0], t[1]) for t in plan.get("tasks", ())})
+        if stray:
+            raise CheckpointError(f"checkpoint journal holds tasks outside its plan: {stray}")
 
     def lines_for(self, stream: str, key: tuple[int, int]) -> list[str]:
         """The exact ``rows`` or ``spans`` lines a durable task produced

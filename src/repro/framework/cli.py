@@ -7,7 +7,7 @@ against a loopback test server or, with network access, real resolvers.
 
 Observability flags (see :mod:`repro.obs`): ``--status-interval`` prints
 a live progress line per interval, ``--metadata-file`` writes a JSON run
-summary (args, durations, metrics, profile), ``--metrics-out`` dumps the
+summary (args, durations, metrics), ``--metrics-out`` dumps the
 metrics registry as Prometheus-style text, and ``--spans-file`` streams
 per-lookup spans as JSON lines.
 """
@@ -22,9 +22,10 @@ import time
 from ..core import ExternalMachine, LiveDriver, ResolverConfig
 from ..ecosystem import EcosystemParams, build_internet
 from ..modules import get_module
-from ..obs import format_status_line
+from ..obs.status import status_line
 from .io import DEFAULT_LOGICAL_SHARDS, JsonLineSink, read_names, shard
 from .runner import ScanConfig, ScanRunner
+from .stats import ScanStats
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +335,6 @@ def main(argv: list[str] | None = None) -> int:
                 wall_seconds=wall_seconds,
                 virtual_seconds=report.stats.duration if report is not None else None,
                 metrics=report.metrics if report is not None and report.metrics else None,
-                profile=report.profile if report is not None else None,
             )
             write_metadata(args.metadata_file, metadata)
     finally:
@@ -481,7 +481,7 @@ def _run_live(args, module, names, out_handle):
     port = int(port_text) if port_text else 53
     config = ResolverConfig(external_timeout=args.timeout, retries=args.retries)
     sink = JsonLineSink(out_handle)
-    total = successes = timeouts = retries = 0
+    stats = ScanStats()
     interval = args.status_interval
     started = time.monotonic()
     next_status = started + interval if interval else None
@@ -494,30 +494,14 @@ def _run_live(args, module, names, out_handle):
             row = module.process(raw, result)
             row.pop("_result", None)
             sink(row)
-            total += 1
-            successes += result.is_success
-            timeouts += str(result.status) == "TIMEOUT"
-            retries += result.retries_used
             now = time.monotonic()
+            stats.record(str(result.status), now - started, retries=result.retries_used)
             if next_status is not None and now >= next_status:
-                elapsed = now - started
-                print(
-                    format_status_line(
-                        elapsed=elapsed,
-                        total=total,
-                        interval_rate=(total - last_total) / interval,
-                        average_rate=total / elapsed if elapsed > 0 else 0.0,
-                        success_rate=successes / total if total else 0.0,
-                        in_flight=0,
-                        timeouts=timeouts,
-                        retries=retries,
-                        cache_hit_rate=None,
-                    ),
-                    file=sys.stderr,
-                )
-                last_total = total
+                line = status_line(now - started, interval, last_total, stats.counters())
+                print(line, file=sys.stderr)
+                last_total = stats.total
                 next_status = now + interval
-    return {"total": total, "successes": successes, "mode": "live"}, None
+    return {"total": stats.total, "successes": stats.successes, "mode": "live"}, None
 
 
 if __name__ == "__main__":

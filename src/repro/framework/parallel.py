@@ -29,7 +29,8 @@ Design invariants, in order:
    The merged file equals the concatenation of the per-shard files a
    manual ``--shards S --shard k`` fleet would have produced.
 3. **Telemetry merges, not samples.**  ``ScanStats`` fold together
-   (status counts, completion times, retries), metrics registries merge
+   (status counts, completion times, retries — each task's travel once,
+   in its ``task_done`` payload), metrics registries merge
    (counter/gauge sums, histogram bucket adds, ratio gauges recomputed
    — see :func:`~repro.framework.telemetry.fold_metrics`), cache and
    DNSSEC tallies sum, and fault-injection / server-health scopes are
@@ -44,7 +45,7 @@ Design invariants, in order:
    with checkpoint/resume.
 5. **Durability is at task granularity.**  With ``checkpoint_dir`` the
    parent spools each task's row/span bytes and journals its mergeable
-   payload on completion (plus periodic progress deltas on a cadence) —
+   payload on completion (and rewrites ``state.json`` on a cadence) —
    see :mod:`repro.framework.checkpoint`.  ``resume=True`` validates
    the journal against the scan's config fingerprint, replays durable
    tasks from the spool byte-for-byte, re-runs only the incomplete ones
@@ -58,14 +59,16 @@ the mergeable stats/metrics state.  Between batches, workers also stream
 :class:`~repro.framework.telemetry.TelemetryDelta` snapshots (periodic
 on each task's virtual clock) that the parent annotates with scheduling
 state (owner/worker/stolen_from) and folds into a live
-:class:`~repro.framework.telemetry.FleetView` — the fleet status line
-and the HTTP control plane read the view; the authoritative end-of-scan
-merge still comes only from the final ``task_done`` payloads, so the
-live path can never perturb the determinism contract.  A task's lines
-belong to one of two *streams* — ``rows`` (the output file) and
-``spans`` (``--spans-file``, shard-tagged) — and every stage of the
-merge (worker sink, pipe message, parent buffer, checkpoint spool,
-journal replay) handles both through one code path keyed by stream.
+:class:`~repro.framework.telemetry.FleetView` — the fleet status line,
+the HTTP control plane and the checkpoint's ``state.json`` read the
+view.  A delta carries counters and a metrics dump only; the
+authoritative end-of-scan merge comes only from the final ``task_done``
+payloads, so the live path can never perturb the determinism contract.
+A task's lines belong to one of two *streams* — ``rows`` (the output
+file) and ``spans`` (``--spans-file``, shard-tagged) — and every stage
+of the merge (worker sink, pipe message, parent buffer, checkpoint
+spool, journal replay) handles both through one code path keyed by
+stream.
 ``fork`` is preferred (the corpus is inherited copy-on-write); the spec
 is picklable, so ``spawn`` platforms work too, just with a higher
 start-up cost.
@@ -83,8 +86,7 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Iterable, TextIO
 
 from ..net import derive_seed
-from ..obs import format_status_line
-from ..obs.status import estimate_eta
+from ..obs.status import status_line
 from .io import DEFAULT_LOGICAL_SHARDS, encode_row, names_digest, shard
 from .runner import ScanConfig, ScanReport, ScanRunner
 from .stats import ScanStats
@@ -98,7 +100,7 @@ __all__ = [
 ]
 
 #: Default wall-clock seconds between cadence checkpoints (journal
-#: progress deltas + atomic ``state.json`` rewrite).
+#: fsync + atomic ``state.json`` rewrite).
 DEFAULT_CHECKPOINT_INTERVAL = 5.0
 
 #: Rows per pipe message.  Large enough to amortise pickling, small
@@ -166,7 +168,7 @@ class _ShardSpec:
     chaos_seed: int | None = None
     add_timestamp: bool = True
     #: Stream telemetry deltas (a fleet view, the parent's status line or
-    #: the checkpoint cadence consumes them).
+    #: the checkpoint's ``state.json`` consumes them).
     stream_deltas: bool = False
 
 
@@ -400,8 +402,8 @@ def run_parallel_scan(
     deltas — hang the HTTP control plane off it; the fleet status line
     reads the same view.
 
-    ``checkpoint_dir`` journals every completed task (and periodic
-    progress, every ``checkpoint_interval`` wall seconds, fsync per
+    ``checkpoint_dir`` journals every completed task (and rewrites
+    ``state.json`` every ``checkpoint_interval`` wall seconds, fsync per
     ``checkpoint_fsync``); ``resume=True`` loads that journal, replays
     durable tasks byte-for-byte and re-runs only the rest.
 
@@ -448,8 +450,8 @@ def run_parallel_scan(
         chaos_seed=chaos_seed,
         add_timestamp=add_timestamp,
         # deltas power the fleet view, the parent status line, and the
-        # cadence checkpoints; when no consumer exists the workers skip
-        # streaming entirely
+        # checkpoint's state.json; when no consumer exists the workers
+        # skip streaming entirely
         stream_deltas=(
             fleet_view is not None
             or status_interval is not None
@@ -509,17 +511,28 @@ def run_parallel_scan(
     if resume:
         fleet.run_info["resumed_from"] = os.fspath(checkpoint_dir)
         fleet.run_info["resumed_tasks"] = len(restored)
-        # replay the durable tasks' final deltas so the view (and the
-        # status line's done counter) starts where the journal left off
-        for key in sorted(restored):
-            payload = restored[key].get("delta")
-            if payload:
-                delta = TelemetryDelta.from_payload(payload)
-                delta.resumed = True
-                delta.owner = owner.get(delta.shard)
-                delta.worker = None
-                delta.stolen_from = None
-                fleet.update(delta)
+        # rebuild the durable tasks' final deltas from their payloads so
+        # the view (and the status line's done counter) starts where the
+        # journal left off
+        for task in tasks:
+            if task.key in restored:
+                payload = restored[task.key]["payload"]
+                stats = ScanStats.from_state(payload["stats"])
+                fleet.update(
+                    TelemetryDelta(
+                        **stats.counters(),
+                        shard=task.shard,
+                        seq=0,
+                        segment=task.segment,
+                        segments=task.segments,
+                        virtual_now=stats.finished_at,
+                        target=task.stop - task.start,
+                        complete=True,
+                        owner=owner[task.shard],
+                        resumed=True,
+                        metrics=payload["metrics"],
+                    )
+                )
 
     pending: dict[int, deque[_ShardTask]] = {
         s: deque(t for t in tasks if t.shard == s and t.key not in restored)
@@ -598,27 +611,11 @@ def run_parallel_scan(
 
     def emit_status() -> None:
         nonlocal last_status_total
-        elapsed = time.monotonic() - started
         counters = fleet.fleet_counters()
-        total = counters["done"]
-        average_rate = total / elapsed if elapsed > 0 else 0.0
-        print(
-            format_status_line(
-                elapsed=elapsed,
-                total=total,
-                interval_rate=(total - last_status_total) / status_interval,
-                average_rate=average_rate,
-                success_rate=counters["successes"] / total if total else 0.0,
-                in_flight=counters["in_flight"],
-                timeouts=counters["timeouts"],
-                retries=counters["retries"],
-                cache_hit_rate=None,
-                target=total_names,
-                eta=estimate_eta(total, total_names, average_rate),
-            ),
-            file=status_out,
-        )
-        last_status_total = total
+        elapsed = time.monotonic() - started
+        line = status_line(elapsed, status_interval, last_status_total, counters, target=total_names)
+        print(line, file=status_out)
+        last_status_total = counters["done"]
 
     advance()  # restored prefix replays immediately; output streams from it
     try:
@@ -672,13 +669,9 @@ def run_parallel_scan(
                 elif kind == "delta":
                     _, key, payload = message
                     delta = TelemetryDelta.from_payload(payload)
-                    worker_index, stolen_from = assignments.get(key, (None, None))
-                    delta.worker = worker_index
+                    delta.worker, delta.stolen_from = assignments.get(key, (None, None))
                     delta.owner = owner.get(delta.shard)
-                    delta.stolen_from = stolen_from
                     fleet.update(delta)
-                    if writer is not None:
-                        writer.note_delta(key, delta.to_payload())
                 elif kind == "task_done":
                     _, key, payload = message
                     payloads[key] = payload

@@ -4,18 +4,17 @@ delegates per-query logic to the module, and aggregates stats.
 
 This is ZDNS's "framework" component (Section 3.2): light-weight and
 free of DNS-specific logic.  The framework also owns the telemetry
-wiring (:mod:`repro.obs`): it builds the run's metrics registry, mirrors
-scan stats into the ``engine`` scope, publishes scheduler and cache
-pressure at scan end, drives the periodic status emitter on the virtual
-clock, streams :class:`~repro.framework.telemetry.TelemetryDelta`
+wiring (:mod:`repro.obs`): it builds the run's metrics registry,
+publishes the scan's stats into the ``engine`` scope where the registry
+is read (each delta and the end of the run), publishes scheduler and
+cache pressure at scan end, drives the periodic status emitter on the
+virtual clock, streams :class:`~repro.framework.telemetry.TelemetryDelta`
 snapshots to a ``progress`` consumer, and gives the resolver machines
 the run's span tracer (:class:`repro.core.trace.SpanTracer`).
 """
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -115,9 +114,6 @@ class ScanReport:
     metrics: dict = field(default_factory=dict)
     #: Span rows, when the scan collected spans without a sink.
     spans: list[dict] | None = None
-    #: cProfile output captured by the ``REPRO_PROFILE`` hook, routed
-    #: here so it lands in the metadata file next to the run summary.
-    profile: dict | None = None
     #: Differential-oracle counters (``--oracle-check`` scans only):
     #: checked / agreed / inconclusive / divergences.
     oracle_stats: dict | None = None
@@ -288,9 +284,12 @@ class ScanRunner:
             security_counts = dict.fromkeys(SECURITY_STATES + CHAIN_COUNTS, 0)
 
         stats = ScanStats(threads_requested=config.threads, started_at=sim.now)
-        inflight = None
+        inflight = queries_per_lookup = None
         if registry.enabled:
-            stats.attach(engine_scope)
+            # published from ``stats`` where the registry is read; once
+            # now, at zero, to keep the counters' place in the registry
+            stats.publish_metrics(engine_scope)
+            queries_per_lookup = engine_scope.histogram("queries_per_lookup")
             inflight = engine_scope.gauge("inflight")
         name_iter = iter(names)
         module = self.module
@@ -318,6 +317,8 @@ class ScanRunner:
                 retries = result.retries_used if result is not None else 0
                 if inflight is not None:
                     inflight.dec()
+                    if queries:
+                        queries_per_lookup.observe(queries)
                 stats.record(row.get("status", "ERROR"), sim.now, queries, retries)
                 if (
                     security_counts is not None
@@ -372,23 +373,16 @@ class ScanRunner:
 
             def emit_delta(complete: bool) -> None:
                 seq[0] += 1
+                stats.publish_metrics(engine_scope)
                 progress(
                     TelemetryDelta(
+                        **stats.counters(),
                         shard=0,
                         seq=seq[0],
-                        done=stats.total,
-                        successes=stats.successes,
-                        timeouts=stats.timeouts,
-                        retries=stats.retries_used,
-                        queries_sent=stats.queries_sent,
                         in_flight=int(inflight.value) if inflight is not None else 0,
                         virtual_now=sim.now,
-                        cursor=stats.total,
                         target=self.target,
                         complete=complete,
-                        # cumulative mergeable state: the final (complete)
-                        # delta is exactly a task checkpoint
-                        stats=stats.to_state(),
                         metrics=registry.dump() if registry.enabled else [],
                     )
                 )
@@ -420,11 +414,12 @@ class ScanRunner:
                 for finish in finishers:
                     finish()
 
-        profile = _run_with_optional_profile(sim, config.max_events)
+        sim.run(max_events=config.max_events)
         for future in futures:
             future.result()  # surface any routine crash
 
         if registry.enabled:
+            stats.publish_metrics(engine_scope)
             sim.publish_metrics(registry.scope("scheduler"))
             if self.cache is not None:
                 self.cache.publish_metrics(registry.scope("cache"))
@@ -482,42 +477,9 @@ class ScanRunner:
             registry=registry,
             metrics=registry.snapshot(),
             spans=kept_spans,
-            profile=profile,
             oracle_stats=oracle.stats() if oracle is not None else None,
             dnssec_stats=dict(security_counts) if security_counts is not None else None,
         )
-
-
-def _run_with_optional_profile(sim, max_events: int | None = None) -> dict | None:
-    """``sim.run()``, optionally under cProfile.
-
-    Set ``REPRO_PROFILE=1`` (or ``REPRO_PROFILE=<N>`` for the top N
-    rows) to profile cumulative-time hot spots of the event loop — the
-    profiler only wraps the run itself, not setup or reporting, so the
-    output is the scan's actual hot path.  The report is printed to
-    stderr *and* returned (``{"top": N, "report": text}``) so the
-    runner can route it into the run's metadata file.
-    """
-    spec = os.environ.get("REPRO_PROFILE", "")
-    if not spec or spec == "0":
-        sim.run(max_events=max_events)
-        return None
-    import cProfile
-    import pstats
-    import sys
-
-    top = int(spec) if spec.isdigit() and int(spec) > 1 else 25
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        sim.run(max_events=max_events)
-    finally:
-        profiler.disable()
-        buffer = io.StringIO()
-        pstats.Stats(profiler, stream=buffer).sort_stats("cumulative").print_stats(top)
-        report = buffer.getvalue()
-        sys.stderr.write(report)
-    return {"top": top, "report": report}
 
 
 def run_scan(

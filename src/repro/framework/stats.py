@@ -1,55 +1,24 @@
 """Run-time statistics aggregation (Section 3.2's framework duty).
 
-:class:`ScanStats` is the scan's accumulator *and* a thin view over the
-telemetry registry: when attached to a scope (``engine``), every
-``record()`` mirrors into registry counters and histograms, so the
-status emitter, the Prometheus dump, and the metadata file all read the
-same numbers this class summarises.  Unattached (the default), it costs
-exactly what it did before the observability layer existed.
+:class:`ScanStats` is the one count of a scan.  Everything else reads
+it: the status line, each telemetry delta's six counters, the shard
+executor's ``task_done`` payload (the only place completion times
+travel), and the registry's ``engine`` scope, which
+:meth:`ScanStats.publish_metrics` brings up to date at the points the
+registry is read (each delta's dump and the end of the run), the way
+the cache publishes its ``cache`` scope.  Recording a lookup touches no
+registry.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 #: Statuses counted as timeouts by :attr:`ScanStats.timeouts`, the
 #: status line, and the telemetry views — one definition for all three.
 TIMEOUT_STATUSES = ("TIMEOUT", "ITERATIVE_TIMEOUT")
-
-
-class _StatsInstruments:
-    """The registry instruments one scan's ScanStats mirrors into."""
-
-    __slots__ = ("lookups", "successes", "queries", "retries",
-                 "queries_per_lookup", "_status_scope", "_by_status")
-
-    def __init__(self, scope):
-        self.lookups = scope.counter("lookups")
-        self.successes = scope.counter("successes")
-        self.queries = scope.counter("queries_sent")
-        self.retries = scope.counter("retries_used")
-        self.queries_per_lookup = scope.histogram("queries_per_lookup")
-        self._status_scope = scope.scope("status")
-        self._by_status: dict[str, object] = {}
-
-    def record(self, status: str, success: bool, queries: int, retries: int) -> None:
-        self.lookups.inc()
-        if success:
-            self.successes.inc()
-        if queries:
-            self.queries.inc(queries)
-            self.queries_per_lookup.observe(queries)
-        if retries:
-            self.retries.inc(retries)
-        counter = self._by_status.get(status)
-        if counter is None:
-            counter = self._status_scope.counter(status)
-            self._by_status[status] = counter
-        counter.inc()
-
 
 @dataclass
 class ScanStats:
@@ -65,63 +34,75 @@ class ScanStats:
     queries_sent: int = 0
     retries_used: int = 0
     completion_times: list = field(default_factory=list)
-    _instruments: object = field(default=None, repr=False, compare=False)
-
-    def attach(self, scope) -> "ScanStats":
-        """Mirror every subsequent :meth:`record` into registry
-        instruments under ``scope`` (e.g. ``registry.scope("engine")``).
-        Returns self for chaining."""
-        self._instruments = _StatsInstruments(scope)
-        return self
+    #: What :meth:`publish_metrics` last published, by counter name.
+    _published: dict = field(default_factory=dict, repr=False, compare=False)
 
     def record(self, status: str, now: float, queries: int = 0, retries: int = 0) -> None:
         self.total += 1
         self.by_status[status] += 1
-        success = status in ("NOERROR", "NXDOMAIN")
-        if success:
+        if status in ("NOERROR", "NXDOMAIN"):
             self.successes += 1
         self.finished_at = max(self.finished_at, now)
         self.completion_times.append(now)
         self.queries_sent += queries
         self.retries_used += retries
-        instruments = self._instruments
-        if instruments is not None:
-            instruments.record(status, success, queries, retries)
+
+    def publish_metrics(self, scope) -> None:
+        """Bring the counters under ``scope`` (the run's ``engine``
+        scope) up to this scan's counts: ``lookups``, ``successes``,
+        ``queries_sent``, ``retries_used`` and one ``status.<STATUS>``
+        per status, in the order each status first ended a lookup.
+
+        Counters only grow, so each call adds what is new since the
+        last one: a registry shared by several scans sums them.
+        """
+        published = self._published
+        counts = [
+            ("lookups", self.total),
+            ("successes", self.successes),
+            ("queries_sent", self.queries_sent),
+            ("retries_used", self.retries_used),
+        ]
+        counts += ((f"status.{status}", count) for status, count in self.by_status.items())
+        for name, value in counts:
+            scope.counter(name).inc(value - published.get(name, 0))
+            published[name] = value
+
+    def counters(self) -> dict:
+        """This scan's counts under the names a telemetry delta and the
+        status line give them."""
+        return {
+            "done": self.total,
+            "successes": self.successes,
+            "timeouts": self.timeouts,
+            "retries": self.retries_used,
+            "queries_sent": self.queries_sent,
+        }
 
     def to_state(self) -> dict:
         """Plain-data export for cross-process aggregation (the shard
-        workers of :mod:`repro.framework.parallel` ship this over the
-        result pipe; :meth:`from_state` and :meth:`merge` rebuild the
-        fleet-wide view in the parent)."""
-        return {
-            "total": self.total,
-            "successes": self.successes,
-            "by_status": dict(self.by_status),
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "threads_requested": self.threads_requested,
-            "threads_running": self.threads_running,
-            "queries_sent": self.queries_sent,
-            "retries_used": self.retries_used,
-            "completion_times": list(self.completion_times),
-        }
+        workers of :mod:`repro.framework.parallel` ship this in their
+        ``task_done`` payload; :meth:`from_state` and :meth:`merge`
+        rebuild the fleet-wide view in the parent)."""
+        state = {key: getattr(self, key) for key in STATE_KEYS}
+        state["by_status"] = dict(self.by_status)
+        state["completion_times"] = list(self.completion_times)
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "ScanStats":
-        """Inverse of :meth:`to_state`."""
-        stats = cls(
-            total=state["total"],
-            successes=state["successes"],
-            by_status=Counter(state["by_status"]),
-            started_at=state["started_at"],
-            finished_at=state["finished_at"],
-            threads_requested=state["threads_requested"],
-            threads_running=state["threads_running"],
-            queries_sent=state["queries_sent"],
-            retries_used=state["retries_used"],
+        """Inverse of :meth:`to_state`.  A state with a missing or an
+        unknown key raises :class:`ValueError`."""
+        if not isinstance(state, dict) or set(state) != set(STATE_KEYS):
+            keys = sorted(state) if isinstance(state, dict) else type(state).__name__
+            raise ValueError(f"not a ScanStats state: {keys}")
+        return cls(
+            **dict(
+                state,
+                by_status=Counter(state["by_status"]),
+                completion_times=list(state["completion_times"]),
+            )
         )
-        stats.completion_times = list(state["completion_times"])
-        return stats
 
     def merge(self, other: "ScanStats") -> "ScanStats":
         """Fold another scan's stats into this one (in place).
@@ -199,39 +180,6 @@ class ScanStats:
     def steady_successes_per_second(self) -> float:
         return self.steady_rate * self.success_rate
 
-    def timeline(self, bucket: float = 1.0, fill: bool = False) -> list[tuple[float, int]]:
-        """Completions per ``bucket`` seconds of virtual time — the data
-        behind throughput-over-time plots.
-
-        Sparse by default (buckets with no completions are omitted);
-        ``fill=True`` emits every bucket between the first and last
-        completion, zeros included, which is what plotting against a
-        continuous time axis needs.  An empty scan yields ``[]`` either
-        way.
-
-        >>> stats = ScanStats()
-        >>> for t in (0.1, 0.2, 1.5):
-        ...     stats.record("NOERROR", t)
-        >>> stats.timeline(1.0)
-        [(0.0, 2), (1.0, 1)]
-        >>> stats.record("NOERROR", 3.5)
-        >>> stats.timeline(1.0, fill=True)
-        [(0.0, 2), (1.0, 1), (2.0, 0), (3.0, 1)]
-        """
-        if bucket <= 0:
-            raise ValueError("bucket must be positive")
-        if not self.completion_times:
-            return []
-        counts: dict[int, int] = {}
-        for when in self.completion_times:
-            index = math.floor(when / bucket)
-            counts[index] = counts.get(index, 0) + 1
-        if fill:
-            indices = range(min(counts), max(counts) + 1)
-        else:
-            indices = sorted(counts)
-        return [(index * bucket, counts.get(index, 0)) for index in indices]
-
     @property
     def queries_per_second(self) -> float:
         return self.queries_sent / self.duration if self.duration > 0 else 0.0
@@ -250,3 +198,7 @@ class ScanStats:
             "queries_sent": self.queries_sent,
             "retries_used": self.retries_used,
         }
+
+
+#: The keys of :meth:`ScanStats.to_state`: every field but the private one.
+STATE_KEYS = tuple(f.name for f in fields(ScanStats) if not f.name.startswith("_"))

@@ -9,16 +9,17 @@ pieces:
   :data:`DEFAULT_DELTA_INTERVAL` virtual seconds and once more, complete,
   at the end, and shard workers stream them to the parent over the
   executor's pipes.  A delta is a cumulative snapshot of one *task*'s
-  progress counters, its
-  :class:`~repro.framework.stats.ScanStats` state, its metrics-registry
-  dump, and its cursor (rows emitted so far).  *Cumulative* is the
+  six progress counters (:data:`COUNTERS`) and its metrics-registry
+  dump, so its size does not grow with the task.  *Cumulative* is the
   load-bearing property: a lost or coalesced delta costs freshness,
-  never correctness, and the final delta of a task is exactly the state
-  a checkpoint persists (:mod:`repro.framework.checkpoint`).  Since v2 a
-  delta is keyed by ``(shard, segment)`` — work stealing splits a shard
-  into segment tasks — and carries the scheduling annotations the
-  parent stamps on receipt (``owner``, ``worker``, ``stolen_from``,
-  ``resumed``).
+  never correctness.  A delta is never what a scan's result is folded
+  from — the executor's ``task_done`` payload is, and it is also what a
+  checkpoint persists (:mod:`repro.framework.checkpoint`), so on resume
+  a durable task's delta is rebuilt from it.
+  Since v2 a delta is keyed by ``(shard, segment)`` — work stealing
+  splits a shard into segment tasks — and carries the scheduling
+  annotations the parent stamps on receipt (``owner``, ``worker``,
+  ``stolen_from``, ``resumed``).
 * :class:`FleetView` — the fold.  It keeps the latest delta per task
   and rebuilds both the fleet aggregate and per-*shard* rows (segments
   grouped back together) on demand, so the HTTP control plane and the
@@ -40,7 +41,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from ..obs import MetricsRegistry
-from .stats import ScanStats
 
 __all__ = [
     "DEFAULT_DELTA_INTERVAL",
@@ -54,8 +54,13 @@ __all__ = [
 #: meaning; consumers (the parent fold, the checkpoint journal) must
 #: reject versions they do not understand rather than misread them.
 #: v2: deltas are per ``(shard, segment)`` task and carry
-#: owner/worker/stolen_from/resumed scheduling state.
-DELTA_VERSION = 2
+#: owner/worker/stolen_from/resumed scheduling state.  v3: the
+#: ``stats`` block and the ``cursor`` (always equal to ``done``) are gone.
+DELTA_VERSION = 3
+
+#: A delta's progress counters, summed alike over a shard's segments and
+#: over the fleet.
+COUNTERS = ("done", "successes", "timeouts", "retries", "queries_sent", "in_flight")
 
 #: Interval, in *virtual* seconds on the scan's clock, between deltas.
 #: Deterministic for a fixed corpus (virtual timers fire at the same
@@ -70,12 +75,12 @@ class TelemetryDelta:
 
     Everything is *cumulative since task start*, so the parent can
     always overwrite its previous view of the task; ``seq`` orders
-    deltas and exposes gaps.  ``stats`` is ``ScanStats.to_state()`` and
-    ``metrics`` is ``MetricsRegistry.dump()`` — both already the
-    mergeable cross-process formats the end-of-scan fold uses, which is
-    deliberate: the live fleet view and the final merge are the same
-    computation at different times, and a ``complete=True`` delta is a
-    task checkpoint.
+    deltas and exposes gaps.  The counters are the task's
+    :meth:`ScanStats.counters() <repro.framework.stats.ScanStats.counters>`
+    and its ``in_flight`` gauge, and ``metrics`` is
+    ``MetricsRegistry.dump()`` — the mergeable format the end-of-scan
+    fold uses, so the live fleet registry and the final one are the same
+    fold at different times.
 
     Workers fill the progress fields; the executor parent stamps the
     scheduling fields (``owner``/``worker``/``stolen_from``) on receipt
@@ -97,11 +102,6 @@ class TelemetryDelta:
     in_flight: int = 0
     #: Virtual-clock reading in the task's simulator at emission time.
     virtual_now: float = 0.0
-    #: Lookups whose row has been emitted.  The durable resume cursor is
-    #: the *task boundary* (completed tasks replay from the spool,
-    #: incomplete tasks re-run whole); this counter is the live progress
-    #: within.
-    cursor: int = 0
     #: Names assigned to this task (the task-local total target).
     target: int | None = None
     complete: bool = False
@@ -113,7 +113,6 @@ class TelemetryDelta:
     stolen_from: int | None = None
     #: True when this delta was replayed from a checkpoint journal.
     resumed: bool = False
-    stats: dict | None = None
     metrics: list | None = None
     version: int = DELTA_VERSION
 
@@ -182,17 +181,19 @@ def fold_metrics(dumps: Iterable[tuple[int, list]], enabled: bool = True) -> Met
     return registry
 
 
+def _sum_counters(deltas: list[TelemetryDelta]) -> dict:
+    """The :data:`COUNTERS` summed over ``deltas``."""
+    return {name: sum(getattr(d, name) for d in deltas) for name in COUNTERS}
+
+
 def _shard_group_row(
     shard: int, deltas: list[TelemetryDelta], info: dict, elapsed: float
 ) -> dict:
     """One per-shard row of ``/status.json``: the shard's segment tasks
     folded back together, plus ownership/steal/resume state."""
-    # Trust whichever source knows about *more* segments: a replayed
-    # final delta can arrive before the executor installs the plan
-    # (--resume replays the journal while the plan is still being laid
-    # out), and a shard must never read as complete just because every
-    # delta seen *so far* is — the plan may still announce more
-    # segments, and the deltas themselves carry the decomposition size.
+    # Trust whichever source knows about *more* segments: a view may
+    # have no plan (a single-process scan) or get it late, and a shard
+    # must never read as complete while a segment is unreported.
     segments_total = max(
         info.get("segments") or 0, max(d.segments for d in deltas), 1
     )
@@ -201,22 +202,17 @@ def _shard_group_row(
     if target is None:
         known = [d.target for d in deltas if d.target is not None]
         target = sum(known) if known else None
-    done = sum(d.done for d in deltas)
+    counters = _sum_counters(deltas)
     owner = info.get("owner")
     if owner is None:
         owner = next((d.owner for d in deltas if d.owner is not None), None)
     return {
         "shard": shard,
         "seq": max(d.seq for d in deltas),
-        "done": done,
         "target": target,
-        "successes": sum(d.successes for d in deltas),
-        "timeouts": sum(d.timeouts for d in deltas),
-        "retries": sum(d.retries for d in deltas),
-        "queries_sent": sum(d.queries_sent for d in deltas),
-        "in_flight": sum(d.in_flight for d in deltas),
+        **counters,
         "virtual_now": round(max(d.virtual_now for d in deltas), 6),
-        "rate_per_s": round(done / elapsed, 2) if elapsed > 0 else 0.0,
+        "rate_per_s": round(counters["done"] / elapsed, 2) if elapsed > 0 else 0.0,
         "complete": segments_done >= segments_total,
         "segments": segments_total,
         "segments_done": segments_done,
@@ -294,52 +290,35 @@ class FleetView:
     def elapsed(self) -> float:
         return max(0.0, self._clock() - self._started)
 
-    def _grouped(self, deltas: list[TelemetryDelta]) -> dict[int, list[TelemetryDelta]]:
-        groups: dict[int, list[TelemetryDelta]] = {}
-        for delta in sorted(deltas, key=lambda d: d.key):
-            groups.setdefault(delta.shard, []).append(delta)
-        return groups
-
-    def _shard_complete(self, shard: int, deltas: list[TelemetryDelta], plan: dict) -> bool:
-        # same max-of-both-sources rule as _shard_group_row: an early
-        # delta must not shrink the shard, a late plan must not either
-        total = max(
-            plan.get(shard, {}).get("segments") or 0,
-            max(d.segments for d in deltas),
-            1,
-        )
-        return sum(1 for d in deltas if d.complete) >= total
-
-    def fleet_counters(self) -> dict:
-        """Cheap fleet totals (no stats/metrics folding) — what the
-        parent's periodic status line reads."""
+    def _fold(self) -> tuple[dict, list[dict], bool, float]:
+        """One consistent read of the latest deltas: the fleet counters,
+        the per-shard rows (the fleet's ``shards_complete`` and
+        ``steals`` sum theirs), whether the scan is complete, and the
+        wall seconds elapsed."""
         with self._lock:
-            deltas = list(self._deltas.values())
-            plan = self._plan
-        groups = self._grouped(deltas)
-        return {
-            "done": sum(d.done for d in deltas),
-            "successes": sum(d.successes for d in deltas),
-            "timeouts": sum(d.timeouts for d in deltas),
-            "retries": sum(d.retries for d in deltas),
-            "queries_sent": sum(d.queries_sent for d in deltas),
-            "in_flight": sum(d.in_flight for d in deltas),
-            "shards_complete": sum(
-                1 for shard, ds in groups.items()
-                if self._shard_complete(shard, ds, plan)
-            ),
-            "steals": sum(1 for d in deltas if d.stolen_from is not None),
+            deltas = sorted(self._deltas.values(), key=lambda d: d.key)
+            plan = {shard: dict(info) for shard, info in self._plan.items()}
+            complete = self.complete
+        elapsed = self.elapsed
+        groups: dict[int, list[TelemetryDelta]] = {}
+        for delta in deltas:
+            groups.setdefault(delta.shard, []).append(delta)
+        rows = [
+            _shard_group_row(shard, ds, plan.get(shard, {}), elapsed)
+            for shard, ds in groups.items()
+        ]
+        counters = {
+            **_sum_counters(deltas),
+            "shards_complete": sum(row["complete"] for row in rows),
+            "steals": sum(row["steals"] for row in rows),
             "resumed_tasks": sum(1 for d in deltas if d.resumed),
         }
+        return counters, rows, complete, elapsed
 
-    def fleet_stats(self) -> ScanStats:
-        """Merged :class:`ScanStats` from the latest per-task states."""
-        merged = ScanStats()
-        with self._lock:
-            states = [d.stats for d in self._deltas.values() if d.stats]
-        for state in states:
-            merged.merge(ScanStats.from_state(state))
-        return merged
+    def fleet_counters(self) -> dict:
+        """Cheap fleet totals (no metrics folding) — what the parent's
+        periodic status line and the checkpoint's ``state.json`` read."""
+        return self._fold()[0]
 
     def merged_registry(self) -> MetricsRegistry:
         """Live fleet registry: latest per-task dumps folded together
@@ -361,49 +340,29 @@ class FleetView:
         fault/health scopes."""
         from ..obs.status import estimate_eta
 
-        with self._lock:
-            deltas = list(self._deltas.values())
-            plan = {shard: dict(info) for shard, info in self._plan.items()}
-            complete = self.complete
-        groups = self._grouped(deltas)
-        elapsed = self.elapsed
-        done = sum(d.done for d in deltas)
-        successes = sum(d.successes for d in deltas)
+        fleet, rows, complete, elapsed = self._fold()
+        done, successes = fleet["done"], fleet["successes"]
         average_rate = done / elapsed if elapsed > 0 else 0.0
         eta = None if complete else estimate_eta(done, self.target, average_rate)
         tree = self.merged_registry().tree()
+        fleet.update(
+            target=self.target,
+            success_rate=round(successes / done, 4) if done else 0.0,
+            rate_per_s=round(average_rate, 2),
+            eta_s=None if eta is None else round(eta, 1),
+            virtual_now=max((row["virtual_now"] for row in rows), default=0.0),
+            shards=self.shards,
+            shards_reporting=len(rows),
+            # published when a task finishes: None until one has
+            cache_hit_rate=tree.get("cache", {}).get("hit_rate"),
+            complete=complete,
+        )
         return {
             "version": DELTA_VERSION,
             "run": dict(self.run_info),
             "wall_elapsed_s": round(elapsed, 3),
-            "fleet": {
-                "done": done,
-                "target": self.target,
-                "successes": successes,
-                "success_rate": round(successes / done, 4) if done else 0.0,
-                "timeouts": sum(d.timeouts for d in deltas),
-                "retries": sum(d.retries for d in deltas),
-                "queries_sent": sum(d.queries_sent for d in deltas),
-                "in_flight": sum(d.in_flight for d in deltas),
-                "rate_per_s": round(average_rate, 2),
-                "eta_s": None if eta is None else round(eta, 1),
-                "virtual_now": round(max((d.virtual_now for d in deltas), default=0.0), 6),
-                "shards": self.shards,
-                "shards_reporting": len(groups),
-                "shards_complete": sum(
-                    1 for shard, ds in groups.items()
-                    if self._shard_complete(shard, ds, plan)
-                ),
-                "steals": sum(1 for d in deltas if d.stolen_from is not None),
-                "resumed_tasks": sum(1 for d in deltas if d.resumed),
-                # published when a task finishes: None until one has
-                "cache_hit_rate": tree.get("cache", {}).get("hit_rate"),
-                "complete": complete,
-            },
-            "shards": [
-                _shard_group_row(shard, ds, plan.get(shard, {}), elapsed)
-                for shard, ds in sorted(groups.items())
-            ],
+            "fleet": fleet,
+            "shards": rows,
             "scopes": {scope: tree[scope] for scope in _STATUS_SCOPES if scope in tree},
         }
 

@@ -4,9 +4,8 @@ Real ZDNS writes a metadata file alongside scan output — the exact
 invocation, wall-clock duration, and per-status counts — so a result
 set stays interpretable months later.  This builder produces the same:
 the scan summary at the top level (per-status counts, rates), plus the
-``args`` the run was invoked with, wall/virtual ``durations``, the full
-telemetry ``metrics`` snapshot, and — when ``REPRO_PROFILE`` was set —
-the cProfile report, so the profile and the run summary land together.
+``args`` the run was invoked with, wall/virtual ``durations``, and the
+full telemetry ``metrics`` snapshot.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ def build_run_metadata(
     wall_seconds: float | None = None,
     virtual_seconds: float | None = None,
     metrics: dict | None = None,
-    profile: dict | None = None,
     tool: str = "pyzdns-repro",
 ) -> dict:
     """Assemble the metadata document for one finished run.
@@ -48,8 +46,6 @@ def build_run_metadata(
         metadata["durations"] = durations
     if metrics:
         metadata["metrics"] = metrics
-    if profile is not None:
-        metadata["profile"] = profile
     return metadata
 
 

@@ -15,11 +15,7 @@ import math
 import sys
 from typing import Callable, TextIO
 
-__all__ = ["StatusEmitter", "estimate_eta", "format_status_line"]
-
-#: Statuses counted as timeouts on the status line.
-_TIMEOUT_STATUSES = ("TIMEOUT", "ITERATIVE_TIMEOUT")
-
+__all__ = ["StatusEmitter", "estimate_eta", "format_status_line", "status_line"]
 
 def estimate_eta(total: int, target: int | None, average_rate: float) -> float | None:
     """Seconds until ``target`` completions at ``average_rate``.
@@ -86,6 +82,31 @@ def format_status_line(
     return "; ".join(parts)
 
 
+def status_line(
+    elapsed: float, interval: float, previous: int, counters: dict,
+    target: int | None = None, cache_hit_rate: float | None = None,
+) -> str:
+    """The status line of a scan ``elapsed`` seconds in, from its
+    ``counters`` as a telemetry delta names them (``in_flight`` when
+    known), ``previous`` lookups done one ``interval`` ago.  The
+    simulated, the sharded and the live scan all print it."""
+    done = counters["done"]
+    average_rate = done / elapsed if elapsed > 0 else 0.0
+    return format_status_line(
+        elapsed=elapsed,
+        total=done,
+        interval_rate=(done - previous) / interval,
+        average_rate=average_rate,
+        success_rate=counters["successes"] / done if done else 0.0,
+        in_flight=counters.get("in_flight", 0),
+        timeouts=counters["timeouts"],
+        retries=counters["retries"],
+        cache_hit_rate=cache_hit_rate,
+        target=target,
+        eta=estimate_eta(done, target, average_rate),
+    )
+
+
 class StatusEmitter:
     """Emits a status line every ``interval`` virtual seconds.
 
@@ -120,7 +141,6 @@ class StatusEmitter:
             stream = stream if stream is not None else sys.stderr
             write = lambda line: print(line, file=stream)  # noqa: E731
         self.write = write
-        self.lines_emitted = 0
         self._timer = None
         self._started_at = 0.0
         self._last_total = 0
@@ -133,7 +153,7 @@ class StatusEmitter:
         self._timer = self.sim.call_later(self.interval, self._tick)
         return self
 
-    def stop(self, final_line: bool = True) -> None:
+    def stop(self) -> None:
         """Cancel the pending tick (lets the event loop drain) and emit
         one last line so the stream always ends at 100% of the scan."""
         if self._stopped:
@@ -142,7 +162,7 @@ class StatusEmitter:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        if final_line and self.stats.total != self._last_total:
+        if self.stats.total != self._last_total:
             self.emit()
 
     def _tick(self) -> None:
@@ -153,29 +173,17 @@ class StatusEmitter:
 
     def emit(self) -> None:
         """Format and write one status line from current state."""
-        stats = self.stats
-        now = self.sim.now
-        elapsed = now - self._started_at
-        done_since = stats.total - self._last_total
-        self._last_total = stats.total
-        timeouts = sum(stats.by_status.get(s, 0) for s in _TIMEOUT_STATUSES)
-        cache_hit = None
-        if self.cache is not None:
-            cache_hit = self.cache.stats.hit_rate
-        average_rate = stats.total / elapsed if elapsed > 0 else 0.0
+        counters = self.stats.counters()
+        if self.inflight is not None:
+            counters["in_flight"] = int(self.inflight.value)
         self.write(
-            format_status_line(
-                elapsed=elapsed,
-                total=stats.total,
-                interval_rate=done_since / self.interval,
-                average_rate=average_rate,
-                success_rate=stats.success_rate,
-                in_flight=int(self.inflight.value) if self.inflight is not None else 0,
-                timeouts=timeouts,
-                retries=stats.retries_used,
-                cache_hit_rate=cache_hit,
+            status_line(
+                self.sim.now - self._started_at,
+                self.interval,
+                self._last_total,
+                counters,
                 target=self.target,
-                eta=estimate_eta(stats.total, self.target, average_rate),
+                cache_hit_rate=self.cache.stats.hit_rate if self.cache is not None else None,
             )
         )
-        self.lines_emitted += 1
+        self._last_total = counters["done"]

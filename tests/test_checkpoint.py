@@ -39,7 +39,7 @@ from repro.framework.checkpoint import (
     restore_metrics_dump,
 )
 from repro.framework.io import names_digest
-from repro.framework.stats import ScanStats
+from repro.framework.stats import STATE_KEYS, ScanStats
 from repro.obs import MetricsRegistry
 
 from .crashpoints import injected
@@ -170,6 +170,7 @@ def _sample_payload():
         "metrics": registry.dump(),
         "cache": {"hits": 3, "misses": 1},
         "cpu_utilisation": 0.5,
+        "dnssec": None,
     }
 
 
@@ -182,7 +183,6 @@ class TestJournalRoundTrip:
         writer.spool("rows", (0, 0), ['{"name": "a"}\n'])
         writer.spool("rows", (0, 0), ['{"name": "b"}\n'])
         writer.spool("spans", (0, 0), ['{"span": "lookup"}\n'])
-        writer.note_delta((0, 0), {"shard": 0, "seq": 3, "version": 2})
         writer.task_done((0, 0), _sample_payload())
         writer.finalize(complete=True, counters={"done": 2})
         return writer
@@ -195,7 +195,7 @@ class TestJournalRoundTrip:
         record = journal.tasks[(0, 0)]
         assert record["rows"] == 2
         assert record["spans"] == 1
-        assert record["delta"]["seq"] == 3
+        assert "delta" not in record
         assert journal.lines_for("rows", (0, 0)) == ['{"name": "a"}\n', '{"name": "b"}\n']
         assert journal.lines_for("spans", (0, 0)) == ['{"span": "lookup"}\n']
 
@@ -254,7 +254,6 @@ class TestJournalOnDiskShape:
         writer = CheckpointWriter(str(tmp_path), fingerprint="fp", plan={"tasks": []})
         writer.spool("rows", (2, 1), ['{"name": "a"}\n', '{"name": "b"}\n'])
         writer.spool("spans", (2, 1), ['{"span": "lookup"}\n'])
-        writer.note_delta((2, 1), {"shard": 2})
         writer.task_done((2, 1), _sample_payload())
         writer.finalize(complete=True)
         header, task = [
@@ -263,7 +262,10 @@ class TestJournalOnDiskShape:
         assert sorted(header) == ["fingerprint", "kind", "plan", "time", "version"]
         assert (header["kind"], header["version"]) == ("header", 1)
         assert sorted(task) == [
-            "delta", "key", "kind", "payload", "row_bytes", "rows", "span_bytes", "spans",
+            "key", "kind", "payload", "row_bytes", "rows", "span_bytes", "spans",
+        ]
+        assert sorted(task["payload"]) == [
+            "cache", "cpu_utilisation", "dnssec", "metrics", "stats",
         ]
         assert (task["kind"], task["key"]) == ("task", [2, 1])
         assert (task["rows"], task["row_bytes"], task["spans"], task["span_bytes"]) == (
@@ -278,18 +280,22 @@ class TestJournalOnDiskShape:
         )
 
 
+def _journal_with_one_task(tmp_path):
+    writer = CheckpointWriter(
+        str(tmp_path), fingerprint="fp-good", plan={"tasks": [[0, 0, 0, 1]]}
+    )
+    writer.spool("rows", (0, 0), ['{"name": "x"}\n'])
+    writer.task_done((0, 0), _sample_payload())
+    writer.finalize(complete=False)
+    return tmp_path
+
+
 class TestJournalRejection:
     def _journal_path(self, directory):
         return directory / JOURNAL_NAME
 
     def _valid_dir(self, tmp_path):
-        writer = CheckpointWriter(
-            str(tmp_path), fingerprint="fp-good", plan={"tasks": [[0, 0, 0, 1]]}
-        )
-        writer.spool("rows", (0, 0), ['{"name": "x"}\n'])
-        writer.task_done((0, 0), _sample_payload())
-        writer.finalize(complete=False)
-        return tmp_path
+        return _journal_with_one_task(tmp_path)
 
     def test_missing_journal(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint journal"):
@@ -349,6 +355,81 @@ class TestJournalRejection:
         spool.write_bytes(spool.read_bytes()[:3])
         with pytest.raises(CheckpointError, match="truncated checkpoint spool"):
             CheckpointJournal.load(str(tmp_path))
+
+
+def _mangle_first_task(directory, mangle):
+    """Rewrite the first ``task`` record of the journal in ``directory``
+    through ``mangle(record)``."""
+    path = directory / JOURNAL_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    number = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "task")
+    record = json.loads(lines[number])
+    mangle(record)
+    lines[number] = json.dumps(record, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+
+
+class TestTaskRecordErrors:
+    """A ``task`` record that cannot be what a writer wrote ends in a
+    :class:`CheckpointError` naming the record, never a bare
+    ``KeyError`` or ``TypeError`` the CLI would print as a traceback;
+    an optional part that a reader does not use is ignored."""
+
+    _valid_dir = staticmethod(_journal_with_one_task)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda r: r.pop("payload"),
+            lambda r: r.pop("key"),
+            lambda r: r.update(key=[0]),
+            lambda r: r.update(payload=["not", "a", "payload"]),
+            lambda r: r["payload"].pop("stats"),
+            lambda r: r["payload"].update(surprise=1),
+            lambda r: r["payload"]["stats"].pop("total"),
+            lambda r: r["payload"]["stats"].update(cursor=3),
+            lambda r: r["payload"].update(stats=None),
+            lambda r: r["payload"].update(metrics=[["engine.lookups", "counter"]]),
+            lambda r: r["payload"].update(metrics=[["h", "histogram", {"buckets": 3}]]),
+        ],
+        ids=[
+            "no-payload", "no-key", "short-key", "payload-not-a-dict", "no-stats",
+            "unknown-payload-key", "stats-missing-key", "stats-unknown-key",
+            "stats-not-a-dict", "short-metric", "histogram-without-buckets",
+        ],
+    )
+    def test_mangled_task_record_is_a_checkpoint_error(self, tmp_path, mangle):
+        _mangle_first_task(self._valid_dir(tmp_path), mangle)
+        with pytest.raises(CheckpointError, match=r"malformed task record at .*journal.jsonl:2"):
+            CheckpointJournal.load(str(tmp_path))
+
+    def test_a_delta_of_any_shape_is_ignored(self, tmp_path):
+        """The final delta an older writer journaled beside the payload
+        (v2: with ``stats`` and ``cursor``) is not read, whatever keys it
+        has."""
+        _mangle_first_task(
+            self._valid_dir(tmp_path),
+            lambda r: r.update(delta={"version": 2, "cursor": 1, "stats": {}, "surprise": 1}),
+        )
+        journal = CheckpointJournal.load(str(tmp_path))
+        assert "delta" not in journal.tasks[(0, 0)]
+        assert journal.tasks[(0, 0)]["payload"]["stats"] == _sample_payload()["stats"]
+
+    def test_task_outside_the_plan_is_rejected(self, tmp_path):
+        self._valid_dir(tmp_path)
+        _mangle_first_task(tmp_path, lambda r: r.update(key=[5, 0], rows=0, row_bytes=0))
+        journal = CheckpointJournal.load(str(tmp_path))
+        with pytest.raises(CheckpointError, match=r"outside its plan: \[\(5, 0\)\]"):
+            journal.validate(fingerprint="fp-good", plan=journal.plan)
+
+    def test_mangled_payload_fails_resume_with_checkpoint_error(self, tmp_path):
+        corpus = _corpus()
+        _run_in_process(corpus, processes=1, quantum=QUANTUM, checkpoint_dir=str(tmp_path))
+        _mangle_first_task(tmp_path, lambda r: r["payload"]["stats"].pop("completion_times"))
+        with pytest.raises(CheckpointError, match="malformed task record"):
+            _run_in_process(
+                corpus, processes=1, quantum=QUANTUM, checkpoint_dir=str(tmp_path), resume=True,
+            )
 
 
 class TestConfigFingerprint:
@@ -544,6 +625,137 @@ class TestResumeInProcess:
                 _corpus(), processes=1, quantum=QUANTUM,
                 checkpoint_dir=str(tmp_path), resume=True,
             )
+
+
+def _shapes(node) -> dict:
+    """How many ``ScanStats`` states and metrics dumps ``node`` (a
+    parsed journal record) holds, at any depth."""
+    found = {"stats": 0, "metrics": 0}
+
+    def walk(node):
+        if isinstance(node, dict):
+            found["stats"] += set(node) == set(STATE_KEYS)
+            children = node.values()
+        elif isinstance(node, list):
+            found["metrics"] += bool(node) and all(
+                isinstance(entry, list) and len(entry) == 3
+                and entry[1] in ("counter", "gauge", "histogram")
+                for entry in node
+            )
+            children = node
+        else:
+            return
+        for child in children:
+            walk(child)
+
+    walk(node)
+    return found
+
+
+class TestOneCountPerTask:
+    """Each count of a task is journaled once, and nothing is journaled
+    that resume does not read."""
+
+    def test_task_record_holds_one_stats_block_and_one_metrics_dump(self, tmp_path):
+        _run_in_process(_corpus(), processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path))
+        records = [json.loads(line) for line in (tmp_path / JOURNAL_NAME).read_text().splitlines()]
+        tasks = [record for record in records if record["kind"] == "task"]
+        assert len(tasks) == SHARDS * 4
+        for record in tasks:
+            assert _shapes(record) == {"stats": 1, "metrics": 1}, record["key"]
+            assert set(record["payload"]["stats"]) == set(STATE_KEYS)
+
+    def test_short_checkpoint_interval_journals_no_delta_records(self, tmp_path):
+        """The cadence rewrites ``state.json``; it appends nothing to the
+        journal that resume would skip."""
+        run_parallel_scan(
+            _corpus(), ScanConfig(module="A", threads=50, seed=11), processes=2,
+            out=io_module.StringIO(), shards=SHARDS, steal_quantum=QUANTUM,
+            checkpoint_dir=str(tmp_path), checkpoint_interval=0.001,
+        )
+        kinds = [
+            json.loads(line)["kind"] for line in (tmp_path / JOURNAL_NAME).read_text().splitlines()
+        ]
+        assert kinds == ["header"] + ["task"] * (SHARDS * 4)
+        state = json.loads((tmp_path / "state.json").read_text())
+        assert state["complete"] and state["counters"]["done"] == NAMES
+
+    def test_resume_rebuilds_the_fleet_view_from_payloads(self, tmp_path):
+        """The fleet view of a resumed scan starts where the journal left
+        off: each durable task's counters come from its payload."""
+        from repro.framework import FleetView
+
+        corpus = _corpus()
+        first, first_report = _run_in_process(
+            corpus, processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path),
+        )
+        fleet = FleetView()
+        run_parallel_scan(
+            corpus, ScanConfig(module="A", mode="iterative", threads=50, seed=11),
+            processes=2, out=io_module.StringIO(), shards=SHARDS, add_timestamp=False,
+            steal_quantum=QUANTUM, checkpoint_dir=str(tmp_path), resume=True,
+            fleet_view=fleet,
+        )
+        counters = fleet.fleet_counters()
+        stats = first_report.stats
+        assert (counters["done"], counters["successes"], counters["timeouts"]) == (
+            stats.total, stats.successes, stats.timeouts,
+        )
+        assert (counters["retries"], counters["queries_sent"]) == (
+            stats.retries_used, stats.queries_sent,
+        )
+        assert counters["resumed_tasks"] == SHARDS * 4
+        assert counters["shards_complete"] == SHARDS
+        snapshot = fleet.status_snapshot()
+        assert [row["target"] for row in snapshot["shards"]] == [15] * SHARDS
+        assert all(row["resumed"] and row["complete"] for row in snapshot["shards"])
+
+
+class TestResumeAcrossDeltaVersions:
+    """``JOURNAL_VERSION`` stayed 1 when the delta lost its ``stats``
+    block: a journal whose task records still carry the v2 final delta
+    resumes here.  (One written here has no ``delta``, which the older
+    loader's ``record.get("delta")`` allows; the verify SKILL's
+    cross-tree resume step checks that direction.)"""
+
+    def _v2_delta(self, record) -> dict:
+        """The final delta an older writer journaled for ``record``."""
+        shard, segment = record["key"]
+        stats = record["payload"]["stats"]
+        return {
+            "shard": shard, "seq": 9, "segment": segment, "segments": 4,
+            "done": stats["total"], "successes": stats["successes"], "timeouts": 0,
+            "retries": stats["retries_used"], "queries_sent": stats["queries_sent"],
+            "in_flight": 0, "virtual_now": stats["finished_at"], "cursor": stats["total"],
+            "target": stats["total"], "complete": True, "owner": shard % 2, "worker": 1,
+            "stolen_from": None, "resumed": False, "stats": stats,
+            "metrics": record["payload"]["metrics"], "version": 2,
+        }
+
+    @pytest.mark.parametrize("kept", [SHARDS * 4, 7])
+    def test_journal_with_v2_deltas_resumes_byte_identically(self, tmp_path, kept):
+        corpus = _corpus()
+        first, first_report = _run_in_process(
+            corpus, processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path),
+        )
+        journal = tmp_path / JOURNAL_NAME
+        lines, tasks = [], 0
+        for line in journal.read_text().splitlines():
+            record = json.loads(line)
+            if record["kind"] == "task":
+                if tasks == kept:
+                    break
+                tasks += 1
+                record["delta"] = self._v2_delta(record)
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        journal.write_text("".join(lines))
+        resumed, report = _run_in_process(
+            corpus, processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path), resume=True,
+        )
+        assert report.resumed_tasks == kept
+        assert resumed == first
+        assert report.summary() == first_report.summary()
+        assert report.registry.dump() == first_report.registry.dump()
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ class TestTelemetryDelta:
     def test_payload_round_trip(self):
         delta = TelemetryDelta(
             shard=3, seq=7, done=120, successes=110, timeouts=4, retries=9,
-            queries_sent=500, in_flight=12, virtual_now=8.25, cursor=118,
-            target=400, complete=False, stats={"total": 120},
+            queries_sent=500, in_flight=12, virtual_now=8.25,
+            target=400, complete=False,
         )
         clone = TelemetryDelta.from_payload(delta.to_payload())
         assert clone == delta

@@ -305,35 +305,3 @@ class TestSharding:
         with pytest.raises(ValueError):
             list(shard([], 2, 2))
 
-
-class TestTimeline:
-    def test_buckets(self):
-        stats = ScanStats()
-        for t in (0.1, 0.2, 1.5, 2.9):
-            stats.record("NOERROR", t)
-        assert stats.timeline(1.0) == [(0.0, 2), (1.0, 1), (2.0, 1)]
-
-    def test_bad_bucket(self):
-        with pytest.raises(ValueError):
-            ScanStats().timeline(0)
-        with pytest.raises(ValueError):
-            ScanStats().timeline(-1.0)
-
-    def test_empty_timeline(self):
-        assert ScanStats().timeline(1.0) == []
-        assert ScanStats().timeline(1.0, fill=True) == []
-
-    def test_fill_emits_zero_buckets(self):
-        stats = ScanStats()
-        for t in (0.1, 3.5):
-            stats.record("NOERROR", t)
-        assert stats.timeline(1.0) == [(0.0, 1), (3.0, 1)]
-        assert stats.timeline(1.0, fill=True) == [
-            (0.0, 1), (1.0, 0), (2.0, 0), (3.0, 1),
-        ]
-
-    def test_fractional_bucket(self):
-        stats = ScanStats()
-        for t in (0.1, 0.2, 0.6):
-            stats.record("NOERROR", t)
-        assert stats.timeline(0.5) == [(0.0, 2), (0.5, 1)]

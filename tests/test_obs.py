@@ -456,32 +456,75 @@ class TestMetadata:
         assert data["tool"]["name"] == "pyzdns-repro"
         assert "profile" not in data
 
-    def test_profile_included_when_present(self):
-        metadata = build_run_metadata(
-            {"total": 0}, profile={"top": 25, "report": "..."}
-        )
-        assert metadata["profile"]["top"] == 25
+    def test_profile_is_not_a_metadata_argument(self):
+        """The cProfile hook is gone; a per-function call count is the
+        verify recipe's job, not the metadata file's."""
+        with pytest.raises(TypeError):
+            build_run_metadata({"total": 0}, profile={"top": 25, "report": "..."})
 
 
 class TestScanStatsRegistryMirror:
-    def test_attach_mirrors_records(self):
+    def test_publish_mirrors_records(self):
         registry = MetricsRegistry()
-        stats = ScanStats().attach(registry.scope("engine"))
+        stats = ScanStats()
         stats.record("NOERROR", 1.0, queries=3, retries=1)
         stats.record("TIMEOUT", 2.0, queries=6)
+        stats.publish_metrics(registry.scope("engine"))
+        stats.record("NOERROR", 3.0, queries=1)
+        stats.publish_metrics(registry.scope("engine"))
+        assert registry.snapshot() == {
+            "engine.lookups": 3,
+            "engine.successes": 2,
+            "engine.queries_sent": 10,
+            "engine.retries_used": 1,
+            "engine.status.NOERROR": 2,
+            "engine.status.TIMEOUT": 1,
+        }
+        assert all(type(metric).__name__ == "Counter" for metric in registry)
+
+    def test_publishing_into_a_shared_registry_sums_scans(self):
+        registry = MetricsRegistry()
+        for status in ("NOERROR", "SERVFAIL"):
+            stats = ScanStats()
+            stats.record(status, 1.0, queries=2)
+            stats.publish_metrics(registry.scope("engine"))
+            stats.publish_metrics(registry.scope("engine"))  # idempotent
         snap = registry.snapshot()
-        assert snap["engine.lookups"] == 2
-        assert snap["engine.successes"] == 1
-        assert snap["engine.queries_sent"] == 9
-        assert snap["engine.retries_used"] == 1
-        assert snap["engine.status.NOERROR"] == 1
-        assert snap["engine.status.TIMEOUT"] == 1
-        assert snap["engine.queries_per_lookup"]["count"] == 2
+        assert (snap["engine.lookups"], snap["engine.queries_sent"]) == (2, 4)
+        assert (snap["engine.status.NOERROR"], snap["engine.status.SERVFAIL"]) == (1, 1)
 
     def test_unattached_stats_register_nothing(self):
+        """Recording a lookup publishes nothing: a scan's counts reach a
+        registry only through ``publish_metrics``."""
         stats = ScanStats()
         stats.record("NOERROR", 1.0)
-        assert stats._instruments is None
+        assert stats._published == {}
+        assert not hasattr(stats, "attach")
+
+    def test_scan_engine_scope_is_published_in_first_seen_order(self):
+        """The run's ``engine`` scope lists the four counters, the
+        histogram and the gauge first, then one counter per status in the
+        order each status first ended a lookup, all ahead of the
+        end-of-run scopes: the order the Prometheus dump prints."""
+        from repro.ecosystem import build_internet
+        from repro.framework import ScanConfig, ScanRunner
+        from repro.workloads import CorpusConfig, DomainCorpus
+
+        names = list(DomainCorpus(CorpusConfig(seed=11)).fqdns(40))
+        report = ScanRunner(build_internet(), ScanConfig(threads=10, seed=3, metrics=True)).run(names)
+        engine = [name for name in report.metrics if name.startswith("engine.")]
+        statuses = [f"engine.status.{status}" for status in report.stats.by_status]
+        assert engine == [
+            "engine.lookups", "engine.successes", "engine.queries_sent",
+            "engine.retries_used", "engine.queries_per_lookup", "engine.inflight",
+            *statuses, "engine.cpu_utilisation", "engine.threads_running",
+        ]
+        order = list(report.metrics)
+        first_scheduler = next(i for i, name in enumerate(order) if name.startswith("scheduler."))
+        assert order.index(statuses[-1]) < first_scheduler
+        assert report.metrics["engine.lookups"] == report.stats.total == 40
+        assert report.metrics["engine.queries_sent"] == report.stats.queries_sent
+        assert 0 < report.metrics["engine.queries_per_lookup"]["count"] <= 40
 
 
 @pytest.fixture(scope="module")
@@ -700,21 +743,6 @@ class TestCliObservability:
         assert all(
             row["parent"] in parents for row in rows if row["parent"] is not None
         )
-
-    def test_profile_routed_to_metadata(self, names_file, tmp_path, monkeypatch, capsys):
-        from repro.framework.cli import main
-
-        monkeypatch.setenv("REPRO_PROFILE", "5")
-        meta = tmp_path / "meta.json"
-        code = main([
-            "A", "-f", names_file, "-o", str(tmp_path / "o.jsonl"),
-            "--threads", "5", "--seed", "5", "--quiet",
-            "--metadata-file", str(meta),
-        ])
-        assert code == 0
-        data = json.loads(meta.read_text())
-        assert data["profile"]["top"] == 5
-        assert "cumulative" in data["profile"]["report"]
 
     def test_flags_parse(self):
         from repro.framework.cli import build_parser
