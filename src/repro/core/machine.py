@@ -180,6 +180,10 @@ class IterativeMachine:
         self.root_ips = list(root_ips)
         self.config = config or ResolverConfig()
         self.rng = rng or random.Random(0)
+        if self.config.dnssec:  # bound once: a validating lookup imports nothing
+            from . import dnssec
+
+            self._dnssec = dnssec
 
     # ------------------------------------------------------------------
 
@@ -195,9 +199,7 @@ class IterativeMachine:
             resolver="iterative",
         )
         if self.config.dnssec:
-            from .dnssec import ChainEvidence
-
-            result.evidence = ChainEvidence()
+            result.evidence = self._dnssec.ChainEvidence()
         budget = _Budget(self.config.max_queries)
         trace = result.trace
         trace.open("lookup", name=result.name, type=int(qtype))
@@ -238,15 +240,14 @@ class IterativeMachine:
         its budget) but not its evidence: that stays what the lookup
         itself saw — above all the zone that issued the final denial —
         whatever servers validating it then talks to."""
-        from .dnssec import INDETERMINATE, Validator
-
+        dnssec = self._dnssec
         evidence, result.evidence = result.evidence, None
         sent_before = budget.sent
         try:
-            result.security = yield from Validator(self).validate(result, evidence, budget)
+            result.security = yield from dnssec.Validator(self).validate(result, evidence, budget)
         except _Abort as abort:
             result.trace.unwind(str(abort.status))
-            result.security = INDETERMINATE
+            result.security = dnssec.INDETERMINATE
         finally:
             result.evidence = evidence
         evidence.chain_queries = budget.sent - sent_before

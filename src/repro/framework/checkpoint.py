@@ -11,7 +11,8 @@ repeat it.  This module owns that on-disk state.
 Layout of a checkpoint directory::
 
     journal.jsonl          append-only WAL (versioned header first)
-    state.json             atomic (tmp + rename) operator snapshot
+    state.json             atomic (tmp + rename) operator snapshot: the
+                           journaled tasks and their summed counters
     spool/shard-K.seg-S.rows    raw merged-output bytes of one task
     spool/shard-K.seg-S.spans   raw span bytes of one task (``--spans-file``)
 
@@ -192,7 +193,9 @@ class CheckpointWriter:
     becomes durable at :meth:`task_done` (spool flush + fsync, then the
     journal record); :meth:`checkpoint` is the cadence hook that fsyncs
     the journal (under ``always`` and ``interval``) and rewrites
-    ``state.json`` atomically.
+    ``state.json`` atomically: every journaled task (a resumed session
+    is seeded with the ``restored`` records) and their counters, summed
+    from the payloads — what is durable, not what is in flight.
     """
 
     def __init__(
@@ -203,6 +206,7 @@ class CheckpointWriter:
         plan: dict,
         fsync: str = "always",
         resume: bool = False,
+        restored: dict | None = None,
     ):
         if fsync not in FSYNC_POLICIES:
             raise ValueError(f"fsync policy must be one of {FSYNC_POLICIES}, not {fsync!r}")
@@ -224,6 +228,9 @@ class CheckpointWriter:
         self._spools: dict[tuple[tuple[int, int], str], object] = {}
         self._counts: dict[tuple[int, int], dict] = {}
         self._done: set[tuple[int, int]] = set()
+        self._counters: dict[str, int] = {}
+        for key, record in (restored or {}).items():
+            self._journaled(key, record["payload"])
         self._closed = False
         if resume:
             self._append({"kind": "resume", "time": time.time()}, sync=True)
@@ -246,6 +253,11 @@ class CheckpointWriter:
         self._journal.flush()
         if sync:
             os.fsync(self._journal.fileno())
+
+    def _journaled(self, key: tuple[int, int], payload: dict) -> None:
+        self._done.add(key)
+        for name, value in ScanStats.from_state(payload["stats"]).counters().items():
+            self._counters[name] = self._counters.get(name, 0) + value
 
     def _count(self, key: tuple[int, int]) -> dict:
         counts = self._counts.get(key)
@@ -294,16 +306,16 @@ class CheckpointWriter:
             },
             sync=sync,
         )
-        self._done.add(key)
+        self._journaled(key, payload)
 
-    def checkpoint(self, counters: dict | None = None) -> None:
+    def checkpoint(self) -> None:
         """Cadence hook: fsync the journal and atomically rewrite the
         ``state.json`` snapshot."""
         if self._fsync in ("always", "interval"):
             os.fsync(self._journal.fileno())
-        self._write_state(complete=False, counters=counters)
+        self._write_state(complete=False)
 
-    def _write_state(self, *, complete: bool, counters: dict | None) -> None:
+    def _write_state(self, *, complete: bool) -> None:
         planned = len(self.plan.get("tasks", ()))
         _atomic_write_json(
             os.path.join(self.directory, STATE_NAME),
@@ -313,12 +325,12 @@ class CheckpointWriter:
                 "tasks_planned": planned,
                 "tasks_done": sorted(list(key) for key in self._done),
                 "complete": complete,
-                "counters": counters or {},
+                "counters": dict(self._counters),
                 "updated": time.time(),
             },
         )
 
-    def finalize(self, *, complete: bool, counters: dict | None = None) -> None:
+    def finalize(self, *, complete: bool) -> None:
         """Flush everything and close; safe to call once, in any exit
         path — an incomplete journal is exactly what resume consumes."""
         if self._closed:
@@ -332,7 +344,7 @@ class CheckpointWriter:
         if self._fsync != "never":
             os.fsync(self._journal.fileno())
         self._journal.close()
-        self._write_state(complete=complete, counters=counters)
+        self._write_state(complete=complete)
 
 
 class CheckpointJournal:

@@ -55,15 +55,17 @@ Design invariants, in order:
 
 Workers stream line batches over the pipes as they complete, so the
 parent overlaps merging with scanning; a final per-task payload carries
-the mergeable stats/metrics state.  Between batches, workers also stream
-:class:`~repro.framework.telemetry.TelemetryDelta` snapshots (periodic
-on each task's virtual clock) that the parent annotates with scheduling
-state (owner/worker/stolen_from) and folds into a live
-:class:`~repro.framework.telemetry.FleetView` — the fleet status line,
-the HTTP control plane and the checkpoint's ``state.json`` read the
-view.  A delta carries counters and a metrics dump only; the
-authoritative end-of-scan merge comes only from the final ``task_done``
-payloads, so the live path can never perturb the determinism contract.
+the mergeable stats/metrics state.  The parent installs its task plan in
+a :class:`~repro.framework.telemetry.FleetView` before any worker forks
+and records each dispatch (worker, steal) there: the view is the one
+record of the schedule, and the report's steals and resumed tasks read
+it.  When a fleet view or the status line asks for them, workers also
+stream :class:`~repro.framework.telemetry.TelemetryDelta` progress
+snapshots (periodic on each task's virtual clock), each beside its task
+key, and the parent folds them into the view; a checkpoint alone streams
+none.  The authoritative end-of-scan merge comes only from the final
+``task_done`` payloads, so the live path can never perturb the
+determinism contract.
 A task's lines belong to one of two *streams* — ``rows`` (the output
 file) and ``spans`` (``--spans-file``, shard-tagged) — and every stage
 of the merge (worker sink, pipe message, parent buffer, checkpoint
@@ -90,7 +92,7 @@ from ..obs.status import status_line
 from .io import DEFAULT_LOGICAL_SHARDS, encode_row, names_digest, shard
 from .runner import ScanConfig, ScanReport, ScanRunner
 from .stats import ScanStats
-from .telemetry import FleetView, TelemetryDelta, fold_metrics
+from .telemetry import FleetView, PlannedTask, TelemetryDelta, fold_metrics
 
 __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",
@@ -167,8 +169,8 @@ class _ShardSpec:
     fault_plan: str | None = None
     chaos_seed: int | None = None
     add_timestamp: bool = True
-    #: Stream telemetry deltas (a fleet view, the parent's status line or
-    #: the checkpoint's ``state.json`` consumes them).
+    #: Stream telemetry deltas (a fleet view or the parent's status line
+    #: reads them).
     stream_deltas: bool = False
 
 
@@ -233,13 +235,12 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn) -> None:
     task_names = shard_names[task.start:task.stop]
 
     def send_delta(delta: TelemetryDelta) -> None:
-        delta.shard, delta.segment, delta.segments = task.shard, task.segment, task.segments
         if delta.complete:
             # flush row/span batches *before* the complete delta, so the
             # delta always reaches the parent ahead of task_done
             for each in sinks:
                 each.flush()
-        conn.send(("delta", task.key, delta.to_payload()))
+        conn.send(("delta", task.key, delta))
 
     report = ScanRunner(
         internet,
@@ -248,7 +249,6 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn) -> None:
         sink=sink,
         span_sink=span_sink,
         progress=send_delta if spec.stream_deltas else None,
-        target=len(task_names),
     ).run(task_names)
     for each in sinks:
         each.flush()
@@ -327,7 +327,8 @@ class ParallelReport(ScanReport):
     rows_written: int = 0
     #: Shard-tagged span rows merged into the spans file.
     spans_written: int = 0
-    #: Tasks handed to a worker other than their shard's owner.
+    #: Tasks handed to a worker other than their shard's owner, and
+    #: each steal in canonical task order (both read from the plan).
     steals: int = 0
     steal_events: list[dict] = field(default_factory=list)
     #: Tasks replayed from a checkpoint journal instead of re-run.
@@ -423,6 +424,9 @@ def run_parallel_scan(
         raise ValueError("steal_quantum must be >= 1")
     if resume and checkpoint_dir is None:
         raise ValueError("resume requires a checkpoint_dir")
+    if config.oracle_check:
+        # the merge below keeps no oracle tallies
+        raise ValueError("oracle_check is not supported by the shard executor")
     status_interval = config.status_interval
     if status_interval is not None and status_interval <= 0:
         raise ValueError("status_interval must be > 0")
@@ -449,14 +453,9 @@ def run_parallel_scan(
         fault_plan=fault_plan,
         chaos_seed=chaos_seed,
         add_timestamp=add_timestamp,
-        # deltas power the fleet view, the parent status line, and the
-        # checkpoint's state.json; when no consumer exists the workers
-        # skip streaming entirely
-        stream_deltas=(
-            fleet_view is not None
-            or status_interval is not None
-            or checkpoint_dir is not None
-        ),
+        # deltas feed the fleet view and the parent status line; without
+        # either the workers stream none
+        stream_deltas=fleet_view is not None or status_interval is not None,
     )
 
     # ---- durability: journal / resume -------------------------------------
@@ -492,47 +491,42 @@ def run_parallel_scan(
             plan=plan,
             fsync=checkpoint_fsync,
             resume=resume,
+            restored=restored,
         )
 
+    # the plan is the one record of the schedule: installed before any
+    # worker forks, each dispatch recorded in it as it happens
     fleet = fleet_view if fleet_view is not None else FleetView()
     fleet.shards = shards
     fleet.target = total_names
-    owner = {s: s % processes for s in range(shards)}
     fleet.set_plan(
         {
-            s: {
-                "segments": sum(1 for t in tasks if t.shard == s),
-                "target": shard_sizes[s],
-                "owner": owner[s],
-            }
-            for s in range(shards)
+            task.key: PlannedTask(
+                target=task.stop - task.start,
+                owner=task.shard % processes,
+                resumed=task.key in restored,
+            )
+            for task in tasks
         }
     )
     if resume:
         fleet.run_info["resumed_from"] = os.fspath(checkpoint_dir)
         fleet.run_info["resumed_tasks"] = len(restored)
-        # rebuild the durable tasks' final deltas from their payloads so
-        # the view (and the status line's done counter) starts where the
-        # journal left off
-        for task in tasks:
-            if task.key in restored:
-                payload = restored[task.key]["payload"]
-                stats = ScanStats.from_state(payload["stats"])
-                fleet.update(
-                    TelemetryDelta(
-                        **stats.counters(),
-                        shard=task.shard,
-                        seq=0,
-                        segment=task.segment,
-                        segments=task.segments,
-                        virtual_now=stats.finished_at,
-                        target=task.stop - task.start,
-                        complete=True,
-                        owner=owner[task.shard],
-                        resumed=True,
-                        metrics=payload["metrics"],
-                    )
-                )
+        # a durable task's final delta, rebuilt from its payload: the view
+        # (and the status line's done counter) starts where the journal
+        # left off
+        for key, record in restored.items():
+            payload = record["payload"]
+            stats = ScanStats.from_state(payload["stats"])
+            fleet.update(
+                TelemetryDelta(
+                    **stats.counters(),
+                    virtual_now=stats.finished_at,
+                    complete=True,
+                    metrics=payload["metrics"],
+                ),
+                key,
+            )
 
     pending: dict[int, deque[_ShardTask]] = {
         s: deque(t for t in tasks if t.shard == s and t.key not in restored)
@@ -566,8 +560,6 @@ def run_parallel_scan(
         key: record["payload"] for key, record in restored.items()
     }
     done_keys: set[tuple[int, int]] = set(restored)
-    assignments: dict[tuple[int, int], tuple[int, int | None]] = {}
-    steal_events: list[dict] = []
     errors: list[tuple[int, str]] = []
     flush_index = 0
     started = time.monotonic()
@@ -600,14 +592,14 @@ def run_parallel_scan(
         steal the *tail* segment of the shard with the most pending work
         (the straggler keeps its head, the thief takes the far end — a
         deterministic cursor boundary, because segments are pre-cut)."""
-        for shard_index in range(shards):
-            if owner[shard_index] == worker and pending[shard_index]:
+        for shard_index in range(worker, shards, processes):
+            if pending[shard_index]:
                 return pending[shard_index].popleft(), None
         victims = [s for s in range(shards) if pending[s]]
         if not victims:
             return None, None
         victim = max(victims, key=lambda s: (len(pending[s]), s))
-        return pending[victim].pop(), owner[victim]
+        return pending[victim].pop(), victim % processes
 
     def emit_status() -> None:
         nonlocal last_status_total
@@ -642,20 +634,7 @@ def run_parallel_scan(
                     if task is None:
                         conn.send(("stop", None))
                     else:
-                        if stolen_from == worker_index:
-                            stolen_from = None
-                        assignments[task.key] = (worker_index, stolen_from)
-                        if stolen_from is not None:
-                            steal_events.append(
-                                {
-                                    "shard": task.shard,
-                                    "segment": task.segment,
-                                    "start": task.start,
-                                    "stop": task.stop,
-                                    "from": stolen_from,
-                                    "to": worker_index,
-                                }
-                            )
+                        fleet.assign(task.key, worker_index, stolen_from)
                         conn.send(("task", task))
                 elif kind == "lines":
                     _, key, stream, lines = message
@@ -667,11 +646,8 @@ def run_parallel_scan(
                     else:
                         buffers[stream].setdefault(key, []).extend(lines)
                 elif kind == "delta":
-                    _, key, payload = message
-                    delta = TelemetryDelta.from_payload(payload)
-                    delta.worker, delta.stolen_from = assignments.get(key, (None, None))
-                    delta.owner = owner.get(delta.shard)
-                    fleet.update(delta)
+                    _, key, delta = message
+                    fleet.update(delta, key)
                 elif kind == "task_done":
                     _, key, payload = message
                     payloads[key] = payload
@@ -690,7 +666,7 @@ def run_parallel_scan(
                 emit_status()
                 next_status += status_interval
             if next_checkpoint is not None and now >= next_checkpoint:
-                writer.checkpoint(counters=fleet.fleet_counters())
+                writer.checkpoint()
                 next_checkpoint += checkpoint_interval
         for process in workers:
             process.join()
@@ -700,10 +676,7 @@ def run_parallel_scan(
                 process.terminate()
                 process.join()
         if writer is not None:
-            writer.finalize(
-                complete=len(done_keys) == len(order),
-                counters=fleet.fleet_counters(),
-            )
+            writer.finalize(complete=len(done_keys) == len(order))
 
     if errors:
         details = "\n\n".join(
@@ -761,6 +734,13 @@ def run_parallel_scan(
         mp_scope.gauge("shards").set(shards)
         mp_scope.gauge("rows_merged").set(written["rows"])
 
+    schedule = fleet.schedule()
+    steal_events = [
+        {"shard": t.shard, "segment": t.segment, "start": t.start, "stop": t.stop,
+         "from": schedule[t.key].stolen_from, "to": schedule[t.key].worker}
+        for t in tasks
+        if schedule[t.key].stolen_from is not None
+    ]
     return ParallelReport(
         stats=merged_stats,
         registry=registry,
@@ -776,5 +756,5 @@ def run_parallel_scan(
         spans_written=written["spans"],
         steals=len(steal_events),
         steal_events=steal_events,
-        resumed_tasks=len(restored),
+        resumed_tasks=sum(1 for entry in schedule.values() if entry.resumed),
     )

@@ -174,12 +174,12 @@ class ScanRunner:
         #: :class:`TelemetryDelta` every :data:`DEFAULT_DELTA_INTERVAL`
         #: *virtual* seconds, and exactly once more, ``complete=True``,
         #: after the last routine finishes and every end-of-run scope is
-        #: published.  ``FleetView.update`` is one; the shard executor
-        #: stamps the task's shard/segment on and sends it up its pipe.
+        #: published.  ``FleetView.update`` is one; a shard worker sends
+        #: it up its pipe beside the task's key.
         self.progress = progress
         #: Total lookups this run will perform, when the caller knows it
         #: (materialised name lists) — enables done/target and ETA on
-        #: status lines and in the control-plane view.
+        #: status lines.
         self.target = target
         # What this configuration's run() uses beyond every scan's needs
         # is imported now, at construction: no import lands inside the
@@ -202,7 +202,9 @@ class ScanRunner:
                 )
             from ..oracle import DifferentialOracle
 
-            self.oracle = DifferentialOracle(seed=config.seed, dnssec=config.dnssec)
+            # the reference mirrors the universe the scan resolves in, whose
+            # seed a shard task's derived ``config.seed`` is not
+            self.oracle = DifferentialOracle(seed=internet.params.seed, dnssec=config.dnssec)
 
     def run(self, names: Iterable[str]) -> ScanReport:
         internet = self.internet
@@ -377,11 +379,9 @@ class ScanRunner:
                 progress(
                     TelemetryDelta(
                         **stats.counters(),
-                        shard=0,
                         seq=seq[0],
                         in_flight=int(inflight.value) if inflight is not None else 0,
                         virtual_now=sim.now,
-                        target=self.target,
                         complete=complete,
                         metrics=registry.dump() if registry.enabled else [],
                     )

@@ -7,25 +7,25 @@ pieces:
 * :class:`TelemetryDelta` — the versioned message a running scan emits:
   :class:`~repro.framework.runner.ScanRunner` builds one every
   :data:`DEFAULT_DELTA_INTERVAL` virtual seconds and once more, complete,
-  at the end, and shard workers stream them to the parent over the
-  executor's pipes.  A delta is a cumulative snapshot of one *task*'s
-  six progress counters (:data:`COUNTERS`) and its metrics-registry
-  dump, so its size does not grow with the task.  *Cumulative* is the
-  load-bearing property: a lost or coalesced delta costs freshness,
-  never correctness.  A delta is never what a scan's result is folded
-  from — the executor's ``task_done`` payload is, and it is also what a
-  checkpoint persists (:mod:`repro.framework.checkpoint`), so on resume
-  a durable task's delta is rebuilt from it.
-  Since v2 a delta is keyed by ``(shard, segment)`` — work stealing
-  splits a shard into segment tasks — and carries the scheduling
-  annotations the parent stamps on receipt (``owner``, ``worker``,
-  ``stolen_from``, ``resumed``).
-* :class:`FleetView` — the fold.  It keeps the latest delta per task
-  and rebuilds both the fleet aggregate and per-*shard* rows (segments
-  grouped back together) on demand, so the HTTP control plane and the
-  fleet status line read one consistent snapshot without ever touching
-  scan state.  A single-process scan feeds it directly
-  (``ScanRunner(progress=fleet.update)``) as a one-shard fleet, so
+  at the end, and shard workers send them to the parent over the
+  executor's pipes, each beside its task's ``(shard, segment)`` key.  A
+  delta is a cumulative snapshot of one *task*'s six progress counters
+  (:data:`COUNTERS`) and its metrics-registry dump, so its size does not
+  grow with the task.  *Cumulative* is the load-bearing property: a lost
+  or coalesced delta costs freshness, never correctness.  A delta is
+  never what a scan's result is folded from — the executor's
+  ``task_done`` payload is, and it is also what a checkpoint persists
+  (:mod:`repro.framework.checkpoint`), so on resume a durable task's
+  delta is rebuilt from it.  A delta carries progress only: which task
+  it belongs to and who ran it are the plan's business.
+* :class:`FleetView` — the fold.  It holds the executor's plan, one
+  :class:`PlannedTask` per task (target, owner, worker, steal, resume),
+  and the latest delta per task, and rebuilds both the fleet aggregate
+  and per-*shard* rows (segments grouped back together) on demand, so
+  the HTTP control plane and the fleet status line read one consistent
+  snapshot without ever touching scan state.  A single-process scan
+  feeds it directly (``ScanRunner(progress=fleet.update)``) as a view
+  without a plan — one task of the view's own target — so
   ``/status.json`` has one shape however the scan runs.
 
 The view is read-only over the scan: the HTTP server thread only calls
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from ..obs import MetricsRegistry
@@ -46,17 +46,20 @@ __all__ = [
     "DEFAULT_DELTA_INTERVAL",
     "DELTA_VERSION",
     "FleetView",
+    "PlannedTask",
     "TelemetryDelta",
     "fold_metrics",
 ]
 
 #: Wire version of :class:`TelemetryDelta`.  Bump when fields change
-#: meaning; consumers (the parent fold, the checkpoint journal) must
-#: reject versions they do not understand rather than misread them.
-#: v2: deltas are per ``(shard, segment)`` task and carry
-#: owner/worker/stolen_from/resumed scheduling state.  v3: the
-#: ``stats`` block and the ``cursor`` (always equal to ``done``) are gone.
-DELTA_VERSION = 3
+#: meaning; the fleet fold rejects versions it does not understand
+#: rather than misread them.  v2: deltas are per ``(shard, segment)``
+#: task and carry owner/worker/stolen_from/resumed scheduling state.
+#: v3: the ``stats`` block and the ``cursor`` (always equal to ``done``)
+#: are gone.  v4: progress only — the task key travels beside the delta
+#: and the schedule (target, owner, worker, steal, resume) lives in the
+#: :class:`FleetView` plan.
+DELTA_VERSION = 4
 
 #: A delta's progress counters, summed alike over a shard's segments and
 #: over the fleet.
@@ -82,18 +85,13 @@ class TelemetryDelta:
     fold uses, so the live fleet registry and the final one are the same
     fold at different times.
 
-    Workers fill the progress fields; the executor parent stamps the
-    scheduling fields (``owner``/``worker``/``stolen_from``) on receipt
-    and sets ``resumed`` on deltas replayed from a checkpoint journal.
+    A delta says how far a task got, never which task it is or who ran
+    it: the key travels beside it (the pipe message, the ``key`` of
+    :meth:`FleetView.update`), and the schedule lives in the view's plan
+    (:class:`PlannedTask`).
     """
 
-    shard: int
-    seq: int
-    #: Segment index of this task within its shard (``--steal-quantum``
-    #: pre-segments shards at fixed boundaries; 0 for whole-shard tasks).
-    segment: int = 0
-    #: Total segments in this shard's decomposition.
-    segments: int = 1
+    seq: int = 0
     done: int = 0
     successes: int = 0
     timeouts: int = 0
@@ -102,36 +100,26 @@ class TelemetryDelta:
     in_flight: int = 0
     #: Virtual-clock reading in the task's simulator at emission time.
     virtual_now: float = 0.0
-    #: Names assigned to this task (the task-local total target).
-    target: int | None = None
     complete: bool = False
-    #: Worker index that nominally owns the task's shard.
-    owner: int | None = None
-    #: Worker index actually running the task.
-    worker: int | None = None
-    #: When stolen: the owner the task was reassigned away from.
-    stolen_from: int | None = None
-    #: True when this delta was replayed from a checkpoint journal.
-    resumed: bool = False
     metrics: list | None = None
     version: int = DELTA_VERSION
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.shard, self.segment)
 
-    def to_payload(self) -> dict:
-        """Plain-dict form (JSON-safe apart from the metrics tuples)."""
-        return asdict(self)
+@dataclass(frozen=True)
+class PlannedTask:
+    """One task's entry in a :class:`FleetView` plan: how many names it
+    holds and how the executor scheduled it."""
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TelemetryDelta":
-        version = payload.get("version", 0)
-        if version != DELTA_VERSION:
-            raise ValueError(
-                f"telemetry delta version {version} != supported {DELTA_VERSION}"
-            )
-        return cls(**payload)
+    #: Names assigned to the task (None: not known up front).
+    target: int | None
+    #: Worker index that nominally owns the task's shard.
+    owner: int | None = None
+    #: Worker index the task was dispatched to.
+    worker: int | None = None
+    #: When stolen: the owner the task was reassigned away from.
+    stolen_from: int | None = None
+    #: True when the task was replayed from a checkpoint journal.
+    resumed: bool = False
 
 
 #: Registry scopes surfaced verbatim in ``/status.json`` so an operator
@@ -187,56 +175,48 @@ def _sum_counters(deltas: list[TelemetryDelta]) -> dict:
 
 
 def _shard_group_row(
-    shard: int, deltas: list[TelemetryDelta], info: dict, elapsed: float
+    shard: int, tasks: list[tuple[PlannedTask, TelemetryDelta | None]], elapsed: float
 ) -> dict:
-    """One per-shard row of ``/status.json``: the shard's segment tasks
-    folded back together, plus ownership/steal/resume state."""
-    # Trust whichever source knows about *more* segments: a view may
-    # have no plan (a single-process scan) or get it late, and a shard
-    # must never read as complete while a segment is unreported.
-    segments_total = max(
-        info.get("segments") or 0, max(d.segments for d in deltas), 1
-    )
-    segments_done = sum(1 for d in deltas if d.complete)
-    target = info.get("target")
-    if target is None:
-        known = [d.target for d in deltas if d.target is not None]
-        target = sum(known) if known else None
+    """One per-shard row of ``/status.json``: the shard's planned tasks
+    and their latest deltas folded back together (a shard reads
+    complete once every planned task has sent its complete delta)."""
+    planned = [task for task, _ in tasks]
+    deltas = [delta for _, delta in tasks if delta is not None]
+    targets = [task.target for task in planned]
     counters = _sum_counters(deltas)
-    owner = info.get("owner")
-    if owner is None:
-        owner = next((d.owner for d in deltas if d.owner is not None), None)
+    segments_done = sum(1 for d in deltas if d.complete)
+    stolen = [task.stolen_from for task in planned if task.stolen_from is not None]
     return {
         "shard": shard,
         "seq": max(d.seq for d in deltas),
-        "target": target,
+        "target": None if None in targets else sum(targets),
         **counters,
         "virtual_now": round(max(d.virtual_now for d in deltas), 6),
         "rate_per_s": round(counters["done"] / elapsed, 2) if elapsed > 0 else 0.0,
-        "complete": segments_done >= segments_total,
-        "segments": segments_total,
+        "complete": segments_done == len(planned),
+        "segments": len(planned),
         "segments_done": segments_done,
-        "owner": owner,
-        "workers": sorted({d.worker for d in deltas if d.worker is not None}),
-        "steals": sum(1 for d in deltas if d.stolen_from is not None),
-        "stolen_from": next(
-            (d.stolen_from for d in deltas if d.stolen_from is not None), None
-        ),
-        "resumed": any(d.resumed for d in deltas),
+        "owner": planned[0].owner,
+        "workers": sorted({task.worker for task in planned if task.worker is not None}),
+        "steals": len(stolen),
+        "stolen_from": stolen[0] if stolen else None,
+        "resumed": any(task.resumed for task in planned),
     }
 
 
 class FleetView:
-    """Thread-safe live state of a scan, folded from its task deltas.
+    """Thread-safe live state of a scan: the executor's plan, and the
+    latest delta of each planned task.
 
     The executor's parent loop — or, for a single-process scan, the
     runner itself — feeds it (:meth:`update` per delta, :meth:`finish`
     at the end); the HTTP server and the fleet status line read
-    consistent snapshots.  All aggregation happens at read
-    time from the latest per-task deltas — updates are a dict store
-    under a lock, so feeding the view never slows the merge loop.
-    ``set_plan`` tells the view the shard decomposition up front, so a
-    shard with unreported segments never shows as complete early.
+    consistent snapshots.  All aggregation happens at read time —
+    updates are a dict store under a lock, so feeding the view never
+    slows the merge loop.  The executor installs its plan
+    (:meth:`set_plan`) before any task runs and records each dispatch
+    (:meth:`assign`); a view without a plan is one task, ``(0, 0)``, of
+    its own ``target``.
     """
 
     def __init__(
@@ -248,8 +228,8 @@ class FleetView:
     ):
         self._lock = threading.Lock()
         self._deltas: dict[tuple[int, int], TelemetryDelta] = {}
-        #: per-shard plan: ``{shard: {"segments", "target", "owner"}}``.
-        self._plan: dict[int, dict] = {}
+        #: the executor's plan, in canonical task order (None: no plan)
+        self._plan: dict[tuple[int, int], PlannedTask] | None = None
         self.run_info = dict(run_info or {})
         self.shards = shards
         self.target = target
@@ -257,29 +237,33 @@ class FleetView:
         self._started = clock()
         self.complete = False
 
-    def set_plan(self, plan: dict[int, dict]) -> None:
-        """Install the executor's shard decomposition (segment counts,
-        per-shard targets, nominal owners).
-
-        Merges per shard rather than replacing wholesale: deltas — in
-        particular journal replays during ``--resume`` — may legally
-        arrive *before* the plan, and a later (or repeated) ``set_plan``
-        must refine what the view knows, never erase shards it already
-        learned about from another call."""
+    def set_plan(self, plan: dict[tuple[int, int], PlannedTask]) -> None:
+        """Install the executor's task plan, one entry per ``(shard,
+        segment)`` key."""
         with self._lock:
-            for shard, info in plan.items():
-                self._plan.setdefault(shard, {}).update(info)
+            self._plan = dict(sorted(plan.items()))
 
-    def update(self, delta: TelemetryDelta) -> None:
-        """Fold one task delta in (latest-wins per task)."""
+    def assign(self, key: tuple[int, int], worker: int, stolen_from: int | None = None) -> None:
+        """Record one dispatch: task ``key`` went to ``worker``, stolen
+        from owner ``stolen_from`` unless that is None."""
+        with self._lock:
+            self._plan[key] = replace(self._plan[key], worker=worker, stolen_from=stolen_from)
+
+    def schedule(self) -> dict[tuple[int, int], PlannedTask]:
+        """The plan as it stands, in canonical task order."""
+        return self._read()[0]
+
+    def update(self, delta: TelemetryDelta, key: tuple[int, int] = (0, 0)) -> None:
+        """Fold in the latest delta of task ``key`` (latest-wins per
+        task; by default the one task of a view without a plan)."""
         if delta.version != DELTA_VERSION:
             raise ValueError(
                 f"telemetry delta version {delta.version} != supported {DELTA_VERSION}"
             )
         with self._lock:
-            previous = self._deltas.get(delta.key)
+            previous = self._deltas.get(key)
             if previous is None or delta.seq >= previous.seq:
-                self._deltas[delta.key] = delta
+                self._deltas[key] = delta
 
     def finish(self) -> None:
         """Mark the scan complete (post-scan scrapes see a final view)."""
@@ -290,46 +274,49 @@ class FleetView:
     def elapsed(self) -> float:
         return max(0.0, self._clock() - self._started)
 
-    def _fold(self) -> tuple[dict, list[dict], bool, float]:
-        """One consistent read of the latest deltas: the fleet counters,
-        the per-shard rows (the fleet's ``shards_complete`` and
-        ``steals`` sum theirs), whether the scan is complete, and the
-        wall seconds elapsed."""
+    def _read(self) -> tuple[dict, dict, bool]:
+        """One consistent read: the plan, the latest delta of each
+        planned task that has reported (in plan order), and whether the
+        scan is complete."""
         with self._lock:
-            deltas = sorted(self._deltas.values(), key=lambda d: d.key)
-            plan = {shard: dict(info) for shard, info in self._plan.items()}
-            complete = self.complete
+            plan = {(0, 0): PlannedTask(self.target)} if self._plan is None else dict(self._plan)
+            deltas = {key: self._deltas[key] for key in plan if key in self._deltas}
+            return plan, deltas, self.complete
+
+    def _fold(self) -> tuple[dict, list[dict], bool, float]:
+        """The fleet counters, the per-shard rows of the shards that
+        have reported, whether the scan is complete, and the wall
+        seconds elapsed."""
+        plan, deltas, complete = self._read()
         elapsed = self.elapsed
-        groups: dict[int, list[TelemetryDelta]] = {}
-        for delta in deltas:
-            groups.setdefault(delta.shard, []).append(delta)
+        groups: dict[int, list[tuple[PlannedTask, TelemetryDelta | None]]] = {}
+        for key, task in plan.items():
+            groups.setdefault(key[0], []).append((task, deltas.get(key)))
         rows = [
-            _shard_group_row(shard, ds, plan.get(shard, {}), elapsed)
-            for shard, ds in groups.items()
+            _shard_group_row(shard, tasks, elapsed)
+            for shard, tasks in groups.items()
+            if any(delta is not None for _, delta in tasks)
         ]
         counters = {
-            **_sum_counters(deltas),
+            **_sum_counters(list(deltas.values())),
             "shards_complete": sum(row["complete"] for row in rows),
-            "steals": sum(row["steals"] for row in rows),
-            "resumed_tasks": sum(1 for d in deltas if d.resumed),
+            "steals": sum(1 for task in plan.values() if task.stolen_from is not None),
+            "resumed_tasks": sum(1 for task in plan.values() if task.resumed),
         }
         return counters, rows, complete, elapsed
 
     def fleet_counters(self) -> dict:
         """Cheap fleet totals (no metrics folding) — what the parent's
-        periodic status line and the checkpoint's ``state.json`` read."""
+        periodic status line reads."""
         return self._fold()[0]
 
     def merged_registry(self) -> MetricsRegistry:
         """Live fleet registry: latest per-task dumps folded together
         by the same fold the end-of-scan merge uses."""
-        with self._lock:
-            dumps = [
-                (key[0], delta.metrics)
-                for key, delta in sorted(self._deltas.items())
-                if delta.metrics
-            ]
-        return fold_metrics(dumps)
+        _, deltas, _ = self._read()
+        return fold_metrics(
+            (key[0], delta.metrics) for key, delta in deltas.items() if delta.metrics
+        )
 
     def prometheus(self) -> str:
         return self.merged_registry().render_prometheus()

@@ -17,8 +17,8 @@ used):
 * ``crash="worker:W:after:N"`` — SIGKILL worker ``W`` after its
   ``N``-th completed task;
 * ``crash="worker:W:during:N"`` — SIGKILL worker ``W`` at the first
-  telemetry delta of its ``N``-th task, before the delta reaches the
-  pipe;
+  message its ``N``-th task sends (a line batch, a telemetry delta or
+  ``task_done``), before the message reaches the pipe;
 * ``crash="parent:after:N"`` — SIGKILL the parent right after
   journaling its ``N``-th task record of the session;
 * ``delay="W:SECONDS"`` — sleep ``SECONDS`` before each task of worker
@@ -52,16 +52,11 @@ def _kill() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-class _KillAtFirstDelta:
-    """A worker's pipe end that dies instead of sending a delta."""
-
-    def __init__(self, conn):
-        self._conn = conn
+class _KillAtFirstSend:
+    """A worker's pipe end that dies instead of sending."""
 
     def send(self, message) -> None:
-        if message[0] == "delta":
-            _kill()
-        self._conn.send(message)
+        _kill()
 
 
 @contextlib.contextmanager
@@ -85,7 +80,7 @@ def injected(crash: str | None = None, delay: str | None = None):
         if delay and str(state["worker"]) == delay_worker:
             time.sleep(float(delay_seconds))
         if worker_crash("during"):
-            conn = _KillAtFirstDelta(conn)
+            conn = _KillAtFirstSend()
         run_task(task, spec, conn, *args, **kwargs)
         if worker_crash("after"):
             _kill()

@@ -10,11 +10,10 @@ round-trip units, config-fingerprint rejection, corruption detection,
 and the steal-boundary determinism property (any steal schedule, any
 process count → identical bytes).
 
-Baselines are always runs with checkpointing enabled: streaming
-telemetry schedules virtual-clock timers, so (exactly like
-``--status-interval`` and ``--http-port``) it is part of the scan
-configuration the fingerprint pins.  Kills and steal-forcing delays
-come from :mod:`tests.crashpoints`.
+Baselines are uninterrupted runs with checkpointing enabled, which
+stream no telemetry: their metrics dump equals an un-checkpointed
+run's (``TestCheckpointStreamsNothing``).  Kills and steal-forcing
+delays come from :mod:`tests.crashpoints`.
 """
 
 import io as io_module
@@ -184,7 +183,7 @@ class TestJournalRoundTrip:
         writer.spool("rows", (0, 0), ['{"name": "b"}\n'])
         writer.spool("spans", (0, 0), ['{"span": "lookup"}\n'])
         writer.task_done((0, 0), _sample_payload())
-        writer.finalize(complete=True, counters={"done": 2})
+        writer.finalize(complete=True)
         return writer
 
     def test_task_record_round_trips(self, tmp_path):
@@ -478,12 +477,12 @@ class TestConfigFingerprint:
 
 
 def _run_in_process(corpus, *, processes, quantum=None, crash=None, delay=None,
-                    checkpoint_dir=None, resume=False):
+                    checkpoint_dir=None, resume=False, metrics=False):
     out = io_module.StringIO()
     with injected(crash=crash, delay=delay):
         report = run_parallel_scan(
             corpus,
-            ScanConfig(module="A", mode="iterative", threads=50, seed=11),
+            ScanConfig(module="A", mode="iterative", threads=50, seed=11, metrics=metrics),
             processes=processes,
             out=out,
             shards=SHARDS,
@@ -657,7 +656,10 @@ class TestOneCountPerTask:
     that resume does not read."""
 
     def test_task_record_holds_one_stats_block_and_one_metrics_dump(self, tmp_path):
-        _run_in_process(_corpus(), processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path))
+        # a scan without metrics journals an empty dump: keep them to count
+        _run_in_process(
+            _corpus(), processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path), metrics=True,
+        )
         records = [json.loads(line) for line in (tmp_path / JOURNAL_NAME).read_text().splitlines()]
         tasks = [record for record in records if record["kind"] == "task"]
         assert len(tasks) == SHARDS * 4
@@ -679,6 +681,29 @@ class TestOneCountPerTask:
         assert kinds == ["header"] + ["task"] * (SHARDS * 4)
         state = json.loads((tmp_path / "state.json").read_text())
         assert state["complete"] and state["counters"]["done"] == NAMES
+
+    def test_state_after_resume_lists_every_journaled_task(self, tmp_path):
+        """A resumed session's ``state.json`` covers the tasks earlier
+        sessions journaled, not only its own, and its counters sum every
+        journaled payload."""
+        corpus = _corpus()
+        _run_in_process(corpus, processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path))
+        journal = tmp_path / JOURNAL_NAME
+        kept, tasks = [], 0
+        for line in journal.read_text().splitlines(keepends=True):
+            if tasks == 3:
+                break
+            kept.append(line)
+            tasks += json.loads(line)["kind"] == "task"
+        journal.write_text("".join(kept))
+        _run_in_process(
+            corpus, processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path), resume=True,
+        )
+        state = json.loads((tmp_path / "state.json").read_text())
+        assert state["complete"] is True
+        assert state["tasks_planned"] == SHARDS * 4
+        assert state["tasks_done"] == [[shard, segment] for shard in range(SHARDS) for segment in range(4)]
+        assert state["counters"]["done"] == NAMES
 
     def test_resume_rebuilds_the_fleet_view_from_payloads(self, tmp_path):
         """The fleet view of a resumed scan starts where the journal left
@@ -709,6 +734,58 @@ class TestOneCountPerTask:
         snapshot = fleet.status_snapshot()
         assert [row["target"] for row in snapshot["shards"]] == [15] * SHARDS
         assert all(row["resumed"] and row["complete"] for row in snapshot["shards"])
+
+
+class TestCheckpointStreamsNothing:
+    """A checkpoint reads task payloads only: with no fleet view and no
+    status interval, no task sends a telemetry delta, and the scan's
+    metrics equal the same scan's without ``--checkpoint-dir``."""
+
+    def _forbid_deltas(self, monkeypatch):
+        """Make a worker fail its task if it sends a delta (forked
+        workers inherit the patched ``_run_task``)."""
+        from repro.framework import parallel
+
+        class NoDeltas:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def send(self, message):
+                assert message[0] != "delta", "a task streamed a telemetry delta"
+                self._conn.send(message)
+
+        run_task = parallel._run_task
+        monkeypatch.setattr(
+            parallel, "_run_task", lambda task, spec, conn: run_task(task, spec, NoDeltas(conn))
+        )
+
+    def test_checkpointed_scan_sends_no_delta(self, tmp_path, monkeypatch):
+        self._forbid_deltas(monkeypatch)
+        text, report = _run_in_process(
+            _corpus(), processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path),
+        )
+        assert report.stats.total == NAMES
+        # the check bites: a fleet view asks for deltas, and the first
+        # one fails its worker
+        from repro.framework import FleetView
+
+        with pytest.raises(RuntimeError, match="streamed a telemetry delta"):
+            run_parallel_scan(
+                _corpus(), ScanConfig(module="A", threads=50, seed=11), processes=2,
+                out=io_module.StringIO(), shards=SHARDS, steal_quantum=QUANTUM,
+                fleet_view=FleetView(),
+            )
+
+    def test_checkpointed_metrics_equal_the_plain_scans(self, names_file, tmp_path):
+        plain, plain_paths = _cli_scan(names_file, tmp_path, "plain", processes=2)
+        checkpointed, paths = _cli_scan(
+            names_file, tmp_path, "ck", processes=2, checkpoint=tmp_path / "ck",
+        )
+        assert plain.returncode == checkpointed.returncode == 0, checkpointed.stderr
+        assert b"scheduler_timers_scheduled" in paths["prom"].read_bytes()
+        for key in ("rows", "prom", "spans"):
+            assert paths[key].read_bytes() == plain_paths[key].read_bytes(), key
+        assert _summary_line(checkpointed.stderr) == _summary_line(plain.stderr)
 
 
 class TestResumeAcrossDeltaVersions:
@@ -792,8 +869,8 @@ class TestCrashMatrix:
     def test_worker_killed_mid_task(
         self, names_file, tmp_path, baseline_for, processes, kill_during
     ):
-        """SIGKILL a worker inside a task (before its delta reaches the
-        pipe).  The session fails fast with a resume hint; the journal
+        """SIGKILL a worker inside a task (before its first message
+        reaches the pipe).  The session fails fast with a resume hint; the journal
         holds every task completed so far; resume is exact."""
         baseline = baseline_for(processes)
         ck = tmp_path / "ck"

@@ -6,8 +6,11 @@ the HTTP endpoints.
 
 import io
 import json
+import pickle
 import urllib.error
 import urllib.request
+
+from dataclasses import fields
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.framework import (
     TelemetryDelta,
     run_parallel_scan,
 )
+from repro.framework.telemetry import PlannedTask
 from repro.obs import MetricsRegistry, estimate_eta, parse_prometheus
 from repro.obs.server import DASHBOARD_HTML, TelemetryServer
 from repro.workloads import CorpusConfig, DomainCorpus
@@ -31,40 +35,50 @@ from repro.workloads import CorpusConfig, DomainCorpus
 
 
 class TestTelemetryDelta:
+    def test_field_set_is_progress_only(self):
+        """A delta says how far a task got: its key travels beside it and
+        its schedule lives in the view's plan.  Literals on purpose."""
+        assert [f.name for f in fields(TelemetryDelta)] == [
+            "seq", "done", "successes", "timeouts", "retries", "queries_sent",
+            "in_flight", "virtual_now", "complete", "metrics", "version",
+        ]
+        assert DELTA_VERSION == 4
+
     def test_payload_round_trip(self):
+        """The pipe carries the delta object itself."""
         delta = TelemetryDelta(
-            shard=3, seq=7, done=120, successes=110, timeouts=4, retries=9,
-            queries_sent=500, in_flight=12, virtual_now=8.25,
-            target=400, complete=False,
+            seq=7, done=120, successes=110, timeouts=4, retries=9,
+            queries_sent=500, in_flight=12, virtual_now=8.25, complete=False,
+            metrics=[("engine.lookups", "counter", 120)],
         )
-        clone = TelemetryDelta.from_payload(delta.to_payload())
-        assert clone == delta
+        clone = pickle.loads(pickle.dumps(("delta", (3, 0), delta)))
+        assert clone == ("delta", (3, 0), delta)
 
     def test_unknown_version_rejected(self):
-        payload = TelemetryDelta(shard=0, seq=1).to_payload()
-        payload["version"] = DELTA_VERSION + 1
-        with pytest.raises(ValueError, match="version"):
-            TelemetryDelta.from_payload(payload)
+        """A v3 delta (scheduling fields on board) is not misread."""
+        with pytest.raises(ValueError, match="version 3"):
+            FleetView().update(TelemetryDelta(seq=1, version=3))
 
     def test_fleet_view_rejects_unknown_version(self):
-        delta = TelemetryDelta(shard=0, seq=1)
+        delta = TelemetryDelta(seq=1)
         delta.version = DELTA_VERSION + 1
         with pytest.raises(ValueError, match="version"):
             FleetView().update(delta)
 
     def test_v2_scheduling_fields_round_trip(self):
-        """v2 deltas are per (shard, segment) task and carry the
-        ownership/steal/resume annotations end to end."""
-        delta = TelemetryDelta(
-            shard=2, segment=1, segments=4, seq=3, done=40, target=60,
-            owner=2, worker=0, stolen_from=1, resumed=True, complete=True,
-        )
-        clone = TelemetryDelta.from_payload(delta.to_payload())
-        assert clone == delta
-        assert clone.key == (2, 1)
-        assert (clone.owner, clone.worker, clone.stolen_from, clone.resumed) == (
-            2, 0, 1, True,
-        )
+        """The ownership/steal/resume annotations that v2 put on each
+        delta round trip through the plan: installed, then recorded at
+        dispatch."""
+        fleet = FleetView()
+        fleet.set_plan({
+            (2, 0): PlannedTask(target=20, owner=2),
+            (2, 1): PlannedTask(target=40, owner=2, resumed=True),
+        })
+        fleet.assign((2, 0), worker=0, stolen_from=2)
+        schedule = fleet.schedule()
+        assert list(schedule) == [(2, 0), (2, 1)]
+        assert schedule[(2, 0)] == PlannedTask(target=20, owner=2, worker=0, stolen_from=2)
+        assert schedule[(2, 1)] == PlannedTask(target=40, owner=2, resumed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -72,26 +86,32 @@ class TestTelemetryDelta:
 # ---------------------------------------------------------------------------
 
 
-def _delta(shard, seq, done, complete=False, metrics=None):
+def _delta(seq, done, complete=False, metrics=None):
     return TelemetryDelta(
-        shard=shard, seq=seq, done=done, successes=done, queries_sent=3 * done,
-        in_flight=5, virtual_now=float(seq), target=100, complete=complete,
-        metrics=metrics,
+        seq=seq, done=done, successes=done, queries_sent=3 * done,
+        in_flight=5, virtual_now=float(seq), complete=complete, metrics=metrics,
     )
+
+
+def _planned(shards, target=100, **kwargs):
+    """A view planned as ``shards`` whole-shard tasks of ``target`` names."""
+    fleet = FleetView(shards=shards, **kwargs)
+    fleet.set_plan({(shard, 0): PlannedTask(target=target, owner=shard) for shard in range(shards)})
+    return fleet
 
 
 class TestFleetView:
     def test_latest_delta_wins_per_shard(self):
-        fleet = FleetView(shards=2)
-        fleet.update(_delta(0, seq=1, done=10))
-        fleet.update(_delta(0, seq=3, done=30))
-        fleet.update(_delta(0, seq=2, done=20))  # stale: arrived late
+        fleet = FleetView(shards=1)
+        fleet.update(_delta(seq=1, done=10))
+        fleet.update(_delta(seq=3, done=30))
+        fleet.update(_delta(seq=2, done=20))  # stale: arrived late
         assert fleet.fleet_counters()["done"] == 30
 
     def test_counters_sum_across_shards(self):
-        fleet = FleetView(shards=3, target=300)
+        fleet = _planned(3, target=300)
         for shard in range(3):
-            fleet.update(_delta(shard, seq=1, done=10 * (shard + 1)))
+            fleet.update(_delta(seq=1, done=10 * (shard + 1)), (shard, 0))
         counters = fleet.fleet_counters()
         assert counters["done"] == 60
         assert counters["in_flight"] == 15
@@ -99,13 +119,13 @@ class TestFleetView:
 
     def test_snapshot_shape_and_eta(self):
         clock_value = [0.0]
-        fleet = FleetView(
-            run_info={"module": "A"}, shards=2, target=100,
-            clock=lambda: clock_value[0],
+        fleet = _planned(
+            2, target=50, run_info={"module": "A"}, clock=lambda: clock_value[0],
         )
+        fleet.target = 100
         clock_value[0] = 2.0  # 2s elapsed
-        fleet.update(_delta(0, seq=4, done=20))
-        fleet.update(_delta(1, seq=4, done=30, complete=True))
+        fleet.update(_delta(seq=4, done=20), (0, 0))
+        fleet.update(_delta(seq=4, done=30, complete=True), (1, 0))
         snapshot = fleet.status_snapshot()
         assert snapshot["version"] == DELTA_VERSION
         assert snapshot["fleet"]["done"] == 50
@@ -115,6 +135,7 @@ class TestFleetView:
         assert snapshot["fleet"]["shards_reporting"] == 2
         assert snapshot["fleet"]["shards_complete"] == 1
         assert [row["shard"] for row in snapshot["shards"]] == [0, 1]
+        assert [row["target"] for row in snapshot["shards"]] == [50, 50]
         assert json.dumps(snapshot)  # JSON-serialisable end to end
 
     def test_merged_registry_relabels_scoped_metrics(self):
@@ -124,9 +145,9 @@ class TestFleetView:
             registry.scope("faults").counter("injected").inc(shard + 1)
             return registry.dump()
 
-        fleet = FleetView(shards=2)
+        fleet = _planned(2)
         for shard in range(2):
-            fleet.update(_delta(shard, seq=1, done=10, metrics=dump_for(shard)))
+            fleet.update(_delta(seq=1, done=10, metrics=dump_for(shard)), (shard, 0))
         snap = fleet.merged_registry().snapshot()
         assert snap["engine.lookups"] == 20
         assert snap["faults.shard0.injected"] == 1
@@ -134,7 +155,7 @@ class TestFleetView:
 
     def test_finish_marks_complete_and_clears_eta(self):
         fleet = FleetView(shards=1, target=100)
-        fleet.update(_delta(0, seq=1, done=100, complete=True))
+        fleet.update(_delta(seq=1, done=100, complete=True))
         fleet.finish()
         snapshot = fleet.status_snapshot()
         assert snapshot["fleet"]["complete"] is True
@@ -145,21 +166,16 @@ class TestFleetView:
         until *every* segment task has reported complete — even if all
         segments seen so far are done."""
         fleet = FleetView(shards=1, target=30)
-        fleet.set_plan({0: {"segments": 3, "target": 30, "owner": 0}})
+        fleet.set_plan({(0, segment): PlannedTask(target=10, owner=0) for segment in range(3)})
         for segment in (0, 1):
-            fleet.update(TelemetryDelta(
-                shard=0, segment=segment, segments=3, seq=1, done=10,
-                target=10, complete=True,
-            ))
+            fleet.update(_delta(seq=1, done=10, complete=True), (0, segment))
         snapshot = fleet.status_snapshot()
         row = snapshot["shards"][0]
         assert row["complete"] is False
         assert row["segments_done"] == 2 and row["segments"] == 3
+        assert row["target"] == 30
         assert snapshot["fleet"]["shards_complete"] == 0
-        fleet.update(TelemetryDelta(
-            shard=0, segment=2, segments=3, seq=1, done=10,
-            target=10, complete=True,
-        ))
+        fleet.update(_delta(seq=1, done=10, complete=True), (0, 2))
         snapshot = fleet.status_snapshot()
         assert snapshot["shards"][0]["complete"] is True
         assert snapshot["fleet"]["shards_complete"] == 1
@@ -167,28 +183,27 @@ class TestFleetView:
     def test_status_rows_carry_ownership_steal_and_resume_state(self):
         fleet = FleetView(shards=2, target=40, run_info={"module": "A"})
         fleet.run_info["resumed_from"] = "/scans/ck"
-        fleet.update(TelemetryDelta(
-            shard=0, segment=0, segments=2, seq=1, done=10, target=10,
-            owner=0, worker=0, complete=True, resumed=True,
-        ))
-        fleet.update(TelemetryDelta(
-            shard=0, segment=1, segments=2, seq=1, done=10, target=10,
-            owner=0, worker=1, stolen_from=0, complete=True,
-        ))
-        fleet.update(TelemetryDelta(
-            shard=1, segment=0, segments=1, seq=1, done=20, target=20,
-            owner=1, worker=1, complete=True,
-        ))
+        fleet.set_plan({
+            (0, 0): PlannedTask(target=10, owner=0, resumed=True),
+            (0, 1): PlannedTask(target=10, owner=0),
+            (1, 0): PlannedTask(target=20, owner=1),
+        })
+        fleet.assign((0, 1), worker=1, stolen_from=0)
+        fleet.assign((1, 0), worker=1)
+        fleet.update(_delta(seq=0, done=10, complete=True), (0, 0))
+        fleet.update(_delta(seq=1, done=10, complete=True), (0, 1))
+        fleet.update(_delta(seq=1, done=20, complete=True), (1, 0))
         snapshot = fleet.status_snapshot()
         assert snapshot["run"]["resumed_from"] == "/scans/ck"
         assert snapshot["fleet"]["steals"] == 1
         assert snapshot["fleet"]["resumed_tasks"] == 1
         by_shard = {row["shard"]: row for row in snapshot["shards"]}
         assert by_shard[0]["owner"] == 0
-        assert by_shard[0]["workers"] == [0, 1]
+        assert by_shard[0]["workers"] == [1]  # the resumed task ran in no worker
         assert by_shard[0]["steals"] == 1
         assert by_shard[0]["stolen_from"] == 0
         assert by_shard[0]["resumed"] is True
+        assert by_shard[1]["workers"] == [1]
         assert by_shard[1]["steals"] == 0
         assert by_shard[1]["stolen_from"] is None
         assert by_shard[1]["resumed"] is False
@@ -196,6 +211,16 @@ class TestFleetView:
         assert counters["steals"] == 1
         assert counters["resumed_tasks"] == 1
         assert json.dumps(snapshot)  # stays JSON-serialisable
+
+    def test_deltas_outside_the_plan_are_not_counted(self):
+        """The plan is the one record of which tasks exist: a view
+        without one is task (0, 0) alone."""
+        fleet = FleetView(shards=1, target=10)
+        fleet.update(_delta(seq=1, done=10, complete=True))
+        fleet.update(_delta(seq=1, done=99, complete=True), (1, 0))
+        snapshot = fleet.status_snapshot()
+        assert snapshot["fleet"]["done"] == 10
+        assert [(row["shard"], row["target"]) for row in snapshot["shards"]] == [(0, 10)]
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +327,14 @@ class TestServerEndpoints:
             run_info={"module": "A", "resumed_from": "/scans/ck"},
         )
         fleet.set_plan({
-            0: {"segments": 2, "target": 20, "owner": 0},
-            1: {"segments": 2, "target": 20, "owner": 1},
+            (0, 0): PlannedTask(target=10, owner=0, resumed=True),
+            (0, 1): PlannedTask(target=10, owner=0),
+            (1, 0): PlannedTask(target=10, owner=1),
+            (1, 1): PlannedTask(target=10, owner=1),
         })
-        fleet.update(TelemetryDelta(
-            shard=0, segment=0, segments=2, seq=1, done=10, target=10,
-            owner=0, worker=0, complete=True, resumed=True,
-        ))
-        fleet.update(TelemetryDelta(
-            shard=1, segment=1, segments=2, seq=1, done=4, target=10,
-            owner=1, worker=0, stolen_from=1,
-        ))
+        fleet.assign((1, 1), worker=0, stolen_from=1)
+        fleet.update(TelemetryDelta(seq=0, done=10, complete=True), (0, 0))
+        fleet.update(TelemetryDelta(seq=1, done=4), (1, 1))
         with TelemetryServer(
             status=fleet.status_snapshot, metrics=fleet.prometheus
         ) as server:
@@ -462,63 +484,37 @@ class TestEstimateEtaDegenerateRates:
 
 
 class TestResumeFoldOrdering:
-    """Regression (--resume): a resumed run replays the journal before
-    the executor lays out the plan, so a replayed shard's *final* delta
-    can reach the FleetView before its ``set_plan`` segments.  The fold
-    must trust whichever source knows about more segments, and a later
-    ``set_plan`` must refine — never erase — what replay taught it."""
+    """Regression (--resume): the executor installs its plan, resumed
+    tasks marked, before anything else; replayed final deltas and live
+    ones then arrive in any order, and the fold reads the schedule from
+    the plan alone."""
 
-    def _replayed_final(self, shard, segment, segments, done):
-        return TelemetryDelta(
-            shard=shard, segment=segment, segments=segments, seq=9,
-            done=done, successes=done, target=done, owner=shard, worker=1,
-            stolen_from=0 if segment else None, resumed=True, complete=True,
-        )
-
-    def test_final_delta_before_set_plan_keeps_shard_incomplete(self):
+    def _resumed_view(self):
         fleet = FleetView(shards=1, target=30)
-        # replay: segment 0 of 3 arrives complete, before any plan
-        fleet.update(self._replayed_final(0, segment=0, segments=3, done=10))
-        row = fleet.status_snapshot()["shards"][0]
-        assert row["complete"] is False  # 1 of 3 segments
-        assert row["segments"] == 3
-        # the plan lands afterwards: must not shrink or reset anything
-        fleet.set_plan({0: {"segments": 3, "target": 30, "owner": 0}})
-        row = fleet.status_snapshot()["shards"][0]
-        assert row["complete"] is False
-        assert (row["segments"], row["segments_done"]) == (3, 1)
+        fleet.set_plan({
+            (0, 0): PlannedTask(target=20, owner=0, resumed=True),
+            (0, 1): PlannedTask(target=10, owner=0, resumed=True),
+        })
+        return fleet
+
+    def _replayed_final(self, done, metrics=None):
+        return TelemetryDelta(done=done, successes=done, complete=True, metrics=metrics)
 
     def test_counters_survive_out_of_order_fold(self):
-        fleet = FleetView(shards=1, target=30)
-        fleet.update(self._replayed_final(0, segment=1, segments=2, done=10))
-        fleet.set_plan({0: {"segments": 2, "target": 30, "owner": 0}})
-        fleet.update(self._replayed_final(0, segment=0, segments=2, done=20))
+        fleet = self._resumed_view()
+        fleet.update(self._replayed_final(done=10), (0, 1))
+        row = fleet.status_snapshot()["shards"][0]
+        assert (row["complete"], row["segments"], row["segments_done"]) == (False, 2, 1)
+        fleet.update(self._replayed_final(done=20), (0, 0))
         counters = fleet.fleet_counters()
         assert counters["done"] == 30
         assert counters["resumed_tasks"] == 2
-        assert counters["steals"] == 1  # segment 1 carried stolen_from=0
+        assert counters["steals"] == 0
         assert counters["shards_complete"] == 1
         row = fleet.status_snapshot()["shards"][0]
         assert row["complete"] is True
         assert row["resumed"] is True
-
-    def test_set_plan_merges_instead_of_replacing(self):
-        """A second set_plan (the executor refreshing owners) must not
-        drop shards or fields learned earlier."""
-        fleet = FleetView(shards=2, target=40)
-        fleet.set_plan({0: {"segments": 2, "target": 20, "owner": 0}})
-        fleet.set_plan({1: {"segments": 1, "target": 20, "owner": 1}})
-        fleet.set_plan({0: {"owner": 5}})  # partial refinement
-        fleet.update(TelemetryDelta(shard=0, segment=0, segments=2, seq=1,
-                                    done=10, target=10, complete=True))
-        fleet.update(TelemetryDelta(shard=1, segment=0, segments=1, seq=1,
-                                    done=20, target=20, complete=True))
-        snapshot = fleet.status_snapshot()
-        by_shard = {row["shard"]: row for row in snapshot["shards"]}
-        assert by_shard[0]["owner"] == 5  # refined
-        assert by_shard[0]["segments"] == 2  # preserved from the first call
-        assert by_shard[0]["complete"] is False
-        assert by_shard[1]["complete"] is True
+        assert row["target"] == 30
 
     def test_merged_registry_folds_replayed_metrics(self):
         def dump_for(value):
@@ -526,13 +522,7 @@ class TestResumeFoldOrdering:
             registry.scope("engine").counter("lookups").inc(value)
             return registry.dump()
 
-        fleet = FleetView(shards=1)
-        # replayed metrics land before the plan; both must fold
-        fleet.update(TelemetryDelta(shard=0, segment=0, segments=2, seq=1,
-                                    done=5, complete=True,
-                                    metrics=dump_for(5)))
-        fleet.set_plan({0: {"segments": 2}})
-        fleet.update(TelemetryDelta(shard=0, segment=1, segments=2, seq=1,
-                                    done=7, complete=True,
-                                    metrics=dump_for(7)))
+        fleet = self._resumed_view()
+        fleet.update(self._replayed_final(done=7, metrics=dump_for(7)), (0, 1))
+        fleet.update(self._replayed_final(done=5, metrics=dump_for(5)), (0, 0))
         assert fleet.merged_registry().snapshot()["engine.lookups"] == 12

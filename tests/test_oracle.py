@@ -5,6 +5,7 @@ zero divergences, and a planted lying cache it must catch and shrink to
 a fault-free case — a sweep that cannot catch a planted bug proves
 nothing by passing."""
 
+import io
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from repro.core import INSECURE, Resolver, SelectiveCache
 from repro.dnslib import Name, ResourceRecord, RRType
 from repro.dnslib.rdata.address import A
 from repro.ecosystem import EPOCH_BASE, EcosystemParams, build_internet
-from repro.framework import ScanConfig, ScanRunner
+from repro.framework import ScanConfig, ScanRunner, run_parallel_scan
 from repro.framework.cli import main as cli_main
 from repro.obs import MetricsRegistry
 from repro.oracle import (
@@ -344,6 +345,31 @@ class TestScanIntegration:
         assert stats["checked"] == 5  # every 3rd of 15
         assert stats["divergences"] == 0
         assert not any(row.get("oracle_divergence") for row in rows)
+
+    def test_oracle_mirrors_the_universe_not_the_scan_seed(self, corpus_names):
+        """A shard task resolves in the scan's universe (``params.seed``)
+        under a derived scan seed: the oracle must mirror the universe,
+        or every check reads as a divergence."""
+        from repro.net import derive_seed
+
+        internet = build_internet(
+            params=EcosystemParams(seed=SEED), net_seed=derive_seed(SEED, "net", 0)
+        )
+        config = ScanConfig(seed=derive_seed(SEED, "scan", 0), oracle_check=1)
+        rows = []
+        report = ScanRunner(internet, config, sink=rows.append).run(corpus_names[:20])
+        assert report.oracle_stats["checked"] == 20
+        assert report.oracle_stats["divergences"] == 0
+        assert len(rows) == 20
+
+    def test_shard_executor_rejects_oracle_check(self, corpus_names):
+        """The executor's merge keeps no oracle tallies, so it refuses
+        the mode instead of dropping them."""
+        with pytest.raises(ValueError, match="oracle_check"):
+            run_parallel_scan(
+                corpus_names[:4], ScanConfig(seed=SEED, oracle_check=1),
+                processes=2, out=io.StringIO(),
+            )
 
     def test_runner_oracle_off_by_default(self, corpus_names):
         internet = build_internet(params=EcosystemParams(seed=SEED))

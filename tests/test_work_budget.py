@@ -53,9 +53,9 @@ BUDGETS = {
             "stdlib": 10384,
         },
         "dnssec": {
-            "C": 314247, "core": 44854, "dnslib": 123712, "ecosystem": 28832,
+            "C": 313647, "core": 44854, "dnslib": 123712, "ecosystem": 28832,
             "framework": 5838, "generated": 10849, "modules": 1985, "net": 36589,
-            "stdlib": 12714,
+            "stdlib": 12114,
         },
         "metrics": {
             "C": 202347, "core": 26651, "dnslib": 66836, "ecosystem": 19308,
