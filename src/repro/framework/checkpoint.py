@@ -24,7 +24,8 @@ Layout of a checkpoint directory::
 * ``task`` — one completed task: spool byte/line counts (the spool is
   flushed and fsynced *before* this record, so a record implies a valid
   spool) and the task's mergeable ``payload``: one ``ScanStats`` state,
-  one metrics dump, cache counters, CPU utilisation and DNSSEC tallies.
+  one metrics dump, cache counters, CPU utilisation and DNSSEC tallies
+  (and, only for an ``--oracle-check`` scan, the oracle's tallies).
   On resume the fleet view's delta for the task is rebuilt from it.
   (Journals written before the delta lost its ``stats`` block also hold
   the task's final delta under ``delta``; loading ignores it.)
@@ -86,7 +87,7 @@ FSYNC_POLICIES = ("always", "interval", "never")
 STREAMS = {"rows": ("rows", "row_bytes"), "spans": ("spans", "span_bytes")}
 
 #: The keys of a ``task`` record's payload (what a shard worker's
-#: ``task_done`` message carries).
+#: ``task_done`` message carries); an oracle task's also holds ``oracle``.
 PAYLOAD_KEYS = ("stats", "metrics", "cache", "cpu_utilisation", "dnssec")
 
 
@@ -161,7 +162,7 @@ def _restore_task_record(record: dict) -> tuple[tuple[int, int], dict]:
     shard, segment = record["key"]
     key = (int(shard), int(segment))
     payload = record["payload"]
-    if not isinstance(payload, dict) or set(payload) != set(PAYLOAD_KEYS):
+    if not isinstance(payload, dict) or set(payload) - {"oracle"} != set(PAYLOAD_KEYS):
         keys = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
         raise ValueError(f"payload keys {keys} != {sorted(PAYLOAD_KEYS)}")
     ScanStats.from_state(payload["stats"])

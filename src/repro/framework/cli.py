@@ -195,9 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="shadow every Kth lookup against the differential "
+        help="check lookups 1, K+1, 2K+1, ... against the differential "
         "reference resolver; divergences become structured output rows "
-        "(simulated iterative scans only)",
+        "(simulated iterative scans only; with --processes each task "
+        "samples its own lookups)",
     )
     parser.add_argument(
         "--no-timestamps",
@@ -294,8 +295,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--oracle-check must be >= 1 (got {args.oracle_check})")
         if args.live_resolver:
             parser.error("--oracle-check applies to simulated scans only")
-        if args.processes is not None:
-            parser.error("--oracle-check is not supported with --processes")
         if args.mode != "iterative":
             parser.error("--oracle-check requires --mode iterative")
 
@@ -407,7 +406,7 @@ def _run_simulated(args, module, names, out_handle):
     if args.http_port is not None:
         from ..obs.server import TelemetryServer
 
-        fleet = FleetView(run_info=_run_info(args), shards=1)
+        fleet = FleetView(run_info=_run_info(args))
         server = TelemetryServer(
             status=fleet.status_snapshot, metrics=fleet.prometheus, port=args.http_port
         ).start()

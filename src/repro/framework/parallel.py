@@ -32,8 +32,9 @@ Design invariants, in order:
    (status counts, completion times, retries — each task's travel once,
    in its ``task_done`` payload), metrics registries merge
    (counter/gauge sums, histogram bucket adds, ratio gauges recomputed
-   — see :func:`~repro.framework.telemetry.fold_metrics`), cache and
-   DNSSEC tallies sum, and fault-injection / server-health scopes are
+   — see :func:`~repro.framework.telemetry.fold_metrics`), cache,
+   DNSSEC and differential-oracle tallies sum (each task samples its own
+   lookups 1, K+1, …), and fault-injection / server-health scopes are
    relabelled per shard (``faults.* -> faults.shardK.*``) so a
    post-mortem can still tell which slice of the fleet saw the trouble.
 4. **Scheduling is dynamic; bytes are not.**  Workers *pull*: each sends
@@ -253,19 +254,16 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn) -> None:
     for each in sinks:
         each.flush()
     registry = report.registry
-    conn.send(
-        (
-            "task_done",
-            task.key,
-            {
-                "stats": report.stats.to_state(),
-                "metrics": registry.dump() if registry is not None and registry.enabled else [],
-                "cache": report.cache_stats,
-                "cpu_utilisation": report.cpu_utilisation,
-                "dnssec": report.dnssec_stats,
-            },
-        )
-    )
+    payload = {
+        "stats": report.stats.to_state(),
+        "metrics": registry.dump() if registry is not None and registry.enabled else [],
+        "cache": report.cache_stats,
+        "cpu_utilisation": report.cpu_utilisation,
+        "dnssec": report.dnssec_stats,
+    }
+    if report.oracle_stats is not None:  # so a non-oracle journal resumes on older trees
+        payload["oracle"] = report.oracle_stats
+    conn.send(("task_done", task.key, payload))
 
 
 def _worker_main(worker_index: int, spec: _ShardSpec, conn, inherited=()) -> None:
@@ -424,9 +422,6 @@ def run_parallel_scan(
         raise ValueError("steal_quantum must be >= 1")
     if resume and checkpoint_dir is None:
         raise ValueError("resume requires a checkpoint_dir")
-    if config.oracle_check:
-        # the merge below keeps no oracle tallies
-        raise ValueError("oracle_check is not supported by the shard executor")
     status_interval = config.status_interval
     if status_interval is not None and status_interval <= 0:
         raise ValueError("status_interval must be > 0")
@@ -497,8 +492,6 @@ def run_parallel_scan(
     # the plan is the one record of the schedule: installed before any
     # worker forks, each dispatch recorded in it as it happens
     fleet = fleet_view if fleet_view is not None else FleetView()
-    fleet.shards = shards
-    fleet.target = total_names
     fleet.set_plan(
         {
             task.key: PlannedTask(
@@ -512,9 +505,10 @@ def run_parallel_scan(
     if resume:
         fleet.run_info["resumed_from"] = os.fspath(checkpoint_dir)
         fleet.run_info["resumed_tasks"] = len(restored)
+    if spec.stream_deltas:
         # a durable task's final delta, rebuilt from its payload: the view
         # (and the status line's done counter) starts where the journal
-        # left off
+        # left off (nothing reads the view's deltas unless they stream)
         for key, record in restored.items():
             payload = record["payload"]
             stats = ScanStats.from_state(payload["stats"])
@@ -702,7 +696,7 @@ def run_parallel_scan(
     # merged stats/metrics are byte-identical to an uninterrupted run's
     merged_stats = ScanStats()
     per_shard_stats: dict[int, ScanStats] = {}
-    cache_stats = dnssec_stats = None
+    cache_stats = dnssec_stats = oracle_stats = None
     for task in tasks:
         payload = payloads[task.key]
         task_stats = ScanStats.from_state(payload["stats"])
@@ -710,6 +704,7 @@ def run_parallel_scan(
         per_shard_stats.setdefault(task.shard, ScanStats()).merge(task_stats)
         cache_stats = _add_counts(cache_stats, payload["cache"])
         dnssec_stats = _add_counts(dnssec_stats, payload["dnssec"])
+        oracle_stats = _add_counts(oracle_stats, payload.get("oracle"))
     registry = fold_metrics(
         ((task.shard, payloads[task.key]["metrics"]) for task in tasks),
         enabled=config.metrics,
@@ -748,6 +743,7 @@ def run_parallel_scan(
         cache_stats=cache_stats,
         cpu_utilisation=cpu_utilisation,
         dnssec_stats=dnssec_stats,
+        oracle_stats=oracle_stats,
         shard_summaries=shard_summaries,
         processes=processes,
         shards=shards,

@@ -76,16 +76,20 @@ class ScanConfig:
     #: loop executes more than this many events (hang detection for the
     #: chaos soak).  None (the default) keeps the unbounded hot loop.
     max_events: int | None = None
-    #: Shadow every Kth lookup against the differential oracle
+    #: Check lookups 1, K+1, 2K+1, … against the differential oracle
     #: (:mod:`repro.oracle`): divergences become structured output rows
-    #: and ``oracle.*`` counters.  None/0 = off.  Simulated iterative
-    #: scans of single-qtype modules only.
+    #: and ``oracle.*`` counters.  None/0 = off; negative is an error.
+    #: Simulated iterative scans of single-qtype modules only.
     oracle_check: int | None = None
     #: DNSSEC validation (iterative mode only): send DO on every query,
     #: walk the chain of trust per lookup, attach ``data.dnssec`` to
     #: output rows and publish ``dnssec.*`` outcome counters.  Off by
     #: default — a non-DNSSEC scan stays byte-identical.
     dnssec: bool = False
+
+    def __post_init__(self) -> None:
+        if self.oracle_check is not None and self.oracle_check < 0:
+            raise ValueError(f"oracle_check must be >= 0 (got {self.oracle_check})")
 
     def resolver_config(self) -> ResolverConfig:
         return ResolverConfig(
@@ -188,10 +192,10 @@ class ScanRunner:
             from ..core import dnssec  # noqa: F401
         if config.server_health:
             from ..core import health  # noqa: F401
-        #: The differential oracle every ``oracle_check``-th lookup is
-        #: shadowed against.  Built here, with its reference Internet:
-        #: set-up work, loaded and paid before the scan starts (one
-        #: oracle per runner: its tallies span every run of it).
+        #: The differential oracle every finished lookup is handed to.
+        #: Built here, with its reference Internet: set-up work, paid
+        #: before the scan starts (one oracle per runner: its tallies and
+        #: sample position span every run of it).
         self.oracle = None
         if config.oracle_check:
             if config.mode != "iterative":
@@ -204,7 +208,9 @@ class ScanRunner:
 
             # the reference mirrors the universe the scan resolves in, whose
             # seed a shard task's derived ``config.seed`` is not
-            self.oracle = DifferentialOracle(seed=internet.params.seed, dnssec=config.dnssec)
+            self.oracle = DifferentialOracle(
+                seed=internet.params.seed, dnssec=config.dnssec, every=config.oracle_check
+            )
 
     def run(self, names: Iterable[str]) -> ScanReport:
         internet = self.internet
@@ -277,8 +283,6 @@ class ScanRunner:
         context.build_rows = self.sink is not None
 
         oracle = self.oracle
-        oracle_every = int(config.oracle_check or 0)
-        oracle_seen = [0]
         security_counts: dict[str, int] | None = None
         if config.dnssec:
             from ..core.dnssec import CHAIN_COUNTS, SECURITY_STATES
@@ -331,13 +335,9 @@ class ScanRunner:
                     for count in CHAIN_COUNTS:
                         security_counts[count] += getattr(result.evidence, count)
                 if oracle is not None and result is not None:
-                    oracle_seen[0] += 1
-                    if (oracle_seen[0] - 1) % oracle_every == 0:
-                        divergence = oracle.check(
-                            module.parse_input(raw), module.qtype, result
-                        )
-                        if divergence is not None and sink is not None:
-                            sink(divergence.to_row())
+                    divergence = oracle.observe(module.parse_input(raw), module.qtype, result)
+                    if divergence is not None and sink is not None:
+                        sink(divergence.to_row())
                 if sink is not None:
                     sink(row)
                 del row, result  # nothing of a finished lookup outlives its row

@@ -216,13 +216,13 @@ class FleetView:
     slows the merge loop.  The executor installs its plan
     (:meth:`set_plan`) before any task runs and records each dispatch
     (:meth:`assign`); a view without a plan is one task, ``(0, 0)``, of
-    its own ``target``.
+    its own ``target``.  The fleet's shard count and target are the
+    plan's: its distinct shards and the sum of its tasks' targets.
     """
 
     def __init__(
         self,
         run_info: dict | None = None,
-        shards: int = 0,
         target: int | None = None,
         clock=time.monotonic,
     ):
@@ -231,7 +231,7 @@ class FleetView:
         #: the executor's plan, in canonical task order (None: no plan)
         self._plan: dict[tuple[int, int], PlannedTask] | None = None
         self.run_info = dict(run_info or {})
-        self.shards = shards
+        #: names of the one task of a view without a plan
         self.target = target
         self._clock = clock
         self._started = clock()
@@ -283,10 +283,10 @@ class FleetView:
             deltas = {key: self._deltas[key] for key in plan if key in self._deltas}
             return plan, deltas, self.complete
 
-    def _fold(self) -> tuple[dict, list[dict], bool, float]:
+    def _fold(self) -> tuple[dict, list[dict], dict, bool, float]:
         """The fleet counters, the per-shard rows of the shards that
-        have reported, whether the scan is complete, and the wall
-        seconds elapsed."""
+        have reported, the plan's shape (shard count and target), whether
+        the scan is complete, and the wall seconds elapsed."""
         plan, deltas, complete = self._read()
         elapsed = self.elapsed
         groups: dict[int, list[tuple[PlannedTask, TelemetryDelta | None]]] = {}
@@ -303,7 +303,9 @@ class FleetView:
             "steals": sum(1 for task in plan.values() if task.stolen_from is not None),
             "resumed_tasks": sum(1 for task in plan.values() if task.resumed),
         }
-        return counters, rows, complete, elapsed
+        targets = [task.target for task in plan.values()]
+        shape = {"shards": len(groups), "target": None if None in targets else sum(targets)}
+        return counters, rows, shape, complete, elapsed
 
     def fleet_counters(self) -> dict:
         """Cheap fleet totals (no metrics folding) — what the parent's
@@ -327,18 +329,18 @@ class FleetView:
         fault/health scopes."""
         from ..obs.status import estimate_eta
 
-        fleet, rows, complete, elapsed = self._fold()
+        fleet, rows, shape, complete, elapsed = self._fold()
         done, successes = fleet["done"], fleet["successes"]
         average_rate = done / elapsed if elapsed > 0 else 0.0
-        eta = None if complete else estimate_eta(done, self.target, average_rate)
+        eta = None if complete else estimate_eta(done, shape["target"], average_rate)
         tree = self.merged_registry().tree()
         fleet.update(
-            target=self.target,
+            target=shape["target"],
             success_rate=round(successes / done, 4) if done else 0.0,
             rate_per_s=round(average_rate, 2),
             eta_s=None if eta is None else round(eta, 1),
             virtual_now=max((row["virtual_now"] for row in rows), default=0.0),
-            shards=self.shards,
+            shards=shape["shards"],
             shards_reporting=len(rows),
             # published when a task finishes: None until one has
             cache_hit_rate=tree.get("cache", {}).get("hit_rate"),

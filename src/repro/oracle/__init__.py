@@ -13,7 +13,9 @@ compares the two:
   relation on (status, final CNAME target, sorted terminal rdata set),
   with production failures on the lossy fabric classified as
   inconclusive rather than divergent, and per-nameserver-inconsistent
-  domains matched against a *set* of acceptable answers.
+  domains matched against a *set* of acceptable answers.  The oracle is
+  the one verdict path: it checks lookups 1, K+1, 2K+1, … of those its
+  caller hands :meth:`~DifferentialOracle.observe`.
 * :func:`run_differential` — the sweep harness: every name resolved
   cold *and* warm under each cache policy × eviction × fault-plan
   combination, all checked against the oracle plus the cold-vs-warm
@@ -21,9 +23,10 @@ compares the two:
 * :func:`shrink_divergence` / :func:`check_one` — reduce any divergence
   to a minimal (name, seed, plan) triple that reproduces in isolation.
 
-Scan integration: ``pyzdns <module> --oracle-check K`` shadows every
-Kth lookup of a simulated iterative scan (divergences become structured
-output rows; counters land in the ``oracle.*`` metric scope).
+Scan integration: ``pyzdns <module> --oracle-check K`` (per task under
+``--processes``) and the daemon's ``--oracle-check K`` sample that way
+(divergences become structured output rows; counters land in the
+``oracle.*`` metric scope); the sweep and the shrinker use K = 1.
 ``tests/test_oracle.py`` holds the gate: a policy × eviction ×
 fault-plan sweep with zero divergences, and a planted lying cache that
 must be caught and shrunk to a fault-free case.

@@ -177,14 +177,22 @@ def compare_views(view: ProductionView, oracle: OracleResult) -> tuple[str, str 
 
 
 class DifferentialOracle:
-    """Stateful checker for shadowing production lookups (the
-    ``--oracle-check`` scan mode): owns a reference resolver, memoises
-    its verdicts per (name, qtype), and keeps running counters."""
+    """The one verdict path: owns a reference resolver, memoises its
+    verdicts per (name, qtype), samples the lookups handed to
+    :meth:`observe` — positions 1, K+1, 2K+1, … for ``every`` = K — and
+    counts the verdicts (the scan, the shard executor's tasks and the
+    daemon sample; the sweep and the shrinker check all, ``every=1``)."""
 
-    def __init__(self, seed: int = 2022, memo_limit: int = 65_536, dnssec: bool = False):
+    def __init__(
+        self, seed: int = 2022, memo_limit: int = 65_536, dnssec: bool = False, every: int = 1
+    ):
+        if every < 1:
+            raise ValueError(f"oracle sampling interval must be >= 1 (got {every})")
         self.seed = seed
         self.dnssec = dnssec
+        self.every = every
         self.reference = ReferenceResolver(seed=seed, dnssec=dnssec)
+        self.seen = 0
         self.checked = 0
         self.agreed = 0
         self.inconclusive = 0
@@ -233,9 +241,13 @@ class DifferentialOracle:
             self._memo.clear()
         return generation
 
-    def check(self, qname: Name, qtype, result, combo: dict | None = None) -> Divergence | None:
-        """Compare one finished production lookup against the oracle.
-        Returns the :class:`Divergence` (and counts it), or None."""
+    def observe(self, qname: Name, qtype, result, combo: dict | None = None) -> Divergence | None:
+        """Count one finished production lookup and, on the sample,
+        compare it against the oracle.  Returns the :class:`Divergence`
+        (and counts it), or None; a failed lookup never diverges."""
+        self.seen += 1
+        if (self.seen - 1) % self.every:
+            return None
         oracle = self.oracle_result(qname, qtype)
         view = production_view(result, qname, qtype)
         verdict, reason = compare_views(view, oracle)
@@ -389,16 +401,7 @@ def run_differential(
     bugs in tests); ``names`` overrides the generated corpus slice (the
     same names are then used for every combination)."""
     config = config or DifferentialConfig()
-    reference = ReferenceResolver(seed=config.seed, dnssec=config.dnssec)
-    oracle_memo: dict[tuple, OracleResult] = {}
-
-    def oracle_for(qname: Name) -> OracleResult:
-        key = (qname.canonical_key(), config.qtype)
-        cached = oracle_memo.get(key)
-        if cached is None:
-            cached = oracle_memo[key] = reference.resolve(qname, config.qtype)
-        return cached
-
+    oracle = DifferentialOracle(seed=config.seed, dnssec=config.dnssec)
     report = DifferentialReport(seed=config.seed)
     fixed_names = list(names) if names is not None else None
     offset = config.start
@@ -412,14 +415,7 @@ def run_differential(
                     corpus = DomainCorpus(CorpusConfig(seed=config.seed))
                     combo_names = list(corpus.fqdns(config.names, offset))
                     offset += config.names
-                _run_combo(
-                    combo,
-                    combo_names,
-                    config,
-                    oracle_for,
-                    cache_factory=cache_factory,
-                    plan_spec=plan_spec,
-                )
+                _run_combo(combo, combo_names, config, oracle, cache_factory, plan_spec)
                 report.combos.append(combo)
                 report.names_checked += len(combo_names)
                 if log is not None:
@@ -431,9 +427,11 @@ def run_differential(
     return report
 
 
-def _run_combo(combo, combo_names, config, oracle_for, cache_factory, plan_spec):
+def _run_combo(combo, combo_names, config, oracle, cache_factory, plan_spec):
     """Resolve each name cold then warm on a fresh universe under one
-    combination, recording every divergence on ``combo``.  The sweep
+    combination through ``oracle`` (``every=1``), plus the cold-vs-warm
+    invariant, recording every divergence on ``combo``; its tallies are
+    the oracle's counts across the call plus the invariant's.  The sweep
     and the shrinker (:func:`repro.oracle.shrink.check_one`) both run
     through here."""
     internet = build_internet(params=EcosystemParams(seed=config.seed))
@@ -463,43 +461,28 @@ def _run_combo(combo, combo_names, config, oracle_for, cache_factory, plan_spec)
         "dnssec": config.dnssec,
         "retries": config.retries,
     }
+    before = oracle.stats()
     for text in combo_names:
         qname = Name.from_text(text)
-        oracle = oracle_for(qname)
-        views = {}
+        views = []
         for phase in ("cold", "warm"):
             result = resolver.lookup(qname, RRType(config.qtype))
-            view = production_view(result, qname, config.qtype)
-            views[phase] = view
-            verdict, reason = compare_views(view, oracle)
-            combo.checks += 1
-            if verdict == "agree":
-                combo.agreed += 1
-            elif verdict == "inconclusive":
-                combo.inconclusive += 1
-            else:
-                combo.divergences.append(
-                    Divergence(
-                        name=text,
-                        qtype=config.qtype,
-                        seed=config.seed,
-                        reason=reason or "disagreement",
-                        production=view.to_json(),
-                        oracle=oracle.to_json(),
-                        combo=dict(combo_info, phase=phase),
-                    )
-                )
-        cold, warm = views["cold"], views["warm"]
+            divergence = oracle.observe(qname, config.qtype, result, dict(combo_info, phase=phase))
+            if divergence is not None:
+                combo.divergences.append(divergence)
+            views.append(production_view(result, qname, config.qtype))
+        cold, warm = views
         if cold.is_semantic and warm.is_semantic:
             # cold-vs-warm invariant: a cached (or re-walked) second
             # resolution must tell the same story as the first.
+            expected = oracle.oracle_result(qname, config.qtype)
             mismatch = None
             if cold.status != warm.status or cold.final_key != warm.final_key:
                 mismatch = (
                     f"cold ({cold.status}, {cold.final_name!r}) vs "
                     f"warm ({warm.status}, {warm.final_name!r})"
                 )
-            elif len(oracle.acceptable) <= 1 and cold.terminal != warm.terminal:
+            elif len(expected.acceptable) <= 1 and cold.terminal != warm.terminal:
                 # with several acceptable per-NS answer sets, cold and
                 # warm may legitimately land on different nameservers
                 mismatch = (
@@ -517,7 +500,11 @@ def _run_combo(combo, combo_names, config, oracle_for, cache_factory, plan_spec)
                         seed=config.seed,
                         reason=f"cold-vs-warm disagreement: {mismatch}",
                         production={"cold": cold.to_json(), "warm": warm.to_json()},
-                        oracle=oracle.to_json(),
+                        oracle=expected.to_json(),
                         combo=dict(combo_info, phase="cold-vs-warm"),
                     )
                 )
+    after = oracle.stats()
+    combo.checks += after["checked"] - before["checked"]
+    combo.agreed += after["agreed"] - before["agreed"]
+    combo.inconclusive += after["inconclusive"] - before["inconclusive"]

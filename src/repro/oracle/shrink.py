@@ -18,12 +18,12 @@ from ..dnslib import RRType
 from .harness import (
     ComboReport,
     DifferentialConfig,
+    DifferentialOracle,
     Divergence,
     _plan_label,
     _resolve_spec,
     _run_combo,
 )
-from .reference import ReferenceResolver
 
 
 @dataclass(frozen=True)
@@ -67,28 +67,27 @@ def check_one(
     plan=None,
     capacity: int = 512,
     cache_factory=None,
-    reference: ReferenceResolver | None = None,
+    oracle: DifferentialOracle | None = None,
     dnssec: bool = False,
     retries: int = 2,
 ) -> Divergence | None:
     """One name through a fresh production universe, cold then warm,
-    against the oracle: the sweep's own combo path, for one name."""
-    if reference is None:
-        reference = ReferenceResolver(seed=seed, dnssec=dnssec)
+    against ``oracle`` (``every=1``; built when None): the sweep's own
+    combo path, for one name."""
+    if oracle is None:
+        oracle = DifferentialOracle(seed=seed, dnssec=dnssec)
     config = DifferentialConfig(
         seed=seed, qtype=int(qtype), cache_capacity=capacity, retries=retries, dnssec=dnssec
     )
     combo = ComboReport(policy, eviction, _plan_label(plan))
-    _run_combo(
-        combo, [name], config, lambda qname: reference.resolve(qname, qtype), cache_factory, plan
-    )
+    _run_combo(combo, [name], config, oracle, cache_factory, plan)
     return combo.divergences[0] if combo.divergences else None
 
 
 def shrink_divergence(
     divergence: Divergence,
     cache_factory=None,
-    reference: ReferenceResolver | None = None,
+    oracle: DifferentialOracle | None = None,
     max_probes: int = 64,
     plan="__from_combo__",
 ) -> MinimalCase:
@@ -99,7 +98,8 @@ def shrink_divergence(
     here, so the shrunk case still exhibits the bug).  ``plan``
     overrides the fault plan recorded in the divergence's combo (pass
     the actual :class:`FaultPlan` when the sweep used a custom one whose
-    name is not a bundled spec).
+    name is not a bundled spec).  Every probe runs through one
+    ``oracle`` (built for the divergence's seed when None).
     """
     from ..faults import FaultPlan
 
@@ -116,8 +116,8 @@ def shrink_divergence(
         except KeyError:
             plan = None  # a custom plan we cannot reconstruct by name
     seed = divergence.seed
-    if reference is None:
-        reference = ReferenceResolver(seed=seed, dnssec=dnssec)
+    if oracle is None:
+        oracle = DifferentialOracle(seed=seed, dnssec=dnssec)
 
     def probe(candidate_plan) -> Divergence | None:
         return check_one(
@@ -129,7 +129,7 @@ def shrink_divergence(
             plan=candidate_plan,
             capacity=capacity,
             cache_factory=cache_factory,
-            reference=reference,
+            oracle=oracle,
             dnssec=dnssec,
             retries=retries,
         )

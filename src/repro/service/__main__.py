@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="upstream blackout window in virtual seconds "
                              "(repeatable), e.g. --blackout 1200:1800")
     parser.add_argument("--oracle-check", type=int, default=0, metavar="K",
-                        help="shadow every Kth upstream resolution against "
-                             "the differential oracle (0 = off)")
+                        help="check upstream resolutions 1, K+1, 2K+1, ... "
+                             "against the differential oracle (0 = off)")
     parser.add_argument("--status-interval", type=float, default=60.0)
     parser.add_argument("--no-warm", action="store_true",
                         help="skip the t=0 catalog warm-up")
@@ -101,8 +101,13 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    service = ResolverService(config_from_args(args))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except ValueError as error:  # a value ServiceConfig rejects is a usage error
+        parser.error(str(error))
+    service = ResolverService(config)
 
     telemetry = None
     if args.http_port is not None:

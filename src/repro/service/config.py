@@ -78,8 +78,9 @@ class ServiceConfig:
     blackouts: tuple[tuple[float, float], ...] = ()
 
     # -- observation -------------------------------------------------------
-    #: Shadow every Kth upstream resolution against the differential
-    #: oracle (0 disables; the oracle builds a second universe).
+    #: Check upstream resolutions 1, K+1, 2K+1, … (successful or
+    #: failed) against the differential oracle (0 disables, negative is
+    #: an error; the oracle builds a second universe).
     oracle_check_every: int = 0
     #: Event-log interval summary cadence.
     status_interval: float = 60.0
@@ -100,6 +101,8 @@ class ServiceConfig:
             raise ValueError("diurnal_depth must be in [0, 1)")
         if self.workers < 1:
             raise ValueError("need at least one worker")
+        if self.oracle_check_every < 0:
+            raise ValueError(f"oracle_check_every must be >= 0 (got {self.oracle_check_every})")
         if self.revalidation not in ("incremental", "flush", "off"):
             raise ValueError(f"unknown revalidation mode {self.revalidation!r}")
         for window in self.blackouts:

@@ -197,11 +197,14 @@ class ResolverService:
                 plan, sim=self.sim, seed=derive_seed(cfg.seed, "chaos") % (2**31)
             ).attach(self.internet.network)
 
+        #: handed every upstream resolution (it samples them)
         self.oracle = None
-        if cfg.oracle_check_every > 0:
+        if cfg.oracle_check_every:
             from ..oracle import DifferentialOracle
 
-            self.oracle = DifferentialOracle(seed=cfg.seed, dnssec=cfg.dnssec)
+            self.oracle = DifferentialOracle(
+                seed=cfg.seed, dnssec=cfg.dnssec, every=cfg.oracle_check_every
+            )
 
         # -- run state -----------------------------------------------------
         self._queue: deque[_Job] = deque()
@@ -216,7 +219,7 @@ class ResolverService:
         #: arrival to dequeue, client queries that missed at arrival
         self._queue_wait = scope.histogram("queue_wait")
 
-        # -- counters (mirrored into the registry at publish time) ---------
+        # -- counters (reported through counters_view()) ------------------
         self.counters = {
             "queries": 0,  # client queries only
             "served": 0,
@@ -235,7 +238,6 @@ class ResolverService:
             "revalidate_jobs": 0,
             "deltas_published": 0,
             "upstream_resolutions": 0,
-            "oracle_checked": 0,
         }
         self.blackout = {
             "queries": 0,
@@ -272,7 +274,7 @@ class ResolverService:
     def status_snapshot(self) -> dict:
         """The live ``/status.json`` service view (read-only; safe to
         call from the telemetry thread while the run loops)."""
-        counters = dict(self.counters)
+        counters = self.counters_view()
         stats = self.cache.stats
         return {
             "service": {
@@ -427,6 +429,13 @@ class ResolverService:
             machine.resolve(qname, _A), socket
         )
         counters["upstream_resolutions"] += 1
+        if self.oracle is not None:
+            divergence = self.oracle.observe(qname, _A, result, combo={"mode": "service"})
+            if divergence is not None:
+                row = divergence.to_row()
+                row["t"] = round(self.sim.now, 6)
+                self.divergences.append(row)
+                self.events.append(row)
         status = str(result.status)
         if status in SEMANTIC_STATUSES:
             if status == "NOERROR" and result.answers:
@@ -438,7 +447,6 @@ class ResolverService:
                 self.cache.put_negative(qname, _A, status, cfg.negative_ttl)
                 outcome = "resolved_negative"
                 counters["resolved_negative"] += 1
-            self._shadow_check(qname, result)
         elif job.kind not in ("client", "warm"):
             # a failed prefetch/revalidation serves nobody: do not
             # probe (and count) the stale window on its behalf
@@ -465,21 +473,6 @@ class ResolverService:
                 counters["prefetch_failed"] += 1
             return
         self._finish(job, served=outcome != "failed")
-
-    def _shadow_check(self, qname: Name, result) -> None:
-        oracle = self.oracle
-        if oracle is None:
-            return
-        every = self.config.oracle_check_every
-        if self.counters["upstream_resolutions"] % every != 0:
-            return
-        self.counters["oracle_checked"] += 1
-        divergence = oracle.check(qname, _A, result, combo={"mode": "service"})
-        if divergence is not None:
-            row = divergence.to_row()
-            row["t"] = round(self.sim.now, 6)
-            self.divergences.append(row)
-            self.events.append(row)
 
     # -- prefetch ----------------------------------------------------------
 
@@ -594,10 +587,14 @@ class ResolverService:
                 }
             )
 
+    def counters_view(self) -> dict:
+        """The run's counters, ``oracle_checked`` (the oracle's count) last."""
+        return {**self.counters, "oracle_checked": self.oracle.checked if self.oracle else 0}
+
     def publish_metrics(self) -> None:
         """Mirror run state into the registry (``service.*`` scopes)."""
         scope = self.registry.scope("service")
-        for key, value in self.counters.items():
+        for key, value in self.counters_view().items():
             scope.gauge(key).set(value)
         blackout = scope.scope("blackout")
         for key, value in self.blackout.items():
@@ -623,7 +620,7 @@ class ResolverService:
         )
         return ServiceReport(
             config=self.config.to_json(),
-            counters=dict(self.counters),
+            counters=self.counters_view(),
             availability=availability,
             cache={
                 "size": len(self.cache),

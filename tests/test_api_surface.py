@@ -107,3 +107,28 @@ def test_one_place_builds_a_resolver_stack():
                 if called in pieces:
                     sites.add((path.relative_to(root).as_posix(), called))
     assert {path for path, _ in sites} == allowed, sorted(sites)
+
+
+def test_one_place_holds_the_oracle_verdict():
+    """``compare_views`` is called and a ``ReferenceResolver`` is built
+    inside ``DifferentialOracle`` alone: the runner, the shard tasks, the
+    daemon, the sweep and the shrinker hand it lookups, so no caller
+    samples, compares or counts a second way."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(repro.__file__).parent
+    sites = set()
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "")  # the top-level class or function
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in ("compare_views", "ReferenceResolver"):
+                        sites.add((path.relative_to(root).as_posix(), owner, called))
+    assert sites == {
+        ("oracle/harness.py", "DifferentialOracle", "compare_views"),
+        ("oracle/harness.py", "DifferentialOracle", "ReferenceResolver"),
+    }, sorted(sites)

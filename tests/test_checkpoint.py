@@ -279,6 +279,28 @@ class TestJournalOnDiskShape:
         )
 
 
+class TestScanPayloadKeys:
+    """What a real scan journals per task, pinned: a scan without the
+    oracle writes exactly the record shape of trees that refused
+    ``--oracle-check`` under the executor (so its journal resumes across
+    them, both ways); an oracle scan adds its tallies under ``oracle``."""
+
+    @pytest.mark.parametrize("oracle_check, extra", [(None, []), (3, ["oracle"])])
+    def test_task_payload_key_set(self, tmp_path, oracle_check, extra):
+        run_parallel_scan(
+            _corpus()[:16], ScanConfig(module="A", threads=20, seed=11, oracle_check=oracle_check),
+            processes=2, out=io_module.StringIO(), shards=2, checkpoint_dir=str(tmp_path),
+        )
+        records = [json.loads(line) for line in (tmp_path / JOURNAL_NAME).read_text().splitlines()]
+        tasks = [record for record in records if record["kind"] == "task"]
+        assert len(tasks) == 2
+        for record in tasks:
+            assert sorted(record["payload"]) == sorted(
+                ["cache", "cpu_utilisation", "dnssec", "metrics", "stats"] + extra
+            )
+        assert JOURNAL_VERSION == 1
+
+
 def _journal_with_one_task(tmp_path):
     writer = CheckpointWriter(
         str(tmp_path), fingerprint="fp-good", plan={"tasks": [[0, 0, 0, 1]]}
@@ -776,6 +798,28 @@ class TestCheckpointStreamsNothing:
                 fleet_view=FleetView(),
             )
 
+    def test_resume_without_a_reader_rebuilds_no_delta(self, tmp_path, monkeypatch):
+        """With no fleet view and no status line nothing reads a delta,
+        so a resume rebuilds none from the journaled payloads; its rows
+        and summary are still the uninterrupted scan's."""
+        from repro.framework import FleetView
+
+        corpus = _corpus()
+        first, first_report = _run_in_process(
+            corpus, processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path),
+        )
+
+        def refuse(self, delta, key=(0, 0)):
+            raise AssertionError("a delta was folded with nothing to read it")
+
+        monkeypatch.setattr(FleetView, "update", refuse)
+        resumed, report = _run_in_process(
+            corpus, processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path), resume=True,
+        )
+        assert report.resumed_tasks == SHARDS * 4
+        assert resumed == first
+        assert report.summary() == first_report.summary()
+
     def test_checkpointed_metrics_equal_the_plain_scans(self, names_file, tmp_path):
         plain, plain_paths = _cli_scan(names_file, tmp_path, "plain", processes=2)
         checkpointed, paths = _cli_scan(
@@ -967,6 +1011,36 @@ class TestCrashMatrix:
         resumed_summary["mp"].pop("processes")
         base_summary["mp"].pop("processes")
         assert resumed_summary == base_summary
+
+    def test_oracle_scan_killed_then_resumed(self, names_file, tmp_path):
+        """Each journaled task carries its oracle tallies, so a killed
+        then resumed ``--oracle-check`` scan folds the same oracle block
+        — and the same rows, spans, metrics and summary — as an
+        uninterrupted one."""
+        oracle = ("--oracle-check", "3")
+        base, base_paths = _cli_scan(
+            names_file, tmp_path, "base", processes=2, checkpoint=tmp_path / "base-ck",
+            extra=oracle,
+        )
+        assert base.returncode == 0, base.stderr
+        ck = tmp_path / "ck"
+        proc, _ = _cli_scan(
+            names_file, tmp_path, "int", processes=2, checkpoint=ck,
+            crash="parent:after:3", extra=oracle,
+        )
+        assert proc.returncode == -9
+        resumed, paths = _cli_scan(
+            names_file, tmp_path, "res", processes=2, resume=ck, extra=oracle,
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        baseline = {key: base_paths[key].read_bytes() for key in ("rows", "prom", "spans")}
+        baseline["summary"] = _summary_line(base.stderr)
+        _assert_identical(paths, resumed, baseline)
+        # 16 tasks of 4, 4, 4 and 3 names per shard: lookups 1 and 4 of each
+        # full segment, lookup 1 of the last
+        assert json.loads(baseline["summary"])["oracle"] == {
+            "agreed": 28, "checked": 28, "divergences": 0, "inconclusive": 0,
+        }
 
     def test_corrupted_journal_fails_resume_cleanly(self, names_file, tmp_path):
         ck = tmp_path / "ck"

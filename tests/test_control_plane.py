@@ -95,14 +95,14 @@ def _delta(seq, done, complete=False, metrics=None):
 
 def _planned(shards, target=100, **kwargs):
     """A view planned as ``shards`` whole-shard tasks of ``target`` names."""
-    fleet = FleetView(shards=shards, **kwargs)
+    fleet = FleetView(**kwargs)
     fleet.set_plan({(shard, 0): PlannedTask(target=target, owner=shard) for shard in range(shards)})
     return fleet
 
 
 class TestFleetView:
     def test_latest_delta_wins_per_shard(self):
-        fleet = FleetView(shards=1)
+        fleet = FleetView()
         fleet.update(_delta(seq=1, done=10))
         fleet.update(_delta(seq=3, done=30))
         fleet.update(_delta(seq=2, done=20))  # stale: arrived late
@@ -122,7 +122,6 @@ class TestFleetView:
         fleet = _planned(
             2, target=50, run_info={"module": "A"}, clock=lambda: clock_value[0],
         )
-        fleet.target = 100
         clock_value[0] = 2.0  # 2s elapsed
         fleet.update(_delta(seq=4, done=20), (0, 0))
         fleet.update(_delta(seq=4, done=30, complete=True), (1, 0))
@@ -154,7 +153,7 @@ class TestFleetView:
         assert snap["faults.shard1.injected"] == 2
 
     def test_finish_marks_complete_and_clears_eta(self):
-        fleet = FleetView(shards=1, target=100)
+        fleet = FleetView(target=100)
         fleet.update(_delta(seq=1, done=100, complete=True))
         fleet.finish()
         snapshot = fleet.status_snapshot()
@@ -165,7 +164,7 @@ class TestFleetView:
         """A shard pre-segmented for work stealing must not show complete
         until *every* segment task has reported complete — even if all
         segments seen so far are done."""
-        fleet = FleetView(shards=1, target=30)
+        fleet = FleetView()
         fleet.set_plan({(0, segment): PlannedTask(target=10, owner=0) for segment in range(3)})
         for segment in (0, 1):
             fleet.update(_delta(seq=1, done=10, complete=True), (0, segment))
@@ -181,7 +180,7 @@ class TestFleetView:
         assert snapshot["fleet"]["shards_complete"] == 1
 
     def test_status_rows_carry_ownership_steal_and_resume_state(self):
-        fleet = FleetView(shards=2, target=40, run_info={"module": "A"})
+        fleet = FleetView(run_info={"module": "A"})
         fleet.run_info["resumed_from"] = "/scans/ck"
         fleet.set_plan({
             (0, 0): PlannedTask(target=10, owner=0, resumed=True),
@@ -212,10 +211,25 @@ class TestFleetView:
         assert counters["resumed_tasks"] == 1
         assert json.dumps(snapshot)  # stays JSON-serialisable
 
+    def test_shards_and_target_are_read_from_the_plan(self):
+        """The fleet's shard count is the plan's distinct shards and its
+        target the sum of the planned tasks' targets; a view without a
+        plan is its one implicit task."""
+        fleet = FleetView(target=999)
+        fleet.set_plan({
+            (0, 0): PlannedTask(target=4), (0, 1): PlannedTask(target=3),
+            (1, 0): PlannedTask(target=7), (2, 0): PlannedTask(target=0),
+        })
+        planned = fleet.status_snapshot()["fleet"]
+        assert (planned["shards"], planned["target"]) == (3, 14)
+        unplanned = FleetView(target=12).status_snapshot()["fleet"]
+        assert (unplanned["shards"], unplanned["target"]) == (1, 12)
+        assert FleetView().status_snapshot()["fleet"]["target"] is None
+
     def test_deltas_outside_the_plan_are_not_counted(self):
         """The plan is the one record of which tasks exist: a view
         without one is task (0, 0) alone."""
-        fleet = FleetView(shards=1, target=10)
+        fleet = FleetView(target=10)
         fleet.update(_delta(seq=1, done=10, complete=True))
         fleet.update(_delta(seq=1, done=99, complete=True), (1, 0))
         snapshot = fleet.status_snapshot()
@@ -256,7 +270,7 @@ class TestServerEndpoints:
     def test_endpoints_serve_live_scan_state(self):
         internet = build_internet(params=EcosystemParams(seed=5))
         names = list(DomainCorpus(CorpusConfig(seed=5)).fqdns(60))
-        fleet = FleetView(run_info={"module": "A", "mode": "iterative"}, shards=1)
+        fleet = FleetView(run_info={"module": "A", "mode": "iterative"})
         server = TelemetryServer(
             status=fleet.status_snapshot, metrics=fleet.prometheus
         ).start()
@@ -322,10 +336,7 @@ class TestServerEndpoints:
         """During a resumed scan, /status.json must expose where the run
         came from and per-shard ownership/steal annotations — the bits
         an operator checks after restarting a crashed fleet."""
-        fleet = FleetView(
-            shards=2, target=40,
-            run_info={"module": "A", "resumed_from": "/scans/ck"},
-        )
+        fleet = FleetView(run_info={"module": "A", "resumed_from": "/scans/ck"})
         fleet.set_plan({
             (0, 0): PlannedTask(target=10, owner=0, resumed=True),
             (0, 1): PlannedTask(target=10, owner=0),
@@ -384,7 +395,7 @@ class TestOneStatusShape:
         names = list(DomainCorpus(CorpusConfig(seed=5)).fqdns(40))
         config = ScanConfig(module="A", threads=20, seed=5)
 
-        single = FleetView(run_info={"module": "A"}, shards=1, target=len(names))
+        single = FleetView(run_info={"module": "A"}, target=len(names))
         ScanRunner(
             build_internet(params=EcosystemParams(seed=5)),
             config,
@@ -475,7 +486,7 @@ class TestEstimateEtaDegenerateRates:
     def test_snapshot_with_zero_elapsed_and_empty_window_is_json_safe(self):
         """A snapshot taken before any time passed (or any delta landed)
         must still serialise: no ZeroDivisionError, no NaN leak."""
-        fleet = FleetView(shards=1, target=100, clock=lambda: 0.0)
+        fleet = FleetView(target=100, clock=lambda: 0.0)
         snapshot = fleet.status_snapshot()
         assert snapshot["fleet"]["eta_s"] is None
         assert snapshot["fleet"]["rate_per_s"] == 0.0
@@ -490,7 +501,7 @@ class TestResumeFoldOrdering:
     the plan alone."""
 
     def _resumed_view(self):
-        fleet = FleetView(shards=1, target=30)
+        fleet = FleetView()
         fleet.set_plan({
             (0, 0): PlannedTask(target=20, owner=0, resumed=True),
             (0, 1): PlannedTask(target=10, owner=0, resumed=True),

@@ -315,8 +315,8 @@ class TestDifferentialOracleCheck:
         resolver = Resolver(internet)
         qname = N(corpus_names[0])
         result = resolver.lookup(qname, RRType.A)
-        assert oracle.check(qname, RRType.A, result) is None
-        assert oracle.check(qname, RRType.A, result) is None  # memo path
+        assert oracle.observe(qname, RRType.A, result) is None
+        assert oracle.observe(qname, RRType.A, result) is None  # memo path
         assert oracle.checked == 2
         assert oracle.agreed + oracle.inconclusive == 2
         assert oracle.divergences == 0
@@ -326,12 +326,33 @@ class TestDifferentialOracleCheck:
         internet = build_internet(params=EcosystemParams(seed=SEED))
         resolver = Resolver(internet)
         qname = N(corpus_names[0])
-        oracle.check(qname, RRType.A, resolver.lookup(qname, RRType.A))
+        oracle.observe(qname, RRType.A, resolver.lookup(qname, RRType.A))
         registry = MetricsRegistry(enabled=True)
         oracle.publish_metrics(registry.scope("oracle"))
         snapshot = registry.snapshot()
         assert snapshot["oracle.checked"] == 1
         assert "oracle.divergence" in snapshot
+
+    def test_samples_positions_one_k_plus_one_and_so_on(self, corpus_names):
+        """Every lookup handed over is counted; positions 1, K+1, 2K+1, …
+        are checked — the one sampling rule of the scan and the daemon."""
+        oracle = DifferentialOracle(seed=SEED, every=3)
+        internet = build_internet(params=EcosystemParams(seed=SEED))
+        qname = N(corpus_names[0])
+        result = Resolver(internet).lookup(qname, RRType.A)
+        checked_at = []
+        for position in range(1, 8):
+            before = oracle.checked
+            oracle.observe(qname, RRType.A, result)
+            if oracle.checked > before:
+                checked_at.append(position)
+        assert checked_at == [1, 4, 7]
+        assert (oracle.seen, oracle.checked) == (7, 3)
+
+    @pytest.mark.parametrize("every", [0, -1, -3])
+    def test_interval_below_one_is_rejected(self, every):
+        with pytest.raises(ValueError, match="interval"):
+            DifferentialOracle(seed=SEED, every=every)
 
 
 class TestScanIntegration:
@@ -362,19 +383,60 @@ class TestScanIntegration:
         assert report.oracle_stats["divergences"] == 0
         assert len(rows) == 20
 
-    def test_shard_executor_rejects_oracle_check(self, corpus_names):
-        """The executor's merge keeps no oracle tallies, so it refuses
-        the mode instead of dropping them."""
+    def test_runner_checks_lookups_one_k_plus_one_and_so_on(self, corpus_names):
+        """The runner hands the oracle every finished lookup in the order
+        rows are written; the oracle checks positions 1, K+1, 2K+1, …"""
+        internet = build_internet(params=EcosystemParams(seed=SEED))
+        rows = []
+        runner = ScanRunner(internet, ScanConfig(seed=SEED, oracle_check=4), sink=rows.append)
+        checked = []
+        lookup = runner.oracle.oracle_result
+
+        def recorded(qname, qtype):
+            checked.append(qname.to_text(omit_final_dot=True))
+            return lookup(qname, qtype)
+
+        runner.oracle.oracle_result = recorded
+        runner.run(corpus_names[:18])
+        assert [row["name"] for row in rows[::4]] == checked
+        assert len(checked) == 5
+
+    @pytest.mark.parametrize("oracle_check", [-1, -3])
+    def test_negative_interval_is_rejected_by_the_config(self, oracle_check):
         with pytest.raises(ValueError, match="oracle_check"):
-            run_parallel_scan(
-                corpus_names[:4], ScanConfig(seed=SEED, oracle_check=1),
-                processes=2, out=io.StringIO(),
+            ScanConfig(seed=SEED, oracle_check=oracle_check)
+
+    def test_shard_executor_folds_oracle_tallies(self, corpus_names):
+        """Each task samples its own lookups; the parent folds the tasks'
+        tallies into one ``oracle_stats``, and rows, spans, summary and
+        metrics are the same for any process count (bar the process
+        count the summary and the ``mp.processes`` gauge report)."""
+        config = ScanConfig(seed=SEED, threads=50, oracle_check=3, metrics=True)
+        outputs = []
+        for processes in (1, 2, 3):
+            out, spans = io.StringIO(), io.StringIO()
+            report = run_parallel_scan(
+                corpus_names, config, processes=processes, out=out, shards=4,
+                add_timestamp=False, span_out=spans,
             )
+            summary = report.summary()
+            assert summary["mp"].pop("processes") == processes
+            metrics = [entry for entry in report.registry.dump() if entry[0] != "mp.processes"]
+            outputs.append((out.getvalue(), spans.getvalue(), summary, metrics))
+        assert outputs[0] == outputs[1] == outputs[2]
+        summary = outputs[0][2]
+        # 40 names in 4 shards of 10: lookups 1, 4, 7 and 10 of each task
+        assert summary["oracle"] == {
+            "checked": 16, "agreed": 16, "inconclusive": 0, "divergences": 0,
+        }
+        assert report.metrics["oracle.checked"] == 16
 
     def test_runner_oracle_off_by_default(self, corpus_names):
         internet = build_internet(params=EcosystemParams(seed=SEED))
-        report = ScanRunner(internet, ScanConfig(seed=SEED)).run(corpus_names[:3])
-        assert report.oracle_stats is None
+        for off in (None, 0):
+            config = ScanConfig(seed=SEED, oracle_check=off)
+            report = ScanRunner(internet, config).run(corpus_names[:3])
+            assert report.oracle_stats is None
 
     def test_runner_rejects_recursive_modes(self, corpus_names):
         internet = build_internet(params=EcosystemParams(seed=SEED))
@@ -406,8 +468,8 @@ class TestCLI:
     def test_oracle_check_usage_errors(self, names_file):
         for argv in (
             ["A", "-f", names_file, "--oracle-check", "0"],
+            ["A", "-f", names_file, "--oracle-check", "-2"],
             ["A", "-f", names_file, "--oracle-check", "2", "--mode", "google"],
-            ["A", "-f", names_file, "--oracle-check", "2", "--processes", "2"],
         ):
             with pytest.raises(SystemExit) as err:
                 cli_main(argv)

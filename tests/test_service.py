@@ -70,6 +70,30 @@ class TestServiceConfig:
         with pytest.raises(SystemExit):
             config_from_args(args)
 
+    @pytest.mark.parametrize("every", [-1, -2])
+    def test_negative_oracle_interval_rejected(self, every):
+        with pytest.raises(ValueError, match="oracle_check_every"):
+            ServiceConfig(oracle_check_every=every)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--duration", "0"], "duration must be positive"),
+            (["--workers", "0"], "need at least one worker"),
+            (["--oracle-check", "-2"], "oracle_check_every must be >= 0 (got -2)"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, argv, message, capsys):
+        """A value ``ServiceConfig`` rejects exits 2 with one error line,
+        as ``pyzdns`` does — not a traceback, not a silent default."""
+        from repro.service.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--quiet"])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"python -m repro.service: error: {message}"]
+
 
 # ---------------------------------------------------------------------------
 # zone-delta publication
@@ -272,6 +296,41 @@ class TestServiceRun:
         assert [d["revalidate_names"] for d in incremental.deltas] == [
             d["revalidate_names"] for d in flush.deltas
         ]
+
+    @pytest.mark.parametrize(
+        "config, resolutions, checked",
+        [
+            (dict(deltas=2, blackouts=((120.0, 200.0),), oracle_check_every=7), 74, 11),
+            (dict(duration=600.0, deltas=3, oracle_check_every=4), 116, 29),
+        ],
+    )
+    def test_oracle_checks_resolutions_one_k_plus_one_and_so_on(
+        self, config, resolutions, checked
+    ):
+        """Every upstream resolution, failed or not, goes to the oracle,
+        which checks resolutions 1, K+1, 2K+1, … — the scan runner's
+        rule.  ``oracle_checked`` is the oracle's own count."""
+        service = ResolverService(small_config(**config))
+        positions = []
+        lookup = service.oracle.oracle_result
+
+        def recorded(qname, qtype):
+            positions.append(service.counters["upstream_resolutions"])
+            return lookup(qname, qtype)
+
+        service.oracle.oracle_result = recorded
+        report = service.run()
+        every = config["oracle_check_every"]
+        assert report.counters["upstream_resolutions"] == resolutions
+        assert positions == list(range(1, resolutions + 1, every))
+        assert report.counters["oracle_checked"] == report.oracle["checked"] == checked
+        assert report.oracle["divergences"] == 0
+
+    def test_oracle_off_keeps_the_checked_counter(self):
+        report = run_service(small_config(duration=120.0))
+        assert list(report.counters)[-1] == "oracle_checked"
+        assert report.counters["oracle_checked"] == 0
+        assert report.metrics["service.oracle_checked"] == 0
 
     def test_shadow_oracle_agrees_across_deltas(self):
         """Zone deltas are mirrored into the oracle's universe, so the
