@@ -234,7 +234,7 @@ class Resolver:
         source_prefix: int = 32,
         ports_per_ip: int = DEFAULT_PORTS_PER_IP,
     ):
-        from ..ecosystem import EPOCH_BASE, SimInternet  # local imports to avoid cycles
+        from ..ecosystem import SimInternet  # local imports to avoid cycles
         from ..modules.base import ModuleContext
 
         if not isinstance(internet, SimInternet):
@@ -273,7 +273,7 @@ class Resolver:
                 clock=lambda: sim.now,
                 stale_ttl=stale_ttl,
                 track_heat=track_heat,
-                epoch_base=EPOCH_BASE if config.dnssec else None,
+                epoch_base=internet.synth.dnssec.EPOCH_BASE if config.dnssec else None,
             )
         self.cache = cache
         if cpu is None and cores is not None:

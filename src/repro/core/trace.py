@@ -73,10 +73,6 @@ class TraceStep:
         return entry
 
 
-def _no_clock() -> float:
-    return 0.0
-
-
 class SpanTracer:
     """What a run's lookups share: the clock every step is timed on
     (``lambda: sim.now`` for virtual time), the run-wide span-id counter
@@ -84,13 +80,14 @@ class SpanTracer:
     span row streams to, and one tuple of attribute names per sequence
     a step was opened or closed with (the machine's handful of call
     shapes), which every step of that shape refers to.  Without a sink,
-    steps are kept on their lookup's trace only."""
+    steps are kept on their lookup's trace only; without a clock, they
+    are not timed (every start and end reads 0.0)."""
 
     __slots__ = ("clock", "sink", "started", "fields")
 
     def __init__(
         self,
-        clock: Callable[[], float] = _no_clock,
+        clock: Callable[[], float] | None = None,
         sink: Callable[[dict], Any] | None = None,
     ):
         self.clock = clock
@@ -162,8 +159,9 @@ class Trace:
         tracer.started += 1
         fields = tuple(attrs)
         fields = tracer.fields.setdefault(fields, fields)
+        start = tracer.clock() if tracer.clock else 0.0
         step = self._top = Step(
-            kind, tracer.started, self._top, tracer.clock(), fields, tuple(attrs.values())
+            kind, tracer.started, self._top, start, fields, tuple(attrs.values())
         )
         self.steps.append(step)
         return step
@@ -184,7 +182,7 @@ class Trace:
             fields = step.fields + tuple(attrs)
             step.fields = tracer.fields.setdefault(fields, fields)
             step.values += tuple(attrs.values())
-        step.end = tracer.clock()
+        step.end = tracer.clock() if tracer.clock else 0.0
         if tracer.sink is not None:
             tracer.sink(step.to_span())
 

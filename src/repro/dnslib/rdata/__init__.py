@@ -14,7 +14,27 @@ from typing import Callable, ClassVar, Type
 from ..types import RRType
 from ..wire import WireReader, WireWriter
 
+#: The codecs loaded so far; a module registers its classes on import.
 _REGISTRY: dict[int, Type["RData"]] = {}
+
+#: The module that registers each type's codec, imported the first time
+#: :func:`rdata_class` is asked for one of its types: a scan loads only
+#: the codecs of the records it meets.
+_CODEC_MODULES = {
+    int(RRType[name]): f"{__package__.rpartition('.')[0]}.{module}"
+    for module, names in {
+        "rdata.address": "A AAAA EID NIMLOC ATMA NID L32 L64 LP EUI48 EUI64",
+        "rdata.names": "NS MD MF CNAME SOA MB MG MR PTR NSAPPTR DNAME TALINK",
+        "rdata.text": "NULL HINFO TXT X25 ISDN GPOS NINFO SPF UINFO UID GID UNSPEC AVC",
+        "rdata.mail": "MINFO MX RP AFSDB RT PX SRV NAPTR KX",
+        "rdata.dnssec": "SIG KEY NXT DS RRSIG NSEC DNSKEY NSEC3 NSEC3PARAM CDS CDNSKEY CSYNC",
+        "rdata.misc": "LOC",
+        "rdata.security": "CERT SSHFP DHCID TLSA SMIMEA HIP OPENPGPKEY TKEY URI CAA",
+        "rdata.svcb": "SVCB HTTPS",
+        "edns": "OPT",
+    }.items()
+    for name in names.split()
+}
 
 
 def register(rrtype: RRType) -> Callable[[Type["RData"]], Type["RData"]]:
@@ -29,13 +49,18 @@ def register(rrtype: RRType) -> Callable[[Type["RData"]], Type["RData"]]:
 
 
 def rdata_class(rrtype: int) -> Type["RData"]:
-    """Look up the codec for a type code, falling back to GenericRData."""
-    return _REGISTRY.get(int(rrtype), GenericRData)
+    """The codec for a type code (its module loaded on first use), else GenericRData."""
+    cls = _REGISTRY.get(int(rrtype))
+    if cls is None and int(rrtype) in _CODEC_MODULES:
+        # __import__, so that ``python -X importtime`` reports the load
+        __import__(_CODEC_MODULES[int(rrtype)])
+        cls = _REGISTRY[int(rrtype)]
+    return cls or GenericRData
 
 
 def registered_types() -> frozenset[int]:
-    """Type codes that have a dedicated RDATA codec."""
-    return frozenset(_REGISTRY)
+    """Type codes that have a dedicated RDATA codec (none is loaded)."""
+    return frozenset(_CODEC_MODULES)
 
 
 #: class -> value-field names, in MRO definition order.  ``__slots__`` on
@@ -128,9 +153,6 @@ class GenericRData(RData):
             return r"\# 0"
         return rf"\# {len(self.data)} {binascii.hexlify(self.data).decode()}"
 
-
-# Populate the registry by importing the codec modules for their side effects.
-from . import address, dnssec, mail, misc, names, security, svcb, text  # noqa: E402,F401
 
 __all__ = [
     "RData",

@@ -6,13 +6,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..dnslib import DNSClass, Flags, Message, Name, Rcode, ResourceRecord, RRType
+from ..dnslib.rdata import rdata_class
 from ..dnslib.rdata.address import A, AAAA
-from ..dnslib.rdata.mail import MX
 from ..dnslib.rdata.names import CNAME, NS, SOA
-from ..dnslib.rdata.security import CAA
-from ..dnslib.rdata.text import TXT
 from . import rand
-from .dnssec import make_dnskey, make_ds, make_nsec, sign_rrset
 from .zonegen import DnssecProfile, DomainProfile, NameserverInfo, ZoneSynthesizer
 
 REFERRAL_TTL = 172_800
@@ -56,8 +53,9 @@ def nodata(query: Message, zone: Name) -> Message:
     return response
 
 
-def sign_sections(response: Message, zone: Name, dp: DnssecProfile) -> None:
+def sign_sections(synth: ZoneSynthesizer, response: Message, zone: Name, dp: DnssecProfile) -> None:
     """Append an RRSIG per (owner, type) RRset in answers/authorities."""
+    sign_rrset = synth.dnssec.sign_rrset
     for section in (response.answers, response.authorities):
         groups: dict[tuple, list] = {}
         for record in section:
@@ -74,8 +72,8 @@ def _ds_or_denial(synth: ZoneSynthesizer, parent: Name, child: Name) -> Resource
     validator conclude *Insecure* rather than *Bogus*."""
     child_dp = synth.dnssec_profile(child)
     if child_dp.signed and not child_dp.island:
-        return make_ds(child, child_dp.key, broken=child_dp.broken_ds)
-    return make_nsec(child, parent, (int(RRType.NS),))
+        return synth.dnssec.make_ds(child, child_dp.key, broken=child_dp.broken_ds)
+    return synth.dnssec.make_nsec(child, parent, (int(RRType.NS),))
 
 
 def ds_answer(synth: ZoneSynthesizer, query: Message, parent: Name, child: Name) -> Message:
@@ -93,7 +91,7 @@ def ds_answer(synth: ZoneSynthesizer, query: Message, parent: Name, child: Name)
         response.authorities.append(soa_for(parent))
         response.authorities.append(record)
     if parent_dp.signed:
-        sign_sections(response, parent, parent_dp)
+        sign_sections(synth, response, parent, parent_dp)
     return response
 
 
@@ -104,14 +102,11 @@ def referral_proof(synth: ZoneSynthesizer, parent: Name, child: Name) -> list[Re
     records :func:`ds_answer` serves, so a validator learns the cut's
     status from the referral it was following anyway.  An unsigned
     parent has nothing to prove: empty."""
-    parent_dp = synth.dnssec_profile(parent)
-    if not parent_dp.signed:
+    dp = synth.dnssec_profile(parent)
+    if not dp.signed:
         return []
     record = _ds_or_denial(synth, parent, child)
-    return [
-        record,
-        sign_rrset([record], parent, parent_dp.key, parent_dp.inception, parent_dp.expiration),
-    ]
+    return [record, synth.dnssec.sign_rrset([record], parent, dp.key, dp.inception, dp.expiration)]
 
 
 def apex_answer(
@@ -131,13 +126,13 @@ def apex_answer(
     qtype = int(query.question.rrtype)
     response = query.make_response(authoritative=True)
     if qtype in (int(RRType.DNSKEY), int(RRType.ANY)):
-        response.answers.append(make_dnskey(zone, dp.key))
+        response.answers.append(synth.dnssec.make_dnskey(zone, dp.key))
     else:
         response.authorities.append(soa_for(zone))
         response.authorities.append(
-            make_nsec(query.question.name, zone, (int(RRType.SOA), int(RRType.NS)))
+            synth.dnssec.make_nsec(query.question.name, zone, (int(RRType.SOA), int(RRType.NS)))
         )
-    sign_sections(response, zone, dp)
+    sign_sections(synth, response, zone, dp)
     return response
 
 
@@ -147,8 +142,8 @@ def signed_nxdomain(synth: ZoneSynthesizer, query: Message, zone: Name, do: bool
     if do:
         dp = synth.dnssec_profile(zone)
         if dp.signed:
-            response.authorities.append(make_nsec(query.question.name, zone, ()))
-            sign_sections(response, zone, dp)
+            response.authorities.append(synth.dnssec.make_nsec(query.question.name, zone, ()))
+            sign_sections(synth, response, zone, dp)
     return response
 
 
@@ -179,8 +174,8 @@ def build_answer(
     if not synth.subdomain_exists(name, profile):
         response = nxdomain(query, profile.base)
         if dp is not None:
-            response.authorities.append(make_nsec(name, profile.base, ()))
-            sign_sections(response, profile.base, dp)
+            response.authorities.append(synth.dnssec.make_nsec(name, profile.base, ()))
+            sign_sections(synth, response, profile.base, dp)
         return response
 
     if profile.truncates and qtype == int(RRType.A) and protocol == "udp" and ns is not None:
@@ -204,6 +199,7 @@ def build_answer(
         response.answers.append(soa_for(profile.base))
     if qtype in (int(RRType.MX), int(RRType.ANY)) and apex and profile.has_mx:
         count = 1 + rand.h64(synth.params.seed, _key(name), "mxcount") % 3
+        MX = rdata_class(RRType.MX)
         for i in range(count):
             exchange = _MAIL_LABELS[i].concatenate(profile.base)
             response.answers.append(rr(name, RRType.MX, ANSWER_TTL, MX((i + 1) * 10, exchange)))
@@ -214,16 +210,16 @@ def build_answer(
     if qtype == int(RRType.HTTPS):
         _add_https_records(synth, response, name, profile)
     if dp is not None and apex and qtype in (int(RRType.DNSKEY), int(RRType.ANY)):
-        response.answers.append(make_dnskey(profile.base, dp.key))
+        response.answers.append(synth.dnssec.make_dnskey(profile.base, dp.key))
 
     if not response.answers:
         response = nodata(query, profile.base)
         if dp is not None:
-            response.authorities.append(make_nsec(name, profile.base, ()))
-            sign_sections(response, profile.base, dp)
+            response.authorities.append(synth.dnssec.make_nsec(name, profile.base, ()))
+            sign_sections(synth, response, profile.base, dp)
         return response
     if dp is not None:
-        sign_sections(response, profile.base, dp)
+        sign_sections(synth, response, profile.base, dp)
     return response
 
 
@@ -264,6 +260,7 @@ def _add_https_records(synth, response, name, profile):
 
 
 def _add_txt_records(response, name, profile):
+    TXT = rdata_class(RRType.TXT)
     apex = name == profile.base
     if apex and profile.has_spf:
         response.answers.append(
@@ -297,6 +294,7 @@ def _add_caa_records(response, name, profile):
 
 
 def _emit_caa(response, owner, caa):
+    CAA = rdata_class(RRType.CAA)
     for issuer in caa.issue:
         response.answers.append(rr(owner, RRType.CAA, ANSWER_TTL, CAA(0, "issue", issuer)))
     for issuer in caa.issuewild:

@@ -9,11 +9,10 @@ servers call into this module to answer any query with O(1) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ..dnslib import Name, RRType
 from . import rand
-from .dnssec import EPOCH_BASE, zone_key_bytes
 from .params import (
     CCTLDS,
     FLAKY_CCTLDS,
@@ -164,6 +163,15 @@ class ZoneSynthesizer:
         )
         self._tld_index = {t: i for i, (t, _) in enumerate(self._tlds)}
 
+    @cached_property
+    def dnssec(self):
+        """:mod:`repro.ecosystem.dnssec` (zone keys, signatures, denial
+        records), imported the first time a DO query or a validator
+        needs it: a universe nobody asks for DNSSEC never loads it."""
+        from . import dnssec
+
+        return dnssec
+
     # ------------------------------------------------------------------
     # address books for infrastructure
     # ------------------------------------------------------------------
@@ -285,12 +293,13 @@ class ZoneSynthesizer:
         p = self.params
         labels = zone.labels
         validity = p.dnssec_validity
+        dnssec = self.dnssec
         if not labels:
             return DnssecProfile(
                 signed=True,
-                key=zone_key_bytes(seed, zone, generation),
-                inception=EPOCH_BASE - validity,
-                expiration=EPOCH_BASE + validity,
+                key=dnssec.zone_key_bytes(seed, zone, generation),
+                inception=dnssec.EPOCH_BASE - validity,
+                expiration=dnssec.EPOCH_BASE + validity,
             )
         tld = labels[-1].decode("ascii", "replace").lower()
         if tld not in self._tld_index or len(labels) > 2:
@@ -301,9 +310,9 @@ class ZoneSynthesizer:
                 return UNSIGNED
             return DnssecProfile(
                 signed=True,
-                key=zone_key_bytes(seed, zone, generation),
-                inception=EPOCH_BASE - validity,
-                expiration=EPOCH_BASE + validity,
+                key=dnssec.zone_key_bytes(seed, zone, generation),
+                inception=dnssec.EPOCH_BASE - validity,
+                expiration=dnssec.EPOCH_BASE + validity,
             )
         if rand.uniform(seed, key, "dnssec-signed") >= p.p_domain_signed:
             return UNSIGNED
@@ -315,17 +324,17 @@ class ZoneSynthesizer:
             and roll < p.p_island + p.p_broken_ds + p.p_expired_sig
         )
         if expired:
-            inception = EPOCH_BASE - validity - 3600
-            expiration = EPOCH_BASE - 3600
+            inception = dnssec.EPOCH_BASE - validity - 3600
+            expiration = dnssec.EPOCH_BASE - 3600
         else:
-            inception = EPOCH_BASE - validity
-            expiration = EPOCH_BASE + validity
+            inception = dnssec.EPOCH_BASE - validity
+            expiration = dnssec.EPOCH_BASE + validity
         return DnssecProfile(
             signed=True,
             island=island,
             broken_ds=broken,
             expired=expired,
-            key=zone_key_bytes(seed, zone, generation),
+            key=dnssec.zone_key_bytes(seed, zone, generation),
             inception=inception,
             expiration=expiration,
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from ..core import ClientCostModel, Resolver, ResolverConfig, SelectiveCache, SpanTracer
-from ..dnslib import CODEC_STATS
+from ..dnslib import CODEC_STATS, RRType, rdata_class, registered_types
 from ..ecosystem import SimInternet
 from ..modules import ScanModule, get_module
 from ..net import CPUModel, GCModel, PortExhaustedError, SimUDPSocket
@@ -192,6 +192,13 @@ class ScanRunner:
             from ..core import dnssec  # noqa: F401
         if config.server_health:
             from ..core import health  # noqa: F401
+        # So are the codecs of the module's answers (every type's for ANY, AXFR).
+        qtype = self.module.qtype
+        if qtype in (RRType.ANY, RRType.AXFR):
+            for code in registered_types():
+                rdata_class(code)
+        elif qtype is not None:
+            rdata_class(qtype)
         #: The differential oracle every finished lookup is handed to.
         #: Built here, with its reference Internet: set-up work, paid
         #: before the scan starts (one oracle per runner: its tallies and

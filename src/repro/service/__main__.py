@@ -73,7 +73,7 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
             start_text, _, end_text = spec.partition(":")
             blackouts.append((float(start_text), float(end_text)))
         except ValueError:
-            raise SystemExit(f"bad --blackout window {spec!r} (want START:END)")
+            raise ValueError(f"bad --blackout window {spec!r} (want START:END)") from None
     return ServiceConfig(
         seed=args.seed,
         duration=args.duration,

@@ -9,6 +9,7 @@ a deterministic synthetic population of any requested size.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -44,28 +45,32 @@ class DomainCorpus:
         matching the paper's 234M FQDNs over 93M base domains."""
         return int(index / FQDNS_PER_DOMAIN)
 
-    def tld_for(self, index: int) -> tuple[str, str]:
-        """(tld, class) of the index-th FQDN, following Table 3 weights.
-
-        Drawn per *family* so that all FQDNs of one base domain share
-        its TLD.
-        """
+    def _draws(self, family: int) -> tuple[str, str, str]:
+        """(base domain, tld, class) of a family, its TLD following
+        Table 3 weights, so that all FQDNs of one base domain share it."""
         seed = self.config.seed
-        family = self._family(index)
         cls = rand.weighted_choice(seed, TLD_CLASS_WEIGHTS, "tldclass", family)
         tld = rand.weighted_choice(seed, _CLASS_TLDS[cls], "tld", cls, family)
-        return tld, cls
+        token = rand.h64(seed, "base", tld, family) % 10_000_000
+        return f"d{token}-{family}.{tld}", tld, cls
+
+    def _walk(self, start: int) -> Iterator[tuple[int, str, str, str]]:
+        """(index, base domain, tld, class) from ``start`` on, drawing
+        each family once rather than once per index."""
+        for family, indices in itertools.groupby(itertools.count(start), self._family):
+            draws = self._draws(family)
+            for index in indices:
+                yield (index, *draws)
 
     def base_domain(self, index: int) -> str:
         """The registrable domain the index-th FQDN belongs to."""
-        tld, _cls = self.tld_for(index)
-        family = self._family(index)
-        token = rand.h64(self.config.seed, "base", tld, family) % 10_000_000
-        return f"d{token}-{family}.{tld}"
+        return self._draws(self._family(index))[0]
 
     def fqdn(self, index: int) -> str:
         """The index-th fully qualified domain name."""
-        base = self.base_domain(index)
+        return self._leaf(index, self.base_domain(index))
+
+    def _leaf(self, index: int, base: str) -> str:
         seed = self.config.seed
         if rand.uniform(seed, "apex", index) < self.config.p_apex:
             return base
@@ -73,19 +78,18 @@ class DomainCorpus:
         return f"{label}.{base}"
 
     def fqdns(self, count: int, start: int = 0) -> Iterator[str]:
-        for index in range(start, start + count):
-            yield self.fqdn(index)
+        for index, base, _tld, _cls in itertools.islice(self._walk(start), count):
+            yield self._leaf(index, base)
 
     def base_domains(self, count: int, start: int = 0) -> Iterator[str]:
         """Distinct base domains (for base-domain studies like CAA)."""
         seen: set[str] = set()
-        index = start
+        walk = self._walk(start)
         while len(seen) < count:
-            base = self.base_domain(index)
+            _index, base, _tld, _cls = next(walk)
             if base not in seen:
                 seen.add(base)
                 yield base
-            index += 1
 
 
 @dataclass
@@ -113,10 +117,9 @@ def census(corpus: DomainCorpus, sample: int) -> CorpusCensus:
     fqdns = {"legacy": 0, "cc": 0, "ng": 0}
     domains_seen: dict[str, set[str]] = {"legacy": set(), "cc": set(), "ng": set()}
     tlds_seen: dict[str, set[str]] = {"legacy": set(), "cc": set(), "ng": set()}
-    for index in range(sample):
-        tld, cls = corpus.tld_for(index)
+    for _index, base, tld, cls in itertools.islice(corpus._walk(0), sample):
         fqdns[cls] += 1
-        domains_seen[cls].add(corpus.base_domain(index))
+        domains_seen[cls].add(base)
         tlds_seen[cls].add(tld)
     return CorpusCensus(
         fqdns=fqdns,

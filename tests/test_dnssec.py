@@ -397,7 +397,7 @@ class TestDenialAfterCname:
                 ResourceRecord(self.ALIAS, RRType.CNAME, DNSClass.IN, 300, CNAME(target))
             )
             if kwargs.get("do"):
-                sign_sections(response, CLEAN, synth.dnssec_profile(CLEAN))
+                sign_sections(synth, response, CLEAN, synth.dnssec_profile(CLEAN))
             return response
 
         monkeypatch.setattr(servers_module, "build_answer", build_answer)

@@ -15,6 +15,7 @@ from repro.dnslib import (
     rdata_class,
     registered_types,
 )
+from repro.dnslib import rdata as rdata_module
 from repro.dnslib.rdata.address import A, AAAA, EUI48, L32
 from repro.dnslib.rdata.security import CAA
 from repro.dnslib.rdata.text import TXT, TextRData
@@ -77,9 +78,41 @@ def test_every_paper_type_is_registered():
     assert not missing
 
 
+#: The module whose import registers each type's codec (the class is
+#: named after its type); the type table loads it on first use.
+CODEC_MODULES = {
+    "repro.dnslib.rdata.address": "A AAAA EID NIMLOC ATMA NID L32 L64 LP EUI48 EUI64",
+    "repro.dnslib.rdata.names": "NS MD MF CNAME SOA MB MG MR PTR NSAPPTR DNAME TALINK",
+    "repro.dnslib.rdata.text": "NULL HINFO TXT X25 ISDN GPOS NINFO SPF UINFO UID GID UNSPEC AVC",
+    "repro.dnslib.rdata.mail": "MINFO MX RP AFSDB RT PX SRV NAPTR KX",
+    "repro.dnslib.rdata.dnssec": "SIG KEY NXT DS RRSIG NSEC DNSKEY NSEC3 NSEC3PARAM CDS CDNSKEY CSYNC",
+    "repro.dnslib.rdata.misc": "LOC",
+    "repro.dnslib.rdata.security": "CERT SSHFP DHCID TLSA SMIMEA HIP OPENPGPKEY TKEY URI CAA",
+    "repro.dnslib.rdata.svcb": "SVCB HTTPS",
+    "repro.dnslib.edns": "OPT",
+}
+
+
+def test_type_table_maps_every_type_to_its_codec():
+    pinned = {
+        int(RRType[name]): module
+        for module, names in CODEC_MODULES.items()
+        for name in names.split()
+    }
+    assert len(pinned) == 71
+    assert registered_types() == frozenset(pinned)
+    for code, module in pinned.items():
+        cls = rdata_class(code)
+        assert (cls.__module__, cls.__name__) == (module, RRType(code).name)
+        assert cls.rrtype == code
+        assert rdata_class(RRType(code)) is cls
+    # every codec module is loaded now: none registers a type the table lacks
+    assert set(rdata_module._REGISTRY) == set(pinned)
+
+
 def test_unknown_type_uses_generic():
-    cls = rdata_class(61000)
-    assert cls is GenericRData
+    for code in (61000, 0, 252, 255, 65535):
+        assert rdata_class(code) is GenericRData
     data = GenericRData(b"\x01\x02\x03")
     assert roundtrip(data) == data
     assert data.to_text() == r"\# 3 010203"

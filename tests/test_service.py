@@ -65,10 +65,19 @@ class TestServiceConfig:
         assert cfg.revalidation == "flush"
         assert cfg.stale_ttl is None  # 0 disables serve-stale
 
-    def test_bad_blackout_spec_rejected(self):
-        args = build_parser().parse_args(["--blackout", "oops"])
-        with pytest.raises(SystemExit):
-            config_from_args(args)
+    def test_bad_blackout_spec_rejected(self, capsys):
+        """A window that does not parse is a usage error: exit 2 with
+        the usage line, like any value ``ServiceConfig`` rejects."""
+        from repro.service.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--blackout", "oops", "--quiet"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.service")
+        assert err.splitlines()[-1] == (
+            "python -m repro.service: error: bad --blackout window 'oops' (want START:END)"
+        )
 
     @pytest.mark.parametrize("every", [-1, -2])
     def test_negative_oracle_interval_rejected(self, every):

@@ -1,16 +1,19 @@
 """Start-up: a run compiles and executes only the code it uses.
 
-Every package exports lazily (``repro._lazy``), and optional subsystems
-— the oracle, the fault injector, the HTTP control plane, the
-checkpoint journal, the zone-file parser and the live transports — are
-imported where they are used.  Each check runs in a fresh interpreter,
-because this one has imported everything the other tests touch.
+Every package exports lazily (``repro._lazy``), record-type codecs load
+through the type table the first time a type is asked for, and optional
+subsystems — the oracle, the fault injector, the HTTP control plane, the
+checkpoint journal, the zone-file parser, the live transports and
+DNSSEC synthesis — are imported where they are used.  Each check runs in
+a fresh interpreter, because this one has imported everything the other
+tests touch.
 
 Two rules are pinned here:
 
 * importing the benchmark's surface (what ``benchmarks/ledger`` imports)
-  loads exactly ``LOADED_REPRO_MODULES`` modules and none of the
-  optional ones;
+  loads exactly ``LOADED_REPRO_MODULES`` modules, at most
+  ``LOADED_SOURCE_LINES`` lines of source, and none of the optional
+  ones;
 * nothing is first imported inside a run (``ScanRunner.run``,
   ``run_parallel_scan``, ``ResolverService.run``): what a configured run
   needs is imported when its objects are built, so import work is
@@ -37,17 +40,28 @@ from repro.service import ResolverService, ServiceConfig
 from repro.workloads import DomainCorpus
 """
 
-#: ``repro`` modules that surface loads (81 before exports went lazy).
-#: A change that legitimately moves it edits the literal in its own diff.
-LOADED_REPRO_MODULES = 58
+#: ``repro`` modules that surface loads (81 before exports went lazy, 58
+#: before record-type codecs and DNSSEC synthesis loaded on first use),
+#: and the most source lines they may hold (12,896 at 58 modules; 11,302
+#: at 51): with no bytecode cache, every line is compiled at start-up.
+#: A change that legitimately moves either edits the literal in its own diff.
+LOADED_REPRO_MODULES = 51
+LOADED_SOURCE_LINES = 11_400
 
 #: Loaded only by the runs that use them.
 OPTIONAL = (
     "http.server",
     "repro.core.dnssec",
     "repro.core.health",
+    "repro.dnslib.rdata.dnssec",
+    "repro.dnslib.rdata.mail",
+    "repro.dnslib.rdata.misc",
+    "repro.dnslib.rdata.security",
+    "repro.dnslib.rdata.svcb",
+    "repro.dnslib.rdata.text",
     "repro.dnslib.text_format",
     "repro.dnslib.zonefile",
+    "repro.ecosystem.dnssec",
     "repro.faults",
     "repro.framework.checkpoint",
     "repro.modules.lookups",
@@ -72,13 +86,37 @@ def _python(code: str) -> dict:
 
 
 def test_ledger_surface_loads_no_optional_subsystem():
-    loaded = _python(
+    loaded, lines = _python(
         LEDGER_SURFACE
         + "import json, sys\n"
-        + "print(json.dumps(sorted(sys.modules)))\n"
+        + "ours = [m for name, m in sys.modules.items() if name.split('.')[0] == 'repro']\n"
+        + "lines = sum(len(open(m.__file__, 'rb').read().splitlines()) for m in ours)\n"
+        + "print(json.dumps([sorted(sys.modules), lines]))\n"
     )
     assert [name for name in OPTIONAL if name in loaded] == []
     assert len([name for name in loaded if name.split(".")[0] == "repro"]) == LOADED_REPRO_MODULES
+    assert lines <= LOADED_SOURCE_LINES
+
+
+def test_type_table_loads_a_codec_on_first_use():
+    """The record-type table imports a codec module the first time one
+    of its types is asked for: listing the types imports none, an
+    unknown code gets ``GenericRData`` without one, and MX loads the
+    mail codecs (with their shared helpers) and nothing else."""
+    steps = _python(
+        "import json, sys\n"
+        "from repro.dnslib.rdata import GenericRData, rdata_class, registered_types\n"
+        "codecs = lambda: sorted(n for n in sys.modules if n.startswith('repro.dnslib.rdata.'))\n"
+        "steps = [len(registered_types()), codecs()]\n"
+        "steps += [rdata_class(61000) is GenericRData, codecs()]\n"
+        "steps += [rdata_class(15).__name__, codecs()]\n"
+        "print(json.dumps(steps))\n"
+    )
+    assert steps == [
+        71, [],
+        True, [],
+        "MX", ["repro.dnslib.rdata._util", "repro.dnslib.rdata.mail"],
+    ]
 
 
 #: One run per case, built the way the ledger builds it (small sizes);
@@ -118,7 +156,17 @@ service = ResolverService(
 )
 run = service.run
 """,
+    "service_dnssec": """
+service = ResolverService(
+    ServiceConfig(seed=2022, duration=60.0, base_qps=4.0, catalog_size=40, deltas=2, dnssec=True)
+)
+run = service.run
+""",
 }
+#: A raw scan of a record type that is not an address or a name loads
+#: that type's codec when its runner is built (ANY: every codec).
+for _module in ("MX", "TXT", "CAA", "ANY"):
+    _RUNS[f"scan_{_module.lower()}"] = _RUNS["scan"].replace('module="A"', f'module="{_module}"')
 
 
 @pytest.mark.parametrize("case", sorted(_RUNS))

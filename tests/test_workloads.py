@@ -56,6 +56,33 @@ class TestCorpus:
         assert result.tlds["cc"] >= 25
         assert result.tlds["ng"] >= 10
 
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 7, 12_344, 12_345, 12_346])
+    def test_streams_equal_their_per_index_reference(self, corpus, start):
+        """``fqdns`` and ``base_domains`` draw each family once; a start
+        inside a family (2.5 indices each) must still match index by index."""
+        assert list(corpus.fqdns(40, start)) == [corpus.fqdn(i) for i in range(start, start + 40)]
+        bases = []
+        index = start
+        while len(bases) < 20:
+            if corpus.base_domain(index) not in bases:
+                bases.append(corpus.base_domain(index))
+            index += 1
+        assert list(corpus.base_domains(20, start)) == bases
+        assert list(corpus.base_domains(0, start)) == []
+
+    def test_census_equals_its_per_index_reference(self, corpus):
+        sample = 3000
+        fqdns, domains, tlds = {}, {}, {}
+        for index in range(sample):
+            base, tld, cls = corpus._draws(corpus._family(index))  # drawn per index
+            fqdns[cls] = fqdns.get(cls, 0) + 1
+            domains.setdefault(cls, set()).add(base)
+            tlds.setdefault(cls, set()).add(tld)
+        result = census(corpus, sample)
+        assert result.fqdns == fqdns
+        assert result.domains == {cls: len(values) for cls, values in domains.items()}
+        assert result.tlds == {cls: len(values) for cls, values in tlds.items()}
+
     def test_base_domains_are_unique(self, corpus):
         bases = list(corpus.base_domains(500))
         assert len(bases) == len(set(bases)) == 500
