@@ -12,7 +12,7 @@ import time
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from ..dnslib import Message, add_edns
+from ..dnslib import Message
 from ..dnslib.edns import OPT
 from ..dnslib.message import ResourceRecord
 from ..dnslib.name import Name
@@ -34,34 +34,17 @@ if TYPE_CHECKING:  # live transports load only where a live scan builds one
     from ..net import UDPTransport
 
 
-class SimDriver:
-    """Runs machine generators as simulator routines.
+class _QueryBuilder:
+    """Turns a :class:`SendQuery` effect into the query message: the
+    driver's own txid stream, and an OPT record built once per driver."""
 
-    Charges client CPU per packet on the shared :class:`CPUModel` —
-    this is where the paper's thread-scaling plateau comes from — and
-    optionally pays a per-query socket setup cost (the socket-reuse
-    ablation of Section 3.4).
-    """
-
-    def __init__(
-        self,
-        network: SimNetwork,
-        cpu: CPUModel | None = None,
-        costs: ClientCostModel | None = None,
-        reuse_sockets: bool = True,
-        edns_payload: int | None = 1232,
-        seed: int = 0,
-    ):
-        self.network = network
-        self.cpu = cpu
-        self.costs = costs or ClientCostModel()
-        self.reuse_sockets = reuse_sockets
+    def __init__(self, edns_payload: int | None, seed: int):
         self.edns_payload = edns_payload
         self._txid_rng = random.Random(seed)
         self._randrange = self._txid_rng.randrange  # hot: one per query
         #: The OPT pseudo-record is identical for every query this
         #: driver builds (frozen dataclass, safely shared), so build it
-        #: once instead of running ``add_edns``'s scan per packet.
+        #: once instead of appending a fresh one per packet.
         self._opt_record = (
             ResourceRecord(Name.root(), RRType.OPT, edns_payload, 0, OPT(()))
             if edns_payload is not None
@@ -88,6 +71,31 @@ class SimDriver:
                 self._opt_record_do if effect.dnssec_ok else self._opt_record
             )
         return message
+
+
+class SimDriver(_QueryBuilder):
+    """Runs machine generators as simulator routines.
+
+    Charges client CPU per packet on the shared :class:`CPUModel` —
+    this is where the paper's thread-scaling plateau comes from — and
+    optionally pays a per-query socket setup cost (the socket-reuse
+    ablation of Section 3.4).
+    """
+
+    def __init__(
+        self,
+        network: SimNetwork,
+        cpu: CPUModel | None = None,
+        costs: ClientCostModel | None = None,
+        reuse_sockets: bool = True,
+        edns_payload: int | None = 1232,
+        seed: int = 0,
+    ):
+        super().__init__(edns_payload, seed)
+        self.network = network
+        self.cpu = cpu
+        self.costs = costs or ClientCostModel()
+        self.reuse_sockets = reuse_sockets
 
     def execute(self, machine_gen, socket: SimUDPSocket) -> Routine:
         """A simulator routine driving one lookup to completion."""
@@ -145,18 +153,19 @@ class SimDriver:
                 return stop.value
 
 
-class LiveDriver:
+class LiveDriver(_QueryBuilder):
     """Runs machine generators against real UDP sockets (blocking)."""
 
     def __init__(self, transport: UDPTransport, port_override: int | None = None, edns_payload: int | None = 1232, seed: int = 0):
+        super().__init__(edns_payload, seed)
         self.transport = transport
         #: When testing against loopback servers, every SendQuery's
         #: destination port is overridden (servers bind ephemeral ports).
         self.port_override = port_override
-        self.edns_payload = edns_payload
-        self._txid_rng = random.Random(seed)
 
-    def execute(self, machine_gen) -> LookupResult:
+    def execute(self, machine_gen):
+        """Drive a machine's or a module's lookup to completion; returns
+        what it returns (a :class:`LookupResult`, or a module's row)."""
         try:
             effect = next(machine_gen)
         except StopIteration as stop:
@@ -169,17 +178,10 @@ class LiveDriver:
                 except StopIteration as stop:
                     return stop.value
                 continue
-            message = Message.make_query(
-                effect.name,
-                effect.qtype,
-                rrclass=effect.qclass,
-                txid=self._txid_rng.randrange(0x10000),
-                recursion_desired=effect.recursion_desired,
-            )
-            if self.edns_payload is not None:
-                add_edns(message, payload_size=self.edns_payload, dnssec_ok=effect.dnssec_ok)
             port = self.port_override if self.port_override is not None else 53
-            response = self.transport.query(message, (effect.server_ip, port), effect.timeout)
+            response = self.transport.query(
+                self._build_query(effect), (effect.server_ip, port), effect.timeout
+            )
             try:
                 effect = machine_gen.send(response)
             except StopIteration as stop:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import binascii
 import ipaddress
 from functools import lru_cache
@@ -114,14 +113,6 @@ def decode_type_bitmap(data: bytes) -> tuple[int, ...]:
                     types.append(window * 256 + byte_index * 8 + bit)
         offset += length
     return tuple(types)
-
-
-def b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-def unb64(text: str) -> bytes:
-    return base64.b64decode(text)
 
 
 def hexlify(data: bytes) -> str:

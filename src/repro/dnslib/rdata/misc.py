@@ -62,14 +62,6 @@ class LOC(RData):
         self.longitude = longitude
         self.altitude = altitude
 
-    @classmethod
-    def from_degrees(cls, lat_degrees: float, lon_degrees: float, altitude_m: float = 0.0) -> "LOC":
-        return cls(
-            latitude=int(lat_degrees * 3600_000) + 2**31,
-            longitude=int(lon_degrees * 3600_000) + 2**31,
-            altitude=int(altitude_m * 100) + 100_000_00,
-        )
-
     def to_wire(self, writer: WireWriter) -> None:
         writer.write_u8(self.version)
         writer.write_u8(self.size)

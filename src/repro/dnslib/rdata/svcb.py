@@ -100,6 +100,13 @@ class ServiceBindingRData(RData):
             seen.add(key)
         self.params = tuple(sorted(params))
 
+    @classmethod
+    def service(cls, priority: int, target: Name, alpn, ipv4hint):
+        """A ServiceMode binding advertising the ``alpn`` protocol ids
+        and the ``ipv4hint`` addresses."""
+        params = ((KEY_ALPN, alpn_value(*alpn)), (KEY_IPV4HINT, ipv4hint_value(*ipv4hint)))
+        return cls(priority, target, params)
+
     @property
     def is_alias_mode(self) -> bool:
         """Priority 0 = AliasMode (no params allowed per RFC 9460)."""

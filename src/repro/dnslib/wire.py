@@ -24,7 +24,6 @@ _MAX_POINTER = 0x3FFF
 
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
-_U48 = struct.Struct("!HI")
 _HEADER = struct.Struct("!HHHHHH")
 _pack_u16 = _U16.pack
 _pack_u32 = _U32.pack
@@ -144,9 +143,6 @@ class WireWriter:
     def write_u32(self, value: int) -> None:
         self._buf += _pack_u32(value & 0xFFFFFFFF)
 
-    def write_u48(self, value: int) -> None:
-        self._buf += _U48.pack((value >> 32) & 0xFFFF, value & 0xFFFFFFFF)
-
     def patch_u16(self, offset: int, value: int) -> None:
         """Overwrite a previously written 16-bit field (e.g. RDLENGTH)."""
         self._buf[offset : offset + 2] = _pack_u16(value & 0xFFFF)
@@ -240,17 +236,6 @@ class WireReader:
         (value,) = _unpack_u32(self.data, offset)
         self.offset = offset + 4
         return value
-
-    def read_u48(self) -> int:
-        high, low = _U48.unpack_from(self.data, self.read_and_keep(6))
-        return high << 32 | low
-
-    def read_and_keep(self, count: int) -> int:
-        """Advance past ``count`` bytes, returning the prior offset."""
-        self._need(count)
-        start = self.offset
-        self.offset += count
-        return start
 
     def read_name(self) -> Name:
         """Decode a possibly compressed name, guarding against pointer loops."""

@@ -242,21 +242,13 @@ def _add_a_records(synth, response, name, profile, ns):
 def _add_https_records(synth, response, name, profile):
     """Modern CDN-hosted domains publish HTTPS service bindings; the
     big consistent providers (Cloudflare-like) are the main adopters."""
-    from ..dnslib.rdata.svcb import HTTPS, KEY_ALPN, KEY_IPV4HINT, alpn_value, ipv4hint_value
-
     if not profile.provider.consistent_answers or profile.provider.ns_pool < 6:
         return  # only the large managed providers publish these
     if _uniform(synth, name, "https-rr") >= 0.5:
         return
-    hints = ipv4hint_value(*synth.host_addresses(name, "a")[:2])
-    response.answers.append(
-        rr(
-            name,
-            RRType.HTTPS,
-            ANSWER_TTL,
-            HTTPS(1, Name.root(), ((KEY_ALPN, alpn_value("h2", "h3")), (KEY_IPV4HINT, hints))),
-        )
-    )
+    hints = synth.host_addresses(name, "a")[:2]
+    record = rdata_class(RRType.HTTPS).service(1, Name.root(), ("h2", "h3"), hints)
+    response.answers.append(rr(name, RRType.HTTPS, ANSWER_TTL, record))
 
 
 def _add_txt_records(response, name, profile):

@@ -228,9 +228,6 @@ class EcosystemParams:
 
     providers: tuple[ProviderProfile, ...] = field(default_factory=lambda: tuple(PROVIDERS))
 
-    def provider_weights(self) -> list[tuple[ProviderProfile, float]]:
-        return [(provider, provider.weight) for provider in self.providers]
-
 
 #: Well-known simulated addresses.
 ROOT_SERVER_IPS = [f"199.7.83.{i + 1}" for i in range(13)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 
 from ..dnslib import Message, Name, Rcode, RRType
+from ..dnslib.rdata import rdata_class
 from ..dnslib.rdata.address import A
 from ..dnslib.rdata.names import NS, PTR
 from ..net import ServerReply
@@ -223,10 +224,9 @@ class ProviderAuthServer:
             return ServerReply(_refused(query))
         if int(question.rrclass) == 3 and question.name == _VERSION_BIND:
             # CHAOS-class version query
-            from ..dnslib.rdata.text import TXT
-
             response = query.make_response(authoritative=True)
             version = self.VERSIONS[self.provider_index % len(self.VERSIONS)]
+            TXT = rdata_class(RRType.TXT)
             record = rr(question.name, RRType.TXT, 0, TXT.from_string(version))
             response.answers.append(record)
             return ServerReply(response)

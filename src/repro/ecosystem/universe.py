@@ -52,6 +52,8 @@ def build_internet(
     wire_mode: str = "always",
     wire_sample: int = 16,
     net_seed: int | None = None,
+    faults=None,
+    chaos_seed: int = 0,
 ) -> SimInternet:
     """Construct the whole simulated DNS universe.
 
@@ -64,6 +66,12 @@ def build_internet(
     the *same* universe in every shard (``params.seed``) but gives each
     shard an independent packet-level RNG stream, exactly as disjoint
     slices of one Internet would behave.
+
+    ``faults`` is a :class:`~repro.faults.FaultPlan`, or a spec naming
+    one (a JSON file path or a bundled plan name); when given, a
+    :class:`~repro.faults.FaultInjector` seeded with ``chaos_seed``
+    executes it on the network.  This is the one place a plan is
+    attached, so the fault subsystem loads only for a run that has one.
     """
     params = params or EcosystemParams()
     sim = sim or Simulator()
@@ -119,6 +127,11 @@ def build_internet(
     public_latency = LatencyModel(median=params.public_rtt)
     network.register_server(GOOGLE_RESOLVER_IP, google, latency=public_latency, loss=LossModel(0.004))
     network.register_server(CLOUDFLARE_RESOLVER_IP, cloudflare, latency=public_latency, loss=LossModel(0.004))
+
+    if faults is not None:
+        from ..faults import FaultInjector, resolve_plan
+
+        FaultInjector(resolve_plan(faults), sim, seed=chaos_seed).attach(network)
 
     return SimInternet(
         sim=sim,

@@ -136,12 +136,6 @@ class DomainProfile:
         object.__setattr__(self, name, value)
         return value
 
-    @property
-    def status_class(self) -> str:
-        if self.dead:
-            return "dead"
-        return "noerror" if self.exists else "nxdomain"
-
 
 class ZoneSynthesizer:
     """Derives domain/IP profiles and answers content queries."""

@@ -12,7 +12,8 @@ accidents of the zone generator into *scriptable adversity*:
 * :mod:`repro.faults.injector` — the :class:`FaultInjector` that hooks
   into :class:`repro.net.SimNetwork` and executes a plan from its own
   seeded RNG (``--chaos-seed``), so runs replay bit-identically and an
-  empty plan is indistinguishable from no injector.
+  empty plan is indistinguishable from no injector.  It is attached in
+  one place, :func:`repro.ecosystem.build_internet` (``faults=``).
 * :mod:`repro.faults.plans` — the bundled escalating-severity ladder
   the chaos soak harness (``tests/soak/``) climbs.
 

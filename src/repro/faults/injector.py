@@ -247,10 +247,6 @@ class FaultInjector:
     def total_activations(self) -> int:
         return sum(self.counts.values())
 
-    def activations(self) -> dict[str, int]:
-        """Per-directive activation counts keyed by ``kind_index``."""
-        return dict(self.counts)
-
     def publish_metrics(self, scope) -> None:
         """One-shot publish into a registry scope (``faults``)."""
         for key, value in self.counts.items():

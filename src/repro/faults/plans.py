@@ -107,16 +107,21 @@ def plan_by_name(name: str) -> FaultPlan:
     raise KeyError(f"no bundled fault plan named {name!r}")
 
 
-def resolve_plan(spec: str) -> FaultPlan:
-    """A ``--fault-plan`` value: a JSON file path, or a bundled name.
+def resolve_plan(spec: str | FaultPlan | None) -> FaultPlan | None:
+    """The plan ``spec`` names: a :class:`FaultPlan` or None is returned
+    as is; a string is a JSON file path, else a bundled plan name.
 
-    Shared by the CLI and the multi-process shard workers, which re-load
-    the plan from its spec instead of pickling plan objects across the
-    process boundary.  Raises :class:`KeyError` when the spec is neither
-    a readable file nor a bundled plan name.
+    :func:`repro.ecosystem.build_internet` reads every plan through
+    here; the multi-process shard workers re-load the plan from its
+    spec instead of pickling plan objects across the process boundary.
+    Raises :class:`KeyError` when the spec is neither a readable file
+    nor a bundled plan name, and :class:`PlanError` when the file does
+    not hold a valid plan.
     """
     import os
 
+    if spec is None or isinstance(spec, FaultPlan):
+        return spec
     if os.path.exists(spec):
         return FaultPlan.load(spec)
     try:

@@ -19,7 +19,7 @@ import json
 import sys
 import time
 
-from ..core import ExternalMachine, LiveDriver, ResolverConfig
+from ..core import LiveDriver
 from ..ecosystem import EcosystemParams, build_internet
 from ..modules import get_module
 from ..obs.status import status_line
@@ -304,6 +304,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.mode != "iterative":
             parser.error("--dnssec requires --mode iterative")
 
+    if args.mode == "external" and not args.live_resolver and not _name_servers(args):
+        parser.error("--mode external requires --name-servers")
+
+    plan = None
+    if args.fault_plan is not None:
+        from ..faults import PlanError, resolve_plan
+
+        try:
+            plan = resolve_plan(args.fault_plan)
+        except (KeyError, OSError, PlanError) as error:
+            parser.error(error.args[0] if isinstance(error, KeyError) else str(error))
+
     names = read_names(args.input_file)
     if args.shards > 1:
         names = shard(names, args.shards, args.shard)
@@ -313,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.live_resolver:
             summary, report = _run_live(args, module, names, out_handle)
         else:
-            report = _run_simulated(args, module, names, out_handle)
+            report = _run_simulated(args, module, names, out_handle, plan)
             summary = report.summary()
         wall_seconds = time.monotonic() - started
         if not args.quiet:
@@ -342,14 +354,8 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _load_fault_plan(spec: str):
-    """A ``--fault-plan`` value: a JSON file path, or a bundled name."""
-    from ..faults import resolve_plan
-
-    try:
-        return resolve_plan(spec)
-    except KeyError as error:
-        raise SystemExit(f"pyzdns: {error.args[0]}")
+def _name_servers(args) -> list[str]:
+    return [s for s in args.name_servers.split(",") if s]
 
 
 def _scan_config(args) -> ScanConfig:
@@ -357,7 +363,7 @@ def _scan_config(args) -> ScanConfig:
     return ScanConfig(
         module=args.module,
         mode=args.mode,
-        resolver_ips=[s for s in args.name_servers.split(",") if s],
+        resolver_ips=_name_servers(args),
         threads=args.threads,
         source_prefix=args.source_prefix,
         cache_size=args.cache_size,
@@ -386,7 +392,7 @@ def _run_info(args) -> dict:
     }
 
 
-def _run_simulated(args, module, names, out_handle):
+def _run_simulated(args, module, names, out_handle, plan):
     """A simulated scan: in this process through :class:`ScanRunner`,
     or with ``--processes`` across the shard executor (see
     :mod:`repro.framework.parallel`).  Either way ``--http-port`` serves
@@ -400,7 +406,6 @@ def _run_simulated(args, module, names, out_handle):
     if args.resume or args.checkpoint_dir:
         from .checkpoint import CheckpointError as bad_journal
 
-    plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
     config = _scan_config(args)
     fleet = server = None
     if args.http_port is not None:
@@ -415,12 +420,11 @@ def _run_simulated(args, module, names, out_handle):
     span_handle = open(args.spans_file, "w") if args.spans_file else None
     try:
         if args.processes is None:
-            internet = build_internet(params=EcosystemParams(seed=args.seed))
-            if plan is not None:
-                from ..faults import FaultInjector
-
-                chaos_seed = args.chaos_seed if args.chaos_seed is not None else args.seed
-                FaultInjector(plan, sim=internet.sim, seed=chaos_seed).attach(internet.network)
+            internet = build_internet(
+                params=EcosystemParams(seed=args.seed),
+                faults=plan,
+                chaos_seed=args.chaos_seed if args.chaos_seed is not None else args.seed,
+            )
             target = None
             if fleet is not None or config.status_interval is not None:
                 # done/target and ETA need the total up front; stdin is a
@@ -472,13 +476,18 @@ def _run_simulated(args, module, names, out_handle):
 
 def _run_live(args, module, names, out_handle):
     """Sequential real-socket scan against one resolver (loopback or,
-    with network access, a public resolver).  ``--status-interval`` here
-    runs on the wall clock, checked between lookups."""
+    with network access, a public resolver): the module's own lookup,
+    in external mode, with the scan's resolver flags.
+    ``--status-interval`` here runs on the wall clock, checked between
+    lookups."""
+    from ..modules import ModuleContext
     from ..net import UDPTransport
 
     host, _, port_text = args.live_resolver.partition(":")
     port = int(port_text) if port_text else 53
-    config = ResolverConfig(external_timeout=args.timeout, retries=args.retries)
+    context = ModuleContext(
+        mode="external", resolver_ips=[host], config=_scan_config(args).resolver_config()
+    )
     sink = JsonLineSink(out_handle)
     stats = ScanStats()
     interval = args.status_interval
@@ -488,13 +497,16 @@ def _run_live(args, module, names, out_handle):
     with UDPTransport() as transport:
         driver = LiveDriver(transport, port_override=port, seed=args.seed)
         for raw in names:
-            machine = ExternalMachine([host], config)
-            result = driver.execute(machine.resolve(module.parse_input(raw), module.qtype))
-            row = module.process(raw, result)
-            row.pop("_result", None)
+            row = driver.execute(module.lookup(raw, context))
+            result = row.pop("_result", None)
             sink(row)
             now = time.monotonic()
-            stats.record(str(result.status), now - started, retries=result.retries_used)
+            stats.record(
+                row.get("status", "ERROR"),
+                now - started,
+                result.queries_sent if result is not None else 0,
+                result.retries_used if result is not None else 0,
+            )
             if next_status is not None and now >= next_status:
                 line = status_line(now - started, interval, last_total, stats.counters())
                 print(line, file=sys.stderr)

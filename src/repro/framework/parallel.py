@@ -213,20 +213,15 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn) -> None:
 
     base_seed = spec.config.seed
     streams = task.seed_streams()
+    chaos_base = spec.chaos_seed if spec.chaos_seed is not None else base_seed
     internet = build_internet(
         params=EcosystemParams(seed=base_seed),
         wire_mode=spec.wire_mode,
         net_seed=derive_seed(base_seed, "net", *streams),
+        # workers read the plan from its spec string, not a pickled plan
+        faults=spec.fault_plan,
+        chaos_seed=derive_seed(chaos_base, "chaos", *streams),
     )
-    if spec.fault_plan is not None:
-        from ..faults import FaultInjector, resolve_plan
-
-        chaos_base = spec.chaos_seed if spec.chaos_seed is not None else base_seed
-        FaultInjector(
-            resolve_plan(spec.fault_plan),
-            sim=internet.sim,
-            seed=derive_seed(chaos_base, "chaos", *streams),
-        ).attach(internet.network)
 
     config = replace(spec.config, seed=derive_seed(base_seed, "scan", *streams))
     sink = _PipeSink(conn, task.key, "rows", spec.add_timestamp)

@@ -152,7 +152,6 @@ class ScanRunner:
         module: ScanModule | None = None,
         sink: Callable[[dict], None] | None = None,
         cpu: CPUModel | None = None,
-        registry: MetricsRegistry | None = None,
         span_sink: Callable[[dict], None] | None = None,
         status_stream=None,
         progress: Callable[[TelemetryDelta], None] | None = None,
@@ -166,9 +165,6 @@ class ScanRunner:
         #: Externally supplied CPU model (e.g. shared with a co-located
         #: Unbound); the resolver stack builds its own when None.
         self.cpu = cpu
-        #: Externally supplied registry (e.g. shared across scan phases);
-        #: the runner builds its own per run when None.
-        self.registry = registry
         #: Finished spans stream here as JSON rows; when None but span
         #: collection is on, they are kept on the report.
         self.span_sink = span_sink
@@ -224,15 +220,13 @@ class ScanRunner:
         config = self.config
         sim = internet.sim
 
-        registry = self.registry
-        if registry is None:
-            # streamed deltas carry live metrics even when the run itself
-            # was not asked to keep them
-            registry = MetricsRegistry(
-                enabled=config.metrics
-                or config.status_interval is not None
-                or self.progress is not None
-            )
+        # one registry per run; streamed deltas carry live metrics even
+        # when the run itself was not asked to keep them
+        registry = MetricsRegistry(
+            enabled=config.metrics
+            or config.status_interval is not None
+            or self.progress is not None
+        )
         engine_scope = registry.scope("engine")
         # codec counters are process-global; the per-run contribution is
         # the delta against this baseline (see the codec scope below)

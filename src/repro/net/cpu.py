@@ -45,11 +45,6 @@ class GCModel:
             finish += self.pause
         return start, finish
 
-    def pause_before(self, start: float, finish: float) -> float:
-        """Total GC stall added to work occupying [start, finish)."""
-        adjusted_start, adjusted_finish = self.apply(start, finish - start)
-        return adjusted_finish - finish
-
 
 class CPUModel:
     """A pool of identical cores with FIFO queueing per core.

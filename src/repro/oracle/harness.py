@@ -382,14 +382,6 @@ def _plan_label(spec) -> str:
     return getattr(spec, "name", "") or "custom"
 
 
-def _resolve_spec(spec):
-    if spec is None or not isinstance(spec, str):
-        return spec
-    from ..faults import resolve_plan
-
-    return resolve_plan(spec)
-
-
 def run_differential(
     config: DifferentialConfig | None = None,
     cache_factory: Callable[..., SelectiveCache] | None = None,
@@ -434,12 +426,9 @@ def _run_combo(combo, combo_names, config, oracle, cache_factory, plan_spec):
     the oracle's counts across the call plus the invariant's.  The sweep
     and the shrinker (:func:`repro.oracle.shrink.check_one`) both run
     through here."""
-    internet = build_internet(params=EcosystemParams(seed=config.seed))
-    plan = _resolve_spec(plan_spec)
-    if plan is not None and len(plan):
-        from ..faults import FaultInjector
-
-        FaultInjector(plan, sim=internet.sim, seed=config.seed).attach(internet.network)
+    internet = build_internet(
+        params=EcosystemParams(seed=config.seed), faults=plan_spec, chaos_seed=config.seed
+    )
     resolver = Resolver(
         internet,
         config=ResolverConfig(retries=config.retries, dnssec=config.dnssec),

@@ -21,7 +21,6 @@ from .harness import (
     DifferentialOracle,
     Divergence,
     _plan_label,
-    _resolve_spec,
     _run_combo,
 )
 
@@ -101,7 +100,7 @@ def shrink_divergence(
     name is not a bundled spec).  Every probe runs through one
     ``oracle`` (built for the divergence's seed when None).
     """
-    from ..faults import FaultPlan
+    from ..faults import FaultPlan, resolve_plan
 
     combo = divergence.combo or {}
     policy = combo.get("policy", "selective")
@@ -112,7 +111,7 @@ def shrink_divergence(
     if plan == "__from_combo__":
         label = combo.get("plan")
         try:
-            plan = _resolve_spec(label if label != "none" else None)
+            plan = resolve_plan(label if label != "none" else None)
         except KeyError:
             plan = None  # a custom plan we cannot reconstruct by name
     seed = divergence.seed

@@ -139,18 +139,28 @@ class ServiceReport:
 class ResolverService:
     """One long-lived resolver-service run (see module docstring)."""
 
-    def __init__(self, config: ServiceConfig | None = None,
-                 registry: MetricsRegistry | None = None):
+    def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
         cfg = self.config
-        self.registry = registry or (
-            MetricsRegistry(enabled=True) if cfg.metrics else NULL_REGISTRY
-        )
+        self.registry = MetricsRegistry(enabled=True) if cfg.metrics else NULL_REGISTRY
 
+        blackouts = None
+        if cfg.blackouts:
+            from ..faults import Blackout, FaultPlan
+
+            blackouts = FaultPlan(
+                directives=[
+                    Blackout(servers=("*",), start=start, end=end)
+                    for start, end in cfg.blackouts
+                ],
+                name="service-blackouts",
+            )
         self.internet = build_internet(
             params=EcosystemParams(seed=cfg.seed),
             wire_mode=cfg.wire_mode,
             net_seed=derive_seed(cfg.seed, "net"),
+            faults=blackouts,
+            chaos_seed=derive_seed(cfg.seed, "chaos") % (2**31),
         )
         self.sim = self.internet.sim
         #: the resolver stack; workers drive its driver and cache directly
@@ -182,20 +192,6 @@ class ResolverService:
             cumulative.append(acc)
         cumulative[-1] = 1.0
         self._zipf_cdf = cumulative
-
-        if cfg.blackouts:
-            from ..faults import Blackout, FaultInjector, FaultPlan
-
-            plan = FaultPlan(
-                directives=[
-                    Blackout(servers=("*",), start=start, end=end)
-                    for start, end in cfg.blackouts
-                ],
-                name="service-blackouts",
-            )
-            FaultInjector(
-                plan, sim=self.sim, seed=derive_seed(cfg.seed, "chaos") % (2**31)
-            ).attach(self.internet.network)
 
         #: handed every upstream resolution (it samples them)
         self.oracle = None

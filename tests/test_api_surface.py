@@ -109,6 +109,26 @@ def test_one_place_builds_a_resolver_stack():
     assert {path for path, _ in sites} == allowed, sorted(sites)
 
 
+def test_one_place_attaches_a_fault_plan():
+    """A :class:`FaultInjector` is built by ``build_internet`` alone: the
+    CLI, each shard task, the daemon's blackouts and the oracle sweep and
+    shrinker hand it their plan and chaos seed, so a plan cannot be
+    attached two ways."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(repro.__file__).parent
+    sites = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == "FaultInjector":
+                    sites.add(path.relative_to(root).as_posix())
+    assert sites == {"ecosystem/universe.py"}, sorted(sites)
+
+
 def test_one_place_holds_the_oracle_verdict():
     """``compare_views`` is called and a ``ReferenceResolver`` is built
     inside ``DifferentialOracle`` alone: the runner, the shard tasks, the

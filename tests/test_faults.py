@@ -33,6 +33,7 @@ from repro.faults import (
     directive_from_json,
     escalation_ladder,
     plan_by_name,
+    resolve_plan,
 )
 from repro.net import GilbertElliottLoss, HangError, Simulator
 from repro.net.links import LossModel
@@ -122,6 +123,18 @@ class TestPlanParsing:
             again = FaultPlan.from_json(json.loads(text))
             assert json.dumps(again.to_json(), sort_keys=True) == text
             assert len(again) == len(plan)
+
+    def test_resolve_plan_reads_every_form(self, tmp_path):
+        """A plan or None as is, a file path, a bundled name."""
+        plan = plan_by_name("mild")
+        assert resolve_plan(plan) is plan
+        assert resolve_plan(None) is None
+        assert resolve_plan("mild").to_json() == plan.to_json()
+        path = tmp_path / "mild.json"
+        path.write_text(json.dumps(plan.to_json()))
+        assert resolve_plan(str(path)).to_json() == plan.to_json()
+        with pytest.raises(KeyError, match="neither a file nor a bundled plan"):
+            resolve_plan("apocalyptic")
 
 
 class TestLossModels:
@@ -412,11 +425,8 @@ class TestScanIntegration:
         from repro.framework import ScanConfig, ScanRunner
         from repro.workloads import CorpusConfig, DomainCorpus
 
-        internet = build_internet(params=EcosystemParams(seed=seed))
-        injector = None
-        if plan is not None:
-            injector = FaultInjector(plan, sim=internet.sim, seed=seed)
-            injector.attach(internet.network)
+        internet = build_internet(params=EcosystemParams(seed=seed), faults=plan, chaos_seed=seed)
+        injector = internet.network.fault_injector
         rows = []
         config = ScanConfig(threads=20, seed=seed, server_health=True,
                             backoff_base=0.05)

@@ -243,7 +243,32 @@ class TestCLI:
         assert {"name", "layer", "depth", "name_server", "cached", "try"} <= set(step)
 
 
+def _zone_server(records: dict):
+    """A loopback server answering from ``records`` (``(name, type)`` →
+    rdata list) that records every question asked as ``(name, type)``."""
+    from repro.dnslib import ResourceRecord, RRType
+    from repro.net import UDPServer
+
+    asked = []
+
+    def handler(query, client):
+        question = query.question
+        key = (question.name.to_text(omit_final_dot=True), RRType(question.rrtype).name)
+        asked.append(key)
+        response = query.make_response(authoritative=True)
+        for rdata in records.get(key, ()):
+            response.answers.append(
+                ResourceRecord(question.name, question.rrtype, 1, 60, rdata)
+            )
+        return response
+
+    return UDPServer(handler), asked
+
+
 class TestLiveCLI:
+    """A live scan runs the module's own lookup, with the scan's
+    resolver flags, exactly as a simulated scan does."""
+
     def test_live_mode_over_loopback(self, tmp_path):
         from repro.dnslib import Message, Name, Rcode, ResourceRecord, RRType
         from repro.dnslib.rdata.address import A as ARecord
@@ -270,6 +295,93 @@ class TestLiveCLI:
         assert len(rows) == 2
         assert rows[0]["status"] == "NOERROR"
         assert rows[0]["data"]["answers"][0]["answer"] == "127.0.0.9"
+
+    def _scan(self, tmp_path, module, records, *flags):
+        infile = tmp_path / "in.txt"
+        outfile = tmp_path / "out.jsonl"
+        infile.write_text("one.test\n")
+        server, asked = _zone_server(records)
+        with server:
+            host, port = server.address
+            code = main([
+                module, "-f", str(infile), "-o", str(outfile),
+                "--live-resolver", f"{host}:{port}", "--quiet", *flags,
+            ])
+        assert code == 0
+        rows = [json.loads(line) for line in outfile.read_text().splitlines()]
+        return rows, asked
+
+    def test_dmarc_asks_the_dmarc_name(self, tmp_path):
+        from repro.dnslib.rdata.text import TXT
+
+        rows, asked = self._scan(
+            tmp_path, "DMARC", {("_dmarc.one.test", "TXT"): [TXT.from_string("v=DMARC1; p=reject")]}
+        )
+        assert asked == [("_dmarc.one.test", "TXT")]
+        assert rows == [
+            {"name": "one.test", "status": "NOERROR", "data": {"dmarc": "v=DMARC1; p=reject"}}
+        ]
+
+    def test_alookup_writes_its_addresses(self, tmp_path):
+        from repro.dnslib.rdata.address import A
+
+        rows, asked = self._scan(tmp_path, "ALOOKUP", {("one.test", "A"): [A("127.0.0.9")]})
+        assert asked == [("one.test", "A")]
+        assert rows == [
+            {"name": "one.test", "status": "NOERROR", "data": {"ipv4_addresses": ["127.0.0.9"]}}
+        ]
+
+    def test_mxlookup_resolves_each_exchange(self, tmp_path):
+        from repro.dnslib import Name
+        from repro.dnslib.rdata.address import A
+        from repro.dnslib.rdata.mail import MX
+
+        rows, asked = self._scan(
+            tmp_path,
+            "MXLOOKUP",
+            {
+                ("one.test", "MX"): [MX(10, Name.from_text("mail.one.test"))],
+                ("mail.one.test", "A"): [A("127.0.0.25")],
+            },
+        )
+        assert asked == [("one.test", "MX"), ("mail.one.test", "A")]
+        assert rows[0]["data"] == {
+            "exchanges": [
+                {
+                    "name": "mail.one.test",
+                    "preference": 10,
+                    "ipv4_addresses": ["127.0.0.25"],
+                    "status": "NOERROR",
+                }
+            ]
+        }
+
+    def test_backoff_flag_reaches_the_live_path(self, tmp_path):
+        """``--backoff`` pauses at least its base between a SERVFAIL
+        and the retry (it was dropped: the live path built its own
+        resolver configuration from two flags)."""
+        import time
+
+        from repro.dnslib import Rcode
+        from repro.net import UDPServer
+
+        sent_at = []
+
+        def handler(query, client):
+            sent_at.append(time.monotonic())
+            return query.make_response(rcode=Rcode.SERVFAIL)
+
+        infile = tmp_path / "in.txt"
+        outfile = tmp_path / "out.jsonl"
+        infile.write_text("one.test\n")
+        with UDPServer(handler) as server:
+            host, port = server.address
+            main([
+                "A", "-f", str(infile), "-o", str(outfile), "--quiet",
+                "--live-resolver", f"{host}:{port}", "--retries", "1", "--backoff", "0.3",
+            ])
+        assert len(sent_at) == 2
+        assert sent_at[1] - sent_at[0] >= 0.3
 
 
 class TestTimestamps:

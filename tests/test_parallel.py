@@ -576,6 +576,40 @@ class TestCliValidation:
         assert f"{argv[-2]} must be" in err
         assert not out.exists()
 
+    def test_external_mode_needs_name_servers(self, tmp_path, capsys):
+        """It ran into ``ValueError: external mode needs resolver_ips``."""
+        out = tmp_path / "rows.jsonl"
+        err = self._expect_usage_error(["A", "--mode", "external", "-o", str(out)], capsys)
+        assert "--mode external requires --name-servers" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ("nosuch", "neither a file nor a bundled plan name"),
+            ("missing.json", "neither a file nor a bundled plan name"),
+            ("bad-field.json", "unknown field 'p'"),
+            ("bad-value.json", "probability must be in [0, 1]"),
+            ("not-json.json", "invalid JSON"),
+        ],
+    )
+    def test_bad_fault_plan_is_a_usage_error(self, tmp_path, capsys, plan, message):
+        """A bundled name or a path that does not exist exited 1 with no
+        usage line; a plan file that is not a valid plan raised a
+        ``PlanError`` traceback."""
+        (tmp_path / "bad-field.json").write_text('{"directives":[{"kind":"loss","p":2}]}')
+        (tmp_path / "bad-value.json").write_text('{"directives":[{"kind":"loss","probability":2}]}')
+        (tmp_path / "not-json.json").write_text("directives: []")
+        names_file = tmp_path / "names.txt"
+        names_file.write_text("a.com\n")
+        out = tmp_path / "rows.jsonl"
+        spec = plan if plan == "nosuch" else str(tmp_path / plan)
+        err = self._expect_usage_error(
+            ["A", "-f", str(names_file), "-o", str(out), "--fault-plan", spec], capsys
+        )
+        assert "usage:" in err and message in err
+        assert not out.exists()
+
     def test_unknown_module_is_clean(self, capsys):
         self._expect_usage_error(["NOSUCHMODULE"], capsys)
 

@@ -182,3 +182,49 @@ def test_nothing_is_first_imported_inside_a_run(case):
         + "print(json.dumps(sorted(after - before)))\n"
     )
     assert _python(code) == []
+
+
+#: Scans whose answers the simulated servers build with a codec of their
+#: own: an HTTPS service binding, and a CHAOS-class version.bind TXT.
+_ANSWER_CODEC_SCANS = {
+    "HTTPS": "[DomainCorpus().fqdn(index) for index in range(60)]",
+    "BINDVERSION": "[server.ip for server in internet.provider_servers[:20]]",
+}
+
+
+@pytest.mark.parametrize("module", sorted(_ANSWER_CODEC_SCANS))
+def test_the_run_phase_resolves_no_relative_import(module):
+    """Inside ``Simulator.run`` nothing runs an ``import`` statement: a
+    function-level relative import costs a Python-level
+    ``ModuleSpec.parent`` call each time it runs, so the servers reach
+    the codecs they answer with through the type table."""
+    counts = _python(
+        LEDGER_SURFACE
+        + "import json, sys\n"
+        + "from repro.net import Simulator\n"
+        + "internet = build_internet(params=EcosystemParams(seed=2022), wire_mode='always')\n"
+        + f"names = {_ANSWER_CODEC_SCANS[module]}\n"
+        + f"config = ScanConfig(module='{module}', threads=50, source_prefix=28, seed=2022)\n"
+        + "rows = []\n"
+        + "runner = ScanRunner(internet, config, sink=rows.append)\n"
+        + "calls = [0]\n"
+        + "def profiler(frame, event, arg):\n"
+        + "    if event == 'call' and frame.f_code.co_qualname == 'ModuleSpec.parent':\n"
+        + "        calls[0] += 1\n"
+        + "run = Simulator.run\n"
+        + "def counted(self, *args, **kwargs):\n"
+        + "    sys.setprofile(profiler)\n"
+        + "    try:\n"
+        + "        return run(self, *args, **kwargs)\n"
+        + "    finally:\n"
+        + "        sys.setprofile(None)\n"
+        + "Simulator.run = counted\n"
+        + "runner.run(names)\n"
+        + "answers = [a['type'] for row in rows for a in row['data'].get('answers', ())]\n"
+        + "versions = [row['data'].get('version') for row in rows]\n"
+        + "answered = answers.count('HTTPS') + len(list(filter(None, versions)))\n"
+        + "print(json.dumps([calls[0], answered]))\n"
+    )
+    parent_calls, answered = counts
+    assert answered > 0  # the servers built those answers in this run
+    assert parent_calls == 0
