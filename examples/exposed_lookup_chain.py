@@ -12,14 +12,14 @@ import json
 import sys
 
 from repro import build_internet
-from repro.core import Resolver
+from repro.core import Resolver, ResolverConfig
 from repro.dnslib import RRType
 
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "www.d8830635-24.com"
     internet = build_internet()
-    resolver = Resolver(internet, mode="iterative", record_trace=True)
+    resolver = Resolver(internet, mode="iterative", config=ResolverConfig(record_trace=True))
     result = resolver.lookup(name, RRType.A)
 
     print(f"status: {result.status}  queries sent: {result.queries_sent}\n")

@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 import json
 
 from repro import build_internet
-from repro.core import Resolver
+from repro.core import Resolver, ResolverConfig
 from repro.dnslib import RRType, name_from_ipv4_ptr
 
 
@@ -19,7 +19,7 @@ def main() -> None:
     internet = build_internet()
 
     # -- iterative resolution with the full lookup chain exposed --------
-    resolver = Resolver(internet, mode="iterative", record_trace=True)
+    resolver = Resolver(internet, mode="iterative", config=ResolverConfig(record_trace=True))
     result = resolver.lookup("www.d4215845-1.xyz", RRType.A)
     print(f"A     {result.name}: {result.status}")
     for record in result.answers:

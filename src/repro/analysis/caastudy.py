@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..ecosystem import SimInternet, tld_class
-from ..framework import ScanConfig, ScanRunner
+from ..framework import run_scan
 
 
 @dataclass
@@ -129,12 +129,7 @@ def run_caa_study(
         if "digicert.com" in all_values:
             findings.domains_with_digicert += 1
 
-    config = ScanConfig(
-        module="CAALOOKUP",
-        mode="iterative",
-        threads=threads,
-        retries=retries,
-        seed=seed,
+    run_scan(
+        internet, base_domains, sink=sink, module="CAALOOKUP", threads=threads, retries=retries, seed=seed
     )
-    ScanRunner(internet, config, sink=sink).run(base_domains)
     return findings

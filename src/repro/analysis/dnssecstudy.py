@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from ..core import CHAIN_COUNTS
 from ..dnslib import Name, RRType
 from ..ecosystem import SimInternet, tld_class
-from ..framework import ScanConfig, ScanRunner
+from ..framework import run_scan
 
 
 @dataclass
@@ -143,15 +143,9 @@ def run_dnssec_study(
         if measured != expected and measured != "indeterminate":
             findings.mismatches += 1
 
-    config = ScanConfig(
-        module="A",
-        mode="iterative",
-        threads=threads,
-        retries=retries,
-        seed=seed,
-        dnssec=True,
+    report = run_scan(
+        internet, base_domains, sink=sink, threads=threads, retries=retries, seed=seed, dnssec=True
     )
-    report = ScanRunner(internet, config, sink=sink).run(base_domains)
     for count in CHAIN_COUNTS:
         findings.chain[count] = report.dnssec_stats[count]
     return findings

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..ecosystem import SimInternet
-from ..framework import ScanConfig, ScanRunner
+from ..framework import run_scan
 
 
 @dataclass
@@ -95,12 +95,7 @@ def run_ns_consistency_study(
         elif data.get("consistent") is False:
             findings.inconsistent_domains += 1
 
-    config = ScanConfig(
-        module="ALLNS",
-        mode="iterative",
-        threads=threads,
-        retries=retries,
-        seed=seed,
+    run_scan(
+        internet, names, sink=sink, module="ALLNS", threads=threads, retries=retries, seed=seed
     )
-    ScanRunner(internet, config, sink=sink).run(names)
     return findings

@@ -13,8 +13,10 @@ short timeout, and 50 retries.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..core.config import ClientCostModel
-from ..ecosystem import SimInternet
+from ..ecosystem import GOOGLE_RESOLVER_IP, SimInternet
 from ..framework import ScanConfig, ScanReport, ScanRunner
 
 #: MassDNS in-flight window: large enough that its offered load exceeds
@@ -33,10 +35,12 @@ MASSDNS_CPU = ClientCostModel(per_send=34e-6, per_receive=34e-6, per_cache_op=0.
 
 
 def massdns_config(module: str = "A", seed: int = 0, threads: int = MASSDNS_CONCURRENCY) -> ScanConfig:
-    """The ScanConfig that makes the framework behave like MassDNS."""
+    """The ScanConfig that makes the framework behave like MassDNS
+    (against the simulated public resolver; :func:`run_massdns` names one)."""
     return ScanConfig(
         module=module,
         mode="external",
+        resolver_ips=[GOOGLE_RESOLVER_IP],
         threads=threads,
         retries=MASSDNS_RETRIES,
         external_timeout=MASSDNS_TIMEOUT,
@@ -58,5 +62,4 @@ def run_massdns(
 ) -> ScanReport:
     """Run a MassDNS-shaped scan against one upstream resolver."""
     config = massdns_config(module=module, seed=seed, threads=threads)
-    config.resolver_ips = [resolver_ip]
-    return ScanRunner(internet, config).run(names)
+    return ScanRunner(internet, replace(config, resolver_ips=[resolver_ip])).run(names)

@@ -117,6 +117,11 @@ class CacheStats:
         return (self.hits + self.answer_hits) / total if total else 0.0
 
 
+#: What the cache keeps (``policy``) and what it drops when full (``eviction``).
+CACHE_POLICIES = ("selective", "all", "none")
+CACHE_EVICTIONS = ("random", "lru")
+
+
 class SelectiveCache:
     """Bounded delegation cache with pluggable eviction.
 
@@ -138,9 +143,9 @@ class SelectiveCache:
     ):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        if policy not in ("selective", "all", "none"):
+        if policy not in CACHE_POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
-        if eviction not in ("random", "lru"):
+        if eviction not in CACHE_EVICTIONS:
             raise ValueError(f"unknown eviction {eviction!r}")
         if stale_ttl is not None and stale_ttl <= 0:
             raise ValueError("stale_ttl must be positive (or None to disable)")

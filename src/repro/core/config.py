@@ -1,4 +1,5 @@
-"""Resolver configuration knobs (the CLI flags of Section 3.2)."""
+"""Resolver configuration knobs (the CLI flags of Section 3.2), and the
+bound checks every configuration's ``__post_init__`` shares."""
 
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ class ResolverConfig:
     #: that keep glue in-bailiwick.
     strict_bailiwick: bool = False
     #: Keep each query's full response JSON on its Appendix C row.
-    record_trace_results: bool = False
+    record_trace: bool = False
     #: The run's :class:`~repro.core.trace.SpanTracer` (clock, span-id
     #: counter, span sink), or None to record nothing.  While set, every
     #: lookup records its steps — delegation walk, cache probe, query
@@ -48,7 +49,8 @@ class ResolverConfig:
     #: which renders both the Appendix C rows and, when the tracer has a
     #: sink, the span rows.  The default tracer has no clock and no sink:
     #: rows only.  The scan runner sets None when nothing consumes rows
-    #: or spans; lookup behaviour is identical either way.
+    #: or spans; lookup behaviour is identical either way.  Like
+    #: :attr:`health`, left out of equality and of a checkpoint's fingerprint.
     tracer: SpanTracer | None = field(default_factory=SpanTracer, compare=False)
     #: Exponential backoff with decorrelated jitter between retry
     #: attempts: the first pause draws uniform from
@@ -78,12 +80,50 @@ class ResolverConfig:
     #: load away from blacked-out or storming servers (§3's
     #: load-balancing, made failure-aware).  None costs one attribute
     #: read per layer.
-    health: Any = None
+    health: Any = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.retries < 0:
-            # a negative count would send no query at all
-            raise ValueError(f"retries must be >= 0 (got {self.retries})")
+        at_least("retries", self.retries, 0)  # a negative count sends no query
+        above("iteration_timeout", self.iteration_timeout, 0)
+        above("external_timeout", self.external_timeout, 0)
+        at_least("backoff_base", self.backoff_base, 0)
+        if not self.backoff_cap >= self.backoff_base:
+            raise ValueError(
+                "backoff_cap must be >= backoff_base "
+                f"(got {self.backoff_cap} < {self.backoff_base})"
+            )
+        for name in ("max_queries", "max_referrals", "max_cname_chase", "max_glueless_depth"):
+            at_least(name, getattr(self, name), 1)
+
+
+# Each rule names its field (``pyzdns`` swaps in the flag) and is written
+# negated, so NaN breaks it too; None (an option left off) passes.
+
+
+def at_least(name: str, value, bound) -> None:
+    """Raise ``ValueError`` unless ``value >= bound``."""
+    if value is not None and not value >= bound:
+        raise ValueError(f"{name} must be >= {bound} (got {value})")
+
+
+def above(name: str, value, bound) -> None:
+    """Raise ``ValueError`` unless ``value > bound``."""
+    if value is not None and not value > bound:
+        raise ValueError(f"{name} must be > {bound} (got {value})")
+
+
+def within(name: str, value, low: int, high: int) -> None:
+    """Raise ``ValueError`` unless ``low <= value <= high``."""
+    if value is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be {low}..{high} (got {value})")
+
+
+def port(text: str) -> int:
+    """A TCP/UDP port number from command-line text: the ``type=`` of
+    both CLIs' ``--http-port``, and the PORT of ``--live-resolver``."""
+    number = int(text)
+    within("port", number, 0, 65535)
+    return number
 
 
 @dataclass

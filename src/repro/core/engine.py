@@ -203,8 +203,8 @@ class Resolver:
     quiescence.  The scan runner, the resolver daemon, the oracle sweep
     and the dig baseline each build one and drive its pieces in their
     own loops (``driver.execute(machine.resolve(...), socket)``); the
-    keywords after ``record_trace`` exist for them, and each passes the
-    seeds, cache policy, costs and CPU model it needs.
+    keyword-only arguments exist for them, and each passes the seeds,
+    cache policy, costs and CPU model it needs.
     """
 
     def __init__(
@@ -214,7 +214,6 @@ class Resolver:
         config: ResolverConfig | None = None,
         cache: SelectiveCache | None = None,
         resolver_ips: list[str] | None = None,
-        record_trace: bool = False,
         *,
         #: the machines' RNG; None = the universe's seed
         seed: int | None = None,
@@ -256,8 +255,6 @@ class Resolver:
         self.mode = mode
         # a copy: the caller's config may go on to serve another universe
         config = replace(config or ResolverConfig())
-        if record_trace:
-            config.record_trace_results = True
         if config.dnssec:
             # the validator loads with a validating stack, not mid-lookup
             from .dnssec import trust_anchor_for

@@ -434,7 +434,7 @@ class IterativeMachine:
                     str(status_from_rcode(response.rcode)),
                     row=(
                         {"results": message_to_json(response, f"{server_ip}:53")}
-                        if config.record_trace_results
+                        if config.record_trace
                         else None
                     ),
                 )
@@ -481,12 +481,16 @@ class IterativeMachine:
 class ExternalMachine:
     """Stub resolution against an external recursive resolver."""
 
-    def __init__(self, resolver_ips: list[str], config: ResolverConfig | None = None, rng=None):
+    def __init__(
+        self, resolver_ips: list[str], config: ResolverConfig | None = None, rng=None, port: int = 53
+    ):
         if not resolver_ips:
             raise ValueError("need at least one resolver address")
         self.resolver_ips = list(resolver_ips)
         self.config = config or ResolverConfig()
         self.rng = rng or random.Random(0)
+        #: The resolvers' port, as rows name it (the driver addresses it).
+        self.port = port
 
     def resolve(self, name: Name | str, qtype: RRType):
         if isinstance(name, str):
@@ -512,12 +516,12 @@ class ExternalMachine:
                     if len(self.resolver_ips) > 1
                     else 0
                 ]
-            result.resolver = f"{server_ip}:53"
+            result.resolver = f"{server_ip}:{self.port}"
             result.queries_sent += 1
             trace.open(
                 "query",
                 name=result.name,
-                name_server=f"{server_ip}:53",
+                name_server=result.resolver,
                 try_count=attempt + 1,
                 type=int(qtype),
             )

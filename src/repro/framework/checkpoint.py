@@ -57,7 +57,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Iterable
 
 from .stats import ScanStats
@@ -116,9 +116,10 @@ def config_fingerprint(
     ``status_interval``, which only affects stderr), the shard/segment
     topology, the fault plan, and a digest of the input names.
     Deliberately *not* covered: the process count (a pure wall-clock
-    knob) and the checkpoint cadence/fsync policy.
+    knob), the checkpoint cadence/fsync policy, and what the config
+    leaves out of its equality (its span tracer and health tracker).
     """
-    material = asdict(config)
+    material = {f.name: getattr(config, f.name) for f in fields(config) if f.compare}
     material.pop("status_interval", None)
     material["__topology__"] = {
         "shards": shards,

@@ -15,16 +15,19 @@ per-lookup spans as JSON lines.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import re
 import sys
 import time
 
 from ..core import LiveDriver
+from ..core.config import port
 from ..ecosystem import EcosystemParams, build_internet
 from ..modules import get_module
 from ..obs.status import status_line
 from .io import DEFAULT_LOGICAL_SHARDS, JsonLineSink, read_names, shard
-from .runner import ScanConfig, ScanRunner
+from .runner import SCAN_MODES, ScanConfig, ScanRunner
 from .stats import ScanStats
 
 
@@ -38,11 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan module: a record type (A, AAAA, MX, ...) or a lookup module "
         "(ALOOKUP, MXLOOKUP, ...); an unknown name lists them all",
     )
-    parser.add_argument("--input-file", "-f", default=None, help="names file (default stdin)")
-    parser.add_argument("--output-file", "-o", default=None, help="results file (default stdout)")
+    parser.add_argument("--input-file", "-f", help="names file (default stdin)")
+    parser.add_argument("--output-file", "-o", help="results file (default stdout)")
     parser.add_argument(
         "--mode",
-        choices=["iterative", "google", "cloudflare", "external"],
+        choices=SCAN_MODES,
         default="iterative",
         help="resolution mode (default: iterative)",
     )
@@ -63,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cores", type=int, default=24, help="simulated CPU cores")
     parser.add_argument(
         "--live-resolver",
-        default=None,
         help="HOST:PORT of a real resolver: send real UDP instead of simulating",
     )
     parser.add_argument("--shards", type=int, default=1, help="total scanner shards")
@@ -72,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes",
         "-p",
         type=int,
-        default=None,
         metavar="N",
         help="fork N worker processes, each scanning disjoint logical "
         "shards through its own simulated Internet; results merge into "
@@ -81,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mp-shards",
         type=int,
-        default=None,
         metavar="S",
         help="logical shard count for --processes (default "
         f"{DEFAULT_LOGICAL_SHARDS}); for a fixed seed and S the merged "
@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--steal-quantum",
         type=int,
-        default=None,
         metavar="N",
         help="with --processes: pre-segment each logical shard every N "
         "names so idle workers can steal a straggler's tail segments; "
@@ -98,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint-dir",
-        default=None,
         metavar="DIR",
         help="with --processes: journal completed tasks and periodic "
         "progress to DIR so an interrupted scan can be resumed exactly "
@@ -107,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--checkpoint-interval",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="wall-clock seconds between cadence checkpoints "
         "(default 5.0; requires --checkpoint-dir or --resume)",
@@ -115,14 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--checkpoint-fsync",
         choices=["always", "interval", "never"],
-        default=None,
         help="journal fsync policy: 'always' syncs at every task "
         "completion (default), 'interval' only at cadence checkpoints, "
         "'never' leaves flushing to the OS",
     )
     parser.add_argument(
         "--resume",
-        default=None,
         metavar="DIR",
         help="resume an interrupted --checkpoint-dir scan: validate the "
         "journal against this run's configuration, replay completed "
@@ -132,33 +127,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress the stats summary")
     parser.add_argument(
         "--metadata-file",
-        default=None,
         help="write a JSON run summary (args, durations, statuses, metrics) to this path",
     )
     parser.add_argument(
         "--status-interval",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="print a status line to stderr every SECONDS (> 0) of scan time",
     )
     parser.add_argument(
         "--metrics-out",
-        default=None,
         metavar="PATH",
         help="dump the metrics registry as Prometheus-style text ('-' = stderr)",
     )
     parser.add_argument(
         "--spans-file",
-        default=None,
         metavar="PATH",
         help="stream per-lookup spans as JSON lines to this path (with "
         "--processes, rows carry a 'shard' tag and merge shard-ordered)",
     )
     parser.add_argument(
         "--http-port",
-        type=int,
-        default=None,
+        type=port,
         metavar="PORT",
         help="serve a live control plane on 127.0.0.1:PORT while the "
         "scan runs: /metrics (Prometheus text), /status.json (fleet "
@@ -167,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fault-plan",
-        default=None,
         metavar="PLAN",
         help="inject faults: a JSON plan file, or a bundled plan name "
         "(mild, moderate, severe, extreme); simulated scans only",
@@ -175,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--chaos-seed",
         type=int,
-        default=None,
         help="RNG seed for fault injection (default: --seed)",
     )
     parser.add_argument(
@@ -193,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle-check",
         type=int,
-        default=None,
         metavar="K",
         help="check lookups 1, K+1, 2K+1, ... against the differential "
         "reference resolver; divergences become structured output rows "
@@ -217,115 +204,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The flag that sets each value a ``ValueError`` may name (a config
+#: field, a shard-executor argument, or the ZMap shard of :func:`shard`):
+#: ``--`` and the name with dashes, but for those the CLI names its own way.
+_FLAGS = {
+    name: "--" + name.replace("_", "-")
+    for name in (
+        "cache_size", "checkpoint_dir", "checkpoint_interval", "cores", "dnssec", "mode",
+        "oracle_check", "processes", "resume", "retries", "source_prefix",
+        "status_interval", "steal_quantum", "threads",
+    )
+} | {
+    "backoff_base": "--backoff",
+    "external_timeout": "--timeout",
+    "resolver_ips": "--name-servers",
+    "shards": "--mp-shards",
+    "shard count": "--shards",
+    "shard index": "--shard",
+}
+_FLAG_NAMES = re.compile(
+    r"(?<![\w./-])(" + "|".join(sorted(_FLAGS, key=len, reverse=True)) + r")(?![\w./-])"
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    # Every config is built, and so checked, before any output is opened:
+    # a value a config, the executor or the fault plan reader rejects
+    # exits here as one usage error naming its flag — not as a traceback
+    # mid-scan or, worse, a silent empty or query-less scan.
     try:
-        module = get_module(args.module)
-    except KeyError as error:
-        parser.error(str(error))
+        live = _live_address(args)
+        config = _scan_config(args, live)
+        executor = _executor_args(args)
+        plan = None
+        if args.fault_plan is not None:
+            from ..faults import resolve_plan
 
-    # Validate numbers and the sharding/process topology eagerly: a bad
-    # value must exit as a clean usage error, not a traceback mid-scan
-    # (or, worse, a silent empty or query-less scan).
-    for flag, value, least in (
-        ("--threads", args.threads, 1),
-        ("--cores", args.cores, 1),
-        ("--cache-size", args.cache_size, 1),
-        ("--retries", args.retries, 0),
-    ):
-        if value < least:
-            parser.error(f"{flag} must be >= {least} (got {value})")
-    if not 0 <= args.source_prefix <= 32:
-        parser.error(f"--source-prefix must be 0..32 (got {args.source_prefix})")
-    if args.timeout <= 0:
-        parser.error(f"--timeout must be > 0 (got {args.timeout})")
-    if args.shards < 1:
-        parser.error(f"--shards must be >= 1 (got {args.shards})")
-    if not 0 <= args.shard < args.shards:
-        parser.error(
-            f"--shard {args.shard} outside 0..{args.shards - 1} "
-            f"(of --shards {args.shards})"
-        )
-    if args.processes is not None:
-        if args.processes < 1:
-            parser.error(f"--processes must be >= 1 (got {args.processes})")
-        if args.mp_shards is not None and args.mp_shards < 1:
-            parser.error(f"--mp-shards must be >= 1 (got {args.mp_shards})")
-        if args.live_resolver:
-            parser.error("--processes applies to simulated scans only")
-    elif args.mp_shards is not None:
-        parser.error("--mp-shards requires --processes")
-
-    # Durability flags ride on the multi-process executor only.
-    if args.processes is None:
-        for flag, value in (
-            ("--steal-quantum", args.steal_quantum),
-            ("--checkpoint-dir", args.checkpoint_dir),
-            ("--resume", args.resume),
-        ):
-            if value is not None:
-                parser.error(f"{flag} requires --processes")
-    if args.steal_quantum is not None and args.steal_quantum < 1:
-        parser.error(f"--steal-quantum must be >= 1 (got {args.steal_quantum})")
-    if args.resume is not None and args.checkpoint_dir is not None:
-        parser.error("--resume already names the checkpoint directory; drop --checkpoint-dir")
-    checkpointing = args.checkpoint_dir is not None or args.resume is not None
-    if args.checkpoint_interval is not None:
-        if not checkpointing:
-            parser.error("--checkpoint-interval requires --checkpoint-dir or --resume")
-        if args.checkpoint_interval <= 0:
-            parser.error(
-                f"--checkpoint-interval must be > 0 (got {args.checkpoint_interval})"
-            )
-    if args.status_interval is not None and args.status_interval <= 0:
-        parser.error(f"--status-interval must be > 0 (got {args.status_interval})")
-    if args.checkpoint_fsync is not None and not checkpointing:
-        parser.error("--checkpoint-fsync requires --checkpoint-dir or --resume")
-
-    if args.http_port is not None:
-        if args.http_port < 0 or args.http_port > 65535:
-            parser.error(f"--http-port must be 0..65535 (got {args.http_port})")
-        if args.live_resolver:
-            parser.error("--http-port applies to simulated scans only")
-
-    if args.oracle_check is not None:
-        if args.oracle_check < 1:
-            parser.error(f"--oracle-check must be >= 1 (got {args.oracle_check})")
-        if args.live_resolver:
-            parser.error("--oracle-check applies to simulated scans only")
-        if args.mode != "iterative":
-            parser.error("--oracle-check requires --mode iterative")
-
-    if args.dnssec:
-        if args.live_resolver:
-            parser.error("--dnssec applies to simulated scans only")
-        if args.mode != "iterative":
-            parser.error("--dnssec requires --mode iterative")
-
-    if args.mode == "external" and not args.live_resolver and not _name_servers(args):
-        parser.error("--mode external requires --name-servers")
-
-    plan = None
-    if args.fault_plan is not None:
-        from ..faults import PlanError, resolve_plan
-
-        try:
             plan = resolve_plan(args.fault_plan)
-        except (KeyError, OSError, PlanError) as error:
-            parser.error(error.args[0] if isinstance(error, KeyError) else str(error))
+        names = shard(read_names(args.input_file), args.shards, args.shard)
+    except (KeyError, OSError, ValueError) as error:
+        message = error.args[0] if isinstance(error, KeyError) else str(error)
+        parser.error(_FLAG_NAMES.sub(lambda match: _FLAGS[match[1]], message))
 
-    names = read_names(args.input_file)
-    if args.shards > 1:
-        names = shard(names, args.shards, args.shard)
     out_handle = open(args.output_file, "w") if args.output_file else sys.stdout
     started = time.monotonic()
     try:
-        if args.live_resolver:
-            summary, report = _run_live(args, module, names, out_handle)
+        if live is not None:
+            summary, report = _run_live(config, live[1], names, out_handle)
         else:
-            report = _run_simulated(args, module, names, out_handle, plan)
+            report = _run_simulated(args, config, executor, names, out_handle, plan)
             summary = report.summary()
         wall_seconds = time.monotonic() - started
         if not args.quiet:
@@ -354,45 +284,71 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _name_servers(args) -> list[str]:
-    return [s for s in args.name_servers.split(",") if s]
+def _live_address(args) -> tuple[str, int] | None:
+    """``--live-resolver``'s HOST and PORT, or None for a simulated
+    scan; a live scan takes none of the simulated-only flags."""
+    if not args.live_resolver:
+        return None
+    for flag, value in (
+        ("--processes", args.processes),
+        ("--http-port", args.http_port),
+        ("--oracle-check", args.oracle_check),
+        ("--dnssec", args.dnssec or None),
+        ("--fault-plan", args.fault_plan),
+        ("--chaos-seed", args.chaos_seed),
+    ):
+        if value is not None:
+            raise ValueError(f"{flag} applies to simulated scans only")
+    host, _, port_text = args.live_resolver.partition(":")
+    return host, port(port_text) if port_text else 53
 
 
-def _scan_config(args) -> ScanConfig:
-    """The ScanConfig both the in-process and multi-process paths share."""
-    return ScanConfig(
-        module=args.module,
-        mode=args.mode,
-        resolver_ips=_name_servers(args),
-        threads=args.threads,
-        source_prefix=args.source_prefix,
-        cache_size=args.cache_size,
-        retries=args.retries,
+def _scan_config(args, live: tuple[str, int] | None) -> ScanConfig:
+    """The ScanConfig of every path: in this process, across the shard
+    executor, and live (external mode, against the one live resolver).
+    A flag whose name is a field's sets it as is."""
+    fields = {field.name for field in dataclasses.fields(ScanConfig)}
+    config = {name: value for name, value in vars(args).items() if name in fields}
+    config.update(
+        mode="external" if live else args.mode,
+        resolver_ips=[live[0]] if live else [ip for ip in args.name_servers.split(",") if ip],
         external_timeout=args.timeout,
-        cores=args.cores,
         record_trace=args.trace,
-        seed=args.seed,
-        metrics=bool(args.metrics_out or args.metadata_file),
-        status_interval=args.status_interval,
         backoff_base=args.backoff,
-        server_health=args.server_health,
-        oracle_check=getattr(args, "oracle_check", None),
-        dnssec=getattr(args, "dnssec", False),
+        metrics=bool(args.metrics_out or args.metadata_file),
     )
+    return ScanConfig(**config)
 
 
-def _run_info(args) -> dict:
-    """Run metadata shown on the dashboard and in ``/status.json``."""
-    return {
-        "module": args.module,
-        "mode": args.mode,
-        "seed": args.seed,
-        "threads": args.threads,
-        "processes": args.processes or 1,
+def _executor_args(args) -> dict | None:
+    """The shard executor's keyword arguments, checked (None without
+    ``--processes``).  The CLI's own rules: the durability flags need
+    ``--processes``, ``--checkpoint-fsync`` a checkpoint directory, and
+    ``--resume`` names that directory itself."""
+    if args.resume is not None and args.checkpoint_dir is not None:
+        raise ValueError("--resume already names the checkpoint directory; drop --checkpoint-dir")
+    executor = {
+        "processes": args.processes,
+        "shards": args.mp_shards,
+        "steal_quantum": args.steal_quantum,
+        "resume": args.resume is not None,
+        "checkpoint_dir": args.resume or args.checkpoint_dir,
+        "checkpoint_interval": args.checkpoint_interval,
     }
+    if args.checkpoint_fsync is not None and executor["checkpoint_dir"] is None:
+        raise ValueError("--checkpoint-fsync requires --checkpoint-dir or --resume")
+    if args.processes is None:
+        for name, value in executor.items():
+            if value is not None and value is not False:
+                raise ValueError(f"{name} requires processes")
+        return None
+    from .parallel import check_executor
+
+    check_executor(**executor)
+    return {**executor, "checkpoint_fsync": args.checkpoint_fsync or "always"}
 
 
-def _run_simulated(args, module, names, out_handle, plan):
+def _run_simulated(args, config, executor, names, out_handle, plan):
     """A simulated scan: in this process through :class:`ScanRunner`,
     or with ``--processes`` across the shard executor (see
     :mod:`repro.framework.parallel`).  Either way ``--http-port`` serves
@@ -403,15 +359,22 @@ def _run_simulated(args, module, names, out_handle, plan):
     #: a bad or mismatched journal exits as a usage error; a run without
     #: one has nothing to catch and leaves the journal code unloaded
     bad_journal: tuple | type[Exception] = ()
-    if args.resume or args.checkpoint_dir:
+    if executor is not None and executor["checkpoint_dir"] is not None:
         from .checkpoint import CheckpointError as bad_journal
 
-    config = _scan_config(args)
     fleet = server = None
     if args.http_port is not None:
         from ..obs.server import TelemetryServer
 
-        fleet = FleetView(run_info=_run_info(args))
+        fleet = FleetView(  # run metadata for the dashboard and /status.json
+            run_info={
+                "module": config.module,
+                "mode": config.mode,
+                "seed": config.seed,
+                "threads": config.threads,
+                "processes": args.processes or 1,
+            }
+        )
         server = TelemetryServer(
             status=fleet.status_snapshot, metrics=fleet.prometheus, port=args.http_port
         ).start()
@@ -419,7 +382,7 @@ def _run_simulated(args, module, names, out_handle, plan):
             print(f"pyzdns: control plane at {server.url}", file=sys.stderr)
     span_handle = open(args.spans_file, "w") if args.spans_file else None
     try:
-        if args.processes is None:
+        if executor is None:
             internet = build_internet(
                 params=EcosystemParams(seed=args.seed),
                 faults=plan,
@@ -436,7 +399,6 @@ def _run_simulated(args, module, names, out_handle, plan):
             report = ScanRunner(
                 internet,
                 config,
-                module=module,
                 sink=JsonLineSink(out_handle, add_timestamp=not args.no_timestamps),
                 span_sink=JsonLineSink(span_handle) if span_handle is not None else None,
                 progress=fleet.update if fleet is not None else None,
@@ -450,19 +412,13 @@ def _run_simulated(args, module, names, out_handle, plan):
             report = run_parallel_scan(
                 names,
                 config,
-                processes=args.processes,
                 out=out_handle,
-                shards=args.mp_shards,
                 fault_plan=args.fault_plan,
                 chaos_seed=args.chaos_seed,
                 add_timestamp=not args.no_timestamps,
                 span_out=span_handle,
                 fleet_view=fleet,
-                steal_quantum=args.steal_quantum,
-                checkpoint_dir=args.resume or args.checkpoint_dir,
-                checkpoint_interval=args.checkpoint_interval,
-                checkpoint_fsync=args.checkpoint_fsync or "always",
-                resume=args.resume is not None,
+                **executor,
             )
     except bad_journal as error:
         raise SystemExit(f"pyzdns: {error}")
@@ -474,7 +430,7 @@ def _run_simulated(args, module, names, out_handle, plan):
     return report
 
 
-def _run_live(args, module, names, out_handle):
+def _run_live(config, resolver_port, names, out_handle):
     """Sequential real-socket scan against one resolver (loopback or,
     with network access, a public resolver): the module's own lookup,
     in external mode, with the scan's resolver flags.
@@ -483,19 +439,18 @@ def _run_live(args, module, names, out_handle):
     from ..modules import ModuleContext
     from ..net import UDPTransport
 
-    host, _, port_text = args.live_resolver.partition(":")
-    port = int(port_text) if port_text else 53
+    module = get_module(config.module)
     context = ModuleContext(
-        mode="external", resolver_ips=[host], config=_scan_config(args).resolver_config()
+        mode="external", resolver_ips=config.resolver_ips, config=config, port=resolver_port
     )
     sink = JsonLineSink(out_handle)
     stats = ScanStats()
-    interval = args.status_interval
+    interval = config.status_interval
     started = time.monotonic()
     next_status = started + interval if interval else None
     last_total = 0
     with UDPTransport() as transport:
-        driver = LiveDriver(transport, port_override=port, seed=args.seed)
+        driver = LiveDriver(transport, port_override=resolver_port, seed=config.seed)
         for raw in names:
             row = driver.execute(module.lookup(raw, context))
             result = row.pop("_result", None)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import sys
 from datetime import datetime, timezone
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 #: Default logical shard count of the shard executor
@@ -52,16 +53,10 @@ def shard(items: Iterable[str], shards: int, index: int) -> Iterator[str]:
     instead of deep inside a scan.
     """
     if shards < 1:
-        raise ValueError("shards must be >= 1")
+        raise ValueError(f"shard count must be >= 1 (got {shards})")
     if not 0 <= index < shards:
         raise ValueError(f"shard index {index} outside 0..{shards - 1}")
-    return _shard_iter(items, shards, index)
-
-
-def _shard_iter(items: Iterable[str], shards: int, index: int) -> Iterator[str]:
-    for position, item in enumerate(items):
-        if position % shards == index:
-            yield item
+    return islice(items, index, None, shards)
 
 
 def names_digest(names: Iterable[str]) -> str:

@@ -88,6 +88,7 @@ from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
 from typing import Iterable, TextIO
 
+from ..core.config import above, at_least
 from ..net import derive_seed
 from ..obs.status import status_line
 from .io import DEFAULT_LOGICAL_SHARDS, encode_row, names_digest, shard
@@ -99,6 +100,7 @@ __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",
     "DEFAULT_LOGICAL_SHARDS",
     "ParallelReport",
+    "check_executor",
     "run_parallel_scan",
 ]
 
@@ -209,7 +211,6 @@ class _PipeSink:
 def _run_task(task: _ShardTask, spec: _ShardSpec, conn) -> None:
     """One hermetic sub-scan: own Internet, own RNG streams, own cache."""
     from ..ecosystem import EcosystemParams, build_internet
-    from ..modules import get_module
 
     base_seed = spec.config.seed
     streams = task.seed_streams()
@@ -241,7 +242,6 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn) -> None:
     report = ScanRunner(
         internet,
         config,
-        module=get_module(config.module),
         sink=sink,
         span_sink=span_sink,
         progress=send_delta if spec.stream_deltas else None,
@@ -360,6 +360,29 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+def check_executor(
+    *,
+    processes: int,
+    shards: int | None = None,
+    steal_quantum: int | None = None,
+    checkpoint_dir: str | None = None,
+    checkpoint_interval: float | None = None,
+    resume: bool = False,
+) -> None:
+    """The shard executor's own argument rules, written once:
+    :func:`run_parallel_scan` checks its arguments here, and ``pyzdns``
+    its flags before it opens any output.  Raises ``ValueError``."""
+    at_least("processes", processes, 1)
+    at_least("shards", shards, 1)
+    at_least("steal_quantum", steal_quantum, 1)
+    above("checkpoint_interval", checkpoint_interval, 0)
+    if checkpoint_dir is None:
+        if resume:
+            raise ValueError("resume requires checkpoint_dir")
+        if checkpoint_interval is not None:
+            raise ValueError("checkpoint_interval requires checkpoint_dir")
+
+
 def run_parallel_scan(
     names: Iterable[str],
     config: ScanConfig,
@@ -406,24 +429,18 @@ def run_parallel_scan(
     metrics are identical for *any* process count, steal schedule, or
     interrupt/resume history — those are purely wall-clock knobs.
     """
-    if processes < 1:
-        raise ValueError("processes must be >= 1")
-    if config.threads < 1:
-        raise ValueError(f"threads must be >= 1 (got {config.threads})")
+    check_executor(
+        processes=processes,
+        shards=shards,
+        steal_quantum=steal_quantum,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval,
+        resume=resume,
+    )
     shards = DEFAULT_LOGICAL_SHARDS if shards is None else shards
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if steal_quantum is not None and steal_quantum < 1:
-        raise ValueError("steal_quantum must be >= 1")
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume requires a checkpoint_dir")
     status_interval = config.status_interval
-    if status_interval is not None and status_interval <= 0:
-        raise ValueError("status_interval must be > 0")
     if checkpoint_interval is None:
         checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
-    elif checkpoint_interval <= 0:
-        raise ValueError("checkpoint_interval must be > 0")
     names = list(names)
     total_names = len(names)
     shard_sizes = [len(range(k, total_names, shards)) for k in range(shards)]

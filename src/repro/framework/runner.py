@@ -15,25 +15,42 @@ the run's span tracer (:class:`repro.core.trace.SpanTracer`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from ..core import ClientCostModel, Resolver, ResolverConfig, SelectiveCache, SpanTracer
+from ..core.cache import CACHE_EVICTIONS, CACHE_POLICIES
+from ..core.config import above, at_least, within
 from ..dnslib import CODEC_STATS, RRType, rdata_class, registered_types
 from ..ecosystem import SimInternet
-from ..modules import ScanModule, get_module
+from ..modules import get_module
 from ..net import CPUModel, GCModel, PortExhaustedError, SimUDPSocket
 from ..obs import MetricsRegistry, StatusEmitter
 from .stats import ScanStats
 from .telemetry import DEFAULT_DELTA_INTERVAL, TelemetryDelta
 
 
+#: Where a scan's lookups go: its own recursion, a public resolver of
+#: the simulated Internet, or ``resolver_ips``.
+SCAN_MODES = ("iterative", "google", "cloudflare", "external")
+
+
 @dataclass
-class ScanConfig:
-    """Everything a scan needs (the CLI flag surface)."""
+class ScanConfig(ResolverConfig):
+    """Everything a scan needs (the CLI flag surface): the resolver
+    settings it inherits from :class:`ResolverConfig` (``retries``, the
+    timeouts, backoff, ``record_trace``, ``dnssec``, …) and the scan's own.
+
+    Every rule is checked at construction (``ValueError``), the field
+    bounds in ``__post_init__`` and these across fields:
+
+    - ``dnssec`` and ``oracle_check`` require ``mode="iterative"``;
+    - ``mode="external"`` requires ``resolver_ips``;
+    - ``gc_period`` and ``gc_pause`` are set together, the pause shorter;
+    - ``backoff_cap`` is not below ``backoff_base`` (:class:`ResolverConfig`).
+    """
 
     module: str = "A"
-    #: "iterative", "google", "cloudflare", or "external".
     mode: str = "iterative"
     resolver_ips: list[str] = field(default_factory=list)
     threads: int = 1000
@@ -42,9 +59,6 @@ class ScanConfig:
     cache_size: int = 600_000
     cache_policy: str = "selective"
     cache_eviction: str = "random"
-    retries: int = 2
-    iteration_timeout: float = 2.0
-    external_timeout: float = 3.0
     cores: int = 24
     #: None = pick automatically: iterative scans pay per-lookup cache
     #: and referral-parsing CPU on top of packet costs.
@@ -55,8 +69,6 @@ class ScanConfig:
     gc_period: float | None = None
     gc_pause: float | None = None
     reuse_sockets: bool = True
-    record_trace: bool = False
-    retry_servfail: bool = True
     seed: int = 0
     #: Collect registry metrics (engine/cache/scheduler scopes).  Off by
     #: default: the disabled path must cost nothing on the hot loop.
@@ -65,10 +77,6 @@ class ScanConfig:
     status_interval: float | None = None
     #: Emit every lookup step as a span row (see repro.core.trace).
     collect_spans: bool = False
-    #: Retry backoff base (decorrelated jitter); 0.0 = no backoff, no
-    #: extra RNG draws — the byte-identical default.
-    backoff_base: float = 0.0
-    backoff_cap: float = 10.0
     #: Track per-server health and shed load away from failing servers
     #: (see repro.core.health).  Off by default.
     server_health: bool = False
@@ -78,30 +86,43 @@ class ScanConfig:
     max_events: int | None = None
     #: Check lookups 1, K+1, 2K+1, … against the differential oracle
     #: (:mod:`repro.oracle`): divergences become structured output rows
-    #: and ``oracle.*`` counters.  None/0 = off; negative is an error.
-    #: Simulated iterative scans of single-qtype modules only.
+    #: and ``oracle.*`` counters.  None = off.
     oracle_check: int | None = None
-    #: DNSSEC validation (iterative mode only): send DO on every query,
-    #: walk the chain of trust per lookup, attach ``data.dnssec`` to
-    #: output rows and publish ``dnssec.*`` outcome counters.  Off by
-    #: default — a non-DNSSEC scan stays byte-identical.
-    dnssec: bool = False
 
     def __post_init__(self) -> None:
-        if self.oracle_check is not None and self.oracle_check < 0:
-            raise ValueError(f"oracle_check must be >= 0 (got {self.oracle_check})")
-
-    def resolver_config(self) -> ResolverConfig:
-        return ResolverConfig(
-            iteration_timeout=self.iteration_timeout,
-            external_timeout=self.external_timeout,
-            retries=self.retries,
-            record_trace_results=self.record_trace,
-            retry_servfail=self.retry_servfail,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
-            dnssec=self.dnssec,
-        )
+        super().__post_init__()
+        for name in ("threads", "cores", "cache_size", "ports_per_ip", "oracle_check"):
+            at_least(name, getattr(self, name), 1)
+        at_least("max_events", self.max_events, 1)
+        within("source_prefix", self.source_prefix, 0, 32)
+        above("status_interval", self.status_interval, 0)
+        for name, known in (
+            ("mode", SCAN_MODES),
+            ("cache_policy", CACHE_POLICIES),
+            ("cache_eviction", CACHE_EVICTIONS),
+        ):
+            value = getattr(self, name)
+            if value not in known:
+                raise ValueError(f"{name} must be one of {', '.join(known)} (got {value!r})")
+        try:
+            get_module(self.module)
+        except KeyError as error:
+            raise ValueError(error.args[0]) from None
+        if self.mode != "iterative":
+            for name in ("dnssec", "oracle_check"):
+                if getattr(self, name):
+                    raise ValueError(f"{name} requires mode iterative")
+        if self.mode == "external" and not self.resolver_ips:
+            raise ValueError("mode external requires resolver_ips")
+        if (self.gc_period is None) != (self.gc_pause is None):
+            raise ValueError("gc_period and gc_pause are set together")
+        above("gc_period", self.gc_period, 0)
+        at_least("gc_pause", self.gc_pause, 0)
+        if self.gc_period is not None and not self.gc_pause < self.gc_period:
+            # every instant would fall inside a pause: no lookup ever runs
+            raise ValueError(
+                f"gc_pause must be < gc_period (got {self.gc_pause} >= {self.gc_period})"
+            )
 
 
 @dataclass
@@ -149,7 +170,6 @@ class ScanRunner:
         self,
         internet: SimInternet,
         config: ScanConfig,
-        module: ScanModule | None = None,
         sink: Callable[[dict], None] | None = None,
         cpu: CPUModel | None = None,
         span_sink: Callable[[dict], None] | None = None,
@@ -159,7 +179,7 @@ class ScanRunner:
     ):
         self.internet = internet
         self.config = config
-        self.module = module if module is not None else get_module(config.module)
+        self.module = get_module(config.module)
         self.sink = sink
         self.cache: SelectiveCache | None = None
         #: Externally supplied CPU model (e.g. shared with a co-located
@@ -201,12 +221,6 @@ class ScanRunner:
         #: sample position span every run of it).
         self.oracle = None
         if config.oracle_check:
-            if config.mode != "iterative":
-                raise ValueError("oracle_check requires iterative mode")
-            if self.module.qtype is None:
-                raise ValueError(
-                    f"oracle_check needs a single-qtype module, not {self.module.name}"
-                )
             from ..oracle import DifferentialOracle
 
             # the reference mirrors the universe the scan resolves in, whose
@@ -232,36 +246,30 @@ class ScanRunner:
         # the delta against this baseline (see the codec scope below)
         codec_baseline = dict(CODEC_STATS)
 
-        iterative = config.mode == "iterative"
-        if config.threads < 1:
-            raise ValueError(f"threads must be >= 1 (got {config.threads})")
-        if config.dnssec and not iterative:
-            raise ValueError("dnssec validation requires iterative mode")
-        if config.mode == "external" and not config.resolver_ips:
-            raise ValueError("external mode needs resolver_ips")
-        resolver_config = config.resolver_config()
         kept_spans = None
         if config.collect_spans or self.span_sink is not None:
             span_sink = self.span_sink
             if span_sink is None:
                 kept_spans = []
                 span_sink = kept_spans.append
-            resolver_config.tracer = SpanTracer(clock=lambda: sim.now, sink=span_sink)
+            tracer = SpanTracer(clock=lambda: sim.now, sink=span_sink)
         elif self.sink is None:
             # nothing consumes a lookup's record without a sink: skip it
-            resolver_config.tracer = None
+            tracer = None
+        else:
+            tracer = SpanTracer()
         health = None
         if config.server_health:
             from ..core.health import ServerHealthTracker
 
-            health = resolver_config.health = ServerHealthTracker(clock=lambda: sim.now)
+            health = ServerHealthTracker(clock=lambda: sim.now)
         gc = None
-        if config.gc_period is not None and config.gc_pause is not None:
+        if config.gc_period is not None:
             gc = GCModel(period=config.gc_period, pause=config.gc_pause)
         resolver = Resolver(
             internet,
             config.mode,
-            resolver_config,
+            replace(config, tracer=tracer, health=health),
             resolver_ips=config.resolver_ips,
             seed=config.seed,
             cache_size=config.cache_size,

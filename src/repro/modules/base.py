@@ -43,10 +43,12 @@ class ModuleContext:
     #: False when nothing consumes output rows (stats-only scans):
     #: modules may skip expensive row formatting.
     build_rows: bool = True
+    #: The external resolvers' port (a live scan's ``HOST:PORT``).
+    port: int = 53
 
     def __post_init__(self):
         if self.mode != "iterative":
-            self._machine = ExternalMachine(self.resolver_ips, self.config, self.rng)
+            self._machine = ExternalMachine(self.resolver_ips, self.config, self.rng, self.port)
         elif self.cache is None:
             raise ValueError("an iterative ModuleContext needs a cache")
         else:

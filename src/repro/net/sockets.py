@@ -11,6 +11,7 @@ evaluation), so a /32 scanner caps out near 45K threads.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -63,21 +64,21 @@ class SourceIPPool:
             raise ValueError("prefix_length must be 0..32")
         self.prefix_length = prefix_length
         self.ports_per_ip = ports_per_ip
-        base = _ip_to_int(base_ip)
-        count = 1 << (32 - prefix_length)
-        self._ips = [_int_to_ip(base + i) for i in range(count)]
-        self._used_ports = {ip: 0 for ip in self._ips}
-        self._released: dict[str, list[int]] = {ip: [] for ip in self._ips}
+        self._base = _ip_to_int(base_ip)
+        self._count = 1 << (32 - prefix_length)
+        #: Per IP reached so far (a short prefix spans up to 2**32 of them).
+        self._used_ports: dict[str, int] = defaultdict(int)
+        self._released: dict[str, list[int]] = defaultdict(list)
         self._next_ip = 0  # round-robin cursor: spread load across IPs
 
     @property
     def ip_count(self) -> int:
-        return len(self._ips)
+        return self._count
 
     @property
     def capacity(self) -> int:
         """Total sockets this pool can hand out concurrently."""
-        return len(self._ips) * self.ports_per_ip
+        return self._count * self.ports_per_ip
 
     @property
     def in_use(self) -> int:
@@ -90,9 +91,10 @@ class SourceIPPool:
         across the scanning subnet — this is what lets a /28 sidestep
         Google's per-client-IP rate limit in Figure 1.
         """
-        for _ in range(len(self._ips)):
-            ip = self._ips[self._next_ip]
-            self._next_ip = (self._next_ip + 1) % len(self._ips)
+        for _ in range(self._count):
+            index = self._next_ip
+            self._next_ip = (index + 1) % self._count
+            ip = _int_to_ip(self._base + index)
             if self._released[ip]:
                 return ip, self._released[ip].pop()
             if self._used_ports[ip] < self.ports_per_ip:

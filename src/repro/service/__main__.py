@@ -9,9 +9,11 @@ event log as JSONL.  ``--http-port`` serves the live control plane
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
+from ..core.config import port
 from .config import ServiceConfig
 from .daemon import ResolverService
 
@@ -50,15 +52,15 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="START:END",
                         help="upstream blackout window in virtual seconds "
                              "(repeatable), e.g. --blackout 1200:1800")
-    parser.add_argument("--oracle-check", type=int, default=0, metavar="K",
-                        help="check upstream resolutions 1, K+1, 2K+1, ... "
-                             "against the differential oracle (0 = off)")
+    parser.add_argument("--oracle-check", dest="oracle_check_every", type=int, default=0,
+                        metavar="K", help="check upstream resolutions 1, K+1, 2K+1, ... "
+                                          "against the differential oracle (0 = off)")
     parser.add_argument("--status-interval", type=float, default=60.0)
-    parser.add_argument("--no-warm", action="store_true",
+    parser.add_argument("--no-warm", dest="warm_catalog", action="store_false",
                         help="skip the t=0 catalog warm-up")
     parser.add_argument("--events-out", metavar="PATH",
                         help="write the event log as JSONL")
-    parser.add_argument("--http-port", type=int, default=None,
+    parser.add_argument("--http-port", type=port, default=None,
                         help="serve the live control plane on this port "
                              "(0 = ephemeral)")
     parser.add_argument("--quiet", action="store_true",
@@ -67,6 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ServiceConfig:
+    """The flags as a ServiceConfig: a flag whose name is a field's sets
+    it as is (the config checks every value)."""
     blackouts = []
     for spec in args.blackout:
         try:
@@ -74,30 +78,13 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
             blackouts.append((float(start_text), float(end_text)))
         except ValueError:
             raise ValueError(f"bad --blackout window {spec!r} (want START:END)") from None
-    return ServiceConfig(
-        seed=args.seed,
-        duration=args.duration,
-        catalog_size=args.catalog_size,
-        zipf_s=args.zipf_s,
-        base_qps=args.base_qps,
-        diurnal_period=args.diurnal_period,
-        diurnal_depth=args.diurnal_depth,
-        workers=args.workers,
-        cache_capacity=args.cache_capacity,
-        cache_eviction=args.cache_eviction,
+    fields = {field.name for field in dataclasses.fields(ServiceConfig)}
+    config = {name: value for name, value in vars(args).items() if name in fields}
+    config.update(
         stale_ttl=args.stale_ttl if args.stale_ttl > 0 else None,
-        negative_ttl=args.negative_ttl,
-        prefetch_interval=args.prefetch_interval,
-        prefetch_threshold=args.prefetch_threshold,
-        prefetch_min_hits=args.prefetch_min_hits,
-        deltas=args.deltas,
-        revalidation=args.revalidation,
-        dnssec=args.dnssec,
         blackouts=tuple(blackouts),
-        oracle_check_every=args.oracle_check,
-        status_interval=args.status_interval,
-        warm_catalog=not args.no_warm,
     )
+    return ServiceConfig(**config)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.config import above, at_least
+
 
 @dataclass
 class ServiceConfig:
@@ -91,24 +93,21 @@ class ServiceConfig:
     max_events: int = 30_000_000
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
+        if not self.duration > 0:  # negated, so NaN fails too
             raise ValueError("duration must be positive")
-        if self.catalog_size < 1:
-            raise ValueError("catalog_size must be positive")
-        if self.base_qps <= 0:
-            raise ValueError("base_qps must be positive")
+        if not self.workers >= 1:
+            raise ValueError("need at least one worker")
+        above("base_qps", self.base_qps, 0)
+        for name in ("catalog_size", "cache_capacity"):
+            at_least(name, getattr(self, name), 1)
+        at_least("oracle_check_every", self.oracle_check_every, 0)
         if not 0.0 <= self.diurnal_depth < 1.0:
             raise ValueError("diurnal_depth must be in [0, 1)")
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
-        if self.oracle_check_every < 0:
-            raise ValueError(f"oracle_check_every must be >= 0 (got {self.oracle_check_every})")
         if self.revalidation not in ("incremental", "flush", "off"):
             raise ValueError(f"unknown revalidation mode {self.revalidation!r}")
-        for window in self.blackouts:
-            start, end = window
-            if end <= start:
-                raise ValueError(f"empty blackout window {window!r}")
+        for start, end in self.blackouts:
+            if not end > start:  # so NaN fails too
+                raise ValueError(f"empty blackout window {(start, end)!r}")
 
     def resolved_delta_times(self) -> tuple[float, ...]:
         """Explicit ``delta_times``, or ``deltas`` spread evenly across

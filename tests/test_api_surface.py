@@ -152,3 +152,52 @@ def test_one_place_holds_the_oracle_verdict():
         ("oracle/harness.py", "DifferentialOracle", "compare_views"),
         ("oracle/harness.py", "DifferentialOracle", "ReferenceResolver"),
     }, sorted(sites)
+
+
+def test_one_place_holds_each_config_rule():
+    """A scan's rules live in the configs (``ScanConfig``,
+    ``ResolverConfig``) and the executor's ``check_executor``:
+    ``pyzdns`` turns their ``ValueError`` into a usage error at one site
+    (a few ``parser.error`` calls at most), and neither ``ScanRunner``
+    nor ``run_parallel_scan`` raises a ``ValueError`` under a test of a
+    ``ScanConfig`` field."""
+    import ast
+    import dataclasses
+    import pathlib
+
+    from repro.framework import ScanConfig
+
+    root = pathlib.Path(repro.__file__).parent / "framework"
+    cli = ast.parse((root / "cli.py").read_text(encoding="utf-8"))
+    usage_errors = [
+        node
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "error"
+        and getattr(node.func.value, "id", None) == "parser"
+    ]
+    assert len(usage_errors) <= 5, len(usage_errors)
+
+    fields = {field.name for field in dataclasses.fields(ScanConfig)}
+    rechecked = set()
+    for path, owner in (("runner.py", "ScanRunner"), ("parallel.py", "run_parallel_scan")):
+        tree = ast.parse((root / path).read_text(encoding="utf-8"))
+        (top,) = [node for node in tree.body if getattr(node, "name", None) == owner]
+        for branch in ast.walk(top):
+            if not isinstance(branch, ast.If):
+                continue
+            raises = [
+                node
+                for statement in branch.body
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "ValueError"
+            ]
+            tested = {
+                node.attr for node in ast.walk(branch.test) if isinstance(node, ast.Attribute)
+            }
+            if raises and tested & fields:
+                rechecked.add((owner, *sorted(tested & fields)))
+    assert not rechecked, sorted(rechecked)

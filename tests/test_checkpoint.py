@@ -487,6 +487,21 @@ class TestConfigFingerprint:
             config=chatty, **kwargs
         )
 
+    def test_runtime_companions_never_reach_it(self):
+        """The span tracer and the health tracker are run-time objects
+        (their reprs carry addresses): a fingerprint must not see them,
+        and must see every resolver setting a scan inherits."""
+        from repro.core import SpanTracer
+
+        kwargs = dict(
+            shards=4, steal_quantum=4, wire_mode="always", fault_plan=None,
+            chaos_seed=None, add_timestamp=False, names_digest="d",
+        )
+        plain = config_fingerprint(config=ScanConfig(seed=7), **kwargs)
+        busy = ScanConfig(seed=7, tracer=SpanTracer(clock=lambda: 1.0, sink=print), health=object())
+        assert config_fingerprint(config=busy, **kwargs) == plain
+        assert config_fingerprint(config=ScanConfig(seed=7, max_queries=9), **kwargs) != plain
+
     def test_names_digest_is_order_sensitive(self):
         assert names_digest(["a", "b"]) != names_digest(["b", "a"])
         assert names_digest(["ab"]) != names_digest(["a", "b"])

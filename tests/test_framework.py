@@ -156,17 +156,15 @@ class TestScanRunner:
         assert report.stats.threads_running == 30
         assert report.stats.total == 60  # capped threads still finish the work
 
-    def test_external_mode_requires_ips(self, internet):
-        config = ScanConfig(module="A", mode="external", threads=10)
+    def test_external_mode_requires_ips(self):
         with pytest.raises(ValueError):
-            ScanRunner(internet, config).run(["a.com"])
+            ScanConfig(module="A", mode="external", threads=10)
 
     @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_must_be_positive(self, internet, threads):
+    def test_threads_must_be_positive(self, threads):
         # fewer than one routine used to finish at once with no rows
-        config = ScanConfig(module="A", mode="google", threads=threads)
         with pytest.raises(ValueError, match="threads"):
-            ScanRunner(internet, config).run(["a.com", "b.com"])
+            ScanConfig(module="A", mode="google", threads=threads)
 
     def test_run_scan_convenience(self, internet, corpus):
         report = run_scan(internet, corpus.fqdns(50), module="A", mode="google", threads=10, seed=1)
@@ -295,6 +293,26 @@ class TestLiveCLI:
         assert len(rows) == 2
         assert rows[0]["status"] == "NOERROR"
         assert rows[0]["data"]["answers"][0]["answer"] == "127.0.0.9"
+
+    def test_rows_name_the_resolver_port(self, tmp_path):
+        """A live row names the resolver's real port (it named :53
+        whatever ``--live-resolver``'s PORT was)."""
+        from repro.dnslib.rdata.address import A
+
+        infile = tmp_path / "in.txt"
+        outfile = tmp_path / "out.jsonl"
+        infile.write_text("one.test\n")
+        server, _ = _zone_server({("one.test", "A"): [A("127.0.0.9")]})
+        with server:
+            host, port = server.address
+            code = main([
+                "A", "-f", str(infile), "-o", str(outfile), "--quiet",
+                "--live-resolver", f"{host}:{port}",
+            ])
+        assert code == 0
+        (row,) = [json.loads(line) for line in outfile.read_text().splitlines()]
+        assert row["status"] == "NOERROR"
+        assert row["data"]["resolver"] == f"{host}:{port}"
 
     def _scan(self, tmp_path, module, records, *flags):
         infile = tmp_path / "in.txt"

@@ -25,7 +25,7 @@ import weakref
 import pytest
 
 from repro.baselines import DigBaseline
-from repro.core import Resolver, SelectiveCache, SendQuery
+from repro.core import Resolver, ResolverConfig, SelectiveCache, SendQuery
 from repro.core.machine import ExternalMachine, IterativeMachine
 from repro.dnslib import Message, RRType
 from repro.dnslib.message import clear_codec_caches
@@ -135,7 +135,7 @@ class TestInFlightShape:
         """A step's attributes are a tuple against shared names; the one
         dict a step may hold is a ``--trace`` query's ``results`` block."""
         internet = build_internet(params=EcosystemParams(seed=2022))
-        resolver = Resolver(internet, record_trace=record_trace)
+        resolver = Resolver(internet, config=ResolverConfig(record_trace=record_trace))
         steps = []
         for name in three_names():
             steps += resolver.lookup(name, RRType.A).trace.steps

@@ -545,6 +545,22 @@ class TestCliValidation:
         )
         assert "--http-port" in err
 
+    @pytest.mark.parametrize(
+        "flags", [["--fault-plan", "severe"], ["--chaos-seed", "3"]], ids=["plan", "seed"]
+    )
+    def test_live_resolver_rejects_fault_injection(self, tmp_path, capsys, flags):
+        """A live scan injects no faults: it ran, exit 0, with none."""
+        names_file = tmp_path / "names.txt"
+        names_file.write_text("a.com\n")
+        out = tmp_path / "rows.jsonl"
+        err = self._expect_usage_error(
+            ["A", "-f", str(names_file), "-o", str(out), "--quiet", "--timeout", "0.1",
+             "--retries", "0", "--live-resolver", "127.0.0.1:9", *flags],
+            capsys,
+        )
+        assert f"{flags[0]} applies to simulated scans only" in err
+        assert not out.exists()
+
     def test_http_port_range_checked(self, capsys):
         err = self._expect_usage_error(["A", "--http-port", "70000"], capsys)
         assert "--http-port" in err

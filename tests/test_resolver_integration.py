@@ -129,7 +129,9 @@ class TestIterativeOnUniverse:
     def test_trace_layers_descend(self, internet, synth):
         base, _ = find_domain(synth, lambda p: p.exists and not p.truncates)
         cache = SelectiveCache(capacity=10)
-        resolver = Resolver(internet, mode="iterative", cache=cache, record_trace=True)
+        resolver = Resolver(
+            internet, mode="iterative", config=ResolverConfig(record_trace=True), cache=cache
+        )
         result = resolver.lookup(N("www").concatenate(base), RRType.A)
         layers = [step.layer for step in result.trace if not step.cached]
         assert layers[0] == "."
@@ -206,10 +208,9 @@ class TestResolverFacade:
             return build_internet(params=EcosystemParams(seed=seed, p_tld_signed=1.0))
 
         config = ResolverConfig(dnssec=True)
-        first = Resolver(universe(1), config=config, record_trace=True)
+        first = Resolver(universe(1), config=config)
         assert first.config.trust_anchor is not None
-        assert first.config.record_trace_results
-        assert config.trust_anchor is None and not config.record_trace_results
+        assert config.trust_anchor is None
         names = list(DomainCorpus(CorpusConfig(seed=2)).fqdns(40))
         verdicts = {}
         for label, given in (("reused", config), ("fresh", ResolverConfig(dnssec=True))):

@@ -90,6 +90,10 @@ class TestServiceConfig:
             (["--duration", "0"], "duration must be positive"),
             (["--workers", "0"], "need at least one worker"),
             (["--oracle-check", "-2"], "oracle_check_every must be >= 0 (got -2)"),
+            # both once ended in a traceback: ``capacity must be positive``
+            # from the cache, and ``OverflowError`` from the socket bind
+            (["--cache-capacity", "0"], "cache_capacity must be >= 1 (got 0)"),
+            (["--http-port", "70000"], "argument --http-port: invalid port value: '70000'"),
         ],
     )
     def test_bad_value_is_a_usage_error(self, argv, message, capsys):

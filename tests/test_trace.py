@@ -4,6 +4,7 @@ import json
 
 from repro.core import (
     Resolver,
+    ResolverConfig,
     SelectiveCache,
     SpanTracer,
     Status,
@@ -91,7 +92,7 @@ class TestTraceStructures:
 class TestEndToEndTrace:
     def test_full_chain_is_json_serialisable(self):
         internet = build_internet(params=EcosystemParams(seed=66))
-        resolver = Resolver(internet, mode="iterative", record_trace=True)
+        resolver = Resolver(internet, mode="iterative", config=ResolverConfig(record_trace=True))
         synth = internet.synth
         name = next(
             Name.from_text(f"tr-{i}.com")
@@ -114,7 +115,10 @@ class TestEndToEndTrace:
     def test_depth_increases_down_the_chain(self):
         internet = build_internet(params=EcosystemParams(seed=66))
         resolver = Resolver(
-            internet, mode="iterative", record_trace=True, cache=SelectiveCache(capacity=2)
+            internet,
+            mode="iterative",
+            config=ResolverConfig(record_trace=True),
+            cache=SelectiveCache(capacity=2),
         )
         synth = internet.synth
         name = next(
