@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from ..core import CHAIN_COUNTS
 from ..dnslib import Name, RRType
 from ..ecosystem import SimInternet, tld_class
-from ..framework import run_scan
+from ..framework import ScanConfig, run_scan
 
 
 @dataclass
@@ -167,6 +167,10 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=800)
     parser.add_argument("--json", action="store_true", help="emit raw JSON")
     args = parser.parse_args(argv)
+    try:  # a value the scan's config rejects exits here, before the universe is built
+        ScanConfig(threads=args.threads, seed=args.seed, dnssec=True)
+    except ValueError as error:
+        parser.error(str(error))
 
     internet = build_internet(params=EcosystemParams(seed=args.seed))
     bases = list(DomainCorpus().base_domains(args.domains))

@@ -6,10 +6,10 @@ against the built-in simulated Internet (this reproduction's substrate);
 against a loopback test server or, with network access, real resolvers.
 
 Observability flags (see :mod:`repro.obs`): ``--status-interval`` prints
-a live progress line per interval, ``--metadata-file`` writes a JSON run
-summary (args, durations, metrics), ``--metrics-out`` dumps the
-metrics registry as Prometheus-style text, and ``--spans-file`` streams
-per-lookup spans as JSON lines.
+a live progress line every that many wall seconds, ``--metadata-file``
+writes a JSON run summary (args, durations, metrics), ``--metrics-out``
+dumps the metrics registry as Prometheus-style text, and
+``--spans-file`` streams per-lookup spans as JSON lines.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from ..core import LiveDriver
 from ..core.config import port
 from ..ecosystem import EcosystemParams, build_internet
 from ..modules import get_module
-from ..obs.status import status_line
+from ..obs import MetricsRegistry, StatusLine
 from .io import DEFAULT_LOGICAL_SHARDS, JsonLineSink, read_names, shard
-from .runner import SCAN_MODES, ScanConfig, ScanRunner
+from .runner import SCAN_MODES, ScanConfig, ScanReport, ScanRunner
 from .stats import ScanStats
 
 
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--status-interval",
         type=float,
         metavar="SECONDS",
-        help="print a status line to stderr every SECONDS (> 0) of scan time",
+        help="print a status line to stderr every SECONDS (> 0) of wall time",
     )
     parser.add_argument(
         "--metrics-out",
@@ -253,14 +253,15 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         if live is not None:
-            summary, report = _run_live(config, live[1], names, out_handle)
+            sink = JsonLineSink(out_handle, add_timestamp=not args.no_timestamps)
+            report = _run_live(config, live[1], names, sink)
         else:
             report = _run_simulated(args, config, executor, names, out_handle, plan)
-            summary = report.summary()
         wall_seconds = time.monotonic() - started
+        summary = report.summary()
         if not args.quiet:
             print(json.dumps(summary, sort_keys=True), file=sys.stderr)
-        if args.metrics_out and report is not None:
+        if args.metrics_out:
             text = report.registry.render_prometheus()
             if args.metrics_out == "-":
                 sys.stderr.write(text)
@@ -274,8 +275,8 @@ def main(argv: list[str] | None = None) -> int:
                 summary,
                 args=vars(args),
                 wall_seconds=wall_seconds,
-                virtual_seconds=report.stats.duration if report is not None else None,
-                metrics=report.metrics if report is not None and report.metrics else None,
+                virtual_seconds=report.stats.duration,
+                metrics=report.metrics or None,
             )
             write_metadata(args.metadata_file, metadata)
     finally:
@@ -430,12 +431,11 @@ def _run_simulated(args, config, executor, names, out_handle, plan):
     return report
 
 
-def _run_live(config, resolver_port, names, out_handle):
+def _run_live(config, resolver_port, names, sink) -> ScanReport:
     """Sequential real-socket scan against one resolver (loopback or,
     with network access, a public resolver): the module's own lookup,
-    in external mode, with the scan's resolver flags.
-    ``--status-interval`` here runs on the wall clock, checked between
-    lookups."""
+    in external mode, with the scan's resolver flags.  Its stats run on
+    the wall clock, and its registry holds the ``engine`` scope."""
     from ..modules import ModuleContext
     from ..net import UDPTransport
 
@@ -443,31 +443,30 @@ def _run_live(config, resolver_port, names, out_handle):
     context = ModuleContext(
         mode="external", resolver_ips=config.resolver_ips, config=config, port=resolver_port
     )
-    sink = JsonLineSink(out_handle)
     stats = ScanStats()
-    interval = config.status_interval
+    status = None
+    if config.status_interval is not None:
+        status = StatusLine(config.status_interval, stats.counters)
     started = time.monotonic()
-    next_status = started + interval if interval else None
-    last_total = 0
     with UDPTransport() as transport:
         driver = LiveDriver(transport, port_override=resolver_port, seed=config.seed)
         for raw in names:
             row = driver.execute(module.lookup(raw, context))
             result = row.pop("_result", None)
             sink(row)
-            now = time.monotonic()
             stats.record(
                 row.get("status", "ERROR"),
-                now - started,
+                time.monotonic() - started,
                 result.queries_sent if result is not None else 0,
                 result.retries_used if result is not None else 0,
             )
-            if next_status is not None and now >= next_status:
-                line = status_line(now - started, interval, last_total, stats.counters())
-                print(line, file=sys.stderr)
-                last_total = stats.total
-                next_status = now + interval
-    return {"total": stats.total, "successes": stats.successes, "mode": "live"}, None
+            if status is not None:
+                status.poll()
+    if status is not None:
+        status.finish()
+    registry = MetricsRegistry(enabled=config.metrics)
+    stats.publish_metrics(registry.scope("engine"))
+    return ScanReport(stats=stats, registry=registry, metrics=registry.snapshot())
 
 
 if __name__ == "__main__":

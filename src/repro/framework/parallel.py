@@ -62,11 +62,11 @@ and records each dispatch (worker, steal) there: the view is the one
 record of the schedule, and the report's steals and resumed tasks read
 it.  When a fleet view or the status line asks for them, workers also
 stream :class:`~repro.framework.telemetry.TelemetryDelta` progress
-snapshots (periodic on each task's virtual clock), each beside its task
-key, and the parent folds them into the view; a checkpoint alone streams
-none.  The authoritative end-of-scan merge comes only from the final
-``task_done`` payloads, so the live path can never perturb the
-determinism contract.
+snapshots (polled on the wall clock as each lookup finishes), each
+beside its task key, and the parent folds them into the view; a
+checkpoint alone streams none.  The authoritative end-of-scan merge
+comes only from the final ``task_done`` payloads, so the live path can
+never perturb the determinism contract.
 A task's lines belong to one of two *streams* — ``rows`` (the output
 file) and ``spans`` (``--spans-file``, shard-tagged) — and every stage
 of the merge (worker sink, pipe message, parent buffer, checkpoint
@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -90,7 +89,7 @@ from typing import Iterable, TextIO
 
 from ..core.config import above, at_least
 from ..net import derive_seed
-from ..obs.status import status_line
+from ..obs.status import StatusLine
 from .io import DEFAULT_LOGICAL_SHARDS, encode_row, names_digest, shard
 from .runner import ScanConfig, ScanReport, ScanRunner
 from .stats import ScanStats
@@ -414,7 +413,7 @@ def run_parallel_scan(
     that order is the normal form).  Given ``span_out``, task-tagged
     resolution spans merge into it with the same ordered merge.
     ``config.metrics`` keeps the merged registry; ``config.status_interval``
-    prints the parent's fleet-wide status line every that many *wall*
+    prints the parent's fleet-wide status line every that many wall
     seconds.  ``fleet_view`` (when given) receives streamed telemetry
     deltas — hang the HTTP control plane off it; the fleet status line
     reads the same view.
@@ -438,7 +437,6 @@ def run_parallel_scan(
         resume=resume,
     )
     shards = DEFAULT_LOGICAL_SHARDS if shards is None else shards
-    status_interval = config.status_interval
     if checkpoint_interval is None:
         checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
     names = list(names)
@@ -462,7 +460,7 @@ def run_parallel_scan(
         add_timestamp=add_timestamp,
         # deltas feed the fleet view and the parent status line; without
         # either the workers stream none
-        stream_deltas=fleet_view is not None or status_interval is not None,
+        stream_deltas=fleet_view is not None or config.status_interval is not None,
     )
 
     # ---- durability: journal / resume -------------------------------------
@@ -568,11 +566,12 @@ def run_parallel_scan(
     done_keys: set[tuple[int, int]] = set(restored)
     errors: list[tuple[int, str]] = []
     flush_index = 0
-    started = time.monotonic()
-    last_status_total = 0
-    next_status = started + status_interval if status_interval is not None else None
-    next_checkpoint = started + checkpoint_interval if writer is not None else None
-    status_out = status_stream if status_stream is not None else sys.stderr
+    status = None
+    if config.status_interval is not None:
+        status = StatusLine(
+            config.status_interval, fleet.fleet_counters, stream=status_stream, target=total_names
+        )
+    next_checkpoint = time.monotonic() + checkpoint_interval if writer is not None else None
 
     def advance() -> None:
         """Flush every consecutively finished task in canonical order,
@@ -607,24 +606,13 @@ def run_parallel_scan(
         victim = max(victims, key=lambda s: (len(pending[s]), s))
         return pending[victim].pop(), victim % processes
 
-    def emit_status() -> None:
-        nonlocal last_status_total
-        counters = fleet.fleet_counters()
-        elapsed = time.monotonic() - started
-        line = status_line(elapsed, status_interval, last_status_total, counters, target=total_names)
-        print(line, file=status_out)
-        last_status_total = counters["done"]
-
     advance()  # restored prefix replays immediately; output streams from it
     try:
         live = set(connections)
         while live:
-            timeout = None
-            now = time.monotonic()
-            for deadline in (next_status, next_checkpoint):
-                if deadline is not None:
-                    remaining = max(0.0, deadline - now)
-                    timeout = remaining if timeout is None else min(timeout, remaining)
+            deadlines = [next_checkpoint, status.due if status is not None else None]
+            deadlines = [deadline for deadline in deadlines if deadline is not None]
+            timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
             for conn in _connection_wait(list(live), timeout):
                 try:
                     message = conn.recv()
@@ -667,10 +655,9 @@ def run_parallel_scan(
                     _, worker_index, formatted = message
                     errors.append((worker_index, formatted))
                     live.discard(conn)
+            if status is not None:
+                status.poll()
             now = time.monotonic()
-            if next_status is not None and now >= next_status:
-                emit_status()
-                next_status += status_interval
             if next_checkpoint is not None and now >= next_checkpoint:
                 writer.checkpoint()
                 next_checkpoint += checkpoint_interval
@@ -701,6 +688,8 @@ def run_parallel_scan(
         )
     advance()
     fleet.finish()
+    if status is not None:
+        status.finish()
 
     # ---- fold the fleet together ------------------------------------------
     # canonical task order everywhere: a resumed run folds journal

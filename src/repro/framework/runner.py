@@ -7,14 +7,16 @@ free of DNS-specific logic.  The framework also owns the telemetry
 wiring (:mod:`repro.obs`): it builds the run's metrics registry,
 publishes the scan's stats into the ``engine`` scope where the registry
 is read (each delta and the end of the run), publishes scheduler and
-cache pressure at scan end, drives the periodic status emitter on the
-virtual clock, streams :class:`~repro.framework.telemetry.TelemetryDelta`
-snapshots to a ``progress`` consumer, and gives the resolver machines
-the run's span tracer (:class:`repro.core.trace.SpanTracer`).
+cache pressure at scan end, polls the status line and streams
+:class:`~repro.framework.telemetry.TelemetryDelta` snapshots to a
+``progress`` consumer on the wall clock as each lookup finishes, and
+gives the resolver machines the run's span tracer
+(:class:`repro.core.trace.SpanTracer`).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
@@ -25,7 +27,7 @@ from ..dnslib import CODEC_STATS, RRType, rdata_class, registered_types
 from ..ecosystem import SimInternet
 from ..modules import get_module
 from ..net import CPUModel, GCModel, PortExhaustedError, SimUDPSocket
-from ..obs import MetricsRegistry, StatusEmitter
+from ..obs import MetricsRegistry, StatusLine
 from .stats import ScanStats
 from .telemetry import DEFAULT_DELTA_INTERVAL, TelemetryDelta
 
@@ -73,7 +75,7 @@ class ScanConfig(ResolverConfig):
     #: Collect registry metrics (engine/cache/scheduler scopes).  Off by
     #: default: the disabled path must cost nothing on the hot loop.
     metrics: bool = False
-    #: Emit a status line every this many *virtual* seconds (None = off).
+    #: Print a status line every this many wall seconds (None = off).
     status_interval: float | None = None
     #: Emit every lookup step as a span row (see repro.core.trace).
     collect_spans: bool = False
@@ -191,8 +193,9 @@ class ScanRunner:
         #: Status lines go here (default stderr).
         self.status_stream = status_stream
         #: Streaming telemetry hook: handed a cumulative
-        #: :class:`TelemetryDelta` every :data:`DEFAULT_DELTA_INTERVAL`
-        #: *virtual* seconds, and exactly once more, ``complete=True``,
+        #: :class:`TelemetryDelta` as a lookup finishes once
+        #: :data:`DEFAULT_DELTA_INTERVAL` wall seconds have passed since
+        #: the last, and exactly once more, ``complete=True``,
         #: after the last routine finishes and every end-of-run scope is
         #: published.  ``FleetView.update`` is one; a shard worker sends
         #: it up its pipe beside the task's key.
@@ -310,6 +313,50 @@ class ScanRunner:
         module = self.module
         sink = self.sink
 
+        # watching polls the wall clock as each lookup finishes: it
+        # schedules nothing on the simulator, so a watched scan runs
+        # exactly the events of an unwatched one (and either watcher
+        # enables the registry, so ``inflight`` is there to read)
+        def counters() -> dict:
+            return {**stats.counters(), "in_flight": int(inflight.value)}
+
+        status = None
+        if config.status_interval is not None:
+            cache = resolver.cache
+            status = StatusLine(
+                config.status_interval,
+                lambda: {
+                    **counters(),
+                    "cache_hit_rate": cache.stats.hit_rate if cache is not None else None,
+                },
+                stream=self.status_stream,
+                target=self.target,
+            )
+
+        emit_delta = None
+        if self.progress is not None:
+            seq = 0
+            delta_due = time.monotonic() + DEFAULT_DELTA_INTERVAL
+
+            def emit_delta(complete: bool) -> None:
+                """Send the complete delta, or a cadence one when due."""
+                nonlocal seq, delta_due
+                now = time.monotonic()
+                if not complete and now < delta_due:
+                    return
+                delta_due = now + DEFAULT_DELTA_INTERVAL
+                seq += 1
+                stats.publish_metrics(engine_scope)
+                self.progress(
+                    TelemetryDelta(
+                        **counters(),
+                        seq=seq,
+                        virtual_now=sim.now,
+                        complete=complete,
+                        metrics=registry.dump(),
+                    )
+                )
+
         #: spread routine start-up over half a second, as a real scanner
         #: ramping up would — avoids artificial lockstep bursts
         ramp = 0.5
@@ -335,6 +382,10 @@ class ScanRunner:
                     if queries:
                         queries_per_lookup.observe(queries)
                 stats.record(row.get("status", "ERROR"), sim.now, queries, retries)
+                if status is not None:
+                    status.poll()
+                if emit_delta is not None:
+                    emit_delta(False)
                 if (
                     security_counts is not None
                     and result is not None
@@ -361,71 +412,11 @@ class ScanRunner:
             futures.append(sim.spawn(worker(socket, ramp * index / config.threads)))
         stats.threads_running = len(futures)
 
-        #: callables to run when the last routine finishes — repeating
-        #: virtual timers (status, progress) would otherwise keep the
-        #: event loop alive forever
-        finishers = []
-        if config.status_interval is not None:
-            emitter = StatusEmitter(
-                sim,
-                interval=config.status_interval,
-                stats=stats,
-                inflight=inflight,
-                cache=self.cache,
-                stream=self.status_stream,
-                target=self.target,
-            ).start()
-            finishers.append(emitter.stop)
-
-        emit_delta = None
-        if self.progress is not None:
-            progress = self.progress
-            seq = [0]
-
-            def emit_delta(complete: bool) -> None:
-                seq[0] += 1
-                stats.publish_metrics(engine_scope)
-                progress(
-                    TelemetryDelta(
-                        **stats.counters(),
-                        seq=seq[0],
-                        in_flight=int(inflight.value) if inflight is not None else 0,
-                        virtual_now=sim.now,
-                        complete=complete,
-                        metrics=registry.dump() if registry.enabled else [],
-                    )
-                )
-
-            ticker = [None]
-
-            def _tick() -> None:
-                emit_delta(False)
-                ticker[0] = sim.call_later(DEFAULT_DELTA_INTERVAL, _tick)
-
-            ticker[0] = sim.call_later(DEFAULT_DELTA_INTERVAL, _tick)
-            # only the repeating timer stops with the last routine: the
-            # complete delta goes out after the end-of-run publishing
-            # below, so it carries the run's actual final state
-            finishers.append(lambda: ticker[0].cancel())
-
-        if finishers:
-            remaining = [len(futures)]
-
-            def _worker_done(_future) -> None:
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    for finish in finishers:
-                        finish()
-
-            for future in futures:
-                future.add_done_callback(_worker_done)
-            if not futures:
-                for finish in finishers:
-                    finish()
-
         sim.run(max_events=config.max_events)
         for future in futures:
             future.result()  # surface any routine crash
+        if status is not None:
+            status.finish()
 
         if registry.enabled:
             stats.publish_metrics(engine_scope)

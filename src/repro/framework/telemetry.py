@@ -5,11 +5,11 @@ what lets an operator *watch* one from outside the process.  Two
 pieces:
 
 * :class:`TelemetryDelta` — the versioned message a running scan emits:
-  :class:`~repro.framework.runner.ScanRunner` builds one every
-  :data:`DEFAULT_DELTA_INTERVAL` virtual seconds and once more, complete,
-  at the end, and shard workers send them to the parent over the
-  executor's pipes, each beside its task's ``(shard, segment)`` key.  A
-  delta is a cumulative snapshot of one *task*'s six progress counters
+  :class:`~repro.framework.runner.ScanRunner` builds one as a lookup
+  finishes once :data:`DEFAULT_DELTA_INTERVAL` wall seconds have passed
+  since the last, and once more, complete, at the end, and shard
+  workers send them to the parent over the executor's pipes, each
+  beside its task's ``(shard, segment)`` key.  A delta is a cumulative snapshot of one *task*'s six progress counters
   (:data:`COUNTERS`) and its metrics-registry dump, so its size does not
   grow with the task.  *Cumulative* is the load-bearing property: a lost
   or coalesced delta costs freshness, never correctness.  A delta is
@@ -65,10 +65,10 @@ DELTA_VERSION = 4
 #: over the fleet.
 COUNTERS = ("done", "successes", "timeouts", "retries", "queries_sent", "in_flight")
 
-#: Interval, in *virtual* seconds on the scan's clock, between deltas.
-#: Deterministic for a fixed corpus (virtual timers fire at the same
-#: points regardless of wall-clock load), so the message sequence itself
-#: is reproducible.
+#: Wall seconds between a scan's deltas, checked as each lookup
+#: finishes.  The sequence of deltas differs run to run; nothing reads it
+#: as a sequence (each is cumulative, the fold keeps the latest), and a
+#: timer on the virtual clock would add events to the scan it reports.
 DEFAULT_DELTA_INTERVAL = 0.5
 
 

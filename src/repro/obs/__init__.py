@@ -36,6 +36,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "parse_prometheus",
         ),
         ".server": ("TelemetryServer",),
-        ".status": ("StatusEmitter", "estimate_eta", "format_status_line"),
+        ".status": ("StatusLine", "estimate_eta", "format_status_line"),
     },
 )

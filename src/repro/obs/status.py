@@ -2,20 +2,22 @@
 
 ZDNS prints a short status line to stderr while a scan runs, which is
 what makes a 10K-thread scan operable — the operator sees throughput,
-success rate, and backpressure without waiting for the summary.  The
-emitter here does the same on the *virtual* clock: it schedules itself
-on the simulator with a cancellable timer, emits a line per interval,
-and is cancelled when the last lookup routine finishes (a pending
-repeating timer would otherwise keep the event loop alive forever).
+success rate, and backpressure without waiting for the summary.
+:class:`StatusLine` prints it on the wall clock for every scan shape:
+the loop that already drives the scan polls it (the runner as each
+lookup finishes, the shard executor's receive loop, the live loop).  It
+only reads the scan and schedules nothing on the simulator, so a
+watched scan executes exactly the events of an unwatched one.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import time
 from typing import Callable, TextIO
 
-__all__ = ["StatusEmitter", "estimate_eta", "format_status_line", "status_line"]
+__all__ = ["StatusLine", "estimate_eta", "format_status_line"]
 
 def estimate_eta(total: int, target: int | None, average_rate: float) -> float | None:
     """Seconds until ``target`` completions at ``average_rate``.
@@ -82,108 +84,72 @@ def format_status_line(
     return "; ".join(parts)
 
 
-def status_line(
-    elapsed: float, interval: float, previous: int, counters: dict,
-    target: int | None = None, cache_hit_rate: float | None = None,
-) -> str:
-    """The status line of a scan ``elapsed`` seconds in, from its
-    ``counters`` as a telemetry delta names them (``in_flight`` when
-    known), ``previous`` lookups done one ``interval`` ago.  The
-    simulated, the sharded and the live scan all print it."""
-    done = counters["done"]
-    average_rate = done / elapsed if elapsed > 0 else 0.0
-    return format_status_line(
-        elapsed=elapsed,
-        total=done,
-        interval_rate=(done - previous) / interval,
-        average_rate=average_rate,
-        success_rate=counters["successes"] / done if done else 0.0,
-        in_flight=counters.get("in_flight", 0),
-        timeouts=counters["timeouts"],
-        retries=counters["retries"],
-        cache_hit_rate=cache_hit_rate,
-        target=target,
-        eta=estimate_eta(done, target, average_rate),
-    )
+class StatusLine:
+    """Prints a scan's status line to ``stream`` (default stderr)
+    whenever :meth:`poll` finds that ``interval`` seconds of ``clock``
+    (wall seconds by default) have passed since the last one, and a last
+    line from :meth:`finish`.
 
-
-class StatusEmitter:
-    """Emits a status line every ``interval`` virtual seconds.
-
-    Reads everything through live references — the scan's
-    :class:`~repro.framework.stats.ScanStats`, the ``engine.inflight``
-    gauge, and the delegation cache's stats — so each tick is a handful
-    of attribute reads plus one write to ``stream``.
+    ``read`` returns the scan's counters as a telemetry delta names them
+    (``done``, ``successes``, ``timeouts``, ``retries``; ``in_flight``
+    and ``cache_hit_rate`` when known).  ``target``, the lookups the
+    scan will perform when known, adds the ``done/target`` and ``eta``
+    segments.
     """
 
     def __init__(
         self,
-        sim,
         interval: float,
-        stats,
-        inflight=None,
-        cache=None,
+        read: Callable[[], dict],
         stream: TextIO | None = None,
-        write: Callable[[str], None] | None = None,
         target: int | None = None,
+        clock: Callable[[], float] = time.monotonic,
     ):
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError("status interval must be positive")
-        self.sim = sim
         self.interval = interval
-        self.stats = stats
-        self.inflight = inflight
-        self.cache = cache
-        #: Total lookups the scan will perform, when known — adds the
-        #: ``done/target`` and ``eta`` segments to every line.
+        self.read = read
+        self.stream = stream if stream is not None else sys.stderr
         self.target = target
-        if write is None:
-            stream = stream if stream is not None else sys.stderr
-            write = lambda line: print(line, file=stream)  # noqa: E731
-        self.write = write
-        self._timer = None
-        self._started_at = 0.0
-        self._last_total = 0
-        self._stopped = False
+        self.clock = clock
+        self._started = self._last_at = clock()
+        self._last_done = 0
+        #: Clock reading from which the next line is due.
+        self.due = self._started + interval
 
-    def start(self) -> "StatusEmitter":
-        """Begin ticking at ``now + interval`` on the simulator."""
-        self._started_at = self.sim.now
-        self._last_total = self.stats.total
-        self._timer = self.sim.call_later(self.interval, self._tick)
-        return self
+    def poll(self) -> None:
+        """Print a line if one is due."""
+        now = self.clock()
+        if now >= self.due:
+            self._emit(now, self.read())
 
-    def stop(self) -> None:
-        """Cancel the pending tick (lets the event loop drain) and emit
-        one last line so the stream always ends at 100% of the scan."""
-        if self._stopped:
-            return
-        self._stopped = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if self.stats.total != self._last_total:
-            self.emit()
+    def finish(self) -> None:
+        """Print a last line, so the stream ends at the scan's final
+        count (unless the last line already showed it)."""
+        counters = self.read()
+        if counters["done"] != self._last_done:
+            self._emit(self.clock(), counters)
 
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        self.emit()
-        self._timer = self.sim.call_later(self.interval, self._tick)
-
-    def emit(self) -> None:
-        """Format and write one status line from current state."""
-        counters = self.stats.counters()
-        if self.inflight is not None:
-            counters["in_flight"] = int(self.inflight.value)
-        self.write(
-            status_line(
-                self.sim.now - self._started_at,
-                self.interval,
-                self._last_total,
-                counters,
+    def _emit(self, now: float, counters: dict) -> None:
+        done = counters["done"]
+        elapsed = now - self._started
+        since = now - self._last_at
+        average_rate = done / elapsed if elapsed > 0 else 0.0
+        print(
+            format_status_line(
+                elapsed=elapsed,
+                total=done,
+                interval_rate=(done - self._last_done) / since if since > 0 else 0.0,
+                average_rate=average_rate,
+                success_rate=counters["successes"] / done if done else 0.0,
+                in_flight=counters.get("in_flight", 0),
+                timeouts=counters["timeouts"],
+                retries=counters["retries"],
+                cache_hit_rate=counters.get("cache_hit_rate"),
                 target=self.target,
-                cache_hit_rate=self.cache.stats.hit_rate if self.cache is not None else None,
-            )
+                eta=estimate_eta(done, self.target, average_rate),
+            ),
+            file=self.stream,
         )
-        self._last_total = counters["done"]
+        self._last_done, self._last_at = done, now
+        self.due = now + self.interval

@@ -129,6 +129,27 @@ def test_one_place_attaches_a_fault_plan():
     assert sites == {"ecosystem/universe.py"}, sorted(sites)
 
 
+def test_watching_schedules_nothing_on_the_simulator():
+    """Nothing under ``framework/`` or ``obs/`` sets a timer on the
+    simulator: the status line and the telemetry deltas are polled on
+    the wall clock by loops that already run, so a watched scan executes
+    exactly the events of an unwatched one."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(repro.__file__).parent
+    sites = set()
+    for package in ("framework", "obs"):
+        for path in sorted((root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in ("call_later", "call_at"):
+                        sites.add((path.relative_to(root).as_posix(), node.lineno))
+    assert not sites, sorted(sites)
+
+
 def test_one_place_holds_the_oracle_verdict():
     """``compare_views`` is called and a ``ReferenceResolver`` is built
     inside ``DifferentialOracle`` alone: the runner, the shard tasks, the

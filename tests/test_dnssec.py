@@ -849,6 +849,24 @@ class TestDeploymentStudy:
 # ---------------------------------------------------------------------------
 
 
+    def test_bad_threads_is_a_usage_error(self, monkeypatch, capsys):
+        """``--threads 0`` exits 2 with a usage line naming the flag
+        before the universe is built (it built one, then died with the
+        config's traceback)."""
+        import repro.ecosystem
+        from repro.analysis.dnssecstudy import main as study_main
+
+        def build_internet(*args, **kwargs):
+            raise AssertionError("the universe was built")
+
+        monkeypatch.setattr(repro.ecosystem, "build_internet", build_internet)
+        with pytest.raises(SystemExit) as excinfo:
+            study_main(["--threads", "0", "--domains", "5"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "threads" in err
+
+
 class TestCliWiring:
     def test_dnssec_requires_iterative(self, tmp_path):
         from repro.framework.cli import main as cli_main

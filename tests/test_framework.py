@@ -314,7 +314,42 @@ class TestLiveCLI:
         assert row["status"] == "NOERROR"
         assert row["data"]["resolver"] == f"{host}:{port}"
 
+    def test_rows_carry_timestamps_unless_told_not_to(self, tmp_path):
+        """A live row is stamped with its wall-clock time as a simulated
+        row is (it never was, whatever ``--no-timestamps`` said)."""
+        from repro.dnslib.rdata.address import A
+
+        infile = tmp_path / "in.txt"
+        outfile = tmp_path / "out.jsonl"
+        infile.write_text("one.test\n")
+        server, _ = _zone_server({("one.test", "A"): [A("127.0.0.9")]})
+        with server:
+            host, port = server.address
+            code = main([
+                "A", "-f", str(infile), "-o", str(outfile), "--quiet",
+                "--live-resolver", f"{host}:{port}",
+            ])
+        assert code == 0
+        (row,) = [json.loads(line) for line in outfile.read_text().splitlines()]
+        assert row["status"] == "NOERROR" and "timestamp" in row
+
+    def test_metrics_out_writes_the_engine_scope(self, tmp_path):
+        """``--metrics-out`` writes the live scan's engine counters (it
+        exited 0 and wrote no file)."""
+        from repro.dnslib.rdata.address import A
+
+        prom = tmp_path / "metrics.prom"
+        rows, _ = self._scan(
+            tmp_path, "A", {("one.test", "A"): [A("127.0.0.9")]}, "--metrics-out", str(prom)
+        )
+        assert rows[0]["status"] == "NOERROR"
+        text = prom.read_text()
+        assert "pyzdns_engine_lookups 1" in text
+        assert "pyzdns_engine_successes 1" in text
+
     def _scan(self, tmp_path, module, records, *flags):
+        """One live scan of ``one.test``; rows are unstamped so tests can
+        compare them whole."""
         infile = tmp_path / "in.txt"
         outfile = tmp_path / "out.jsonl"
         infile.write_text("one.test\n")
@@ -323,7 +358,7 @@ class TestLiveCLI:
             host, port = server.address
             code = main([
                 module, "-f", str(infile), "-o", str(outfile),
-                "--live-resolver", f"{host}:{port}", "--quiet", *flags,
+                "--live-resolver", f"{host}:{port}", "--quiet", "--no-timestamps", *flags,
             ])
         assert code == 0
         rows = [json.loads(line) for line in outfile.read_text().splitlines()]

@@ -1,5 +1,5 @@
 """Tests for the observability stack: metrics registry, spans, status
-emitter, metadata, and their wiring through the scan runner and CLI."""
+line, metadata, and their wiring through the scan runner and CLI."""
 
 import io
 import json
@@ -19,11 +19,10 @@ from repro.core import (
 from repro.dnslib import RRType
 from repro.framework import ScanConfig, ScanRunner
 from repro.framework.stats import ScanStats
-from repro.net.sim import Simulator
 from repro.obs import (
     MetricsRegistry,
     NullInstrument,
-    StatusEmitter,
+    StatusLine,
     build_run_metadata,
     estimate_eta,
     format_status_line,
@@ -368,46 +367,44 @@ class TestMachineSpans:
         assert lookup["status"] == "ITERATIVE_TIMEOUT"
 
 
-class TestStatusEmitter:
-    def _sim_with_records(self, stats, schedule):
-        """A simulator that records a completion at each (time, status)."""
-        sim = Simulator()
-        for when, status in schedule:
-            sim.call_later(when, lambda s=status, t=when: stats.record(s, t))
-        return sim
+class TestStatusLine:
+    def _watch(self, interval, schedule, finish_at):
+        """A status line on a fake clock: each (time, status) records a
+        completion and polls, each (time, None) polls alone, as the
+        executor's receive loop does when its wait times out."""
+        now = [0.0]
+        stats, stream = ScanStats(), io.StringIO()
+        status = StatusLine(interval, stats.counters, stream=stream, clock=lambda: now[0])
+        for when, outcome in schedule:
+            now[0] = when
+            if outcome is not None:
+                stats.record(outcome, when)
+            status.poll()
+        now[0] = finish_at
+        status.finish()
+        return stream.getvalue().splitlines()
 
-    def test_interval_math_on_virtual_clock(self):
-        stats = ScanStats()
-        lines = []
-        sim = self._sim_with_records(
-            stats,
-            [(0.2, "NOERROR"), (0.4, "NOERROR"), (1.3, "TIMEOUT"), (2.7, "NOERROR")],
+    def test_interval_math_on_its_clock(self):
+        lines = self._watch(
+            1.0,
+            [(0.2, "NOERROR"), (0.4, "NOERROR"), (1.0, None), (1.3, "TIMEOUT"),
+             (2.0, None), (2.7, "NOERROR"), (3.0, None)],
+            finish_at=3.5,
         )
-        emitter = StatusEmitter(sim, interval=1.0, stats=stats, write=lines.append)
-        emitter.start()
-        sim.call_later(3.5, emitter.stop)
-        sim.run()
-        # ticks at t=1, 2, 3: rates are completions per 1s interval
+        # lines at t=1, 2, 3: rates are completions per 1s interval
         assert len(lines) == 3
         assert lines[0].startswith("t=1.0s; 2 done; 2.0/s now; 2.0/s avg")
         assert lines[1].startswith("t=2.0s; 3 done; 1.0/s now")
         assert "1 timeouts" in lines[1]
         assert lines[2].startswith("t=3.0s; 4 done; 1.0/s now")
 
-    def test_stop_emits_final_line_and_drains_loop(self):
-        stats = ScanStats()
-        lines = []
-        sim = self._sim_with_records(stats, [(0.5, "NOERROR")])
-        emitter = StatusEmitter(sim, interval=10.0, stats=stats, write=lines.append)
-        emitter.start()
-        sim.call_later(0.6, emitter.stop)
-        sim.run()  # would never return if the repeating timer survived
-        assert sim.now < 10.0
+    def test_finish_emits_final_line(self):
+        lines = self._watch(10.0, [(0.5, "NOERROR")], finish_at=0.6)
         assert len(lines) == 1 and "1 done" in lines[0]
 
     def test_rejects_non_positive_interval(self):
         with pytest.raises(ValueError):
-            StatusEmitter(Simulator(), interval=0, stats=ScanStats())
+            StatusLine(0, ScanStats().counters)
 
     def test_format_line_shape(self):
         line = format_status_line(
@@ -623,6 +620,19 @@ class TestRunnerIntegration:
         # final line reports the full scan
         assert f"{report.stats.total} done" in lines[-1]
 
+    def test_a_tiny_status_interval_still_ends(self, small_scan_names):
+        """An interval too small to move a clock (a virtual timer of it
+        re-armed at the same instant forever) prints a line per poll and
+        lets the scan end."""
+        from repro.ecosystem import EcosystemParams, build_internet
+
+        stream = io.StringIO()
+        config = ScanConfig(threads=10, seed=11, status_interval=1e-300, max_events=100_000)
+        internet = build_internet(params=EcosystemParams(seed=11))
+        report = ScanRunner(internet, config, status_stream=stream).run(small_scan_names[:1])
+        assert report.stats.total == 1
+        assert "1 done" in stream.getvalue().splitlines()[-1]
+
     def test_span_collection_on_report(self, small_scan_names):
         report = self._run(small_scan_names, collect_spans=True)
         # every span opened (ids count from 1) was closed and kept
@@ -743,6 +753,28 @@ class TestCliObservability:
         assert all(
             row["parent"] in parents for row in rows if row["parent"] is not None
         )
+
+    def test_watching_leaves_the_metrics_alone(self, names_file, tmp_path):
+        """A status line and a control plane read the scan and schedule
+        nothing on it: the ``--metrics-out`` dump, scheduler counters
+        included, is byte-identical watched and unwatched, in one process
+        and across the shard executor."""
+        from repro.framework.cli import main
+
+        def dump(tag, *flags):
+            path = tmp_path / f"{tag}.prom"
+            code = main([
+                "A", "-f", names_file, "-o", str(tmp_path / f"{tag}.jsonl"),
+                "--threads", "5", "--seed", "5", "--quiet", "--no-timestamps",
+                "--metrics-out", str(path), *flags,
+            ])
+            assert code == 0
+            return path.read_bytes()
+
+        plain = dump("plain")
+        assert dump("watched", "--status-interval", "0.5") == plain
+        assert dump("served", "--http-port", "0") == plain
+        assert dump("p2watched", "-p", "2", "--status-interval", "0.05") == dump("p2", "-p", "2")
 
     def test_flags_parse(self):
         from repro.framework.cli import build_parser
