@@ -12,7 +12,8 @@ Layout of a checkpoint directory::
 
     journal.jsonl          append-only WAL (versioned header first)
     state.json             atomic (tmp + rename) operator snapshot: the
-                           journaled tasks and their summed counters
+                           journaled tasks and their summed counters,
+                           rewritten after each task record
     spool/shard-K.seg-S.rows    raw merged-output bytes of one task
     spool/shard-K.seg-S.spans   raw span bytes of one task (``--spans-file``)
 
@@ -37,10 +38,9 @@ tolerates exactly that (the torn record is discarded) and treats any
 *earlier* unparsable line, a bad header, a ``task`` record with a
 missing or unknown key, or a spool shorter than its journaled byte
 count as real corruption (:class:`CheckpointError`).
-The fsync policy trades durability for speed: ``always`` fsyncs spool +
-journal at every task completion, ``interval`` only at the cadence
-checkpoint (which rewrites ``state.json``), ``never`` leaves flushing
-to the OS.
+The fsync policy trades durability for speed: ``always`` fsyncs spool,
+journal and ``state.json`` at every task completion, ``never`` leaves
+flushing to the OS.
 
 Exact resume leans on determinism, not on snapshotting simulator
 internals: completed tasks are *replayed from the spool* byte-for-byte,
@@ -80,7 +80,7 @@ STATE_NAME = "state.json"
 SPOOL_DIR = "spool"
 
 #: Accepted ``--checkpoint-fsync`` policies.
-FSYNC_POLICIES = ("always", "interval", "never")
+FSYNC_POLICIES = ("always", "never")
 
 #: The line streams a task spools, each with its ``task`` record keys
 #: (line count, byte count).  A stream's name is its spool file suffix.
@@ -116,8 +116,8 @@ def config_fingerprint(
     ``status_interval``, which only affects stderr), the shard/segment
     topology, the fault plan, and a digest of the input names.
     Deliberately *not* covered: the process count (a pure wall-clock
-    knob), the checkpoint cadence/fsync policy, and what the config
-    leaves out of its equality (its span tracer and health tracker).
+    knob), the checkpoint fsync policy, and what the config leaves out
+    of its equality (its span tracer and health tracker).
     """
     material = {f.name: getattr(config, f.name) for f in fields(config) if f.compare}
     material.pop("status_interval", None)
@@ -176,16 +176,6 @@ def _spool_name(key: tuple[int, int], stream: str) -> str:
     return f"shard-{key[0]}.seg-{key[1]}.{stream}"
 
 
-def _atomic_write_json(path: str, document: dict) -> None:
-    """Write-then-rename so readers never observe a half-written file."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 class CheckpointWriter:
     """Parent-side journal writer for one executor session.
 
@@ -193,11 +183,10 @@ class CheckpointWriter:
     checkpoint directory, so a SIGKILLed worker cannot corrupt it.  Each
     stream (:data:`STREAMS`) spools as its pipe batches arrive; a task
     becomes durable at :meth:`task_done` (spool flush + fsync, then the
-    journal record); :meth:`checkpoint` is the cadence hook that fsyncs
-    the journal (under ``always`` and ``interval``) and rewrites
-    ``state.json`` atomically: every journaled task (a resumed session
-    is seeded with the ``restored`` records) and their counters, summed
-    from the payloads — what is durable, not what is in flight.
+    journal record), which then rewrites ``state.json`` atomically: every
+    journaled task (a resumed session is seeded with the ``restored``
+    records) and their counters, summed from the payloads — what is
+    durable, not what is in flight.
     """
 
     def __init__(
@@ -289,7 +278,7 @@ class CheckpointWriter:
 
         Order matters: spool flush (+fsync under ``always``) *before*
         the journal record, so a ``task`` record is a guarantee that the
-        spool bytes it counts exist.
+        spool bytes it counts exist; ``state.json`` follows the record.
         """
         sync = self._fsync == "always"
         for stream in STREAMS:
@@ -309,42 +298,39 @@ class CheckpointWriter:
             sync=sync,
         )
         self._journaled(key, payload)
-
-    def checkpoint(self) -> None:
-        """Cadence hook: fsync the journal and atomically rewrite the
-        ``state.json`` snapshot."""
-        if self._fsync in ("always", "interval"):
-            os.fsync(self._journal.fileno())
         self._write_state(complete=False)
 
     def _write_state(self, *, complete: bool) -> None:
-        planned = len(self.plan.get("tasks", ()))
-        _atomic_write_json(
-            os.path.join(self.directory, STATE_NAME),
-            {
-                "version": JOURNAL_VERSION,
-                "fingerprint": self.fingerprint,
-                "tasks_planned": planned,
-                "tasks_done": sorted(list(key) for key in self._done),
-                "complete": complete,
-                "counters": dict(self._counters),
-                "updated": time.time(),
-            },
-        )
+        """Write ``state.json`` beside itself, then rename it into place,
+        so readers never observe a half-written file."""
+        state = {
+            "version": JOURNAL_VERSION,
+            "fingerprint": self.fingerprint,
+            "tasks_planned": len(self.plan.get("tasks", ())),
+            "tasks_done": sorted(list(key) for key in self._done),
+            "complete": complete,
+            "counters": dict(self._counters),
+            "updated": time.time(),
+        }
+        path = os.path.join(self.directory, STATE_NAME)
+        with open(f"{path}.tmp", "w", encoding="utf-8") as handle:
+            json.dump(state, handle, sort_keys=True)
+            handle.flush()
+            if self._fsync == "always":
+                os.fsync(handle.fileno())
+        os.replace(f"{path}.tmp", path)
 
     def finalize(self, *, complete: bool) -> None:
-        """Flush everything and close; safe to call once, in any exit
-        path — an incomplete journal is exactly what resume consumes."""
+        """Close everything; safe to call once, in any exit path — an
+        incomplete journal is exactly what resume consumes.  Nothing is
+        left to sync: under ``always`` each record and finished task's
+        spool was synced as it became durable, and an unfinished task's
+        spool is rewritten when the task reruns."""
         if self._closed:
             return
         self._closed = True
         for handle in self._spools.values():
-            handle.flush()
-            if self._fsync != "never":
-                os.fsync(handle.fileno())
             handle.close()
-        if self._fsync != "never":
-            os.fsync(self._journal.fileno())
         self._journal.close()
         self._write_state(complete=complete)
 

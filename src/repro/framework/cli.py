@@ -98,23 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
-        help="with --processes: journal completed tasks and periodic "
-        "progress to DIR so an interrupted scan can be resumed exactly "
-        "(see --resume)",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        metavar="SECONDS",
-        help="wall-clock seconds between cadence checkpoints "
-        "(default 5.0; requires --checkpoint-dir or --resume)",
+        help="with --processes: journal each completed task to DIR so "
+        "an interrupted scan can be resumed exactly (see --resume)",
     )
     parser.add_argument(
         "--checkpoint-fsync",
-        choices=["always", "interval", "never"],
+        choices=["always", "never"],
         help="journal fsync policy: 'always' syncs at every task "
-        "completion (default), 'interval' only at cadence checkpoints, "
-        "'never' leaves flushing to the OS",
+        "completion (default), 'never' leaves flushing to the OS",
     )
     parser.add_argument(
         "--resume",
@@ -210,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 _FLAGS = {
     name: "--" + name.replace("_", "-")
     for name in (
-        "cache_size", "checkpoint_dir", "checkpoint_interval", "cores", "dnssec", "mode",
+        "cache_size", "checkpoint_dir", "cores", "dnssec", "mode",
         "oracle_check", "processes", "resume", "retries", "source_prefix",
         "status_interval", "steal_quantum", "threads",
     )
@@ -334,7 +325,6 @@ def _executor_args(args) -> dict | None:
         "steal_quantum": args.steal_quantum,
         "resume": args.resume is not None,
         "checkpoint_dir": args.resume or args.checkpoint_dir,
-        "checkpoint_interval": args.checkpoint_interval,
     }
     if args.checkpoint_fsync is not None and executor["checkpoint_dir"] is None:
         raise ValueError("--checkpoint-fsync requires --checkpoint-dir or --resume")

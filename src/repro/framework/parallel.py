@@ -46,8 +46,8 @@ Design invariants, in order:
    with checkpoint/resume.
 5. **Durability is at task granularity.**  With ``checkpoint_dir`` the
    parent spools each task's row/span bytes and journals its mergeable
-   payload on completion (and rewrites ``state.json`` on a cadence) —
-   see :mod:`repro.framework.checkpoint`.  ``resume=True`` validates
+   payload on completion, then rewrites ``state.json`` to match — see
+   :mod:`repro.framework.checkpoint`.  ``resume=True`` validates
    the journal against the scan's config fingerprint, replays durable
    tasks from the spool byte-for-byte, re-runs only the incomplete ones
    with re-derived RNG streams, and folds stats/metrics in canonical
@@ -81,31 +81,25 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
 from typing import Iterable, TextIO
 
-from ..core.config import above, at_least
+from ..core.config import at_least
 from ..net import derive_seed
 from ..obs.status import StatusLine
 from .io import DEFAULT_LOGICAL_SHARDS, encode_row, names_digest, shard
 from .runner import ScanConfig, ScanReport, ScanRunner
 from .stats import ScanStats
-from .telemetry import FleetView, PlannedTask, TelemetryDelta, fold_metrics
+from .telemetry import FleetView, PlannedTask, TelemetryDelta, fold_metrics, fold_ratios
 
 __all__ = [
-    "DEFAULT_CHECKPOINT_INTERVAL",
     "DEFAULT_LOGICAL_SHARDS",
     "ParallelReport",
     "check_executor",
     "run_parallel_scan",
 ]
-
-#: Default wall-clock seconds between cadence checkpoints (journal
-#: fsync + atomic ``state.json`` rewrite).
-DEFAULT_CHECKPOINT_INTERVAL = 5.0
 
 #: Rows per pipe message.  Large enough to amortise pickling, small
 #: enough that the parent's merge (and status line) stays live.
@@ -365,7 +359,6 @@ def check_executor(
     shards: int | None = None,
     steal_quantum: int | None = None,
     checkpoint_dir: str | None = None,
-    checkpoint_interval: float | None = None,
     resume: bool = False,
 ) -> None:
     """The shard executor's own argument rules, written once:
@@ -374,12 +367,8 @@ def check_executor(
     at_least("processes", processes, 1)
     at_least("shards", shards, 1)
     at_least("steal_quantum", steal_quantum, 1)
-    above("checkpoint_interval", checkpoint_interval, 0)
-    if checkpoint_dir is None:
-        if resume:
-            raise ValueError("resume requires checkpoint_dir")
-        if checkpoint_interval is not None:
-            raise ValueError("checkpoint_interval requires checkpoint_dir")
+    if resume and checkpoint_dir is None:
+        raise ValueError("resume requires checkpoint_dir")
 
 
 def run_parallel_scan(
@@ -398,7 +387,6 @@ def run_parallel_scan(
     fleet_view: FleetView | None = None,
     steal_quantum: int | None = None,
     checkpoint_dir: str | None = None,
-    checkpoint_interval: float | None = None,
     checkpoint_fsync: str = "always",
     resume: bool = False,
 ) -> ParallelReport:
@@ -413,15 +401,16 @@ def run_parallel_scan(
     that order is the normal form).  Given ``span_out``, task-tagged
     resolution spans merge into it with the same ordered merge.
     ``config.metrics`` keeps the merged registry; ``config.status_interval``
-    prints the parent's fleet-wide status line every that many wall
-    seconds.  ``fleet_view`` (when given) receives streamed telemetry
-    deltas — hang the HTTP control plane off it; the fleet status line
-    reads the same view.
+    prints the parent's fleet-wide status line at most every that many
+    wall seconds, polled as worker messages arrive (a busy worker sends
+    a delta at least every ``DEFAULT_DELTA_INTERVAL``).  ``fleet_view``
+    (when given) receives streamed telemetry deltas — hang the HTTP
+    control plane off it; the fleet status line reads the same view.
 
-    ``checkpoint_dir`` journals every completed task (and rewrites
-    ``state.json`` every ``checkpoint_interval`` wall seconds, fsync per
-    ``checkpoint_fsync``); ``resume=True`` loads that journal, replays
-    durable tasks byte-for-byte and re-runs only the rest.
+    ``checkpoint_dir`` journals every completed task and rewrites
+    ``state.json`` after each (fsync per ``checkpoint_fsync``);
+    ``resume=True`` loads that journal, replays durable tasks
+    byte-for-byte and re-runs only the rest.
 
     Determinism contract: for a fixed ``(config.seed, shards,
     steal_quantum)`` the merged output bytes, merged stats, and merged
@@ -433,12 +422,9 @@ def run_parallel_scan(
         shards=shards,
         steal_quantum=steal_quantum,
         checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
         resume=resume,
     )
     shards = DEFAULT_LOGICAL_SHARDS if shards is None else shards
-    if checkpoint_interval is None:
-        checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
     names = list(names)
     total_names = len(names)
     shard_sizes = [len(range(k, total_names, shards)) for k in range(shards)]
@@ -571,7 +557,6 @@ def run_parallel_scan(
         status = StatusLine(
             config.status_interval, fleet.fleet_counters, stream=status_stream, target=total_names
         )
-    next_checkpoint = time.monotonic() + checkpoint_interval if writer is not None else None
 
     def advance() -> None:
         """Flush every consecutively finished task in canonical order,
@@ -610,10 +595,7 @@ def run_parallel_scan(
     try:
         live = set(connections)
         while live:
-            deadlines = [next_checkpoint, status.due if status is not None else None]
-            deadlines = [deadline for deadline in deadlines if deadline is not None]
-            timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-            for conn in _connection_wait(list(live), timeout):
+            for conn in _connection_wait(list(live)):
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
@@ -657,10 +639,6 @@ def run_parallel_scan(
                     live.discard(conn)
             if status is not None:
                 status.poll()
-            now = time.monotonic()
-            if next_checkpoint is not None and now >= next_checkpoint:
-                writer.checkpoint()
-                next_checkpoint += checkpoint_interval
         for process in workers:
             process.join()
     finally:
@@ -720,10 +698,11 @@ def run_parallel_scan(
         }
         for shard_index, shard_stats in sorted(per_shard_stats.items())
     ]
+    hit_rate, cpu_utilisation = fold_ratios(
+        cache_stats, [payloads[task.key]["cpu_utilisation"] for task in tasks]
+    )
     if cache_stats is not None:
-        probes = cache_stats["hits"] + cache_stats["misses"]
-        cache_stats["hit_rate"] = round(cache_stats["hits"] / probes if probes else 0.0, 4)
-    cpu_utilisation = sum(payloads[task.key]["cpu_utilisation"] for task in tasks) / len(tasks)
+        cache_stats["hit_rate"] = hit_rate
     if registry.enabled:
         mp_scope = registry.scope("mp")
         mp_scope.gauge("processes").set(processes)

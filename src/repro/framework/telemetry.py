@@ -38,8 +38,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Mapping
 
+from ..core.cache import CacheStats
 from ..obs import MetricsRegistry
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "PlannedTask",
     "TelemetryDelta",
     "fold_metrics",
+    "fold_ratios",
 ]
 
 #: Wire version of :class:`TelemetryDelta`.  Bump when fields change
@@ -142,6 +144,22 @@ def _relabel_for(shard_index: int):
     return relabel
 
 
+#: The cache counters a hit rate is computed from.
+_CACHE_PROBES = ("hits", "misses", "answer_hits", "answer_misses")
+
+
+def fold_ratios(cache: Mapping[str, int] | None, cpu: list[float]) -> tuple[float | None, float]:
+    """The two ratios a fold cannot sum, recomputed over it (the registry
+    fold and the executor's report both call this): the hit rate of the
+    summed ``cache`` counters by :attr:`CacheStats.hit_rate`'s formula,
+    rounded as a scan reports it (None without any), and the mean
+    ``cpu`` utilisation (each task models its own core pool)."""
+    hit_rate = None
+    if cache:
+        hit_rate = round(CacheStats(**{n: cache.get(n, 0) for n in _CACHE_PROBES}).hit_rate, 4)
+    return hit_rate, sum(cpu) / len(cpu) if cpu else 0.0
+
+
 def fold_metrics(dumps: Iterable[tuple[int, list]], enabled: bool = True) -> MetricsRegistry:
     """Fold per-task registry dumps, ``(shard, dump)`` in canonical task
     order, into one fleet registry — the live view and the end-of-scan
@@ -149,23 +167,22 @@ def fold_metrics(dumps: Iterable[tuple[int, list]], enabled: bool = True) -> Met
 
     Counters, gauges and histograms add, with per-shard labels where
     :func:`_relabel_for` keeps them.  Two gauges are ratios, whose sum
-    means nothing, so they are recomputed after the fold:
-    ``cache.hit_rate`` from the merged hits and misses, and
-    ``engine.cpu_utilisation`` as the mean over the tasks that published
-    it (each task models its own core pool).
+    means nothing, so :func:`fold_ratios` recomputes them after the fold:
+    ``cache.hit_rate`` from the merged counters, and
+    ``engine.cpu_utilisation`` over the tasks that published it.
     """
     registry = MetricsRegistry(enabled=enabled)
-    cpu_reports = 0
+    cpu = []
     for shard, dump in dumps:
         registry.merge_dump(dump, rename=_relabel_for(shard))
-        cpu_reports += any(name == "engine.cpu_utilisation" for name, _, _ in dump)
+        cpu += [state for name, _, state in dump if name == "engine.cpu_utilisation"]
     merged = {metric.name: metric for metric in registry}
-    if "cache.hit_rate" in merged:
-        hits, misses = merged["cache.hits"].value, merged["cache.misses"].value
-        merged["cache.hit_rate"].set(round(hits / (hits + misses), 4) if hits + misses else 0.0)
-    cpu = merged.get("engine.cpu_utilisation")
-    if cpu is not None:
-        cpu.set(round(cpu.value / cpu_reports, 4))
+    cache = {n: merged[f"cache.{n}"].value for n in _CACHE_PROBES if f"cache.{n}" in merged}
+    hit_rate, cpu_mean = fold_ratios(cache, cpu)
+    if hit_rate is not None:
+        merged["cache.hit_rate"].set(hit_rate)
+    if "engine.cpu_utilisation" in merged:
+        merged["engine.cpu_utilisation"].set(round(cpu_mean, 4))
     return registry
 
 

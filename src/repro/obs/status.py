@@ -114,13 +114,11 @@ class StatusLine:
         self.clock = clock
         self._started = self._last_at = clock()
         self._last_done = 0
-        #: Clock reading from which the next line is due.
-        self.due = self._started + interval
 
     def poll(self) -> None:
         """Print a line if one is due."""
         now = self.clock()
-        if now >= self.due:
+        if now - self._last_at >= self.interval:
             self._emit(now, self.read())
 
     def finish(self) -> None:
@@ -152,4 +150,3 @@ class StatusLine:
             file=self.stream,
         )
         self._last_done, self._last_at = done, now
-        self.due = now + self.interval

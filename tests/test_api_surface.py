@@ -150,6 +150,38 @@ def test_watching_schedules_nothing_on_the_simulator():
     assert not sites, sorted(sites)
 
 
+def test_the_executor_keeps_no_clock():
+    """The shard executor's parent wakes only on worker messages:
+    ``framework/parallel.py`` reads no ``time.monotonic`` and calls the
+    connection wait with its connections alone, so no deadline (a
+    checkpoint cadence, a status line's) can hand the selector a
+    timeout, let alone one too large for it."""
+    import ast
+    import pathlib
+
+    path = pathlib.Path(repro.__file__).parent / "framework" / "parallel.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    waits = {"wait"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "multiprocessing.connection"
+        for alias in node.names
+        if alias.name == "wait"
+    }
+    clocks, calls = [], []
+    for node in ast.walk(tree):
+        named = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+        if named is not None and getattr(node, named) == "monotonic":
+            clocks.append(node.lineno)
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in waits:
+                calls.append((node.lineno, len(node.args), [k.arg for k in node.keywords]))
+    assert not clocks, clocks
+    assert calls and all(args == 1 and not keywords for _, args, keywords in calls), calls
+
+
 def test_one_place_holds_the_oracle_verdict():
     """``compare_views`` is called and a ``ReferenceResolver`` is built
     inside ``DifferentialOracle`` alone: the runner, the shard tasks, the

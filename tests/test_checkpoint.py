@@ -198,7 +198,7 @@ class TestJournalRoundTrip:
         assert journal.lines_for("rows", (0, 0)) == ['{"name": "a"}\n', '{"name": "b"}\n']
         assert journal.lines_for("spans", (0, 0)) == ['{"span": "lookup"}\n']
 
-    @pytest.mark.parametrize("fsync", ["always", "interval", "never"])
+    @pytest.mark.parametrize("fsync", ["always", "never"])
     def test_all_fsync_policies_produce_loadable_journals(self, tmp_path, fsync):
         directory = tmp_path / fsync
         self._write_session(directory, fsync=fsync)
@@ -643,18 +643,6 @@ class TestResumeInProcess:
                 checkpoint_dir=str(tmp_path), resume=True,
             )
 
-    @pytest.mark.parametrize("interval", [0, -1.0])
-    def test_checkpoint_interval_must_be_positive(self, tmp_path, interval):
-        """A zero or negative cadence would wake the parent in a loop,
-        fsyncing the journal and rewriting ``state.json`` each time."""
-        with pytest.raises(ValueError, match="checkpoint_interval"):
-            run_parallel_scan(
-                _corpus()[:8], ScanConfig(module="A", seed=11), processes=2,
-                out=io_module.StringIO(), checkpoint_dir=str(tmp_path),
-                checkpoint_interval=interval,
-            )
-        assert not (tmp_path / JOURNAL_NAME).exists()
-
     def test_resume_without_journal_is_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint journal"):
             _run_in_process(
@@ -704,13 +692,13 @@ class TestOneCountPerTask:
             assert _shapes(record) == {"stats": 1, "metrics": 1}, record["key"]
             assert set(record["payload"]["stats"]) == set(STATE_KEYS)
 
-    def test_short_checkpoint_interval_journals_no_delta_records(self, tmp_path):
-        """The cadence rewrites ``state.json``; it appends nothing to the
+    def test_per_task_state_writes_append_nothing_to_the_journal(self, tmp_path):
+        """Each task rewrites ``state.json``; it appends nothing to the
         journal that resume would skip."""
         run_parallel_scan(
             _corpus(), ScanConfig(module="A", threads=50, seed=11), processes=2,
             out=io_module.StringIO(), shards=SHARDS, steal_quantum=QUANTUM,
-            checkpoint_dir=str(tmp_path), checkpoint_interval=0.001,
+            checkpoint_dir=str(tmp_path),
         )
         kinds = [
             json.loads(line)["kind"] for line in (tmp_path / JOURNAL_NAME).read_text().splitlines()
@@ -917,6 +905,14 @@ class TestCrashMatrix:
         assert proc.returncode == -9  # SIGKILL, no cleanup ran
         journal = CheckpointJournal.load(str(ck))
         assert len(journal.tasks) >= kill_after
+        # the snapshot a kill leaves is the journal's: state.json is
+        # rewritten as each task record lands, never on a timer
+        state = json.loads((ck / "state.json").read_text())
+        assert state["tasks_done"] == sorted(list(key) for key in journal.tasks)
+        assert state["counters"]["done"] == sum(
+            ScanStats.from_state(record["payload"]["stats"]).counters()["done"]
+            for record in journal.tasks.values()
+        )
         resumed, paths = _cli_scan(
             names_file, tmp_path, "res", processes=processes, resume=ck
         )

@@ -250,8 +250,6 @@ def test_resolver_config_checks_its_own_fields(overrides):
         ({"processes": 2, "shards": 0}, "--mp-shards"),
         ({"processes": 2, "steal_quantum": 0}, "--steal-quantum"),
         ({"processes": 2, "resume": True}, None),
-        ({"processes": 2, "checkpoint_dir": "ck", "checkpoint_interval": 0.0}, "--checkpoint-interval"),
-        ({"processes": 2, "checkpoint_interval": 1.0}, "--checkpoint-interval"),
     ],
     ids=lambda value: ",".join(value) if isinstance(value, dict) else str(value),
 )

@@ -371,7 +371,7 @@ class TestStatusLine:
     def _watch(self, interval, schedule, finish_at):
         """A status line on a fake clock: each (time, status) records a
         completion and polls, each (time, None) polls alone, as the
-        executor's receive loop does when its wait times out."""
+        executor's receive loop does on a message that finishes no lookup."""
         now = [0.0]
         stats, stream = ScanStats(), io.StringIO()
         status = StatusLine(interval, stats.counters, stream=stream, clock=lambda: now[0])

@@ -260,6 +260,19 @@ class TestParallelDeterminism:
             report.cpu_utilisation, abs=1e-4
         )
 
+    def test_hit_rate_counts_answer_probes(self, corpus):
+        """The merged ``cache.hit_rate``, in the report and the registry,
+        is ``CacheStats.hit_rate`` of the merged counters, answer probes
+        included, as a single-process scan reports it; both folds used
+        ``hits / (hits + misses)``.  Only the ``all`` policy probes
+        answers, and each name is scanned twice so that some hit."""
+        _, report = _run(corpus * 2, processes=1, shards=1, metrics=True, cache_policy="all")
+        cache = report.cache_stats
+        assert cache["answer_hits"] > 0
+        hits = cache["hits"] + cache["answer_hits"]
+        probes = hits + cache["misses"] + cache["answer_misses"]
+        assert report.metrics["cache.hit_rate"] == cache["hit_rate"] == round(hits / probes, 4)
+
     def test_rows_cover_every_name_exactly_once(self, corpus):
         out, report = _run(corpus, processes=2)
         names = [json.loads(line)["name"] for line in out.splitlines()]
@@ -646,6 +659,11 @@ class TestCliValidation:
         )
         assert "--status-interval must be > 0" in err
 
+    def test_checkpoint_interval_is_gone(self, capsys):
+        """``state.json`` follows the journal, so no cadence is left to set."""
+        err = self._expect_usage_error(["A", "-p", "2", "--checkpoint-interval", "1"], capsys)
+        assert "unrecognized arguments: --checkpoint-interval" in err
+
 
 class TestCliParallel:
     """End-to-end through the CLI entry point."""
@@ -673,6 +691,21 @@ class TestCliParallel:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == NAMES
+
+    @pytest.mark.parametrize("interval", ["inf", "1e300"])
+    def test_status_interval_beyond_the_scan_prints_one_line(self, tmp_path, capsys, interval):
+        """An interval no scan reaches is accepted and prints only the
+        final line; the parent's wait once took it as a timeout and died
+        with an ``OverflowError``."""
+        names_file = tmp_path / "names.txt"
+        names_file.write_text("a.com\nb.com\n")
+        code = main(
+            ["A", "-f", str(names_file), "-o", str(tmp_path / "rows.jsonl"), "-p", "2",
+             "--threads", "4", "--quiet", "--status-interval", interval]
+        )
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("t=") and "2/2 done" in lines[0], lines
 
     def test_dnssec_summary_survives_processes(self, tmp_path, corpus, capsys):
         """Regression: ``--processes N --dnssec`` printed no ``dnssec``
