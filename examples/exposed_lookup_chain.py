@@ -19,7 +19,7 @@ from repro.dnslib import RRType
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "www.d8830635-24.com"
     internet = build_internet()
-    resolver = Resolver(internet, mode="iterative", config=ResolverConfig(record_trace=True))
+    resolver = Resolver(internet, ResolverConfig(record_trace=True))
     result = resolver.lookup(name, RRType.A)
 
     print(f"status: {result.status}  queries sent: {result.queries_sent}\n")

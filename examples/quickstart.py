@@ -19,7 +19,7 @@ def main() -> None:
     internet = build_internet()
 
     # -- iterative resolution with the full lookup chain exposed --------
-    resolver = Resolver(internet, mode="iterative", config=ResolverConfig(record_trace=True))
+    resolver = Resolver(internet, ResolverConfig(record_trace=True))
     result = resolver.lookup("www.d4215845-1.xyz", RRType.A)
     print(f"A     {result.name}: {result.status}")
     for record in result.answers:
@@ -27,7 +27,7 @@ def main() -> None:
     print(f"      ({result.queries_sent} queries, {len(result.trace)} trace steps)")
 
     # -- the same name through the Google-like public resolver ----------
-    google = Resolver(internet, mode="google")
+    google = Resolver(internet, ResolverConfig(mode="google"))
     result = google.lookup("www.d4215845-1.xyz", RRType.A)
     print(f"A     via {result.resolver}: {result.status}, {len(result.answers)} answers")
 

@@ -39,26 +39,28 @@ class DigBaseline:
         self.internet = internet
         self.seed = seed
 
-    def _resolver(self, mode: str, resolver_ips: list[str] | None = None) -> Resolver:
+    def _resolver(self, *resolver_ips: str) -> Resolver:
+        """A stack that walks from the roots, or asks ``resolver_ips``."""
         return Resolver(
             self.internet,
-            mode,
-            ResolverConfig(retries=2),
-            resolver_ips=resolver_ips,
-            seed=self.seed,
-            # no cache: every trace restarts from the roots
-            cache_size=1,
-            cache_policy="none",
-            cores=24,
-            # dig's per-packet work is negligible next to process startup
-            costs=ClientCostModel(per_send=20e-6, per_receive=20e-6),
-            driver_seed=self.seed,
+            ResolverConfig(
+                mode="external" if resolver_ips else "iterative",
+                resolver_ips=list(resolver_ips),
+                retries=2,
+                seed=self.seed,
+                # no cache: every trace restarts from the roots
+                cache_size=1,
+                cache_policy="none",
+                cores=24,
+                # dig's per-packet work is negligible next to process startup
+                costs=ClientCostModel(per_send=20e-6, per_receive=20e-6),
+            ),
         )
 
     def run_batch_trace(self, names) -> DigReport:
         """``dig +trace`` in batch mode: strictly sequential, no cache."""
         sim = self.internet.sim
-        resolver = self._resolver("iterative")
+        resolver = self._resolver()
         cpu, driver, context = resolver.cpu, resolver.driver, resolver.context
         socket = resolver.socket()
         stats = ScanStats(threads_requested=1, threads_running=1, started_at=sim.now)
@@ -79,7 +81,7 @@ class DigBaseline:
     def run_forked(self, names, resolver_ip: str, processes: int = DEFAULT_FORK_PROCESSES) -> DigReport:
         """One dig process per lookup, ``processes`` in flight at once."""
         sim = self.internet.sim
-        resolver = self._resolver("external", [resolver_ip])
+        resolver = self._resolver(resolver_ip)
         cpu, driver, context = resolver.cpu, resolver.driver, resolver.context
         stats = ScanStats(threads_requested=processes, threads_running=processes, started_at=sim.now)
         name_iter = iter(names)

@@ -6,12 +6,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..net.sockets import DEFAULT_PORTS_PER_IP
+from .cache import CACHE_EVICTIONS, CACHE_POLICIES
 from .trace import SpanTracer
+
+#: Where a stack's lookups go: its own recursion, a public resolver of
+#: the simulated Internet, or ``resolver_ips``.
+SCAN_MODES = ("iterative", "google", "cloudflare", "external")
 
 
 @dataclass
 class ResolverConfig:
-    """Tunable lookup behaviour shared by iterative and external modes."""
+    """Everything one resolver stack (:class:`repro.core.Resolver`) is
+    built from.  Every rule is checked at construction (``ValueError``):
+    the field bounds, ``mode`` / ``cache_policy`` / ``cache_eviction``
+    among the known values, ``dnssec`` requiring ``mode="iterative"``,
+    ``mode="external"`` requiring ``resolver_ips``, ``gc_period`` and
+    ``gc_pause`` set together (the pause shorter), and ``backoff_cap``
+    not below ``backoff_base``."""
 
     #: Per-query timeout when talking to authoritative servers.
     iteration_timeout: float = 2.0
@@ -81,6 +93,34 @@ class ResolverConfig:
     #: load-balancing, made failure-aware).  None costs one attribute
     #: read per layer.
     health: Any = field(default=None, compare=False)
+    #: Where lookups go (one of :data:`SCAN_MODES`).
+    mode: str = "iterative"
+    #: The recursive resolvers of ``mode="external"``.
+    resolver_ips: list[str] = field(default_factory=list)
+    #: The scanning subnet: sockets bind from a /``source_prefix`` of
+    #: source addresses, ``ports_per_ip`` ports each.
+    source_prefix: int = 32
+    ports_per_ip: int = DEFAULT_PORTS_PER_IP
+    #: Delegation cache entries, what the cache keeps and what it drops
+    #: when full (iterative mode; see :mod:`repro.core.cache`).
+    cache_size: int = 600_000
+    cache_policy: str = "selective"
+    cache_eviction: str = "random"
+    #: Simulated client CPU cores (None = lookups charge no client CPU).
+    cores: int | None = None
+    #: None = the mode's calibrated default: iterative lookups pay
+    #: per-lookup cache and referral-parsing CPU on top of packet costs.
+    costs: ClientCostModel | None = None
+    #: *Go's* GC pauses in virtual time (``net.cpu.GCModel``; None = none);
+    #: the paper's tuned config is frequent short pauses.
+    gc_period: float | None = None
+    gc_pause: float | None = None
+    #: One long-lived socket per worker (Section 3.4); False is the ablation.
+    reuse_sockets: bool = True
+    #: The one seed of the stack's random streams: the machines' server
+    #: order and backoff jitter, the cache's random eviction and the
+    #: driver's query ids.  None = the universe's seed.
+    seed: int | None = None
 
     def __post_init__(self):
         at_least("retries", self.retries, 0)  # a negative count sends no query
@@ -92,8 +132,33 @@ class ResolverConfig:
                 "backoff_cap must be >= backoff_base "
                 f"(got {self.backoff_cap} < {self.backoff_base})"
             )
-        for name in ("max_queries", "max_referrals", "max_cname_chase", "max_glueless_depth"):
+        for name in (
+            "max_queries", "max_referrals", "max_cname_chase", "max_glueless_depth",
+            "cache_size", "cores", "ports_per_ip",
+        ):
             at_least(name, getattr(self, name), 1)
+        within("source_prefix", self.source_prefix, 0, 32)
+        for name, known in (
+            ("mode", SCAN_MODES),
+            ("cache_policy", CACHE_POLICIES),
+            ("cache_eviction", CACHE_EVICTIONS),
+        ):
+            value = getattr(self, name)
+            if value not in known:
+                raise ValueError(f"{name} must be one of {', '.join(known)} (got {value!r})")
+        if self.dnssec and self.mode != "iterative":
+            raise ValueError("dnssec requires mode iterative")
+        if self.mode == "external" and not self.resolver_ips:
+            raise ValueError("mode external requires resolver_ips")
+        if (self.gc_period is None) != (self.gc_pause is None):
+            raise ValueError("gc_period and gc_pause are set together")
+        above("gc_period", self.gc_period, 0)
+        at_least("gc_pause", self.gc_pause, 0)
+        if self.gc_period is not None and not self.gc_pause < self.gc_period:
+            # every instant would fall inside a pause: no lookup ever runs
+            raise ValueError(
+                f"gc_pause must be < gc_period (got {self.gc_pause} >= {self.gc_period})"
+            )
 
 
 # Each rule names its field (``pyzdns`` swaps in the flag) and is written

@@ -18,7 +18,6 @@ from ..dnslib.message import ResourceRecord
 from ..dnslib.name import Name
 from ..dnslib.types import RRType
 from ..net import (
-    DEFAULT_PORTS_PER_IP,
     CPUModel,
     GCModel,
     Routine,
@@ -154,7 +153,8 @@ class SimDriver(_QueryBuilder):
 
 
 class LiveDriver(_QueryBuilder):
-    """Runs machine generators against real UDP sockets (blocking)."""
+    """Runs machine generators against real sockets (blocking): UDP, and
+    TCP to the same address for an effect that asks for it."""
 
     def __init__(self, transport: UDPTransport, port_override: int | None = None, edns_payload: int | None = 1232, seed: int = 0):
         super().__init__(edns_payload, seed)
@@ -179,9 +179,8 @@ class LiveDriver(_QueryBuilder):
                     return stop.value
                 continue
             port = self.port_override if self.port_override is not None else 53
-            response = self.transport.query(
-                self._build_query(effect), (effect.server_ip, port), effect.timeout
-            )
+            send = self.transport.query_tcp if effect.protocol == "tcp" else self.transport.query
+            response = send(self._build_query(effect), (effect.server_ip, port), effect.timeout)
             try:
                 effect = machine_gen.send(response)
             except StopIteration as stop:
@@ -191,68 +190,38 @@ class LiveDriver(_QueryBuilder):
 class Resolver:
     """One resolver stack on a simulated Internet, built in one place.
 
-    Owns the pieces every lookup needs: a copy of the
-    :class:`ResolverConfig` (with the DNSSEC trust anchor filled in),
-    the :class:`SelectiveCache` (iterative mode; on the simulator's
-    clock, RRSIG-aware when validating), the client CPU model, the
-    source-address pool, the :class:`SimDriver`, per-worker sockets
-    (:meth:`socket`) and the machine factory (``context.machine()``).
+    Built from one :class:`ResolverConfig`: a copy of it (with the
+    DNSSEC trust anchor filled in), the :class:`SelectiveCache`
+    (iterative mode; on the simulator's clock, RRSIG-aware when
+    validating), the client CPU model, the source-address pool, the
+    :class:`SimDriver`, per-worker sockets (:meth:`socket`) and the
+    machine factory (``context.machine()``), all on the config's one
+    ``seed`` (None = the universe's).  The keywords are what no config
+    holds: a ``cache`` or ``cpu`` shared with something else, and the
+    daemon's serve-stale window and heat tracking.
 
     Used alone it is the library entry point the paper's Section 7
     community request asks for: :meth:`lookup` runs one lookup to
     quiescence.  The scan runner, the resolver daemon, the oracle sweep
     and the dig baseline each build one and drive its pieces in their
-    own loops (``driver.execute(machine.resolve(...), socket)``); the
-    keyword-only arguments exist for them, and each passes the seeds,
-    cache policy, costs and CPU model it needs.
+    own loops (``driver.execute(machine.resolve(...), socket)``).
     """
 
     def __init__(
         self,
         internet,
-        mode: str = "iterative",
         config: ResolverConfig | None = None,
-        cache: SelectiveCache | None = None,
-        resolver_ips: list[str] | None = None,
         *,
-        #: the machines' RNG; None = the universe's seed
-        seed: int | None = None,
-        cache_size: int = 600_000,
-        cache_policy: str = "selective",
-        cache_eviction: str = "random",
-        cache_seed: int = 0,
+        cache: SelectiveCache | None = None,
+        cpu: CPUModel | None = None,
         stale_ttl: float | None = None,
         track_heat: bool = False,
-        #: a CPU model shared with something else; else one of ``cores``
-        #: cores is built (None = lookups charge no client CPU)
-        cpu: CPUModel | None = None,
-        cores: int | None = None,
-        gc: GCModel | None = None,
-        #: None = the mode's calibrated default
-        costs: ClientCostModel | None = None,
-        reuse_sockets: bool = True,
-        driver_seed: int = 0,
-        source_prefix: int = 32,
-        ports_per_ip: int = DEFAULT_PORTS_PER_IP,
     ):
         from ..ecosystem import SimInternet  # local imports to avoid cycles
         from ..modules.base import ModuleContext
 
         if not isinstance(internet, SimInternet):
             raise TypeError("Resolver expects a SimInternet (see build_internet)")
-        if mode == "iterative":
-            ips = []
-        elif mode == "google":
-            ips = [internet.google_ip]
-        elif mode == "cloudflare":
-            ips = [internet.cloudflare_ip]
-        elif mode == "external":
-            ips = list(resolver_ips or [internet.google_ip])
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        iterative = mode == "iterative"
-        self.internet = internet
-        self.mode = mode
         # a copy: the caller's config may go on to serve another universe
         config = replace(config or ResolverConfig())
         if config.dnssec:
@@ -261,36 +230,40 @@ class Resolver:
 
             if config.trust_anchor is None:
                 config.trust_anchor = trust_anchor_for(internet.synth)
+        self.internet = internet
         self.config = config
+        iterative = config.mode == "iterative"
+        seed = internet.params.seed if config.seed is None else config.seed
         sim = internet.sim
         if cache is None and iterative:
             cache = SelectiveCache(
-                capacity=cache_size,
-                policy=cache_policy,
-                eviction=cache_eviction,
-                seed=cache_seed,
+                capacity=config.cache_size,
+                policy=config.cache_policy,
+                eviction=config.cache_eviction,
+                seed=seed,
                 clock=lambda: sim.now,
                 stale_ttl=stale_ttl,
                 track_heat=track_heat,
                 epoch_base=internet.synth.dnssec.EPOCH_BASE if config.dnssec else None,
             )
         self.cache = cache
-        if cpu is None and cores is not None:
-            cpu = CPUModel(sim, cores=cores, gc=gc)
+        if cpu is None and config.cores is not None:
+            gc = GCModel(config.gc_period, config.gc_pause) if config.gc_period else None
+            cpu = CPUModel(sim, cores=config.cores, gc=gc)
         self.cpu = cpu
-        if costs is None:
-            costs = ClientCostModel.for_iterative() if iterative else ClientCostModel()
+        costs = config.costs or (ClientCostModel.for_iterative() if iterative else ClientCostModel())
         self.driver = SimDriver(
-            internet.network, cpu=cpu, costs=costs, reuse_sockets=reuse_sockets, seed=driver_seed
+            internet.network, cpu=cpu, costs=costs, reuse_sockets=config.reuse_sockets, seed=seed
         )
-        self.pool = SourceIPPool(prefix_length=source_prefix, ports_per_ip=ports_per_ip)
+        self.pool = SourceIPPool(config.source_prefix, config.ports_per_ip)
+        public = {"google": internet.google_ip, "cloudflare": internet.cloudflare_ip}
         self.context = ModuleContext(
             mode="iterative" if iterative else "external",
             root_ips=internet.root_ips,
-            resolver_ips=ips,
+            resolver_ips=[public[config.mode]] if config.mode in public else config.resolver_ips,
             cache=cache,
             config=config,
-            rng=random.Random(internet.params.seed if seed is None else seed),
+            rng=random.Random(seed),
         )
         self._socket: SimUDPSocket | None = None
 

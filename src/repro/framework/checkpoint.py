@@ -20,8 +20,9 @@ Layout of a checkpoint directory::
 ``journal.jsonl`` records, one JSON object per line:
 
 * ``header`` — journal version, the scan *config fingerprint* (see
-  :func:`config_fingerprint`), and the task plan.  Written first and
-  fsynced; a journal whose header cannot be read is rejected whole.
+  :func:`config_fingerprint`), and the task plan.  Written first (and
+  fsynced under ``always``); a journal whose header cannot be read is
+  rejected whole.
 * ``task`` — one completed task: spool byte/line counts (the spool is
   flushed and fsynced *before* this record, so a record implies a valid
   spool) and the task's mergeable ``payload``: one ``ScanStats`` state,
@@ -38,9 +39,10 @@ tolerates exactly that (the torn record is discarded) and treats any
 *earlier* unparsable line, a bad header, a ``task`` record with a
 missing or unknown key, or a spool shorter than its journaled byte
 count as real corruption (:class:`CheckpointError`).
-The fsync policy trades durability for speed: ``always`` fsyncs spool,
-journal and ``state.json`` at every task completion, ``never`` leaves
-flushing to the OS.
+The fsync policy trades durability for speed: ``always`` fsyncs the
+journal's header (or ``resume`` record), and spool, journal and
+``state.json`` at every task completion; ``never`` leaves all flushing
+to the OS.
 
 Exact resume leans on determinism, not on snapshotting simulator
 internals: completed tasks are *replayed from the spool* byte-for-byte,
@@ -224,7 +226,7 @@ class CheckpointWriter:
             self._journaled(key, record["payload"])
         self._closed = False
         if resume:
-            self._append({"kind": "resume", "time": time.time()}, sync=True)
+            self._append({"kind": "resume", "time": time.time()})
         else:
             self._append(
                 {
@@ -233,16 +235,15 @@ class CheckpointWriter:
                     "fingerprint": fingerprint,
                     "plan": plan,
                     "time": time.time(),
-                },
-                sync=True,
+                }
             )
 
     # -- internals ----------------------------------------------------------
 
-    def _append(self, record: dict, sync: bool) -> None:
+    def _append(self, record: dict) -> None:
         self._journal.write(json.dumps(record, sort_keys=True) + "\n")
         self._journal.flush()
-        if sync:
+        if self._fsync == "always":
             os.fsync(self._journal.fileno())
 
     def _journaled(self, key: tuple[int, int], payload: dict) -> None:
@@ -294,8 +295,7 @@ class CheckpointWriter:
                 "key": list(key),
                 **counts,
                 "payload": payload,
-            },
-            sync=sync,
+            }
         )
         self._journaled(key, payload)
         self._write_state(complete=False)

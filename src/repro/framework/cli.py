@@ -441,13 +441,14 @@ def _run_live(config, resolver_port, names, sink) -> ScanReport:
     with UDPTransport() as transport:
         driver = LiveDriver(transport, port_override=resolver_port, seed=config.seed)
         for raw in names:
+            sent = transport.queries_sent
             row = driver.execute(module.lookup(raw, context))
             result = row.pop("_result", None)
             sink(row)
             stats.record(
                 row.get("status", "ERROR"),
                 time.monotonic() - started,
-                result.queries_sent if result is not None else 0,
+                transport.queries_sent - sent,
                 result.retries_used if result is not None else 0,
             )
             if status is not None:

@@ -20,58 +20,34 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
-from ..core import ClientCostModel, Resolver, ResolverConfig, SelectiveCache, SpanTracer
-from ..core.cache import CACHE_EVICTIONS, CACHE_POLICIES
-from ..core.config import above, at_least, within
+from ..core import Resolver, ResolverConfig, SelectiveCache, SpanTracer
+from ..core.config import SCAN_MODES, above, at_least  # noqa: F401 (SCAN_MODES: the CLI's --mode)
 from ..dnslib import CODEC_STATS, RRType, rdata_class, registered_types
 from ..ecosystem import SimInternet
 from ..modules import get_module
-from ..net import CPUModel, GCModel, PortExhaustedError, SimUDPSocket
+from ..net import CPUModel, PortExhaustedError, SimUDPSocket
 from ..obs import MetricsRegistry, StatusLine
 from .stats import ScanStats
 from .telemetry import DEFAULT_DELTA_INTERVAL, TelemetryDelta
 
 
-#: Where a scan's lookups go: its own recursion, a public resolver of
-#: the simulated Internet, or ``resolver_ips``.
-SCAN_MODES = ("iterative", "google", "cloudflare", "external")
-
-
 @dataclass
 class ScanConfig(ResolverConfig):
     """Everything a scan needs (the CLI flag surface): the resolver
-    settings it inherits from :class:`ResolverConfig` (``retries``, the
-    timeouts, backoff, ``record_trace``, ``dnssec``, …) and the scan's own.
+    stack's settings it inherits from :class:`ResolverConfig` (``mode``,
+    ``retries``, the timeouts, the cache, ``dnssec``, …, and their rules)
+    and what runs and watches the scan.
 
-    Every rule is checked at construction (``ValueError``), the field
-    bounds in ``__post_init__`` and these across fields:
-
-    - ``dnssec`` and ``oracle_check`` require ``mode="iterative"``;
-    - ``mode="external"`` requires ``resolver_ips``;
-    - ``gc_period`` and ``gc_pause`` are set together, the pause shorter;
-    - ``backoff_cap`` is not below ``backoff_base`` (:class:`ResolverConfig`).
+    Two inherited settings default differently for a scan: ``seed`` is 0
+    (not the universe's) and ``cores`` 24 (not uncharged).  The scan's own
+    rules are checked at construction (``ValueError``), the field bounds
+    and ``oracle_check`` requiring ``mode="iterative"``.
     """
 
-    module: str = "A"
-    mode: str = "iterative"
-    resolver_ips: list[str] = field(default_factory=list)
-    threads: int = 1000
-    source_prefix: int = 32
-    ports_per_ip: int = 45_000
-    cache_size: int = 600_000
-    cache_policy: str = "selective"
-    cache_eviction: str = "random"
-    cores: int = 24
-    #: None = pick automatically: iterative scans pay per-lookup cache
-    #: and referral-parsing CPU on top of packet costs.
-    costs: ClientCostModel | None = None
-    #: GC pause model; the paper's tuned config is frequent short pauses.
-    #: These model *Go's* collector in virtual time (``net.cpu.GCModel``);
-    #: the host interpreter's collector is ``Simulator.run``'s business.
-    gc_period: float | None = None
-    gc_pause: float | None = None
-    reuse_sockets: bool = True
     seed: int = 0
+    cores: int = 24
+    module: str = "A"
+    threads: int = 1000
     #: Collect registry metrics (engine/cache/scheduler scopes).  Off by
     #: default: the disabled path must cost nothing on the hot loop.
     metrics: bool = False
@@ -93,38 +69,15 @@ class ScanConfig(ResolverConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name in ("threads", "cores", "cache_size", "ports_per_ip", "oracle_check"):
+        for name in ("threads", "oracle_check", "max_events"):
             at_least(name, getattr(self, name), 1)
-        at_least("max_events", self.max_events, 1)
-        within("source_prefix", self.source_prefix, 0, 32)
         above("status_interval", self.status_interval, 0)
-        for name, known in (
-            ("mode", SCAN_MODES),
-            ("cache_policy", CACHE_POLICIES),
-            ("cache_eviction", CACHE_EVICTIONS),
-        ):
-            value = getattr(self, name)
-            if value not in known:
-                raise ValueError(f"{name} must be one of {', '.join(known)} (got {value!r})")
         try:
             get_module(self.module)
         except KeyError as error:
             raise ValueError(error.args[0]) from None
-        if self.mode != "iterative":
-            for name in ("dnssec", "oracle_check"):
-                if getattr(self, name):
-                    raise ValueError(f"{name} requires mode iterative")
-        if self.mode == "external" and not self.resolver_ips:
-            raise ValueError("mode external requires resolver_ips")
-        if (self.gc_period is None) != (self.gc_pause is None):
-            raise ValueError("gc_period and gc_pause are set together")
-        above("gc_period", self.gc_period, 0)
-        at_least("gc_pause", self.gc_pause, 0)
-        if self.gc_period is not None and not self.gc_pause < self.gc_period:
-            # every instant would fall inside a pause: no lookup ever runs
-            raise ValueError(
-                f"gc_pause must be < gc_period (got {self.gc_pause} >= {self.gc_period})"
-            )
+        if self.oracle_check and self.mode != "iterative":
+            raise ValueError("oracle_check requires mode iterative")
 
 
 @dataclass
@@ -266,28 +219,7 @@ class ScanRunner:
             from ..core.health import ServerHealthTracker
 
             health = ServerHealthTracker(clock=lambda: sim.now)
-        gc = None
-        if config.gc_period is not None:
-            gc = GCModel(period=config.gc_period, pause=config.gc_pause)
-        resolver = Resolver(
-            internet,
-            config.mode,
-            replace(config, tracer=tracer, health=health),
-            resolver_ips=config.resolver_ips,
-            seed=config.seed,
-            cache_size=config.cache_size,
-            cache_policy=config.cache_policy,
-            cache_eviction=config.cache_eviction,
-            cache_seed=config.seed,
-            cpu=self.cpu,
-            cores=config.cores,
-            gc=gc,
-            costs=config.costs,
-            reuse_sockets=config.reuse_sockets,
-            driver_seed=config.seed,
-            source_prefix=config.source_prefix,
-            ports_per_ip=config.ports_per_ip,
-        )
+        resolver = Resolver(internet, replace(config, tracer=tracer, health=health), cpu=self.cpu)
         self.cache = resolver.cache
         cpu = resolver.cpu
         driver = resolver.driver
@@ -373,9 +305,11 @@ class ScanRunner:
                 if inflight is not None:
                     inflight.inc()
                 lookup_gen = module.lookup(raw, context)
+                sent = socket.queries_sent
                 row = yield from driver.execute(lookup_gen, socket)
+                # every query the lookup sent, a composite module's too
+                queries = socket.queries_sent - sent
                 result = row.pop("_result", None)
-                queries = result.queries_sent if result is not None else 0
                 retries = result.retries_used if result is not None else 0
                 if inflight is not None:
                     inflight.dec()

@@ -22,7 +22,14 @@ TIMEOUT_STATUSES = ("TIMEOUT", "ITERATIVE_TIMEOUT")
 
 @dataclass
 class ScanStats:
-    """Aggregated outcome of one scan, measured in virtual time."""
+    """Aggregated outcome of one scan, measured in virtual time.
+
+    ``queries_sent`` is counted where a query leaves, on each worker's
+    socket (UDP and TCP alike), so a composite module's lookups count
+    every query they send; ``retries_used`` comes from the machine's
+    :class:`~repro.core.LookupResult` on the row, so it counts the
+    retries of that one lookup.
+    """
 
     total: int = 0
     successes: int = 0

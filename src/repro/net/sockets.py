@@ -374,6 +374,8 @@ class SimUDPSocket:
         self._pool = pool
         self.binding = pool.acquire()
         self._closed = False
+        #: Queries sent, over UDP and TCP: one scan worker's count.
+        self.queries_sent = 0
 
     @property
     def source_ip(self) -> str:
@@ -382,11 +384,13 @@ class SimUDPSocket:
     def query(self, dst_ip: str, message: Message, timeout: float) -> SimFuture:
         if self._closed:
             raise RuntimeError("socket is closed")
+        self.queries_sent += 1
         return self.network.query_udp(self.source_ip, dst_ip, message, timeout)
 
     def query_tcp(self, dst_ip: str, message: Message, timeout: float) -> SimFuture:
         if self._closed:
             raise RuntimeError("socket is closed")
+        self.queries_sent += 1
         return self.network.query_tcp(self.source_ip, dst_ip, message, timeout)
 
     def close(self) -> None:

@@ -431,16 +431,19 @@ def _run_combo(combo, combo_names, config, oracle, cache_factory, plan_spec):
     )
     resolver = Resolver(
         internet,
-        config=ResolverConfig(retries=config.retries, dnssec=config.dnssec),
+        ResolverConfig(
+            retries=config.retries,
+            dnssec=config.dnssec,
+            seed=config.seed,
+            cache_size=config.cache_capacity,
+            cache_policy=combo.policy,
+            cache_eviction=combo.eviction,
+        ),
         cache=(
             cache_factory(combo.policy, combo.eviction, config.cache_capacity, internet)
             if cache_factory is not None
             else None
         ),
-        cache_size=config.cache_capacity,
-        cache_policy=combo.policy,
-        cache_eviction=combo.eviction,
-        cache_seed=config.seed,
     )
     combo_info = {
         "policy": combo.policy,

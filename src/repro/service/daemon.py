@@ -166,15 +166,18 @@ class ResolverService:
         #: the resolver stack; workers drive its driver and cache directly
         self.resolver = Resolver(
             self.internet,
-            config=ResolverConfig(retries=cfg.retries, tracer=None, dnssec=cfg.dnssec),
-            cache_size=cfg.cache_capacity,
-            cache_policy="all",
-            cache_eviction=cfg.cache_eviction,
-            cache_seed=derive_seed(cfg.seed, "cache") % (2**31),
+            ResolverConfig(
+                retries=cfg.retries,
+                tracer=None,
+                dnssec=cfg.dnssec,
+                seed=derive_seed(cfg.seed, "cache") % (2**31),
+                cache_size=cfg.cache_capacity,
+                cache_policy="all",
+                cache_eviction=cfg.cache_eviction,
+                cores=cfg.cores,
+            ),
             stale_ttl=cfg.stale_ttl,
             track_heat=cfg.prefetch_interval > 0,
-            cores=cfg.cores,
-            driver_seed=derive_seed(cfg.seed, "driver") % (2**31),
         )
         self.cache = self.resolver.cache
         self._driver = self.resolver.driver

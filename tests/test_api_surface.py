@@ -109,6 +109,35 @@ def test_one_place_builds_a_resolver_stack():
     assert {path for path, _ in sites} == allowed, sorted(sites)
 
 
+def test_one_config_wires_a_resolver_stack():
+    """Every stack setting is a ``ResolverConfig`` field: a ``Resolver(``
+    call under ``src/repro`` passes the universe and a config, plus only
+    what no config holds (a shared cache or CPU model, the daemon's
+    serve-stale window and heat tracking); and ``ScanConfig`` redeclares
+    no inherited field but the two whose scan default differs."""
+    import ast
+    import dataclasses
+    import pathlib
+
+    from repro.core import Resolver, ResolverConfig
+    from repro.framework import ScanConfig
+
+    extras = ["cache", "cpu", "stale_ttl", "track_heat"]
+    assert list(inspect.signature(Resolver).parameters) == ["internet", "config", *extras]
+    root = pathlib.Path(repro.__file__).parent
+    calls, wired = 0, set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Resolver":
+                calls += 1
+                keywords = {keyword.arg for keyword in node.keywords}
+                if len(node.args) > 2 or keywords - {"config", *extras}:
+                    wired.add((path.relative_to(root).as_posix(), node.lineno))
+    assert calls >= 4 and not wired, sorted(wired)
+    inherited = {field.name for field in dataclasses.fields(ResolverConfig)}
+    assert inherited & set(vars(ScanConfig)["__annotations__"]) == {"seed", "cores"}
+
+
 def test_one_place_attaches_a_fault_plan():
     """A :class:`FaultInjector` is built by ``build_internet`` alone: the
     CLI, each shard task, the daemon's blackouts and the oracle sweep and

@@ -301,6 +301,23 @@ class TestScanPayloadKeys:
         assert JOURNAL_VERSION == 1
 
 
+@pytest.mark.parametrize("policy, fsyncs", [("never", 0), ("always", 14)])
+def test_the_parent_fsyncs_as_its_policy_says(tmp_path, monkeypatch, policy, fsyncs):
+    """``never`` leaves every flush to the OS (the journal header was
+    fsynced whatever the policy); ``always`` syncs the header, each of
+    the 4 tasks' spool, record and ``state.json``, and the last
+    ``state.json``."""
+    synced = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), fsync(fd))[1])
+    run_parallel_scan(
+        _corpus()[:40], ScanConfig(module="A", threads=20, seed=11),
+        processes=2, out=io_module.StringIO(), shards=4, checkpoint_dir=str(tmp_path),
+        checkpoint_fsync=policy,
+    )
+    assert len(synced) == fsyncs
+
+
 def _journal_with_one_task(tmp_path):
     writer = CheckpointWriter(
         str(tmp_path), fingerprint="fp-good", plan={"tasks": [[0, 0, 0, 1]]}

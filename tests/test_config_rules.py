@@ -243,6 +243,31 @@ def test_resolver_config_checks_its_own_fields(overrides):
         ResolverConfig(**overrides)
 
 
+#: The resolver stack's rules, each broken once, reached without a scan:
+#: an external stack without IPs used to ask Google, and a validating
+#: stub stack built a stack that never validated.
+STACK_REJECTED = [
+    {"mode": "quantum"},
+    {"mode": "external"},
+    {"mode": "google", "dnssec": True},
+    {"cache_size": 0},
+    {"cache_policy": "most"},
+    {"cache_eviction": "fifo"},
+    {"cores": 0},
+    {"ports_per_ip": 0},
+    {"source_prefix": 33},
+    {"gc_period": 0.5},
+    {"gc_pause": 0.1},
+    {"gc_period": 0.5, "gc_pause": 0.5},
+]
+
+
+@pytest.mark.parametrize("overrides", STACK_REJECTED, ids=lambda overrides: ",".join(overrides))
+def test_resolver_config_holds_the_stack_rules(overrides):
+    with pytest.raises(ValueError, match=next(iter(overrides))):
+        ResolverConfig(**overrides)
+
+
 @pytest.mark.parametrize(
     "arguments, flag",
     [

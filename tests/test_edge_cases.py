@@ -27,43 +27,43 @@ class MalformedServer:
 
 class TestResolverEdgeCases:
     def test_lookup_of_bare_tld(self, internet):
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup("com", RRType.A)
         # TLD apex has no A record: NOERROR/NODATA
         assert result.status in (Status.NOERROR, Status.NXDOMAIN)
         assert not result.answers
 
     def test_lookup_of_root(self, internet):
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup(".", RRType.NS)
         assert result.status in (Status.NOERROR, Status.ERROR)
 
     def test_unknown_tld_iterative(self, internet):
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup("host.notatld", RRType.A)
         assert result.status == Status.NXDOMAIN
 
     def test_very_deep_name(self, internet):
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         deep = ".".join(["x"] * 20) + ".com"
         result = resolver.lookup(deep, RRType.A)
         assert result.status in (Status.NOERROR, Status.NXDOMAIN)
 
     def test_custom_external_resolver_list(self, internet):
         resolver = Resolver(
-            internet, mode="external",
-            resolver_ips=[internet.google_ip, internet.cloudflare_ip],
+            internet,
+            ResolverConfig(mode="external", resolver_ips=[internet.google_ip, internet.cloudflare_ip]),
         )
         result = resolver.lookup("edge-0.com", RRType.A)
         assert result.status in (Status.NOERROR, Status.NXDOMAIN)
 
     def test_zero_retries_config(self, internet):
-        resolver = Resolver(internet, mode="google", config=ResolverConfig(retries=0))
+        resolver = Resolver(internet, ResolverConfig(mode="google", retries=0))
         result = resolver.lookup("edge-1.com", RRType.A)
         assert result.status in (Status.NOERROR, Status.NXDOMAIN, Status.SERVFAIL, Status.TIMEOUT)
 
     def test_case_preserved_in_query_name(self, internet):
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         upper = resolver.lookup("EDGE-2.COM", RRType.A)
         lower = resolver.lookup("edge-2.com", RRType.A)
         assert upper.status == lower.status

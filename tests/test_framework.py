@@ -200,6 +200,39 @@ class TestScanRunner:
         assert any(row["data"]["exchanges"] for row in rows)
 
 
+def _inputs_of_its_kind(module: str, internet, names: list[str]) -> list[str]:
+    """Server addresses for the modules that probe a server, addresses
+    or their reverse names for PTR, and domain names for the rest."""
+    if module in ("BINDVERSION", "OPENRESOLVER"):
+        return [internet.google_ip, internet.cloudflare_ip, *internet.root_ips[:2]]
+    addresses = [f"23.11.{i}.8" for i in range(4)]
+    if module == "PTRIP":
+        return addresses
+    if module == "PTR":
+        return [".".join(reversed(ip.split("."))) + ".in-addr.arpa" for ip in addresses]
+    return names
+
+
+def test_queries_sent_counts_every_query_of_every_module(corpus):
+    """A scan's ``queries_sent`` is every query its lookups put on the
+    network, UDP and TCP: composite modules (MXLOOKUP, NSLOOKUP, ALLNS,
+    AXFR, ...) undercounted when it came from the row's one result."""
+    from repro.modules import available_modules
+
+    names = list(corpus.fqdns(8))
+    internet = build_internet(params=EcosystemParams(seed=2022), wire_mode="never")
+    wrong = {}
+    for module in available_modules():
+        network = internet.network.stats
+        before = network.udp_queries + network.tcp_queries
+        config = ScanConfig(module=module, threads=4, seed=2022)
+        report = ScanRunner(internet, config).run(_inputs_of_its_kind(module, internet, names))
+        sent = network.udp_queries + network.tcp_queries - before
+        if report.stats.queries_sent != sent or not sent:
+            wrong[module] = (report.stats.queries_sent, sent)
+    assert not wrong, wrong
+
+
 class TestCLI:
     def test_parser_module_choices(self):
         parser = build_parser()
@@ -435,6 +468,31 @@ class TestLiveCLI:
             ])
         assert len(sent_at) == 2
         assert sent_at[1] - sent_at[0] >= 0.3
+
+    def test_truncated_answer_is_asked_again_over_tcp(self, tmp_path):
+        """An answer past the 1,232-byte UDP limit comes back TC=1; the
+        live scan asks again over TCP on the same port and writes every
+        record (it asked over UDP twice and wrote none)."""
+        from repro.dnslib.rdata.address import A
+
+        addresses = [A(f"10.0.{i // 256}.{i % 256}") for i in range(120)]
+        server, asked = _zone_server({("big.test", "A"): addresses})
+        infile, outfile = tmp_path / "in.txt", tmp_path / "out.jsonl"
+        infile.write_text("big.test\n")
+        with server:
+            host, port = server.address
+            code = main([
+                "A", "-f", str(infile), "-o", str(outfile), "--quiet",
+                "--live-resolver", f"{host}:{port}", "--retries", "0",
+            ])
+        assert code == 0
+        (row,) = [json.loads(line) for line in outfile.read_text().splitlines()]
+        assert row["status"] == "NOERROR"
+        assert row["data"]["protocol"] == "tcp"
+        assert [answer["answer"] for answer in row["data"]["answers"]] == [
+            address.address for address in addresses
+        ]
+        assert asked == [("big.test", "A")] * 2  # once over UDP, once over TCP
 
 
 class TestTimestamps:

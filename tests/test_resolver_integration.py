@@ -32,7 +32,7 @@ def find_domain(synth, predicate, tld="com", limit=30000, prefix="itest"):
 class TestIterativeOnUniverse:
     def test_resolves_existing_domain(self, internet, synth):
         base, _ = find_domain(synth, lambda p: p.exists and not p.truncates)
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup(base, RRType.A)
         assert result.status == Status.NOERROR
         assert result.answers
@@ -43,35 +43,35 @@ class TestIterativeOnUniverse:
             lambda p: p.exists and not p.truncates and p.consistent_answers
             and all(ns.drop_prob == 0 and not ns.lame for ns in p.nameservers),
         )
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup(base, RRType.A)
         got = sorted(record.rdata.address for record in result.answers)
         assert got == sorted(synth.host_addresses(base, "a"))
 
     def test_nxdomain_for_unregistered(self, internet, synth):
         base, _ = find_domain(synth, lambda p: not p.exists and not p.dead)
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup(base, RRType.A)
         assert result.status == Status.NXDOMAIN
 
     def test_dead_domain_fails(self, internet, synth):
         base, _ = find_domain(synth, lambda p: p.dead)
         resolver = Resolver(
-            internet, mode="iterative", config=ResolverConfig(retries=0, iteration_timeout=0.5)
+            internet, ResolverConfig(retries=0, iteration_timeout=0.5)
         )
         result = resolver.lookup(base, RRType.A)
         assert result.status in (Status.ITERATIVE_TIMEOUT, Status.SERVFAIL, Status.ERROR)
 
     def test_truncated_domain_resolved_via_tcp(self, internet, synth):
         base, _ = find_domain(synth, lambda p: p.exists and p.truncates)
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup(base, RRType.A)
         assert result.status == Status.NOERROR
         assert internet.network.stats.tcp_queries > 0
 
     def test_mx_lookup(self, internet, synth):
         base, _ = find_domain(synth, lambda p: p.exists and p.has_mx and not p.truncates)
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup(base, RRType.MX)
         assert result.status == Status.NOERROR
         assert all(int(record.rrtype) == int(RRType.MX) for record in result.answers)
@@ -80,7 +80,7 @@ class TestIterativeOnUniverse:
         base, profile = find_domain(
             synth, lambda p: p.exists and p.caa is not None and not p.caa.via_cname
         )
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup(base, RRType.CAA)
         assert result.status == Status.NOERROR
         tags = {record.rdata.tag for record in result.answers}
@@ -91,7 +91,7 @@ class TestIterativeOnUniverse:
             synth, lambda p: p.exists and p.caa is not None and p.caa.via_cname,
             limit=200000,
         )
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup(base, RRType.CAA)
         assert result.status == Status.NOERROR
         types = {int(record.rrtype) for record in result.answers}
@@ -102,7 +102,7 @@ class TestIterativeOnUniverse:
         ip = next(
             f"23.7.{i}.9" for i in range(200) if synth.ptr_status(f"23.7.{i}.9") == "noerror"
         )
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup(name_from_ipv4_ptr(ip), RRType.PTR)
         assert result.status == Status.NOERROR
         assert result.answers[0].rdata.target == synth.ptr_target(ip)
@@ -111,13 +111,13 @@ class TestIterativeOnUniverse:
         ip = next(
             f"23.8.{i}.9" for i in range(200) if synth.ptr_status(f"23.8.{i}.9") == "nxdomain"
         )
-        resolver = Resolver(internet, mode="iterative")
+        resolver = Resolver(internet)
         result = resolver.lookup(name_from_ipv4_ptr(ip), RRType.PTR)
         assert result.status == Status.NXDOMAIN
 
     def test_cache_reduces_queries(self, internet, synth):
         cache = SelectiveCache(capacity=10_000)
-        resolver = Resolver(internet, mode="iterative", cache=cache)
+        resolver = Resolver(internet, cache=cache)
         first, _ = find_domain(synth, lambda p: p.exists and not p.truncates, prefix="warm")
         second, _ = find_domain(synth, lambda p: p.exists and not p.truncates, prefix="warm2")
         r1 = resolver.lookup(first, RRType.A)
@@ -130,7 +130,7 @@ class TestIterativeOnUniverse:
         base, _ = find_domain(synth, lambda p: p.exists and not p.truncates)
         cache = SelectiveCache(capacity=10)
         resolver = Resolver(
-            internet, mode="iterative", config=ResolverConfig(record_trace=True), cache=cache
+            internet, ResolverConfig(record_trace=True), cache=cache
         )
         result = resolver.lookup(N("www").concatenate(base), RRType.A)
         layers = [step.layer for step in result.trace if not step.cached]
@@ -143,26 +143,26 @@ class TestIterativeOnUniverse:
 class TestExternalOnUniverse:
     def test_google_resolves(self, internet, synth):
         base, _ = find_domain(synth, lambda p: p.exists)
-        resolver = Resolver(internet, mode="google")
+        resolver = Resolver(internet, ResolverConfig(mode="google"))
         result = resolver.lookup(base, RRType.A)
         assert result.status == Status.NOERROR
         assert result.resolver == "8.8.8.8:53"
 
     def test_cloudflare_resolves(self, internet, synth):
         base, _ = find_domain(synth, lambda p: p.exists)
-        resolver = Resolver(internet, mode="cloudflare")
+        resolver = Resolver(internet, ResolverConfig(mode="cloudflare"))
         result = resolver.lookup(base, RRType.A)
         assert result.status == Status.NOERROR
 
     def test_external_nxdomain(self, internet, synth):
         base, _ = find_domain(synth, lambda p: not p.exists and not p.dead)
-        resolver = Resolver(internet, mode="google")
+        resolver = Resolver(internet, ResolverConfig(mode="google"))
         result = resolver.lookup(base, RRType.A)
         assert result.status == Status.NXDOMAIN
 
     def test_external_dead_servfails(self, internet, synth):
         base, _ = find_domain(synth, lambda p: p.dead)
-        resolver = Resolver(internet, mode="google", config=ResolverConfig(retries=0))
+        resolver = Resolver(internet, ResolverConfig(mode="google", retries=0))
         result = resolver.lookup(base, RRType.A)
         assert result.status == Status.SERVFAIL
 
@@ -170,7 +170,7 @@ class TestExternalOnUniverse:
         ip = next(
             f"34.9.{i}.7" for i in range(200) if synth.ptr_status(f"34.9.{i}.7") == "noerror"
         )
-        resolver = Resolver(internet, mode="cloudflare")
+        resolver = Resolver(internet, ResolverConfig(mode="cloudflare"))
         result = resolver.lookup(name_from_ipv4_ptr(ip), RRType.PTR)
         assert result.status == Status.NOERROR
 
@@ -180,8 +180,8 @@ class TestExternalOnUniverse:
             lambda p: p.exists and not p.truncates and p.consistent_answers
             and all(ns.drop_prob == 0 and not ns.lame for ns in p.nameservers),
         )
-        iterative = Resolver(internet, mode="iterative").lookup(base, RRType.A)
-        external = Resolver(internet, mode="google").lookup(base, RRType.A)
+        iterative = Resolver(internet).lookup(base, RRType.A)
+        external = Resolver(internet, ResolverConfig(mode="google")).lookup(base, RRType.A)
         iter_ips = sorted(r.rdata.address for r in iterative.answers)
         ext_ips = sorted(r.rdata.address for r in external.answers)
         assert iter_ips == ext_ips
@@ -194,7 +194,7 @@ class TestResolverFacade:
 
     def test_rejects_unknown_mode(self, internet):
         with pytest.raises(ValueError):
-            Resolver(internet, mode="quantum")
+            Resolver(internet, ResolverConfig(mode="quantum"))
 
     def test_leaves_the_callers_config_alone(self):
         """The stack validates with its own copy of the config: reusing
@@ -221,5 +221,5 @@ class TestResolverFacade:
         assert config == ResolverConfig(dnssec=True)
 
     def test_external_modes_build_no_cache(self, internet):
-        assert Resolver(internet, mode="google").cache is None
+        assert Resolver(internet, ResolverConfig(mode="google")).cache is None
         assert Resolver(internet).cache is not None

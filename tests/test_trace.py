@@ -92,7 +92,7 @@ class TestTraceStructures:
 class TestEndToEndTrace:
     def test_full_chain_is_json_serialisable(self):
         internet = build_internet(params=EcosystemParams(seed=66))
-        resolver = Resolver(internet, mode="iterative", config=ResolverConfig(record_trace=True))
+        resolver = Resolver(internet, ResolverConfig(record_trace=True))
         synth = internet.synth
         name = next(
             Name.from_text(f"tr-{i}.com")
@@ -116,8 +116,7 @@ class TestEndToEndTrace:
         internet = build_internet(params=EcosystemParams(seed=66))
         resolver = Resolver(
             internet,
-            mode="iterative",
-            config=ResolverConfig(record_trace=True),
+            ResolverConfig(record_trace=True),
             cache=SelectiveCache(capacity=2),
         )
         synth = internet.synth
