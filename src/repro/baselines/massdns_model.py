@@ -31,7 +31,7 @@ MASSDNS_RETRIES = 50
 MASSDNS_TIMEOUT = 1.0
 
 #: Per-packet CPU for a tight C event loop.
-MASSDNS_CPU = ClientCostModel(per_send=34e-6, per_receive=34e-6, per_cache_op=0.0)
+MASSDNS_CPU = ClientCostModel(per_send=34e-6, per_receive=34e-6)
 
 
 def massdns_config(module: str = "A", seed: int = 0, threads: int = MASSDNS_CONCURRENCY) -> ScanConfig:

@@ -204,8 +204,6 @@ class ClientCostModel:
     per_receive: float = 125e-6
     #: One-time CPU per lookup: question construction, result encoding.
     per_lookup: float = 0.0
-    #: Extra CPU per iterative step: cache lookups/insertions.
-    per_cache_op: float = 35e-6
     #: Cost of creating+destroying a socket per query when the
     #: socket-reuse optimisation is disabled (ablation): socket/bind/
     #: close syscalls plus kernel ephemeral-port allocation and fd

@@ -425,7 +425,8 @@ def _run_live(config, resolver_port, names, sink) -> ScanReport:
     """Sequential real-socket scan against one resolver (loopback or,
     with network access, a public resolver): the module's own lookup,
     in external mode, with the scan's resolver flags.  Its stats run on
-    the wall clock, and its registry holds the ``engine`` scope."""
+    the wall clock, and its registry (kept with ``config.metrics``)
+    holds the ``engine`` scope."""
     from ..modules import ModuleContext
     from ..net import UDPTransport
 
@@ -455,7 +456,9 @@ def _run_live(config, resolver_port, names, sink) -> ScanReport:
                 status.poll()
     if status is not None:
         status.finish()
-    registry = MetricsRegistry(enabled=config.metrics)
+    if not config.metrics:
+        return ScanReport(stats=stats)
+    registry = MetricsRegistry()
     stats.publish_metrics(registry.scope("engine"))
     return ScanReport(stats=stats, registry=registry, metrics=registry.snapshot())
 

@@ -244,7 +244,7 @@ def _run_task(task: _ShardTask, spec: _ShardSpec, conn) -> None:
     registry = report.registry
     payload = {
         "stats": report.stats.to_state(),
-        "metrics": registry.dump() if registry is not None and registry.enabled else [],
+        "metrics": registry.dump() if registry is not None else [],
         "cache": report.cache_stats,
         "cpu_utilisation": report.cpu_utilisation,
         "dnssec": report.dnssec_stats,
@@ -684,10 +684,9 @@ def run_parallel_scan(
         cache_stats = _add_counts(cache_stats, payload["cache"])
         dnssec_stats = _add_counts(dnssec_stats, payload["dnssec"])
         oracle_stats = _add_counts(oracle_stats, payload.get("oracle"))
-    registry = fold_metrics(
-        ((task.shard, payloads[task.key]["metrics"]) for task in tasks),
-        enabled=config.metrics,
-    )
+    registry = None
+    if config.metrics:
+        registry = fold_metrics((task.shard, payloads[task.key]["metrics"]) for task in tasks)
     shard_summaries = [
         {
             "shard": shard_index,
@@ -703,7 +702,7 @@ def run_parallel_scan(
     )
     if cache_stats is not None:
         cache_stats["hit_rate"] = hit_rate
-    if registry.enabled:
+    if registry is not None:
         mp_scope = registry.scope("mp")
         mp_scope.gauge("processes").set(processes)
         mp_scope.gauge("shards").set(shards)
@@ -719,7 +718,7 @@ def run_parallel_scan(
     return ParallelReport(
         stats=merged_stats,
         registry=registry,
-        metrics=registry.snapshot(),
+        metrics=registry.snapshot() if registry is not None else {},
         cache_stats=cache_stats,
         cpu_utilisation=cpu_utilisation,
         dnssec_stats=dnssec_stats,

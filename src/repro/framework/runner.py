@@ -17,6 +17,7 @@ gives the resolver machines the run's span tracer
 from __future__ import annotations
 
 import time
+from collections.abc import Sized
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
@@ -88,8 +89,8 @@ class ScanReport:
     cache_stats: dict | None = None
     network_stats: dict | None = None
     cpu_utilisation: float = 0.0
-    #: The run's telemetry registry (disabled/empty unless the scan was
-    #: configured with metrics) and its flat snapshot.
+    #: The run's telemetry registry (None unless the scan kept or
+    #: streamed metrics) and its flat snapshot (empty without one).
     registry: MetricsRegistry | None = None
     metrics: dict = field(default_factory=dict)
     #: Span rows, when the scan collected spans without a sink.
@@ -190,14 +191,13 @@ class ScanRunner:
         config = self.config
         sim = internet.sim
 
-        # one registry per run; streamed deltas carry live metrics even
-        # when the run itself was not asked to keep them
-        registry = MetricsRegistry(
-            enabled=config.metrics
-            or config.status_interval is not None
-            or self.progress is not None
-        )
-        engine_scope = registry.scope("engine")
+        # one registry per run that keeps or streams metrics (streamed
+        # deltas carry live metrics even when the run keeps none); none
+        # for a run nobody watches
+        registry = engine_scope = None
+        if config.metrics or config.status_interval is not None or self.progress is not None:
+            registry = MetricsRegistry()
+            engine_scope = registry.scope("engine")
         # codec counters are process-global; the per-run contribution is
         # the delta against this baseline (see the codec scope below)
         codec_baseline = dict(CODEC_STATS)
@@ -235,7 +235,7 @@ class ScanRunner:
 
         stats = ScanStats(threads_requested=config.threads, started_at=sim.now)
         inflight = queries_per_lookup = None
-        if registry.enabled:
+        if registry is not None:
             # published from ``stats`` where the registry is read; once
             # now, at zero, to keep the counters' place in the registry
             stats.publish_metrics(engine_scope)
@@ -248,7 +248,7 @@ class ScanRunner:
         # watching polls the wall clock as each lookup finishes: it
         # schedules nothing on the simulator, so a watched scan runs
         # exactly the events of an unwatched one (and either watcher
-        # enables the registry, so ``inflight`` is there to read)
+        # builds the registry, so ``inflight`` is there to read)
         def counters() -> dict:
             return {**stats.counters(), "in_flight": int(inflight.value)}
 
@@ -336,8 +336,15 @@ class ScanRunner:
                     sink(row)
                 del row, result  # nothing of a finished lookup outlives its row
 
+        # a sized input spawns no routine past its last name: routine
+        # ``index`` starts after routines 0..index-1 have each taken a
+        # name, so one at ``len(names)`` or later would find none (a
+        # stream, stdin say, spawns every routine)
+        routines = config.threads
+        if isinstance(names, Sized):
+            routines = min(routines, len(names))
         futures = []
-        for index in range(config.threads):
+        for index in range(routines):
             try:
                 socket = resolver.socket()
             except PortExhaustedError:
@@ -352,7 +359,7 @@ class ScanRunner:
         if status is not None:
             status.finish()
 
-        if registry.enabled:
+        if registry is not None:
             stats.publish_metrics(engine_scope)
             sim.publish_metrics(registry.scope("scheduler"))
             if self.cache is not None:
@@ -384,7 +391,7 @@ class ScanRunner:
 
         elapsed = stats.duration
         cpu_utilisation = cpu.utilisation(elapsed) if elapsed else 0.0
-        if registry.enabled:
+        if registry is not None:
             engine_scope.gauge("cpu_utilisation").set(round(cpu_utilisation, 4))
             engine_scope.gauge("threads_running").set(stats.threads_running)
         if emit_delta is not None:
@@ -409,7 +416,7 @@ class ScanRunner:
             network_stats=vars(internet.network.stats).copy(),
             cpu_utilisation=cpu_utilisation,
             registry=registry,
-            metrics=registry.snapshot(),
+            metrics=registry.snapshot() if registry is not None else {},
             spans=kept_spans,
             oracle_stats=oracle.stats() if oracle is not None else None,
             dnssec_stats=dict(security_counts) if security_counts is not None else None,

@@ -160,7 +160,7 @@ def fold_ratios(cache: Mapping[str, int] | None, cpu: list[float]) -> tuple[floa
     return hit_rate, sum(cpu) / len(cpu) if cpu else 0.0
 
 
-def fold_metrics(dumps: Iterable[tuple[int, list]], enabled: bool = True) -> MetricsRegistry:
+def fold_metrics(dumps: Iterable[tuple[int, list]]) -> MetricsRegistry:
     """Fold per-task registry dumps, ``(shard, dump)`` in canonical task
     order, into one fleet registry — the live view and the end-of-scan
     merge both fold through here.
@@ -171,7 +171,7 @@ def fold_metrics(dumps: Iterable[tuple[int, list]], enabled: bool = True) -> Met
     ``cache.hit_rate`` from the merged counters, and
     ``engine.cpu_utilisation`` over the tasks that published it.
     """
-    registry = MetricsRegistry(enabled=enabled)
+    registry = MetricsRegistry()
     cpu = []
     for shard, dump in dumps:
         registry.merge_dump(dump, rename=_relabel_for(shard))

@@ -43,6 +43,7 @@ class AXFRModule(ScanModule):
         transferred = False
         records = 0
         for server_ip, ns_name in servers:
+            server = f"{server_ip}:{context.port}"
             response = yield SendQuery(
                 server_ip=server_ip,
                 name=zone,
@@ -51,13 +52,13 @@ class AXFRModule(ScanModule):
                 protocol="tcp",  # AXFR always rides TCP
             )
             if response is None:
-                attempts.append({"server": server_ip, "status": str(Status.TIMEOUT)})
+                attempts.append({"server": server, "status": str(Status.TIMEOUT)})
                 continue
             status = str(response.rcode)
             allowed = bool(response.answers) and str(response.rcode) == "NOERROR"
             attempts.append(
                 {
-                    "server": server_ip,
+                    "server": server,
                     "status": status,
                     "allowed": allowed,
                     "records": len(response.answers),

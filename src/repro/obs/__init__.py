@@ -5,7 +5,7 @@ one package:
 
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, and
   log-bucketed histograms with dotted scopes (``engine``, ``cache``,
-  ``scheduler``, ``codec``) and near-zero overhead when disabled.
+  ``scheduler``, ``codec``); a scan that keeps no metrics builds none.
 * per-lookup spans are one rendering of a lookup's recorded steps
   (:mod:`repro.core.trace`): parent/child intervals on the virtual clock
   for every delegation walk, cache probe, query attempt, retry, and
@@ -26,12 +26,10 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         ".metadata": ("build_run_metadata", "write_metadata"),
         ".metrics": (
-            "NULL_REGISTRY",
             "Counter",
             "Gauge",
             "Histogram",
             "MetricsRegistry",
-            "NullInstrument",
             "Scope",
             "parse_prometheus",
         ),

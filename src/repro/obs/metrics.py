@@ -9,11 +9,10 @@ codec, and scheduler metrics nest cleanly (``engine.lookups``,
 
 Design constraints, in order:
 
-1. **Near-zero overhead when disabled.**  A disabled registry hands out
-   one shared :class:`NullInstrument` whose mutators are no-ops, so
-   instrumented code holds a reference once and pays a single no-op
-   method call per update — no dict lookups, no branching on a flag at
-   every site.
+1. **Zero overhead when off.**  A scan that keeps no metrics builds no
+   registry at all (``ScanReport.registry is None``); the code that
+   would publish into one tests for it once, at set-up or at the end
+   of the run, never per lookup.
 2. **Determinism.**  Instruments store plain Python numbers; snapshots
    iterate in insertion order.  Nothing here reads wall clocks.
 3. **Cheap quantiles.**  Histograms bucket observations at half-octave
@@ -33,8 +32,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullInstrument",
     "Scope",
     "parse_prometheus",
 ]
@@ -197,38 +194,6 @@ class Histogram:
         }
 
 
-class NullInstrument:
-    """Shared no-op stand-in for every instrument of a disabled registry.
-
-    Mutators do nothing; reads return zeros.  One instance serves every
-    metric name, so disabled instrumentation costs one no-op call.
-    """
-
-    __slots__ = ()
-    kind = "null"
-    name = ""
-    value = 0
-    count = 0
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def dec(self, amount=1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-    def snapshot(self):
-        return 0
-
-
-_NULL = NullInstrument()
-
-
 class Scope:
     """A dotted namespace within a registry (``engine``, ``cache``).
 
@@ -245,13 +210,13 @@ class Scope:
     def _qualify(self, name: str) -> str:
         return f"{self.prefix}.{name}" if self.prefix else name
 
-    def counter(self, name: str) -> Counter | NullInstrument:
+    def counter(self, name: str) -> Counter:
         return self._registry.counter(self._qualify(name))
 
-    def gauge(self, name: str) -> Gauge | NullInstrument:
+    def gauge(self, name: str) -> Gauge:
         return self._registry.gauge(self._qualify(name))
 
-    def histogram(self, name: str) -> Histogram | NullInstrument:
+    def histogram(self, name: str) -> Histogram:
         return self._registry.histogram(self._qualify(name))
 
     def scope(self, name: str) -> "Scope":
@@ -259,23 +224,14 @@ class Scope:
 
 
 class MetricsRegistry:
-    """Flat, insertion-ordered store of named instruments.
-
-    ``enabled=False`` turns every instrument factory into a source of
-    the shared :class:`NullInstrument`: call sites keep working, record
-    nothing, and cost almost nothing — the tool's hot paths must not
-    slow down when nobody is watching.
-    """
+    """Flat, insertion-ordered store of named instruments."""
 
     _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
     def _instrument(self, kind: str, name: str):
-        if not self.enabled:
-            return _NULL
         existing = self._metrics.get(name)
         if existing is not None:
             if existing.kind != kind:
@@ -287,13 +243,13 @@ class MetricsRegistry:
         self._metrics[name] = instrument
         return instrument
 
-    def counter(self, name: str) -> Counter | NullInstrument:
+    def counter(self, name: str) -> Counter:
         return self._instrument("counter", name)
 
-    def gauge(self, name: str) -> Gauge | NullInstrument:
+    def gauge(self, name: str) -> Gauge:
         return self._instrument("gauge", name)
 
-    def histogram(self, name: str) -> Histogram | NullInstrument:
+    def histogram(self, name: str) -> Histogram:
         return self._instrument("histogram", name)
 
     def scope(self, name: str) -> Scope:
@@ -338,10 +294,8 @@ class MetricsRegistry:
         merge bucket-wise.  ``rename`` maps each incoming metric name to
         its name here — the executor uses it to keep per-shard scopes
         (``faults.* -> faults.shard3.*``) distinguishable while summing
-        everything else.  No-op on a disabled registry.
+        everything else.
         """
-        if not self.enabled:
-            return
         for name, kind, state in dump:
             target = self._instrument(kind, rename(name) if rename else name)
             if kind == "histogram":
@@ -524,9 +478,3 @@ def _fmt(value) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return repr(value) if isinstance(value, float) else str(value)
-
-
-#: Process-wide disabled registry: the default wiring target, so code
-#: can instrument unconditionally and pay nothing until a real registry
-#: is supplied.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -86,7 +86,6 @@ class ServiceConfig:
     oracle_check_every: int = 0
     #: Event-log interval summary cadence.
     status_interval: float = 60.0
-    metrics: bool = True
     #: Codec fidelity of the simulated fabric (see SimNetwork).
     wire_mode: str = "sampled"
     #: Simulator event budget (guards runaway configurations).

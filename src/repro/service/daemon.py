@@ -55,7 +55,7 @@ from ..core.status import SEMANTIC_STATUSES
 from ..dnslib import Name, RRType
 from ..ecosystem import EcosystemParams, ZoneDelta, build_internet, publish_zone_delta
 from ..net import SimFuture, SimUDPSocket, derive_seed
-from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..workloads import CorpusConfig, DomainCorpus
 from .config import ServiceConfig
 
@@ -142,7 +142,7 @@ class ResolverService:
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
         cfg = self.config
-        self.registry = MetricsRegistry(enabled=True) if cfg.metrics else NULL_REGISTRY
+        self.registry = MetricsRegistry()
 
         blackouts = None
         if cfg.blackouts:
@@ -642,7 +642,7 @@ class ResolverService:
             deltas=list(self.deltas),
             divergences=list(self.divergences),
             events=list(self.events),
-            metrics=self.registry.snapshot() if self.registry.enabled else {},
+            metrics=self.registry.snapshot(),
             virtual_elapsed=self.sim.now,
         )
 

@@ -133,7 +133,7 @@ def test_one_config_wires_a_resolver_stack():
                 keywords = {keyword.arg for keyword in node.keywords}
                 if len(node.args) > 2 or keywords - {"config", *extras}:
                     wired.add((path.relative_to(root).as_posix(), node.lineno))
-    assert calls >= 4 and not wired, sorted(wired)
+    assert calls >= 3 and not wired, sorted(wired)
     inherited = {field.name for field in dataclasses.fields(ResolverConfig)}
     assert inherited & set(vars(ScanConfig)["__annotations__"]) == {"seed", "cores"}
 
@@ -283,3 +283,71 @@ def test_one_place_holds_each_config_rule():
             if raises and tested & fields:
                 rechecked.add((owner, *sorted(tested & fields)))
     assert not rechecked, sorted(rechecked)
+
+
+def test_every_setting_is_read():
+    """Each field of the four configs is read as an attribute somewhere
+    under ``src/repro`` outside its class's ``__post_init__`` and
+    ``to_json``: a setting nothing reads is an option that does
+    nothing."""
+    import ast
+    import dataclasses
+    import pathlib
+
+    from repro.core import ClientCostModel, ResolverConfig
+    from repro.framework import ScanConfig
+    from repro.service import ServiceConfig
+
+    configs = (ResolverConfig, ScanConfig, ServiceConfig, ClientCostModel)
+    owners = {cls.__name__ for cls in configs}
+    root = pathlib.Path(repro.__file__).parent
+    read = set()
+
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name in owners:
+            for statement in node.body:
+                if getattr(statement, "name", None) not in ("__post_init__", "to_json"):
+                    visit(statement)
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")))
+    unread = sorted(
+        f"{cls.__name__}.{field.name}"
+        for cls in configs
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    )
+    assert not unread, unread
+
+
+def test_metrics_off_builds_no_registry():
+    """Metrics off is no registry, not a disabled one: no
+    ``MetricsRegistry(`` call under ``src/repro`` passes an argument,
+    ``repro.obs`` exports no null instrument, and a scan that keeps no
+    metrics reports ``registry is None``."""
+    import ast
+    import pathlib
+
+    import repro.obs
+    from repro.ecosystem import EcosystemParams, build_internet
+    from repro.framework import ScanConfig, ScanRunner
+
+    root = pathlib.Path(repro.__file__).parent
+    sites = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == "MetricsRegistry" and (node.args or node.keywords):
+                    sites.add((path.relative_to(root).as_posix(), node.lineno))
+    assert not sites, sorted(sites)
+    assert not {"NullInstrument", "NULL_REGISTRY"} & set(repro.obs.__all__)
+    internet = build_internet(params=EcosystemParams(seed=5))
+    report = ScanRunner(internet, ScanConfig(threads=4, seed=5)).run(["www.example-name.com"])
+    assert report.registry is None and report.metrics == {}

@@ -160,7 +160,7 @@ def _sample_payload():
     stats = ScanStats()
     stats.record("NOERROR", 1.5, queries=2)
     stats.record("TIMEOUT", 9.0, queries=3, retries=2)
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     registry.counter("engine.lookups").inc(2)
     registry.histogram("engine.latency").observe(0.25)
     registry.histogram("engine.latency").observe(90.0)
@@ -214,7 +214,7 @@ class TestJournalRoundTrip:
         original = _sample_payload()
         assert payload["stats"] == original["stats"]
         assert restore_metrics_dump(original["metrics"]) == payload["metrics"]
-        merged = MetricsRegistry(enabled=True)
+        merged = MetricsRegistry()
         merged.merge_dump(payload["metrics"])
         hist = merged.snapshot()["engine.latency"]
         assert hist["count"] == 2
@@ -877,7 +877,7 @@ class TestResumeAcrossDeltaVersions:
     def test_journal_with_v2_deltas_resumes_byte_identically(self, tmp_path, kept):
         corpus = _corpus()
         first, first_report = _run_in_process(
-            corpus, processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path),
+            corpus, processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path), metrics=True,
         )
         journal = tmp_path / JOURNAL_NAME
         lines, tasks = [], 0
@@ -892,6 +892,7 @@ class TestResumeAcrossDeltaVersions:
         journal.write_text("".join(lines))
         resumed, report = _run_in_process(
             corpus, processes=2, quantum=QUANTUM, checkpoint_dir=str(tmp_path), resume=True,
+            metrics=True,
         )
         assert report.resumed_tasks == kept
         assert resumed == first

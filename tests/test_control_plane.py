@@ -139,7 +139,7 @@ class TestFleetView:
 
     def test_merged_registry_relabels_scoped_metrics(self):
         def dump_for(shard):
-            registry = MetricsRegistry(enabled=True)
+            registry = MetricsRegistry()
             registry.scope("engine").counter("lookups").inc(10)
             registry.scope("faults").counter("injected").inc(shard + 1)
             return registry.dump()
@@ -529,7 +529,7 @@ class TestResumeFoldOrdering:
 
     def test_merged_registry_folds_replayed_metrics(self):
         def dump_for(value):
-            registry = MetricsRegistry(enabled=True)
+            registry = MetricsRegistry()
             registry.scope("engine").counter("lookups").inc(value)
             return registry.dump()
 

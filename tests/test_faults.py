@@ -297,7 +297,7 @@ class TestInjectorHooks:
         injector = FaultInjector(plan, sim=FakeSim(), seed=0).attach(network)
         assert network.fault_injector is injector
         injector.on_send("10.0.0.1", "udp")
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         injector.publish_metrics(registry.scope("faults"))
         snapshot = registry.snapshot()
         assert snapshot["faults.blackout_0"] == 1

@@ -2,6 +2,8 @@
 
 import io
 import json
+import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -155,6 +157,17 @@ class TestScanRunner:
         report = ScanRunner(internet, config).run(corpus.fqdns(60))
         assert report.stats.threads_running == 30
         assert report.stats.total == 60  # capped threads still finish the work
+
+    def test_a_list_spawns_no_routine_past_its_last_name(self, internet):
+        """A sized input spawns at most one routine per name; a stream,
+        whose length is unknown, spawns every routine."""
+        config = ScanConfig(module="A", threads=100_000, source_prefix=28, seed=1)
+        report = ScanRunner(internet, config).run(["www.example-name.com"])
+        assert report.stats.total == 1
+        assert report.stats.threads_running == 1
+        streamed = ScanRunner(internet, replace(config, threads=5)).run(iter(["www.example-name.com"]))
+        assert streamed.stats.total == 1
+        assert streamed.stats.threads_running == 5
 
     def test_external_mode_requires_ips(self):
         with pytest.raises(ValueError):
@@ -346,6 +359,32 @@ class TestLiveCLI:
         (row,) = [json.loads(line) for line in outfile.read_text().splitlines()]
         assert row["status"] == "NOERROR"
         assert row["data"]["resolver"] == f"{host}:{port}"
+
+    def test_axfr_rows_name_the_server_port(self, tmp_path):
+        """An AXFR attempt names its server as ``HOST:PORT``, as the
+        row's ``resolver`` does."""
+        import runpy
+
+        from repro.dnslib import parse_zone
+        from repro.ecosystem.staticzone import StaticZoneServer
+        from repro.net import UDPServer
+
+        example = pathlib.Path(__file__).resolve().parent.parent / "examples" / "zonefile_server.py"
+        zone = parse_zone(runpy.run_path(str(example))["ZONE_TEXT"])
+        infile = tmp_path / "in.txt"
+        outfile = tmp_path / "out.jsonl"
+        with UDPServer(StaticZoneServer(zone).live_handler) as server:
+            host, port = server.address
+            infile.write_text(f"demo.test@{host}\n")
+            code = main([
+                "AXFR", "-f", str(infile), "-o", str(outfile), "--quiet",
+                "--live-resolver", f"{host}:{port}",
+            ])
+        assert code == 0
+        (row,) = [json.loads(line) for line in outfile.read_text().splitlines()]
+        (attempt,) = row["data"]["attempts"]
+        assert attempt["server"] == f"{host}:{port}"
+        assert attempt["allowed"] and row["data"]["transferable"]
 
     def test_rows_carry_timestamps_unless_told_not_to(self, tmp_path):
         """A live row is stamped with its wall-clock time as a simulated

@@ -21,7 +21,6 @@ from repro.framework import ScanConfig, ScanRunner
 from repro.framework.stats import ScanStats
 from repro.obs import (
     MetricsRegistry,
-    NullInstrument,
     StatusLine,
     build_run_metadata,
     estimate_eta,
@@ -29,7 +28,7 @@ from repro.obs import (
     parse_prometheus,
     write_metadata,
 )
-from repro.obs.metrics import NULL_REGISTRY, bucket_bounds, bucket_index
+from repro.obs.metrics import bucket_bounds, bucket_index
 
 
 class TestCountersAndGauges:
@@ -65,21 +64,6 @@ class TestCountersAndGauges:
         engine.counter("lookups").inc()
         engine.scope("status").counter("NOERROR").inc()
         assert set(registry.snapshot()) == {"engine.lookups", "engine.status.NOERROR"}
-
-    def test_disabled_registry_hands_out_shared_null(self):
-        registry = MetricsRegistry(enabled=False)
-        a = registry.counter("a")
-        b = registry.scope("x").histogram("b")
-        assert isinstance(a, NullInstrument) and a is b
-        a.inc()
-        b.observe(3.0)
-        assert len(registry) == 0
-        assert registry.snapshot() == {}
-
-    def test_null_registry_is_disabled(self):
-        assert not NULL_REGISTRY.enabled
-        NULL_REGISTRY.counter("anything").inc()
-        assert len(NULL_REGISTRY) == 0
 
 
 class TestHistogram:
@@ -588,7 +572,7 @@ class TestRunnerIntegration:
         assert "net.packets_delivered" in metrics or any(
             key.startswith("net.") for key in metrics
         )
-        assert report.registry.enabled
+        assert report.registry is not None
 
     def test_metrics_match_legacy_stats(self, small_scan_names):
         report = self._run(small_scan_names, metrics=True)
@@ -604,7 +588,7 @@ class TestRunnerIntegration:
     def test_disabled_run_records_nothing(self, small_scan_names):
         report = self._run(small_scan_names)
         assert report.metrics == {}
-        assert not report.registry.enabled
+        assert report.registry is None
         assert report.spans is None
 
     def test_status_interval_emits_and_terminates(self, small_scan_names):

@@ -327,7 +327,7 @@ class TestDifferentialOracleCheck:
         resolver = Resolver(internet)
         qname = N(corpus_names[0])
         oracle.observe(qname, RRType.A, resolver.lookup(qname, RRType.A))
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         oracle.publish_metrics(registry.scope("oracle"))
         snapshot = registry.snapshot()
         assert snapshot["oracle.checked"] == 1

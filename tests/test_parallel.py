@@ -113,7 +113,7 @@ class TestScanStatsMerge:
 
 class TestMetricsMerge:
     def _shard_registry(self, base):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("lookups.total").inc(base)
         registry.gauge("queue.depth").set(base)
         hist = registry.histogram("lookup.seconds")
@@ -123,7 +123,7 @@ class TestMetricsMerge:
         return registry
 
     def test_counters_and_gauges_sum(self):
-        merged = MetricsRegistry(enabled=True)
+        merged = MetricsRegistry()
         merged.merge_dump(self._shard_registry(2).dump())
         merged.merge_dump(self._shard_registry(3).dump())
         snap = merged.snapshot()
@@ -131,7 +131,7 @@ class TestMetricsMerge:
         assert snap["queue.depth"] == 5
 
     def test_histogram_buckets_add(self):
-        merged = MetricsRegistry(enabled=True)
+        merged = MetricsRegistry()
         merged.merge_dump(self._shard_registry(2).dump())
         merged.merge_dump(self._shard_registry(3).dump())
         hist = merged.snapshot()["lookup.seconds"]
@@ -141,7 +141,7 @@ class TestMetricsMerge:
         assert hist["max"] == pytest.approx(1.0)
 
     def test_relabel_renames_scoped_metrics(self):
-        merged = MetricsRegistry(enabled=True)
+        merged = MetricsRegistry()
         for index in (0, 1):
             merged.merge_dump(
                 self._shard_registry(1).dump(),
@@ -157,11 +157,6 @@ class TestMetricsMerge:
         assert "faults.injected" not in snap
         # unscoped metrics still summed under the original name
         assert snap["lookups.total"] == 2
-
-    def test_merge_into_disabled_registry_is_noop(self):
-        merged = MetricsRegistry(enabled=False)
-        merged.merge_dump(self._shard_registry(2).dump())
-        assert merged.snapshot() == {}
 
 
 # ---------------------------------------------------------------------------
