@@ -22,8 +22,9 @@ class Status(str, enum.Enum):
     FORMERR = "FORMERR"
     ERROR = "ERROR"
 
-    def __str__(self) -> str:
-        return self.value
+    #: ``str(status)`` is the value ("NOERROR"), made in C: a member of
+    #: a ``str`` enum is its value's characters.
+    __str__ = str.__str__
 
     @property
     def is_success(self) -> bool:

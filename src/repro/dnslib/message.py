@@ -3,9 +3,10 @@
 :meth:`Message.from_wire` is one flat pass over the packet: every name
 resolves through one shared pointer-target memo (the dominant owner
 shape, a two-byte pointer at a name the packet already spelled, is a
-single dict probe), the record types a scan is made of (A, NS, CNAME,
-PTR) come straight from shared value instances, and everything else
-decodes through one cursor reader shared by the whole packet.
+single dict probe), the record types a scan is made of come straight
+from their four address bytes (A) or from shared value instances (NS,
+CNAME, PTR), and everything else decodes through one cursor reader
+shared by the whole packet.
 :meth:`Message.to_wire` is one writer pass.  Nothing is remembered from
 one message to the next: a scan resolves distinct names, and every
 cross-message memo this module once carried switched itself off (or
@@ -20,9 +21,9 @@ import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .name import Name, _from_text, _interned
+from .name import Name
 from .rdata import RData, rdata_class
-from .rdata.address import _a_instance
+from .rdata.address import A
 from .rdata.names import CNAME, NS, PTR, _single_name_instance
 from .types import (
     CLASS_BY_INT as _CLASS_BY_INT,
@@ -299,13 +300,11 @@ def decode_many(buffers) -> list["Message"]:
 
 
 def clear_codec_caches() -> None:
-    """Forget every value the decoder shares between packets (interned
-    and parsed names, address and single-name rdata instances), so that a
-    benchmark's next pass pays what a first-contact packet pays.
-    Results never depend on these caches."""
-    _interned.cache_clear()
-    _from_text.cache_clear()  # its names are interned ones: forget both together
-    _a_instance.cache_clear()
+    """Forget every value the decoder shares between packets (single-name
+    rdata instances), so that a benchmark's next pass pays what a
+    first-contact packet pays.  Results never depend on these caches.
+    The live-name table (``name._LIVE``) is not a cache and stays: a
+    name it forgot while something held it would get a second instance."""
     _single_name_instance.cache_clear()
 
 
@@ -469,7 +468,7 @@ class Message:
                     # A records dominate scan traffic
                     append(
                         ResourceRecord(
-                            name, RRType.A, rrclass, ttl, _a_instance(data[offset:end])
+                            name, RRType.A, rrclass, ttl, A.from_packed(data[offset:end])
                         )
                     )
                     offset = end

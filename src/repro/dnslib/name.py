@@ -8,7 +8,8 @@ original spelling is preserved for output.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+import weakref
+from functools import partial
 from typing import Iterable, Iterator
 
 MAX_NAME_LENGTH = 255
@@ -40,6 +41,7 @@ class Name:
         "_enc",
         "_suffixes",
         "_wlen",
+        "__weakref__",  # the liveness table's entry (``_LIVE``)
     )
 
     def __init__(self, labels: Iterable[bytes]):
@@ -71,26 +73,19 @@ class Name:
 
     @classmethod
     def intern(cls, labels: tuple[bytes, ...]) -> "Name":
-        """A shared, validated instance for ``labels``.
+        """The live instance for ``labels``, made if none is.
 
         Names are value-immutable, so every constructor callers use —
         ``from_text``, the wire decoder, ``parent``, ``child`` and
-        ``concatenate`` — hands out this one instance per exact spelling
-        (with its memoised key/hash/text/encoding) instead of
-        re-validating and re-lowercasing the same labels millions of
-        times per scan and keeping a copy of each."""
+        ``concatenate`` — hands out one instance per exact spelling
+        while anything holds it (with its memoised key/hash/text/
+        encoding) instead of re-validating and re-lowercasing the same
+        labels for each reference and keeping a copy of each."""
         return _interned(labels)
 
     @classmethod
     def from_text(cls, text: str | bytes) -> "Name":
-        """Parse a presentation-format name (``\\.`` escapes supported).
-
-        Parses are memoised: scan workloads hand the same nameserver
-        and infrastructure names to this function constantly."""
-        return _from_text(text)
-
-    @classmethod
-    def _parse_text(cls, text: str | bytes) -> "Name":
+        """Parse a presentation-format name (``\\.`` escapes supported)."""
         if isinstance(text, str):
             text = text.encode("ascii", errors="strict")
         if text in (b"", b"."):
@@ -105,7 +100,13 @@ class Name:
             if b"" in labels[:-1]:
                 raise NameError_(f"empty label in {text!r}")
             raise NameError_(f"empty trailing label in {text!r}")
-        return _interned(tuple(labels))
+        labels = tuple(labels)
+        # _interned's probe, inline: every parse of a live name ends here
+        try:
+            name = _LIVE[labels]()
+        except KeyError:
+            name = None
+        return _made(labels) if name is None else name
 
     @staticmethod
     def _escaped_labels(text: bytes) -> list[bytes]:
@@ -287,15 +288,34 @@ class Name:
 
 _ROOT = Name(())
 
+#: The one ``Name`` of each exact spelling while anything holds it:
+#: case-preserved label tuple -> weak reference.  A name's death pops
+#: its entry (the reference's callback is ``_LIVE.pop`` bound to the
+#: key, C code all the way), so the table holds live names only and a
+#: scan keeps a name exactly as long as a lookup, a cache or a memo
+#: does.  Never cleared: two live instances of one spelling would then
+#: coexist.  The callback runs as the name is freed, before any Python
+#: code could make another of its spelling (nothing in this program
+#: runs code from a weakref callback that could), so it never pops a
+#: newer entry.
+_LIVE: dict[tuple[bytes, ...], weakref.ref] = {(): weakref.ref(_ROOT)}
+_live_pop = _LIVE.pop
 
-@lru_cache(maxsize=131_072)
+
+def _made(labels: tuple[bytes, ...]) -> Name:
+    """Validate ``labels`` into a new name and enter it in ``_LIVE``."""
+    name = Name(labels)
+    _LIVE[labels] = weakref.ref(name, partial(_live_pop, labels))
+    return name
+
+
 def _interned(labels: tuple[bytes, ...]) -> Name:
-    return Name(labels) if labels else _ROOT
-
-
-@lru_cache(maxsize=65_536)
-def _from_text(text: str | bytes) -> Name:
-    return Name._parse_text(text)
+    """The live name spelled ``labels``, made if none is."""
+    try:
+        name = _LIVE[labels]()
+    except KeyError:
+        name = None
+    return _made(labels) if name is None else name
 
 
 def name_from_ipv4_ptr(address: str) -> Name:

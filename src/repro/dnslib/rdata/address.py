@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import binascii
-from functools import lru_cache
 
 from ..name import Name
 from ..types import RRType
@@ -33,23 +32,23 @@ class A(RData):
         writer.write(self._packed)
 
     @classmethod
+    def from_packed(cls, data: bytes) -> "A":
+        """The record of four address bytes (its wire form), formatted
+        without a parse; each record its own instance, so an address
+        lives only as long as the records that carry it."""
+        self = cls.__new__(cls)
+        self._packed = data
+        self.address = "%d.%d.%d.%d" % (data[0], data[1], data[2], data[3])
+        return self
+
+    @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "A":
         if rdlength != 4:
             raise WireError(f"A rdlength {rdlength} != 4")
-        # scans see the same server/glue addresses constantly; rdata is
-        # value-immutable, so share one instance per address
-        return _a_instance(reader.read(4))
+        return cls.from_packed(reader.read(4))
 
     def to_text(self) -> str:
         return self.address
-
-
-@lru_cache(maxsize=65_536)
-def _a_instance(data: bytes) -> "A":
-    self = A.__new__(A)
-    self._packed = data
-    self.address = bytes_to_ipv4(data)
-    return self
 
 
 @register(RRType.AAAA)

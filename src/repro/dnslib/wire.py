@@ -4,8 +4,9 @@ RFC 1035 section 4.1.4 name compression.
 Hot-path notes: fixed-width fields go through prebound
 :class:`struct.Struct` pack/unpack (no per-call format parsing), names
 are written from their memoised length-prefixed label encodings in one
-buffer append per label, and decoded names are interned so repeated
-owners share one validated instance.
+buffer append per label, and a decoded name is the live instance of its
+spelling (``name._LIVE``) when there is one, so repeated owners share
+one validated instance.
 
 Name decoding lives in the module-level :func:`decode_name_at` so the
 flat message scanner in :mod:`repro.dnslib.message` and the cursor
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import struct
 
-from .name import MAX_NAME_LENGTH, Name, _interned
+from .name import _LIVE, MAX_NAME_LENGTH, Name, _made
 
 #: A compression pointer is two bytes whose top two bits are set.
 _POINTER_MASK = 0xC0
@@ -82,7 +83,13 @@ def decode_name_at(
         length = data[cursor]
         if length < 0x40:
             if not length:
-                entry = (_interned(tuple(labels)), cursor + 1)
+                labels = tuple(labels)
+                # name._interned's probe, inline: most names decoded are live
+                try:
+                    name = _LIVE[labels]()
+                except KeyError:
+                    name = None
+                entry = (_made(labels) if name is None else name, cursor + 1)
                 break
             stop = cursor + 1 + length
             if stop > size:
@@ -108,7 +115,13 @@ def decode_name_at(
             if total > MAX_NAME_LENGTH:
                 raise WireError("decoded name too long")
             if labels:
-                tail = _interned((*labels, *tail.labels))
+                labels = (*labels, *tail.labels)
+                try:
+                    tail = _LIVE[labels]()
+                except KeyError:
+                    tail = None
+                if tail is None:
+                    tail = _made(labels)
             entry = (tail, cursor + 2)
             break
         else:

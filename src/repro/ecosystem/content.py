@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from ..dnslib import DNSClass, Flags, Message, Name, Rcode, ResourceRecord, RRType
 from ..dnslib.rdata import rdata_class
-from ..dnslib.rdata.address import A, AAAA
+from ..dnslib.rdata.address import AAAA
 from ..dnslib.rdata.names import CNAME, NS, SOA
 from . import rand
 from .zonegen import DnssecProfile, DomainProfile, NameserverInfo, ZoneSynthesizer
@@ -229,14 +229,14 @@ def _add_a_records(synth, response, name, profile, ns):
         response.answers.append(rr(name, RRType.CNAME, ANSWER_TTL, CNAME(profile.base)))
         # Canonical answers (resolver view) also chase the chain.
         if ns is None:
-            for address in synth.host_addresses(profile.base, "a"):
-                response.answers.append(rr(profile.base, RRType.A, ANSWER_TTL, A(address)))
+            for record in synth.host_addresses(profile.base, "a"):
+                response.answers.append(rr(profile.base, RRType.A, ANSWER_TTL, record))
         return
     salt = "a"
     if ns is not None and not profile.consistent_answers:
         salt = f"a-ns-{ns.name.to_text()}"  # Section 5's inconsistent providers
-    for address in synth.host_addresses(name, salt):
-        response.answers.append(rr(name, RRType.A, ANSWER_TTL, A(address)))
+    for record in synth.host_addresses(name, salt):
+        response.answers.append(rr(name, RRType.A, ANSWER_TTL, record))
 
 
 def _add_https_records(synth, response, name, profile):
@@ -246,7 +246,7 @@ def _add_https_records(synth, response, name, profile):
         return  # only the large managed providers publish these
     if _uniform(synth, name, "https-rr") >= 0.5:
         return
-    hints = synth.host_addresses(name, "a")[:2]
+    hints = [record.address for record in synth.host_addresses(name, "a")[:2]]
     record = rdata_class(RRType.HTTPS).service(1, Name.root(), ("h2", "h3"), hints)
     response.answers.append(rr(name, RRType.HTTPS, ANSWER_TTL, record))
 

@@ -22,16 +22,23 @@ _PACKED_SEEDS: dict[int, bytes] = {}
 def h64(seed: int, *parts: object) -> int:
     """A 64-bit hash of (seed, parts).
 
-    Feeds blake2b one pre-joined buffer (identical byte stream to the
-    historical per-part ``update`` loop, so every digest — and therefore
-    every synthesised zone — is unchanged)."""
+    Feeds blake2b one pre-joined buffer: the packed seed, then each part
+    (``bytes`` as is, anything else as its ``str`` in UTF-8) followed by
+    a zero byte.  That is the byte stream of the historical per-part
+    ``update`` loop, so every digest — and therefore every synthesised
+    zone — is unchanged.  Parts that are all ``str`` (most draws: a name
+    key and a tag) are joined and encoded in one step; a ``str`` part is
+    hashed as its characters."""
     packed = _PACKED_SEEDS.get(seed)
     if packed is None:
         packed = _PACKED_SEEDS[seed] = struct.pack("<q", seed)
     if parts:
-        buf = packed + b"\x00".join(
-            [part if isinstance(part, bytes) else str(part).encode("utf-8") for part in parts]
-        ) + b"\x00"
+        try:
+            buf = packed + "\x00".join(parts).encode("utf-8") + b"\x00"
+        except TypeError:  # an int or bytes part: encode part by part
+            buf = packed + b"\x00".join(
+                [part if isinstance(part, bytes) else str(part).encode("utf-8") for part in parts]
+            ) + b"\x00"
     else:
         buf = packed
     return int.from_bytes(blake2b(buf, digest_size=8).digest(), "little")
@@ -54,13 +61,24 @@ def choice(seed: int, options: list, *parts: object):
     return options[h64(seed, *parts) % len(options)]
 
 
-def weighted_choice(seed: int, weighted: list[tuple[object, float]], *parts: object):
+class Weights:
+    """Options, each with a weight, and their total (summed once, where
+    the table is built, not on every draw)."""
+
+    __slots__ = ("pairs", "total")
+
+    def __init__(self, pairs):
+        self.pairs: tuple[tuple[object, float], ...] = tuple(pairs)
+        self.total = sum(weight for _, weight in self.pairs)
+
+
+def weighted_choice(seed: int, weighted: Weights, *parts: object):
     """Deterministic pick where each option carries a weight."""
-    total = sum(weight for _, weight in weighted)
-    point = uniform(seed, *parts) * total
+    point = uniform(seed, *parts) * weighted.total
     acc = 0.0
-    for option, weight in weighted:
+    pairs = weighted.pairs
+    for option, weight in pairs:
         acc += weight
         if point < acc:
             return option
-    return weighted[-1][0]
+    return pairs[-1][0]

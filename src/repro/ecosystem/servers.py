@@ -189,8 +189,8 @@ class InfraServer(_ZoneServer):
             # PTR targets resolve deterministically
             response = query.make_response(authoritative=True)
             if wants_a:
-                address = self.synth.host_addresses(name)[0]
-                response.answers.append(rr(name, RRType.A, ANSWER_TTL, A(address)))
+                record = self.synth.host_addresses(name)[0]
+                response.answers.append(rr(name, RRType.A, ANSWER_TTL, record))
             else:
                 response.authorities.append(soa_for(_EXAMPLE))
             return response

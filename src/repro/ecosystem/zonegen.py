@@ -9,9 +9,10 @@ servers call into this module to answer any query with O(1) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from ..dnslib import Name, RRType
+from ..dnslib.rdata.address import A
 from . import rand
 from .params import (
     CCTLDS,
@@ -125,12 +126,12 @@ class DomainProfile:
 
     def __getattr__(self, name: str):
         # reached only while a lazy field is not in __dict__ yet
-        synth, gkey = self.__dict__.get("_drawn_from", (None, None))
-        if synth is not None and name in _CONTENT_DRAWS:
+        params, gkey = self.__dict__.get("_drawn_from", (None, None))
+        if params is not None and name in _CONTENT_DRAWS:
             tag, rate = _CONTENT_DRAWS[name]
-            value = rand.uniform(synth.params.seed, gkey, tag) < rate
-        elif synth is not None and name == "caa":
-            value = synth._caa_profile(gkey, self.tld, self.tld_cls) if self.exists else None
+            value = rand.uniform(params.seed, gkey, tag) < rate
+        elif params is not None and name == "caa":
+            value = _draw_caa(params, gkey, self.tld, self.tld_cls) if self.exists else None
         else:
             raise AttributeError(name)
         object.__setattr__(self, name, value)
@@ -149,13 +150,21 @@ class ZoneSynthesizer:
         #: stay byte-identical until someone publishes a delta
         #: (:func:`repro.ecosystem.deltas.publish_zone_delta`).
         self._generations: dict[Name, int] = {}
-        self._provider_weights = [(i, p.weight) for i, p in enumerate(self._providers)]
         self._tlds = (
             [(t, "legacy") for t, _ in LEGACY_GTLDS]
             + [(t, "cc") for t, _ in CCTLDS]
             + [(t, "ng") for t, _ in NGTLDS]
         )
         self._tld_index = {t: i for i, (t, _) in enumerate(self._tlds)}
+        #: This universe's memo of base-domain profiles, keyed on (base,
+        #: generation).  It wraps a module-level draw over the universe's
+        #: fixed inputs, not a method: nothing it holds refers back to
+        #: the synthesiser, so a dropped universe is freed by reference
+        #: count, memo and profiles with it.
+        weights = rand.Weights((i, p.weight) for i, p in enumerate(self._providers))
+        self._profile = lru_cache(maxsize=262_144)(
+            partial(_draw_profile, self.params, tuple(self._providers), weights)
+        )
 
     @cached_property
     def dnssec(self):
@@ -165,6 +174,15 @@ class ZoneSynthesizer:
         from . import dnssec
 
         return dnssec
+
+    @cached_property
+    def _dnssec_profile(self):
+        """This universe's memo of zone DNSSEC profiles, keyed on (zone,
+        generation), built with :attr:`dnssec` the first time one is
+        asked for; like ``_profile`` it refers back to nothing."""
+        return lru_cache(maxsize=262_144)(
+            partial(_draw_dnssec_profile, self.params, self._tld_index, self.dnssec)
+        )
 
     # ------------------------------------------------------------------
     # address books for infrastructure
@@ -180,10 +198,10 @@ class ZoneSynthesizer:
         return f"192.6.{self._tld_index[tld]}.{k + 1}"
 
     def provider_ns_name(self, provider_index: int, k: int) -> Name:
-        return Name.from_text(f"ns{k + 1}.{self._providers[provider_index].name}")
+        return _provider_ns_name(self._providers[provider_index], k)
 
     def provider_ns_ip(self, provider_index: int, k: int) -> str:
-        return f"192.7.{provider_index}.{k + 1}"
+        return _provider_ns_ip(provider_index, k)
 
     def rdns_operator(self, octets: tuple[int, ...]) -> int:
         return rand.h64(self.params.seed, "rdns-op", *octets) % self.params.rdns_operators
@@ -242,8 +260,9 @@ class ZoneSynthesizer:
         tld = name.labels[-1].decode("ascii", "replace").lower()
         if tld not in self._tld_index:
             return None
-        # interned: profile() is lru-cached on the Name, so handing back
-        # the shared instance turns its cache key into a pointer compare
+        # the live instance: profile() is lru-cached on the Name, so
+        # handing back the shared one turns its cache key into a pointer
+        # compare
         return Name.intern(name.labels[-2:])
 
     def generation_of(self, base: Name) -> int:
@@ -281,178 +300,12 @@ class ZoneSynthesizer:
             generation = self._generations.get(zone, 0)
         return self._dnssec_profile(zone, generation)
 
-    @lru_cache(maxsize=262_144)
-    def _dnssec_profile(self, zone: Name, generation: int) -> DnssecProfile:
-        seed = self.params.seed
-        p = self.params
-        labels = zone.labels
-        validity = p.dnssec_validity
-        dnssec = self.dnssec
-        if not labels:
-            return DnssecProfile(
-                signed=True,
-                key=dnssec.zone_key_bytes(seed, zone, generation),
-                inception=dnssec.EPOCH_BASE - validity,
-                expiration=dnssec.EPOCH_BASE + validity,
-            )
-        tld = labels[-1].decode("ascii", "replace").lower()
-        if tld not in self._tld_index or len(labels) > 2:
-            return UNSIGNED
-        key = zone.key_text()
-        if len(labels) == 1:
-            if rand.uniform(seed, key, "dnssec-signed") >= p.p_tld_signed:
-                return UNSIGNED
-            return DnssecProfile(
-                signed=True,
-                key=dnssec.zone_key_bytes(seed, zone, generation),
-                inception=dnssec.EPOCH_BASE - validity,
-                expiration=dnssec.EPOCH_BASE + validity,
-            )
-        if rand.uniform(seed, key, "dnssec-signed") >= p.p_domain_signed:
-            return UNSIGNED
-        roll = rand.uniform(seed, key, "dnssec-anomaly")
-        island = roll < p.p_island
-        broken = not island and roll < p.p_island + p.p_broken_ds
-        expired = (
-            not island and not broken
-            and roll < p.p_island + p.p_broken_ds + p.p_expired_sig
-        )
-        if expired:
-            inception = dnssec.EPOCH_BASE - validity - 3600
-            expiration = dnssec.EPOCH_BASE - 3600
-        else:
-            inception = dnssec.EPOCH_BASE - validity
-            expiration = dnssec.EPOCH_BASE + validity
-        return DnssecProfile(
-            signed=True,
-            island=island,
-            broken_ds=broken,
-            expired=expired,
-            key=dnssec.zone_key_bytes(seed, zone, generation),
-            inception=inception,
-            expiration=expiration,
-        )
-
     def profile(self, base: Name) -> DomainProfile:
         """The deterministic profile of a base domain (at its current
         zone generation)."""
         if self._generations:
             return self._profile(base, self._generations.get(base, 0))
         return self._profile(base, 0)
-
-    @lru_cache(maxsize=262_144)
-    def _profile(self, base: Name, generation: int) -> DomainProfile:
-        seed = self.params.seed
-        p = self.params
-        key = base.key_text()
-        #: Registration draws (exists/dead) stay on the unsalted key —
-        #: a zone delta re-delegates and rewrites content, it does not
-        #: unregister the domain.  Everything else re-rolls per
-        #: generation.
-        gkey = key if generation == 0 else f"{key}#gen{generation}"
-        tld = base.labels[-1].decode("ascii", "replace").lower()
-        cls = tld_class(tld) or "legacy"
-
-        exists = rand.uniform(seed, key, "exists") < self._p_exists()
-        dead = False
-        if not exists:
-            dead = rand.uniform(seed, key, "dead") < p.p_dead_given_unresolved
-
-        provider_index = rand.weighted_choice(seed, self._provider_weights, gkey, "provider")
-        provider = self._providers[provider_index]
-
-        ns_count = rand.randint(seed, 2, min(4, provider.ns_pool), gkey, "nscount")
-        pool = list(range(provider.ns_pool))
-        nameservers = []
-        flaky_rate = p.p_flaky_base + provider.flaky_rate + FLAKY_CCTLDS.get(tld, 0.0)
-        for slot in range(ns_count):
-            k = pool[rand.h64(seed, gkey, "nspick", slot) % len(pool)]
-            pool.remove(k)
-            drop_prob = 0.0
-            lame = False
-            if rand.uniform(seed, gkey, "flaky", k) < flaky_rate:
-                severe = (
-                    rand.uniform(seed, gkey, "severe", k)
-                    < p.p_severe_given_flaky + provider.severe_flaky_rate
-                )
-                drop_prob = p.severe_drop_prob if severe else p.flaky_drop_prob
-            elif rand.uniform(seed, gkey, "lame", k) < provider.lame_rate:
-                lame = True
-            nameservers.append(
-                NameserverInfo(
-                    name=self.provider_ns_name(provider_index, k),
-                    ip=self.provider_ns_ip(provider_index, k),
-                    drop_prob=drop_prob,
-                    lame=lame,
-                )
-            )
-
-        profile = DomainProfile(
-            # the cache key ignores case, so the first caller's spelling
-            # must not become the zone's: zone data is spelled canonically
-            base=Name.intern(base.canonical_key()),
-            tld=tld,
-            tld_cls=cls,
-            exists=exists,
-            dead=dead,
-            provider=provider,
-            provider_index=provider_index,
-            nameservers=tuple(nameservers),
-            consistent_answers=provider.consistent_answers
-            or rand.uniform(seed, gkey, "consistent") < 0.999,
-            truncates=rand.uniform(seed, gkey, "trunc") < p.p_truncated,
-            www_is_cname=rand.uniform(seed, gkey, "wwwcname") < 0.5,
-        )
-        object.__setattr__(profile, "_drawn_from", (self, gkey))  # for the lazy fields
-        return profile
-
-    def _p_exists(self) -> float:
-        # p_fqdn_resolves = p_base_exists * p_sub_exists(=0.9)
-        return min(1.0, self.params.p_fqdn_resolves / 0.9)
-
-    def _caa_profile(self, key: str, tld: str, cls: str) -> CAAProfile | None:
-        p = self.params
-        seed = self.params.seed
-        rate = p.p_caa_gtld
-        if cls == "cc":
-            rate *= p.cctld_caa_multiplier
-            if tld == "pl":
-                rate *= p.pl_caa_multiplier
-        if rand.uniform(seed, key, "caa") >= rate:
-            return None
-
-        issue: list[str] = []
-        issuewild: list[str] = []
-        iodef: list[str] = []
-        invalid: list[str] = []
-
-        if rand.uniform(seed, key, "caa-iodef-only") < p.p_caa_iodef_only:
-            iodef.append(f"mailto:security@{key}")
-        else:
-            if rand.uniform(seed, key, "caa-issue") < p.p_caa_issue:
-                if rand.uniform(seed, key, "caa-le") < p.p_issuer_letsencrypt:
-                    issue.append(ISSUER_LETSENCRYPT)
-                if rand.uniform(seed, key, "caa-comodo") < p.p_issuer_comodo:
-                    issue.append(ISSUER_COMODO)
-                if rand.uniform(seed, key, "caa-digicert") < p.p_issuer_digicert:
-                    issue.append(ISSUER_DIGICERT)
-                if not issue or rand.uniform(seed, key, "caa-other") < 0.12:
-                    issue.append(rand.choice(seed, ISSUERS_OTHER, key, "caa-other-pick"))
-            if rand.uniform(seed, key, "caa-wild") < p.p_caa_issuewild:
-                issuewild.append(issue[0] if issue else ISSUER_LETSENCRYPT)
-            if rand.uniform(seed, key, "caa-iodef") < p.p_caa_iodef:
-                iodef.append(f"mailto:hostmaster@{key}")
-            if rand.uniform(seed, key, "caa-invalid") < p.p_caa_invalid_tag:
-                # the registrar input-validation bug from Section 6
-                invalid.append("issue wild")
-
-        return CAAProfile(
-            issue=tuple(issue),
-            issuewild=tuple(issuewild),
-            iodef=tuple(iodef),
-            invalid_tags=tuple(invalid),
-            via_cname=rand.uniform(seed, key, "caa-cname") < p.p_caa_via_cname,
-        )
 
     # ------------------------------------------------------------------
     # per-host facts
@@ -477,9 +330,10 @@ class ZoneSynthesizer:
                 return profile.has_mx
         return rand.uniform(self.params.seed, key, "sub") < 0.85
 
-    def host_addresses(self, fqdn: Name, count_tag: str = "a") -> list[str]:
-        """Deterministic public IPv4 addresses for a hostname (re-drawn
-        when the owning base domain's zone generation advances)."""
+    def host_addresses(self, fqdn: Name, count_tag: str = "a") -> list[A]:
+        """Deterministic public IPv4 address records for a hostname
+        (re-drawn when the owning base domain's zone generation
+        advances), each built from its drawn bytes."""
         key = fqdn.key_text()
         if self._generations:
             generation = self._generations.get(self.base_domain_of(fqdn), 0)
@@ -487,14 +341,17 @@ class ZoneSynthesizer:
                 key = f"{key}#gen{generation}"
         seed = self.params.seed
         count = 1 + rand.h64(seed, key, count_tag, "count") % 3
-        addresses = []
+        records = []
         for i in range(count):
             value = rand.h64(seed, key, count_tag, i)
-            octet0 = _HOST_OCTETS[value % len(_HOST_OCTETS)]
-            addresses.append(
-                f"{octet0}.{(value >> 8) & 255}.{(value >> 16) & 255}.{max(1, (value >> 24) & 255)}"
+            octets = (
+                _HOST_OCTETS[value % len(_HOST_OCTETS)],
+                (value >> 8) & 255,
+                (value >> 16) & 255,
+                (value >> 24) & 255 or 1,
             )
-        return addresses
+            records.append(A.from_packed(bytes(octets)))
+        return records
 
     # ------------------------------------------------------------------
     # reverse zones
@@ -518,3 +375,191 @@ class ZoneSynthesizer:
     def ptr_target(self, ip: str) -> Name:
         value = rand.h64(self.params.seed, ip, "ptrname")
         return Name.from_text(f"host-{value % 100_000}.isp{value % self.params.rdns_operators}.example")
+
+
+# ----------------------------------------------------------------------
+# the memoised draws (module-level, so a universe's memos hold nothing
+# that refers back to its synthesiser)
+# ----------------------------------------------------------------------
+
+
+def _provider_ns_name(provider: ProviderProfile, k: int) -> Name:
+    return Name.from_text(f"ns{k + 1}.{provider.name}")
+
+
+def _provider_ns_ip(provider_index: int, k: int) -> str:
+    return f"192.7.{provider_index}.{k + 1}"
+
+
+def _draw_dnssec_profile(
+    params: EcosystemParams, tld_index: dict[str, int], dnssec, zone: Name, generation: int
+) -> DnssecProfile:
+    """``ZoneSynthesizer.dnssec_profile``'s draw, memoised per universe."""
+    seed = params.seed
+    p = params
+    labels = zone.labels
+    validity = p.dnssec_validity
+    if not labels:
+        return DnssecProfile(
+            signed=True,
+            key=dnssec.zone_key_bytes(seed, zone, generation),
+            inception=dnssec.EPOCH_BASE - validity,
+            expiration=dnssec.EPOCH_BASE + validity,
+        )
+    tld = labels[-1].decode("ascii", "replace").lower()
+    if tld not in tld_index or len(labels) > 2:
+        return UNSIGNED
+    key = zone.key_text()
+    if len(labels) == 1:
+        if rand.uniform(seed, key, "dnssec-signed") >= p.p_tld_signed:
+            return UNSIGNED
+        return DnssecProfile(
+            signed=True,
+            key=dnssec.zone_key_bytes(seed, zone, generation),
+            inception=dnssec.EPOCH_BASE - validity,
+            expiration=dnssec.EPOCH_BASE + validity,
+        )
+    if rand.uniform(seed, key, "dnssec-signed") >= p.p_domain_signed:
+        return UNSIGNED
+    roll = rand.uniform(seed, key, "dnssec-anomaly")
+    island = roll < p.p_island
+    broken = not island and roll < p.p_island + p.p_broken_ds
+    expired = (
+        not island and not broken
+        and roll < p.p_island + p.p_broken_ds + p.p_expired_sig
+    )
+    if expired:
+        inception = dnssec.EPOCH_BASE - validity - 3600
+        expiration = dnssec.EPOCH_BASE - 3600
+    else:
+        inception = dnssec.EPOCH_BASE - validity
+        expiration = dnssec.EPOCH_BASE + validity
+    return DnssecProfile(
+        signed=True,
+        island=island,
+        broken_ds=broken,
+        expired=expired,
+        key=dnssec.zone_key_bytes(seed, zone, generation),
+        inception=inception,
+        expiration=expiration,
+    )
+
+
+def _draw_profile(
+    params: EcosystemParams,
+    providers: tuple[ProviderProfile, ...],
+    weights: rand.Weights,
+    base: Name,
+    generation: int,
+) -> DomainProfile:
+    """``ZoneSynthesizer.profile``'s draw, memoised per universe."""
+    seed = params.seed
+    p = params
+    key = base.key_text()
+    #: Registration draws (exists/dead) stay on the unsalted key —
+    #: a zone delta re-delegates and rewrites content, it does not
+    #: unregister the domain.  Everything else re-rolls per
+    #: generation.
+    gkey = key if generation == 0 else f"{key}#gen{generation}"
+    tld = base.labels[-1].decode("ascii", "replace").lower()
+    cls = tld_class(tld) or "legacy"
+
+    # p_fqdn_resolves = p_base_exists * p_sub_exists(=0.9)
+    exists = rand.uniform(seed, key, "exists") < min(1.0, p.p_fqdn_resolves / 0.9)
+    dead = False
+    if not exists:
+        dead = rand.uniform(seed, key, "dead") < p.p_dead_given_unresolved
+
+    provider_index = rand.weighted_choice(seed, weights, gkey, "provider")
+    provider = providers[provider_index]
+
+    ns_count = rand.randint(seed, 2, min(4, provider.ns_pool), gkey, "nscount")
+    pool = list(range(provider.ns_pool))
+    nameservers = []
+    flaky_rate = p.p_flaky_base + provider.flaky_rate + FLAKY_CCTLDS.get(tld, 0.0)
+    for slot in range(ns_count):
+        k = pool[rand.h64(seed, gkey, "nspick", slot) % len(pool)]
+        pool.remove(k)
+        drop_prob = 0.0
+        lame = False
+        if rand.uniform(seed, gkey, "flaky", k) < flaky_rate:
+            severe = (
+                rand.uniform(seed, gkey, "severe", k)
+                < p.p_severe_given_flaky + provider.severe_flaky_rate
+            )
+            drop_prob = p.severe_drop_prob if severe else p.flaky_drop_prob
+        elif rand.uniform(seed, gkey, "lame", k) < provider.lame_rate:
+            lame = True
+        nameservers.append(
+            NameserverInfo(
+                name=_provider_ns_name(provider, k),
+                ip=_provider_ns_ip(provider_index, k),
+                drop_prob=drop_prob,
+                lame=lame,
+            )
+        )
+
+    profile = DomainProfile(
+        # the cache key ignores case, so the first caller's spelling
+        # must not become the zone's: zone data is spelled canonically
+        base=Name.intern(base.canonical_key()),
+        tld=tld,
+        tld_cls=cls,
+        exists=exists,
+        dead=dead,
+        provider=provider,
+        provider_index=provider_index,
+        nameservers=tuple(nameservers),
+        consistent_answers=provider.consistent_answers
+        or rand.uniform(seed, gkey, "consistent") < 0.999,
+        truncates=rand.uniform(seed, gkey, "trunc") < p.p_truncated,
+        www_is_cname=rand.uniform(seed, gkey, "wwwcname") < 0.5,
+    )
+    object.__setattr__(profile, "_drawn_from", (params, gkey))  # for the lazy fields
+    return profile
+
+
+def _draw_caa(params: EcosystemParams, key: str, tld: str, cls: str) -> CAAProfile | None:
+    """A domain's CAA deployment (drawn on a profile's first ``caa`` read)."""
+    p = params
+    seed = params.seed
+    rate = p.p_caa_gtld
+    if cls == "cc":
+        rate *= p.cctld_caa_multiplier
+        if tld == "pl":
+            rate *= p.pl_caa_multiplier
+    if rand.uniform(seed, key, "caa") >= rate:
+        return None
+
+    issue: list[str] = []
+    issuewild: list[str] = []
+    iodef: list[str] = []
+    invalid: list[str] = []
+
+    if rand.uniform(seed, key, "caa-iodef-only") < p.p_caa_iodef_only:
+        iodef.append(f"mailto:security@{key}")
+    else:
+        if rand.uniform(seed, key, "caa-issue") < p.p_caa_issue:
+            if rand.uniform(seed, key, "caa-le") < p.p_issuer_letsencrypt:
+                issue.append(ISSUER_LETSENCRYPT)
+            if rand.uniform(seed, key, "caa-comodo") < p.p_issuer_comodo:
+                issue.append(ISSUER_COMODO)
+            if rand.uniform(seed, key, "caa-digicert") < p.p_issuer_digicert:
+                issue.append(ISSUER_DIGICERT)
+            if not issue or rand.uniform(seed, key, "caa-other") < 0.12:
+                issue.append(rand.choice(seed, ISSUERS_OTHER, key, "caa-other-pick"))
+        if rand.uniform(seed, key, "caa-wild") < p.p_caa_issuewild:
+            issuewild.append(issue[0] if issue else ISSUER_LETSENCRYPT)
+        if rand.uniform(seed, key, "caa-iodef") < p.p_caa_iodef:
+            iodef.append(f"mailto:hostmaster@{key}")
+        if rand.uniform(seed, key, "caa-invalid") < p.p_caa_invalid_tag:
+            # the registrar input-validation bug from Section 6
+            invalid.append("issue wild")
+
+    return CAAProfile(
+        issue=tuple(issue),
+        issuewild=tuple(issuewild),
+        iodef=tuple(iodef),
+        invalid_tags=tuple(invalid),
+        via_cname=rand.uniform(seed, key, "caa-cname") < p.p_caa_via_cname,
+    )

@@ -79,11 +79,9 @@ start-up cost.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
-from multiprocessing.connection import wait as _connection_wait
 from typing import Iterable, TextIO
 
 from ..core.config import at_least
@@ -346,7 +344,11 @@ def _add_counts(totals: dict | None, counts: dict | None) -> dict | None:
 def _mp_context():
     """Prefer ``fork`` (copy-on-write corpus, no re-import); fall back
     to the platform default (``spawn`` on macOS/Windows — the spec is
-    picklable, so it works, just slower to start)."""
+    picklable, so it works, just slower to start).  ``multiprocessing``
+    loads here, when a scan forks, not with this module: an in-process
+    scan never pays for it."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -591,11 +593,13 @@ def run_parallel_scan(
         victim = max(victims, key=lambda s: (len(pending[s]), s))
         return pending[victim].pop(), victim % processes
 
+    from multiprocessing.connection import wait  # loaded with the fork (`_mp_context`)
+
     advance()  # restored prefix replays immediately; output streams from it
     try:
         live = set(connections)
         while live:
-            for conn in _connection_wait(list(live)):
+            for conn in wait(list(live)):
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):

@@ -20,10 +20,11 @@ from ..ecosystem.zonegen import SUBDOMAIN_LABELS
 #: Average FQDNs per base domain in the paper: 234M / 93M ~= 2.5.
 FQDNS_PER_DOMAIN = 2.5
 
+_CLASS_WEIGHTS = rand.Weights(TLD_CLASS_WEIGHTS)
 _CLASS_TLDS = {
-    "legacy": LEGACY_GTLDS,
-    "cc": CCTLDS,
-    "ng": NGTLDS,
+    "legacy": rand.Weights(LEGACY_GTLDS),
+    "cc": rand.Weights(CCTLDS),
+    "ng": rand.Weights(NGTLDS),
 }
 
 
@@ -49,7 +50,7 @@ class DomainCorpus:
         """(base domain, tld, class) of a family, its TLD following
         Table 3 weights, so that all FQDNs of one base domain share it."""
         seed = self.config.seed
-        cls = rand.weighted_choice(seed, TLD_CLASS_WEIGHTS, "tldclass", family)
+        cls = rand.weighted_choice(seed, _CLASS_WEIGHTS, "tldclass", family)
         tld = rand.weighted_choice(seed, _CLASS_TLDS[cls], "tld", cls, family)
         token = rand.h64(seed, "base", tld, family) % 10_000_000
         return f"d{token}-{family}.{tld}", tld, cls

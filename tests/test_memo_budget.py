@@ -1,6 +1,7 @@
-"""The memo budget: every process-lifetime ``functools.lru_cache`` under
-``repro.*``, named here with the traffic that hits it and held to a hit
-ratio on real scan and service traffic — pinned like ``TestEventBudget``
+"""The memo budget: every ``functools.lru_cache`` under ``repro.*`` —
+process-lifetime ones at module or class level, and the per-universe
+ones a ``ZoneSynthesizer`` builds — named here with the traffic that
+hits it and held to a hit ratio on real scan and service traffic — pinned like ``TestEventBudget``
 pins events per exchange.  A memo cannot come back, or a new one arrive,
 without its traffic being written down (ROADMAP aim 2: "caches, memos
 and fast paths stay only if an ablation on real scan traffic shows they
@@ -22,10 +23,7 @@ from repro.workloads import DomainCorpus
 MEMOS = {
     "repro.dnslib.message._flags_to_int": "every encode: a scan uses six flag words",
     "repro.dnslib.message._flags_from_int": "every decode: the same six",
-    "repro.dnslib.name._interned": "one Name per spelling (parsed, decoded, joined): TLD / base / NS names recur",
-    "repro.dnslib.name._from_text": "server construction and referrals re-parse nameserver names",
     "repro.dnslib.rdata._util.bytes_to_ipv6": "AAAA decode (slow path is stdlib ipaddress); idle on A scans",
-    "repro.dnslib.rdata.address._a_instance": "A decode: glue addresses recur across referrals",
     "repro.dnslib.rdata.names._single_name_instance": "NS/CNAME/PTR decode: a provider's nameservers recur",
     "repro.dnslib.text_format._joined": "zone-file parsing only: relative owner + origin per line",
     "repro.dnslib.text_format._rdata_from_text": "zone-file parsing only: repeated rdata strings",
@@ -37,6 +35,13 @@ MEMOS = {
 BUSY_PROBES = 500
 #: ... must hit at least this often.
 MIN_HIT_RATIO = 0.10
+
+
+#: The per-universe memos: ``ZoneSynthesizer`` attribute -> name in MEMOS.
+UNIVERSE_MEMOS = {
+    "_profile": "repro.ecosystem.zonegen.ZoneSynthesizer._profile",
+    "_dnssec_profile": "repro.ecosystem.zonegen.ZoneSynthesizer._dnssec_profile",
+}
 
 
 def memos() -> dict:
@@ -69,28 +74,40 @@ def distinct_names(count: int, offset: int) -> list[str]:
     return list(names)
 
 
-def scan(names, dnssec: bool) -> None:
+def scan(names, dnssec: bool):
+    """Scan ``names`` in a universe of their own; returns the universe."""
     universe = EcosystemParams(seed=2022, **({"p_tld_signed": 1.0} if dnssec else {}))
     internet = build_internet(params=universe, wire_mode="always")
     config = ScanConfig(threads=100, source_prefix=28, seed=2022, dnssec=dnssec)
     report = ScanRunner(internet, config, sink=JsonLineSink(io.StringIO())).run(names)
     assert report.stats.total == len(names)
+    return internet
 
 
 def test_memo_budget():
     found = memos()
-    assert sorted(found) == sorted(MEMOS), "a memo came or went: write its traffic down in MEMOS"
+    assert sorted([*found, *UNIVERSE_MEMOS.values()]) == sorted(MEMOS), (
+        "a memo came or went: write its traffic down in MEMOS"
+    )
     for memo in found.values():
         memo.cache_clear()  # counters too: what follows is all this test's traffic
 
     names = distinct_names(300, offset=2022 * 6000)
-    scan(names, dnssec=False)
-    scan(names, dnssec=True)
-    ResolverService(
+    service = ResolverService(
         ServiceConfig(seed=2022, duration=300.0, base_qps=20.0, catalog_size=400, deltas=2)
-    ).run()
+    )
+    service.run()
+    synths = [scan(names, dnssec=False).synth, scan(names, dnssec=True).synth]
+    synths.append(service.internet.synth)
 
     table = {name: memo.cache_info() for name, memo in found.items()}
+    for attribute, name in UNIVERSE_MEMOS.items():  # summed over the three universes
+        infos = [getattr(synth, attribute).cache_info() for synth in synths]
+        table[name] = infos[0]._replace(
+            hits=sum(info.hits for info in infos),
+            misses=sum(info.misses for info in infos),
+            currsize=sum(info.currsize for info in infos),
+        )
     report = "\n".join(
         f"{name:<58} {info.hits:>7} / {info.hits + info.misses:<7} size {info.currsize}"
         for name, info in sorted(table.items())

@@ -131,9 +131,9 @@ class TestLookupModules:
             pytest.skip("www missing for this domain")
         row = run_module(internet, "ALOOKUP", fqdn)
         assert row["status"] == "NOERROR"
-        assert set(row["data"]["ipv4_addresses"]) == set(
-            synth.host_addresses(N(name), "a")
-        )
+        assert set(row["data"]["ipv4_addresses"]) == {
+            record.address for record in synth.host_addresses(N(name), "a")
+        }
 
     def test_mxlookup_resolves_exchanges(self, internet, synth):
         name, _ = find(synth, lambda p: p.exists and p.has_mx and not p.truncates)

@@ -53,7 +53,7 @@ class TestParsing:
 
 
 def _loop_parse(text: bytes) -> Name:
-    """``Name._parse_text`` as it was before it had a fast path: the
+    """``Name.from_text`` as it was before it had a fast path: the
     escape-aware byte loop for every input."""
     if text in (b"", b"."):
         return Name.root()
@@ -92,12 +92,12 @@ class TestParseFastPath:
     @settings(max_examples=300)
     def test_split_equals_loop_without_escapes(self, text):
         assert b"\\" not in text
-        assert _outcome(Name._parse_text, text) == _outcome(_loop_parse, text)
+        assert _outcome(Name.from_text, text) == _outcome(_loop_parse, text)
 
     @given(_texts(st.one_of(_PLAIN, _ESCAPED)))
     @settings(max_examples=300)
     def test_escapes_still_take_the_loop(self, text):
-        assert _outcome(Name._parse_text, text) == _outcome(_loop_parse, text)
+        assert _outcome(Name.from_text, text) == _outcome(_loop_parse, text)
 
     def test_every_error_is_reachable_on_both_paths(self):
         for text, message in [
@@ -108,7 +108,7 @@ class TestParseFastPath:
             (b"a" * 64 + b".com", "label too long: 64 bytes"),
             (b".".join([b"a" * 63] * 4), "name too long: 257 bytes"),
         ]:
-            for parse in (Name._parse_text, _loop_parse):
+            for parse in (Name.from_text, _loop_parse):
                 with pytest.raises(NameError_) as raised:
                     parse(text)
                 assert str(raised.value) == message, (parse, text)

@@ -46,7 +46,7 @@ class TestIterativeOnUniverse:
         resolver = Resolver(internet)
         result = resolver.lookup(base, RRType.A)
         got = sorted(record.rdata.address for record in result.answers)
-        assert got == sorted(synth.host_addresses(base, "a"))
+        assert got == sorted(record.address for record in synth.host_addresses(base, "a"))
 
     def test_nxdomain_for_unregistered(self, internet, synth):
         base, _ = find_domain(synth, lambda p: not p.exists and not p.dead)

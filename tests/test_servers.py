@@ -192,9 +192,9 @@ class TestProviderAuthServer:
         server = self.make_server(synth, profile)
         response = ask(server, base)
         assert response.flags.authoritative
-        assert {r.rdata.address for r in response.answers} == set(
-            synth.host_addresses(base, "a")
-        )
+        assert {r.rdata.address for r in response.answers} == {
+            record.address for record in synth.host_addresses(base, "a")
+        }
 
     def test_refuses_unhosted_domain(self, synth):
         base, profile = find_domain(synth, lambda p: p.exists)

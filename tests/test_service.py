@@ -185,10 +185,10 @@ class TestZoneDeltas:
 
         assert glue(ask(tld)) == {ns.ip for ns in before.nameservers}
         old_addresses = addresses(ask(provider))
-        assert old_addresses == set(synth.host_addresses(base))
+        assert old_addresses == {record.address for record in synth.host_addresses(base)}
         assert publish_zone_delta(internet, base) == 1
         assert glue(ask(tld)) == {ns.ip for ns in after.nameservers}
-        assert addresses(ask(provider)) == set(synth.host_addresses(base)) != old_addresses
+        assert addresses(ask(provider)) == {record.address for record in synth.host_addresses(base)} != old_addresses
 
     def test_unknown_tld_rejected(self):
         internet = build_internet(params=EcosystemParams(seed=11), wire_mode="never")

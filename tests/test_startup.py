@@ -228,3 +228,14 @@ def test_the_run_phase_resolves_no_relative_import(module):
     parent_calls, answered = counts
     assert answered > 0  # the servers built those answers in this run
     assert parent_calls == 0
+
+
+def test_the_executor_loads_multiprocessing_only_when_a_scan_forks():
+    """Naming ``run_parallel_scan`` costs an in-process scan nothing:
+    ``multiprocessing`` loads inside ``_mp_context``, when a scan forks."""
+    probe = "import sys, repro.framework.parallel; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -50,19 +50,19 @@ TOLERANCE = 0.002
 BUDGETS = {
     (3, 11): {
         "wire": {
-            "C": 193921, "core": 23537, "dnslib": 66836, "ecosystem": 19308,
+            "C": 194164, "core": 21985, "dnslib": 67801, "ecosystem": 14573,
             "framework": 4026, "generated": 9050, "modules": 1847, "net": 26455,
-            "stdlib": 10384,
+            "stdlib": 7280,
         },
         "dnssec": {
-            "C": 305821, "core": 40904, "dnslib": 123712, "ecosystem": 28832,
+            "C": 305641, "core": 39074, "dnslib": 127065, "ecosystem": 23942,
             "framework": 4438, "generated": 10849, "modules": 1985, "net": 31691,
-            "stdlib": 12114,
+            "stdlib": 8454,
         },
         "metrics": {
-            "C": 194521, "core": 23537, "dnslib": 66836, "ecosystem": 19308,
+            "C": 194764, "core": 21985, "dnslib": 67801, "ecosystem": 14573,
             "framework": 4026, "generated": 9050, "modules": 1847, "net": 26455,
-            "obs": 1200, "stdlib": 10384,
+            "obs": 1200, "stdlib": 7280,
         },
     },
 }

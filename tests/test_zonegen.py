@@ -1,6 +1,8 @@
 """Tests for procedural zone synthesis: determinism and statistics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dnslib import Name
 from repro.ecosystem import EcosystemParams, ZoneSynthesizer
@@ -215,6 +217,7 @@ class TestLazyContentFacts:
     @pytest.mark.parametrize("generation", [0, 1])
     def test_lazy_equals_eager(self, generation):
         from repro.ecosystem import rand
+        from repro.ecosystem.zonegen import _draw_caa
 
         synth = ZoneSynthesizer(EcosystemParams(seed=2022))
         seed = synth.params.seed
@@ -231,7 +234,7 @@ class TestLazyContentFacts:
                 "has_mx": rand.uniform(seed, gkey, "mx") < 0.72,
                 "has_spf": rand.uniform(seed, gkey, "spf") < 0.60,
                 "has_dmarc": rand.uniform(seed, gkey, "dmarc") < 0.42,
-                "caa": synth._caa_profile(gkey, profile.tld, profile.tld_cls)
+                "caa": _draw_caa(synth.params, gkey, profile.tld, profile.tld_cls)
                 if profile.exists
                 else None,
             }
@@ -292,3 +295,36 @@ class TestInfraAddressBook:
         # no collisions across tiers
         count = len(synth.tlds()) * 2 + len(synth.params.providers) + 16
         assert len(ips) == count
+
+
+class TestHashDraws:
+    """``h64`` joins all-``str`` parts in one step and encodes other
+    mixes part by part; both are the historical per-part digest."""
+
+    @staticmethod
+    def reference(seed: int, *parts) -> int:
+        import hashlib
+        import struct
+
+        digest = hashlib.blake2b(digest_size=8)
+        digest.update(struct.pack("<q", seed))
+        for part in parts:
+            digest.update(part if isinstance(part, bytes) else str(part).encode("utf-8"))
+            digest.update(b"\x00")
+        return int.from_bytes(digest.digest(), "little")
+
+    @given(
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.lists(st.one_of(st.text(), st.integers(), st.binary()), max_size=6),
+    )
+    @settings(max_examples=300)
+    def test_h64_equals_the_per_part_formula(self, seed, parts):
+        from repro.ecosystem import rand
+
+        try:
+            expected = self.reference(seed, *parts)
+        except UnicodeEncodeError:  # a lone surrogate: both refuse it
+            with pytest.raises(UnicodeEncodeError):
+                rand.h64(seed, *parts)
+            return
+        assert rand.h64(seed, *parts) == expected
