@@ -13,6 +13,7 @@ from collections import Counter
 
 from repro import build_internet
 from repro.core import ResolverConfig, SelectiveCache, SimDriver
+from repro.ecosystem.zonegen import provider_ns_ip
 from repro.modules import ModuleContext, get_module
 from repro.net import SimUDPSocket, SourceIPPool
 
@@ -22,7 +23,7 @@ def main() -> None:
     synth = internet.synth
 
     targets = [internet.google_ip, internet.cloudflare_ip]
-    targets += [synth.provider_ns_ip(i, 0) for i in range(6)]
+    targets += [provider_ns_ip(i, 0) for i in range(6)]
     targets += [synth.tld_ns_ip("com", 0), synth.tld_ns_ip("de", 0)]
     targets += ["203.0.113.77", "203.0.113.78"]  # dark space
 

@@ -3,10 +3,9 @@
 :meth:`Message.from_wire` is one flat pass over the packet: every name
 resolves through one shared pointer-target memo (the dominant owner
 shape, a two-byte pointer at a name the packet already spelled, is a
-single dict probe), the record types a scan is made of come straight
-from their four address bytes (A) or from shared value instances (NS,
-CNAME, PTR), and everything else decodes through one cursor reader
-shared by the whole packet.
+single dict probe), the record types a scan is made of (A, NS, CNAME,
+PTR) come straight from shared value instances, and everything else
+decodes through one cursor reader shared by the whole packet.
 :meth:`Message.to_wire` is one writer pass.  Nothing is remembered from
 one message to the next: a scan resolves distinct names, and every
 cross-message memo this module once carried switched itself off (or
@@ -23,7 +22,7 @@ from functools import lru_cache
 
 from .name import Name
 from .rdata import RData, rdata_class
-from .rdata.address import A
+from .rdata.address import decoded_a
 from .rdata.names import CNAME, NS, PTR, _single_name_instance
 from .types import (
     CLASS_BY_INT as _CLASS_BY_INT,
@@ -303,8 +302,9 @@ def clear_codec_caches() -> None:
     """Forget every value the decoder shares between packets (single-name
     rdata instances), so that a benchmark's next pass pays what a
     first-contact packet pays.  Results never depend on these caches.
-    The live-name table (``name._LIVE``) is not a cache and stays: a
-    name it forgot while something held it would get a second instance."""
+    The live tables of names and addresses (``name._LIVE``,
+    ``address._LIVE_A``) are not caches and stay: a value they forgot
+    while something held it would get a second instance."""
     _single_name_instance.cache_clear()
 
 
@@ -468,7 +468,7 @@ class Message:
                     # A records dominate scan traffic
                     append(
                         ResourceRecord(
-                            name, RRType.A, rrclass, ttl, A.from_packed(data[offset:end])
+                            name, RRType.A, rrclass, ttl, decoded_a(data[offset:end])
                         )
                     )
                     offset = end

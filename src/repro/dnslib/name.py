@@ -101,7 +101,8 @@ class Name:
                 raise NameError_(f"empty label in {text!r}")
             raise NameError_(f"empty trailing label in {text!r}")
         labels = tuple(labels)
-        # _interned's probe, inline: every parse of a live name ends here
+        # _interned's probe, inline: every parse ends here, and calling
+        # it would add 2.5 calls a lookup
         try:
             name = _LIVE[labels]()
         except KeyError:

@@ -4,6 +4,8 @@
 from __future__ import annotations
 
 import binascii
+import weakref
+from functools import partial
 
 from ..name import Name
 from ..types import RRType
@@ -22,7 +24,7 @@ from ._util import bytes_to_ipv4, bytes_to_ipv6, ipv4_to_bytes, ipv6_to_bytes
 class A(RData):
     """IPv4 host address (RFC 1035)."""
 
-    __slots__ = ("address", "_packed")
+    __slots__ = ("address", "_packed", "__weakref__")
 
     def __init__(self, address: str):
         self._packed = ipv4_to_bytes(address)
@@ -33,9 +35,8 @@ class A(RData):
 
     @classmethod
     def from_packed(cls, data: bytes) -> "A":
-        """The record of four address bytes (its wire form), formatted
-        without a parse; each record its own instance, so an address
-        lives only as long as the records that carry it."""
+        """A new record of four address bytes (its wire form), formatted
+        without a parse."""
         self = cls.__new__(cls)
         self._packed = data
         self.address = "%d.%d.%d.%d" % (data[0], data[1], data[2], data[3])
@@ -45,10 +46,32 @@ class A(RData):
     def from_wire(cls, reader: WireReader, rdlength: int) -> "A":
         if rdlength != 4:
             raise WireError(f"A rdlength {rdlength} != 4")
-        return cls.from_packed(reader.read(4))
+        return decoded_a(reader.read(4))
 
     def to_text(self) -> str:
         return self.address
+
+
+#: The one decoded ``A`` of each address while anything holds it, as
+#: ``name._LIVE`` is for names: four bytes -> weak reference, popped by
+#: the record's death.  Scans decode the same server and glue addresses
+#: constantly, and rdata is value-immutable, so a packet shares the
+#: record an earlier packet's cached answer still holds; an address
+#: nothing holds any more is forgotten.
+_LIVE_A: dict[bytes, weakref.ref] = {}
+_live_a_pop = _LIVE_A.pop
+
+
+def decoded_a(data: bytes) -> A:
+    """The live ``A`` record of four address bytes, made if none is."""
+    try:
+        record = _LIVE_A[data]()
+    except KeyError:
+        record = None
+    if record is None:
+        record = A.from_packed(data)
+        _LIVE_A[data] = weakref.ref(record, partial(_live_a_pop, data))
+    return record
 
 
 @register(RRType.AAAA)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 
-from .name import _LIVE, MAX_NAME_LENGTH, Name, _made
+from .name import _LIVE, MAX_NAME_LENGTH, Name, _interned, _made
 
 #: A compression pointer is two bytes whose top two bits are set.
 _POINTER_MASK = 0xC0
@@ -84,7 +84,8 @@ def decode_name_at(
         if length < 0x40:
             if not length:
                 labels = tuple(labels)
-                # name._interned's probe, inline: most names decoded are live
+                # name._interned's probe, inline: most decoded names end
+                # here, and calling it would add 8 to 11 calls a lookup
                 try:
                     name = _LIVE[labels]()
                 except KeyError:
@@ -115,13 +116,7 @@ def decode_name_at(
             if total > MAX_NAME_LENGTH:
                 raise WireError("decoded name too long")
             if labels:
-                labels = (*labels, *tail.labels)
-                try:
-                    tail = _LIVE[labels]()
-                except KeyError:
-                    tail = None
-                if tail is None:
-                    tail = _made(labels)
+                tail = _interned((*labels, *tail.labels))
             entry = (tail, cursor + 2)
             break
         else:

@@ -28,7 +28,9 @@ def h64(seed: int, *parts: object) -> int:
     ``update`` loop, so every digest — and therefore every synthesised
     zone — is unchanged.  Parts that are all ``str`` (most draws: a name
     key and a tag) are joined and encoded in one step; a ``str`` part is
-    hashed as its characters."""
+    hashed as its characters.  Any other part costs a caught
+    ``TypeError`` first, so a hot draw indexed by an ``int`` passes its
+    decimal text instead (the same bytes, so the same draw)."""
     packed = _PACKED_SEEDS.get(seed)
     if packed is None:
         packed = _PACKED_SEEDS[seed] = struct.pack("<q", seed)

@@ -32,7 +32,7 @@ from .content import (
     signed_nxdomain,
     soa_for,
 )
-from .zonegen import ZoneSynthesizer
+from .zonegen import ZoneSynthesizer, provider_ns_ip
 
 _IN_ADDR = Name.from_text("in-addr.arpa")
 _ARPA = Name.from_text("arpa")
@@ -209,7 +209,7 @@ class ProviderAuthServer:
         self.synth = synth
         self.provider_index = provider_index
         self.pool_slot = pool_slot
-        self.ip = synth.provider_ns_ip(provider_index, pool_slot)
+        self.ip = provider_ns_ip(provider_index, pool_slot)
         self.rng = random.Random(seed ^ (provider_index << 8) ^ pool_slot)
         self.refused = 0
         self.dropped = 0

@@ -138,6 +138,16 @@ class DomainProfile:
         return value
 
 
+def provider_ns_name(provider: ProviderProfile, k: int) -> Name:
+    """The name of a provider's ``k``-th nameserver host."""
+    return Name.from_text(f"ns{k + 1}.{provider.name}")
+
+
+def provider_ns_ip(provider_index: int, k: int) -> str:
+    """The address of provider ``provider_index``'s ``k``-th nameserver."""
+    return f"192.7.{provider_index}.{k + 1}"
+
+
 class ZoneSynthesizer:
     """Derives domain/IP profiles and answers content queries."""
 
@@ -197,12 +207,6 @@ class ZoneSynthesizer:
     def tld_ns_ip(self, tld: str, k: int) -> str:
         return f"192.6.{self._tld_index[tld]}.{k + 1}"
 
-    def provider_ns_name(self, provider_index: int, k: int) -> Name:
-        return _provider_ns_name(self._providers[provider_index], k)
-
-    def provider_ns_ip(self, provider_index: int, k: int) -> str:
-        return _provider_ns_ip(provider_index, k)
-
     def rdns_operator(self, octets: tuple[int, ...]) -> int:
         return rand.h64(self.params.seed, "rdns-op", *octets) % self.params.rdns_operators
 
@@ -245,7 +249,7 @@ class ZoneSynthesizer:
         full_provider = ".".join(parts[1:])
         for index, provider in enumerate(self._providers):
             if provider.name == full_provider and 0 <= k < provider.ns_pool:
-                return self.provider_ns_ip(index, k)
+                return provider_ns_ip(index, k)
         return None
 
     # ------------------------------------------------------------------
@@ -343,7 +347,7 @@ class ZoneSynthesizer:
         count = 1 + rand.h64(seed, key, count_tag, "count") % 3
         records = []
         for i in range(count):
-            value = rand.h64(seed, key, count_tag, i)
+            value = rand.h64(seed, key, count_tag, str(i))  # the same draw as ``i``
             octets = (
                 _HOST_OCTETS[value % len(_HOST_OCTETS)],
                 (value >> 8) & 255,
@@ -381,14 +385,6 @@ class ZoneSynthesizer:
 # the memoised draws (module-level, so a universe's memos hold nothing
 # that refers back to its synthesiser)
 # ----------------------------------------------------------------------
-
-
-def _provider_ns_name(provider: ProviderProfile, k: int) -> Name:
-    return Name.from_text(f"ns{k + 1}.{provider.name}")
-
-
-def _provider_ns_ip(provider_index: int, k: int) -> str:
-    return f"192.7.{provider_index}.{k + 1}"
 
 
 def _draw_dnssec_profile(
@@ -478,22 +474,23 @@ def _draw_profile(
     nameservers = []
     flaky_rate = p.p_flaky_base + provider.flaky_rate + FLAKY_CCTLDS.get(tld, 0.0)
     for slot in range(ns_count):
-        k = pool[rand.h64(seed, gkey, "nspick", slot) % len(pool)]
+        k = pool[rand.h64(seed, gkey, "nspick", str(slot)) % len(pool)]
         pool.remove(k)
         drop_prob = 0.0
         lame = False
-        if rand.uniform(seed, gkey, "flaky", k) < flaky_rate:
+        ktext = str(k)  # h64's all-str path: the same draw as ``k``
+        if rand.uniform(seed, gkey, "flaky", ktext) < flaky_rate:
             severe = (
-                rand.uniform(seed, gkey, "severe", k)
+                rand.uniform(seed, gkey, "severe", ktext)
                 < p.p_severe_given_flaky + provider.severe_flaky_rate
             )
             drop_prob = p.severe_drop_prob if severe else p.flaky_drop_prob
-        elif rand.uniform(seed, gkey, "lame", k) < provider.lame_rate:
+        elif rand.uniform(seed, gkey, "lame", ktext) < provider.lame_rate:
             lame = True
         nameservers.append(
             NameserverInfo(
-                name=_provider_ns_name(provider, k),
-                ip=_provider_ns_ip(provider_index, k),
+                name=provider_ns_name(provider, k),
+                ip=provider_ns_ip(provider_index, k),
                 drop_prob=drop_prob,
                 lame=lame,
             )

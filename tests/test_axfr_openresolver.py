@@ -9,6 +9,7 @@ from repro.core.engine import SimDriver
 from repro.dnslib import Name, RRType, parse_zone
 from repro.ecosystem import EcosystemParams, build_internet
 from repro.ecosystem.staticzone import StaticZoneServer
+from repro.ecosystem.zonegen import provider_ns_ip
 from repro.modules import ModuleContext, get_module
 from repro.net import LatencyModel, SimUDPSocket, SourceIPPool
 
@@ -100,7 +101,7 @@ class TestOpenResolver:
         profile = synth.profile(Name.from_text(self.probe(internet, synth)))
         # ask a *different* provider's server: it refuses
         other_index = (profile.provider_index + 1) % len(synth.params.providers)
-        server_ip = synth.provider_ns_ip(other_index, 0)
+        server_ip = provider_ns_ip(other_index, 0)
         row = run_module(
             internet, "OPENRESOLVER", server_ip, probe_name=self.probe(internet, synth)
         )

@@ -16,6 +16,7 @@ from repro.dnslib import (
     registered_types,
 )
 from repro.dnslib import rdata as rdata_module
+from repro.dnslib.rdata import address as address_module
 from repro.dnslib.rdata.address import A, AAAA, EUI48, L32
 from repro.dnslib.rdata.security import CAA
 from repro.dnslib.rdata.text import TXT, TextRData
@@ -127,6 +128,17 @@ class TestAddress:
     def test_a_text(self):
         assert A("10.0.0.1").to_text() == "10.0.0.1"
         assert A("10.0.0.1").zdns_answer() == "10.0.0.1"
+
+    def test_a_decoded_address_is_shared_while_held(self):
+        """One decoded ``A`` per address while anything holds it, and
+        none kept once nothing does."""
+        packed = bytes([198, 51, 100, 77])
+        first = A.from_wire(WireReader(packed), 4)
+        assert first.address == "198.51.100.77" and first == A("198.51.100.77")
+        assert A.from_wire(WireReader(packed), 4) is first
+        assert packed in address_module._LIVE_A
+        del first
+        assert packed not in address_module._LIVE_A
 
     def test_aaaa_text_is_compressed_form(self):
         assert AAAA("2001:0db8:0000:0000:0000:0000:0000:0001").to_text() == "2001:db8::1"

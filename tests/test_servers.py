@@ -15,6 +15,7 @@ from repro.ecosystem import (
     ZoneSynthesizer,
 )
 from repro.ecosystem.dnssec import ds_matches, verify_rrsig
+from repro.ecosystem.zonegen import provider_ns_ip, provider_ns_name
 
 N = Name.from_text
 
@@ -260,9 +261,9 @@ class TestProviderAuthServer:
 class TestInfraServer:
     def test_resolves_nameserver_hosts(self, synth):
         infra = InfraServer(synth)
-        name = synth.provider_ns_name(2, 1)
+        name = provider_ns_name(synth.params.providers[2], 1)
         response = ask(infra, name)
-        assert response.answers[0].rdata.address == synth.provider_ns_ip(2, 1)
+        assert response.answers[0].rdata.address == provider_ns_ip(2, 1)
 
     def test_resolves_ptr_targets(self, synth):
         infra = InfraServer(synth)

@@ -20,9 +20,11 @@ why.  ``pytest -s`` prints every count.  The literals are CPython 3.11's
 (3.12 inlines comprehensions, so a comprehension stops being a call);
 on any other version the test prints its counts and skips.
 
-To see which functions a count is made of, run :func:`count_run_phase`'s
-profiler keyed by ``frame.f_code.co_qualname`` instead of by package, on
-the parent and on the change, and diff the two.
+The counter is ``benchmarks/calls_per_lookup.py``'s
+``count_run_phase``, the one the ROADMAP's 3,000-name figures come
+from.  To see which functions a count is made of, key its profiler by
+``frame.f_code.co_qualname`` instead of by package, run it on the parent
+and on the change, and diff the two.
 """
 
 import json
@@ -50,17 +52,17 @@ TOLERANCE = 0.002
 BUDGETS = {
     (3, 11): {
         "wire": {
-            "C": 194164, "core": 21985, "dnslib": 67801, "ecosystem": 14573,
+            "C": 183537, "core": 21985, "dnslib": 69081, "ecosystem": 12917,
             "framework": 4026, "generated": 9050, "modules": 1847, "net": 26455,
             "stdlib": 7280,
         },
         "dnssec": {
-            "C": 305641, "core": 39074, "dnslib": 127065, "ecosystem": 23942,
+            "C": 295033, "core": 39074, "dnslib": 128352, "ecosystem": 22286,
             "framework": 4438, "generated": 10849, "modules": 1985, "net": 31691,
             "stdlib": 8454,
         },
         "metrics": {
-            "C": 194764, "core": 21985, "dnslib": 67801, "ecosystem": 14573,
+            "C": 184137, "core": 21985, "dnslib": 69081, "ecosystem": 12917,
             "framework": 4026, "generated": 9050, "modules": 1847, "net": 26455,
             "obs": 1200, "stdlib": 7280,
         },
@@ -79,65 +81,6 @@ CASES = {
     "dnssec": {"dnssec": True, "metrics": False},
     "metrics": {"dnssec": False, "metrics": True},
 }
-
-
-def count_run_phase(case: str) -> dict:
-    """Scan the case's names and return its run-phase calls by package
-    (runs in the fresh interpreter :func:`counted` starts)."""
-    import collections
-    import io
-    import sysconfig
-
-    import repro
-    from repro.ecosystem import EcosystemParams, build_internet
-    from repro.framework import JsonLineSink, ScanConfig, ScanRunner
-    from repro.net import Simulator
-    from repro.workloads import DomainCorpus
-
-    options = CASES[case]
-    corpus, names, index = DomainCorpus(), {}, SEED * 2 * 3000
-    while len(names) < NAMES:
-        names.setdefault(corpus.fqdn(index))
-        index += 1
-    signed = {"p_tld_signed": 1.0} if options["dnssec"] else {}
-    internet = build_internet(params=EcosystemParams(seed=SEED, **signed), wire_mode="always")
-    config = ScanConfig(threads=1000, source_prefix=28, seed=SEED, **options)
-
-    source = os.path.dirname(repro.__file__) + os.sep
-    stdlib = sysconfig.get_paths()["stdlib"] + os.sep
-    counts: collections.Counter = collections.Counter()
-    packages: dict[str, str] = {}
-
-    def package_of(filename: str) -> str:
-        if filename.startswith(source):
-            return filename[len(source):].split(os.sep)[0].removesuffix(".py")
-        if filename.startswith((stdlib, "<frozen ")):
-            return "stdlib"
-        return "generated" if filename == "<string>" else "other"
-
-    def profiler(frame, event, arg) -> None:
-        if event == "call":
-            filename = frame.f_code.co_filename
-            package = packages.get(filename)
-            if package is None:
-                package = packages[filename] = package_of(filename)
-            counts[package] += 1
-        elif event == "c_call":
-            counts["C"] += 1
-
-    run = Simulator.run
-
-    def counted_run(self, *args, **kwargs):
-        sys.setprofile(profiler)
-        try:
-            return run(self, *args, **kwargs)
-        finally:
-            sys.setprofile(None)
-
-    Simulator.run = counted_run
-    report = ScanRunner(internet, config, sink=JsonLineSink(io.StringIO())).run(list(names))
-    assert report.stats.total == NAMES
-    return dict(sorted(counts.items()))
 
 
 _MEASURED: dict[str, dict] = {}
@@ -201,4 +144,10 @@ def test_metrics_cost_a_fixed_number_of_calls_per_lookup():
 
 
 if __name__ == "__main__":
-    print(json.dumps(count_run_phase(sys.argv[1])))
+    # the fresh interpreter counted() starts: the one counter the
+    # ROADMAP's 3,000-name figures come from, at 300 names
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    from calls_per_lookup import count_run_phase
+
+    counts = count_run_phase(NAMES, "always", SEED, **CASES[sys.argv[1]])
+    print(json.dumps(dict(sorted(counts.items()))))

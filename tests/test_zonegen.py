@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.dnslib import Name
 from repro.ecosystem import EcosystemParams, ZoneSynthesizer
 from repro.ecosystem.params import CCTLDS, LEGACY_GTLDS, all_tlds, tld_class
+from repro.ecosystem.zonegen import provider_ns_ip, provider_ns_name
 
 N = Name.from_text
 
@@ -276,8 +277,8 @@ class TestInfraAddressBook:
         assert synth.infra_a_record(name) == synth.tld_ns_ip("com", 0)
 
     def test_provider_ns_resolvable(self, synth):
-        name = synth.provider_ns_name(0, 1)
-        assert synth.infra_a_record(name) == synth.provider_ns_ip(0, 1)
+        name = provider_ns_name(synth.params.providers[0], 1)
+        assert synth.infra_a_record(name) == provider_ns_ip(0, 1)
 
     def test_rdns_ns_resolvable(self, synth):
         name = synth.rdns_ns_name(17, 1)
@@ -290,7 +291,7 @@ class TestInfraAddressBook:
 
     def test_distinct_server_ips(self, synth):
         ips = {synth.tld_ns_ip(t, k) for t, _ in synth.tlds() for k in range(2)}
-        ips |= {synth.provider_ns_ip(i, 0) for i in range(len(synth.params.providers))}
+        ips |= {provider_ns_ip(i, 0) for i in range(len(synth.params.providers))}
         ips |= {synth.rdns_ns_ip(op, k) for op in range(8) for k in range(2)}
         # no collisions across tiers
         count = len(synth.tlds()) * 2 + len(synth.params.providers) + 16
